@@ -1,36 +1,20 @@
 """PERF — wall-clock benchmark for the batched-path perf PRs.
 
 Times a Table-4-style workload (synthesize one sub-dataset, train +
-predict an LSTM and a Prism5G model) along two code paths:
+predict an LSTM and a Prism5G model) on the shipped path: warm on-disk
+trace cache, array radio update, fused sequence kernels,
+carrier-folded Prism5G, and ``no_grad`` prediction.
+``predictions_match`` checks that ``no_grad`` prediction agrees with a
+graph-building forward over the same test windows.  A ``stages_s``
+section records micro-timings of one Prism5G forward+backward, one
+fused decoder rollout and a 300-step simulator run.
 
-* **legacy** — the loop-oracle path: serial uncached trace synthesis
-  with the scalar per-cell radio update, op-by-op RNN composition
-  (fused kernels off), per-carrier Prism5G loops (CC folding off), and
-  graph-building grad-mode prediction;
-* **current** — the shipped path: warm on-disk trace cache, vectorized
-  radio update, fused sequence kernels, carrier-folded Prism5G, and
-  ``no_grad`` prediction.
-
-Both model phases train on the *same* dataset (built by the current
-path) so ``predictions_match`` isolates the NN paths' bit-identity;
-the simulator paths differ at ulp level (numpy vs math transcendentals)
-and are compared per-field by the equivalence tests instead.  A
-``stages_s`` section records per-stage micro-timings of each folded
-path against its loop oracle.
-
-Two sections cover the pluggable compute backends (``repro.backends``):
-``backends_s`` times the LSTM training phase and a 300-step simulator
-run once per registered backend that imports cleanly (``numpy`` always;
-``numba`` when installed) plus a ``legacy`` row with fused kernels and
-the vectorized radio off — the numpy-vs-numba delta is the JIT payoff,
-the legacy row keeps the pre-dispatch baseline visible.
-``arena_multitrace`` A/Bs the allocation-free training path: the same
-seeded full-batch workload fit once as per-trace kernel calls with the
-workspace arena off and once as a single stacked ``fit_traces`` pass
-with the arena on.  Both paths see identical rows in identical order,
-so their losses match step for step and the held-out predictions agree
-to tolerance — the speedup isolates dispatch amortization + buffer
-reuse, not a different training trajectory.
+``arena_multitrace`` A/Bs multi-trace stacking: the same seeded
+full-batch workload fit once as per-trace kernel calls and once as a
+single stacked ``fit_traces`` pass.  Both paths see identical rows in
+identical order, so their losses match step for step and the held-out
+predictions agree to tolerance — the speedup isolates dispatch
+amortization, not a different training trajectory.
 
 A ``campaign_city`` section times the sharded city-campaign engine
 (``repro.ran.run_city_campaign``) on a small shared-deployment
@@ -42,7 +26,7 @@ hosts with 4+ cores.
 Every phase is timed best-of-3 (training is seeded, so repeats do
 identical work): single-shot wall clocks on shared hosts are dominated
 by scheduler noise — the same code has measured 2-3x apart run to run.
-Results (per-phase seconds, end-to-end totals, speedup) go to
+Results (per-phase seconds and the end-to-end total) go to
 ``BENCH_perf.json`` at the repo root.  The first run records itself as
 the regression baseline; later runs update ``latest`` only.
 
@@ -106,7 +90,7 @@ def _workload_params() -> Dict:
 
 
 def _grad_mode_predict(predictor, dataset) -> np.ndarray:
-    """Emulate the pre-PR prediction loop: full graph construction."""
+    """Predict through graph-building forwards (the ``no_grad`` cross-check)."""
     trainer = predictor.trainer
     x = predictor._packed(dataset)
     outputs = []
@@ -117,16 +101,12 @@ def _grad_mode_predict(predictor, dataset) -> np.ndarray:
 
 
 def _stage_timings(dataset, params) -> Dict[str, float]:
-    """Micro-timings of each folded path against its loop oracle.
-
-    Times one forward+backward of the carrier-folded Prism5G vs the
-    per-CC loop, one fused decoder rollout vs the op-by-op loop, and one
-    vectorized radio step vs the scalar per-cell loop.
-    """
+    """Micro-timings of the folded Prism5G step, the fused decoder
+    rollout and a 300-step simulator run."""
     from repro import obs
-    from repro.core.prism5g import Prism5G, batched_cc, pack_inputs
+    from repro.core.prism5g import Prism5G, pack_inputs
     from repro.nn import Tensor
-    from repro.ran.simulator import TraceSimulator, vectorized_radio
+    from repro.ran.simulator import TraceSimulator
 
     stages: Dict[str, float] = {}
 
@@ -150,8 +130,7 @@ def _stage_timings(dataset, params) -> Dict[str, float]:
     )
 
     # one training step at the trainer's batch size — the shape
-    # prism_train actually runs; folding wins by collapsing C
-    # per-carrier kernel calls into one C-times-taller call
+    # prism_train actually runs
     batch = packed[: min(128, len(packed))]
 
     def fwd_bwd() -> None:
@@ -159,89 +138,41 @@ def _stage_timings(dataset, params) -> Dict[str, float]:
         model.zero_grad()
         loss.backward()
 
-    with batched_cc(False):
-        stages["prism_fwd_bwd_loop"] = best_of("prism_fwd_bwd_loop", fwd_bwd)
-    with batched_cc(True):
-        stages["prism_fwd_bwd_folded"] = best_of("prism_fwd_bwd_folded", fwd_bwd)
+    stages["prism_fwd_bwd_folded"] = best_of("prism_fwd_bwd_folded", fwd_bwd)
 
-    # decoder rollout over every (sample, carrier) state: the loop
-    # oracle is the op-by-op step loop; the fused path is exactly what
-    # _forward_folded ships — per-carrier lstm_decoder_seq calls so the
-    # step arrays stay L2-resident (see _FOLD_CHUNK_ROWS)
+    # decoder rollout over every (sample, carrier) state, as the folded
+    # forward ships it — per-carrier lstm_decoder_seq calls so the step
+    # arrays stay L2-resident (see _FOLD_CHUNK_ROWS)
     n = len(packed)
-    h0 = Tensor(np.zeros((n * windows.n_ccs, params["hidden"])))
     h0_parts = [Tensor(np.zeros((n, params["hidden"]))) for _ in range(windows.n_ccs)]
-    stages["decoder_rollout_loop"] = best_of("decoder_rollout_loop", lambda: model._decode_loop(h0))
     stages["decoder_rollout_fused"] = best_of(
         "decoder_rollout_fused", lambda: [model._decode(part) for part in h0_parts]
     )
 
-    def sim_steps(vec: bool) -> None:
-        with vectorized_radio(vec):
-            sim = TraceSimulator(operator=params["operator"], seed=11, dt_s=0.1)
-            sim.run(30.0)
-
-    stages["sim_300_steps_loop"] = best_of("sim_300_steps_loop", lambda: sim_steps(False), repeat=5)
-    stages["sim_300_steps_vec"] = best_of("sim_300_steps_vec", lambda: sim_steps(True), repeat=5)
-    return stages
-
-
-def _backend_stage_timings(params, fit_lstm) -> Dict[str, Dict[str, float]]:
-    """Per-backend wall clocks for the LSTM training phase and a 300-step
-    simulator run: one row per registered backend that imports cleanly
-    (``numpy`` always, ``numba`` when installed), plus a ``legacy`` row
-    timed with fused kernels / the vectorized radio off.  CI's
-    optional-deps job reads the numpy-vs-numba delta from here.
-    """
-    from repro import backends, obs, runtime
-    from repro.nn.modules import fused_kernels
-    from repro.ran.simulator import TraceSimulator, vectorized_radio
-
-    def best_of(name, fn, repeat=3) -> float:
-        times = []
-        for _ in range(repeat):
-            with obs.span(f"bench.backend.{name}", force=True) as sp:
-                fn()
-            times.append(sp.duration_s)
-        return min(times)
-
-    def sim_run() -> None:
+    def sim_steps() -> None:
         sim = TraceSimulator(operator=params["operator"], seed=11, dt_s=0.1)
         sim.run(30.0)
 
-    table: Dict[str, Dict[str, float]] = {}
-    with fused_kernels(False), vectorized_radio(False):
-        table["legacy"] = {
-            "lstm_train": best_of("legacy.lstm_train", fit_lstm),
-            "sim_300_steps": best_of("legacy.sim_300_steps", sim_run),
-        }
-    for name in backends.available_backends():
-        with runtime.use(backend=name):
-            # warm the JIT cache outside the timed region so numba rows
-            # report steady-state kernels, not first-call compilation
-            sim_run()
-            table[name] = {
-                "lstm_train": best_of(f"{name}.lstm_train", fit_lstm),
-                "sim_300_steps": best_of(f"{name}.sim_300_steps", sim_run),
-            }
-    return table
+    stages["sim_300_steps_vec"] = best_of("sim_300_steps_vec", sim_steps, repeat=5)
+    return stages
 
 
 def _arena_multitrace_timings(params) -> Dict[str, object]:
-    """A/B the allocation-free multi-trace training path on numpy.
+    """A/B multi-trace stacking on the training path.
 
     Both arms run the *same* seeded full-batch workload — identical rows
     in identical order per optimizer step — so the trained models agree
     to tolerance and the timing delta isolates the mechanics:
 
-    * **per_trace_split** — arena off; every batch forward runs one
-      kernel call per trace (N small ``(B, T, F)`` passes concatenated),
-      the pre-``fit_traces`` shape of many-small-traces training;
-    * **stacked_arena** — arena on; :meth:`Trainer.fit_traces` stacks
-      the traces so each fused kernel sweeps one ``(N*B, T, F)`` batch
-      and gate/activation scratch is recycled step over step.
+    * **per_trace_split** — every batch forward runs one kernel call per
+      trace (N small ``(B, T, F)`` passes concatenated), the
+      pre-``fit_traces`` shape of many-small-traces training;
+    * **stacked_arena** — :meth:`Trainer.fit_traces` stacks the traces
+      so each fused kernel sweeps one ``(N*B, T, F)`` batch.
+
+    The workspace arena recycles kernel scratch in both arms.
     """
-    from repro import obs, runtime
+    from repro import obs
     from repro.nn.modules import LSTM, Linear, Module
     from repro.nn.tensor import Tensor, concat
     from repro.nn.training import Trainer
@@ -282,14 +213,12 @@ def _arena_multitrace_timings(params) -> Dict[str, object]:
 
     def fit_split() -> Trainer:
         trainer = make_trainer(split=True)
-        with runtime.use(arena=False):
-            trainer.fit(x_all, y_all)
+        trainer.fit(x_all, y_all)
         return trainer
 
     def fit_stacked() -> Trainer:
         trainer = make_trainer(split=False)
-        with runtime.use(arena=True):
-            trainer.fit_traces(traces)
+        trainer.fit_traces(traces)
         return trainer
 
     def best_of(name, fn, repeat=3):
@@ -395,13 +324,10 @@ def _tune_allocator() -> None:
 
 
 def run_workload(emit=print) -> Dict:
-    """Time the legacy and current paths; return the result record."""
+    """Time the shipped path; return the result record."""
     from repro import obs
     from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor
-    from repro.core.prism5g import batched_cc
     from repro.data import SubDatasetSpec, TraceCache, build_subdataset, random_split
-    from repro.nn.modules import fused_kernels
-    from repro.ran.simulator import vectorized_radio
 
     _tune_allocator()
 
@@ -423,7 +349,6 @@ def run_workload(emit=print) -> Dict:
             patience=params["prism_epochs"],
         )
 
-    legacy: Dict[str, float] = {}
     current: Dict[str, float] = {}
 
     def timed(name, fn, repeat: int = 3):
@@ -440,14 +365,7 @@ def run_workload(emit=print) -> Dict:
             best = min(best, sp.duration_s)
         return best, result
 
-    # --- legacy synthesis: serial, uncached, scalar per-cell radio ---
-    with vectorized_radio(False):
-        legacy["synthesize"], _ = timed(
-            "legacy.synthesize",
-            lambda: build_subdataset(spec, cache=None, processes=1, **build_kwargs),
-        )
-
-    # --- current synthesis: warm on-disk cache, vectorized radio ---
+    # --- synthesis: warm on-disk cache ---
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         cache = TraceCache(cache_dir)
@@ -458,8 +376,6 @@ def run_workload(emit=print) -> Dict:
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    # both model phases train on this dataset so predictions_match
-    # isolates the NN paths (bit-identical by construction)
     train, val, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
 
     def fit_lstm():
@@ -472,75 +388,44 @@ def run_workload(emit=print) -> Dict:
         predictor.fit(train, val)
         return predictor
 
-    # --- legacy models: op-by-op kernels, per-CC loops, grad-mode ---
-    with fused_kernels(False), batched_cc(False):
-        legacy["lstm_train"], lstm = timed("legacy.lstm_train", fit_lstm)
-        legacy["lstm_predict"], lstm_pred_legacy = timed(
-            "legacy.lstm_predict", lambda: _grad_mode_predict(lstm, test)
-        )
-        legacy["prism_train"], prism = timed("legacy.prism_train", fit_prism)
-        legacy["prism_predict"], prism_pred_legacy = timed(
-            "legacy.prism_predict",
-            lambda: _grad_mode_predict(prism, test)[:, : test.horizon],
-        )
-
-    # --- current models: fused kernels, CC folding, no_grad predict ---
+    # --- models: fused kernels, CC folding, no_grad predict ---
     current["lstm_train"], lstm = timed("current.lstm_train", fit_lstm)
     current["lstm_predict"], lstm_pred = timed("current.lstm_predict", lambda: lstm.predict(test))
     current["prism_train"], prism = timed("current.prism_train", fit_prism)
     current["prism_predict"], prism_pred = timed("current.prism_predict", lambda: prism.predict(test))
 
-    legacy["end_to_end"] = sum(legacy.values())
     current["end_to_end"] = sum(current.values())
     predictions_match = bool(
-        np.allclose(lstm_pred, lstm_pred_legacy, rtol=1e-9, atol=1e-12)
-        and np.allclose(prism_pred, prism_pred_legacy, rtol=1e-9, atol=1e-12)
+        np.allclose(lstm_pred, _grad_mode_predict(lstm, test), rtol=1e-9, atol=1e-12)
+        and np.allclose(
+            prism_pred, _grad_mode_predict(prism, test)[:, : test.horizon], rtol=1e-9, atol=1e-12
+        )
     )
     stages = _stage_timings(dataset, params)
-    backend_stages = _backend_stage_timings(params, fit_lstm)
     arena_multitrace = _arena_multitrace_timings(params)
     campaign_city = _campaign_city_timings(params)
 
-    from repro import runtime
-
     record = {
-        "workload": {**params, "backend": runtime.backend_name()},
-        "legacy_s": {k: round(v, 4) for k, v in legacy.items()},
+        "workload": params,
         "current_s": {k: round(v, 4) for k, v in current.items()},
         "stages_s": {k: round(v, 4) for k, v in stages.items()},
-        "backends_s": {
-            name: {k: round(v, 4) for k, v in row.items()}
-            for name, row in backend_stages.items()
-        },
         "arena_multitrace": arena_multitrace,
         "campaign_city": campaign_city,
-        "speedup": round(legacy["end_to_end"] / current["end_to_end"], 2),
         "predictions_match": predictions_match,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
-    emit("=== PERF: legacy vs current wall-clock (seconds) ===")
-    emit(f"{'phase':<14}{'legacy':>10}{'current':>10}{'speedup':>9}")
+    emit("=== PERF: wall-clock (seconds) ===")
     for phase in ("synthesize", "lstm_train", "lstm_predict", "prism_train", "prism_predict", "end_to_end"):
-        ratio = legacy[phase] / current[phase] if current[phase] > 0 else float("inf")
-        emit(f"{phase:<14}{legacy[phase]:>10.3f}{current[phase]:>10.3f}{ratio:>8.1f}x")
-    emit(f"predictions match: {predictions_match}")
-    emit("--- per-stage folded vs loop (seconds) ---")
-    for loop_key, fold_key in (
-        ("prism_fwd_bwd_loop", "prism_fwd_bwd_folded"),
-        ("decoder_rollout_loop", "decoder_rollout_fused"),
-        ("sim_300_steps_loop", "sim_300_steps_vec"),
-    ):
-        ratio = stages[loop_key] / stages[fold_key] if stages[fold_key] > 0 else float("inf")
-        emit(f"{fold_key:<24}{stages[loop_key]:>10.4f}{stages[fold_key]:>10.4f}{ratio:>8.1f}x")
-    emit("--- per-backend stage timings (seconds) ---")
-    emit(f"{'backend':<10}{'lstm_train':>12}{'sim_300_steps':>15}")
-    for name, row in record["backends_s"].items():
-        emit(f"{name:<10}{row['lstm_train']:>12.4f}{row['sim_300_steps']:>15.4f}")
+        emit(f"{phase:<14}{current[phase]:>10.3f}")
+    emit(f"no_grad predictions match graph-mode forward: {predictions_match}")
+    emit("--- per-stage (seconds) ---")
+    for key, value in stages.items():
+        emit(f"{key:<24}{value:>10.4f}")
     amt = record["arena_multitrace"]
     emit(
-        f"arena+multi-trace: per-trace split {amt['per_trace_split_s']:.4f}s vs "
-        f"stacked+arena {amt['stacked_arena_s']:.4f}s ({amt['speedup']:.2f}x), "
+        f"multi-trace: per-trace split {amt['per_trace_split_s']:.4f}s vs "
+        f"stacked {amt['stacked_arena_s']:.4f}s ({amt['speedup']:.2f}x), "
         f"predictions match: {amt['predictions_match']}"
     )
     cc = record["campaign_city"]
@@ -555,12 +440,9 @@ def run_workload(emit=print) -> Dict:
         config=params,
         seed=0,
         extra={
-            "speedup": record["speedup"],
             "predictions_match": predictions_match,
-            "legacy_s": record["legacy_s"],
             "current_s": record["current_s"],
             "stages_s": record["stages_s"],
-            "backends_s": record["backends_s"],
             "arena_multitrace": record["arena_multitrace"],
             "campaign_city": record["campaign_city"],
         },

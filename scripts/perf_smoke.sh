@@ -5,13 +5,7 @@
 # or when observability adds >5% overhead to a hot sim+train
 # micro-workload (--obs-check runs the gate twice: trace mode with the
 # sampler off, then metrics mode with 25 Hz continuous telemetry).
-#
-# The gate is pinned to the numpy compute backend so the smoke check
-# stays dependency-light and comparable across hosts: numba timings are
-# still *recorded* (the bench times every importable backend into
-# backends_s) but never decide pass/fail.  CI's optional-deps job reads
-# the numba rows from the uploaded BENCH_perf.json instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-REPRO_BACKEND=numpy PYTHONPATH=src python benchmarks/bench_perf_training.py --check --obs-check "$@"
+PYTHONPATH=src python benchmarks/bench_perf_training.py --check --obs-check "$@"

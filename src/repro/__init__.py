@@ -22,12 +22,12 @@ Subpackages
     Observability: metrics registry, span tracing, run manifests
     (``REPRO_OBS`` env knob; off by default).
 ``repro.runtime``
-    Canonical kernel-path dispatch flags + the repo's one config-hash
-    recipe (``runtime.configure(...)`` / ``runtime.use(...)``).
+    The ``sanitize`` / ``obs_sample_hz`` runtime flags + the repo's one
+    config-hash recipe (``runtime.configure(...)`` / ``runtime.use(...)``).
 ``repro.backends``
-    Pluggable compute backends for the fused primitives (numpy
-    reference, optional numba JIT; ``backend`` flag / ``REPRO_BACKEND``)
-    plus the workspace arena for allocation-free training steps.
+    The numpy compute backend behind the fused primitives (the
+    sanitizer's wrap seam) plus the workspace arena for
+    allocation-free training steps.
 ``repro.pipeline``
     Config-driven, resumable experiment pipeline
     (``repro5g run experiment.json``).

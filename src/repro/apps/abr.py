@@ -161,23 +161,34 @@ class MPCPlayer:
         )
 
 
-def oracle_forecaster_factory(tput_mbps: np.ndarray, dt_s: float, chunk_s: float) -> Forecaster:
-    """Build a clairvoyant forecaster for *this* trace (upper bound).
+def chunk_mean_forecaster(series: np.ndarray, steps_per_chunk: int) -> Forecaster:
+    """Serve chunk means of a per-step ``series``, advancing one chunk per call.
 
-    It tracks how much of the trace has been consumed via the number of
-    history samples seen so far (one per downloaded chunk).
+    The n-th call (from 0) forecasts chunks ``n .. n + horizon - 1``,
+    each the mean of its ``steps_per_chunk`` samples (the series wraps
+    like the player's trace).  The forecaster counts its own calls —
+    :meth:`MPCPlayer.run` hands it only the last 10 observed chunks, so
+    the history length cannot say how far the session has got — which
+    makes one forecaster good for one session.
     """
-    tput = np.asarray(tput_mbps, dtype=np.float64)
-    steps_per_chunk = max(1, int(round(chunk_s / dt_s)))
+    series = np.asarray(series, dtype=np.float64)
+    calls = itertools.count()
 
-    def forecast(history: np.ndarray, horizon: int, _chunk_s: float) -> np.ndarray:
-        consumed = len(history) * steps_per_chunk
+    def forecast(_history: np.ndarray, horizon: int, _chunk_s: float) -> np.ndarray:
+        consumed = next(calls) * steps_per_chunk
         out = np.empty(horizon)
         for k in range(horizon):
-            lo = (consumed + k * steps_per_chunk) % len(tput)
-            hi = lo + steps_per_chunk
-            window = np.take(tput, np.arange(lo, hi), mode="wrap")
-            out[k] = window.mean()
+            lo = (consumed + k * steps_per_chunk) % len(series)
+            out[k] = np.take(series, np.arange(lo, lo + steps_per_chunk), mode="wrap").mean()
         return out
 
     return forecast
+
+
+def oracle_forecaster_factory(tput_mbps: np.ndarray, dt_s: float, chunk_s: float) -> Forecaster:
+    """Build a clairvoyant forecaster for *this* trace (upper bound).
+
+    It forecasts the true chunk means ahead (see
+    :func:`chunk_mean_forecaster`).
+    """
+    return chunk_mean_forecaster(tput_mbps, max(1, int(round(chunk_s / dt_s))))

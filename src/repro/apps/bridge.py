@@ -18,7 +18,7 @@ from ..core.prism5g import pack_inputs  # noqa: F401  (re-exported convenience)
 from ..data.datasets import MLDataset
 from ..data.windowing import WindowedDataset, window_trace
 from ..ran.traces import Trace
-from .abr import Forecaster
+from .abr import Forecaster, chunk_mean_forecaster
 from .vivo import past_mean_bandwidth
 
 
@@ -95,18 +95,13 @@ def predictor_forecaster(
 
     MPC consumes per-chunk bandwidth forecasts; we precompute the
     predictor's per-step series over the trace and serve chunk-mean
-    slices of it, tracking position by the number of observed chunks
-    (the same contract as :func:`repro.apps.abr.oracle_forecaster_factory`).
+    slices of it, one chunk further per call (the same contract as
+    :func:`repro.apps.abr.oracle_forecaster_factory`).
     """
     series = predicted_bandwidth_series(predictor, trace, dataset, history, horizon, max_ccs)
-    steps_per_chunk = max(1, int(round(chunk_s / trace.dt_s)))
+    chunk_means = chunk_mean_forecaster(series, max(1, int(round(chunk_s / trace.dt_s))))
 
-    def forecast(history_mbps: np.ndarray, n_ahead: int, _chunk_s: float) -> np.ndarray:
-        consumed = len(history_mbps) * steps_per_chunk
-        out = np.empty(n_ahead)
-        for k in range(n_ahead):
-            lo = (consumed + k * steps_per_chunk) % len(series)
-            out[k] = np.take(series, np.arange(lo, lo + steps_per_chunk), mode="wrap").mean()
-        return np.maximum(out, 1e-3)
+    def forecast(history_mbps: np.ndarray, n_ahead: int, chunk_s_: float) -> np.ndarray:
+        return np.maximum(chunk_means(history_mbps, n_ahead, chunk_s_), 1e-3)
 
     return forecast

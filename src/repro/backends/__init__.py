@@ -1,49 +1,27 @@
-"""Pluggable compute backends for the fused hot-path primitives.
+"""The compute backend behind the fused hot-path primitives.
 
-Every fused primitive in the repo — the LSTM/GRU sequence and cell
-kernels, the affine projection, the Seq2Seq decoder rollout
-(:mod:`repro.nn.kernels`) and the simulator's vectorized radio step
-(:mod:`repro.ran.simulator`) — dispatches through the backend object
-this package manages.  A backend is a module of pure ``ndarray ->
-ndarray`` functions (see :data:`PRIMITIVES`); the kernel layer keeps
-all autograd bookkeeping, so backends never see a ``Tensor``.
+Every fused primitive in the repo — the LSTM/GRU sequence kernels, the
+affine projection, the Seq2Seq decoder rollout
+(:mod:`repro.nn.kernels`) and the simulator's radio step
+(:mod:`repro.ran.simulator`, :mod:`repro.ran.multi_ue`) — dispatches
+through the object :func:`active` returns.  It carries one attribute
+per name in :data:`PRIMITIVES`, each a pure ``ndarray -> ndarray``
+function from :mod:`repro.backends.numpy_backend`; the kernel layer
+keeps all autograd bookkeeping, so primitives never see a ``Tensor``.
 
-Two backends ship:
-
-* ``numpy`` (:mod:`repro.backends.numpy_backend`) — the default and
-  reference implementation, extracted verbatim from the pre-refactor
-  fused kernels and therefore bit-identical to the loop oracles under
-  the existing property tests.
-* ``numba`` (:mod:`repro.backends.numba_backend`) — optional JIT
-  compilation of the LSTM/GRU gate loops and the simulator radio step.
-  When numba is not installed (or a name is unknown) resolution
-  *degrades gracefully* to numpy and publishes the
-  ``backend.fallback`` obs counter instead of failing the run.
-
-Selection follows the PR-4 write-through-mirror pattern: the canonical
-value is the ``backend`` runtime flag (:mod:`repro.runtime`, presetable
-with ``REPRO_BACKEND``); this package registers a mirror that resolves
-the *name* to a :class:`Backend` object once per flag change, so hot
-paths pay one attribute read per kernel call.  Both the requested name
-and the resolved name are stamped into run manifests
-(:func:`repro.obs.manifest.kernel_paths`).
-
-Backends may implement any subset of :data:`PRIMITIVES`; missing
-entries are inherited from the numpy backend per-primitive, so a
-compiled backend only overrides the loops it actually accelerates.
-
-The resolution seam is also where the numeric sanitizer hooks in:
-when the ``sanitize`` runtime flag is armed (``REPRO_SANITIZE=1`` /
-``repro5g --sanitize``), the resolved backend is wrapped by
-:func:`repro.sanitize.wrap_backend` so every primitive call is guarded
-with NaN/Inf and backward shape/dtype checks — zero overhead while the
-flag is off, because unwrapped and wrapped backends swap atomically at
-flag changes.
+Hot paths look the object up once per kernel call, which makes it the
+one seam where a primitive can be wrapped.  The numeric sanitizer
+hooks in here: when the ``sanitize`` runtime flag is armed
+(``REPRO_SANITIZE=1`` / ``repro5g --sanitize``), :func:`active` hands
+out a :func:`repro.sanitize.wrap_backend` twin whose every primitive
+call is guarded with NaN/Inf and backward shape/dtype checks — zero
+overhead while the flag is off, because the plain and wrapped objects
+swap atomically at flag changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import cast
 
 from .. import runtime
 from . import arena, numpy_backend
@@ -54,23 +32,14 @@ __all__ = [
     "active",
     "active_name",
     "arena",
-    "available_backends",
     "numpy_backend",
-    "register_backend",
-    "registered_backends",
-    "requested_name",
     "sanitize_active",
 ]
 
-#: the dispatchable primitive set every backend may implement.
+#: the dispatchable primitive set.
 PRIMITIVES = (
     "affine_forward",
     "affine_backward",
-    "lstm_cell_forward",
-    "lstm_cell_backward_h",
-    "lstm_cell_backward_c",
-    "gru_cell_forward",
-    "gru_cell_backward",
     "lstm_seq_forward",
     "lstm_seq_backward",
     "gru_seq_forward",
@@ -83,158 +52,59 @@ PRIMITIVES = (
 
 
 class Backend:
-    """A resolved backend: one attribute per primitive, numpy-completed.
-
-    Primitives the implementing module does not define are inherited
-    from the numpy reference backend, so partial backends (a JIT that
-    only compiles the recurrent loops) stay drop-in.
-    """
+    """One attribute per primitive, taken from ``module``."""
 
     __slots__ = ("name",) + PRIMITIVES
 
     def __init__(self, name: str, module) -> None:
         self.name = name
         for fname in PRIMITIVES:
-            fn = getattr(module, fname, None)
-            if fn is None:
-                fn = getattr(numpy_backend, fname)
-            setattr(self, fname, fn)
+            setattr(self, fname, getattr(module, fname))
 
     def __repr__(self) -> str:
         return f"Backend({self.name!r})"
 
 
-def _load_numba():
-    from . import numba_backend
-
-    if not numba_backend.AVAILABLE:
-        return None
-    return numba_backend
-
-
-#: name -> lazy loader returning the implementing module (or ``None``
-#: when its dependency is unavailable, triggering the numpy fallback).
-_REGISTRY: Dict[str, Callable[[], Optional[object]]] = {
-    "numpy": lambda: numpy_backend,
-    "numba": _load_numba,
-}
-
 _NUMPY = Backend("numpy", numpy_backend)
-_ACTIVE: Backend = _NUMPY
-_REQUESTED: str = "numpy"
+_ACTIVE = _NUMPY
 _SANITIZE: bool = False
 
 
-def register_backend(name: str, loader: Callable[[], Optional[object]]) -> None:
-    """Register a backend loader under ``name`` (lowercased).
-
-    ``loader`` returns the implementing module, or ``None`` if its
-    dependency is unavailable (resolution then falls back to numpy).
-    Re-registering a name replaces the loader; if the name is currently
-    selected, it is re-resolved immediately.
-    """
-    name = name.strip().lower()
-    if not name:
-        raise ValueError("backend name must be a non-empty string")
-    _REGISTRY[name] = loader
-    if name == _REQUESTED:
-        _set_backend_mirror(name)
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name (available or not), sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backends whose dependencies import, sorted."""
-    names = []
-    for name, loader in _REGISTRY.items():
-        try:
-            module = loader()
-        except ImportError:
-            module = None
-        if module is not None:
-            names.append(name)
-    return tuple(sorted(names))
-
-
-def _publish_fallback(requested: str, reason: str) -> None:
-    try:  # lazy: repro.obs must stay importable without repro.backends
-        from .. import obs
-
-        if obs.metrics_enabled():
-            obs.counter("backend.fallback")
-    except ImportError:  # pragma: no cover - partial installs
-        pass
-
-
-def _resolve(requested: str) -> Backend:
-    loader = _REGISTRY.get(requested)
-    if loader is None:
-        _publish_fallback(requested, "unknown backend")
-        return _NUMPY
-    try:
-        module = loader()
-    except ImportError:
-        module = None
-    if module is None:
-        _publish_fallback(requested, "backend unavailable")
-        return _NUMPY
-    if module is numpy_backend:
-        return _NUMPY
-    return Backend(requested, module)
-
-
-def _set_backend_mirror(requested: object) -> None:
-    global _ACTIVE, _REQUESTED
-    _REQUESTED = str(requested)
-    resolved = _resolve(_REQUESTED)
+def _set_sanitize_mirror(value: object) -> None:
+    global _ACTIVE, _SANITIZE
+    _SANITIZE = str(value) == "1"
     if _SANITIZE:
         # lazy: repro.sanitize pulls in repro.obs, and this mirror fires
         # while this package is still initializing
         from .. import sanitize
 
-        resolved = sanitize.wrap_backend(resolved, PRIMITIVES)
-    _ACTIVE = resolved
+        # the wrapped twin duck-types Backend: same name, one guarded
+        # callable per primitive
+        _ACTIVE = cast(Backend, sanitize.wrap_backend(_NUMPY, PRIMITIVES))
+    else:
+        _ACTIVE = _NUMPY
 
 
-def _set_sanitize_mirror(value: object) -> None:
-    global _SANITIZE
-    _SANITIZE = str(value) == "1"
-    # re-resolve so the active backend gains/sheds its sanitizer wrap;
-    # hot paths keep paying a single attribute read either way.
-    _set_backend_mirror(_REQUESTED)
-
-
-# canonical value lives in repro.runtime ("backend" flag, REPRO_BACKEND
-# env); this mirror resolves name -> Backend object once per flag
-# change.  The "sanitize" mirror is registered first so the backend
-# mirror's initial resolution already sees the REPRO_SANITIZE preset.
+# canonical value lives in repro.runtime ("sanitize" flag, REPRO_SANITIZE
+# env); this mirror swaps the active object once per flag change.
 runtime.register_mirror("sanitize", _set_sanitize_mirror)
-runtime.register_mirror("backend", _set_backend_mirror)
 
 
 def active() -> Backend:
-    """The resolved backend object hot paths dispatch through."""
+    """The backend object hot paths dispatch through."""
     return _ACTIVE
 
 
 def active_name() -> str:
-    """The *resolved* backend name (numpy when a fallback occurred)."""
+    """The compute backend's name (the sanitizer wrap keeps it)."""
     return _ACTIVE.name
-
-
-def requested_name() -> str:
-    """The backend name the runtime flag asked for (pre-fallback)."""
-    return _REQUESTED
 
 
 def sanitize_active() -> bool:
     """Whether the active backend is wrapped by the numeric sanitizer.
 
     Mirrors the ``sanitize`` runtime flag (see :mod:`repro.sanitize`);
-    the resolved ``name`` stays the inner backend's, so this is the
+    the ``name`` stays the inner backend's, so this is the
     authoritative way to ask whether guards are armed.
     """
     return _SANITIZE

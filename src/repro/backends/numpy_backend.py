@@ -1,11 +1,10 @@
-"""The reference compute backend: plain numpy, bit-identical by construction.
+"""The compute backend: plain numpy, bit-identical to the loop oracles.
 
-Every numeric core here was extracted *verbatim* from the fused
-primitives that used to live inline in :mod:`repro.nn.tensor` (and the
-simulator's vectorized radio update) — same expressions, same
-evaluation order, same in-place ufunc sequences — so forward values and
-gradients are bit-identical to the pre-refactor kernels, and therefore
-to the op-by-op loop oracles the property tests compare against.
+Every numeric core here keeps the exact expressions, evaluation order
+and in-place ufunc sequences of the op-by-op compositions the
+equivalence suites compare against (``tests/oracles.py``), so forward
+values are bit-identical to them and gradients agree to numerical
+precision.
 
 The split of responsibilities with :mod:`repro.nn.kernels` is:
 
@@ -29,10 +28,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import arena
-
-name = "numpy"
-#: always importable: this is the fallback target for every other backend.
-AVAILABLE = True
 
 
 # ----------------------------------------------------------------------
@@ -108,133 +103,6 @@ def affine_backward(
             grads["weight_h"] = _weight_grad(h, g, weight_h.shape)
     if needs.get("bias"):
         grads["bias"] = g  # kernel layer reduces over broadcast axes
-    return grads
-
-
-# ----------------------------------------------------------------------
-# single LSTM / GRU steps
-# ----------------------------------------------------------------------
-def lstm_cell_forward(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    weight_ih: np.ndarray,
-    weight_hh: np.ndarray,
-    bias: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, Dict]:
-    hidden = weight_hh.shape[0]
-    gates = x @ weight_ih + h_prev @ weight_hh + bias
-    i = sigmoid(gates[:, 0 * hidden : 1 * hidden])
-    f = sigmoid(gates[:, 1 * hidden : 2 * hidden])
-    g_in = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(gates[:, 3 * hidden : 4 * hidden])
-    c_val = f * c_prev + i * g_in
-    tanh_c = np.tanh(c_val)
-    h_val = o * tanh_c
-    saved = {"gates": gates, "i": i, "f": f, "g_in": g_in, "o": o, "tanh_c": tanh_c, "hidden": hidden}
-    return h_val, c_val, saved
-
-
-def lstm_cell_backward_h(gh: np.ndarray, saved: Dict) -> Tuple[np.ndarray, np.ndarray]:
-    """Output-gate split of the cell backward: ``(dc contribution, d_o)``."""
-    o, tanh_c = saved["o"], saved["tanh_c"]
-    return gh * (o * (1.0 - tanh_c * tanh_c)), gh * tanh_c
-
-
-def lstm_cell_backward_c(
-    gc: np.ndarray,
-    d_o: Optional[np.ndarray],
-    saved: Dict,
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    weight_ih: np.ndarray,
-    weight_hh: np.ndarray,
-    needs: Dict[str, bool],
-) -> Dict[str, np.ndarray]:
-    hidden = saved["hidden"]
-    i, f, g_in, o = saved["i"], saved["f"], saved["g_in"], saved["o"]
-    d_gates = np.empty_like(saved["gates"])
-    d_gates[:, 0 * hidden : 1 * hidden] = (gc * g_in) * i * (1.0 - i)
-    d_gates[:, 1 * hidden : 2 * hidden] = (gc * c_prev) * f * (1.0 - f)
-    d_gates[:, 2 * hidden : 3 * hidden] = (gc * i) * (1.0 - g_in * g_in)
-    if d_o is None:  # h was not part of the loss; only c flowed onward
-        d_gates[:, 3 * hidden : 4 * hidden] = 0.0
-    else:
-        d_gates[:, 3 * hidden : 4 * hidden] = d_o * o * (1.0 - o)
-    grads: Dict[str, np.ndarray] = {}
-    if needs["c_prev"]:
-        grads["c_prev"] = gc * f
-    if needs["x"]:
-        grads["x"] = d_gates @ weight_ih.T
-    if needs["h_prev"]:
-        grads["h_prev"] = d_gates @ weight_hh.T
-    if needs["weight_ih"]:
-        grads["weight_ih"] = x.T @ d_gates
-    if needs["weight_hh"]:
-        grads["weight_hh"] = h_prev.T @ d_gates
-    if needs["bias"]:
-        grads["bias"] = d_gates.sum(axis=0)
-    return grads
-
-
-def gru_cell_forward(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    weight_ih: np.ndarray,
-    weight_hh: np.ndarray,
-    bias: np.ndarray,
-    weight_in: np.ndarray,
-    weight_hn: np.ndarray,
-    bias_n: np.ndarray,
-) -> Tuple[np.ndarray, Dict]:
-    hidden = weight_hh.shape[0]
-    gates = x @ weight_ih + h_prev @ weight_hh + bias
-    r = sigmoid(gates[:, :hidden])
-    z = sigmoid(gates[:, hidden:])
-    rh = r * h_prev
-    n = np.tanh(x @ weight_in + rh @ weight_hn + bias_n)
-    h_val = (1.0 - z) * n + z * h_prev
-    saved = {"gates": gates, "r": r, "z": z, "n": n, "rh": rh, "hidden": hidden}
-    return h_val, saved
-
-
-def gru_cell_backward(
-    gh: np.ndarray,
-    saved: Dict,
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    weight_ih: np.ndarray,
-    weight_hh: np.ndarray,
-    weight_in: np.ndarray,
-    weight_hn: np.ndarray,
-    needs: Dict[str, bool],
-) -> Dict[str, np.ndarray]:
-    hidden = saved["hidden"]
-    r, z, n, rh = saved["r"], saved["z"], saved["n"], saved["rh"]
-    dz = gh * (h_prev - n)
-    dn_pre = (gh * (1.0 - z)) * (1.0 - n * n)
-    drh = dn_pre @ weight_hn.T
-    d_gates = np.empty_like(saved["gates"])
-    d_gates[:, :hidden] = (drh * h_prev) * r * (1.0 - r)
-    d_gates[:, hidden:] = dz * z * (1.0 - z)
-    grads: Dict[str, np.ndarray] = {}
-    if needs["x"]:
-        grads["x"] = d_gates @ weight_ih.T + dn_pre @ weight_in.T
-    if needs["h_prev"]:
-        grads["h_prev"] = gh * z + drh * r + d_gates @ weight_hh.T
-    if needs["weight_ih"]:
-        grads["weight_ih"] = x.T @ d_gates
-    if needs["weight_hh"]:
-        grads["weight_hh"] = h_prev.T @ d_gates
-    if needs["bias"]:
-        grads["bias"] = d_gates.sum(axis=0)
-    if needs["weight_in"]:
-        grads["weight_in"] = x.T @ dn_pre
-    if needs["weight_hn"]:
-        grads["weight_hn"] = rh.T @ dn_pre
-    if needs["bias_n"]:
-        grads["bias_n"] = dn_pre.sum(axis=0)
     return grads
 
 
@@ -724,7 +592,7 @@ def radio_step(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One vectorized radio update over all candidate cells.
 
-    Extracted verbatim from the simulator's ``_radio_update_vec``:
+    The numeric core of the simulator's ``_radio_update``:
     pathloss, RSRP/RSRQ/SINR, and the O(C^2) co-channel interference as
     a handful of numpy expressions over the cached candidate arrays.
     Returns ``(rsrp, sinr, rsrq)`` per candidate, in dB(m).

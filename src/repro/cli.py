@@ -73,16 +73,7 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            "compute backend for the fused kernels (e.g. numpy, numba; "
-            "overrides REPRO_BACKEND; unknown/unavailable names fall "
-            "back to numpy)"
-        ),
-    )
+def _add_sanitize_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize",
         action="store_const",
@@ -99,8 +90,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
 def _configure_obs(args: argparse.Namespace) -> None:
     if getattr(args, "obs", None) is not None or getattr(args, "obs_dir", None) is not None:
         obs.configure(mode=args.obs, directory=args.obs_dir)
-    if getattr(args, "backend", None) is not None:
-        runtime.configure(backend=args.backend)
     if getattr(args, "sanitize", None) is not None:
         runtime.configure(sanitize=args.sanitize)
     if getattr(args, "obs_sample_hz", None) is not None:
@@ -327,7 +316,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     for key in ("mode", "git_sha", "seed", "config_hash", "pid"):
         print(f"{key:>12}: {manifest.get(key)}")
     kernels = manifest.get("kernel_paths") or {}
-    print(f"{'kernels':>12}: " + ", ".join(f"{k}={'on' if v else 'off'}" for k, v in sorted(kernels.items())))
+    print(f"{'kernels':>12}: " + ", ".join(f"{k}={v}" for k, v in sorted(kernels.items())))
     metrics = manifest.get("metrics") or {}
     counters = metrics.get("counters") or {}
     if counters:
@@ -486,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="synthesize one CA trace")
     _add_common_sim_args(sim)
     _add_obs_args(sim)
-    _add_backend_arg(sim)
+    _add_sanitize_arg(sim)
     sim.add_argument("--rat", default="5G", choices=["4G", "5G"])
     sim.add_argument("--nsa", action="store_true", help="EN-DC dual connectivity")
     sim.add_argument("--dt", type=float, default=1.0)
@@ -519,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     city.add_argument("--shard-timeout", type=float, default=None,
                       help="per-shard wall budget in seconds (expired shards retry once)")
     _add_obs_args(camp)
-    _add_backend_arg(camp)
+    _add_sanitize_arg(camp)
     camp.set_defaults(func=_cmd_campaign)
 
     def _add_ml_args(p: argparse.ArgumentParser) -> None:
@@ -532,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=40)
         p.add_argument("--seed", type=int, default=0)
         _add_obs_args(p)
-        _add_backend_arg(p)
+        _add_sanitize_arg(p)
 
     train = sub.add_parser("train", help="train Prism5G on a sub-dataset")
     _add_ml_args(train)
@@ -554,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", default=None, help="run directory (default: runs/<name>-<hash>)")
     run.add_argument("--force", action="store_true", help="re-run every stage even if artifacts exist")
     _add_obs_args(run)
-    _add_backend_arg(run)
+    _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
     lint = sub.add_parser("lint", help="run the repo's AST and whole-program invariant checks (rules RL001-RL012)")

@@ -18,9 +18,9 @@ import numpy as np
 from ..data.windowing import WindowedDataset, flatten_for_trees
 from ..forecast.prophet import StructuralProphet
 from ..nn.losses import rmse
-from ..nn.modules import Linear, LSTM, LSTMCell, Module, TCN, fused_kernels_enabled
+from ..nn.modules import Linear, LSTM, LSTMCell, Module, TCN
 from ..nn.serialization import load_state, read_checkpoint_metadata, save_state
-from ..nn.tensor import Tensor, concat, lstm_decoder_seq
+from ..nn.tensor import Tensor, lstm_decoder_seq
 from ..nn.training import Trainer
 from ..trees.boosting import GradientBoostingRegressor
 from ..trees.forest import RandomForestRegressor
@@ -193,27 +193,19 @@ class _Seq2Seq(Module):
         h, c = state[0]
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         step_input = Tensor(data[:, -1, -1:])  # last observed throughput
-        if fused_kernels_enabled():
-            # whole rollout as one graph node (hand-written BPTT)
-            preds = lstm_decoder_seq(
-                step_input,
-                h,
-                c,
-                self.decoder_cell.weight_ih,
-                self.decoder_cell.weight_hh,
-                self.decoder_cell.bias,
-                self.head.weight,
-                self.head.bias,
-                self.horizon,
-            )
-            return preds.reshape(data.shape[0], self.horizon)
-        outputs = []
-        for _ in range(self.horizon):
-            h, c = self.decoder_cell(step_input, (h, c))
-            pred = self.head(h)
-            outputs.append(pred)
-            step_input = pred
-        return concat(outputs, axis=1)
+        # whole rollout as one graph node (hand-written BPTT)
+        preds = lstm_decoder_seq(
+            step_input,
+            h,
+            c,
+            self.decoder_cell.weight_ih,
+            self.decoder_cell.weight_hh,
+            self.decoder_cell.bias,
+            self.head.weight,
+            self.head.bias,
+            self.horizon,
+        )
+        return preds.reshape(data.shape[0], self.horizon)
 
 
 @dataclass

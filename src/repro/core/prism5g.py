@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs, runtime
 from ..nn.modules import (
     Embedding,
     Linear,
@@ -38,20 +37,8 @@ from ..nn.modules import (
     MLP,
     Module,
     TransformerEncoder,
-    fused_kernels_enabled,
 )
-from ..nn.tensor import Tensor, concat, lstm_decoder_seq, no_grad, stack
-
-def _set_batched_mirror(enabled: bool) -> None:
-    global _BATCHED_CC
-    _BATCHED_CC = enabled
-
-
-#: hot-loop mirror of ``runtime.flag("batched_cc")`` — the
-#: carrier-folded (batched) forward vs the per-CC Python loop (kept as
-#: a bit-identity oracle for the property tests and before/after
-#: benchmarking).  The canonical value lives in :mod:`repro.runtime`.
-_BATCHED_CC = runtime.register_mirror("batched_cc", _set_batched_mirror)
+from ..nn.tensor import Tensor, concat, lstm_decoder_seq, no_grad
 
 #: row cap per fused-kernel call in the folded forward.  Recurrent step
 #: arrays at the full fold height (C·B rows) spill the L2 cache, so the
@@ -145,33 +132,6 @@ def tune_fold_chunk_rows(
         set_fold_chunk_rows(chosen)
         _FOLD_TUNING = result
     return result
-
-
-def batched_cc_enabled() -> bool:
-    return _BATCHED_CC
-
-
-def set_batched_cc(enabled: bool) -> bool:
-    """Toggle the carrier-folded forward; returns the previous value.
-
-    .. deprecated:: use ``repro.runtime.configure(batched_cc=...)``;
-       this shim delegates there so both APIs stay consistent.
-    """
-    return runtime.set_flag("batched_cc", enabled)
-
-
-class batched_cc:
-    """Context manager pinning the carrier-folding switch."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-
-    def __enter__(self) -> "batched_cc":
-        self._previous = set_batched_cc(self.enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_batched_cc(self._previous)
 
 
 def pack_inputs(x: np.ndarray, mask: np.ndarray, y_hist: np.ndarray) -> np.ndarray:
@@ -278,66 +238,52 @@ class Prism5G(Module):
     def _decode(self, h_c: Tensor, chunks: int = 1) -> Tensor:
         """Roll the shared decoder ``horizon`` steps from state ``h_c``.
 
-        With the fused kernels enabled the whole rollout is one
-        :func:`~repro.nn.tensor.lstm_decoder_seq` graph node; the
-        step-by-step loop is kept as its bit-identity oracle.
-        ``chunks`` (the carrier count when folding) splits the narrow
-        head projection so its GEMV rounding matches the per-CC loop.
+        The whole rollout is one :func:`~repro.nn.tensor.lstm_decoder_seq`
+        graph node.  ``chunks`` (the carrier count when folding) splits
+        the narrow head projection so its GEMV rounding matches a
+        per-carrier rollout.
         """
         batch = h_c.shape[0]
         dtype = h_c.data.dtype
-        if fused_kernels_enabled():
-            preds = lstm_decoder_seq(
-                Tensor(np.zeros((batch, 1), dtype=dtype)),
-                h_c,
-                Tensor(np.zeros((batch, self.hidden), dtype=dtype)),
-                self.decoder_cell.weight_ih,
-                self.decoder_cell.weight_hh,
-                self.decoder_cell.bias,
-                self.decoder_out.weight,
-                self.decoder_out.bias,
-                self.horizon,
-                out_chunks=chunks,
-            )
-            return preds.reshape(batch, self.horizon)
-        return self._decode_loop(h_c)
-
-    def _decode_loop(self, h_c: Tensor) -> Tensor:
-        """Op-by-op decoder rollout (oracle for the fused primitive)."""
-        batch = h_c.shape[0]
-        hidden_state = h_c
-        dtype = h_c.data.dtype
-        cell_state = Tensor(np.zeros((batch, self.hidden), dtype=dtype))
-        step_input = Tensor(np.zeros((batch, 1), dtype=dtype))
-        outputs: List[Tensor] = []
-        for _ in range(self.horizon):
-            hidden_state, cell_state = self.decoder_cell(step_input, (hidden_state, cell_state))
-            prediction = self.decoder_out(hidden_state)
-            outputs.append(prediction)
-            step_input = prediction
-        return concat(outputs, axis=1)
-
-    def _apply_head(self, h_c: Tensor) -> Tensor:
-        if self.head_kind == "mlp":
-            return self.head(h_c)
-        return self._decode(h_c)
+        preds = lstm_decoder_seq(
+            Tensor(np.zeros((batch, 1), dtype=dtype)),
+            h_c,
+            Tensor(np.zeros((batch, self.hidden), dtype=dtype)),
+            self.decoder_cell.weight_ih,
+            self.decoder_cell.weight_hh,
+            self.decoder_cell.bias,
+            self.decoder_out.weight,
+            self.decoder_out.bias,
+            self.horizon,
+            out_chunks=chunks,
+        )
+        return preds.reshape(batch, self.horizon)
 
     # ------------------------------------------------------------------
-    def _forward_folded(self, data: np.ndarray) -> Tensor:
-        """Carrier-folded forward: one encoder/decoder call for all CCs.
+    def forward(self, packed: Tensor) -> Tensor:
+        """Predict ``(batch, horizon * (1 + C))``: aggregate then per-CC.
 
-        The per-CC inputs ``(B, T, C, F+2)`` are folded carrier-major to
-        ``(C*B, T, F+2)`` — row ``c*B + b`` is carrier ``c`` of sample
-        ``b`` — so the weight-shared encoder runs as a single fused
-        sequence kernel over ``C*B`` sequences instead of ``C`` separate
-        calls, and the decoder rollout likewise folds carriers into the
-        batch axis.  Values are bit-identical to the per-CC loop: the
-        wide GEMMs produce the same rows regardless of batch height,
-        every other op is elementwise or a pure reshape, and the narrow
-        head projections are evaluated per carrier-contiguous chunk so
-        their GEMV rounding matches the loop's row count (see
+        Columns ``[:horizon]`` are the aggregate forecast (the sum of
+        the per-CC heads); the rest are the per-CC forecasts flattened
+        ``(horizon, C)``-major, used for per-carrier supervision and
+        Fig 33-34 style per-cell plots.  Use
+        :meth:`aggregate_prediction` / :meth:`predict_per_cc` to slice,
+        or :meth:`predict_all` for both in one pass.
+
+        The forward is carrier-folded: the per-CC inputs ``(B, T, C,
+        F+2)`` are folded carrier-major to ``(C*B, T, F+2)`` — row
+        ``c*B + b`` is carrier ``c`` of sample ``b`` — so the
+        weight-shared encoder runs as a single fused sequence kernel
+        over ``C*B`` sequences instead of ``C`` separate calls, and the
+        decoder rollout likewise folds carriers into the batch axis.
+        Values are bit-identical to a per-CC loop: the wide GEMMs
+        produce the same rows regardless of batch height, every other
+        op is elementwise or a pure reshape, and the narrow head
+        projections are evaluated per carrier-contiguous chunk so their
+        GEMV rounding matches the loop's row count (see
         :func:`~repro.nn.tensor.lstm_decoder_seq`).
         """
+        data = packed.data if isinstance(packed, Tensor) else np.asarray(packed)
         x, mask, y_hist = unpack_inputs(data, self.n_ccs, self.n_features)
         n, t, c, f = x.shape
 
@@ -376,17 +322,16 @@ class Prism5G(Module):
         else:
             h_head = h_last
 
-        if self.head_kind == "decoder" and fused_kernels_enabled():
-            if rows > _FOLD_CHUNK_ROWS:
-                # same L2 blocking for the rollout; per-carrier blocks
-                # keep the head's GEMV row count equal to the loop's
-                preds = concat([self._decode(h_head[cc]) for cc in range(c)], axis=0)
-            else:
-                preds = self._decode(h_head.reshape(c * n, self.hidden), chunks=c)
+        if self.head_kind == "mlp":
+            # narrow output GEMMs are not batch-height invariant, so
+            # apply the head per carrier
+            preds = concat([self.head(h_head[cc]) for cc in range(c)], axis=0)
+        elif rows > _FOLD_CHUNK_ROWS:
+            # same L2 blocking for the rollout; per-carrier blocks
+            # keep the head's GEMV row count equal to the loop's
+            preds = concat([self._decode(h_head[cc]) for cc in range(c)], axis=0)
         else:
-            # mlp head / unfused decoder: narrow output GEMMs are not
-            # batch-height invariant, so apply the head per carrier
-            preds = concat([self._apply_head(h_head[cc]) for cc in range(c)], axis=0)
+            preds = self._decode(h_head.reshape(c * n, self.hidden), chunks=c)
         preds = preds.reshape(c, n, self.horizon)
         if self.use_state_trigger:
             preds = preds * Tensor(np.ascontiguousarray(mask[:, -1, :].T)[:, :, None])
@@ -398,65 +343,6 @@ class Prism5G(Module):
             total = total + preds[cc]
         per_cc_flat = preds.transpose(1, 2, 0).reshape(n, self.horizon * c)
         return concat([total, per_cc_flat], axis=1)
-
-    def _per_cc_predictions(self, packed) -> List[Tensor]:
-        """Per-carrier forecast tensors, each (batch, horizon).
-
-        The per-CC Python loop — kept as the bit-identity oracle for
-        :meth:`_forward_folded` (toggle with :func:`set_batched_cc`).
-        """
-        data = packed.data if isinstance(packed, Tensor) else np.asarray(packed)
-        x, mask, y_hist = unpack_inputs(data, self.n_ccs, self.n_features)
-
-        hidden_states: List[Tensor] = []
-        for c in range(self.n_ccs):
-            features_c = x[:, :, c, :]
-            mask_c = mask[:, :, c : c + 1]
-            if self.use_state_trigger:
-                features_c = features_c * mask_c  # X'_c = X_c (.) I
-            inp = Tensor(np.concatenate([features_c, mask_c, y_hist[..., None]], axis=2))
-            out, _ = self.encoder(inp)
-            hidden_states.append(out[:, -1, :])
-
-        if self.use_fusion:
-            combo_index = self._combo_indices(mask)
-            embed = self.combo_embedding(combo_index)
-            h_fusion = self.fusion(concat(hidden_states + [embed], axis=1))
-        else:
-            h_fusion = None
-
-        last_mask = mask[:, -1, :]
-        preds: List[Tensor] = []
-        for c in range(self.n_ccs):
-            h_c = hidden_states[c] if h_fusion is None else hidden_states[c] + h_fusion
-            pred_c = self._apply_head(h_c)
-            if self.use_state_trigger:
-                pred_c = pred_c * Tensor(last_mask[:, c : c + 1])
-            preds.append(pred_c)
-        return preds
-
-    def forward(self, packed: Tensor) -> Tensor:
-        """Predict ``(batch, horizon * (1 + C))``: aggregate then per-CC.
-
-        Columns ``[:horizon]`` are the aggregate forecast (the sum of
-        the per-CC heads); the rest are the per-CC forecasts flattened
-        ``(horizon, C)``-major, used for per-carrier supervision and
-        Fig 33-34 style per-cell plots.  Use
-        :meth:`aggregate_prediction` / :meth:`predict_per_cc` to slice,
-        or :meth:`predict_all` for both in one pass.
-        """
-        data = packed.data if isinstance(packed, Tensor) else np.asarray(packed)
-        if obs.metrics_enabled():
-            obs.counter("kernel.prism.folded" if _BATCHED_CC else "kernel.prism.loop")
-        if _BATCHED_CC:
-            return self._forward_folded(data)
-        per_cc = self._per_cc_predictions(packed)
-        total: Optional[Tensor] = None
-        for pred_c in per_cc:
-            total = pred_c if total is None else total + pred_c
-        per_cc_stacked = stack(per_cc, axis=2)  # (B, H, C)
-        batch = per_cc_stacked.shape[0]
-        return concat([total, per_cc_stacked.reshape(batch, self.horizon * self.n_ccs)], axis=1)
 
     def _combo_indices(self, mask: np.ndarray) -> np.ndarray:
         """Encode the final-step activity pattern as an integer id."""

@@ -35,10 +35,9 @@ from ..ran.traces import TraceSet
 from .artifacts import MANIFEST_NAME, load_trace_set, save_trace_set
 
 #: bump when simulator/windowing semantics change so stale entries miss.
-#: v3: the runtime synthesis fingerprint (vectorized_radio) is folded
-#: into every key, so a cache entry can never silently disagree with
-#: the dispatch path of the run that reads it.
-CACHE_SCHEMA_VERSION = "repro-traces-v3"
+#: v4: keys no longer fold in a runtime dispatch fingerprint — the
+#: simulator has one radio path.
+CACHE_SCHEMA_VERSION = "repro-traces-v4"
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
@@ -52,13 +51,9 @@ def cache_key(config: Mapping) -> str:
     Delegates to :func:`repro.runtime.canonical_hash` (the repo's one
     hashing recipe, shared with obs manifests and the experiment
     pipeline).  The schema version is folded in so semantic changes to
-    the simulator invalidate old entries, and so is the runtime
-    *synthesis fingerprint* — the dispatch flags that change trace
-    values (``vectorized_radio``) — so toggling a kernel path can never
-    serve traces produced by the other path.
+    the simulator invalidate old entries.
     """
-    payload = {"__runtime__": runtime.synthesis_fingerprint(), **dict(config)}
-    return runtime.canonical_hash(payload, schema=CACHE_SCHEMA_VERSION, length=24)
+    return runtime.canonical_hash(config, schema=CACHE_SCHEMA_VERSION, length=24)
 
 
 def default_cache_dir() -> Path:

@@ -16,7 +16,7 @@ code      rule                     invariant
 ========  =======================  =============================================
 RL001     determinism              no legacy ``np.random.*`` global-state calls;
                                    no argless ``default_rng()``
-RL002     flag-discipline          no value-imports of dispatch flags/mirrors
+RL002     flag-discipline          no value-imports of runtime flags/mirrors
 RL003     single-hash              ``hashlib`` only inside ``repro.runtime``
 RL004     exception-hygiene        broad ``except`` must re-raise or publish obs
 RL005     obs-catalog              obs names dotted-lowercase and catalogued in

@@ -9,7 +9,7 @@ Each checker encodes one contract the reproduction depends on; DESIGN
 
 * **RL001** — bit-identical kernel oracles need seeded ``Generator``
   randomness; legacy global-state ``np.random.*`` breaks replay.
-* **RL002** — :mod:`repro.runtime` keeps dispatch-flag mirrors in sync
+* **RL002** — :mod:`repro.runtime` keeps runtime-flag mirrors in sync
   by *assignment*; importing a flag's value freezes it at import time.
 * **RL003** — one hashing recipe (:func:`repro.runtime.canonical_hash`)
   keeps cache keys, manifests and run dirs mutually consistent.
@@ -142,23 +142,15 @@ class DeterminismChecker(Checker):
 #: global; see repro.runtime.register_mirror).
 _MIRROR_MODULES: Dict[str, FrozenSet[str]] = {
     "repro.runtime": frozenset({"_FLAGS"}),
-    "repro.nn.modules": frozenset({"_FUSED_KERNELS"}),
-    "repro.core.prism5g": frozenset({"_BATCHED_CC"}),
-    "repro.ran.simulator": frozenset({"_VECTORIZED_RADIO"}),
-    "repro.backends": frozenset({"_ACTIVE", "_REQUESTED", "_SANITIZE"}),
-    "repro.backends.arena": frozenset({"_ARENA_ENABLED"}),
+    "repro.backends": frozenset({"_ACTIVE", "_SANITIZE"}),
     "repro.obs": frozenset({"_SAMPLE_HZ"}),
 }
 
 #: flag names are additionally rejected as import targets from
-#: repro.runtime itself, so `from repro.runtime import fused_kernels`
-#: style code fails even if such an attribute is added later.  (The
-#: mirror modules legitimately export same-named *callables* — e.g.
-#: ``repro.nn.modules.fused_kernels`` is a context manager — so only
-#: their private mirror globals are forbidden there.)
-_FLAG_NAMES = frozenset(
-    {"arena", "backend", "fused_kernels", "batched_cc", "obs_sample_hz", "sanitize", "vectorized_radio"}
-)
+#: repro.runtime itself, so `from repro.runtime import sanitize`
+#: style code fails even if such an attribute is added later.  (In the
+#: other mirror modules only the private mirror globals are forbidden.)
+_FLAG_NAMES = frozenset({"obs_sample_hz", "sanitize"})
 
 
 def _resolve_relative(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
@@ -181,7 +173,7 @@ class FlagDisciplineChecker(Checker):
     code = "RL002"
     name = "flag-discipline"
     summary = (
-        "never import dispatch-flag values from repro.runtime or its "
+        "never import runtime-flag values from repro.runtime or its "
         "mirror modules; read them as module attributes"
     )
 
@@ -201,13 +193,13 @@ class FlagDisciplineChecker(Checker):
                         ctx,
                         node,
                         f"star-import from mirror module {module}; it can capture "
-                        "dispatch-flag values that runtime.set_flag cannot update",
+                        "runtime-flag values that runtime.set_flag cannot update",
                     )
                 elif alias.name in forbidden:
                     yield self.diag(
                         ctx,
                         node,
-                        f"value-import of dispatch flag {alias.name!r} from {module}; "
+                        f"value-import of runtime flag {alias.name!r} from {module}; "
                         "import the module and read the attribute so "
                         "runtime.configure write-through stays visible",
                     )

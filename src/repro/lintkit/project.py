@@ -38,7 +38,7 @@ from .base import FileContext, dotted_name
 
 #: bumped whenever extraction semantics change, so cached facts from an
 #: older lintkit never feed the project pass (folded into cache keys).
-FACTS_SCHEMA = "repro-lint-facts-v1"
+FACTS_SCHEMA = "repro-lint-facts-v2"
 
 #: call roots/targets that make an RNG seed time-, process- or
 #: entropy-dependent; deriving a seed from any of these breaks replay.
@@ -451,13 +451,6 @@ def _param_annotations(args: ast.arguments) -> Dict[str, str]:
     return annotations
 
 
-_REGISTRAR_NAMES = frozenset({"register_predictor", "register_backend"})
-
-
-def _registration_kind(callee_tail: str) -> str:
-    return "predictor" if callee_tail == "register_predictor" else "backend"
-
-
 def _extract_function_facts(
     node: ast.AST,
     qualname: str,
@@ -631,7 +624,7 @@ def extract_module_facts(ctx: FileContext) -> ModuleFacts:
         if dotted is None:
             return
         tail = dotted.split(".")[-1]
-        if tail not in _REGISTRAR_NAMES or not call.args:
+        if tail != "register_predictor" or not call.args:
             return
         name_arg = call.args[0]
         if not (isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str)):
@@ -641,7 +634,7 @@ def extract_module_facts(ctx: FileContext) -> ModuleFacts:
             factory = dotted_name(call.args[1]) or ""
         facts.registrations.append(
             {
-                "kind": _registration_kind(tail),
+                "kind": "predictor",
                 "name": name_arg.value,
                 "line": call.lineno,
                 "col": call.col_offset + 1,
@@ -682,21 +675,9 @@ def extract_module_facts(ctx: FileContext) -> ModuleFacts:
                     facts.literals[target.id] = items
                 if isinstance(value, ast.Constant):
                     module_constants.add(target.id)
-                if target.id == "_REGISTRY" and isinstance(value, ast.Dict):
-                    for key in value.keys:
-                        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                            facts.registrations.append(
-                                {
-                                    "kind": "backend",
-                                    "name": key.value,
-                                    "line": key.lineno,
-                                    "col": key.col_offset + 1,
-                                    "target": target.id,
-                                }
-                            )
 
     # call-based registrations anywhere in the module (module body or
-    # inside functions — e.g. conditional backend registration)
+    # inside functions — e.g. conditional registration)
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             record_registration(node.value, "")

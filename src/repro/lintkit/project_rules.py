@@ -284,7 +284,7 @@ class RegistryCoverageRule(ProjectRule):
     code = "RL012"
     name = "registry-coverage"
     summary = (
-        "registered predictor/backend names must be unique, importable "
+        "registered predictor names must be unique, importable "
         "and reachable from the CLI; lineup entries must be registered"
     )
 
@@ -328,7 +328,7 @@ class RegistryCoverageRule(ProjectRule):
         col: int,
     ) -> Iterator[Diagnostic]:
         target = str(registration.get("target", ""))
-        if not target or target == "_REGISTRY":
+        if not target:
             return
         if target in mf.classes or f"{mf.module}.{target}" in project.functions:
             return

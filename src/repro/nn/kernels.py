@@ -12,16 +12,15 @@ delegate **all array math** to the active compute backend
   broadcast reduction;
 * the backend owns the numbers: each ``*_forward`` returns values plus
   an opaque ``saved`` payload that this module hands back to the
-  *same* backend's ``*_backward`` (the backend is captured per call,
-  so flipping the ``backend`` flag mid-step cannot mismatch a
+  *same* backend object's ``*_backward`` (the object is captured per
+  call, so arming the sanitizer mid-step cannot mismatch a
   forward/backward pair).
 
-With the default numpy backend the math is extracted verbatim from the
-pre-refactor kernels, so forward values are bit-identical to the
-op-by-op oracle (see tests/test_nn_fused.py).
+Forward values are bit-identical to the op-by-op oracles in
+``tests/oracles.py`` (see tests/test_nn_fused.py).
 
 reprolint RL007 guards this split: no direct ``np.*`` compute calls are
-allowed here — array math belongs in a registered backend (opt-out:
+allowed here — array math belongs in the backend (opt-out:
 ``# lint: backend-impl``).
 """
 
@@ -110,148 +109,6 @@ def affine(
     return out
 
 
-def lstm_cell(
-    x: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
-    weight_ih: Tensor,
-    weight_hh: Tensor,
-    bias: Tensor,
-) -> Tuple[Tensor, Tensor]:
-    """Fused LSTM step (gates packed ``[i, f, g, o]``): two graph nodes.
-
-    Returns ``(h, c)``.  ``c`` is recorded as ``h``'s parent so the
-    output-gate gradient computed in ``h``'s backward can be folded into
-    the single gate-gradient matmul of ``c``'s backward.
-    """
-    x, h_prev, c_prev = _as_tensor(x), _as_tensor(h_prev), _as_tensor(c_prev)
-    be = backends.active()
-    h_val, c_val, saved = be.lstm_cell_forward(
-        x.data, h_prev.data, c_prev.data, weight_ih.data, weight_hh.data, bias.data
-    )
-
-    parents = (x, h_prev, c_prev, weight_ih, weight_hh, bias)
-    requires = _tensor.is_grad_enabled() and any(t.requires_grad for t in parents)
-    c_out = Tensor(c_val, requires_grad=requires, _parents=parents if requires else ())
-    h_out = Tensor(h_val, requires_grad=requires, _parents=(c_out,) if requires else ())
-    if not requires:
-        return h_out, c_out
-
-    shared: dict = {}
-
-    def _h_backward() -> None:
-        dc_from_h, d_o = be.lstm_cell_backward_h(h_out.grad, saved)
-        c_out._accumulate(dc_from_h)
-        shared["d_o"] = d_o
-
-    def _c_backward() -> None:
-        needs = {
-            "c_prev": c_prev.requires_grad,
-            "x": x.requires_grad,
-            "h_prev": h_prev.requires_grad,
-            "weight_ih": weight_ih.requires_grad,
-            "weight_hh": weight_hh.requires_grad,
-            "bias": bias.requires_grad,
-        }
-        # d_o is None when h was not part of the loss (only c flowed on)
-        grads = be.lstm_cell_backward_c(
-            c_out.grad,
-            shared.pop("d_o", None),
-            saved,
-            x.data,
-            h_prev.data,
-            c_prev.data,
-            weight_ih.data,
-            weight_hh.data,
-            needs,
-        )
-        _accumulate_from(
-            grads,
-            (
-                (c_prev, "c_prev"),
-                (x, "x"),
-                (h_prev, "h_prev"),
-                (weight_ih, "weight_ih"),
-                (weight_hh, "weight_hh"),
-                (bias, "bias"),
-            ),
-        )
-
-    h_out._backward = _h_backward
-    c_out._backward = _c_backward
-    return h_out, c_out
-
-
-def gru_cell(
-    x: Tensor,
-    h_prev: Tensor,
-    weight_ih: Tensor,
-    weight_hh: Tensor,
-    bias: Tensor,
-    weight_in: Tensor,
-    weight_hn: Tensor,
-    bias_n: Tensor,
-) -> Tensor:
-    """Fused GRU step (gates packed ``[r, z]``): one graph node."""
-    x, h_prev = _as_tensor(x), _as_tensor(h_prev)
-    be = backends.active()
-    h_val, saved = be.gru_cell_forward(
-        x.data,
-        h_prev.data,
-        weight_ih.data,
-        weight_hh.data,
-        bias.data,
-        weight_in.data,
-        weight_hn.data,
-        bias_n.data,
-    )
-
-    parents = (x, h_prev, weight_ih, weight_hh, bias, weight_in, weight_hn, bias_n)
-    requires = _tensor.is_grad_enabled() and any(t.requires_grad for t in parents)
-    out = Tensor(h_val, requires_grad=requires, _parents=parents if requires else ())
-    if not requires:
-        return out
-
-    def _backward() -> None:
-        needs = {
-            "x": x.requires_grad,
-            "h_prev": h_prev.requires_grad,
-            "weight_ih": weight_ih.requires_grad,
-            "weight_hh": weight_hh.requires_grad,
-            "bias": bias.requires_grad,
-            "weight_in": weight_in.requires_grad,
-            "weight_hn": weight_hn.requires_grad,
-            "bias_n": bias_n.requires_grad,
-        }
-        grads = be.gru_cell_backward(
-            out.grad,
-            saved,
-            x.data,
-            h_prev.data,
-            weight_ih.data,
-            weight_hh.data,
-            weight_in.data,
-            weight_hn.data,
-            needs,
-        )
-        _accumulate_from(
-            grads,
-            (
-                (x, "x"),
-                (h_prev, "h_prev"),
-                (weight_ih, "weight_ih"),
-                (weight_hh, "weight_hh"),
-                (bias, "bias"),
-                (weight_in, "weight_in"),
-                (weight_hn, "weight_hn"),
-                (bias_n, "bias_n"),
-            ),
-        )
-
-    out._backward = _backward
-    return out
-
-
 def lstm_seq(
     x: Tensor,
     h0: Tensor,
@@ -267,10 +124,8 @@ def lstm_seq(
     out of the time loop as one batched matmul, and the backward is a
     hand-written BPTT sweep whose weight gradients collapse into single
     ``(B*T, ·)`` matmuls.  Per-step arithmetic matches the op-by-op
-    cell composition exactly on the numpy backend (same expression
-    order), so forward values are bit-identical to :func:`lstm_cell` /
-    the reference cell; compiled backends carry a tolerance contract
-    instead.
+    :class:`~repro.nn.modules.LSTMCell` exactly (same expression
+    order), so forward values are bit-identical to the cell loop.
 
     Returns ``(outputs, h_T, c_T)`` with outputs ``(B, T, H)``.
     """
@@ -431,12 +286,12 @@ def lstm_decoder_seq(
 
     where each step's prediction is the next step's input, so the whole
     rollout is inherently sequential — but every step is *one* batched
-    ``lstm_cell``-equivalent over however many sequences (or carriers
-    folded into the batch axis) are decoded at once.  The op-by-op loop
-    records ``horizon * 3`` graph nodes; this primitive records one,
-    with a hand-written BPTT whose weight gradients collapse into single
+    LSTM cell over however many sequences (or carriers folded into the
+    batch axis) are decoded at once.  The op-by-op loop records
+    ``horizon * 3`` graph nodes; this primitive records one, with a
+    hand-written BPTT whose weight gradients collapse into single
     ``(B*T, ·)`` matmuls.  Per-step arithmetic matches
-    :func:`lstm_cell` + :func:`affine` exactly on the numpy backend
+    :class:`~repro.nn.modules.LSTMCell` + ``h @ W_out + b_out`` exactly
     (same expression order), so forward values are bit-identical to the
     loop composition.
 

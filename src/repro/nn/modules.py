@@ -16,48 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs, runtime
-from .tensor import Tensor, affine, concat, gru_cell, gru_seq, lstm_cell, lstm_seq, stack
-
-
-def _set_fused_mirror(enabled: bool) -> None:
-    global _FUSED_KERNELS
-    _FUSED_KERNELS = enabled
-
-
-#: hot-loop mirror of ``runtime.flag("fused_kernels")`` — the fused
-#: sequence kernels vs the op-by-op oracle path (kept for gradient
-#: property tests and before/after benchmarking).  The canonical value
-#: lives in :mod:`repro.runtime`; this module-level bool only exists so
-#: forward passes read a plain global.
-_FUSED_KERNELS = runtime.register_mirror("fused_kernels", _set_fused_mirror)
-
-
-def fused_kernels_enabled() -> bool:
-    return _FUSED_KERNELS
-
-
-def set_fused_kernels(enabled: bool) -> bool:
-    """Toggle the fused LSTM/GRU/affine kernels; returns previous value.
-
-    .. deprecated:: use ``repro.runtime.configure(fused_kernels=...)``;
-       this shim delegates there so both APIs stay consistent.
-    """
-    return runtime.set_flag("fused_kernels", enabled)
-
-
-class fused_kernels:
-    """Context manager pinning the fused-kernel switch."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-
-    def __enter__(self) -> "fused_kernels":
-        self._previous = set_fused_kernels(self.enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_fused_kernels(self._previous)
+from .tensor import Tensor, affine, concat, gru_seq, lstm_seq
 
 
 class Module:
@@ -139,9 +98,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        if _FUSED_KERNELS:
-            return affine(x, self.weight, self.bias)
-        return x @ self.weight + self.bias
+        return affine(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -228,7 +185,12 @@ class MLP(Module):
 
 
 class LSTMCell(Module):
-    """Single LSTM step; gates packed as [i, f, g, o]."""
+    """Single LSTM step; gates packed as [i, f, g, o].
+
+    Holds the weights that :class:`LSTM` and the Seq2Seq decoders hand
+    to the fused kernels; its own forward is the op-by-op composition
+    (~15 graph nodes per step) those kernels must match bit for bit.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -242,15 +204,6 @@ class LSTMCell(Module):
         self.bias = Tensor(bias, requires_grad=True)
 
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        if _FUSED_KERNELS:
-            return lstm_cell(x, h_prev, c_prev, self.weight_ih, self.weight_hh, self.bias)
-        return self.forward_reference(x, state)
-
-    def forward_reference(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        """Op-by-op composition (~15 graph nodes per step); the fused
-        kernel must match it bit-for-bit forward and to numerical
-        precision backward."""
         h_prev, c_prev = state
         gates = x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
         hs = self.hidden_size
@@ -289,7 +242,7 @@ class LSTM(Module):
         x: Tensor,
         state: Optional[List[Tuple[Tensor, Tensor]]] = None,
     ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        batch, time, _ = x.shape
+        batch = x.shape[0]
         if state is None:
             dtype = x.data.dtype
             state = [
@@ -301,29 +254,21 @@ class LSTM(Module):
             ]
         else:
             state = list(state)  # never mutate the caller's list
-        if _FUSED_KERNELS:
-            # one fused graph node per layer covering the whole sequence
-            out = x
-            for layer, cell in enumerate(self.cells):
-                h0, c0 = state[layer]
-                out, h_t, c_t = lstm_seq(out, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias)
-                state[layer] = (h_t, c_t)
-            return out, state
-        if obs.metrics_enabled():
-            obs.counter("kernel.lstm_loop")
-        outputs: List[Tensor] = []
-        for t in range(time):
-            inp = x[:, t, :]
-            for layer, cell in enumerate(self.cells):
-                h, c = cell.forward_reference(inp, state[layer])
-                state[layer] = (h, c)
-                inp = h
-            outputs.append(inp)
-        return stack(outputs, axis=1), state
+        # one fused graph node per layer covering the whole sequence
+        out = x
+        for layer, cell in enumerate(self.cells):
+            h0, c0 = state[layer]
+            out, h_t, c_t = lstm_seq(out, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias)
+            state[layer] = (h_t, c_t)
+        return out, state
 
 
 class GRUCell(Module):
-    """Single GRU step; gates packed as [r, z]."""
+    """Single GRU step; gates packed as [r, z].
+
+    Holds the weights that :class:`GRU` hands to the fused kernel; its
+    own forward is the op-by-op composition that kernel must match.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -338,16 +283,6 @@ class GRUCell(Module):
         self.bias_n = Tensor(np.zeros(hidden_size), requires_grad=True)
 
     def forward(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        if _FUSED_KERNELS:
-            return gru_cell(
-                x, h_prev,
-                self.weight_ih, self.weight_hh, self.bias,
-                self.weight_in, self.weight_hn, self.bias_n,
-            )
-        return self.forward_reference(x, h_prev)
-
-    def forward_reference(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        """Op-by-op composition kept as the fused kernel's oracle."""
         gates = x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
         hs = self.hidden_size
         r = gates[:, :hs].sigmoid()
@@ -378,7 +313,7 @@ class GRU(Module):
             self.cells.append(cell)
 
     def forward(self, x: Tensor, state: Optional[List[Tensor]] = None) -> Tuple[Tensor, List[Tensor]]:
-        batch, time, _ = x.shape
+        batch = x.shape[0]
         if state is None:
             state = [
                 Tensor(np.zeros((batch, self.hidden_size), dtype=x.data.dtype))
@@ -386,27 +321,15 @@ class GRU(Module):
             ]
         else:
             state = list(state)  # never mutate the caller's list
-        if _FUSED_KERNELS:
-            out = x
-            for layer, cell in enumerate(self.cells):
-                out, h_t = gru_seq(
-                    out, state[layer],
-                    cell.weight_ih, cell.weight_hh, cell.bias,
-                    cell.weight_in, cell.weight_hn, cell.bias_n,
-                )
-                state[layer] = h_t
-            return out, state
-        if obs.metrics_enabled():
-            obs.counter("kernel.gru_loop")
-        outputs: List[Tensor] = []
-        for t in range(time):
-            inp = x[:, t, :]
-            for layer, cell in enumerate(self.cells):
-                h = cell.forward_reference(inp, state[layer])
-                state[layer] = h
-                inp = h
-            outputs.append(inp)
-        return stack(outputs, axis=1), state
+        out = x
+        for layer, cell in enumerate(self.cells):
+            out, h_t = gru_seq(
+                out, state[layer],
+                cell.weight_ih, cell.weight_hh, cell.bias,
+                cell.weight_in, cell.weight_hn, cell.bias_n,
+            )
+            state[layer] = h_t
+        return out, state
 
 
 class LayerNorm(Module):

@@ -521,18 +521,16 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Fused sequence kernels
 #
-# The fused primitives (affine, lstm_cell, gru_cell, lstm_seq, gru_seq,
-# lstm_decoder_seq) live in :mod:`repro.nn.kernels`: autograd
-# bookkeeping there, array math in the active compute backend
-# (:mod:`repro.backends`).  They are re-exported lazily below so
+# The fused primitives (affine, lstm_seq, gru_seq, lstm_decoder_seq)
+# live in :mod:`repro.nn.kernels`: autograd bookkeeping there, array
+# math in the compute backend (:mod:`repro.backends`).  They are
+# re-exported lazily below so
 # ``from repro.nn.tensor import lstm_seq`` keeps working without an
 # import cycle (kernels imports this module at load time).
 # ----------------------------------------------------------------------
 _KERNEL_EXPORTS = (
     "affine",
-    "gru_cell",
     "gru_seq",
-    "lstm_cell",
     "lstm_decoder_seq",
     "lstm_seq",
 )

@@ -22,7 +22,7 @@ One process-local observability layer shared by every subsystem
   snapshot (:mod:`repro.obs.export`), declarative perf budgets and the
   BENCH trend gate (:mod:`repro.obs.slo`).
 * **Run manifests** — ``obs.write_manifest(kind="train", ...)`` records
-  config hash, kernel-path toggles, seed, git SHA, the merged metric
+  config hash, runtime flags, seed, git SHA, the merged metric
   snapshot, per-epoch history, and the telemetry file inventory at the
   end of a run.
 

@@ -2,10 +2,9 @@
 
 A manifest captures everything needed to interpret (and re-run) a
 training / campaign / evaluation run: the configuration and its content
-hash, the kernel-path toggles in effect (fused kernels, carrier
-folding, vectorized radio), the seed, the git SHA of the working tree,
-the merged metrics snapshot, and per-epoch history when the run trains
-a model.  Manifests are plain JSON files in the observability
+hash, the runtime flags in effect (sanitizer, telemetry sample rate),
+the seed, the git SHA of the working tree, the merged metrics snapshot,
+and per-epoch history when the run trains a model.  Manifests are plain JSON files in the observability
 directory; ``latest.json`` always mirrors the most recent one so
 ``repro5g obs report`` has a stable entry point.
 """
@@ -86,25 +85,15 @@ def _read_git_sha(path: Path) -> Optional[str]:
     return None
 
 
-def kernel_paths() -> Dict[str, object]:
-    """The hot-path dispatch toggles currently in effect.
+def kernel_paths() -> Dict[str, str]:
+    """The runtime flags currently in effect (``sanitize``, ``obs_sample_hz``).
 
-    Reads :func:`repro.runtime.flags` (the single source of truth for
-    the fused-kernel / carrier-folding / vectorized-radio / arena /
-    backend switches); imported lazily so :mod:`repro.obs` stays
-    import-cycle-free.  Besides the raw flags, the snapshot records
-    ``backend_resolved`` — the backend that *actually* serves dispatch
-    after graceful fallback (numpy when the requested backend is
-    unknown or its dependency is missing) — so a manifest never claims
-    an acceleration that silently degraded.
+    Reads :func:`repro.runtime.flags`; imported lazily so
+    :mod:`repro.obs` stays import-cycle-free.
     """
-    try:
-        from .. import backends, runtime
-    except ImportError:  # pragma: no cover - partial installs
-        return {}
-    paths: Dict[str, object] = runtime.flags()
-    paths["backend_resolved"] = backends.active_name()
-    return paths
+    from .. import runtime
+
+    return runtime.flags()
 
 
 def tuning() -> Dict[str, object]:

@@ -4,19 +4,19 @@ One typed, JSON-serializable :class:`ExperimentConfig` is the single
 source of truth for an end-to-end paper run: the trace source (a
 Table 11 sub-dataset spec or a measurement campaign), the windowing
 parameters, the :class:`~repro.core.predictors.DeepConfig`, the
-split/seed protocol, the predictor line-up (resolved through the
-predictor registry), and the kernel-path dispatch flags
-(:mod:`repro.runtime`).  Its canonical content hash — computed with
+split/seed protocol, and the predictor line-up (resolved through the
+predictor registry).  Its canonical content hash — computed with
 :func:`repro.runtime.canonical_hash`, the same recipe the trace cache
 and the obs manifests use — identifies the run everywhere:
 
 * the run directory is ``<out_dir>/<name>-<hash>``;
 * every stage marker and the final ``result.json`` embed the hash;
 * every obs manifest written during the run carries it
-  (``obs.run_context``);
-* the trace cache folds the runtime synthesis fingerprint into its
-  keys, so cached traces can never disagree with the configured
-  dispatch path.
+  (``obs.run_context``).
+
+Process-wide switches that never change a result (``--sanitize``,
+``--obs-sample-hz``; see :mod:`repro.runtime`) stay out of the config,
+so arming them neither moves the run directory nor is undone by it.
 
 The run is composed of four :class:`Stage` objects::
 
@@ -173,12 +173,6 @@ class ExperimentConfig:
     split: str = "random"
     seed: int = 0
     deep: DeepConfig = field(default_factory=DeepConfig)
-    #: kernel-path dispatch flags applied for the whole run (defaults:
-    #: every fast path on, compute backend as currently selected — so a
-    #: ``REPRO_BACKEND`` preset flows into unconfigured experiments).
-    runtime: Dict[str, object] = field(
-        default_factory=lambda: {**runtime.default_flags(), "backend": runtime.backend_name()}
-    )
 
     def __post_init__(self) -> None:
         if isinstance(self.deep, dict):
@@ -203,19 +197,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown predictor(s) {unknown}; registered predictors: {registered_predictors()}"
             )
-        unknown_flags = sorted(set(self.runtime) - set(runtime.ALL_FLAG_NAMES))
-        if unknown_flags:
-            raise ValueError(
-                f"unknown runtime flag(s) {unknown_flags}; known flags: {list(runtime.ALL_FLAG_NAMES)}"
-            )
-        filled: Dict[str, object] = {}
-        for flag in runtime.ALL_FLAG_NAMES:
-            if flag in runtime.VALUE_FLAG_NAMES:
-                default = runtime.backend_name() if flag == "backend" else runtime.flag(flag)
-                filled[flag] = str(self.runtime.get(flag, default)).strip().lower()
-            else:
-                filled[flag] = bool(self.runtime.get(flag, True))
-        self.runtime = filled
 
     # ------------------------------------------------------------------
     @property
@@ -622,8 +603,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute (or resume) an experiment end to end.
 
-    The config's runtime flags are pinned for the duration of the run
-    (and restored afterwards); the experiment hash is exposed through
+    The experiment hash is exposed through
     :class:`repro.obs.run_context` so every manifest written by nested
     subsystems carries it.  ``force=True`` re-runs every stage even
     when artifacts exist.
@@ -633,7 +613,7 @@ def run_experiment(
     experiment_hash = config.hash()
     config.save(run_dir / "experiment.json")
     statuses: List[StageStatus] = []
-    with runtime.use(**config.runtime), obs.run_context(experiment_hash):
+    with obs.run_context(experiment_hash):
         # the outer sample_window keeps one telemetry thread alive across
         # all stages; per-stage windows only push/pop their row label
         with obs.sample_window("pipeline"), obs.span(

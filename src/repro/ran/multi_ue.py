@@ -16,8 +16,8 @@ a lane's trace from a cohort run equals the trace the same
 ``TraceSimulator`` produces solo against the same deployment — exactly
 on the per-lane dispatch path, and to ulp-level tolerances on the
 batched path (BLAS reduction order differs between the ``(C,C) @ (C,)``
-and ``(U,C,C) @ (U,C,1)`` products, the same class of difference as the
-existing vectorized-vs-scalar radio oracle).
+and ``(U,C,C) @ (U,C,1)`` products, the same class of difference as
+between the radio step and its scalar per-cell oracle).
 
 Streaming: ``run(..., keep_traces=False, on_record=...)`` hands each
 :class:`~repro.ran.traces.TraceRecord` to the callback and retains
@@ -32,12 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import backends, obs
-from .simulator import (
-    _CO_CHANNEL_ACTIVITY,
-    _LOS_BLEND_M,
-    TraceSimulator,
-    vectorized_radio_enabled,
-)
+from .simulator import _CO_CHANNEL_ACTIVITY, _LOS_BLEND_M, TraceSimulator
 from .traces import Trace, TraceRecord
 
 #: padding constants for lanes narrower than the cohort's widest
@@ -70,12 +65,7 @@ class MultiUESimulator:
 
     # ------------------------------------------------------------------
     def _use_batch(self) -> bool:
-        return (
-            self.batch
-            and len(self.lanes) > 1
-            and vectorized_radio_enabled()
-            and not self._mixed_force_los
-        )
+        return self.batch and len(self.lanes) > 1 and not self._mixed_force_los
 
     def _packed_candidates(self) -> Tuple[np.ndarray, ...]:
         """Padded (U, Cmax) candidate tensors, rebuilt only on refresh.
@@ -130,11 +120,7 @@ class MultiUESimulator:
         if not self._use_batch():
             records = []
             for lane, state, (step, rho) in zip(lanes, states, begun):
-                if vectorized_radio_enabled():
-                    maps = lane._radio_update_vec(state, rho)
-                else:
-                    maps = lane._radio_update_loop(state, rho)
-                records.append(lane._finish_step(step, state, *maps))
+                records.append(lane._finish_step(step, state, *lane._radio_update(state, rho)))
             return records
 
         # phase 2, batched: advance each lane's AR(1) processes in lane

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import backends, obs, runtime
+from .. import backends, obs
 from .ca import CAManager
 from .cells import Cell, Deployment, build_deployment
 from .link import LinkAdapter
@@ -26,8 +26,6 @@ from .propagation import (
     FastFadingProcess,
     indoor_penetration_loss_db,
     noise_power_dbm,
-    rsrp_dbm,
-    urban_macro_pathloss_db,
 )
 from .scheduler import Scheduler
 from .traces import CCSample, Trace, TraceRecord
@@ -52,52 +50,6 @@ _LOS_BLEND_M = 150.0
 
 #: co-channel activity factor: planned reuse + partial load.
 _CO_CHANNEL_ACTIVITY = 0.3
-
-def _set_vectorized_mirror(enabled: bool) -> None:
-    global _VECTORIZED_RADIO
-    _VECTORIZED_RADIO = enabled
-
-
-# Hot-loop mirror of ``runtime.flag("vectorized_radio")`` — vectorized
-# per-step radio update (pathloss / shadowing mix / RSRP / RSRQ / SINR /
-# interference across all candidate cells as arrays).  The scalar
-# per-cell loop is kept as the equivalence oracle; RNG draw order is
-# identical in both paths, but numpy's SIMD transcendentals round
-# differently from math.* in the last ulp, so traces match per-field to
-# tight tolerances rather than bit for bit.  The canonical value lives
-# in :mod:`repro.runtime` (and, because this flag changes trace values,
-# is folded into trace-cache keys via ``runtime.synthesis_fingerprint``).
-_VECTORIZED_RADIO = runtime.register_mirror("vectorized_radio", _set_vectorized_mirror)
-
-
-def vectorized_radio_enabled() -> bool:
-    """Whether the array-based candidate radio update is active."""
-    return _VECTORIZED_RADIO
-
-
-def set_vectorized_radio(enabled: bool) -> bool:
-    """Toggle the vectorized radio update; returns the previous setting.
-
-    .. deprecated:: use ``repro.runtime.configure(vectorized_radio=...)``;
-       this shim delegates there so both APIs stay consistent.
-    """
-    return runtime.set_flag("vectorized_radio", enabled)
-
-
-class vectorized_radio:
-    """Context manager pinning the vectorized-radio switch."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self.previous: Optional[bool] = None
-
-    def __enter__(self) -> "vectorized_radio":
-        self.previous = set_vectorized_radio(self.enabled)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_vectorized_radio(self.previous)
-
 
 class TraceSimulator:
     """Synthesizes measurement traces for one operator/scenario/UE.
@@ -289,53 +241,6 @@ class TraceSimulator:
         )
         return _SHADOW_SIGMA_DB * mixed
 
-    def _pathloss_db(
-        self,
-        cell: Cell,
-        position: Tuple[float, float],
-        indoor: bool,
-        serving: bool = True,
-    ) -> float:
-        """Pathloss to a cell; ``force_los`` only applies to serving links.
-
-        Interfering sites keep their distance-based LOS probability —
-        standing in line of sight of one's own site does not put every
-        neighbouring site in line of sight too.
-        """
-        distance = math.dist(position, cell.position)
-        if indoor:
-            los_weight = 0.0  # no line of sight through building walls
-        elif serving and self.force_los is True:
-            los_weight = 1.0
-        elif serving and self.force_los is False:
-            los_weight = 0.0
-        else:
-            los_weight = math.exp(-distance / _LOS_BLEND_M)
-        pl = (
-            los_weight * urban_macro_pathloss_db(distance, cell.band.freq_mhz, los=True)
-            + (1.0 - los_weight) * urban_macro_pathloss_db(distance, cell.band.freq_mhz, los=False)
-        )
-        if indoor:
-            pl += indoor_penetration_loss_db(cell.band.freq_mhz)
-        return pl
-
-    def _interference_dbm_per_re(self, cell: Cell, position: Tuple[float, float], indoor: bool) -> float:
-        """Co-channel interference from same-channel cells at other sites."""
-        total_mw = 0.0
-        my_site = self.deployment.site_of(cell)
-        for other in self._candidates:
-            if other.channel_key != cell.channel_key:
-                continue
-            if self.deployment.site_of(other) == my_site:
-                continue
-            pl = self._pathloss_db(other, position, indoor, serving=False)
-            n_rb = num_resource_blocks(other.bandwidth_mhz, other.scs_khz, other.band.rat)
-            received = rsrp_dbm(other.tx_power_dbm, pl, n_rb=n_rb)
-            total_mw += _CO_CHANNEL_ACTIVITY * 10 ** (received / 10.0)
-        if total_mw <= 0.0:
-            return -math.inf
-        return 10.0 * math.log10(total_mw)
-
     # ------------------------------------------------------------------
     def _advance_radio_processes(self, state, rho: float) -> Tuple[np.ndarray, np.ndarray]:
         """Advance shadowing/fading for every candidate, in loop order.
@@ -363,47 +268,22 @@ class TraceSimulator:
             )
         return shadows, fadings
 
-    def _radio_update_loop(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
-        """Scalar per-cell radio update — the vectorized path's oracle."""
-        rsrp_map: Dict[int, float] = {}
-        sinr_map: Dict[int, float] = {}
-        rsrq_map: Dict[int, float] = {}
-        shadows, fadings = self._advance_radio_processes(state, rho)
-        for idx, cell in enumerate(self._candidates):
-            shadow = shadows[idx]
-            fading = fadings[idx]
-            pl = self._pathloss_db(cell, state.position, state.indoor)
-            n_rb_cfg = num_resource_blocks(cell.bandwidth_mhz, cell.scs_khz, cell.band.rat)
-            rsrp = rsrp_dbm(cell.tx_power_dbm, pl, shadow, fading, n_rb=n_rb_cfg)
-            # noise over one RE (one sub-carrier of scs kHz)
-            noise_re = noise_power_dbm(cell.scs_khz / 1e3)
-            interference = self._interference_dbm_per_re(cell, state.position, state.indoor)
-            signal_mw = 10 ** (rsrp / 10.0)
-            noise_mw = 10 ** (noise_re / 10.0)
-            interf_mw = 0.0 if interference == -math.inf else 10 ** (interference / 10.0)
-            sinr = 10 * math.log10(signal_mw / (noise_mw + interf_mw))
-            rssi_mw = (signal_mw + noise_mw + interf_mw) * 12 * n_rb_cfg
-            rsrq = 10 * math.log10(n_rb_cfg) + rsrp - 10 * math.log10(rssi_mw)
-            rsrp_map[cell.cell_id] = rsrp
-            sinr_map[cell.cell_id] = sinr
-            rsrq_map[cell.cell_id] = rsrq
-        return rsrp_map, sinr_map, rsrq_map
-
-    def _radio_update_vec(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
+    def _radio_update(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
         """Array radio update over all candidates (one step, no per-cell math).
 
         Pathloss, RSRP/RSRQ/SINR, and the O(C^2) co-channel interference
         reduce to a handful of numpy expressions over the cached
         candidate arrays; only the AR(1) process updates stay per-cell
-        (to preserve RNG draw order).  Matches :meth:`_radio_update_loop`
-        per field to ~1e-9 dB (ulp-level transcendental differences).
+        (to preserve RNG draw order).  Matches the scalar per-cell
+        update in ``tests/oracles.py`` per field to ~1e-9 dB (numpy's
+        SIMD transcendentals round differently from ``math.*`` in the
+        last ulp).
         """
         if not self._candidates:
             return {}, {}, {}
         shadows, fadings = self._advance_radio_processes(state, rho)
         position = np.asarray(state.position, dtype=np.float64)
-        # numeric core lives in the active compute backend (numpy is the
-        # reference; numba JITs the same expressions) — the simulator
+        # numeric core lives in the compute backend — the simulator
         # keeps the AR(1) process updates above to preserve RNG draw
         # order, and the dict packing below.
         rsrp, sinr, rsrq = backends.active().radio_step(
@@ -481,11 +361,7 @@ class TraceSimulator:
         shared UE trajectory.
         """
         step, rho = self._begin_step(state)
-        if _VECTORIZED_RADIO:
-            rsrp_map, sinr_map, rsrq_map = self._radio_update_vec(state, rho)
-        else:
-            rsrp_map, sinr_map, rsrq_map = self._radio_update_loop(state, rho)
-        return self._finish_step(step, state, rsrp_map, sinr_map, rsrq_map)
+        return self._finish_step(step, state, *self._radio_update(state, rho))
 
     def _finish_step(
         self,
@@ -496,83 +372,80 @@ class TraceSimulator:
         rsrq_map: Dict[int, float],
     ) -> TraceRecord:
         """Phase 3 of a step: CA decision, link adaptation, the record."""
-        if True:
-            cell_by_id: Dict[int, Cell] = {c.cell_id: c for c in self._candidates}
-            ca_state = self.ca.step(self.dt_s, rsrp_map, cell_by_id)
+        cell_by_id: Dict[int, Cell] = {c.cell_id: c for c in self._candidates}
+        ca_state = self.ca.step(self.dt_s, rsrp_map, cell_by_id)
 
-            if obs.metrics_enabled():
-                counts = getattr(self, "_obs_counts", None)
-                if counts is None:  # step() before any reset()/run()
-                    counts = self._obs_counts = {}
-                counts["sim.steps"] = counts.get("sim.steps", 0) + 1
-                radio = "sim.radio.vectorized" if _VECTORIZED_RADIO else "sim.radio.loop"
-                counts[radio] = counts.get(radio, 0) + 1
-                for event in ca_state.events:
-                    # events look like "scell_add:n78@3500"; bucket by kind
-                    kind = f"sim.event.{event.split(':', 1)[0]}"
-                    counts[kind] = counts.get(kind, 0) + 1
+        if obs.metrics_enabled():
+            counts = getattr(self, "_obs_counts", None)
+            if counts is None:  # step() before any reset()/run()
+                counts = self._obs_counts = {}
+            counts["sim.steps"] = counts.get("sim.steps", 0) + 1
+            for event in ca_state.events:
+                # events look like "scell_add:n78@3500"; bucket by kind
+                kind = f"sim.event.{event.split(':', 1)[0]}"
+                counts[kind] = counts.get(kind, 0) + 1
 
-            cc_samples: List[CCSample] = []
-            aggregate_bw_so_far = 0.0
-            total_tput = 0.0
-            for cc_id in ca_state.active_ids:
-                cell = cell_by_id[cc_id]
-                cs = self._cell_state[cc_id]
-                penalty = self.ca.sinr_penalty_db(cc_id)
-                effective_sinr = sinr_map[cc_id] - penalty
-                base_layers = 4 if cell.band.frequency_range == "FR1" else 2
-                if cell.band.rat == "4G":
-                    base_layers = 2
-                layer_cap = self.ca.layer_cap(cell, default_cap=base_layers)
-                link = cs.link.step(effective_sinr, self._rng, max_layers=layer_cap)
-                n_rb_cfg = self._cand_nrb_by_id.get(cc_id)
-                if n_rb_cfg is None:  # active CC no longer in the candidate set
-                    n_rb_cfg = num_resource_blocks(cell.bandwidth_mhz, cell.scs_khz, cell.band.rat)
-                rb_fraction = self.scheduler.rb_fraction(
-                    cc_id,
-                    self.dt_s,
-                    aggregate_bw_before_mhz=aggregate_bw_so_far,
-                    cell_bw_mhz=cell.bandwidth_mhz,
-                )
-                n_rb = max(1, int(round(rb_fraction * n_rb_cfg)))
-                tput = phy_throughput_mbps(
-                    link.mcs,
-                    n_rb,
-                    link.rank,
-                    cell.scs_khz,
-                    bler=link.bler,
-                    dl_duty=duplex_dl_duty(cell.band.duplex),
-                )
-                aggregate_bw_so_far += cell.bandwidth_mhz
-                total_tput += tput
-                cc_samples.append(
-                    CCSample(
-                        channel_key=cell.channel_key,
-                        band_name=cell.band.name,
-                        pci=cell.pci,
-                        is_pcell=(cc_id == ca_state.pcell_id),
-                        active=True,
-                        rsrp_dbm=rsrp_map[cc_id],
-                        rsrq_db=rsrq_map[cc_id],
-                        sinr_db=effective_sinr,
-                        cqi=link.cqi,
-                        bler=link.bler,
-                        n_rb=float(n_rb),
-                        n_layers=link.rank,
-                        mcs=link.mcs,
-                        tput_mbps=tput,
-                    )
-                )
-
-            return TraceRecord(
-                t=step * self.dt_s,
-                position=state.position,
-                ccs=cc_samples,
-                total_tput_mbps=total_tput,
-                events=list(ca_state.events),
-                indoor=state.indoor,
-                speed_mps=state.speed_mps,
+        cc_samples: List[CCSample] = []
+        aggregate_bw_so_far = 0.0
+        total_tput = 0.0
+        for cc_id in ca_state.active_ids:
+            cell = cell_by_id[cc_id]
+            cs = self._cell_state[cc_id]
+            penalty = self.ca.sinr_penalty_db(cc_id)
+            effective_sinr = sinr_map[cc_id] - penalty
+            base_layers = 4 if cell.band.frequency_range == "FR1" else 2
+            if cell.band.rat == "4G":
+                base_layers = 2
+            layer_cap = self.ca.layer_cap(cell, default_cap=base_layers)
+            link = cs.link.step(effective_sinr, self._rng, max_layers=layer_cap)
+            n_rb_cfg = self._cand_nrb_by_id.get(cc_id)
+            if n_rb_cfg is None:  # active CC no longer in the candidate set
+                n_rb_cfg = num_resource_blocks(cell.bandwidth_mhz, cell.scs_khz, cell.band.rat)
+            rb_fraction = self.scheduler.rb_fraction(
+                cc_id,
+                self.dt_s,
+                aggregate_bw_before_mhz=aggregate_bw_so_far,
+                cell_bw_mhz=cell.bandwidth_mhz,
             )
+            n_rb = max(1, int(round(rb_fraction * n_rb_cfg)))
+            tput = phy_throughput_mbps(
+                link.mcs,
+                n_rb,
+                link.rank,
+                cell.scs_khz,
+                bler=link.bler,
+                dl_duty=duplex_dl_duty(cell.band.duplex),
+            )
+            aggregate_bw_so_far += cell.bandwidth_mhz
+            total_tput += tput
+            cc_samples.append(
+                CCSample(
+                    channel_key=cell.channel_key,
+                    band_name=cell.band.name,
+                    pci=cell.pci,
+                    is_pcell=(cc_id == ca_state.pcell_id),
+                    active=True,
+                    rsrp_dbm=rsrp_map[cc_id],
+                    rsrq_db=rsrq_map[cc_id],
+                    sinr_db=effective_sinr,
+                    cqi=link.cqi,
+                    bler=link.bler,
+                    n_rb=float(n_rb),
+                    n_layers=link.rank,
+                    mcs=link.mcs,
+                    tput_mbps=tput,
+                )
+            )
+
+        return TraceRecord(
+            t=step * self.dt_s,
+            position=state.position,
+            ccs=cc_samples,
+            total_tput_mbps=total_tput,
+            events=list(ca_state.events),
+            indoor=state.indoor,
+            speed_mps=state.speed_mps,
+        )
 
     def run(self, duration_s: float, route_id: int = 0) -> Trace:
         """Simulate ``duration_s`` seconds and return the trace."""

@@ -1,64 +1,35 @@
-"""repro.runtime — single source of truth for kernel-path dispatch.
+"""repro.runtime — process-wide value flags and the canonical hash recipe.
 
-The repo has four boolean hot-path dispatch switches that grew up in
-different modules:
+Two string-valued flags live here:
 
-* ``fused_kernels`` — fused LSTM/GRU/affine autograd kernels vs the
-  op-by-op oracle (:mod:`repro.nn.modules`);
-* ``batched_cc`` — Prism5G's carrier-folded forward vs the per-CC
-  Python loop (:mod:`repro.core.prism5g`);
-* ``vectorized_radio`` — the simulator's array-based candidate radio
-  update vs the scalar per-cell loop (:mod:`repro.ran.simulator`);
-* ``arena`` — workspace-arena scratch reuse inside training steps
-  (:mod:`repro.backends.arena`): preallocated gate/activation/grad
-  buffers are recycled across steps instead of allocated fresh.
+* ``obs_sample_hz`` sets the continuous-telemetry sample rate (``"0"`` =
+  off, the default; ``REPRO_OBS_SAMPLE_HZ`` env preset /
+  ``repro5g --obs-sample-hz``) consumed by :mod:`repro.obs.timeseries`;
+* ``sanitize`` (``"0"``/``"1"``; ``REPRO_SANITIZE`` env preset /
+  ``repro5g --sanitize``) arms the numeric sanitizer: every backend
+  primitive is wrapped with NaN/Inf guards and forward/backward
+  integrity checks (see :mod:`repro.sanitize`).
 
-Each switch used to be an independent module global, which meant a
-cached trace set, a training run, and the manifest describing them
-could silently disagree about which code path produced what.  This
-module centralizes the state: the canonical flag values live here,
-every subsystem registers a *mirror* (a plain module global it reads
-in its hot loop, kept in sync by :func:`set_flag`), and the legacy
-setters (``set_fused_kernels`` & co.) survive as deprecated shims that
-delegate here.
-
-On top of the booleans there is one *value* flag, ``backend``: the
-name of the compute backend the fused primitives dispatch through
-(see :mod:`repro.backends`).  It defaults to ``"numpy"`` — the
-bit-identical reference backend — and can be preset with the
-``REPRO_BACKEND`` environment variable or flipped at runtime exactly
-like the boolean flags (``runtime.configure(backend="numba")``).
-Unknown names degrade gracefully: the backend registry resolves them
-back to numpy and publishes an obs counter rather than failing a run.
-A second value flag, ``obs_sample_hz``, sets the continuous-telemetry
-sample rate (``"0"`` = off, the default; ``REPRO_OBS_SAMPLE_HZ`` env
-preset) consumed by :mod:`repro.obs.timeseries` — it lives here so the
-rate is stamped into manifests alongside the dispatch flags.  A third,
-``sanitize`` (``"0"``/``"1"``; ``REPRO_SANITIZE`` env preset /
-``repro5g --sanitize``), arms the numeric sanitizer: every backend
-primitive is wrapped with NaN/Inf guards and forward/backward integrity
-checks (see :mod:`repro.sanitize`).  It is stored as a string flag —
-not a boolean — because, like ``backend``, it selects *which* backend
-object :mod:`repro.backends` resolves, and the canonical ``"0"``/``"1"``
-spelling keeps manifests and hashes stable.
+Neither changes a result, so neither feeds a cache key or an
+experiment hash; both are stamped into run manifests
+(:func:`repro.obs.manifest.kernel_paths`).  Values are stored in one
+canonical string spelling so manifests stay stable.  Subsystems that
+read a flag in a hot loop register a *mirror* — a plain module global
+kept in sync by :func:`set_flag` — instead of calling back in here.
 
 The same module owns the repo's one canonical content-hash helper,
 :func:`canonical_hash` (sorted-key compact JSON → SHA-256), used by the
 trace cache, the obs manifests, and the experiment pipeline — so one
-hash identifies a run everywhere.  Because ``vectorized_radio`` and
-``backend`` change synthesized trace values (at the last-ulp level),
-the trace cache folds :func:`synthesis_fingerprint` into its keys; see
-:func:`repro.data.cache.cache_key`.
+hash identifies a run everywhere.
 
 Typical use::
 
     from repro import runtime
 
-    runtime.configure(fused_kernels=False)       # flip one flag
-    with runtime.use(vectorized_radio=False):    # pin for a block
+    runtime.configure(obs_sample_hz=2)       # set a flag
+    with runtime.use(sanitize="1"):          # pin for a block
         ...
-    runtime.configure(backend="numba")           # select a backend
-    runtime.flags()                              # {'arena': ..., 'backend': ...}
+    runtime.flags()                          # {'obs_sample_hz': '2', 'sanitize': '0'}
 """
 
 from __future__ import annotations
@@ -66,59 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Dict, List, Mapping, Optional
-
-#: every *boolean* dispatch flag, in stable (sorted) order.
-FLAG_NAMES = ("arena", "batched_cc", "fused_kernels", "vectorized_radio")
-
-#: string-valued flags: the compute-backend selector and the continuous
-#: telemetry sample rate (``"0"`` = sampling off; see
-#: :mod:`repro.obs.timeseries`).  Both are stored as canonical strings
-#: so the flag machinery (mirrors, manifests, hashing) stays uniform;
-#: :func:`obs_sample_hz` exposes the parsed float.
-VALUE_FLAG_NAMES = ("backend", "obs_sample_hz", "sanitize")
-
-#: every flag — boolean and value — in stable (sorted) order.
-ALL_FLAG_NAMES = tuple(sorted(FLAG_NAMES + VALUE_FLAG_NAMES))
-
-#: flags that change *synthesized trace values* (and therefore must be
-#: folded into the trace-cache key); the others only affect training
-#: and inference numerics of the nn stack.  ``backend`` is here because
-#: a compiled backend's transcendentals may round differently from
-#: numpy's in the last ulp.
-SYNTHESIS_FLAG_NAMES = ("backend", "vectorized_radio")
-
-#: the reference backend: plain numpy, bit-identical to the oracles.
-DEFAULT_BACKEND = "numpy"
-
-#: telemetry sampling is off by default: no sampler thread is started
-#: and :func:`repro.obs.sample_window` hands back a shared null object.
-DEFAULT_OBS_SAMPLE_HZ = "0"
-
-#: the numeric sanitizer is off by default: production hot paths pay
-#: zero per-primitive overhead unless ``REPRO_SANITIZE=1`` /
-#: ``--sanitize`` arms the guards.
-DEFAULT_SANITIZE = "0"
-
-#: defaults for the string-valued flags (booleans default to ``True``).
-_VALUE_FLAG_DEFAULTS: Dict[str, str] = {
-    "backend": DEFAULT_BACKEND,
-    "obs_sample_hz": DEFAULT_OBS_SAMPLE_HZ,
-    "sanitize": DEFAULT_SANITIZE,
-}
-
-
-def _env_backend() -> str:
-    return os.environ.get("REPRO_BACKEND", "").strip().lower() or DEFAULT_BACKEND
-
-
-def _env_obs_sample_hz() -> str:
-    return os.environ.get("REPRO_OBS_SAMPLE_HZ", "").strip() or DEFAULT_OBS_SAMPLE_HZ
-
-
-def _env_sanitize() -> str:
-    return os.environ.get("REPRO_SANITIZE", "").strip() or DEFAULT_SANITIZE
-
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 def _canonical_hz(raw: object) -> str:
     """Validate and canonicalize a sample-rate flag value (``"2.5"``)."""
@@ -155,96 +74,64 @@ def _canonical_sanitize(raw: object) -> str:
         raise ValueError(f"sanitize must be one of 0/1/on/off/true/false, got {raw!r}") from None
 
 
-def default_flags() -> Dict[str, object]:
-    """The production flag snapshot: every fast path on, numpy backend."""
-    values: Dict[str, object] = {}
-    for name in ALL_FLAG_NAMES:
-        values[name] = _VALUE_FLAG_DEFAULTS[name] if name in VALUE_FLAG_NAMES else True
-    return values
+#: flag name -> (env preset, default, canonicalizer), in sorted order.
+#: Both default off: no sampler thread starts, and hot paths pay no
+#: per-primitive guard until the sanitizer is armed.
+_SPECS: Dict[str, Tuple[str, str, Callable[[object], str]]] = {
+    "obs_sample_hz": ("REPRO_OBS_SAMPLE_HZ", "0", _canonical_hz),
+    "sanitize": ("REPRO_SANITIZE", "0", _canonical_sanitize),
+}
 
-
-def _initial_flags() -> Dict[str, object]:
-    values = default_flags()
-    values["backend"] = _env_backend()
-    values["obs_sample_hz"] = _canonical_hz(_env_obs_sample_hz())
-    values["sanitize"] = _canonical_sanitize(_env_sanitize())
-    return values
-
-
-_FLAGS: Dict[str, object] = _initial_flags()
-_MIRRORS: Dict[str, List[Callable[[object], None]]] = {name: [] for name in ALL_FLAG_NAMES}
+_FLAGS: Dict[str, str] = {
+    name: canonical(os.environ.get(env, "").strip() or default)
+    for name, (env, default, canonical) in _SPECS.items()
+}
+_MIRRORS: Dict[str, List[Callable[[object], None]]] = {name: [] for name in _SPECS}
 
 
 def _check_name(name: str) -> None:
     if name not in _FLAGS:
-        raise ValueError(f"unknown runtime flag {name!r}; known flags: {list(ALL_FLAG_NAMES)}")
+        raise ValueError(f"unknown runtime flag {name!r}; known flags: {list(_SPECS)}")
 
 
-def _coerce(name: str, value: object) -> object:
-    if name == "obs_sample_hz":
-        return _canonical_hz(value)
-    if name == "sanitize":
-        return _canonical_sanitize(value)
-    if name in VALUE_FLAG_NAMES:
-        text = str(value).strip().lower()
-        if not text:
-            raise ValueError(f"runtime flag {name!r} needs a non-empty string value")
-        return text
-    return bool(value)
-
-
-def flag(name: str) -> object:
-    """Current value of one dispatch flag (bool, or str for value flags)."""
+def flag(name: str) -> str:
+    """Current canonical value of one flag."""
     _check_name(name)
     return _FLAGS[name]
 
 
-def flags() -> Dict[str, object]:
-    """Snapshot of every dispatch flag (insertion order = sorted names)."""
+def flags() -> Dict[str, str]:
+    """Snapshot of every flag (insertion order = sorted names)."""
     return dict(_FLAGS)
-
-
-def backend_name() -> str:
-    """The *requested* backend name (resolution lives in :mod:`repro.backends`)."""
-    return str(_FLAGS["backend"])
 
 
 def obs_sample_hz() -> float:
     """The telemetry sample rate in Hz (``0.0`` = sampling disabled).
 
-    The canonical value lives in the ``obs_sample_hz`` value flag
-    (preset by ``REPRO_OBS_SAMPLE_HZ``, overridable like any flag via
-    :func:`configure` / ``repro5g --obs-sample-hz``); this accessor
-    parses it.  Hot callers should read the write-through mirror in
+    Hot callers should read the write-through mirror in
     :mod:`repro.obs` instead of calling this per sample.
     """
-    return float(str(_FLAGS["obs_sample_hz"]))
+    return float(_FLAGS["obs_sample_hz"])
 
 
 def sanitize_enabled() -> bool:
     """Whether the numeric sanitizer is armed (``sanitize`` flag == "1").
 
     Hot callers never query this per primitive call: when the flag
-    flips, :mod:`repro.backends` swaps the *resolved backend object*
-    for a sanitizer-wrapped twin (see :mod:`repro.sanitize`), so the
+    flips, :mod:`repro.backends` swaps the *active backend object* for
+    a sanitizer-wrapped twin (see :mod:`repro.sanitize`), so the
     dispatch layer pays nothing while the flag is off.
     """
-    return str(_FLAGS["sanitize"]) == "1"
+    return _FLAGS["sanitize"] == "1"
 
 
-def synthesis_fingerprint() -> Dict[str, object]:
-    """The subset of flags that affect synthesized trace values."""
-    return {name: _FLAGS[name] for name in SYNTHESIS_FLAG_NAMES}
-
-
-def register_mirror(name: str, setter: Callable[[object], None]) -> object:
+def register_mirror(name: str, setter: Callable[[object], None]) -> str:
     """Register a write-through mirror for ``name``; returns the current value.
 
     Subsystem modules call this at import time with a setter that
     updates their module-level global — hot loops keep reading a plain
     global (no function call, no dict lookup) while this module stays
-    authoritative.  The returned value lets the caller initialize its
-    global in sync.
+    authoritative.
     """
     _check_name(name)
     _MIRRORS[name].append(setter)
@@ -252,24 +139,24 @@ def register_mirror(name: str, setter: Callable[[object], None]) -> object:
     return _FLAGS[name]
 
 
-def set_flag(name: str, enabled: object) -> object:
+def set_flag(name: str, value: object) -> str:
     """Set one flag (and push it to every mirror); returns the previous value."""
     _check_name(name)
     previous = _FLAGS[name]
-    value = _coerce(name, enabled)
-    _FLAGS[name] = value
+    canonical = _SPECS[name][2](value)
+    _FLAGS[name] = canonical
     for setter in _MIRRORS[name]:
-        setter(value)
+        setter(canonical)
     return previous
 
 
-def configure(**flag_values: object) -> Dict[str, object]:
+def configure(**flag_values: object) -> Dict[str, str]:
     """Set any subset of flags by keyword; returns the *previous* snapshot.
 
     ``None`` values are ignored so callers can pass optional CLI args
     straight through::
 
-        previous = runtime.configure(fused_kernels=False)
+        previous = runtime.configure(sanitize="1")
         ...
         runtime.configure(**previous)   # restore
     """
@@ -287,15 +174,15 @@ class use:
 
     ::
 
-        with runtime.use(fused_kernels=False, backend="numpy"):
-            ...  # oracle nn path, reference backend
+        with runtime.use(sanitize="1"):
+            ...  # every backend primitive guarded
     """
 
     def __init__(self, **flag_values: object) -> None:
         for name in flag_values:
             _check_name(name)
         self.flag_values = flag_values
-        self._previous: Optional[Dict[str, object]] = None
+        self._previous: Optional[Dict[str, str]] = None
 
     def __enter__(self) -> "use":
         self._previous = configure(**self.flag_values)
@@ -326,8 +213,3 @@ def canonical_hash(payload: Mapping, schema: Optional[str] = None, length: int =
         data = {"__schema__": schema, **data}
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
-
-
-def runtime_hash() -> str:
-    """Canonical hash of the full flag snapshot (for manifests/debugging)."""
-    return canonical_hash(flags(), schema="repro-runtime-v1")

@@ -3,8 +3,8 @@
 The static rules in :mod:`repro.lintkit` keep the *code* honest; this
 module keeps the *numbers* honest.  When the ``sanitize`` runtime flag
 is armed (``REPRO_SANITIZE=1`` / ``repro5g --sanitize`` /
-``runtime.configure(sanitize="1")``), :mod:`repro.backends` resolves
-the active backend through :func:`wrap_backend`, which replaces every
+``runtime.configure(sanitize="1")``), :mod:`repro.backends` swaps
+the active backend for a :func:`wrap_backend` twin, which replaces every
 dispatchable primitive (see :data:`repro.backends.PRIMITIVES`) with a
 guarded twin:
 
@@ -20,7 +20,7 @@ guarded twin:
   float32 inference path to float64, trips the guard at the primitive
   that produced it.
 * **Grad-seed guard** — the incoming gradient arguments of a backward
-  (``g`` / ``gh`` / ``gc`` / ``g_out`` …) are checked too, so a NaN
+  (``g`` / ``g_out`` / ``dc_T``) are checked too, so a NaN
   born in the loss is caught at the first backward it enters.
 
 Every wrapped call increments the ``sanitize.checks`` obs counter;
@@ -30,7 +30,7 @@ violations publish ``sanitize.violation.nonfinite`` or
 run still records what tripped.  CI runs the fast workload with
 ``REPRO_SANITIZE=1`` and asserts the violation counters stay absent.
 
-The wrapper is applied once per flag change at the backend-resolution
+The wrapper is applied once per flag change at the backend
 seam — hot paths pay zero overhead while the flag is off, and the
 wrapped backend keeps the inner backend's ``name`` so manifests stamp
 the real compute backend, not the wrapper.
@@ -52,7 +52,7 @@ class SanitizerError(RuntimeError):
     """A numeric invariant was violated inside a backend primitive.
 
     ``primitive`` names the offending primitive (e.g.
-    ``"lstm_seq_backward"``), ``backend`` the resolved compute backend
+    ``"lstm_seq_backward"``), ``backend`` the compute backend
     it ran on — both also appear in ``args[0]`` so a bare traceback is
     self-explanatory.
     """
@@ -70,29 +70,6 @@ class SanitizerError(RuntimeError):
 #: without any cross-call state.
 _BACKWARD_ARGS: Dict[str, Tuple[str, ...]] = {
     "affine_backward": ("g", "x", "weight", "h", "weight_h", "needs"),
-    "lstm_cell_backward_h": ("gh", "saved"),
-    "lstm_cell_backward_c": (
-        "gc",
-        "d_o",
-        "saved",
-        "x",
-        "h_prev",
-        "c_prev",
-        "weight_ih",
-        "weight_hh",
-        "needs",
-    ),
-    "gru_cell_backward": (
-        "gh",
-        "saved",
-        "x",
-        "h_prev",
-        "weight_ih",
-        "weight_hh",
-        "weight_in",
-        "weight_hn",
-        "needs",
-    ),
     "lstm_seq_backward": ("g_out", "dc_T", "saved", "x", "h0", "weight_ih", "weight_hh", "needs"),
     "gru_seq_backward": (
         "g_out",
@@ -118,7 +95,7 @@ _BACKWARD_ARGS: Dict[str, Tuple[str, ...]] = {
 
 #: argument names that carry *incoming* gradients into a backward —
 #: checked for finiteness so loss-born NaNs are caught at entry.
-_GRAD_SEED_ARGS = frozenset({"g", "gh", "gc", "g_out", "dc_T", "d_o"})
+_GRAD_SEED_ARGS = frozenset({"g", "g_out", "dc_T"})
 
 #: bound-argument names that are bookkeeping, never gradient targets.
 _NON_TENSOR_ARGS = frozenset({"saved", "needs"})
@@ -260,7 +237,7 @@ def wrap_backend(backend, primitives: Tuple[str, ...]) -> SanitizedBackend:
     """Wrap ``backend`` so every primitive in ``primitives`` is guarded.
 
     ``primitives`` is passed in (rather than imported) because
-    :mod:`repro.backends` calls this lazily from its resolution seam
+    :mod:`repro.backends` calls this lazily from its sanitize mirror
     while that package is still initializing.
     """
     if isinstance(backend, SanitizedBackend):

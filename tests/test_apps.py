@@ -1,8 +1,11 @@
 """ViVo and MPC-ABR use-case tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.apps import bridge
 from repro.apps import (
     ABRConfig,
     MPCPlayer,
@@ -121,6 +124,35 @@ class TestMPC:
     def test_trace_too_short_raises(self):
         with pytest.raises(ValueError):
             MPCPlayer().run(np.ones(1), 1.0)
+
+
+class TestForecasterPosition:
+    """Each chunk decision must see that chunk's window of the series."""
+
+    RAMP = np.arange(1.0, 401.0)  # strictly increasing: every window differs
+
+    def _first_forecasts(self, forecaster):
+        seen = []
+
+        def spy(history, horizon, chunk_s):
+            out = forecaster(history, horizon, chunk_s)
+            seen.append(float(out[0]))
+            return out
+
+        result = MPCPlayer(ABRConfig(lookahead=2)).run(self.RAMP, 1.0, spy)
+        expected = [self.RAMP[2 * k : 2 * k + 2].mean() for k in range(result.n_units)]
+        assert result.n_units > 10
+        return seen, expected
+
+    def test_oracle_advances_every_chunk(self):
+        seen, expected = self._first_forecasts(oracle_forecaster_factory(self.RAMP, 1.0, 2.0))
+        assert seen == pytest.approx(expected)
+
+    def test_predictor_forecaster_advances_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(bridge, "predicted_bandwidth_series", lambda *args: self.RAMP)
+        forecaster = bridge.predictor_forecaster(None, SimpleNamespace(dt_s=1.0), None, chunk_s=2.0)
+        seen, expected = self._first_forecasts(forecaster)
+        assert seen == pytest.approx(expected)
 
 
 class TestQoEMetrics:

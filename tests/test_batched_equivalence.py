@@ -1,30 +1,30 @@
 """Batched-vs-loop equivalence for the folded hot paths.
 
-The perf work folds three Python loops into array computation, each
-keeping its loop implementation as an oracle behind a toggle:
+Three Python loops ship folded into array computation; each loop lives
+on as an oracle in ``tests/oracles.py``:
 
-* CC folding in Prism5G (``batched_cc``) — forward values must be
-  **bit-identical** to the per-carrier loop, including the row-chunked
-  path used above ``_FOLD_CHUNK_ROWS``; gradients agree to a relative
-  tolerance (weight-gradient matmuls reassociate the same sums).
-* The fused decoder rollout (``fused_kernels``) — bit-identical to the
+* CC folding in Prism5G — forward values must be **bit-identical** to
+  the per-carrier loop, including the row-chunked path used above
+  ``_FOLD_CHUNK_ROWS``; gradients agree to a relative tolerance
+  (weight-gradient matmuls reassociate the same sums).
+* The fused decoder rollouts (Prism5G, Seq2Seq) — bit-identical to the
   op-by-op step loop, including the chunked head projection.
-* The vectorized candidate-cell radio update (``vectorized_radio``) —
-  per-field agreement with the scalar per-cell loop (numpy vs ``math``
-  transcendentals differ at ulp level), discrete fields exact.
+* The array candidate-cell radio update — per-field agreement with the
+  scalar per-cell loop (numpy vs ``math`` transcendentals differ at
+  ulp level), discrete fields exact.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.predictors import _Seq2Seq
 from repro.core.prism5g import (
     _FOLD_CHUNK_ROWS,
     Prism5G,
-    batched_cc,
     pack_inputs,
 )
 from repro.nn import Tensor
-from repro.nn.modules import MLP, fused_kernels
+from repro.nn.modules import MLP
 from repro.nn.training import Trainer
 from repro.ran.phy import (
     _cqi_from_sinr_scan,
@@ -32,7 +32,9 @@ from repro.ran.phy import (
     cqi_from_sinr,
     mcs_from_cqi,
 )
-from repro.ran.simulator import TraceSimulator, vectorized_radio
+from repro.ran.simulator import TraceSimulator
+
+from . import oracles
 
 RNG = np.random.default_rng(1234)
 
@@ -57,20 +59,17 @@ class TestCCFolding:
     def test_forward_bit_identical(self, rnn, head):
         model = Prism5G(n_ccs=4, n_features=5, horizon=6, hidden=12, rnn=rnn, head=head)
         packed = _packed_batch(10)
-        with batched_cc(True):
-            folded = model(Tensor(packed)).numpy()
-        with batched_cc(False):
-            loop = model(Tensor(packed)).numpy()
+        folded = model(Tensor(packed)).numpy()
+        loop = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
         assert np.array_equal(folded, loop)
 
     def test_forward_matches_op_by_op_oracle(self):
         """Folded + fused vs the fully unfused per-CC loop."""
         model = Prism5G(n_ccs=4, n_features=5, horizon=6, hidden=12)
         packed = _packed_batch(9)
-        with batched_cc(True), fused_kernels(True):
-            folded = model(Tensor(packed)).numpy()
-        with batched_cc(False), fused_kernels(False):
-            oracle = model(Tensor(packed)).numpy()
+        folded = model(Tensor(packed)).numpy()
+        with oracles.op_by_op():
+            oracle = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
         assert np.array_equal(folded, oracle)
 
     def test_chunked_rows_bit_identical(self):
@@ -80,19 +79,15 @@ class TestCCFolding:
         model = Prism5G(n_ccs=c, n_features=5, horizon=4, hidden=10)
         packed = _packed_batch(n, c=c)
         assert c * n > _FOLD_CHUNK_ROWS
-        with batched_cc(True):
-            folded = model(Tensor(packed)).numpy()
-        with batched_cc(False):
-            loop = model(Tensor(packed)).numpy()
+        folded = model(Tensor(packed)).numpy()
+        loop = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
         assert np.array_equal(folded, loop)
 
     def test_transformer_variant_bit_identical(self):
         model = Prism5G(n_ccs=3, n_features=4, horizon=4, hidden=8, rnn="transformer")
         packed = _packed_batch(8, c=3, f=4)
-        with batched_cc(True):
-            folded = model(Tensor(packed)).numpy()
-        with batched_cc(False):
-            loop = model(Tensor(packed)).numpy()
+        folded = model(Tensor(packed)).numpy()
+        loop = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
         assert np.array_equal(folded, loop)
 
     @pytest.mark.parametrize("rnn", ["lstm", "transformer"])
@@ -101,10 +96,10 @@ class TestCCFolding:
 
         def grads(folded: bool):
             model = Prism5G(n_ccs=4, n_features=5, horizon=5, hidden=10, rnn=rnn)
-            with batched_cc(folded):
-                loss = (model(Tensor(packed)) ** 2).mean()
-                model.zero_grad()
-                loss.backward()
+            forward = model if folded else (lambda x: oracles.prism5g_loop_forward(model, x))
+            loss = (forward(Tensor(packed)) ** 2).mean()
+            model.zero_grad()
+            loss.backward()
             return {name: p.grad for name, p in model.named_parameters()}
 
         ga, gb = grads(True), grads(False)
@@ -129,9 +124,8 @@ class TestFusedDecoder:
     def test_rollout_bit_identical(self):
         model = Prism5G(n_ccs=4, n_features=5, horizon=8, hidden=12)
         h0 = Tensor(RNG.normal(size=(12, 12)))
-        with fused_kernels(True):
-            fused = model._decode(h0).numpy()
-        fused_loop = model._decode_loop(h0).numpy()
+        fused = model._decode(h0).numpy()
+        fused_loop = oracles.decode_loop(model, h0).numpy()
         assert np.array_equal(fused, fused_loop)
 
     def test_chunked_head_projection_bit_identical(self):
@@ -139,11 +133,10 @@ class TestFusedDecoder:
         model = Prism5G(n_ccs=4, n_features=5, horizon=6, hidden=10)
         per_cc = RNG.normal(size=(4, 16, 10))
         folded = np.concatenate(list(per_cc), axis=0)  # carrier-major fold
-        with fused_kernels(True):
-            whole = model._decode(Tensor(folded), chunks=4).numpy()
-            parts = np.concatenate(
-                [model._decode(Tensor(h)).numpy() for h in per_cc], axis=0
-            )
+        whole = model._decode(Tensor(folded), chunks=4).numpy()
+        parts = np.concatenate(
+            [model._decode(Tensor(h)).numpy() for h in per_cc], axis=0
+        )
         assert np.array_equal(whole, parts)
 
     def test_rollout_gradients_match_loop(self):
@@ -152,11 +145,14 @@ class TestFusedDecoder:
         def grads(use_fused: bool):
             model = Prism5G(n_ccs=4, n_features=5, horizon=8, hidden=12)
             h0 = Tensor(h0_data, requires_grad=True)
-            with fused_kernels(use_fused):
-                preds = model._decode(h0) if use_fused else model._decode_loop(h0)
-                loss = (preds ** 2).mean()
-                model.zero_grad()
-                loss.backward()
+            if use_fused:
+                preds = model._decode(h0)
+            else:
+                with oracles.op_by_op():
+                    preds = oracles.decode_loop(model, h0)
+            loss = (preds ** 2).mean()
+            model.zero_grad()
+            loss.backward()
             named = {
                 name: p.grad
                 for name, p in model.named_parameters()
@@ -170,18 +166,40 @@ class TestFusedDecoder:
         for name in gb:
             assert _rel_err(ga[name], gb[name]) <= 1e-6, name
 
+    def test_seq2seq_rollout_matches_loop(self):
+        x = RNG.normal(size=(9, 7, 5))
+
+        def run(fused: bool):
+            model = _Seq2Seq(in_size=5, hidden=8, horizon=6, seed=2)
+            if fused:
+                preds = model(Tensor(x))
+            else:
+                with oracles.op_by_op():
+                    preds = oracles.seq2seq_forward(model, Tensor(x))
+            loss = (preds ** 2).mean()
+            model.zero_grad()
+            loss.backward()
+            return preds.numpy(), {name: p.grad for name, p in model.named_parameters()}
+
+        (out_a, ga), (out_b, gb) = run(True), run(False)
+        assert np.array_equal(out_a, out_b)
+        for name in gb:
+            assert _rel_err(ga[name], gb[name]) <= 1e-6, name
+
 
 class TestVectorizedRadio:
     @pytest.fixture(scope="class")
     def trace_pair(self):
-        def run(vec: bool):
-            with vectorized_radio(vec):
-                sim = TraceSimulator(
-                    "OpX", scenario="urban", mobility="walking", dt_s=0.1, seed=7
-                )
-                return sim.run(20.0)
+        def run():
+            sim = TraceSimulator(
+                "OpX", scenario="urban", mobility="walking", dt_s=0.1, seed=7
+            )
+            return sim.run(20.0)
 
-        return run(True), run(False)
+        vec = run()
+        with oracles.scalar_radio():
+            loop = run()
+        return vec, loop
 
     def test_analog_fields_match_per_cell(self, trace_pair):
         vec, loop = trace_pair

@@ -173,7 +173,7 @@ class TestObs:
         assert rc == 0
         manifest = json.loads(capsys.readouterr().out)
         assert manifest["kind"] == "simulate"
-        assert manifest["kernel_paths"]["vectorized_radio"] is True
+        assert manifest["kernel_paths"]["sanitize"] == "0"
 
     def test_obs_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["obs", "report", "--dir", str(tmp_path)])

@@ -85,8 +85,8 @@ def test_rl001_flags_legacy_from_import(tmp_path):
 def test_rl002_fails_on_flag_value_import(tmp_path):
     result = lint_snippet(
         tmp_path,
-        "from repro.runtime import fused_kernels\n"
-        "from repro.core.prism5g import _BATCHED_CC\n",
+        "from repro.runtime import sanitize\n"
+        "from repro.backends import _SANITIZE\n",
         rules=["RL002"],
     )
     assert len(result.diagnostics) == 2
@@ -94,10 +94,10 @@ def test_rl002_fails_on_flag_value_import(tmp_path):
 
 
 def test_rl002_fails_on_relative_mirror_import(tmp_path):
-    # a file living inside the repro package importing a sibling's mirror
+    # a file living inside the repro package importing a sibling package's mirror
     result = lint_snippet(
         tmp_path,
-        "from .modules import _FUSED_KERNELS\n",
+        "from ..backends import _SANITIZE\n",
         filename="repro/nn/new_module.py",
         rules=["RL002"],
     )
@@ -108,8 +108,8 @@ def test_rl002_passes_on_module_attribute_reads(tmp_path):
     result = lint_snippet(
         tmp_path,
         "from repro import runtime\n"
-        "from repro.nn.modules import fused_kernels, set_fused_kernels\n"
-        "enabled = runtime.flag('fused_kernels')\n",
+        "from repro.backends import active, sanitize_active\n"
+        "enabled = runtime.flag('sanitize')\n",
         rules=["RL002"],
     )
     assert result.ok

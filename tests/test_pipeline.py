@@ -1,6 +1,7 @@
 """Experiment pipeline: typed config, hashing, stage skip/resume."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestExperimentConfig:
             {"split": "trace"},
             {"predictors": ("Prophet",)},
             {"deep": {"hidden": 99}},
-            {"runtime": {"fused_kernels": False}},
+            {"samples_per_trace": 77},
         ],
     )
     def test_every_field_feeds_the_hash(self, override):
@@ -77,8 +78,9 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"name": "x", "optimizer": "sgd"})
 
     def test_unknown_runtime_flag_rejected(self):
-        with pytest.raises(ValueError, match="unknown runtime flag"):
-            ExperimentConfig(runtime={"turbo_mode": True})
+        # runtime flags never change a result, so a config cannot carry them
+        with pytest.raises(ValueError, match="unknown experiment config key"):
+            ExperimentConfig.from_dict({"name": "x", "runtime": {"sanitize": "1"}})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -97,22 +99,6 @@ class TestExperimentConfig:
     def test_empty_predictors_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ExperimentConfig(predictors=())
-
-    def test_partial_runtime_filled_with_defaults(self):
-        config = ExperimentConfig(runtime={"fused_kernels": False})
-        assert config.runtime == {
-            "arena": True,
-            "backend": runtime.backend_name(),
-            "batched_cc": True,
-            "fused_kernels": False,
-            "obs_sample_hz": "0",
-            "sanitize": "0",
-            "vectorized_radio": True,
-        }
-
-    def test_runtime_backend_string_passes_through(self):
-        config = ExperimentConfig(runtime={"backend": "  NumPy "})
-        assert config.runtime["backend"] == "numpy"
 
     def test_run_dir_embeds_name_and_hash(self):
         config = ExperimentConfig(name="My Experiment!")
@@ -216,12 +202,37 @@ class TestRunExperiment:
         assert all(s.status == "completed" for s in result.stages)
 
     def test_runtime_flags_restored_after_run(self, tmp_path):
-        before = runtime.flags()
-        config = ExperimentConfig(
-            **{**TINY, "predictors": ("Prophet",), "runtime": {"fused_kernels": False}}
-        )
-        run_experiment(config, out_dir=tmp_path / "flags-run")
-        assert runtime.flags() == before
+        config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})
+        with runtime.use(sanitize="1", obs_sample_hz=0):
+            before = runtime.flags()
+            run_experiment(config, out_dir=tmp_path / "flags-run")
+            assert runtime.flags() == before
+
+    def test_sanitize_reaches_the_run_and_stays_out_of_the_hash(self, tmp_path):
+        tiny_lstm = {
+            **TINY,
+            "predictors": ("LSTM",),
+            "deep": {"hidden": 8, "max_epochs": 1, "patience": 1},
+        }
+        unarmed_hash = ExperimentConfig(**tiny_lstm).hash()
+        obs_dir = tmp_path / "obs"
+        obs.configure(mode=obs.MODE_METRICS, directory=obs_dir)
+        try:
+            with runtime.use(sanitize="1"):
+                config = ExperimentConfig(**tiny_lstm)
+                run_experiment(config, out_dir=tmp_path / "sanitized-run")
+            manifest = obs.latest_manifest(obs_dir)
+        finally:
+            obs.configure(mode=obs.MODE_OFF)
+            obs.reset()
+        assert config.hash() == unarmed_hash
+        assert manifest["kernel_paths"]["sanitize"] == "1"
+        assert manifest["metrics"]["counters"]["sanitize.checks"] > 0
+        # the shipped example lands in the same run directory either way
+        example = Path(__file__).resolve().parent.parent / "examples" / "experiment_small.json"
+        with runtime.use(sanitize="1"):
+            armed = ExperimentConfig.load(example).hash()
+        assert armed == ExperimentConfig.load(example).hash()
 
     def test_manifests_carry_experiment_hash(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})

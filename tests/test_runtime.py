@@ -1,11 +1,8 @@
-"""repro.runtime: canonical dispatch flags, shims, and the hash recipe."""
+"""repro.runtime: the value flags, their mirrors, and the hash recipe."""
 
 import pytest
 
-from repro import runtime
-from repro.core import prism5g
-from repro.nn import modules
-from repro.ran import simulator
+from repro import backends, obs, runtime
 
 
 @pytest.fixture(autouse=True)
@@ -15,38 +12,29 @@ def restore_flags():
     runtime.configure(**before)
 
 
-SHIMS = {
-    "fused_kernels": (modules.set_fused_kernels, modules.fused_kernels_enabled),
-    "batched_cc": (prism5g.set_batched_cc, prism5g.batched_cc_enabled),
-    "vectorized_radio": (simulator.set_vectorized_radio, simulator.vectorized_radio_enabled),
-}
-
-
 class TestFlags:
-    def test_defaults_all_on(self):
-        snapshot = runtime.flags()
-        assert {name: snapshot[name] for name in runtime.FLAG_NAMES} == {
-            name: True for name in runtime.FLAG_NAMES
-        }
-        assert set(snapshot) == set(runtime.ALL_FLAG_NAMES)
+    def test_defaults(self):
+        assert runtime.flags() == {"obs_sample_hz": "0", "sanitize": "0"}
 
     def test_backend_defaults_to_numpy(self):
-        assert runtime.flag("backend") == runtime.DEFAULT_BACKEND == "numpy"
-        assert runtime.backend_name() == "numpy"
+        assert backends.active_name() == "numpy"
+        assert "backend" not in runtime.flags()
 
-    def test_backend_value_flag_coerced_and_restored(self):
-        previous = runtime.set_flag("backend", "  NumPy  ")
-        assert previous == "numpy"
-        assert runtime.flag("backend") == "numpy"
-        with runtime.use(backend="nonexistent"):
-            assert runtime.backend_name() == "nonexistent"
-        assert runtime.backend_name() == "numpy"
-        with pytest.raises(ValueError, match="non-empty string"):
-            runtime.set_flag("backend", "   ")
+    def test_value_flag_coerced_and_restored(self):
+        previous = runtime.set_flag("sanitize", "  On  ")
+        assert previous == "0"
+        assert runtime.flag("sanitize") == "1"
+        with runtime.use(sanitize=False):
+            assert runtime.flag("sanitize") == "0"
+        assert runtime.flag("sanitize") == "1"
+        with pytest.raises(ValueError, match="sanitize must be one of"):
+            runtime.set_flag("sanitize", "   ")
+        with pytest.raises(ValueError, match="obs_sample_hz must be a finite rate"):
+            runtime.set_flag("obs_sample_hz", -1)
 
     def test_set_flag_returns_previous(self):
-        assert runtime.set_flag("fused_kernels", False) is True
-        assert runtime.set_flag("fused_kernels", True) is False
+        assert runtime.set_flag("sanitize", "1") == "0"
+        assert runtime.set_flag("sanitize", "0") == "1"
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(ValueError, match="unknown runtime flag"):
@@ -57,78 +45,38 @@ class TestFlags:
             runtime.configure(turbo_mode=True)
 
     def test_configure_ignores_none(self):
-        runtime.configure(fused_kernels=None)
-        assert runtime.flag("fused_kernels") is True
+        runtime.configure(sanitize=None)
+        assert runtime.flag("sanitize") == "0"
 
     def test_configure_returns_previous_snapshot(self):
-        previous = runtime.configure(batched_cc=False)
-        assert previous["batched_cc"] is True
+        previous = runtime.configure(obs_sample_hz=4)
+        assert previous["obs_sample_hz"] == "0"
         runtime.configure(**previous)
-        assert runtime.flag("batched_cc") is True
+        assert runtime.flag("obs_sample_hz") == "0"
 
     def test_use_restores_on_exit(self):
-        with runtime.use(fused_kernels=False, vectorized_radio=False):
-            assert runtime.flag("fused_kernels") is False
-            assert runtime.flag("vectorized_radio") is False
-        assert runtime.flag("fused_kernels") is True
-        assert runtime.flag("vectorized_radio") is True
+        with runtime.use(sanitize="on", obs_sample_hz=2.5):
+            assert runtime.flag("sanitize") == "1"
+            assert runtime.flag("obs_sample_hz") == "2.5"
+        assert runtime.flag("sanitize") == "0"
+        assert runtime.flag("obs_sample_hz") == "0"
 
     def test_use_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with runtime.use(batched_cc=False):
+            with runtime.use(sanitize="1"):
                 raise RuntimeError("boom")
-        assert runtime.flag("batched_cc") is True
-
-    def test_synthesis_fingerprint_subset(self):
-        fp = runtime.synthesis_fingerprint()
-        assert set(fp) == set(runtime.SYNTHESIS_FLAG_NAMES)
-        runtime.set_flag("vectorized_radio", False)
-        assert runtime.synthesis_fingerprint()["vectorized_radio"] is False
-        # flags that don't change trace values stay out of the fingerprint
-        runtime.set_flag("fused_kernels", False)
-        assert "fused_kernels" not in runtime.synthesis_fingerprint()
+        assert runtime.flag("sanitize") == "0"
 
 
 class TestShimEquivalence:
-    """The legacy per-module setters and runtime must stay one state."""
-
-    @pytest.mark.parametrize("name", sorted(SHIMS))
-    def test_shim_writes_visible_in_runtime(self, name):
-        setter, getter = SHIMS[name]
-        previous = setter(False)
-        assert previous is True
-        assert runtime.flag(name) is False
-        assert getter() is False
-        setter(True)
-        assert runtime.flag(name) is True
-
-    @pytest.mark.parametrize("name", sorted(SHIMS))
-    def test_runtime_writes_visible_in_shim(self, name):
-        _, getter = SHIMS[name]
-        runtime.set_flag(name, False)
-        assert getter() is False
-        runtime.set_flag(name, True)
-        assert getter() is True
-
-    def test_legacy_context_managers_still_work(self):
-        with modules.fused_kernels(False):
-            assert runtime.flag("fused_kernels") is False
-        assert runtime.flag("fused_kernels") is True
-        with prism5g.batched_cc(False):
-            assert runtime.flag("batched_cc") is False
-        assert runtime.flag("batched_cc") is True
-        with simulator.vectorized_radio(False):
-            assert runtime.flag("vectorized_radio") is False
-        assert runtime.flag("vectorized_radio") is True
+    """The write-through mirrors and runtime must stay one state."""
 
     def test_mirror_globals_track_runtime(self):
-        # hot loops read these module globals directly; they must follow
-        runtime.set_flag("fused_kernels", False)
-        assert modules._FUSED_KERNELS is False
-        runtime.set_flag("batched_cc", False)
-        assert prism5g._BATCHED_CC is False
-        runtime.set_flag("vectorized_radio", False)
-        assert simulator._VECTORIZED_RADIO is False
+        # hot paths read these module globals directly; they must follow
+        runtime.set_flag("sanitize", "1")
+        assert backends._SANITIZE is True
+        runtime.set_flag("obs_sample_hz", 5)
+        assert obs._SAMPLE_HZ == 5.0
 
 
 class TestCanonicalHash:
@@ -158,34 +106,17 @@ class TestCanonicalHash:
         assert runtime.canonical_hash({"p": Path("/tmp/x")})
 
     def test_matches_obs_config_hash(self):
-        from repro import obs
-
         config = {"operator": "OpZ", "dt_s": 1.0}
         assert obs.config_hash(config) == runtime.canonical_hash(config)
 
-    def test_runtime_hash_tracks_flags(self):
-        before = runtime.runtime_hash()
-        runtime.set_flag("fused_kernels", False)
-        assert runtime.runtime_hash() != before
-
 
 class TestCacheKeyFingerprint:
-    def test_vectorized_radio_changes_cache_key(self):
-        from repro.data.cache import cache_key
-
-        config = {"kind": "subdataset", "seed": 0}
-        with runtime.use(vectorized_radio=True):
-            on = cache_key(config)
-        with runtime.use(vectorized_radio=False):
-            off = cache_key(config)
-        assert on != off
-
     def test_nn_only_flags_do_not_change_cache_key(self):
         from repro.data.cache import cache_key
 
         config = {"kind": "subdataset", "seed": 0}
-        with runtime.use(fused_kernels=True, batched_cc=True):
-            on = cache_key(config)
-        with runtime.use(fused_kernels=False, batched_cc=False):
+        with runtime.use(sanitize="0"):
             off = cache_key(config)
+        with runtime.use(sanitize="1"):
+            on = cache_key(config)
         assert on == off
