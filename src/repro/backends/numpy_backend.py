@@ -292,10 +292,15 @@ def gru_seq_forward(
     batch, time, features = x.shape
     hidden = weight_hh.shape[0]
     dtype = np.result_type(x.dtype, weight_ih.dtype, h0.dtype, bias.dtype)
+    # hoisted input projections: one flat GEMM over all (b, t) rows each.
+    # A stacked (B, T, F) matmul runs B small products, and a single-row
+    # one (T=1) takes a GEMV path that rounds differently from the GEMM
+    # the op-by-op cell runs
+    flat_x = x.reshape(batch * time, features)
     gx = arena.empty((batch, time, 2 * hidden), dtype=dtype)
-    np.matmul(x, weight_ih, out=gx)  # (B, T, 2H)
+    np.matmul(flat_x, weight_ih, out=gx.reshape(batch * time, 2 * hidden))
     nx = arena.empty((batch, time, hidden), dtype=dtype)
-    np.matmul(x, weight_in, out=nx)  # (B, T, H)
+    np.matmul(flat_x, weight_in, out=nx.reshape(batch * time, hidden))
     outputs = np.empty((batch, time, hidden), dtype=dtype)  # escapes as Tensor data
     if requires:
         r_all = arena.empty((batch, time, hidden), dtype=dtype)
@@ -363,11 +368,12 @@ def gru_seq_backward(
     grads: Dict[str, np.ndarray] = {}
     if needs["h0"]:
         grads["h0"] = dh_carry
-    if needs["x"]:
-        grads["x"] = d_gates @ weight_ih.T + dn_pre @ weight_in.T
     flat_g = d_gates.reshape(batch * time, 2 * hidden)
     flat_n = dn_pre.reshape(batch * time, hidden)
     flat_x = x.reshape(batch * time, -1)
+    if needs["x"]:
+        # the forward's flat GEMMs, transposed
+        grads["x"] = (flat_g @ weight_ih.T + flat_n @ weight_in.T).reshape(batch, time, -1)
     if needs["weight_ih"]:
         grads["weight_ih"] = flat_x.T @ flat_g
     if needs["weight_hh"]:

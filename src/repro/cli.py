@@ -221,8 +221,9 @@ def _cmd_city_campaign(args: argparse.Namespace) -> int:
     )
     print(
         f"shards {result.shards_completed}/{result.shards_total} "
-        f"({result.shards_resumed} resumed), {result.n_ues} UEs, "
-        f"{result.ues_per_sec:.1f} UEs/s, peak RSS {result.peak_rss_mb:.0f} MB"
+        f"({result.shards_resumed} resumed), {result.n_ues} UEs "
+        f"({result.n_simulated} simulated), {result.ues_per_sec:.1f} UEs/s, "
+        f"peak RSS {result.peak_rss_mb:.0f} MB"
     )
     print(f"state: {result.state_dir}")
     obs.flush()

@@ -163,8 +163,6 @@ class CAManager:
         pcell_id = self._state.pcell_id
         servable = {cid: r for cid, r in filtered.items() if r > self.serve_threshold}
         if pcell_id is not None and pcell_id not in servable:
-            if pcell_id in [s for s in self._state.scell_ids]:
-                pass
             events.append(f"pcell_loss:{cells.get(pcell_id).channel_key if pcell_id in cells else pcell_id}")
             pcell_id = None
         if servable:

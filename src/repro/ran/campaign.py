@@ -27,12 +27,11 @@ Two engines share the statistics layer:
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -673,6 +672,8 @@ class CityCampaignResult:
     shards_completed: int
     shards_resumed: int
     n_ues: int
+    #: UEs this invocation simulated (resumed shards excluded)
+    n_simulated: int
     complete: bool
     spill_keys: List[str] = field(default_factory=list)
     peak_rss_mb: float = 0.0
@@ -680,7 +681,8 @@ class CityCampaignResult:
 
     @property
     def ues_per_sec(self) -> float:
-        return self.n_ues / self.wall_s if self.wall_s > 0 else 0.0
+        """UEs simulated per wall second by this invocation."""
+        return self.n_simulated / self.wall_s if self.wall_s > 0 else 0.0
 
     def prevalence_table(self) -> Dict[str, Dict[str, float]]:
         """operator -> scenario -> 5G CA prevalence (paper Fig 25)."""
@@ -809,6 +811,7 @@ def run_city_campaign(
             if obs.metrics_enabled():
                 obs.counter("campaign.shard.completed")
 
+        simulated = sum(int(result["n_ues"]) for result in results)
         merged: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
         spill_keys: List[str] = []
         ues_done = 0
@@ -839,6 +842,7 @@ def run_city_campaign(
             "shards_completed": len(completed),
             "shards_resumed": resumed,
             "n_ues": ues_done,
+            "n_simulated": simulated,
             "complete": complete,
             "peak_rss_mb": _peak_rss_mb(),
             "ca_prevalence": {"/".join(key): s.ca_prevalence for key, s in stats.items()},
@@ -853,6 +857,7 @@ def run_city_campaign(
         shards_completed=len(completed),
         shards_resumed=resumed,
         n_ues=ues_done,
+        n_simulated=simulated,
         complete=complete,
         spill_keys=spill_keys,
         peak_rss_mb=_peak_rss_mb(),

@@ -18,6 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import Band, get_band
+from .phy import num_resource_blocks
+from .propagation import indoor_penetration_loss_db, noise_power_dbm
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,67 @@ _TX_POWER_DBM = {"low": 46.0, "mid": 46.0, "high": 50.0}
 COVERAGE_RADIUS_M = {"low": 3_000.0, "mid": 1_200.0, "high": 200.0}
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """Per-cell arrays of a deployment; row ``i`` describes ``cells[i]``.
+
+    Built once per :class:`Deployment` and shared by every simulator
+    lane on it: the geometry of the coverage test, the topology keys of
+    correlated shadowing and co-channel interference, and the radio
+    constants the array radio step reads.  A lane gathers its candidate
+    rows from here instead of recomputing them per cell.
+    """
+
+    position: np.ndarray  #: (N, 2) site position, metres
+    radius_m: np.ndarray  #: band-class coverage radius
+    site: np.ndarray  #: station index (same station <=> same ``site_of``)
+    site_band: np.ndarray  #: index of the cell's (station, band) pair
+    channel: np.ndarray  #: index of the cell's channel key
+    freq_mhz: np.ndarray
+    n_rb: np.ndarray  #: configured resource blocks (float64)
+    n_rb_db: np.ndarray  #: 10 log10(n_rb)
+    per_re_tx_dbm: np.ndarray  #: total power spread over all sub-carriers
+    noise_mw: np.ndarray  #: noise power over one RE (one sub-carrier)
+    indoor_pen_db: np.ndarray  #: building-entry loss
+
+    @classmethod
+    def build(cls, stations: Sequence[BaseStation]) -> "CellTable":
+        cells: List[Cell] = []
+        site: List[int] = []
+        site_band: List[int] = []
+        channel: List[int] = []
+        site_bands: Dict[Tuple[int, str], int] = {}
+        channels: Dict[str, int] = {}
+        for station, bs in enumerate(stations):
+            for cell in bs.cells:
+                cells.append(cell)
+                site.append(station)
+                site_band.append(site_bands.setdefault((station, cell.band.name), len(site_bands)))
+                channel.append(channels.setdefault(cell.channel_key, len(channels)))
+        n_rb = np.array(
+            [num_resource_blocks(c.bandwidth_mhz, c.scs_khz, c.band.rat) for c in cells],
+            dtype=np.float64,
+        )
+        return cls(
+            position=np.array([c.position for c in cells], dtype=np.float64).reshape(-1, 2),
+            radius_m=np.array([COVERAGE_RADIUS_M[c.band.band_class] for c in cells], dtype=np.float64),
+            site=np.array(site, dtype=np.intp),
+            site_band=np.array(site_band, dtype=np.intp),
+            channel=np.array(channel, dtype=np.intp),
+            freq_mhz=np.array([c.band.freq_mhz for c in cells], dtype=np.float64),
+            n_rb=n_rb,
+            n_rb_db=10.0 * np.log10(n_rb),
+            per_re_tx_dbm=np.array([c.tx_power_dbm for c in cells], dtype=np.float64)
+            - 10.0 * np.log10(n_rb * 12.0),
+            noise_mw=np.array(
+                [10 ** (noise_power_dbm(c.scs_khz / 1e3) / 10.0) for c in cells], dtype=np.float64
+            ),
+            indoor_pen_db=np.array(
+                [indoor_penetration_loss_db(c.band.freq_mhz) for c in cells], dtype=np.float64
+            ),
+        )
+
+
 class Deployment:
     """A set of base stations covering a scenario area."""
 
@@ -68,20 +131,34 @@ class Deployment:
         self._cell_site: Dict[int, int] = {
             cell.cell_id: bs.site_id for bs in self.stations for cell in bs.cells
         }
+        #: per-cell arrays, built once and shared by every lane on this deployment
+        self.table = CellTable.build(self.stations)
 
     def site_of(self, cell: Cell) -> int:
         return self._cell_site[cell.cell_id]
 
+    def coverage_mask(
+        self, position: Tuple[float, float], max_distance_m: Optional[float] = None
+    ) -> np.ndarray:
+        """Boolean mask over :attr:`cells`: whose coverage radius reaches ``position``.
+
+        One vectorized distance test over the cell table.  ``np.hypot``
+        and ``math.dist`` can round the same distance one ulp apart, so a
+        cell within 1e-9 relative of its limit is decided by
+        ``math.dist``, keeping the per-cell scan's decision exactly.
+        """
+        table = self.table
+        delta = table.position - np.asarray(position, dtype=np.float64)
+        distance = np.hypot(delta[:, 0], delta[:, 1])
+        limit = table.radius_m if max_distance_m is None else np.minimum(table.radius_m, max_distance_m)
+        covered = distance <= limit
+        for i in np.flatnonzero(np.abs(distance - limit) <= 1e-9 * limit):
+            covered[i] = math.dist(position, self.cells[i].position) <= limit[i]
+        return covered
+
     def cells_near(self, position: Tuple[float, float], max_distance_m: Optional[float] = None) -> List[Cell]:
         """Cells whose class-based coverage radius reaches ``position``."""
-        out = []
-        for cell in self.cells:
-            distance = math.dist(position, cell.position)
-            radius = COVERAGE_RADIUS_M[cell.band.band_class]
-            limit = radius if max_distance_m is None else min(radius, max_distance_m)
-            if distance <= limit:
-                out.append(cell)
-        return out
+        return [self.cells[i] for i in np.flatnonzero(self.coverage_mask(position, max_distance_m))]
 
     def unique_channels(self, rat: Optional[str] = None) -> List[str]:
         """Distinct channel keys in the deployment (optionally by RAT)."""

@@ -7,7 +7,8 @@ Each step runs every lane's phase-1 bookkeeping (mobility, candidate
 refresh, AR(1) shadowing/fading advance, preserving each lane's private
 RNG stream exactly), then packs the per-lane candidate state into
 carrier-major structure-of-arrays tensors padded to the cohort's widest
-candidate set and dispatches **one** ``radio_step_multi`` backend call
+candidate set (repacked only when some lane's candidate set changes)
+and dispatches **one** ``radio_step_multi`` backend call
 for the whole cohort, then finishes each lane (CA decision, link
 adaptation, record) independently.
 
@@ -27,7 +28,7 @@ memory.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,14 +69,14 @@ class MultiUESimulator:
         return self.batch and len(self.lanes) > 1 and not self._mixed_force_los
 
     def _packed_candidates(self) -> Tuple[np.ndarray, ...]:
-        """Padded (U, Cmax) candidate tensors, rebuilt only on refresh.
+        """Padded (U, Cmax) candidate tensors, rebuilt only when a set changes.
 
-        Candidate sets change only when a lane's refresh fires
-        (:meth:`TraceSimulator._refresh_candidates` rebinds the list),
-        so the pack is cached keyed on the lanes' candidate-list
-        identities and most steps reuse it untouched.
+        A lane bumps its candidate-set version only when a refresh finds
+        a different set (:meth:`TraceSimulator._set_candidates`), so the
+        pack is cached keyed on the lanes' versions and most steps reuse
+        it untouched.
         """
-        key = tuple(id(lane._candidates) for lane in self.lanes)
+        key = tuple(lane._cand_version for lane in self.lanes)
         if key == self._pack_key and self._pack is not None:
             return self._pack
         u = len(self.lanes)
@@ -155,17 +156,19 @@ class MultiUESimulator:
             _LOS_BLEND_M,
             _CO_CHANNEL_ACTIVITY,
         )
-        records = []
-        for i, (lane, state, (step, _)) in enumerate(zip(lanes, states, begun)):
-            rsrp_map: Dict[int, float] = {}
-            sinr_map: Dict[int, float] = {}
-            rsrq_map: Dict[int, float] = {}
-            for j, cell in enumerate(lane._candidates):
-                rsrp_map[cell.cell_id] = float(rsrp[i, j])
-                sinr_map[cell.cell_id] = float(sinr[i, j])
-                rsrq_map[cell.cell_id] = float(rsrq[i, j])
-            records.append(lane._finish_step(step, state, rsrp_map, sinr_map, rsrq_map))
-        return records
+        # zip stops at each lane's own candidate count: padding is dropped
+        return [
+            lane._finish_step(
+                step,
+                state,
+                dict(zip(lane._cand_ids, rsrp_row)),
+                dict(zip(lane._cand_ids, sinr_row)),
+                dict(zip(lane._cand_ids, rsrq_row)),
+            )
+            for lane, state, (step, _), rsrp_row, sinr_row, rsrq_row in zip(
+                lanes, states, begun, rsrp.tolist(), sinr.tolist(), rsrq.tolist()
+            )
+        ]
 
     # ------------------------------------------------------------------
     def run(

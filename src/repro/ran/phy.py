@@ -14,10 +14,9 @@ Fig 9's TBS/MCS/#RE mapping.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, Tuple
-
-import numpy as np
 
 # ----------------------------------------------------------------------
 # Numerology (TS 38.211 §4.2-4.3)
@@ -127,8 +126,8 @@ CQI_EFFICIENCY_256QAM: Tuple[float, ...] = (
 MAX_CQI = len(CQI_EFFICIENCY_256QAM) - 1
 
 
-#: CQI efficiencies (CQI 1..15) as a sorted array for binary search.
-_CQI_EFF_SORTED = np.array(CQI_EFFICIENCY_256QAM[1:], dtype=np.float64)
+#: CQI efficiencies (CQI 1..15), strictly increasing, for binary search.
+_CQI_EFF_SORTED = CQI_EFFICIENCY_256QAM[1:]
 
 
 def cqi_from_sinr(sinr_db: float) -> int:
@@ -141,7 +140,7 @@ def cqi_from_sinr(sinr_db: float) -> int:
     """
     gap = 10 ** (3.0 / 10.0)
     capacity = math.log2(1.0 + 10 ** (sinr_db / 10.0) / gap)
-    return int(np.searchsorted(_CQI_EFF_SORTED, capacity, side="right"))
+    return bisect.bisect_right(_CQI_EFF_SORTED, capacity)
 
 
 def _cqi_from_sinr_scan(sinr_db: float) -> int:
@@ -156,8 +155,12 @@ def _cqi_from_sinr_scan(sinr_db: float) -> int:
 
 
 #: MCS spectral efficiencies (Qm * R), strictly increasing over the table.
-_MCS_EFF_SORTED = np.array(
-    [qm * r1024 / 1024.0 for qm, r1024 in MCS_TABLE_256QAM], dtype=np.float64
+_MCS_EFF_SORTED = tuple(qm * r1024 / 1024.0 for qm, r1024 in MCS_TABLE_256QAM)
+
+#: CQI -> the highest MCS whose efficiency does not exceed the CQI's.
+_MCS_BY_CQI: Tuple[int, ...] = tuple(
+    max(0, bisect.bisect_right(_MCS_EFF_SORTED, target + 1e-9) - 1)
+    for target in CQI_EFFICIENCY_256QAM
 )
 
 
@@ -165,8 +168,7 @@ def mcs_from_cqi(cqi: int) -> int:
     """Pick the highest MCS whose efficiency does not exceed the CQI's."""
     if not 0 <= cqi <= MAX_CQI:
         raise ValueError(f"CQI must be in [0, {MAX_CQI}]")
-    target = CQI_EFFICIENCY_256QAM[cqi]
-    return max(0, int(np.searchsorted(_MCS_EFF_SORTED, target + 1e-9, side="right")) - 1)
+    return _MCS_BY_CQI[cqi]
 
 
 def _mcs_from_cqi_scan(cqi: int) -> int:

@@ -32,7 +32,7 @@ def time_of_day_load(hour: float, scenario: str = "urban") -> float:
     midday = math.exp(-((hour - 12.5) ** 2) / 8.0)
     evening = math.exp(-((hour - 18.5) ** 2) / 5.0)
     night_dip = 0.25 * math.exp(-((hour % 24 - 3.0) ** 2) / 10.0)
-    return float(np.clip(base * (0.5 + 0.9 * midday + 0.7 * evening) - night_dip * base, 0.02, 0.95))
+    return min(max(base * (0.5 + 0.9 * midday + 0.7 * evening) - night_dip * base, 0.02), 0.95)
 
 
 @dataclass
@@ -55,7 +55,7 @@ class CellLoadProcess:
         theta = min(dt_s / self.reversion_s, 1.0)
         noise = self.volatility * math.sqrt(max(dt_s, 1e-6)) * rng.normal()
         self._load += theta * (self.mean_load - self._load) + noise
-        self._load = float(np.clip(self._load, 0.0, 0.97))
+        self._load = min(max(self._load, 0.0), 0.97)
         return self._load
 
 
@@ -81,7 +81,7 @@ class Scheduler:
         if cell_id not in self._processes:
             mean = time_of_day_load(self.hour, self.scenario)
             # per-cell heterogeneity
-            mean = float(np.clip(mean * self.rng.uniform(0.7, 1.3), 0.02, 0.95))
+            mean = min(max(mean * self.rng.uniform(0.7, 1.3), 0.02), 0.95)
             self._processes[cell_id] = CellLoadProcess(mean_load=mean)
         return self._processes[cell_id]
 
@@ -106,4 +106,4 @@ class Scheduler:
             share *= throttle
         # packet-level granularity jitter
         share *= self.rng.uniform(0.96, 1.0)
-        return float(np.clip(share, 0.02, 1.0))
+        return min(max(share, 0.02), 1.0)

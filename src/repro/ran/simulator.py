@@ -10,7 +10,6 @@ substitute for the authors' XCAL drive-test campaign (see DESIGN.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,30 +20,18 @@ from .cells import Cell, Deployment, build_deployment
 from .link import LinkAdapter
 from .mobility import MobilityModel, Stationary, make_mobility
 from .operators import OperatorProfile, get_operator
-from .phy import duplex_dl_duty, num_resource_blocks, phy_throughput_mbps
-from .propagation import (
-    FastFadingProcess,
-    indoor_penetration_loss_db,
-    noise_power_dbm,
-)
+from .phy import duplex_dl_duty, phy_throughput_mbps
+from .propagation import FastFadingProcess
 from .scheduler import Scheduler
 from .traces import CCSample, Trace, TraceRecord
 from .ue import UECapability, get_ue
 
 
-@dataclass
-class _CellRadioState:
-    """Slow/fast radio processes tracked per candidate cell."""
-
-    shadow_own: float = 0.0
-    fading: Optional[FastFadingProcess] = None
-    link: Optional[LinkAdapter] = None
-    initialized: bool = False
-
-
 #: shadowing variance split: site-common / band-common / cell-own.
 _SHADOW_WEIGHTS = (0.40, 0.45, 0.15)
+_SHADOW_MIX = tuple(math.sqrt(w) for w in _SHADOW_WEIGHTS)
 _SHADOW_SIGMA_DB = 6.0
+_FADING_SIGMA_DB = 1.5
 _SHADOW_DECORR_M = 50.0
 _LOS_BLEND_M = 150.0
 
@@ -145,11 +132,19 @@ class TraceSimulator:
             self.mobility = IndoorWalk(start=anchor, area_m=50.0)
 
         self._rng = np.random.default_rng(seed)
-        self._cell_state: Dict[int, _CellRadioState] = {}
+        self._eligible_mask = np.array([self._eligible(c) for c in self.deployment.cells], dtype=bool)
+        # AR(1) radio state.  The site and (site, band) shadowing
+        # components, keyed by cell-table index, live for the whole run;
+        # the per-cell own-shadowing and fading components (the columns
+        # of ``_own_fading``, NaN until drawn) and the link adapters
+        # live only while the cell is a candidate.
         self._site_shadow: Dict[int, float] = {}
-        self._band_shadow: Dict[Tuple[int, str], float] = {}
-        self._candidates: List[Cell] = []
-        self._cand_nrb_by_id: Dict[int, int] = {}
+        self._band_shadow: Dict[int, float] = {}
+        self._own_fading = np.full((len(self.deployment.cells), 2), np.nan)
+        self._links: Dict[int, LinkAdapter] = {}
+        #: bumped whenever the candidate set changes (cohort pack cache key)
+        self._cand_version = 0
+        self._set_candidates(np.empty(0, dtype=np.intp))
         self._since_refresh = math.inf
 
     # ------------------------------------------------------------------
@@ -161,131 +156,109 @@ class TraceSimulator:
         return True
 
     def _refresh_candidates(self, position: Tuple[float, float]) -> None:
-        cells = [c for c in self.deployment.cells_near(position) if self._eligible(c)]
-        self._candidates = cells
-        alive = {c.cell_id for c in cells}
-        for stale in [cid for cid in self._cell_state if cid not in alive]:
-            del self._cell_state[stale]
-        self._build_candidate_arrays()
+        index = np.flatnonzero(self.deployment.coverage_mask(position) & self._eligible_mask)
+        if not np.array_equal(index, self._cand_idx):
+            self._set_candidates(index)
 
-    def _build_candidate_arrays(self) -> None:
-        """Per-candidate constants, cached once per refresh.
+    def _set_candidates(self, index: np.ndarray) -> None:
+        """Adopt a new candidate set: deployment rows ``index``, in order.
 
-        Everything here depends only on the candidate set (cell configs,
-        3GPP table lookups, site/channel topology), not on the UE state,
-        so the per-step vectorized update touches plain arrays only.
+        Per-candidate constants are gathered from the deployment's cell
+        table, so the per-step radio update touches plain arrays only.
+        A cell that left the set loses its own-shadowing/fading state and
+        link adapter; if it returns, it starts from a fresh draw.
         """
-        cells = self._candidates
-        n = len(cells)
-        self._cand_nrb_by_id = {
-            c.cell_id: num_resource_blocks(c.bandwidth_mhz, c.scs_khz, c.band.rat) for c in cells
-        }
-        if not n:
-            self._cand_pos = np.empty((0, 2))
-            return
-        self._cand_pos = np.array([c.position for c in cells], dtype=np.float64)
-        self._cand_freq = np.array([c.band.freq_mhz for c in cells], dtype=np.float64)
-        self._cand_nrb = np.array([self._cand_nrb_by_id[c.cell_id] for c in cells], dtype=np.float64)
-        # per-RE transmit power: total power spread over all sub-carriers
-        self._cand_per_re_tx = np.array(
-            [c.tx_power_dbm for c in cells], dtype=np.float64
-        ) - 10.0 * np.log10(self._cand_nrb * 12.0)
-        self._cand_noise_mw = np.array(
-            [10 ** (noise_power_dbm(c.scs_khz / 1e3) / 10.0) for c in cells], dtype=np.float64
-        )
-        self._cand_nrb_db = 10.0 * np.log10(self._cand_nrb)
-        self._cand_indoor_pen = np.array(
-            [indoor_penetration_loss_db(c.band.freq_mhz) for c in cells], dtype=np.float64
-        )
-        sites = [self.deployment.site_of(c) for c in cells]
-        keys = [c.channel_key for c in cells]
+        table = self.deployment.table
+        cells = [self.deployment.cells[i] for i in index]
+        self._cand_idx = index
+        self._candidates = cells
+        self._cand_ids = [c.cell_id for c in cells]
+        self._cell_by_id = dict(zip(self._cand_ids, cells))
+        gone = np.ones(len(self._own_fading), dtype=bool)
+        gone[index] = False
+        self._own_fading[gone] = np.nan
+        links = {}
+        for cell_id in self._cand_ids:
+            link = self._links.get(cell_id)
+            links[cell_id] = LinkAdapter(max_layers=self.ue.max_mimo_layers) if link is None else link
+        self._links = links
+        site = table.site[index]
+        channel = table.channel[index]
+        self._shadow_keys = list(zip(site.tolist(), table.site_band[index].tolist()))
+        self._cand_pos = table.position[index]
+        self._cand_freq = table.freq_mhz[index]
+        self._cand_freq_list = self._cand_freq.tolist()
+        self._cand_nrb = table.n_rb[index]
+        self._cand_nrb_by_id = dict(zip(self._cand_ids, map(int, self._cand_nrb.tolist())))
+        self._cand_nrb_db = table.n_rb_db[index]
+        self._cand_per_re_tx = table.per_re_tx_dbm[index]
+        self._cand_noise_mw = table.noise_mw[index]
+        self._cand_indoor_pen = table.indoor_pen_db[index]
         # interference adjacency: same channel, different site (summed as
         # a masked matvec so no cancellation-prone group subtraction)
-        self._interf_mask = np.array(
-            [
-                [
-                    1.0 if keys[j] == keys[i] and sites[j] != sites[i] else 0.0
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-            dtype=np.float64,
-        )
-
-    def _shadow_db(self, cell: Cell, rho: float) -> float:
-        """Correlated shadowing with shared site and band components."""
-        site = self.deployment.site_of(cell)
-        innovation = math.sqrt(max(1.0 - rho * rho, 0.0))
-
-        def advance(store: dict, key) -> float:
-            value = store.get(key)
-            if value is None:
-                value = self._rng.normal()
-            else:
-                value = rho * value + innovation * self._rng.normal()
-            store[key] = value
-            return value
-
-        site_comp = advance(self._site_shadow, site)
-        band_comp = advance(self._band_shadow, (site, cell.band.name))
-        state = self._cell_state.setdefault(cell.cell_id, _CellRadioState())
-        if not state.initialized:
-            state.shadow_own = self._rng.normal()
-        else:
-            state.shadow_own = rho * state.shadow_own + innovation * self._rng.normal()
-        w_site, w_band, w_own = _SHADOW_WEIGHTS
-        mixed = (
-            math.sqrt(w_site) * site_comp
-            + math.sqrt(w_band) * band_comp
-            + math.sqrt(w_own) * state.shadow_own
-        )
-        return _SHADOW_SIGMA_DB * mixed
+        self._interf_mask = (
+            (channel[:, None] == channel[None, :]) & (site[:, None] != site[None, :])
+        ).astype(np.float64)
+        self._cand_version += 1
 
     # ------------------------------------------------------------------
     def _advance_radio_processes(self, state, rho: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance shadowing/fading for every candidate, in loop order.
+        """Advance shadowing and fading for every candidate, in candidate order.
 
-        The AR(1) state updates draw from ``self._rng`` per candidate —
-        site component, band component, own component, then fading — in
-        exactly the order the scalar loop does, so both radio paths
-        consume an identical RNG stream and cached traces stay
-        reproducible across the toggle.
+        Each candidate draws four normals — site, band, own, fading — as
+        one ``standard_normal(4 * C)`` call, the same values as 4·C
+        scalar draws.  The site and band components are shared AR(1)
+        chains advanced once per *candidate*, so a site with k
+        candidates advances k times per step; that sequential chain is
+        a short Python loop.  The own and fading components are per-cell
+        and advance as one array update, which rounds exactly like the
+        scalar one.  The fading rho stays on ``math.exp``: ``np.exp``
+        can differ from it in the last ulp.  ``tests/oracles.py`` keeps the
+        per-candidate loop this must match bit for bit.
         """
-        shadows = np.empty(len(self._candidates))
-        fadings = np.empty(len(self._candidates))
-        for idx, cell in enumerate(self._candidates):
-            cs = self._cell_state.setdefault(cell.cell_id, _CellRadioState())
-            if cs.fading is None:
-                cs.fading = FastFadingProcess(sigma_db=1.5)
-                cs.link = LinkAdapter(max_layers=self.ue.max_mimo_layers)
-            shadow = self._shadow_db(cell, rho)
-            if self.force_los is True:
-                shadow *= 0.5  # LOS shadowing variance is much smaller
-            cs.initialized = True
-            shadows[idx] = shadow
-            fadings[idx] = cs.fading.sample(
-                self.dt_s, state.speed_mps, cell.band.freq_mhz, self._rng
-            )
-        return shadows, fadings
+        n = len(self._cand_idx)
+        draws = self._rng.standard_normal(4 * n).reshape(n, 4)
+        innovation = math.sqrt(max(1.0 - rho * rho, 0.0))
+        sites, bands = self._site_shadow, self._band_shadow
+        mix_site, mix_band, mix_own = _SHADOW_MIX
+        shared = []
+        for (site, band), (z_site, z_band) in zip(self._shadow_keys, draws[:, :2].tolist()):
+            site_value = sites.get(site)
+            site_value = z_site if site_value is None else rho * site_value + innovation * z_site
+            sites[site] = site_value
+            band_value = bands.get(band)
+            band_value = z_band if band_value is None else rho * band_value + innovation * z_band
+            bands[band] = band_value
+            shared.append(mix_site * site_value + mix_band * band_value)
+        coherence = FastFadingProcess.coherence_time_s
+        rhos = np.empty((n, 2))
+        rhos[:, 0] = rho
+        rhos[:, 1] = [math.exp(-self.dt_s / coherence(state.speed_mps, f)) for f in self._cand_freq_list]
+        previous = self._own_fading[self._cand_idx]
+        fresh = np.isnan(previous)
+        innovations = draws[:, 2:]
+        own_fading = rhos * previous + np.sqrt(np.maximum(1.0 - rhos * rhos, 0.0)) * innovations
+        own_fading[fresh] = innovations[fresh]
+        self._own_fading[self._cand_idx] = own_fading
+        shadows = _SHADOW_SIGMA_DB * (np.array(shared) + mix_own * own_fading[:, 0])
+        if self.force_los is True:
+            shadows *= 0.5  # LOS shadowing variance is much smaller
+        return shadows, _FADING_SIGMA_DB * own_fading[:, 1]
 
     def _radio_update(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
         """Array radio update over all candidates (one step, no per-cell math).
 
         Pathloss, RSRP/RSRQ/SINR, and the O(C^2) co-channel interference
         reduce to a handful of numpy expressions over the cached
-        candidate arrays; only the AR(1) process updates stay per-cell
-        (to preserve RNG draw order).  Matches the scalar per-cell
-        update in ``tests/oracles.py`` per field to ~1e-9 dB (numpy's
-        SIMD transcendentals round differently from ``math.*`` in the
-        last ulp).
+        candidate arrays.  Matches the scalar per-cell update in
+        ``tests/oracles.py`` per field to ~1e-9 dB (numpy's SIMD
+        transcendentals round differently from ``math.*`` in the last
+        ulp).
         """
         if not self._candidates:
             return {}, {}, {}
         shadows, fadings = self._advance_radio_processes(state, rho)
         position = np.asarray(state.position, dtype=np.float64)
-        # numeric core lives in the compute backend — the simulator
-        # keeps the AR(1) process updates above to preserve RNG draw
-        # order, and the dict packing below.
         rsrp, sinr, rsrq = backends.active().radio_step(
             position,
             bool(state.indoor),
@@ -303,15 +276,8 @@ class TraceSimulator:
             _LOS_BLEND_M,
             _CO_CHANNEL_ACTIVITY,
         )
-
-        rsrp_map: Dict[int, float] = {}
-        sinr_map: Dict[int, float] = {}
-        rsrq_map: Dict[int, float] = {}
-        for idx, cell in enumerate(self._candidates):
-            rsrp_map[cell.cell_id] = float(rsrp[idx])
-            sinr_map[cell.cell_id] = float(sinr[idx])
-            rsrq_map[cell.cell_id] = float(rsrq[idx])
-        return rsrp_map, sinr_map, rsrq_map
+        ids = self._cand_ids
+        return dict(zip(ids, rsrp.tolist())), dict(zip(ids, sinr.tolist())), dict(zip(ids, rsrq.tolist()))
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -372,7 +338,7 @@ class TraceSimulator:
         rsrq_map: Dict[int, float],
     ) -> TraceRecord:
         """Phase 3 of a step: CA decision, link adaptation, the record."""
-        cell_by_id: Dict[int, Cell] = {c.cell_id: c for c in self._candidates}
+        cell_by_id = self._cell_by_id
         ca_state = self.ca.step(self.dt_s, rsrp_map, cell_by_id)
 
         if obs.metrics_enabled():
@@ -390,17 +356,14 @@ class TraceSimulator:
         total_tput = 0.0
         for cc_id in ca_state.active_ids:
             cell = cell_by_id[cc_id]
-            cs = self._cell_state[cc_id]
             penalty = self.ca.sinr_penalty_db(cc_id)
             effective_sinr = sinr_map[cc_id] - penalty
             base_layers = 4 if cell.band.frequency_range == "FR1" else 2
             if cell.band.rat == "4G":
                 base_layers = 2
             layer_cap = self.ca.layer_cap(cell, default_cap=base_layers)
-            link = cs.link.step(effective_sinr, self._rng, max_layers=layer_cap)
-            n_rb_cfg = self._cand_nrb_by_id.get(cc_id)
-            if n_rb_cfg is None:  # active CC no longer in the candidate set
-                n_rb_cfg = num_resource_blocks(cell.bandwidth_mhz, cell.scs_khz, cell.band.rat)
+            link = self._links[cc_id].step(effective_sinr, self._rng, max_layers=layer_cap)
+            n_rb_cfg = self._cand_nrb_by_id[cc_id]
             rb_fraction = self.scheduler.rb_fraction(
                 cc_id,
                 self.dt_s,

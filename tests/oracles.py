@@ -14,11 +14,16 @@ function here is the plain composition those kernels must reproduce:
   as one encoder/head call per carrier;
 * :func:`radio_update_loop` (with :func:`pathloss_db` and
   :func:`interference_dbm_per_re`) — the scalar per-cell radio update
-  on ``math.*`` transcendentals.
+  on ``math.*`` transcendentals;
+* :func:`advance_loop` — the per-candidate shadowing/fading advance,
+  four scalar draws per candidate through dict-keyed AR(1) state and
+  :class:`~repro.ran.propagation.FastFadingProcess`;
+* :func:`cells_near_loop` — the ``math.dist`` coverage scan.
 
 The equivalence suites call these directly, or swap them in for a block
-with :func:`op_by_op` (every module forward op-by-op, as a whole model)
-or :func:`scalar_radio` (every simulator step through the per-cell
+with :func:`op_by_op` (every module forward op-by-op, as a whole model),
+:func:`scalar_radio` (every simulator step through the per-cell loop)
+or :func:`loop_advance` (every AR(1) advance through the per-candidate
 loop).
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -34,14 +40,23 @@ from repro.core.predictors import _Seq2Seq
 from repro.core.prism5g import Prism5G, unpack_inputs
 from repro.nn.modules import GRU, LSTM, Linear
 from repro.nn.tensor import Tensor, concat, stack
+from repro.ran.cells import COVERAGE_RADIUS_M, Cell, Deployment
 from repro.ran.phy import num_resource_blocks
 from repro.ran.propagation import (
+    FastFadingProcess,
     indoor_penetration_loss_db,
     noise_power_dbm,
     rsrp_dbm,
     urban_macro_pathloss_db,
 )
-from repro.ran.simulator import _CO_CHANNEL_ACTIVITY, _LOS_BLEND_M, TraceSimulator
+from repro.ran.simulator import (
+    _CO_CHANNEL_ACTIVITY,
+    _FADING_SIGMA_DB,
+    _LOS_BLEND_M,
+    _SHADOW_SIGMA_DB,
+    _SHADOW_WEIGHTS,
+    TraceSimulator,
+)
 
 # ---------------------------------------------------------------------------
 # nn: affine and the recurrent loops
@@ -290,12 +305,88 @@ def radio_update_loop(
     return rsrp_map, sinr_map, rsrq_map
 
 
+@dataclass
+class _LoopRadioState:
+    """AR(1) state of :func:`advance_loop`, kept on the simulator."""
+
+    site: Dict[int, float] = field(default_factory=dict)
+    band: Dict[Tuple[int, str], float] = field(default_factory=dict)
+    own: Dict[int, float] = field(default_factory=dict)
+    fading: Dict[int, FastFadingProcess] = field(default_factory=dict)
+
+
+def advance_loop(sim: TraceSimulator, state, rho: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-candidate shadowing/fading advance — the array advance's oracle.
+
+    Each candidate draws four scalar normals in candidate order: the
+    site component (keyed by ``site_of``), the (site, band) component,
+    its own component, then its fading process.  A cell that left the
+    candidate set loses its own and fading state, so a returning cell
+    starts from a fresh draw.
+    """
+    store = sim.__dict__.setdefault("_loop_radio", _LoopRadioState())
+    alive = {cell.cell_id for cell in sim._candidates}
+    for stale in [cell_id for cell_id in store.own if cell_id not in alive]:
+        del store.own[stale]
+        del store.fading[stale]
+    innovation = math.sqrt(max(1.0 - rho * rho, 0.0))
+
+    def advance(values: dict, key) -> float:
+        value = values.get(key)
+        if value is None:
+            value = sim._rng.normal()
+        else:
+            value = rho * value + innovation * sim._rng.normal()
+        values[key] = value
+        return value
+
+    w_site, w_band, w_own = _SHADOW_WEIGHTS
+    shadows: List[float] = []
+    fadings: List[float] = []
+    for cell in sim._candidates:
+        site = sim.deployment.site_of(cell)
+        site_comp = advance(store.site, site)
+        band_comp = advance(store.band, (site, cell.band.name))
+        own = advance(store.own, cell.cell_id)
+        shadow = _SHADOW_SIGMA_DB * (
+            math.sqrt(w_site) * site_comp + math.sqrt(w_band) * band_comp + math.sqrt(w_own) * own
+        )
+        if sim.force_los is True:
+            shadow *= 0.5
+        shadows.append(shadow)
+        fading = store.fading.setdefault(cell.cell_id, FastFadingProcess(sigma_db=_FADING_SIGMA_DB))
+        fadings.append(fading.sample(sim.dt_s, state.speed_mps, cell.band.freq_mhz, sim._rng))
+    return np.array(shadows), np.array(fadings)
+
+
+def cells_near_loop(
+    deployment: Deployment, position: Tuple[float, float], max_distance_m: Optional[float] = None
+) -> List[Cell]:
+    """The per-cell ``math.dist`` scan that ``Deployment.cells_near`` must match."""
+    out = []
+    for cell in deployment.cells:
+        radius = COVERAGE_RADIUS_M[cell.band.band_class]
+        limit = radius if max_distance_m is None else min(radius, max_distance_m)
+        if math.dist(position, cell.position) <= limit:
+            out.append(cell)
+    return out
+
+
 @contextmanager
-def scalar_radio() -> Iterator[None]:
-    """Within the block, every simulator step runs :func:`radio_update_loop`."""
-    original = TraceSimulator.__dict__["_radio_update"]
-    TraceSimulator._radio_update = radio_update_loop
+def _swapped(cls, name: str, replacement) -> Iterator[None]:
+    original = cls.__dict__[name]
+    setattr(cls, name, replacement)
     try:
         yield
     finally:
-        TraceSimulator._radio_update = original
+        setattr(cls, name, original)
+
+
+def scalar_radio():
+    """Within the block, every simulator step runs :func:`radio_update_loop`."""
+    return _swapped(TraceSimulator, "_radio_update", radio_update_loop)
+
+
+def loop_advance():
+    """Within the block, every simulator step advances its AR(1) state with :func:`advance_loop`."""
+    return _swapped(TraceSimulator, "_advance_radio_processes", advance_loop)

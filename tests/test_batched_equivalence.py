@@ -12,6 +12,9 @@ on as an oracle in ``tests/oracles.py``:
 * The array candidate-cell radio update — per-field agreement with the
   scalar per-cell loop (numpy vs ``math`` transcendentals differ at
   ulp level), discrete fields exact.
+* The array AR(1) shadowing/fading advance — traces **bit-identical**
+  to the per-candidate loop, solo, in cohorts and in a sharded
+  campaign, on runs whose candidate sets change.
 """
 
 import numpy as np
@@ -26,6 +29,15 @@ from repro.core.prism5g import (
 from repro.nn import Tensor
 from repro.nn.modules import MLP
 from repro.nn.training import Trainer
+from repro.ran import (
+    CityCampaignConfig,
+    MultiUESimulator,
+    Stationary,
+    city_campaign_jobs,
+    run_city_campaign,
+)
+from repro.ran.campaign import _build_group_deployment
+from repro.ran.mobility import UEState
 from repro.ran.phy import (
     _cqi_from_sinr_scan,
     _mcs_from_cqi_scan,
@@ -229,6 +241,128 @@ class TestVectorizedRadio:
         np.testing.assert_allclose(
             vec.throughput_series(), loop.throughput_series(), rtol=1e-9, atol=1e-12
         )
+
+
+#: solo runs, one per simulator axis.  A 3 km deployment around the
+#: 800 m drive loop makes every run's candidate set change mid-run.
+ADVANCE_RUNS = {
+    "1s": dict(operator="OpX", mobility="driving", seed=3, duration_s=60.0),
+    "100ms": dict(operator="OpZ", mobility="driving", dt_s=0.1, seed=8, duration_s=20.0),
+    "10ms": dict(operator="OpZ", mobility="driving", dt_s=0.01, seed=9, duration_s=8.0),
+    "walking": dict(operator="OpX", mobility="walking", dt_s=0.1, seed=7, duration_s=20.0),
+    "indoor": dict(operator="OpZ", scenario="indoor", mobility="indoor", seed=12, duration_s=60.0),
+    "force_los": dict(operator="OpZ", mobility="driving", force_los=True, seed=11, duration_s=60.0),
+    "4G": dict(operator="OpZ", mobility="driving", rat="4G", seed=13, duration_s=60.0),
+    "band_lock": dict(operator="OpZ", mobility="driving", band_lock=("n41",), seed=14, duration_s=60.0),
+}
+
+
+def _set_changed(sim: TraceSimulator) -> bool:
+    # version 1 is the empty set a simulator starts with, 2 the first refresh
+    return sim._cand_version > 2
+
+
+class TestArrayRadioState:
+    @pytest.mark.parametrize("case", sorted(ADVANCE_RUNS))
+    def test_solo_bit_identical_to_loop(self, case):
+        kwargs = dict(ADVANCE_RUNS[case])
+        duration_s = kwargs.pop("duration_s")
+
+        def run():
+            sim = TraceSimulator(area_m=3_000.0, **kwargs)
+            return sim, sim.run(duration_s)
+
+        sim, trace = run()
+        with oracles.loop_advance():
+            _, loop = run()
+        assert _set_changed(sim)
+        assert trace.records == loop.records
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_cohort_bit_identical_to_loop(self, batch):
+        config = CityCampaignConfig(
+            operators=("OpY",), scenarios=("suburban",), rats=("5G",),
+            ues=4, cells=60, shards=1, cohort=4, duration_s=60.0, seed=21,
+        )
+        jobs = city_campaign_jobs(config)
+        deployment = _build_group_deployment(config, "OpY", "suburban")
+
+        def run():
+            # driving and walking lanes: candidate sets of different widths
+            # that change at different steps
+            lanes = [
+                TraceSimulator(
+                    operator=job.operator, scenario=job.scenario,
+                    mobility=("driving", "walking")[i % 2], rat=job.rat,
+                    seed=job.seed, deployment=deployment,
+                )
+                for i, job in enumerate(jobs)
+            ]
+            return lanes, MultiUESimulator(lanes, batch=batch).run(config.duration_s)
+
+        lanes, traces = run()
+        with oracles.loop_advance():
+            _, loop = run()
+        assert any(_set_changed(lane) for lane in lanes)
+        assert [t.records for t in traces] == [t.records for t in loop]
+
+    def test_two_shard_campaign_bit_identical_to_loop(self, tmp_path):
+        config = CityCampaignConfig(
+            operators=("OpX", "OpZ"), scenarios=("urban", "highway"), rats=("5G",),
+            ues=3, cells=24, shards=2, cohort=4, duration_s=20.0, seed=21,
+        )
+        result = run_city_campaign(config, state_dir=tmp_path / "array", processes=1)
+        with oracles.loop_advance():
+            loop = run_city_campaign(config, state_dir=tmp_path / "loop", processes=1)
+        assert result.complete and loop.complete
+        assert result.stats == loop.stats
+
+    def test_cell_that_returns_starts_fresh(self):
+        # near a site, then 1.6 km east (its mid-band cells leave, its
+        # 3 km low-band cell stays), then back
+        sim, twin = (TraceSimulator("OpZ", mobility="stationary", seed=4, area_m=3_000.0) for _ in range(2))
+        x, y = sim.deployment.stations[0].position
+        legs = [(x + 50.0, y), (x + 1_600.0, y), (x + 50.0, y)]
+        sets, links = [], []
+        for position in legs:
+            for _ in range(3):
+                state = UEState(position, 10.0)
+                _, rho = sim._begin_step(state)
+                twin._begin_step(state)
+                got = sim._advance_radio_processes(state, rho)
+                want = oracles.advance_loop(twin, state, rho)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            sets.append(set(sim._cand_ids))
+            links.append(dict(sim._links))
+        stayed = sets[0] & sets[1]
+        returned = (sets[0] & sets[2]) - sets[1]
+        assert stayed and returned
+        assert all(links[2][cell_id] is links[0][cell_id] for cell_id in stayed)
+        assert all(links[2][cell_id] is not links[0][cell_id] for cell_id in returned)
+
+    def test_unchanged_set_is_kept_and_pack_reused(self):
+        deployment = TraceSimulator("OpZ", seed=5).deployment
+        lanes = [
+            TraceSimulator("OpZ", mobility=Stationary(position=(150.0 * i, 80.0)), seed=i, deployment=deployment)
+            for i in range(3)
+        ]
+        cohort = MultiUESimulator(lanes)
+        states = [lane.mobility.reset(lane._rng) for lane in lanes]
+        for lane in lanes:
+            lane.reset()
+        cohort.step_all(states)
+        candidates = [lane._candidates for lane in lanes]
+        pack = cohort._pack
+        # at dt 1 s the refresh fires every step and finds the same sets
+        for _ in range(4):
+            cohort.step_all(states)
+        assert all(lane._candidates is kept for lane, kept in zip(lanes, candidates))
+        assert cohort._pack is pack
+        # one lane moving out of coverage changes its set: the pack follows
+        cohort.step_all([UEState((50_000.0, 50_000.0), 0.0)] + states[1:])
+        assert lanes[0]._candidates == []
+        assert cohort._pack is not pack
+        assert cohort._pack[0].shape[1] == max(len(lane._candidates) for lane in lanes)
 
 
 class TestPhyLookupOracles:

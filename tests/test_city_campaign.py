@@ -140,6 +140,21 @@ class TestCityCampaign:
         assert again.stats == full.stats
         assert again.n_ues == len(city_campaign_jobs(config))
 
+    def test_throughput_counts_only_simulated_ues(self, tmp_path):
+        config = _tiny_config()
+        state = tmp_path / "state"
+        partial = run_city_campaign(config, state_dir=state, max_shards=2)
+        rest = run_city_campaign(config, state_dir=state)
+        again = run_city_campaign(config, state_dir=state)
+        assert partial.n_simulated == partial.n_ues < rest.n_ues
+        # the rerun simulated only the shard the partial run left pending
+        assert rest.n_simulated == rest.n_ues - partial.n_ues
+        assert rest.ues_per_sec > 0
+        # every shard resumed: nothing simulated, so no throughput
+        assert again.shards_resumed == config.shards
+        assert again.n_simulated == 0
+        assert again.ues_per_sec == 0.0
+
     def test_stale_state_not_resumed(self, tmp_path):
         state = tmp_path / "state"
         run_city_campaign(_tiny_config(), state_dir=state)

@@ -15,6 +15,9 @@ from repro.ran import (
     get_operator,
     make_mobility,
 )
+from repro.ran.cells import COVERAGE_RADIUS_M
+
+from . import oracles
 
 
 class TestDeployment:
@@ -82,6 +85,54 @@ class TestDeployment:
     def test_unknown_operator_raises(self):
         with pytest.raises(KeyError):
             get_operator("OpQ")
+
+
+class TestCoverageTest:
+    """``cells_near`` is one array test over the cell table; it must
+    decide every cell exactly as the ``math.dist`` scan does."""
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        operator = get_operator("OpX")  # three coverage radii, incl. 200 m mmWave
+        return build_deployment(
+            operator.channel_plans(), "urban", area_m=1_500, seed=3,
+            deploy_fraction=operator.fraction_for("urban"),
+        )
+
+    def _assert_matches_scan(self, deployment, points):
+        for point in points:
+            for max_distance_m in (None, 800.0):
+                got = deployment.cells_near(point, max_distance_m)
+                assert got == oracles.cells_near_loop(deployment, point, max_distance_m), point
+
+    def test_random_points(self, deployment):
+        rng = np.random.default_rng(0)
+        self._assert_matches_scan(deployment, [tuple(p) for p in rng.uniform(-3_500, 5_000, size=(300, 2))])
+
+    def test_points_exactly_on_a_radius(self, deployment):
+        points = []
+        for cell in deployment.cells[::5]:
+            radius = COVERAGE_RADIUS_M[cell.band.band_class]
+            x, y = cell.position
+            points += [(x + radius, y), (x, y - radius), (x + 0.6 * radius, y + 0.8 * radius)]
+        self._assert_matches_scan(deployment, points)
+
+    def test_points_where_hypot_and_dist_disagree(self, deployment):
+        # on-radius points whose np.hypot distance falls on the other
+        # side of the radius from math.dist's: only the tie-break gets
+        # these right
+        rng = np.random.default_rng(1)
+        points = []
+        for cell in deployment.cells[:40]:
+            radius = COVERAGE_RADIUS_M[cell.band.band_class]
+            x, y = cell.position
+            for theta in rng.uniform(0.0, 2.0 * math.pi, 500):
+                point = (x + radius * math.cos(theta), y + radius * math.sin(theta))
+                by_hypot = float(np.hypot(x - point[0], y - point[1])) <= radius
+                if by_hypot != (math.dist(point, cell.position) <= radius):
+                    points.append(point)
+        assert len(points) >= 10
+        self._assert_matches_scan(deployment, points)
 
 
 class TestMobility:
