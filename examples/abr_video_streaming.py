@@ -7,8 +7,14 @@ forecaster between the stock harmonic mean, a trained Prism5G, and a
 clairvoyant oracle — reproducing the shape of Figs 20-21: Prism5G
 keeps the bitrate while cutting stalls, especially the tail.
 
-Run:  python examples/abr_video_streaming.py
+Run:  python examples/abr_video_streaming.py [--quick]
+
+``--quick`` shrinks it to a CI-smoke size (2 training traces of 60
+samples, a few epochs, 2 streaming sessions of 60 s) — same code path,
+seconds instead of minutes.
 """
+
+import argparse
 
 import numpy as np
 
@@ -27,20 +33,35 @@ from repro.ran import TraceSimulator
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick", action="store_true", help="tiny CI-smoke configuration"
+    )
+    args = parser.parse_args()
     # --- train a 1 s-scale Prism5G (10 s horizon, like the paper) -----
     spec = SubDatasetSpec("OpZ", "driving", "long")
     print("training Prism5G on the 1 s OpZ driving dataset ...")
-    dataset = build_subdataset(spec, n_traces=5, samples_per_trace=200, seed=2)
+    dataset = build_subdataset(
+        spec,
+        n_traces=2 if args.quick else 5,
+        samples_per_trace=60 if args.quick else 200,
+        seed=2,
+    )
     train, val, _ = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-    prism = Prism5GPredictor(DeepConfig(hidden=24, max_epochs=40, patience=12))
+    if args.quick:
+        deep = DeepConfig(hidden=16, max_epochs=4, patience=4)
+    else:
+        deep = DeepConfig(hidden=24, max_epochs=40, patience=12)
+    prism = Prism5GPredictor(deep)
     prism.fit(train, val)
 
     # --- stream over fresh CA traces ----------------------------------
     config = ABRConfig(lookahead=3, chunk_s=2.0)
     player = MPCPlayer(config)
     results = {"harmonic": [], "Prism5G": [], "oracle": []}
-    for seed in range(60, 66):
-        trace = TraceSimulator("OpZ", scenario="urban", mobility="driving", dt_s=1.0, seed=seed).run(240.0)
+    sessions, session_s = (2, 60.0) if args.quick else (6, 240.0)
+    for seed in range(60, 60 + sessions):
+        trace = TraceSimulator("OpZ", scenario="urban", mobility="driving", dt_s=1.0, seed=seed).run(session_s)
         tput = trace.throughput_series()
         forecasters = {
             "harmonic": harmonic_forecaster,

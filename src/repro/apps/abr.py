@@ -70,29 +70,38 @@ class MPCPlayer:
         buffer_s: float,
         last_level: Optional[int],
     ) -> int:
-        """Exhaustive MPC over the lookahead; returns the next level."""
+        """Exhaustive MPC over the lookahead; returns the next level.
+
+        Scores all ``n ** horizon`` level plans at once: row ``k`` of
+        ``levels`` holds every plan's level at lookahead step ``k``, the
+        plans in ``itertools.product`` order.  Each step updates the
+        plans' buffers and scores with the per-plan scalar loop's
+        operations in its order (``tests/oracles.py::mpc_plan_loop``),
+        and elementwise IEEE arithmetic rounds like Python floats, so
+        every score is the loop's.  ``argmax`` keeps the first best plan,
+        as the loop's strict ``>`` does; a NaN forecast makes every
+        score NaN, and both then return level 0.
+        """
         cfg = self.config
-        rates = cfg.bitrates_mbps
-        best_score, best_first = -np.inf, 0
+        rates = np.asarray(cfg.bitrates_mbps, dtype=np.float64)
         horizon = min(cfg.lookahead, len(forecast_mbps))
-        for plan in itertools.product(range(len(rates)), repeat=horizon):
-            score = 0.0
-            buf = buffer_s
-            prev = last_level
-            for step, level in enumerate(plan):
-                bandwidth = max(forecast_mbps[step], 1e-6)
-                download_s = rates[level] * cfg.chunk_s / bandwidth
-                rebuffer = max(download_s - buf, 0.0)
-                buf = max(buf - download_s, 0.0) + cfg.chunk_s
-                buf = min(buf, cfg.buffer_max_s)
-                score += rates[level]
-                score -= cfg.rebuffer_penalty * rebuffer
-                if prev is not None:
-                    score -= cfg.switch_penalty * abs(rates[level] - rates[prev])
-                prev = level
-            if score > best_score:
-                best_score, best_first = score, plan[0]
-        return best_first
+        levels = np.indices((len(rates),) * horizon).reshape(horizon, -1)
+        plan_rates = rates[levels]
+        score = np.zeros(levels.shape[1])
+        buf = buffer_s
+        prev = None if last_level is None else rates[last_level]
+        for step in range(horizon):
+            bandwidth = max(forecast_mbps[step], 1e-6)
+            rate = plan_rates[step]
+            download_s = rate * cfg.chunk_s / bandwidth
+            rebuffer = np.maximum(download_s - buf, 0.0)
+            buf = np.minimum(np.maximum(buf - download_s, 0.0) + cfg.chunk_s, cfg.buffer_max_s)
+            score += rate
+            score -= cfg.rebuffer_penalty * rebuffer
+            if prev is not None:
+                score -= cfg.switch_penalty * np.abs(rate - prev)
+            prev = rate
+        return int(levels[0, np.argmax(score)])
 
     # ------------------------------------------------------------------
     def run(

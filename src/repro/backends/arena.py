@@ -5,8 +5,8 @@ every batch — for the fused LSTM kernel alone that is a dozen
 multi-megabyte ``np.empty`` calls per step, all with identical shapes
 step after step.  The arena keeps one pool of buffers per
 ``(shape, dtype)`` key and hands them out sequentially within a *step
-window*; :func:`begin_step` rewinds every pool cursor so the next step
-recycles the same memory.
+window*; :func:`begin_step` rewinds the pool cursors the last window
+advanced, so the next step recycles the same memory.
 
 Lifetime rules (see DESIGN.md §6e):
 
@@ -44,26 +44,35 @@ class Workspace:
 
     Within a step window, repeated requests for the same key return
     *distinct* buffers (a per-key cursor advances), so a kernel may ask
-    for several same-shaped temporaries.  ``begin_step`` rewinds all
-    cursors; buffers are never freed until :meth:`clear`.
+    for several same-shaped temporaries.  ``begin_step`` rewinds the
+    cursors the last window advanced; buffers are never freed until
+    :meth:`clear`.
+
+    A key is normalized once per raw ``(shape, dtype)`` argument pair —
+    ``5`` and ``(5,)``, ``np.float64`` and ``np.dtype("float64")`` share
+    one pool — and the raw pair then maps straight to its pool, so a
+    pooled request costs two dict lookups on top of the buffer hand-out.
     """
 
-    __slots__ = ("_pools", "_cursors", "active", "steps", "hits", "misses")
+    __slots__ = ("_pools", "_by_raw", "_cursors", "active", "steps", "hits", "misses")
 
     def __init__(self) -> None:
+        #: normalized ``(shape, dtype.str)`` key -> its buffers
         self._pools: Dict[Tuple, List[np.ndarray]] = {}
-        self._cursors: Dict[Tuple, int] = {}
+        #: raw ``(shape, dtype)`` argument pair -> the same buffer list
+        self._by_raw: Dict[Tuple, List[np.ndarray]] = {}
+        #: ``id(pool)`` -> next buffer index, for the pools this window touched
+        self._cursors: Dict[int, int] = {}
         self.active = False
         self.steps = 0
         self.hits = 0
         self.misses = 0
 
     def begin_step(self) -> None:
-        """Open a step window: rewind every pool cursor."""
+        """Open a step window: rewind the cursors the last window advanced."""
         self.active = True
         self.steps += 1
-        for key in self._cursors:
-            self._cursors[key] = 0
+        self._cursors.clear()
 
     def end_run(self) -> None:
         """Close the current window; subsequent calls allocate fresh."""
@@ -72,30 +81,35 @@ class Workspace:
     def clear(self) -> None:
         """Drop every pooled buffer (and deactivate)."""
         self._pools.clear()
+        self._by_raw.clear()
         self._cursors.clear()
         self.active = False
         self.hits = 0
         self.misses = 0
         self.steps = 0
 
+    def _pool(self, shape: ShapeLike, dtype) -> List[np.ndarray]:
+        """The buffer list of a raw ``(shape, dtype)`` pair, normalized once."""
+        dims = (shape,) if isinstance(shape, int) else shape
+        key = (tuple(int(s) for s in dims), np.dtype(dtype).str)
+        pool = self._by_raw[(shape, dtype)] = self._pools.setdefault(key, [])
+        return pool
+
     def empty(self, shape: ShapeLike, dtype=np.float64) -> np.ndarray:
         """An uninitialized buffer, pooled when a step window is open."""
         if not self.active:
             return np.empty(shape, dtype=dtype)
-        if isinstance(shape, int):
-            shape = (shape,)
-        key = (tuple(int(s) for s in shape), np.dtype(dtype).str)
-        pool = self._pools.get(key)
+        pool = self._by_raw.get((shape, dtype))
         if pool is None:
-            pool = self._pools[key] = []
-            self._cursors[key] = 0
-        cursor = self._cursors[key]
-        self._cursors[key] = cursor + 1
+            pool = self._pool(shape, dtype)
+        pool_id = id(pool)
+        cursor = self._cursors.get(pool_id, 0)
+        self._cursors[pool_id] = cursor + 1
         if cursor < len(pool):
             self.hits += 1
             return pool[cursor]
         self.misses += 1
-        buf = np.empty(key[0], dtype=dtype)
+        buf = np.empty(shape, dtype=dtype)
         pool.append(buf)
         return buf
 

@@ -43,20 +43,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
-def sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`sigmoid` evaluated in place into ``out``.
+def _lstm_gates(gate_view: np.ndarray, step_act: np.ndarray) -> None:
+    """LSTM gate activations of one step into ``step_act[:4]``.
 
-    Same FP operation sequence (clamp, negate, exp, +1, reciprocal), so
-    results are bit-identical — but with zero temporaries, which is what
-    the sequence kernels' step loops are bound by.
+    ``gate_view`` is the ``(4, B, H)`` gate-major view of the packed
+    ``(B, 4H)`` pre-activations, in the cell's ``[i, f, g, o]`` order;
+    ``step_act`` is one step's ``(5, B, H)`` block laid out ``[i, f, o,
+    g, tanh_c]``, so the three sigmoid gates are one contiguous ``(3, B,
+    H)`` block.  The clamp reads them through the view; one clamp,
+    negate, exp, +1, reciprocal chain then runs over the whole block,
+    the exact per-element sequence of :func:`sigmoid` — so the values
+    are bit-identical to a per-gate sigmoid, in 8 ufunc calls where
+    three per-gate chains and the ``tanh`` took 19.  ``tanh`` fills g.
     """
-    np.maximum(x, -60.0, out=out)
-    np.minimum(out, 60.0, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(out, 1.0, out=out)
-    np.reciprocal(out, out=out)
-    return out
+    sig = step_act[:3]
+    np.maximum(gate_view[:2], -60.0, out=sig[:2])
+    np.maximum(gate_view[3], -60.0, out=sig[2])
+    np.minimum(sig, 60.0, out=sig)
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    np.add(sig, 1.0, out=sig)
+    np.reciprocal(sig, out=sig)
+    np.tanh(gate_view[2], out=step_act[3])
 
 
 def _weight_grad(inp: np.ndarray, g: np.ndarray, weight_shape: Tuple[int, ...]) -> np.ndarray:
@@ -139,11 +147,14 @@ def lstm_seq_forward(
     # contiguous (B, ·) block, and every elementwise op below runs in
     # place (out=) with the exact operation order of the op-by-op cell —
     # same bits, no temporaries.  Activations are stored gate-major
-    # (step, [i, f, g, o, tanh_c], B, H) so each gate view is a
-    # contiguous (B, H) block: strided column views of a packed (B, 5H)
-    # row defeat the SIMD ufunc loops (measured ~2.7x slower sigmoid).
+    # (step, [i, f, o, g, tanh_c], B, H) so each gate is a contiguous
+    # (B, H) block and the three sigmoid gates one (3, B, H) block that
+    # _lstm_gates activates in a single ufunc chain: strided column views
+    # of a packed (B, 5H) row defeat the SIMD ufunc loops (measured ~2.7x
+    # slower sigmoid).
     out_tm = arena.empty((time, batch, hidden), dtype=dtype)
     gates = arena.empty((batch, 4 * hidden), dtype=dtype)
+    gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
     ig = arena.empty((batch, hidden), dtype=dtype)
     c_pair = arena.empty((2, batch, hidden), dtype=dtype)
     # materialized bias rows: the broadcast add of a (4H,) row measures
@@ -162,13 +173,11 @@ def lstm_seq_forward(
         np.matmul(h, weight_hh, out=gates)
         np.add(gx[t], gates, out=gates)
         np.add(gates, bias_rows, out=gates)
-        i, f, g_in, o, tanh_c = act[t] if requires else step_act
-        sigmoid_into(gates[:, 0 * hidden : 1 * hidden], i)
-        sigmoid_into(gates[:, 1 * hidden : 2 * hidden], f)
-        np.tanh(gates[:, 2 * hidden : 3 * hidden], out=g_in)
-        sigmoid_into(gates[:, 3 * hidden : 4 * hidden], o)
         if requires:
+            step_act = act[t]
             c_hist[t] = c
+        _lstm_gates(gate_view, step_act)
+        i, f, o, g_in, tanh_c = step_act
         c_new = c_pair[t & 1]
         np.multiply(f, c, out=c_new)
         np.multiply(i, g_in, out=ig)
@@ -218,7 +227,7 @@ def lstm_seq_backward(
     t1 = arena.empty((batch, hidden), dtype=dtype)
     t2 = arena.empty((batch, hidden), dtype=dtype)
     for t in range(time - 1, -1, -1):
-        i, f, g_in, o, tanh_c = act[t]
+        i, f, o, g_in, tanh_c = act[t]
         dg_step = dg_tm[t]
         np.add(g_out[t], dh_carry, out=dh)
         # dc += dh * (o * (1 - tanh_c^2)), same association as the cell
@@ -418,10 +427,12 @@ def lstm_decoder_forward(
             return out
         # BLAS dispatches narrow matmuls to a GEMV path whose rounding
         # depends on the row count; chunked projection keeps each group
-        # at the oracle's row count so the fold stays bit-identical
+        # at the oracle's row count so the fold stays bit-identical.  The
+        # bias add is elementwise, so one add over every row is the same
         for j in range(out_chunks):
             rows = slice(j * chunk_rows, (j + 1) * chunk_rows)
-            out[rows] = h_rows[rows] @ weight_out + bias_out
+            np.matmul(h_rows[rows], weight_out, out=out[rows])
+        np.add(out, bias_out, out=out)
         return out
 
     outputs = np.empty((batch, horizon, out_features), dtype=dtype)  # escapes
@@ -431,6 +442,7 @@ def lstm_decoder_forward(
     # nothing.  Input and hidden histories are rebuilt in the backward
     # from ``y0``/``outputs`` and ``h0``/``h_tm``.
     gates = arena.empty((batch, 4 * hidden), dtype=dtype)
+    gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
     hh = arena.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows = arena.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows[:] = bias
@@ -438,8 +450,8 @@ def lstm_decoder_forward(
     c_pair = arena.empty((2, batch, hidden), dtype=dtype)
     y_step = arena.empty((batch, out_features), dtype=dtype)
     if requires:
-        # gate-major (step, [i,f,g,o,tanh_c], B, H): contiguous views,
-        # see lstm_seq_forward
+        # gate-major (step, [i, f, o, g, tanh_c], B, H): contiguous
+        # blocks, see lstm_seq_forward
         act = arena.empty((horizon, 5, batch, hidden), dtype=dtype)
         c_hist = arena.empty((horizon, batch, hidden), dtype=dtype)  # c entering step t
         h_tm = arena.empty((horizon, batch, hidden), dtype=dtype)  # h leaving step t
@@ -455,13 +467,11 @@ def lstm_decoder_forward(
         np.matmul(h, weight_hh, out=hh)
         np.add(gates, hh, out=gates)
         np.add(gates, bias_rows, out=gates)
-        i, f, g_in, o, tanh_c = act[t] if requires else step_act
-        sigmoid_into(gates[:, 0 * hidden : 1 * hidden], i)
-        sigmoid_into(gates[:, 1 * hidden : 2 * hidden], f)
-        np.tanh(gates[:, 2 * hidden : 3 * hidden], out=g_in)
-        sigmoid_into(gates[:, 3 * hidden : 4 * hidden], o)
         if requires:
+            step_act = act[t]
             c_hist[t] = c
+        _lstm_gates(gate_view, step_act)
+        i, f, o, g_in, tanh_c = step_act
         c_new = c_pair[t & 1]
         np.multiply(f, c, out=c_new)
         np.multiply(i, g_in, out=ig)
@@ -509,7 +519,7 @@ def lstm_decoder_backward(
     w_ih_t = weight_ih.T
     w_hh_t = weight_hh.T
     for t in range(horizon - 1, -1, -1):
-        i, f, g_in, o, tanh_c = act[t]
+        i, f, o, g_in, tanh_c = act[t]
         dg_step = dg_tm[t]
         dy = dy_tm[t]
         np.add(g_out[:, t], dy_feedback, out=dy)  # loss + next input grad

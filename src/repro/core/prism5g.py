@@ -23,8 +23,7 @@ Input packing: one flat array per time step —
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -43,95 +42,10 @@ from ..nn.tensor import Tensor, concat, lstm_decoder_seq, no_grad
 #: row cap per fused-kernel call in the folded forward.  Recurrent step
 #: arrays at the full fold height (C·B rows) spill the L2 cache, so the
 #: folded path runs the encoder/decoder over row blocks of at most this
-#: many sequences.  Values are unaffected: wide-GEMM rows are invariant
-#: to batch height, everything else is elementwise.
-#:
-#: The default is benchmark-derived, not hand-picked: it is the median
-#: winner of :func:`tune_fold_chunk_rows` on the reference container
-#: (see ``benchmarks/bench_perf_training.py --tune``), which times real
-#: chunked encoder passes over the candidate grid.  Re-derive on new
-#: hardware with ``tune_fold_chunk_rows(apply=True)``; the value in
-#: effect (plus the tuning evidence, when a tune ran in-process) is
-#: stamped into every run manifest via ``repro.obs.manifest.tuning``.
+#: many sequences, in every mode.  Values are unaffected: wide-GEMM rows
+#: are invariant to batch height, everything else is elementwise.  Run
+#: manifests stamp it as ``tuning.fold_chunk_rows``.
 _FOLD_CHUNK_ROWS = 256
-
-#: evidence from the last in-process :func:`tune_fold_chunk_rows` run
-#: (``None`` when the compiled-in default is in effect untuned).
-_FOLD_TUNING: Optional[Dict[str, object]] = None
-
-
-def fold_chunk_rows() -> int:
-    """The encoder/decoder fold-chunk row cap currently in effect."""
-    return _FOLD_CHUNK_ROWS
-
-
-def set_fold_chunk_rows(rows: int) -> int:
-    """Override the fold-chunk row cap; returns the previous value."""
-    global _FOLD_CHUNK_ROWS
-    rows = int(rows)
-    if rows < 1:
-        raise ValueError("fold chunk rows must be >= 1")
-    previous = _FOLD_CHUNK_ROWS
-    _FOLD_CHUNK_ROWS = rows
-    return previous
-
-
-def tune_fold_chunk_rows(
-    rows: int = 2048,
-    time_steps: int = 16,
-    features: int = 10,
-    hidden: int = 64,
-    candidates: Sequence[int] = (128, 256, 384, 512, 768, 1024, 2048),
-    repeats: int = 3,
-    apply: bool = True,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Pick the fold-chunk crossover by timing real chunked encoder passes.
-
-    Runs a no-grad LSTM encoder forward over a ``(rows, time_steps,
-    features)`` fold at every candidate row cap (``repeats`` times
-    each, best-of taken to reject scheduler noise) and selects the
-    fastest.  Chunking never changes values — wide-GEMM rows are
-    batch-height invariant — so this is purely a throughput decision
-    and safe to apply mid-run.  With ``apply=True`` the winner becomes
-    the process-wide cap (:func:`set_fold_chunk_rows`) and the evidence
-    is kept for manifest stamping.
-    """
-    from time import perf_counter
-
-    rng = np.random.default_rng(seed)
-    folded = rng.standard_normal((int(rows), int(time_steps), int(features)))
-    encoder = LSTM(int(features), int(hidden))
-    timings: Dict[int, float] = {}
-    with no_grad():
-        for cap in candidates:
-            cap = int(cap)
-            best = math.inf
-            for _ in range(max(1, int(repeats))):
-                start_t = perf_counter()
-                n_blocks = -(-len(folded) // cap)
-                base, rem = divmod(len(folded), n_blocks)
-                start = 0
-                for j in range(n_blocks):
-                    stop = start + base + (1 if j < rem else 0)
-                    encoder(Tensor(folded[start:stop]))
-                    start = stop
-                best = min(best, perf_counter() - start_t)
-            timings[cap] = best
-    chosen = min(timings, key=lambda cap: timings[cap])
-    result: Dict[str, object] = {
-        "chosen_rows": chosen,
-        "batch_rows": int(rows),
-        "time_steps": int(time_steps),
-        "hidden": int(hidden),
-        "timings_s": {str(cap): timings[cap] for cap in sorted(timings)},
-        "applied": bool(apply),
-    }
-    if apply:
-        global _FOLD_TUNING
-        set_fold_chunk_rows(chosen)
-        _FOLD_TUNING = result
-    return result
 
 
 def pack_inputs(x: np.ndarray, mask: np.ndarray, y_hist: np.ndarray) -> np.ndarray:

@@ -461,11 +461,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
 
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
     def _backward() -> None:
         g = out.grad
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * g.ndim

@@ -99,19 +99,16 @@ def kernel_paths() -> Dict[str, str]:
 def tuning() -> Dict[str, object]:
     """Benchmark-derived tuning constants currently in effect.
 
-    Auto-tuned crossovers (today: Prism5G's batched-encoder fold
-    chunking, see :mod:`repro.core.prism5g`) are stamped into run
-    manifests so a recorded result can be traced back to the constants
-    that shaped its hot path.
+    Crossovers that shape a hot path (today: Prism5G's batched-encoder
+    fold chunking, see :mod:`repro.core.prism5g`) are stamped into run
+    manifests so a recorded result can be traced back to them.
     """
     values: Dict[str, object] = {}
     try:
         from ..core import prism5g
     except ImportError:  # pragma: no cover - partial installs
         return values
-    values["fold_chunk_rows"] = prism5g.fold_chunk_rows()
-    if prism5g._FOLD_TUNING is not None:
-        values["fold_chunk_tuning"] = dict(prism5g._FOLD_TUNING)
+    values["fold_chunk_rows"] = prism5g._FOLD_CHUNK_ROWS
     return values
 
 

@@ -18,7 +18,9 @@ function here is the plain composition those kernels must reproduce:
 * :func:`advance_loop` — the per-candidate shadowing/fading advance,
   four scalar draws per candidate through dict-keyed AR(1) state and
   :class:`~repro.ran.propagation.FastFadingProcess`;
-* :func:`cells_near_loop` — the ``math.dist`` coverage scan.
+* :func:`cells_near_loop` — the ``math.dist`` coverage scan;
+* :func:`mpc_plan_loop` — MPC's plan search as a scalar loop over
+  ``itertools.product``.
 
 The equivalence suites call these directly, or swap them in for a block
 with :func:`op_by_op` (every module forward op-by-op, as a whole model),
@@ -29,6 +31,7 @@ loop).
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +39,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.abr import MPCPlayer
 from repro.core.predictors import _Seq2Seq
 from repro.core.prism5g import Prism5G, unpack_inputs
 from repro.nn.modules import GRU, LSTM, Linear
@@ -390,3 +394,38 @@ def scalar_radio():
 def loop_advance():
     """Within the block, every simulator step advances its AR(1) state with :func:`advance_loop`."""
     return _swapped(TraceSimulator, "_advance_radio_processes", advance_loop)
+
+
+# ---------------------------------------------------------------------------
+# apps: the MPC plan search
+
+
+def mpc_plan_loop(
+    player: MPCPlayer,
+    forecast_mbps: np.ndarray,
+    buffer_s: float,
+    last_level: Optional[int],
+) -> int:
+    """Exhaustive MPC, one plan at a time — ``MPCPlayer._plan``'s oracle."""
+    cfg = player.config
+    rates = cfg.bitrates_mbps
+    best_score, best_first = -np.inf, 0
+    horizon = min(cfg.lookahead, len(forecast_mbps))
+    for plan in itertools.product(range(len(rates)), repeat=horizon):
+        score = 0.0
+        buf = buffer_s
+        prev = last_level
+        for step, level in enumerate(plan):
+            bandwidth = max(forecast_mbps[step], 1e-6)
+            download_s = rates[level] * cfg.chunk_s / bandwidth
+            rebuffer = max(download_s - buf, 0.0)
+            buf = max(buf - download_s, 0.0) + cfg.chunk_s
+            buf = min(buf, cfg.buffer_max_s)
+            score += rates[level]
+            score -= cfg.rebuffer_penalty * rebuffer
+            if prev is not None:
+                score -= cfg.switch_penalty * abs(rates[level] - rates[prev])
+            prev = level
+        if score > best_score:
+            best_score, best_first = score, plan[0]
+    return best_first

@@ -21,6 +21,8 @@ from repro.apps import (
     stall_tail_improvements,
 )
 
+from . import oracles
+
 
 def _ca_like_trace(n=6000, dt=0.01, seed=0):
     """Throughput with CC-transition style level shifts, like Fig 7."""
@@ -124,6 +126,91 @@ class TestMPC:
     def test_trace_too_short_raises(self):
         with pytest.raises(ValueError):
             MPCPlayer().run(np.ones(1), 1.0)
+
+
+class TestPlannerMatchesLoop:
+    """``MPCPlayer._plan`` scores all plans as arrays; the scalar loop over
+    ``itertools.product`` (``oracles.mpc_plan_loop``) must pick the same level."""
+
+    LADDERS = {"paper": PAPER_BITRATES_MBPS, "three": (1.0, 5.0, 20.0)}
+
+    @staticmethod
+    def _forecasts(rng, ladder, lookahead, count):
+        """Log-uniform forecasts over 1e-3..1e4 Mbps, alternating with quantized ones.
+
+        Quantized steps are ladder rates (a chunk then downloads in exactly
+        ``chunk_s``), powers of ten and the 1e-3 floor.  With ample bandwidth
+        every climb from ``last_level`` earns its rate gain and pays the same
+        switch cost, so many plans tie on the best score.  Every third
+        forecast is one chunk longer than the lookahead.
+        """
+        quantized = np.array(list(ladder) + [1e-3, 1e-1, 10.0, 1e3, 1e4])
+        for k in range(count):
+            size = lookahead + (k % 3 == 2)
+            if k % 2:
+                yield rng.choice(quantized, size=size)
+            else:
+                yield 10.0 ** rng.uniform(-3.0, 4.0, size=size)
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ladder", ["paper", "three"])
+    def test_same_level_as_loop(self, ladder, lookahead):
+        rates = self.LADDERS[ladder]
+        player = MPCPlayer(ABRConfig(bitrates_mbps=rates, lookahead=lookahead))
+        cfg = player.config
+        rng = np.random.default_rng([lookahead, len(rates)])
+        # the loop costs ~10 us per plan: fewer draws where plans are many
+        count = 3 if len(rates) ** lookahead > 500 else 12
+        for buffer_s in (0.0, cfg.startup_buffer_s, cfg.buffer_max_s):
+            for last_level in (None, *range(len(rates))):
+                for forecast in self._forecasts(rng, rates, lookahead, count):
+                    expected = oracles.mpc_plan_loop(player, forecast, buffer_s, last_level)
+                    got = player._plan(forecast, buffer_s, last_level)
+                    assert got == expected, (forecast.tolist(), buffer_s, last_level)
+
+    #: paper-ladder inputs on which updating the score in another order
+    #: (the switch penalty before the rebuffer penalty, the rate and
+    #: rebuffer terms summed first, or all three) picks another level;
+    #: found by random search
+    ORDER_SENSITIVE = [
+        (3, [280.0, 152.66, 0.001], 30.0, 2),
+        (3, [4165.496092878626, 8784.508451578784, 0.003929139413290584], 30.0, 2),
+        (2, [1189.7434704266757, 10.082567828398375], 30.0, None),
+        (2, [10000.0, 10.0], 30.0, None),
+        (3, [10000.0, 585.0, 10.0], 30.0, 3),
+        (2, [970.4123135729975, 21.73385749997258], 4.0, None),
+    ]
+
+    @pytest.mark.parametrize("lookahead,forecast,buffer_s,last_level", ORDER_SENSITIVE)
+    def test_order_sensitive_inputs(self, lookahead, forecast, buffer_s, last_level):
+        player = MPCPlayer(ABRConfig(lookahead=lookahead))
+        forecast = np.array(forecast)
+        expected = oracles.mpc_plan_loop(player, forecast, buffer_s, last_level)
+        assert player._plan(forecast, buffer_s, last_level) == expected
+
+    @pytest.mark.parametrize("nan_step", [0, 1, 2])
+    def test_nan_forecast_keeps_level_zero(self, nan_step):
+        player = MPCPlayer(ABRConfig(lookahead=3))
+        forecast = np.full(3, 300.0)
+        forecast[nan_step] = np.nan
+        for last_level in (None, 3):
+            assert oracles.mpc_plan_loop(player, forecast, 4.0, last_level) == 0
+            assert player._plan(forecast, 4.0, last_level) == 0
+
+    @pytest.mark.parametrize("seed,scale", [(0, 1.0), (3, 1.0), (5, 0.1)])
+    @pytest.mark.parametrize("lookahead", [2, 3])
+    def test_sessions_match_loop(self, seed, scale, lookahead, monkeypatch):
+        tput = _ca_like_trace(n=200, dt=1.0, seed=seed) * scale
+        player = MPCPlayer(ABRConfig(lookahead=lookahead))
+
+        def sessions():
+            oracle = oracle_forecaster_factory(tput, 1.0, 2.0)
+            return [player.run(tput, 1.0, harmonic_forecaster), player.run(tput, 1.0, oracle)]
+
+        vectorized = sessions()
+        monkeypatch.setattr(MPCPlayer, "_plan", oracles.mpc_plan_loop)
+        assert sessions() == vectorized
+        assert any(result.quality_switches for result in vectorized)
 
 
 class TestForecasterPosition:

@@ -150,6 +150,30 @@ class TestArena:
         assert np.array_equal(out1.data, first)
         arena.end_run()
 
+    def test_windows_touching_different_keys(self):
+        ws = arena.Workspace()
+        ws.begin_step()
+        a1, a2 = ws.empty((4, 4)), ws.empty((4, 4))
+        b1 = ws.empty(5)
+        assert len({id(a1), id(a2), id(b1)}) == 3  # distinct within a window
+        # the next window touches only the (5,) key, under other spellings
+        # of the same shape and dtype
+        ws.begin_step()
+        assert ws.empty((5,), dtype=np.dtype("float64")) is b1
+        b2 = ws.empty(5, dtype=np.float64)
+        assert b2 is not b1
+        # a window after one that skipped the (4, 4) key still starts it over
+        ws.begin_step()
+        assert ws.empty((4, 4)) is a1
+        assert ws.empty((4, 4)) is a2
+        assert ws.empty((5,)) is b1
+        # another dtype is another pool
+        assert ws.empty((4, 4), dtype=np.float32) is not a1
+        stats = ws.stats()
+        assert stats["pools"] == 3
+        assert stats["buffers"] == 5
+        assert stats["misses"] == 5 and stats["hits"] == 4
+
     def test_inactive_outside_step_window(self):
         arena.clear()
         buf_a = arena.empty((4, 4))

@@ -26,7 +26,7 @@ from repro.core.prism5g import (
     Prism5G,
     pack_inputs,
 )
-from repro.nn import Tensor
+from repro.nn import LSTM, Tensor, concat, no_grad
 from repro.nn.modules import MLP
 from repro.nn.training import Trainer
 from repro.ran import (
@@ -195,6 +195,87 @@ class TestFusedDecoder:
 
         (out_a, ga), (out_b, gb) = run(True), run(False)
         assert np.array_equal(out_a, out_b)
+        for name in gb:
+            assert _rel_err(ga[name], gb[name]) <= 1e-6, name
+
+
+class TestBatchOne:
+    """The online forecast's shape: one window, so the C carriers fold to
+    C rows and every decoder head chunk is one row.
+
+    At one row numpy's matmul takes BLAS's GEMV path, which sums in
+    another order than the GEMM a taller block runs.  The loops run each
+    carrier (and each step's input projection) at one row while the fused
+    kernels run C rows (and one hoisted ``(T·B, F)`` GEMM), so at batch
+    one they agree to rounding rather than bit for bit; from two rows per
+    carrier on the fold is bit-identical (``TestCCFolding``).
+    """
+
+    @staticmethod
+    def _close(got: np.ndarray, want: np.ndarray) -> None:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @staticmethod
+    def _model(**kwargs) -> Prism5G:
+        model = Prism5G(n_features=5, horizon=6, **kwargs)
+        # biases start at zero: make every one count, the head's included
+        rng = np.random.default_rng(11)
+        for name, param in model.named_parameters():
+            if name.rsplit(".", 1)[-1].startswith("bias"):
+                param.data = rng.normal(scale=0.3, size=param.data.shape)
+        return model
+
+    @pytest.mark.parametrize("c", [3, 4])
+    @pytest.mark.parametrize("rnn", ["lstm", "gru"])
+    @pytest.mark.parametrize("head", ["decoder", "mlp"])
+    def test_prism5g_forward_matches_loop(self, c, rnn, head):
+        model = self._model(n_ccs=c, hidden=12, rnn=rnn, head=head)
+        packed = _packed_batch(1, c=c)
+        folded = model(Tensor(packed)).numpy()
+        self._close(folded, oracles.prism5g_loop_forward(model, Tensor(packed)).numpy())
+        with no_grad():
+            assert np.array_equal(model(Tensor(packed)).numpy(), folded)
+
+    def test_lstm_seq_matches_loop(self):
+        x = RNG.normal(size=(1, 7, 5))
+
+        def run(fused: bool):
+            net = LSTM(5, 8, num_layers=2, rng=np.random.default_rng(4))
+            inp = Tensor(x, requires_grad=True)
+            out, state = net(inp) if fused else oracles.lstm_loop(net, inp)
+            (out ** 2 + out).sum().backward()
+            grads = {name: p.grad for name, p in net.named_parameters()}
+            grads["x"] = inp.grad
+            return out.numpy(), state[-1][1].numpy(), grads
+
+        (out_a, c_a, ga), (out_b, c_b, gb) = run(True), run(False)
+        self._close(out_a, out_b)
+        self._close(c_a, c_b)
+        for name in gb:
+            assert _rel_err(ga[name], gb[name]) <= 1e-6, name
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_decoder_one_row_chunks_match_loop(self, c):
+        h_data = RNG.normal(size=(c, 10))  # carrier-major fold of one window
+
+        def run(fused: bool):
+            model = self._model(n_ccs=c, hidden=10)
+            h0 = Tensor(h_data, requires_grad=True)
+            if fused:
+                preds = model._decode(h0, chunks=c)
+            else:
+                with oracles.op_by_op():
+                    preds = concat([oracles.decode_loop(model, h0[j : j + 1]) for j in range(c)], axis=0)
+            (preds ** 2).mean().backward()
+            grads = {
+                name: p.grad for name, p in model.named_parameters() if name.startswith("decoder")
+            }
+            grads["h0"] = h0.grad
+            return preds.numpy(), grads
+
+        (out_a, ga), (out_b, gb) = run(True), run(False)
+        self._close(out_a, out_b)
+        assert set(ga) == set(gb) and len(ga) > 1
         for name in gb:
             assert _rel_err(ga[name], gb[name]) <= 1e-6, name
 
