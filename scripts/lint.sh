@@ -1,17 +1,12 @@
 #!/usr/bin/env bash
 # One-command static-analysis gate (mirrors the CI `static-analysis` job):
 #
-#   1. repro5g lint        - the repo's own per-file + whole-program
-#                            invariant checks (RL001-RL012); re-runs are
-#                            incremental (content-hash cache under
-#                            ~/.cache/repro5g, REPRO_NO_CACHE=1 or
-#                            --no-cache to bypass).  As a pre-commit
-#                            hook, pass --changed-only to report only
-#                            findings in files git considers modified
-#                            (the whole tree is still analyzed, so the
-#                            cross-file rules stay sound):
+#   1. repro5g lint        - the repo's own invariant checks (RL001-RL011),
+#                            one per-file pass; this script passes its
+#                            arguments through.  A pre-commit hook lints
+#                            just the changed files as explicit paths:
 #
-#                                scripts/lint.sh --changed-only
+#                                python -m repro.lintkit <changed files>
 #   2. ruff check          - pyflakes/pycodestyle classes from pyproject.toml
 #      ruff format --check - formatting drift on the lintkit subtree + tests
 #   3. mypy                - strict on repro.runtime/pipeline/nn.serialization/

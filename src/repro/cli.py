@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
-    lint = sub.add_parser("lint", help="run the repo's AST and whole-program invariant checks (rules RL001-RL012)")
+    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001-RL011)")
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 

@@ -11,7 +11,6 @@ from .predictors import (
     GBDTPredictor,
     LSTMPredictor,
     Lumos5GPredictor,
-    PREDICTOR_REGISTRY,
     Predictor,
     Prism5GPredictor,
     ProphetPredictor,
@@ -30,7 +29,6 @@ __all__ = [
     "GBDTPredictor",
     "LSTMPredictor",
     "Lumos5GPredictor",
-    "PREDICTOR_REGISTRY",
     "Predictor",
     "Prism5G",
     "Prism5GPredictor",

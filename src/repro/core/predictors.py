@@ -11,7 +11,7 @@ through one evaluation loop.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -571,15 +571,3 @@ TABLE4_LINEUP: "tuple[str, ...]" = (
     "RF",
     "Prism5G",
 )
-
-#: legacy name→class map, kept for back-compat; new code should resolve
-#: names through :func:`create_predictor` / :func:`registered_predictors`.
-PREDICTOR_REGISTRY: Dict[str, Type[Predictor]] = {
-    "Prophet": ProphetPredictor,
-    "LSTM": LSTMPredictor,
-    "TCN": TCNPredictor,
-    "Lumos5G": Lumos5GPredictor,
-    "GBDT": GBDTPredictor,
-    "RF": RFPredictor,
-    "Prism5G": Prism5GPredictor,
-}

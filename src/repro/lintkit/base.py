@@ -21,11 +21,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Type
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (project imports base)
-    from .project import ProjectContext
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 #: matches the whole suppression comment, e.g. ``# lint: disable=RL001,RL003``
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*(?P<directive>[A-Za-z0-9_=,\- ]+)")
@@ -62,6 +60,92 @@ class Diagnostic:
 
 
 @dataclass
+class Scope:
+    """One function of a file, or the module body left around them.
+
+    The per-function rules (RL008–RL011) reason scope by scope: each
+    top-level function, each method of a top-level class, and
+    ``<module>`` for everything else.  A nested def or lambda belongs
+    to its enclosing scope, and its parameters join ``params``.
+    """
+
+    qualname: str  #: ``make_key``, ``Trainer.fit`` or ``<module>``
+    cls: str  #: enclosing class name, ``""`` for free functions
+    node: Optional[ast.AST]  #: the def statement, ``None`` for ``<module>``
+    nodes: List[ast.AST]  #: every AST node in the scope
+    params: Set[str]
+    #: name -> every expression bound to it in the scope (flat scan)
+    local_values: Dict[str, List[ast.expr]]
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rpartition(".")[2]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _param_names(args: ast.arguments) -> List[str]:
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [arg.arg for arg in every if arg is not None]
+
+
+def _local_values(nodes: List[ast.AST]) -> Dict[str, List[ast.expr]]:
+    values: Dict[str, List[ast.expr]] = {}
+
+    def record(target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            values.setdefault(target.id, []).append(value)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                record(element, value)
+
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                record(target, node.value)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            record(node.target, node.value)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            record(node.target, node.iter)
+    return values
+
+
+def _scope(qualname: str, cls: str, node: Optional[ast.AST], nodes: List[ast.AST]) -> Scope:
+    params = {
+        name
+        for sub in nodes
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for name in _param_names(sub.args)
+    }
+    return Scope(qualname, cls, node, nodes, params, _local_values(nodes))
+
+
+def _file_scopes(tree: ast.AST) -> List[Scope]:
+    """Every scope of a module: its functions, its methods, then ``<module>``."""
+    defs: List[Tuple[str, str, ast.AST]] = []
+    for node in tree.body if isinstance(tree, ast.Module) else []:
+        if isinstance(node, _DEFS):
+            defs.append((node.name, "", node))
+        elif isinstance(node, ast.ClassDef):
+            defs.extend(
+                (f"{node.name}.{item.name}", node.name, item)
+                for item in node.body
+                if isinstance(item, _DEFS)
+            )
+    skip = {id(node) for _, _, node in defs}
+    module_nodes: List[ast.AST] = []
+    todo = [tree]
+    while todo:
+        current = todo.pop()
+        module_nodes.append(current)
+        todo.extend(child for child in ast.iter_child_nodes(current) if id(child) not in skip)
+    scopes = [_scope(qualname, cls, node, list(ast.walk(node))) for qualname, cls, node in defs]
+    scopes.append(_scope("<module>", "", None, module_nodes))
+    return scopes
+
+
+@dataclass
 class FileContext:
     """Everything a checker needs to know about one source file."""
 
@@ -80,6 +164,11 @@ class FileContext:
         if not codes:
             return False
         return code in codes or "all" in codes
+
+    @cached_property
+    def scopes(self) -> List[Scope]:
+        """The file's scopes, built on first use and shared by RL008–RL011."""
+        return _file_scopes(self.tree)
 
 
 def parse_suppressions(source: str) -> Dict[int, Set[str]]:
@@ -126,25 +215,6 @@ class Checker:
             code=self.code,
             message=message,
         )
-
-
-class ProjectRule(Checker):
-    """A flow-sensitive rule that reasons over the whole program.
-
-    Per-file ``check`` is a no-op; the runner calls ``check_project``
-    exactly once after every file's facts have been extracted (or
-    reloaded from the incremental cache) and linked into a
-    :class:`~repro.lintkit.project.ProjectContext`.  Diagnostics carry
-    normal file positions, so line-scoped ``# lint: disable=`` comments
-    suppress them like any per-file rule — the runner filters them
-    against the owning module's recorded suppressions.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Diagnostic]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Checker]] = {}

@@ -1,11 +1,8 @@
-"""The repo-specific per-file invariant checkers (rules RL001–RL007).
+"""The repo-specific invariant checkers (rules RL001–RL011).
 
-The whole-program rules (RL008–RL012) live in
-:mod:`repro.lintkit.project_rules` and run over linked module facts
-rather than a single AST.
-
-Each checker encodes one contract the reproduction depends on; DESIGN
-§6d explains why every one of them exists.  In brief:
+Each checker encodes one contract the reproduction depends on and reads
+one file at a time; DESIGN §6d explains why every one of them exists.
+In brief:
 
 * **RL001** — bit-identical kernel oracles need seeded ``Generator``
   randomness; legacy global-state ``np.random.*`` breaks replay.
@@ -19,16 +16,30 @@ Each checker encodes one contract the reproduction depends on; DESIGN
   names fail lint instead of silently forking a time series.
 * **RL006** — float/ndarray ``==`` is flaky across kernel paths; use
   ``np.allclose`` (or ``# lint: bit-identical`` in oracle tests).
+* **RL007** — the kernel dispatch layer holds no numpy compute; the
+  math lives in :mod:`repro.backends`.
+* **RL008** — a ``default_rng`` seed is a constant, a threaded
+  argument, ``canonical_hash`` output, or a same-file helper's return
+  value built from those; wall clocks and pids break replay.
+* **RL009** — set iteration order is not replayable, so it never feeds
+  a hash or a shard assignment.
+* **RL010** — backend functions never mix float32 and float64 without
+  an explicit cast; silent upcasts break backend bit-identity.
+* **RL011** — obs spans/sample windows and arena step windows are
+  closed on every path.
+
+RL008–RL011 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
+and resolve names only inside that file.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from . import catalog as _catalog
-from .base import Checker, Diagnostic, FileContext, dotted_name, register
+from .base import Checker, Diagnostic, FileContext, Scope, dotted_name, register
 
 # ---------------------------------------------------------------------------
 # RL001 — determinism
@@ -465,3 +476,468 @@ class BackendDisciplineChecker(Checker):
                 "move the math into a repro.backends backend (or mark the "
                 "line `# lint: backend-impl` if it is backend-neutral)",
             )
+
+
+# ---------------------------------------------------------------------------
+# RL008 — RNG seed lineage
+
+
+#: call roots/targets that make an RNG seed time-, process- or
+#: entropy-dependent; deriving a seed from any of these breaks replay.
+_BAD_SEED_ROOTS = frozenset({"time", "secrets", "uuid", "random"})
+_BAD_SEED_CALLS = frozenset(
+    {
+        "os.urandom",
+        "os.getpid",
+        "os.getrandom",
+        "hash",
+        "id",
+        "input",
+    }
+)
+
+#: call targets (by last segment) that certify a seed's lineage: the
+#: canonical hash recipe, or an already-seeded Generator being asked
+#: for a derived seed.
+_GOOD_SEED_TAILS = frozenset({"canonical_hash", "default_rng"})
+
+#: builtins that preserve seed lineage of their argument(s).
+_LINEAGE_PRESERVING_CALLS = frozenset({"int", "abs", "min", "max", "sum", "len", "divmod", "round"})
+
+
+class _SeedClassifier:
+    """Classifies a seed expression's lineage inside one function scope.
+
+    ``classify`` returns ``(status, why)``: ``ok`` (lineage proven
+    locally), ``bad`` (a forbidden origin, ``why`` says which), or
+    ``deps`` (locally clean but derived through calls to the bare names
+    collected in ``deps``, whose return values the caller must check).
+    """
+
+    def __init__(self, params: Set[str], local_values: Mapping[str, List[ast.expr]], module_constants: Set[str]) -> None:
+        self.params = params
+        self.local_values = local_values
+        self.module_constants = module_constants
+        self.deps: List[str] = []
+        self._visiting: Set[str] = set()
+
+    def classify(self, node: Optional[ast.expr]) -> Tuple[str, str]:
+        """Returns ``(status, why)`` with status ok/bad/deps."""
+        if node is None:
+            return "bad", "seed expression could not be read"
+        if isinstance(node, ast.Constant):
+            return "ok", ""
+        if isinstance(node, ast.Name):
+            return self._classify_name(node.id)
+        if isinstance(node, ast.Attribute):
+            dotted = dotted_name(node)
+            if dotted is not None:
+                root = dotted.split(".")[0]
+                if root in _BAD_SEED_ROOTS:
+                    return "bad", f"seed derives from {dotted}"
+            # attribute reads (self.seed, cfg.seed, module constants) are
+            # named state, not entropy sources — entropy enters via calls
+            return "ok", ""
+        if isinstance(node, ast.Subscript):
+            return self.classify(node.value)
+        if isinstance(node, ast.UnaryOp):
+            return self.classify(node.operand)
+        if isinstance(node, ast.BinOp):
+            return self._merge(self.classify(node.left), self.classify(node.right))
+        if isinstance(node, ast.BoolOp):
+            status: Tuple[str, str] = ("ok", "")
+            for value in node.values:
+                status = self._merge(status, self.classify(value))
+            return status
+        if isinstance(node, ast.IfExp):
+            return self._merge(self.classify(node.body), self.classify(node.orelse))
+        if isinstance(node, ast.Call):
+            return self._classify_call(node)
+        if isinstance(node, (ast.Tuple, ast.List)):
+            status = ("ok", "")
+            for element in node.elts:
+                status = self._merge(status, self.classify(element))
+            return status
+        return "bad", f"seed lineage cannot be traced through {type(node).__name__}"
+
+    def _classify_name(self, name: str) -> Tuple[str, str]:
+        if name in self.params:
+            return "ok", ""  # explicitly threaded seed argument
+        if name in self._visiting:
+            return "ok", ""  # cyclic local rebinding; assume the base case traced
+        values = self.local_values.get(name)
+        if values:
+            self._visiting.add(name)
+            try:
+                status: Tuple[str, str] = ("ok", "")
+                for value in values:
+                    status = self._merge(status, self.classify(value))
+                return status
+            finally:
+                self._visiting.discard(name)
+        if name in self.module_constants:
+            return "ok", ""
+        return "bad", f"seed lineage cannot be traced for name {name!r}"
+
+    def _classify_call(self, node: ast.Call) -> Tuple[str, str]:
+        dotted = dotted_name(node.func)
+        if dotted is not None:
+            tail = dotted.split(".")[-1]
+            root = dotted.split(".")[0]
+            if dotted in _BAD_SEED_CALLS or root in _BAD_SEED_ROOTS:
+                return "bad", f"seed derives from {dotted}()"
+            if tail in _GOOD_SEED_TAILS:
+                return "ok", ""
+            if dotted in _LINEAGE_PRESERVING_CALLS:
+                status: Tuple[str, str] = ("ok", "")
+                for arg in node.args:
+                    status = self._merge(status, self.classify(arg))
+                return status
+        if isinstance(node.func, ast.Attribute):
+            # a method on a traced receiver (rng.integers(...)) derives
+            # from the receiver's lineage
+            receiver_status, receiver_why = self.classify(node.func.value)
+            if receiver_status != "bad":
+                return receiver_status, receiver_why
+            return "bad", receiver_why
+        if dotted is not None:
+            self.deps.append(dotted)
+            return "deps", ""
+        return "bad", "seed derives from an unresolvable call"
+
+    @staticmethod
+    def _merge(left: Tuple[str, str], right: Tuple[str, str]) -> Tuple[str, str]:
+        for status in ("bad", "deps"):
+            if left[0] == status:
+                return left
+            if right[0] == status:
+                return right
+        return "ok", ""
+
+
+def _top_level_assignments(tree: ast.AST) -> Iterator[Tuple[str, ast.expr]]:
+    """``(name, value)`` for each top-level assignment to a plain name."""
+    for node in tree.body if isinstance(tree, ast.Module) else []:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.value
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.value is not None:
+            yield node.target.id, node.value
+
+
+def _returns_traced(scope: Scope, module_constants: Set[str]) -> bool:
+    """Whether every ``return`` in ``scope`` hands back a seed-grade value."""
+    returns = [node for node in scope.nodes if isinstance(node, ast.Return)]
+    return bool(returns) and all(
+        node.value is not None
+        and _SeedClassifier(scope.params, scope.local_values, module_constants).classify(node.value)[0] == "ok"
+        for node in returns
+    )
+
+
+@register
+class RngLineageChecker(Checker):
+    code = "RL008"
+    name = "rng-lineage"
+    summary = (
+        "default_rng seeds must derive from canonical_hash or a "
+        "threaded seed argument (traced through same-file helpers)"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        constants = {name for name, value in _top_level_assignments(ctx.tree) if isinstance(value, ast.Constant)}
+        helpers = {scope.name: scope for scope in ctx.scopes if scope.node is not None and not scope.cls}
+        for scope in ctx.scopes:
+            for node in scope.nodes:
+                if not (isinstance(node, ast.Call) and (node.args or node.keywords)):
+                    continue
+                dotted = dotted_name(node.func)
+                if dotted is None or dotted.split(".")[-1] != "default_rng":
+                    continue
+                seed = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "seed"), None)
+                classifier = _SeedClassifier(scope.params, scope.local_values, constants)
+                status, why = classifier.classify(seed)
+                if status == "bad":
+                    yield self.diag(
+                        ctx,
+                        node,
+                        f"{why}; seed a Generator from runtime.canonical_hash "
+                        "or thread an explicit seed argument",
+                    )
+                elif status == "deps":
+                    for dep in sorted(set(classifier.deps)):
+                        helper = helpers.get(dep)
+                        if helper is None:
+                            yield self.diag(
+                                ctx,
+                                node,
+                                f"seed derives from {dep}(), which cannot be traced to a "
+                                "function in this file; derive the seed from "
+                                "runtime.canonical_hash or thread it explicitly",
+                            )
+                        elif not _returns_traced(helper, constants):
+                            yield self.diag(
+                                ctx,
+                                node,
+                                f"seed derives from {dep}(), whose return value is not "
+                                "provably derived from canonical_hash or a threaded "
+                                "seed argument",
+                            )
+
+
+# ---------------------------------------------------------------------------
+# RL009 — determinism-critical ordering
+
+
+def _is_unordered_expr(node: ast.expr, local_values: Mapping[str, List[ast.expr]], depth: int = 0) -> Optional[str]:
+    """A short description if ``node`` provably evaluates to a set."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "a set literal" if isinstance(node, ast.Set) else "a set comprehension"
+    if isinstance(node, ast.Call):
+        dotted = dotted_name(node.func)
+        if dotted in ("set", "frozenset"):
+            return f"{dotted}(...)"
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("union", "intersection", "difference", "symmetric_difference"):
+            inner = _is_unordered_expr(node.func.value, local_values, depth)
+            if inner is not None:
+                return f"set.{node.func.attr}(...)"
+        return None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
+        left = _is_unordered_expr(node.left, local_values, depth)
+        right = _is_unordered_expr(node.right, local_values, depth)
+        if left is not None or right is not None:
+            return left or right
+    if isinstance(node, ast.Name) and depth < 3:
+        values = local_values.get(node.id, [])
+        for value in values:
+            found = _is_unordered_expr(value, local_values, depth + 1)
+            if found is not None:
+                return f"name {node.id!r} bound to {found}"
+    return None
+
+
+@register
+class DeterminismOrderingChecker(Checker):
+    code = "RL009"
+    name = "determinism-ordering"
+    summary = (
+        "no iteration over set-typed expressions: set order is not "
+        "replayable, so sort before iterating"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for scope in ctx.scopes:
+            for node in scope.nodes:
+                if isinstance(node, ast.For):
+                    iterables = [node.iter]
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                    iterables = [generator.iter for generator in node.generators]
+                else:
+                    continue
+                for iterable in iterables:
+                    found = _is_unordered_expr(iterable, scope.local_values)
+                    if found is not None:
+                        yield self.diag(
+                            ctx,
+                            node,
+                            f"iteration over {found} in {scope.qualname}; set order "
+                            "is not replayable, so any hash-critical value it feeds "
+                            "(canonical_hash keys, ShardPlan assignment) can change "
+                            "between runs; sort it first",
+                        )
+
+
+# ---------------------------------------------------------------------------
+# RL010 — backend dtype discipline
+
+
+def _string_tuple(node: ast.expr) -> Optional[List[str]]:
+    """The items of an all-string tuple/list literal, else ``None``."""
+    if not isinstance(node, (ast.Tuple, ast.List)) or not node.elts:
+        return None
+    items: List[str] = []
+    for element in node.elts:
+        if isinstance(element, ast.Constant) and isinstance(element.value, str):
+            items.append(element.value)
+        else:
+            return None
+    return items
+
+
+@register
+class DtypeDisciplineChecker(Checker):
+    code = "RL010"
+    name = "dtype-discipline"
+    summary = (
+        "backend functions (same-file PRIMITIVES entries and repro.backends.*) "
+        "must not mix float32 and float64 without an explicit astype cast"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        primitives = {
+            item
+            for name, value in _top_level_assignments(ctx.tree)
+            if name == "PRIMITIVES"
+            for item in _string_tuple(value) or ()
+        }
+        in_backends = ctx.module == "repro.backends" or ctx.module.startswith("repro.backends.")
+        for scope in ctx.scopes:
+            if scope.node is None or not (in_backends or (not scope.cls and scope.name in primitives)):
+                continue
+            mentioned = {
+                node.attr if isinstance(node, ast.Attribute) else node.value
+                for node in scope.nodes
+                if isinstance(node, (ast.Attribute, ast.Constant))
+            }
+            # astype on any receiver counts, including non-name chains like
+            # ``(x * a).astype(...)`` that dotted_name cannot render
+            cast = any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                for node in scope.nodes
+            )
+            if {"float32", "float64"} <= mentioned and not cast:
+                yield self.diag(
+                    ctx,
+                    scope.node,
+                    f"backend function {scope.qualname} mentions both float32 and "
+                    "float64 with no explicit astype cast; mixed-precision "
+                    "arithmetic silently upcasts and breaks bit-identical "
+                    "backend equivalence",
+                )
+
+
+# ---------------------------------------------------------------------------
+# RL011 — paired-resource discipline
+
+
+#: obs entry points that hand back timed/refcounted resources which
+#: must be closed.
+_CM_NAMES = frozenset({"span", "sample_window"})
+
+
+def _import_aliases(ctx: FileContext) -> Dict[str, str]:
+    """Local name -> absolute dotted target for every import in the file
+    (function-scoped lazy imports included)."""
+    aliases: Dict[str, str] = {}
+    for node in (node for scope in ctx.scopes for node in scope.nodes):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                aliases[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = _resolve_relative(ctx, node)
+            if base is not None:
+                for alias in node.names:
+                    if alias.name != "*":
+                        aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return aliases
+
+
+def _is_obs_cm(dotted: str, aliases: Mapping[str, str]) -> bool:
+    """``obs.span``-style calls, directly or through a ``repro.obs`` import."""
+    if dotted.rpartition(".")[2] not in _CM_NAMES:
+        return False
+    head, dot, rest = dotted.partition(".")
+    resolved = aliases.get(head, head) + dot + rest
+    return dotted.startswith(("obs.", "repro.obs.")) or resolved.startswith("repro.obs.")
+
+
+def _closes_arena(scope: Scope) -> bool:
+    """Whether the scope calls ``end_run`` inside a ``finally``."""
+    return any(
+        isinstance(inner, ast.Call) and (dotted_name(inner.func) or "").split(".")[-1] == "end_run"
+        for node in scope.nodes
+        if isinstance(node, ast.Try)
+        for stmt in node.finalbody
+        for inner in ast.walk(stmt)
+    )
+
+
+def _callers(scopes: List[Scope], target: Scope) -> List[Scope]:
+    """Same-file scopes calling ``target``: through ``self.``/``cls.`` in
+    its own class for a method, by bare name for a module-level function."""
+    if target.cls:
+        names = {f"self.{target.name}", f"cls.{target.name}"}
+        candidates = [scope for scope in scopes if scope.cls == target.cls]
+    else:
+        names = {target.name}
+        candidates = scopes
+    return [
+        scope
+        for scope in candidates
+        if any(isinstance(node, ast.Call) and dotted_name(node.func) in names for node in scope.nodes)
+    ]
+
+
+@register
+class PairedResourceChecker(Checker):
+    code = "RL011"
+    name = "paired-resource"
+    summary = (
+        "obs.span/sample_window must be used as context managers and an "
+        "imported arena begin_step balanced by end_run in a finally"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        aliases = _import_aliases(ctx)
+        for scope in ctx.scopes:
+            yield from self._span_leaks(ctx, scope, aliases)
+        # the arena module's own plumbing defines begin_step itself
+        if not any(scope.node is not None and scope.name == "begin_step" for scope in ctx.scopes):
+            yield from self._unbalanced_openers(ctx, aliases)
+
+    def _span_leaks(self, ctx: FileContext, scope: Scope, aliases: Mapping[str, str]) -> Iterator[Diagnostic]:
+        managed: Set[int] = set()  # ids of with-items and returned values
+        with_names: Set[str] = set()
+        bound: Dict[int, str] = {}  # id of an assigned call -> its name
+        for node in scope.nodes:
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    managed.add(id(item.context_expr))
+                    if isinstance(item.context_expr, ast.Name):
+                        with_names.add(item.context_expr.id)
+            elif isinstance(node, ast.Return) and node.value is not None:
+                managed.add(id(node.value))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[id(node.value)] = target.id
+        for node in scope.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = dotted_name(node.func)
+            if dotted is None or not _is_obs_cm(dotted, aliases):
+                continue
+            if id(node) in managed or bound.get(id(node)) in with_names or any(k.arg == "force" for k in node.keywords):
+                continue
+            yield self.diag(
+                ctx,
+                node,
+                f"{dotted}(...) is neither used in a `with` block, returned, nor "
+                "forced (force=True); an unclosed span/sample window leaks its "
+                "timer and refcount on error paths",
+            )
+
+    def _unbalanced_openers(self, ctx: FileContext, aliases: Mapping[str, str]) -> Iterator[Diagnostic]:
+        for scope in ctx.scopes:
+            for node in scope.nodes:
+                if not isinstance(node, ast.Call):
+                    continue
+                dotted = dotted_name(node.func)
+                if dotted is None or dotted.rpartition(".")[2] != "begin_step" or dotted.split(".")[0] not in aliases:
+                    continue
+                if _closes_arena(scope):
+                    continue
+                callers = _callers(ctx.scopes, scope)
+                unclosed = sorted(caller.qualname for caller in callers if not _closes_arena(caller))
+                if callers and not unclosed:
+                    continue
+                via = f" (callers without a finally: {', '.join(unclosed)})" if unclosed else ""
+                yield self.diag(
+                    ctx,
+                    node,
+                    f"arena {dotted}() is not balanced by end_run in a finally — "
+                    f"neither here nor in every caller{via}; leaked workspaces "
+                    "grow unbounded across steps",
+                )

@@ -1,22 +1,17 @@
 """File walking, checker orchestration and report formatting.
 
-:func:`lint_paths` is the one entry point.  Linting is two-phase:
-
-1. **Per-file** — each module is parsed once; per-file checkers run
-   over the shared AST and :func:`~repro.lintkit.project.extract_module_facts`
-   distills the module into serializable facts.  Both products are
-   memoized in a content-hash cache (:mod:`repro.lintkit.cache`), so an
-   unchanged file costs one read and one hash on subsequent runs.
-2. **Whole-program** — every module's facts are linked into a
-   :class:`~repro.lintkit.project.ProjectContext`; the
-   :class:`~repro.lintkit.base.ProjectRule` checkers (RL008–RL012) and
-   the cross-file RL005 catalog diff run over that.
+:func:`lint_paths` is the one entry point, and linting is one per-file
+pass: each module is parsed once, every selected checker (RL001–RL011)
+runs over the shared AST, and line-scoped suppressions are filtered
+centrally.  The only step that looks across files is RL005's catalog
+diff, which compares the names
+:class:`~repro.lintkit.checkers.ObsCatalogChecker` harvested from every
+linted file against the checked-in catalog.
 
 The CLI (``repro5g lint`` and ``python -m repro.lintkit``) is a thin
-argparse wrapper: ``--format text|json|sarif``, ``--no-cache`` /
-``--cache``, and ``--changed-only`` (report only findings in files
-``git diff --name-only`` considers modified — the pre-commit mode
-``scripts/lint.sh`` uses).
+argparse wrapper: explicit paths (a pre-commit hook passes the changed
+files), ``--format text|json|sarif``, ``--rules``, ``--list-rules``,
+``--catalog`` and ``--fix-catalog``.
 """
 
 from __future__ import annotations
@@ -24,26 +19,22 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from . import cache as _cache
 from . import catalog as _catalog
 from . import sarif as _sarif
 from .base import (
     Checker,
     Diagnostic,
     FileContext,
-    ProjectRule,
     make_checkers,
     parse_suppressions,
     registered_checkers,
 )
 from .checkers import ObsCatalogChecker
-from .project import FACTS_SCHEMA, ModuleFacts, ProjectContext, extract_module_facts
 
 #: directories never descended into while walking lint roots
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".repro-obs", "build", "dist"})
@@ -108,33 +99,10 @@ def build_context(path: Path, source: Optional[str] = None) -> FileContext:
     )
 
 
-def changed_files() -> Optional[Set[Path]]:
-    """Absolute paths ``git`` considers modified (staged, unstaged or
-    untracked) relative to HEAD; ``None`` when git is unavailable."""
-
-    def _run(*args: str) -> str:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, text=True, check=True, timeout=30
-        )
-        return proc.stdout
-
-    try:
-        top = _run("rev-parse", "--show-toplevel").strip()
-        listed = _run("diff", "--name-only", "HEAD") + _run(
-            "ls-files", "--others", "--exclude-standard"
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    root = Path(top)
-    return {(root / line.strip()).resolve() for line in listed.splitlines() if line.strip()}
-
-
 @dataclass
 class LintResult:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
-    #: files whose per-file diagnostics and facts came from the cache
-    cache_hits: int = 0
     catalog_written: Optional[Path] = None
     #: manual catalog entries pruned by --fix-catalog (source modules gone)
     catalog_pruned: List[str] = field(default_factory=list)
@@ -150,7 +118,6 @@ class LintResult:
         payload = {
             "schema": JSON_REPORT_SCHEMA,
             "files_checked": self.files_checked,
-            "cache_hits": self.cache_hits,
             "ok": self.ok,
             "counts": dict(sorted(counts.items())),
             "diagnostics": [d.to_json() for d in sorted(self.diagnostics)],
@@ -162,108 +129,18 @@ class LintResult:
 
     def to_text(self) -> str:
         lines = [d.format() for d in sorted(self.diagnostics)]
-        cached = f", {self.cache_hits} from cache" if self.cache_hits else ""
         tail = (
-            f"{len(self.diagnostics)} violation(s) in {self.files_checked} file(s){cached}"
+            f"{len(self.diagnostics)} violation(s) in {self.files_checked} file(s)"
             if self.diagnostics
-            else f"ok: {self.files_checked} file(s) clean{cached}"
+            else f"ok: {self.files_checked} file(s) clean"
         )
         return "\n".join([*lines, tail])
-
-
-def _rebuild_sites(facts: Sequence[ModuleFacts]) -> List[_catalog.ObsNameSite]:
-    sites: List[_catalog.ObsNameSite] = []
-    for mf in facts:
-        for raw in mf.obs_sites:
-            sites.append(
-                _catalog.ObsNameSite(
-                    name=str(raw["name"]),
-                    kind=str(raw["kind"]),
-                    module=str(raw["module"]),
-                    path=str(raw["path"]),
-                    line=int(raw["line"]),  # type: ignore[arg-type]
-                    col=int(raw["col"]),  # type: ignore[arg-type]
-                    dynamic=bool(raw["dynamic"]),
-                )
-            )
-    return sites
-
-
-def _lint_one_file(
-    path: Path,
-    file_checkers: Sequence[Checker],
-    rule_codes: Sequence[str],
-    cache_entries: Dict[str, Dict[str, object]],
-    result: LintResult,
-) -> Tuple[Optional[ModuleFacts], List[Diagnostic]]:
-    """Per-file phase for one path: cached or freshly parsed."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        result.diagnostics.append(
-            Diagnostic(path=str(path), line=1, col=1, code="RL000", message=f"could not parse file: {exc}")
-        )
-        return None, []
-
-    cache_id = str(path.resolve())
-    try:
-        display = str(path.resolve().relative_to(Path.cwd()))
-    except ValueError:
-        display = str(path)
-    key = _cache.entry_key(source, display, rule_codes, FACTS_SCHEMA)
-    entry = cache_entries.get(cache_id)
-    if entry is not None and entry.get("key") == key:
-        try:
-            facts = ModuleFacts.from_json(entry["facts"])  # type: ignore[arg-type]
-            diagnostics = [
-                Diagnostic(
-                    path=str(d["path"]),
-                    line=int(d["line"]),
-                    col=int(d["col"]),
-                    code=str(d["code"]),
-                    message=str(d["message"]),
-                )
-                for d in entry.get("diags", [])  # type: ignore[union-attr]
-            ]
-        except (KeyError, TypeError, ValueError):
-            pass  # corrupt entry: fall through to a fresh parse
-        else:
-            result.cache_hits += 1
-            result.files_checked += 1
-            return facts, diagnostics
-
-    try:
-        ctx = build_context(path, source=source)
-    except SyntaxError as exc:
-        result.diagnostics.append(
-            Diagnostic(
-                path=str(path),
-                line=getattr(exc, "lineno", 1) or 1,
-                col=1,
-                code="RL000",
-                message=f"could not parse file: {exc}",
-            )
-        )
-        return None, []
-    result.files_checked += 1
-    diagnostics = []
-    for checker in file_checkers:
-        for diagnostic in checker.check(ctx):
-            if not ctx.suppressed(diagnostic.line, diagnostic.code):
-                diagnostics.append(diagnostic)
-    facts = extract_module_facts(ctx)
-    cache_entries[cache_id] = {
-        "key": key,
-        "diags": [d.to_json() for d in diagnostics],
-        "facts": facts.to_json(),
-    }
-    return facts, diagnostics
 
 
 def _fix_catalog(
     resolved_catalog: Path,
     catalog_checker: ObsCatalogChecker,
-    facts: Sequence[ModuleFacts],
+    linted_modules: Set[str],
     covering_root: bool,
     result: LintResult,
 ) -> None:
@@ -278,7 +155,6 @@ def _fix_catalog(
         existing = {"harvested": {}, "manual": {}}
     manual = dict(existing["manual"])
     if covering_root:
-        linted_modules = {mf.module for mf in facts}
         kept: Dict[str, Dict[str, object]] = {}
         for name, entry in manual.items():
             modules = [str(m) for m in (dict(entry).get("modules") or [])]
@@ -319,8 +195,6 @@ def lint_paths(
     catalog_path: Optional[Path] = None,
     catalog_mode: str = "check",
     checkers: Optional[Sequence[Checker]] = None,
-    cache_path: Optional[Path] = None,
-    changed_only: bool = False,
 ) -> LintResult:
     """Lint files/directories and return every surviving diagnostic.
 
@@ -328,53 +202,36 @@ def lint_paths(
     checked-in catalog), ``fix`` (rewrite the catalog from the harvest)
     or ``off`` (naming checks only — used by fixture tests whose
     harvest would otherwise mark the real catalog stale).
-
-    ``cache_path`` enables the content-hash incremental cache (``None``
-    disables it — the library default, so test fixtures never touch a
-    shared cache file; the CLI passes the default path unless
-    ``--no-cache``).  ``changed_only`` filters the report to files git
-    considers modified; the full project is still analyzed so
-    whole-program rules see every module.
     """
     roots = [Path(p) for p in paths] if paths else [default_root()]
     if checkers is None:
         checkers = make_checkers(rules)
-    file_checkers = [c for c in checkers if not isinstance(c, ProjectRule)]
-    project_rules = [c for c in checkers if isinstance(c, ProjectRule)]
-    rule_codes = sorted(c.code for c in checkers)
-
-    cache_entries: Dict[str, Dict[str, object]] = {}
-    if cache_path is not None and not _cache.caching_disabled():
-        cache_entries = _cache.load_cache(cache_path)
-    else:
-        cache_path = None
 
     result = LintResult()
-    all_facts: List[ModuleFacts] = []
+    linted_modules: Set[str] = set()
     for path in iter_python_files(roots):
-        facts, diagnostics = _lint_one_file(path, file_checkers, rule_codes, cache_entries, result)
-        result.diagnostics.extend(diagnostics)
-        if facts is not None:
-            all_facts.append(facts)
-
-    if cache_path is not None:
-        _cache.save_cache(cache_path, cache_entries)
-
-    # -- whole-program phase --------------------------------------------------
-    facts_by_path: Dict[str, ModuleFacts] = {mf.display_path: mf for mf in all_facts}
-    if project_rules:
-        project = ProjectContext(all_facts)
-        for rule in project_rules:
-            for diagnostic in rule.check_project(project):
-                owner = facts_by_path.get(diagnostic.path)
-                if owner is not None and owner.suppressed(diagnostic.line, diagnostic.code):
-                    continue
-                result.diagnostics.append(diagnostic)
+        try:
+            ctx = build_context(path)
+        except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+            result.diagnostics.append(
+                Diagnostic(
+                    path=str(path),
+                    line=getattr(exc, "lineno", None) or 1,
+                    col=1,
+                    code="RL000",
+                    message=f"could not parse file: {exc}",
+                )
+            )
+            continue
+        result.files_checked += 1
+        linted_modules.add(ctx.module)
+        for checker in checkers:
+            result.diagnostics.extend(
+                d for d in checker.check(ctx) if not ctx.suppressed(d.line, d.code)
+            )
 
     catalog_checker = next((c for c in checkers if isinstance(c, ObsCatalogChecker)), None)
     if catalog_checker is not None and catalog_mode != "off":
-        # the harvest is rebuilt from facts so cached files count too
-        catalog_checker.sites = _rebuild_sites(all_facts)
         resolved_catalog = catalog_path or _catalog.default_catalog_path()
         # a partial harvest (linting one file) cannot prove a catalog
         # entry stale; only a run covering the package root can.
@@ -384,18 +241,11 @@ def lint_paths(
             for root in roots
         )
         if catalog_mode == "fix":
-            _fix_catalog(resolved_catalog, catalog_checker, all_facts, covering_root, result)
+            _fix_catalog(resolved_catalog, catalog_checker, linted_modules, covering_root, result)
         else:
             result.diagnostics.extend(
                 catalog_checker.drift_diagnostics(resolved_catalog, check_stale=covering_root)
             )
-
-    if changed_only:
-        changed = changed_files()
-        if changed is not None:
-            result.diagnostics = [
-                d for d in result.diagnostics if Path(d.path).resolve() in changed
-            ]
     return result
 
 
@@ -439,32 +289,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the rule table and exit",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the incremental lint cache (REPRO_NO_CACHE=1 also disables it)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help=f"alternate cache file (default: {_cache.default_cache_path()})",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report only findings in files `git diff --name-only` considers "
-        "modified (the whole project is still analyzed); pre-commit mode",
-    )
 
 
 def build_arg_parser(prog: str = "repro5g lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description=(
-            "AST and whole-program invariant checks for the repro codebase "
-            "(rules RL001-RL012)"
-        ),
+        description="AST invariant checks for the repro codebase (rules RL001-RL011)",
     )
     add_lint_arguments(parser)
     return parser
@@ -477,15 +307,12 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"{code}  {cls.name:<22} {cls.summary}")
         return 0
     rules = [r.strip().upper() for r in args.rules.split(",") if r.strip()] if args.rules else None
-    cache_path: Optional[Path] = None if args.no_cache else (args.cache or _cache.default_cache_path())
     try:
         result = lint_paths(
             paths=args.paths or None,
             rules=rules,
             catalog_path=args.catalog,
             catalog_mode="fix" if args.fix_catalog else "check",
-            cache_path=cache_path,
-            changed_only=args.changed_only,
         )
     except ValueError as exc:
         print(f"lint: {exc}", file=sys.stderr)

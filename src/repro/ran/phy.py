@@ -143,17 +143,6 @@ def cqi_from_sinr(sinr_db: float) -> int:
     return bisect.bisect_right(_CQI_EFF_SORTED, capacity)
 
 
-def _cqi_from_sinr_scan(sinr_db: float) -> int:
-    """Linear-scan reference for :func:`cqi_from_sinr` (equivalence tests)."""
-    gap = 10 ** (3.0 / 10.0)
-    capacity = math.log2(1.0 + 10 ** (sinr_db / 10.0) / gap)
-    cqi = 0
-    for index in range(1, MAX_CQI + 1):
-        if CQI_EFFICIENCY_256QAM[index] <= capacity:
-            cqi = index
-    return cqi
-
-
 #: MCS spectral efficiencies (Qm * R), strictly increasing over the table.
 _MCS_EFF_SORTED = tuple(qm * r1024 / 1024.0 for qm, r1024 in MCS_TABLE_256QAM)
 
@@ -169,18 +158,6 @@ def mcs_from_cqi(cqi: int) -> int:
     if not 0 <= cqi <= MAX_CQI:
         raise ValueError(f"CQI must be in [0, {MAX_CQI}]")
     return _MCS_BY_CQI[cqi]
-
-
-def _mcs_from_cqi_scan(cqi: int) -> int:
-    """Linear-scan reference for :func:`mcs_from_cqi` (equivalence tests)."""
-    if not 0 <= cqi <= MAX_CQI:
-        raise ValueError(f"CQI must be in [0, {MAX_CQI}]")
-    target = CQI_EFFICIENCY_256QAM[cqi]
-    best = 0
-    for index in range(MAX_MCS_INDEX + 1):
-        if mcs_spectral_efficiency(index) <= target + 1e-9:
-            best = index
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -105,26 +105,6 @@ def flags() -> Dict[str, str]:
     return dict(_FLAGS)
 
 
-def obs_sample_hz() -> float:
-    """The telemetry sample rate in Hz (``0.0`` = sampling disabled).
-
-    Hot callers should read the write-through mirror in
-    :mod:`repro.obs` instead of calling this per sample.
-    """
-    return float(_FLAGS["obs_sample_hz"])
-
-
-def sanitize_enabled() -> bool:
-    """Whether the numeric sanitizer is armed (``sanitize`` flag == "1").
-
-    Hot callers never query this per primitive call: when the flag
-    flips, :mod:`repro.backends` swaps the *active backend object* for
-    a sanitizer-wrapped twin (see :mod:`repro.sanitize`), so the
-    dispatch layer pays nothing while the flag is off.
-    """
-    return _FLAGS["sanitize"] == "1"
-
-
 def register_mirror(name: str, setter: Callable[[object], None]) -> str:
     """Register a write-through mirror for ``name``; returns the current value.
 

@@ -19,6 +19,8 @@ function here is the plain composition those kernels must reproduce:
   four scalar draws per candidate through dict-keyed AR(1) state and
   :class:`~repro.ran.propagation.FastFadingProcess`;
 * :func:`cells_near_loop` — the ``math.dist`` coverage scan;
+* :func:`cqi_from_sinr_scan`, :func:`mcs_from_cqi_scan` — the linear
+  table scans behind the CQI/MCS lookups;
 * :func:`mpc_plan_loop` — MPC's plan search as a scalar loop over
   ``itertools.product``.
 
@@ -45,7 +47,13 @@ from repro.core.prism5g import Prism5G, unpack_inputs
 from repro.nn.modules import GRU, LSTM, Linear
 from repro.nn.tensor import Tensor, concat, stack
 from repro.ran.cells import COVERAGE_RADIUS_M, Cell, Deployment
-from repro.ran.phy import num_resource_blocks
+from repro.ran.phy import (
+    CQI_EFFICIENCY_256QAM,
+    MAX_CQI,
+    MAX_MCS_INDEX,
+    mcs_spectral_efficiency,
+    num_resource_blocks,
+)
 from repro.ran.propagation import (
     FastFadingProcess,
     indoor_penetration_loss_db,
@@ -374,6 +382,29 @@ def cells_near_loop(
         if math.dist(position, cell.position) <= limit:
             out.append(cell)
     return out
+
+
+def cqi_from_sinr_scan(sinr_db: float) -> int:
+    """Linear-scan reference for :func:`cqi_from_sinr` (equivalence tests)."""
+    gap = 10 ** (3.0 / 10.0)
+    capacity = math.log2(1.0 + 10 ** (sinr_db / 10.0) / gap)
+    cqi = 0
+    for index in range(1, MAX_CQI + 1):
+        if CQI_EFFICIENCY_256QAM[index] <= capacity:
+            cqi = index
+    return cqi
+
+
+def mcs_from_cqi_scan(cqi: int) -> int:
+    """Linear-scan reference for :func:`mcs_from_cqi` (equivalence tests)."""
+    if not 0 <= cqi <= MAX_CQI:
+        raise ValueError(f"CQI must be in [0, {MAX_CQI}]")
+    target = CQI_EFFICIENCY_256QAM[cqi]
+    best = 0
+    for index in range(MAX_MCS_INDEX + 1):
+        if mcs_spectral_efficiency(index) <= target + 1e-9:
+            best = index
+    return best
 
 
 @contextmanager

@@ -38,12 +38,7 @@ from repro.ran import (
 )
 from repro.ran.campaign import _build_group_deployment
 from repro.ran.mobility import UEState
-from repro.ran.phy import (
-    _cqi_from_sinr_scan,
-    _mcs_from_cqi_scan,
-    cqi_from_sinr,
-    mcs_from_cqi,
-)
+from repro.ran.phy import cqi_from_sinr, mcs_from_cqi
 from repro.ran.simulator import TraceSimulator
 
 from . import oracles
@@ -449,11 +444,11 @@ class TestArrayRadioState:
 class TestPhyLookupOracles:
     def test_cqi_searchsorted_matches_scan(self):
         for sinr in np.arange(-30.0, 40.0, 0.01):
-            assert cqi_from_sinr(sinr) == _cqi_from_sinr_scan(sinr), sinr
+            assert cqi_from_sinr(sinr) == oracles.cqi_from_sinr_scan(sinr), sinr
 
     def test_mcs_searchsorted_matches_scan(self):
         for cqi in range(16):
-            assert mcs_from_cqi(cqi) == _mcs_from_cqi_scan(cqi), cqi
+            assert mcs_from_cqi(cqi) == oracles.mcs_from_cqi_scan(cqi), cqi
 
 
 class TestTrainerCheckpoint:

@@ -3,9 +3,8 @@
 Per rule RL001–RL007: one snippet that must pass and one that must
 fail.  Plus the two repo-level gates: ``src/repro`` lints clean
 (self-lint) and the checked-in obs catalog matches the harvest
-(catalog drift).  The whole-program rules (RL008–RL012), incremental
-cache, SARIF output and ``--changed-only`` are covered by
-tests/test_lintkit_project.py.
+(catalog drift).  The per-function rules (RL008–RL011) and SARIF
+output are covered by tests/test_lintkit_project.py.
 """
 
 import json
@@ -345,8 +344,8 @@ def test_fix_catalog_preserves_manual_section(tmp_path):
 # registry, runner and CLI plumbing
 
 
-def test_registry_has_all_twelve_rules():
-    assert list(registered_checkers()) == [f"RL{i:03d}" for i in range(1, 13)]
+def test_registry_has_all_eleven_rules():
+    assert list(registered_checkers()) == [f"RL{i:03d}" for i in range(1, 12)]
 
 
 def test_unknown_rule_code_raises():

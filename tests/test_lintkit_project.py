@@ -1,33 +1,20 @@
-"""The whole-program half of repro.lintkit: facts, linking, RL008-RL012,
-the incremental cache, ``--changed-only``, SARIF output and the
-``--fix-catalog`` rework.
+"""The per-function rules of repro.lintkit (RL008-RL011), module-name
+resolution, SARIF output and the ``--fix-catalog`` rework.
 
-Each project rule gets a multi-file pass/fail fixture pair exercising
-the cross-module resolution it depends on (aliased imports, same-module
-calls, caller closure).  The cache tests prove the second run serves
-per-file diagnostics *and* project-rule facts without re-parsing, and
-that suppressions survive the cached path.
+Each rule gets pass/fail fixture pairs.  The multi-file fixtures pin
+that names resolve only inside the file being linted: a helper, a
+caller or a ``finally`` in another module does not count.
 """
 
 import json
 
-import pytest
-
-from repro.lintkit import (
-    ModuleFacts,
-    ProjectContext,
-    extract_module_facts,
-    lint_paths,
-    registered_checkers,
-)
-from repro.lintkit import runner as runner_mod
+from repro.lintkit import lint_paths, registered_checkers
 from repro.lintkit.catalog import load_catalog, write_catalog
 from repro.lintkit.checkers import ObsCatalogChecker
 from repro.lintkit.runner import (
     LintResult,
     _fix_catalog,
     build_context,
-    changed_files,
     module_name_for,
     run_cli,
 )
@@ -40,6 +27,7 @@ def lint_project(tmp_path, files, rules):
     proj = tmp_path / "proj"
     proj.mkdir(exist_ok=True)
     for name, source in files.items():
+        (proj / name).parent.mkdir(parents=True, exist_ok=True)
         (proj / name).write_text(source, encoding="utf-8")
     return lint_paths([proj], rules=rules, catalog_mode="off")
 
@@ -136,6 +124,28 @@ class TestRngLineage:
         assert codes(result) == ["RL008"]
         assert "cannot be traced" in result.diagnostics[0].message
 
+    def test_seed_from_imported_helper_fails(self, tmp_path):
+        result = lint_project(
+            tmp_path,
+            {
+                "helpers.py": (
+                    "from repro.runtime import canonical_hash\n"
+                    "def derive(cfg):\n"
+                    "    return canonical_hash(cfg)\n"
+                ),
+                "mod.py": (
+                    "import numpy as np\n"
+                    "from helpers import derive\n"
+                    "def f(cfg):\n"
+                    "    return np.random.default_rng(derive(cfg))\n"
+                ),
+            },
+            rules=["RL008"],
+        )
+        assert codes(result) == ["RL008"]
+        assert result.diagnostics[0].path.endswith("mod.py")
+        assert "cannot be traced" in result.diagnostics[0].message
+
     def test_suppression_silences_project_rule(self, tmp_path):
         result = lint_project(
             tmp_path,
@@ -193,7 +203,7 @@ class TestDeterminismOrdering:
         )
         assert result.ok, result.to_text()
 
-    def test_set_iteration_off_hash_path_passes(self, tmp_path):
+    def test_set_iteration_off_hash_path_fails(self, tmp_path):
         result = lint_project(
             tmp_path,
             {
@@ -205,7 +215,8 @@ class TestDeterminismOrdering:
             },
             rules=["RL009"],
         )
-        assert result.ok, result.to_text()
+        assert codes(result) == ["RL009"]
+        assert (result.diagnostics[0].line, result.diagnostics[0].col) == (2, 5)
 
     def test_shardplan_methods_are_seeds(self, tmp_path):
         result = lint_project(
@@ -260,6 +271,24 @@ class TestDtypeDiscipline:
             rules=["RL010"],
         )
         assert result.ok, result.to_text()
+
+    def test_mixed_precision_backend_helper_fails(self, tmp_path):
+        result = lint_project(
+            tmp_path,
+            {
+                "repro/backends/numpy_backend.py": (
+                    "import numpy as np\n"
+                    "def _gates(x):\n"
+                    "    return x.astype(np.float32) + np.float64(1.0)\n"
+                    "def _scale(x):\n"
+                    "    return x * np.float32(0.5) + np.float64(1.0)\n"
+                )
+            },
+            rules=["RL010"],
+        )
+        assert codes(result) == ["RL010"]
+        assert [(d.line, d.col) for d in result.diagnostics] == [(4, 1)]
+        assert "_scale" in result.diagnostics[0].message
 
     def test_non_primitive_function_exempt(self, tmp_path):
         result = lint_project(
@@ -375,92 +404,31 @@ class TestPairedResource:
         )
         assert result.ok, result.to_text()
 
-
-# ---------------------------------------------------------------------------
-# RL012 registry-coverage
-
-
-class TestRegistryCoverage:
-    def test_duplicate_registration_fails(self, tmp_path):
+    def test_arena_finally_only_in_another_module_fails(self, tmp_path):
         result = lint_project(
             tmp_path,
             {
-                "mod.py": (
-                    "class Prophet:\n"
-                    "    pass\n"
-                    'register_predictor("Prophet", Prophet)\n'
-                    'register_predictor("Prophet", Prophet)\n'
-                )
+                "arena_mod.py": "def begin_step():\n    pass\ndef end_run():\n    pass\n",
+                "opener.py": (
+                    "from arena_mod import begin_step\n"
+                    "def open_window():\n"
+                    "    begin_step()\n"
+                ),
+                "trainer.py": (
+                    "from arena_mod import end_run\n"
+                    "from opener import open_window\n"
+                    "def fit():\n"
+                    "    try:\n"
+                    "        open_window()\n"
+                    "    finally:\n"
+                    "        end_run()\n"
+                ),
             },
-            rules=["RL012"],
+            rules=["RL011"],
         )
-        assert codes(result) == ["RL012"]
-        assert "more than once" in result.diagnostics[0].message
-
-    def test_unresolvable_factory_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {"mod.py": 'register_predictor("Ghost", missing_factory)\n'},
-            rules=["RL012"],
-        )
-        assert codes(result) == ["RL012"]
-        assert "missing_factory" in result.diagnostics[0].message
-
-    def test_registration_unreachable_from_cli_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "cli.py": "import alpha\n",
-                "alpha.py": "class A:\n    pass\nregister_predictor('A', A)\n",
-                "beta.py": "class B:\n    pass\nregister_predictor('B', B)\n",
-            },
-            rules=["RL012"],
-        )
-        assert codes(result) == ["RL012"]
-        assert "cannot see" in result.diagnostics[0].message
-        assert "'B'" in result.diagnostics[0].message
-
-    def test_transitively_reachable_registration_passes(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "cli.py": "import alpha\n",
-                "alpha.py": "import beta\n",
-                "beta.py": "class B:\n    pass\nregister_predictor('B', B)\n",
-            },
-            rules=["RL012"],
-        )
-        assert result.ok, result.to_text()
-
-    def test_lineup_entry_without_registration_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "mod.py": (
-                    "class A:\n"
-                    "    pass\n"
-                    'register_predictor("A", A)\n'
-                    'TABLE4_LINEUP = ["A", "Nope"]\n'
-                )
-            },
-            rules=["RL012"],
-        )
-        assert codes(result) == ["RL012"]
-        assert "'Nope'" in result.diagnostics[0].message
-
-    def test_decorator_registration_passes(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "mod.py": (
-                    '@register_predictor("A")\n'
-                    "class A:\n"
-                    "    pass\n"
-                )
-            },
-            rules=["RL012"],
-        )
-        assert result.ok, result.to_text()
+        assert codes(result) == ["RL011"]
+        assert [(d.path.rpartition("/")[2], d.line) for d in result.diagnostics] == [("opener.py", 3)]
+        assert "finally" in result.diagnostics[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -495,127 +463,6 @@ class TestModuleNameResolution:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
-
-
-_BAD_SEED = (
-    "import time\n"
-    "import numpy as np\n"
-    "def f():\n"
-    "    return np.random.default_rng(int(time.time()))\n"
-)
-
-
-class TestIncrementalCache:
-    def test_second_run_is_served_from_cache(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text("import hashlib\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        assert cold.cache_hits == 0 and codes(cold) == ["RL003"]
-        assert cache.exists()
-        warm = lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        assert warm.cache_hits == 1
-        assert sorted(warm.diagnostics) == sorted(cold.diagnostics)
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "a.py").write_text("import hashlib\n", encoding="utf-8")
-        (proj / "b.py").write_text("x = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        (proj / "a.py").write_text("import hashlib as h\n", encoding="utf-8")
-        warm = lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        assert warm.cache_hits == 1  # b.py only
-        assert codes(warm) == ["RL003"]
-
-    def test_rule_subset_change_misses(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        other = lint_paths([proj], rules=["RL006"], catalog_mode="off", cache_path=cache)
-        assert other.cache_hits == 0
-
-    def test_project_rules_fire_from_cached_facts(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text(_BAD_SEED, encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([proj], rules=["RL008"], catalog_mode="off", cache_path=cache)
-        warm = lint_paths([proj], rules=["RL008"], catalog_mode="off", cache_path=cache)
-        assert warm.cache_hits == 1
-        assert codes(cold) == codes(warm) == ["RL008"]
-        assert sorted(warm.diagnostics) == sorted(cold.diagnostics)
-
-    def test_suppressions_survive_the_cached_path(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text(
-            _BAD_SEED.replace("time.time()))", "time.time()))  # lint: disable=RL008"),
-            encoding="utf-8",
-        )
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([proj], rules=["RL008"], catalog_mode="off", cache_path=cache)
-        warm = lint_paths([proj], rules=["RL008"], catalog_mode="off", cache_path=cache)
-        assert warm.cache_hits == 1
-        assert cold.ok and warm.ok
-
-    def test_repro_no_cache_env_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        assert not cache.exists()
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "mod.py").write_text("import hashlib\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        result = lint_paths([proj], rules=["RL003"], catalog_mode="off", cache_path=cache)
-        assert result.cache_hits == 0 and codes(result) == ["RL003"]
-
-
-# ---------------------------------------------------------------------------
-# --changed-only
-
-
-class TestChangedOnly:
-    def test_filters_to_git_modified_files(self, tmp_path, monkeypatch):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        a = proj / "a.py"
-        a.write_text("import hashlib\n", encoding="utf-8")
-        (proj / "b.py").write_text("import hashlib\n", encoding="utf-8")
-        monkeypatch.setattr(runner_mod, "changed_files", lambda: {a.resolve()})
-        result = lint_paths([proj], rules=["RL003"], catalog_mode="off", changed_only=True)
-        assert len(result.diagnostics) == 1
-        assert result.diagnostics[0].path.endswith("a.py")
-
-    def test_git_unavailable_means_no_filtering(self, tmp_path, monkeypatch):
-        proj = tmp_path / "proj"
-        proj.mkdir()
-        (proj / "a.py").write_text("import hashlib\n", encoding="utf-8")
-        monkeypatch.setattr(runner_mod, "changed_files", lambda: None)
-        result = lint_paths([proj], rules=["RL003"], catalog_mode="off", changed_only=True)
-        assert len(result.diagnostics) == 1
-
-    def test_changed_files_none_when_git_fails(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise OSError("no git")
-
-        monkeypatch.setattr(runner_mod.subprocess, "run", boom)
-        assert changed_files() is None
-
-
-# ---------------------------------------------------------------------------
 # SARIF
 
 
@@ -637,7 +484,7 @@ class TestSarif:
     def test_cli_format_sarif(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import hashlib\n", encoding="utf-8")
-        assert run_cli([str(bad), "--format", "sarif", "--no-cache"]) == 1
+        assert run_cli([str(bad), "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["runs"][0]["results"][0]["ruleId"] == "RL003"
 
@@ -665,9 +512,8 @@ class TestFixCatalog:
             },
         )
         checker = ObsCatalogChecker()
-        facts = [ModuleFacts(module="alpha", package="", display_path="alpha.py")]
         result = LintResult()
-        _fix_catalog(catalog, checker, facts, covering_root=True, result=result)
+        _fix_catalog(catalog, checker, {"alpha"}, covering_root=True, result=result)
         assert result.catalog_pruned == ["ghost.metric"]
         data = load_catalog(catalog)
         assert "live.metric" in data["manual"]
@@ -702,25 +548,3 @@ class TestFixCatalog:
         data = load_catalog(catalog)
         assert "old.name" in data["harvested"]  # a partial run cannot prove it dead
         assert "demo.hits" in data["harvested"]
-
-
-# ---------------------------------------------------------------------------
-# the facts layer round-trips
-
-
-class TestFactsRoundTrip:
-    def test_module_facts_survive_json(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(_BAD_SEED, encoding="utf-8")
-        facts = extract_module_facts(build_context(path))
-        clone = ModuleFacts.from_json(json.loads(json.dumps(facts.to_json())))
-        assert clone.to_json() == facts.to_json()
-
-    def test_project_context_links_reloaded_facts(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(_BAD_SEED, encoding="utf-8")
-        facts = extract_module_facts(build_context(path))
-        clone = ModuleFacts.from_json(facts.to_json())
-        project = ProjectContext([clone])
-        seeds = [s for _, fn in project.iter_functions() for s in fn.seed_sites]
-        assert [s.status for s in seeds] == ["bad"]

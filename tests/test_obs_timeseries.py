@@ -253,7 +253,6 @@ class TestSampleWindowLifecycle:
 
     def test_sample_hz_flag_round_trips_through_runtime(self):
         runtime.configure(obs_sample_hz=12.5)
-        assert runtime.obs_sample_hz() == 12.5
         assert runtime.flag("obs_sample_hz") == "12.5"
         runtime.configure(obs_sample_hz=0)
-        assert runtime.obs_sample_hz() == 0.0
+        assert runtime.flag("obs_sample_hz") == "0"

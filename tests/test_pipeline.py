@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro import obs, runtime
-from repro.core.predictors import TABLE4_LINEUP, registered_predictors
+from repro.core.predictors import (
+    TABLE4_LINEUP,
+    LSTMPredictor,
+    create_predictor,
+    register_predictor,
+    registered_predictors,
+)
 from repro.pipeline import (
     EXPERIMENT_SCHEMA,
     DEFAULT_STAGES,
@@ -109,6 +115,19 @@ class TestExperimentConfig:
 class TestRegistry:
     def test_table4_lineup_fully_registered(self):
         assert set(TABLE4_LINEUP) <= set(registered_predictors())
+
+    def test_duplicate_registration_raises_and_keeps_registry(self):
+        before = registered_predictors()
+        with pytest.raises(ValueError, match="'LSTM' is already registered"):
+            register_predictor("LSTM", lambda config=None: None)
+        with pytest.raises(ValueError, match="already registered"):
+
+            @register_predictor("LSTM")
+            class _Shadow(LSTMPredictor):
+                pass
+
+        assert registered_predictors() == before
+        assert type(create_predictor("LSTM")) is LSTMPredictor
 
     def test_ablations_registered(self):
         names = registered_predictors()

@@ -43,9 +43,11 @@ class TestSeam:
 
     def test_env_spellings_canonicalized(self):
         with runtime.use(sanitize="on"):
-            assert runtime.sanitize_enabled()
+            assert runtime.flag("sanitize") == "1"
+            assert backends.sanitize_active()
         with runtime.use(sanitize="off"):
-            assert not runtime.sanitize_enabled()
+            assert runtime.flag("sanitize") == "0"
+            assert not backends.sanitize_active()
         with pytest.raises(ValueError):
             runtime.configure(sanitize="maybe")
 
