@@ -41,17 +41,12 @@ Run as a script (``scripts/perf_smoke.sh`` does this)::
 
 ``--check`` exits non-zero when the current end-to-end time regresses
 by more than 2x against the recorded baseline.  ``--obs-check`` exits
-non-zero when observability slows a micro-workload by more than 5%
-over the disabled path — measured twice, once in ``trace`` mode with
-the sampler off and once in ``metrics`` mode with 25 Hz continuous
-telemetry (``obs_sample_hz``), so both the span path and the sampling
-thread stay inside the budget.  Under pytest the same workload runs as
-a ``slow``-marked benchmark test.
+non-zero when ``metrics``-mode observability slows a micro-workload by
+more than 5% over the disabled path.  Under pytest the same workload
+runs as a ``slow``-marked benchmark test.
 
-All wall clocks come from ``repro.obs`` stopwatch spans
-(``obs.span(..., force=True)``), so running the bench under
-``REPRO_OBS=trace`` additionally records every phase/stage on the span
-timeline — the BENCH numbers and the Chrome trace share one clock.
+Wall clocks are ``time.perf_counter()`` deltas.  Under
+``REPRO_OBS=metrics`` the bench also writes a ``bench`` run manifest.
 """
 
 from __future__ import annotations
@@ -73,10 +68,6 @@ RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
 RESULT_SCHEMA = "bench-perf-v1"
 REGRESSION_FACTOR = 2.0
 OBS_OVERHEAD_LIMIT = 1.05
-
-#: sample rate used by the sampling-mode overhead gate — well above the
-#: 1-2 Hz production telemetry rates, so passing here leaves headroom.
-OBS_SAMPLE_CHECK_HZ = 25.0
 
 
 def _workload_params() -> Dict:
@@ -108,7 +99,6 @@ def _grad_mode_predict(predictor, dataset) -> np.ndarray:
 def _stage_timings(dataset, params) -> Dict[str, float]:
     """Micro-timings of the folded Prism5G step, the fused decoder
     rollout and a 300-step simulator run."""
-    from repro import obs
     from repro.core.prism5g import Prism5G, pack_inputs
     from repro.nn import Tensor
     from repro.ran.simulator import TraceSimulator
@@ -118,13 +108,11 @@ def _stage_timings(dataset, params) -> Dict[str, float]:
     def best_of(name, fn, repeat=7) -> float:
         # best-of-N: single-shot timings on shared hosts are dominated
         # by scheduler noise (observed 2-3x spikes on identical code).
-        # force=True gives a stopwatch span even with obs off; in trace
-        # mode every repeat also lands on the span timeline.
         times = []
         for _ in range(repeat):
-            with obs.span(f"bench.stage.{name}", force=True) as sp:
-                fn()
-            times.append(sp.duration_s)
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
         return min(times)
 
     windows = dataset.windows
@@ -164,14 +152,12 @@ def _stage_timings(dataset, params) -> Dict[str, float]:
 
 def _predict_window_ms(predictor, dataset) -> Dict[str, object]:
     """Median and p90 milliseconds of ``predictor.predict`` on one window."""
-    from repro import obs
-
     windows = [dataset.subset(np.array([i])) for i in range(len(dataset))]
     times_ms = []
     for window in windows:
-        with obs.span("bench.prism_predict_window", force=True) as sp:
-            predictor.predict(window)
-        times_ms.append(sp.duration_s * 1e3)
+        t0 = time.perf_counter()
+        predictor.predict(window)
+        times_ms.append((time.perf_counter() - t0) * 1e3)
     return {
         "median": round(float(np.median(times_ms)), 4),
         "p90": round(float(np.percentile(times_ms, 90)), 4),
@@ -194,7 +180,6 @@ def _arena_multitrace_timings(params) -> Dict[str, object]:
 
     The workspace arena recycles kernel scratch in both arms.
     """
-    from repro import obs
     from repro.nn.modules import LSTM, Linear, Module
     from repro.nn.tensor import Tensor, concat
     from repro.nn.training import Trainer
@@ -243,16 +228,16 @@ def _arena_multitrace_timings(params) -> Dict[str, object]:
         trainer.fit_traces(traces)
         return trainer
 
-    def best_of(name, fn, repeat=3):
+    def best_of(fn, repeat=3):
         best, result = float("inf"), None
         for _ in range(repeat):
-            with obs.span(f"bench.arena.{name}", force=True) as sp:
-                result = fn()
-            best = min(best, sp.duration_s)
+            t0 = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - t0)
         return best, result
 
-    split_s, split_trainer = best_of("per_trace_split", fit_split)
-    stacked_s, stacked_trainer = best_of("stacked_arena", fit_stacked)
+    split_s, split_trainer = best_of(fit_split)
+    stacked_s, stacked_trainer = best_of(fit_stacked)
     match = bool(
         np.allclose(
             split_trainer.predict(x_test), stacked_trainer.predict(x_test),
@@ -373,18 +358,17 @@ def run_workload(emit=print) -> Dict:
 
     current: Dict[str, float] = {}
 
-    def timed(name, fn, repeat: int = 3):
+    def timed(fn, repeat: int = 3):
         """Best-of-N wall clock (shared hosts show 2-3x scheduler spikes).
 
         Training is seeded and deterministic, so every repeat does
-        identical work and returns an identical result.  Timed through
-        an ``obs`` stopwatch span so trace mode sees each phase repeat.
+        identical work and returns an identical result.
         """
         best, result = float("inf"), None
         for _ in range(repeat):
-            with obs.span(f"bench.{name}", force=True) as sp:
-                result = fn()
-            best = min(best, sp.duration_s)
+            t0 = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - t0)
         return best, result
 
     # --- synthesis: warm on-disk cache ---
@@ -393,8 +377,7 @@ def run_workload(emit=print) -> Dict:
         cache = TraceCache(cache_dir)
         build_subdataset(spec, cache=cache, **build_kwargs)  # prime (cold, parallel)
         current["synthesize"], dataset = timed(
-            "current.synthesize",
-            lambda: build_subdataset(spec, cache=cache, **build_kwargs),
+            lambda: build_subdataset(spec, cache=cache, **build_kwargs)
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -411,10 +394,10 @@ def run_workload(emit=print) -> Dict:
         return predictor
 
     # --- models: fused kernels, CC folding, no_grad predict ---
-    current["lstm_train"], lstm = timed("current.lstm_train", fit_lstm)
-    current["lstm_predict"], lstm_pred = timed("current.lstm_predict", lambda: lstm.predict(test))
-    current["prism_train"], prism = timed("current.prism_train", fit_prism)
-    current["prism_predict"], prism_pred = timed("current.prism_predict", lambda: prism.predict(test))
+    current["lstm_train"], lstm = timed(fit_lstm)
+    current["lstm_predict"], lstm_pred = timed(lambda: lstm.predict(test))
+    current["prism_train"], prism = timed(fit_prism)
+    current["prism_predict"], prism_pred = timed(lambda: prism.predict(test))
 
     current["end_to_end"] = sum(current.values())
     predict_window_ms = _predict_window_ms(prism, test)
@@ -476,39 +459,32 @@ def run_workload(emit=print) -> Dict:
             "campaign_city": record["campaign_city"],
         },
     )
-    obs.flush()
     return record
 
 
-def check_obs_overhead(emit=print, attempts: int = 3, sampling: bool = False) -> bool:
-    """True when observability costs <= 5% on a hot workload.
+def check_obs_overhead(emit=print, attempts: int = 3) -> bool:
+    """True when ``metrics``-mode observability costs <= 5% on a hot workload.
 
     Times a micro-workload (one fine-grained simulator run + a short
-    Prism5G fit — the paths carrying per-step counters and per-epoch
-    spans) with observability off and on, interleaved pairwise.  The
-    "on" state is ``trace`` mode by default; with ``sampling=True`` it
-    is instead ``metrics`` mode with the continuous-telemetry sampler
-    running at ``OBS_SAMPLE_CHECK_HZ`` (the ``sample_window`` regions
-    inside ``TraceSimulator.run`` and ``Trainer.fit`` start/stop the
-    daemon thread exactly as production runs do).  Guards the
-    "disabled path is a near-no-op, enabled path stays cheap" contract
-    from DESIGN.md.
+    Prism5G fit — the paths carrying per-step and per-epoch counters)
+    with observability off and in ``metrics`` mode, interleaved
+    pairwise.  Guards the "disabled path is a near-no-op, enabled path
+    stays cheap" contract from DESIGN.md.
 
     A failing measurement is retried (``attempts`` total): scheduler
     spikes on shared hosts inflate a single measurement far beyond 5%,
     while a genuine regression fails every attempt.
     """
-    label = "sampling" if sampling else "trace"
     for attempt in range(attempts):
-        if _measure_obs_overhead(emit, sampling=sampling):
+        if _measure_obs_overhead(emit):
             return True
         if attempt < attempts - 1:
-            emit(f"obs {label} overhead attempt {attempt + 1}/{attempts} failed; re-measuring")
+            emit(f"obs overhead attempt {attempt + 1}/{attempts} failed; re-measuring")
     return False
 
 
-def _measure_obs_overhead(emit, sampling: bool = False) -> bool:
-    from repro import obs, runtime
+def _measure_obs_overhead(emit) -> bool:
+    from repro import obs
     from repro.core import DeepConfig, Prism5GPredictor
     from repro.data import SubDatasetSpec, build_subdataset, random_split
     from repro.ran.simulator import TraceSimulator
@@ -527,45 +503,35 @@ def _measure_obs_overhead(emit, sampling: bool = False) -> bool:
         sim.run(30.0)  # 300 steps: the per-step instrumented hot loop
         Prism5GPredictor(config).fit(train, val)
 
-    label = "sampling" if sampling else "trace"
-    on_mode = obs.MODE_METRICS if sampling else obs.MODE_TRACE
-    on_hz = OBS_SAMPLE_CHECK_HZ if sampling else 0
-
-    spill_dir = tempfile.mkdtemp(prefix="repro-obs-check-")
-    previous_hz = runtime.flag("obs_sample_hz")
+    manifest_dir = tempfile.mkdtemp(prefix="repro-obs-check-")
     try:
         obs.configure(mode=obs.MODE_OFF)
-        runtime.configure(obs_sample_hz=0)
         work()  # warmup (allocator, code paths)
-        # interleave off/trace repeats and compare *pairwise*: the
+        # interleave off/metrics repeats and compare *pairwise*: the
         # workload is ~150ms, and host drift (frequency scaling, cache
         # state, GC pauses) over a block of repeats is larger than the
         # overhead being measured — an adjacent off/on pair sees the
         # same host state, so per-pair ratios isolate the obs cost.
         # gc.collect() before each timed run keeps collection pauses
-        # (triggered by the trace path's extra allocations) out of the
-        # wall clocks.
+        # out of the wall clocks.
         import gc
 
         pairs = []
         for _ in range(9):
             obs.configure(mode=obs.MODE_OFF)
-            runtime.configure(obs_sample_hz=0)
             gc.collect()
             t0 = time.perf_counter()
             work()
             off_t = time.perf_counter() - t0
-            obs.configure(mode=on_mode, directory=spill_dir)
-            runtime.configure(obs_sample_hz=on_hz)
+            obs.configure(mode=obs.MODE_METRICS, directory=manifest_dir)
             gc.collect()
             t0 = time.perf_counter()
             work()
             pairs.append((off_t, time.perf_counter() - t0))
     finally:
         obs.configure()  # back to env-driven mode
-        runtime.configure(obs_sample_hz=previous_hz)
         obs.reset()
-        shutil.rmtree(spill_dir, ignore_errors=True)
+        shutil.rmtree(manifest_dir, ignore_errors=True)
     ratios = sorted(on_t / off_t for off_t, on_t in pairs if off_t > 0)
     median_ratio = ratios[len(ratios) // 2] if ratios else float("inf")
     off_s = min(off_t for off_t, _ in pairs)
@@ -577,7 +543,7 @@ def _measure_obs_overhead(emit, sampling: bool = False) -> bool:
     ratio = min(median_ratio, min_ratio)
     ok = ratio <= OBS_OVERHEAD_LIMIT
     emit(
-        f"obs overhead check: off {off_s:.3f}s vs {label} {on_s:.3f}s "
+        f"obs overhead check: off {off_s:.3f}s vs metrics {on_s:.3f}s "
         f"({ratio:.3f}x = min(median-pairwise {median_ratio:.3f}, best-of {min_ratio:.3f}), "
         f"limit {OBS_OVERHEAD_LIMIT:.2f}x) -> {'OK' if ok else 'FAIL'}"
     )
@@ -631,10 +597,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--obs-check", action="store_true",
-        help=(
-            "fail when trace-mode or sampling-mode observability "
-            f"overhead exceeds {OBS_OVERHEAD_LIMIT:.2f}x"
-        ),
+        help=f"fail when metrics-mode observability overhead exceeds {OBS_OVERHEAD_LIMIT:.2f}x",
     )
     args = parser.parse_args(argv)
     record = run_workload()
@@ -643,8 +606,6 @@ def main(argv=None) -> int:
     if args.check and not check_regression(results):
         return 1
     if args.obs_check and not check_obs_overhead():
-        return 1
-    if args.obs_check and not check_obs_overhead(sampling=True):
         return 1
     return 0
 

@@ -2,9 +2,8 @@
 # Perf smoke check: run the fused-kernel/no-grad/cache benchmark and
 # fail when the current path regresses >2x against the baseline stored
 # in BENCH_perf.json (the first run records the baseline and passes),
-# or when observability adds >5% overhead to a hot sim+train
-# micro-workload (--obs-check runs the gate twice: trace mode with the
-# sampler off, then metrics mode with 25 Hz continuous telemetry).
+# or when metrics-mode observability adds >5% overhead to a hot
+# sim+train micro-workload (--obs-check).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

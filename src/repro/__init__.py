@@ -19,11 +19,11 @@ Subpackages
 ``repro.analysis``
     Measurement analysis: distributions, correlations, efficiency.
 ``repro.obs``
-    Observability: metrics registry, span tracing, run manifests
-    (``REPRO_OBS`` env knob; off by default).
+    Observability: counters and gauges, structured warnings, run
+    manifests and perf budgets (``REPRO_OBS`` env knob; off by default).
 ``repro.runtime``
-    The ``sanitize`` / ``obs_sample_hz`` runtime flags + the repo's one
-    config-hash recipe (``runtime.configure(...)`` / ``runtime.use(...)``).
+    The ``sanitize`` runtime flag + the repo's one config-hash recipe
+    (``runtime.configure(...)`` / ``runtime.use(...)``).
 ``repro.backends``
     The numpy compute backend behind the fused primitives (the
     sanitizer's wrap seam) plus the workspace arena for

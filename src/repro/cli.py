@@ -11,25 +11,16 @@ Usage (also installed as the ``repro5g`` console script):
         --timescale long --predictors Prophet LSTM Prism5G
     python -m repro.cli evaluate --list-predictors
     python -m repro.cli run examples/experiment_small.json
-    python -m repro.cli train --obs trace --obs-dir .repro-obs ...
-    python -m repro.cli train --obs metrics --obs-sample-hz 2 ...
+    python -m repro.cli train --obs metrics --obs-dir .repro-obs ...
     python -m repro.cli obs report
-    python -m repro.cli obs trace --chrome trace.json
-    python -m repro.cli obs top --last 20
-    python -m repro.cli obs export --prometheus
-    python -m repro.cli obs flame --out flame.txt
     python -m repro.cli obs check-slo --budget budgets/fast_workload.json
     python -m repro.cli lint --format json
     python -m repro.cli lint --fix-catalog
 
-The ``--obs`` flag (or the ``REPRO_OBS`` env var) turns on the
-observability layer: ``metrics`` records counters/gauges/histograms and
-a run manifest, ``trace`` additionally spills a span timeline that
-``obs trace --chrome`` converts for ``chrome://tracing``.  With
-``--obs-sample-hz`` (or ``REPRO_OBS_SAMPLE_HZ``) > 0, instrumented
-regions also stream continuous telemetry — time-series metric rows and
-collapsed stacks — that ``obs top`` / ``obs export`` / ``obs flame`` /
-``obs check-slo`` consume.
+The ``--obs metrics`` flag (or ``REPRO_OBS=metrics``) turns on the
+observability layer: the run records counters and gauges and writes a
+run manifest that ``obs report`` prints and ``obs check-slo`` checks
+against a perf budget.
 """
 
 from __future__ import annotations
@@ -55,21 +46,13 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--obs",
         default=None,
-        choices=[obs.MODE_OFF, obs.MODE_METRICS, obs.MODE_TRACE],
+        choices=[obs.MODE_OFF, obs.MODE_METRICS],
         help="observability mode (overrides REPRO_OBS)",
     )
     parser.add_argument(
         "--obs-dir",
         default=None,
-        help="directory for span/metric/manifest files (overrides REPRO_OBS_DIR)",
-    )
-    parser.add_argument(
-        "--obs-sample-hz",
-        default=None,
-        help=(
-            "continuous-telemetry sample rate in Hz (overrides "
-            "REPRO_OBS_SAMPLE_HZ; 0 = off; needs --obs metrics|trace)"
-        ),
+        help="directory for run manifests (overrides REPRO_OBS_DIR)",
     )
 
 
@@ -92,8 +75,6 @@ def _configure_obs(args: argparse.Namespace) -> None:
         obs.configure(mode=args.obs, directory=args.obs_dir)
     if getattr(args, "sanitize", None) is not None:
         runtime.configure(sanitize=args.sanitize)
-    if getattr(args, "obs_sample_hz", None) is not None:
-        runtime.configure(obs_sample_hz=args.obs_sample_hz)
 
 
 def _add_common_sim_args(parser: argparse.ArgumentParser) -> None:
@@ -136,7 +117,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         extra={"samples": len(trace), "mean_tput_mbps": float(series.mean())},
     )
-    obs.flush()
     return 0
 
 
@@ -178,7 +158,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for i, trace in enumerate(result.traces):
             trace.to_jsonl(out_dir / f"trace_{trace.operator}_{trace.rat}_{trace.scenario}_{i:03d}.jsonl")
         print(f"wrote {len(result.traces)} traces to {out_dir}")
-    obs.flush()
     return 0
 
 
@@ -226,7 +205,6 @@ def _cmd_city_campaign(args: argparse.Namespace) -> int:
         f"peak RSS {result.peak_rss_mb:.0f} MB"
     )
     print(f"state: {result.state_dir}")
-    obs.flush()
     if not result.complete:
         print(f"{result.shards_total - result.shards_completed} shard(s) still pending; rerun to resume")
         return 3
@@ -251,7 +229,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.model_out:
         save_state(predictor.model, args.model_out)
         print(f"wrote {args.model_out}")
-    obs.flush()
     return 0
 
 
@@ -274,7 +251,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(format_table(["Predictor", "RMSE"], rows, title=f"=== {spec.name} ==="))
     if "Prism5G" in result.rmse and len(result.rmse) > 1:
         print(f"Prism5G improvement over best baseline: {result.improvement_over_best_baseline():+.1f}%")
-    obs.flush()
     return 0
 
 
@@ -308,13 +284,13 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     directory = Path(args.dir) if args.dir else obs.obs_dir()
     manifest = obs.latest_manifest(directory)
     if manifest is None:
-        print(f"no run manifest under {directory} (run with --obs metrics|trace first)", file=sys.stderr)
+        print(f"no run manifest under {directory} (run with --obs metrics first)", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
     print(f"=== {manifest.get('kind', '?')} run @ {manifest.get('created_at', '?')} ===")
-    for key in ("mode", "git_sha", "seed", "config_hash", "pid"):
+    for key in ("mode", "git_sha", "seed", "config_hash", "pid", "peak_rss_mb"):
         print(f"{key:>12}: {manifest.get(key)}")
     kernels = manifest.get("kernel_paths") or {}
     print(f"{'kernels':>12}: " + ", ".join(f"{k}={v}" for k, v in sorted(kernels.items())))
@@ -327,117 +303,12 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     if gauges:
         rows = [[name, f"{value:.4g}"] for name, value in sorted(gauges.items())]
         print(format_table(["Gauge", "Value"], rows, title="gauges"))
-    for name, hist in sorted((metrics.get("histograms") or {}).items()):
-        print(
-            f"{name}: n={hist.get('count', 0)} sum={hist.get('sum', 0.0):.3g} "
-            f"min={hist.get('min')} max={hist.get('max')}"
-        )
     history = manifest.get("history")
     if history:
         print(f"{'history':>12}: {json.dumps(history, default=str)}")
     extra = manifest.get("extra")
     if extra:
         print(f"{'extra':>12}: {json.dumps(extra, default=str)}")
-    return 0
-
-
-def _cmd_obs_trace(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
-    spans = obs.read_spans(directory)
-    if not spans:
-        print(f"no spans under {directory} (run with --obs trace first)", file=sys.stderr)
-        return 1
-    out = obs.write_chrome_trace(args.chrome, directory)
-    pids = {span.get("pid") for span in spans}
-    print(f"wrote {out} ({len(spans)} spans from {len(pids)} process(es))")
-    return 0
-
-
-def _format_series_rows(rows: Sequence[dict]) -> str:
-    t0 = rows[0].get("t", 0.0) if rows else 0.0
-    table = []
-    for row in rows:
-        quantiles = row.get("quantiles") or {}
-        p95s = ", ".join(
-            f"{name}={q['p95']:.3g}" for name, q in sorted(quantiles.items()) if q and "p95" in q
-        )
-        table.append(
-            [
-                f"{row.get('t', 0.0) - t0:8.2f}",
-                row.get("pid", "-"),
-                row.get("window") or "-",
-                f"{row['rss_mb']:.1f}" if "rss_mb" in row else "-",
-                f"{row['cpu_pct']:.0f}" if "cpu_pct" in row else "-",
-                len(row.get("counters") or {}),
-                p95s or "-",
-            ]
-        )
-    return format_table(
-        ["t+s", "pid", "window", "rss MB", "cpu %", "#ctr", "histogram p95s"], table
-    )
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
-    rows = obs.read_series(directory)
-    if not rows:
-        print(
-            f"no telemetry under {directory} "
-            "(run with --obs metrics --obs-sample-hz 2 first)",
-            file=sys.stderr,
-        )
-        return 1
-    print(_format_series_rows(rows[-args.last :]))
-    print(f"{len(rows)} rows from {len({r.get('pid') for r in rows})} process(es)")
-    return 0
-
-
-def _snapshot_from_dir(directory: Path) -> Optional[dict]:
-    """A run's metrics: the latest manifest's merged snapshot, else spills."""
-    manifest = obs.latest_manifest(directory)
-    if manifest is not None and manifest.get("metrics"):
-        return manifest["metrics"]
-    obs.configure(mode=obs.mode(), directory=directory)
-    snap = obs.merged_snapshot()
-    if snap.get("counters") or snap.get("gauges") or snap.get("histograms"):
-        return snap
-    return None
-
-
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
-    snap = _snapshot_from_dir(directory)
-    if snap is None:
-        print(f"no metrics under {directory} (run with --obs metrics first)", file=sys.stderr)
-        return 1
-    text = obs.prometheus_text(snap) if args.prometheus else "\n".join(obs.jsonl_lines(snap)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_obs_flame(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
-    stacks = obs.read_flame(directory)
-    if not stacks:
-        print(
-            f"no flamegraph data under {directory} "
-            "(run with --obs metrics --obs-sample-hz 2 first)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.out:
-        lines = [f"{stack} {count}" for stack, count in sorted(stacks.items())]
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {args.out} ({len(stacks)} stacks; feed to flamegraph.pl or speedscope)")
-        return 0
-    total = sum(stacks.values())
-    top = sorted(stacks.items(), key=lambda kv: -kv[1])[: args.top]
-    rows = [[count, f"{100.0 * count / total:.1f}%", stack.split(";")[-1]] for stack, count in top]
-    print(format_table(["samples", "share", "leaf frame"], rows, title=f"{total} stack samples"))
     return 0
 
 
@@ -448,13 +319,11 @@ def _cmd_obs_check_slo(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"{args.budget}: {exc}", file=sys.stderr)
         return 2
-    snap = _snapshot_from_dir(directory) or {}
-    violations = obs.evaluate_slo(
-        budget,
-        snapshot=snap,
-        spans=obs.read_spans(directory),
-        series=obs.read_series(directory),
-    )
+    manifest = obs.latest_manifest(directory)
+    if manifest is None:
+        print(f"no run manifest under {directory} (run with --obs metrics first)", file=sys.stderr)
+        return 1
+    violations = obs.evaluate_slo(budget, manifest)
     regression_limit = budget.get("budgets", {}).get("end_to_end_regression")
     if regression_limit is not None:
         trend = obs.check_bench_file(args.bench, limit=float(regression_limit))
@@ -465,7 +334,7 @@ def _cmd_obs_check_slo(args: argparse.Namespace) -> int:
     if violations:
         print(f"FAIL: {len(violations)} SLO violation(s) against {args.budget}", file=sys.stderr)
         return 1
-    print(f"OK: telemetry under {directory} within budget {args.budget}")
+    print(f"OK: the run manifest under {directory} is within budget {args.budget}")
     return 0
 
 
@@ -557,28 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
     report.add_argument("--json", action="store_true", help="raw JSON instead of a table")
     report.set_defaults(func=_cmd_obs_report)
-    trace_cmd = obs_sub.add_parser("trace", help="convert span JSONL to Chrome trace format")
-    trace_cmd.add_argument("--chrome", required=True, help="output path for the chrome://tracing JSON")
-    trace_cmd.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
-    trace_cmd.set_defaults(func=_cmd_obs_trace)
-    top = obs_sub.add_parser("top", help="tail of the continuous-telemetry series")
-    top.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
-    top.add_argument("--last", type=int, default=20, help="rows to show (default 20)")
-    top.set_defaults(func=_cmd_obs_top)
-    export_cmd = obs_sub.add_parser("export", help="export the run's metrics snapshot")
-    export_cmd.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
-    export_cmd.add_argument(
-        "--prometheus", action="store_true",
-        help="Prometheus text exposition instead of JSONL",
-    )
-    export_cmd.add_argument("--out", default=None, help="write here instead of stdout")
-    export_cmd.set_defaults(func=_cmd_obs_export)
-    flame = obs_sub.add_parser("flame", help="merged collapsed-stack flamegraph data")
-    flame.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
-    flame.add_argument("--out", default=None, help="write collapsed stacks here (flamegraph.pl input)")
-    flame.add_argument("--top", type=int, default=15, help="leaf frames to show without --out")
-    flame.set_defaults(func=_cmd_obs_flame)
-    check = obs_sub.add_parser("check-slo", help="evaluate telemetry against a perf budget")
+    check = obs_sub.add_parser("check-slo", help="check the latest run manifest against a perf budget")
     check.add_argument("--budget", required=True, help="repro-slo-v1 JSON budget file")
     check.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
     check.add_argument(

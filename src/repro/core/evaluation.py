@@ -77,23 +77,15 @@ def evaluate_predictors(
     splitter = random_split if split == "random" else trace_level_split
     train, val, test = splitter(dataset.windows, 0.5, 0.2, 0.3, seed=seed)
     result = EvaluationResult(dataset_name=dataset_name or (dataset.spec.name if dataset.spec else ""))
-    with obs.span(
-        "evaluate.run",
-        dataset=result.dataset_name,
-        split=split,
-        predictors=sorted(predictors),
-    ):
-        for name, predictor in predictors.items():
-            with obs.span("evaluate.fit", predictor=name):
-                predictor.fit(train, val)
-            with obs.span("evaluate.predict", predictor=name, samples=len(test)):
-                pred = predictor.predict(test)
-            result.rmse[name] = rmse(pred, test.y)
-            if obs.metrics_enabled():
-                obs.counter("evaluate.predictors")
-                obs.gauge(f"evaluate.rmse.{name}", result.rmse[name])
-            if keep_predictions:
-                result.predictions[name] = pred
+    for name, predictor in predictors.items():
+        predictor.fit(train, val)
+        pred = predictor.predict(test)
+        result.rmse[name] = rmse(pred, test.y)
+        if obs.metrics_enabled():
+            obs.counter("evaluate.predictors")
+            obs.gauge(f"evaluate.rmse.{name}", result.rmse[name])
+        if keep_predictions:
+            result.predictions[name] = pred
     obs.write_manifest(
         kind="evaluation",
         config={

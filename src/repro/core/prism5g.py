@@ -43,8 +43,7 @@ from ..nn.tensor import Tensor, concat, lstm_decoder_seq, no_grad
 #: arrays at the full fold height (C·B rows) spill the L2 cache, so the
 #: folded path runs the encoder/decoder over row blocks of at most this
 #: many sequences, in every mode.  Values are unaffected: wide-GEMM rows
-#: are invariant to batch height, everything else is elementwise.  Run
-#: manifests stamp it as ``tuning.fold_chunk_rows``.
+#: are invariant to batch height, everything else is elementwise.
 _FOLD_CHUNK_ROWS = 256
 
 

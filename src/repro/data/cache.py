@@ -100,8 +100,7 @@ class TraceCache:
                 obs.counter("cache.miss")
             return None
         try:
-            with obs.span("cache.get", key=entry.name):
-                traces = load_trace_set(entry)
+            traces = load_trace_set(entry)
         except (ValueError, KeyError, TypeError, OSError) as exc:
             obs.log_warning(
                 "cache.corrupt",
@@ -124,15 +123,14 @@ class TraceCache:
         staging = entry.with_name(f"{entry.name}.tmp-{os.getpid()}")
         if staging.exists():
             shutil.rmtree(staging)
-        with obs.span("cache.put", key=entry.name):
-            save_trace_set(traces, staging, name=entry.name)
-            (staging / CONFIG_NAME).write_text(json.dumps(dict(config), indent=2, default=str))
-            try:
-                staging.replace(entry)
-            except OSError:
-                # lost a race with a concurrent writer; their entry is
-                # identical by construction
-                shutil.rmtree(staging, ignore_errors=True)
+        save_trace_set(traces, staging, name=entry.name)
+        (staging / CONFIG_NAME).write_text(json.dumps(dict(config), indent=2, default=str))
+        try:
+            staging.replace(entry)
+        except OSError:
+            # lost a race with a concurrent writer; their entry is
+            # identical by construction
+            shutil.rmtree(staging, ignore_errors=True)
         if obs.metrics_enabled():
             obs.counter("cache.store")
             obs.counter("cache.bytes_written", self._entry_bytes(entry))

@@ -4,7 +4,7 @@ The reproduction's correctness rests on conventions a generic linter
 cannot see: seeded-``Generator`` determinism (the fused/batched kernel
 oracles assert bit-identical outputs), :mod:`repro.runtime`'s
 write-through flag mirrors, the single canonical hash recipe, and the
-:mod:`repro.obs` metric/span namespace.  This package checks them
+:mod:`repro.obs` metric namespace.  This package checks them
 statically (stdlib :mod:`ast` only) with a pluggable checker registry.
 Every rule reads one file at a time and resolves names only inside it;
 RL008–RL011 reason function by function over the file's scopes:
@@ -27,8 +27,8 @@ RL008     rng-lineage              every ``default_rng`` seed traces to the
 RL009     determinism-ordering     no iteration over set-typed expressions
 RL010     dtype-discipline         backend functions never mix f32/f64 without
                                    an explicit cast
-RL011     paired-resource          ``obs.span``/``sample_window`` and imported
-                                   arena ``begin_step`` closed on all paths
+RL011     paired-resource          an imported arena ``begin_step`` closed on
+                                   all paths
 ========  =======================  =============================================
 
 Run it as ``repro5g lint`` or ``python -m repro.lintkit``; line-scoped

@@ -1,8 +1,7 @@
-"""Obs-name catalog: static harvest of metric/span names (rule RL005).
+"""Obs-name catalog: static harvest of metric names (rule RL005).
 
 Every string literal passed to ``obs.counter`` / ``obs.gauge`` /
-``obs.histogram`` / ``obs.span`` / ``obs.log_warning`` is harvested
-from the AST and checked against the checked-in catalog
+``obs.log_warning`` is harvested from the AST and checked against the checked-in catalog
 (``obs_catalog.json`` next to this module).  The catalog is therefore
 both a CI gate — a typo'd metric name is a new, uncatalogued name and
 fails the lint — and the authoritative index of the observability
@@ -32,8 +31,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 OBS_KINDS = {
     "counter": "counter",
     "gauge": "gauge",
-    "histogram": "histogram",
-    "span": "span",
     "log_warning": "warning",
 }
 

@@ -25,8 +25,7 @@ In brief:
   a hash or a shard assignment.
 * **RL010** — backend functions never mix float32 and float64 without
   an explicit cast; silent upcasts break backend bit-identity.
-* **RL011** — obs spans/sample windows and arena step windows are
-  closed on every path.
+* **RL011** — an imported arena step window is closed on every path.
 
 RL008–RL011 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
 and resolve names only inside that file.
@@ -154,14 +153,13 @@ class DeterminismChecker(Checker):
 _MIRROR_MODULES: Dict[str, FrozenSet[str]] = {
     "repro.runtime": frozenset({"_FLAGS"}),
     "repro.backends": frozenset({"_ACTIVE", "_SANITIZE"}),
-    "repro.obs": frozenset({"_SAMPLE_HZ"}),
 }
 
 #: flag names are additionally rejected as import targets from
 #: repro.runtime itself, so `from repro.runtime import sanitize`
 #: style code fails even if such an attribute is added later.  (In the
 #: other mirror modules only the private mirror globals are forbidden.)
-_FLAG_NAMES = frozenset({"obs_sample_hz", "sanitize"})
+_FLAG_NAMES = frozenset({"sanitize"})
 
 
 def _resolve_relative(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
@@ -265,7 +263,6 @@ _OBS_PUBLISHERS = frozenset(
         "obs.counter",
         "obs.log_warning",
         "obs.gauge",
-        "obs.histogram",
         "repro.obs.counter",
         "repro.obs.log_warning",
     }
@@ -327,7 +324,7 @@ class ObsCatalogChecker(Checker):
     code = "RL005"
     name = "obs-catalog"
     summary = (
-        "obs metric/span names must be dotted lowercase and recorded in "
+        "obs metric names must be dotted lowercase and recorded in "
         "lintkit/obs_catalog.json (--fix-catalog regenerates it)"
     )
 
@@ -811,36 +808,16 @@ class DtypeDisciplineChecker(Checker):
 # RL011 — paired-resource discipline
 
 
-#: obs entry points that hand back timed/refcounted resources which
-#: must be closed.
-_CM_NAMES = frozenset({"span", "sample_window"})
-
-
-def _import_aliases(ctx: FileContext) -> Dict[str, str]:
-    """Local name -> absolute dotted target for every import in the file
-    (function-scoped lazy imports included)."""
-    aliases: Dict[str, str] = {}
+def _imported_names(ctx: FileContext) -> Set[str]:
+    """Every local name an import binds in the file (function-scoped
+    lazy imports included)."""
+    names: Set[str] = set()
     for node in (node for scope in ctx.scopes for node in scope.nodes):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                aliases[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(ctx, node)
-            if base is not None:
-                for alias in node.names:
-                    if alias.name != "*":
-                        aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
-    return aliases
-
-
-def _is_obs_cm(dotted: str, aliases: Mapping[str, str]) -> bool:
-    """``obs.span``-style calls, directly or through a ``repro.obs`` import."""
-    if dotted.rpartition(".")[2] not in _CM_NAMES:
-        return False
-    head, dot, rest = dotted.partition(".")
-    resolved = aliases.get(head, head) + dot + rest
-    return dotted.startswith(("obs.", "repro.obs.")) or resolved.startswith("repro.obs.")
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and _resolve_relative(ctx, node) is not None:
+            names.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+    return names
 
 
 def _closes_arena(scope: Scope) -> bool:
@@ -874,58 +851,20 @@ def _callers(scopes: List[Scope], target: Scope) -> List[Scope]:
 class PairedResourceChecker(Checker):
     code = "RL011"
     name = "paired-resource"
-    summary = (
-        "obs.span/sample_window must be used as context managers and an "
-        "imported arena begin_step balanced by end_run in a finally"
-    )
+    summary = "an imported arena begin_step must be balanced by end_run in a finally"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        aliases = _import_aliases(ctx)
-        for scope in ctx.scopes:
-            yield from self._span_leaks(ctx, scope, aliases)
         # the arena module's own plumbing defines begin_step itself
         if not any(scope.node is not None and scope.name == "begin_step" for scope in ctx.scopes):
-            yield from self._unbalanced_openers(ctx, aliases)
+            yield from self._unbalanced_openers(ctx, _imported_names(ctx))
 
-    def _span_leaks(self, ctx: FileContext, scope: Scope, aliases: Mapping[str, str]) -> Iterator[Diagnostic]:
-        managed: Set[int] = set()  # ids of with-items and returned values
-        with_names: Set[str] = set()
-        bound: Dict[int, str] = {}  # id of an assigned call -> its name
-        for node in scope.nodes:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    managed.add(id(item.context_expr))
-                    if isinstance(item.context_expr, ast.Name):
-                        with_names.add(item.context_expr.id)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                managed.add(id(node.value))
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound[id(node.value)] = target.id
-        for node in scope.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None or not _is_obs_cm(dotted, aliases):
-                continue
-            if id(node) in managed or bound.get(id(node)) in with_names or any(k.arg == "force" for k in node.keywords):
-                continue
-            yield self.diag(
-                ctx,
-                node,
-                f"{dotted}(...) is neither used in a `with` block, returned, nor "
-                "forced (force=True); an unclosed span/sample window leaks its "
-                "timer and refcount on error paths",
-            )
-
-    def _unbalanced_openers(self, ctx: FileContext, aliases: Mapping[str, str]) -> Iterator[Diagnostic]:
+    def _unbalanced_openers(self, ctx: FileContext, imported: Set[str]) -> Iterator[Diagnostic]:
         for scope in ctx.scopes:
             for node in scope.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 dotted = dotted_name(node.func)
-                if dotted is None or dotted.rpartition(".")[2] != "begin_step" or dotted.split(".")[0] not in aliases:
+                if dotted is None or dotted.rpartition(".")[2] != "begin_step" or dotted.split(".")[0] not in imported:
                     continue
                 if _closes_arena(scope):
                     continue

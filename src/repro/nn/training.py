@@ -155,48 +155,33 @@ class Trainer:
         stale = 0
         instrumented = obs.metrics_enabled()
         try:
-            # sample_window: continuous telemetry (series rows tagged
-            # "train") while epochs run; no-op unless obs_sample_hz > 0
-            with obs.sample_window("train"), obs.span(
-                "train.fit",
-                model=type(self.model).__name__,
-                samples=len(x_train),
-                batch_size=self.batch_size,
-                max_epochs=self.max_epochs,
-            ):
-                for epoch in range(self.max_epochs):
-                    # force=instrumented: real stopwatch for the epoch-duration
-                    # histogram even in metrics mode (recorded to the timeline
-                    # only when tracing); null span when obs is off
-                    with obs.span("train.epoch", force=instrumented, epoch=epoch) as sp:
-                        train_loss = self._epoch(x_train, y_train, train=True)
-                        if x_val is not None and len(x_val):
-                            val_loss = self._epoch(x_val, y_val, train=False)
-                        else:
-                            val_loss = train_loss
-                        sp.set(train_loss=train_loss, val_loss=val_loss)
-                    history.train_loss.append(train_loss)
-                    history.val_loss.append(val_loss)
-                    if instrumented:
-                        obs.counter("train.epochs")
-                        obs.gauge("train.loss", train_loss)
-                        obs.gauge("train.val_loss", val_loss)
-                        obs.histogram("train.epoch_ms", sp.duration_s * 1e3)
-                    if val_loss < history.best_val_loss - 1e-9:
-                        history.best_val_loss = val_loss
-                        history.best_epoch = epoch
-                        if best_state is None:
-                            best_state = {name: p.data.copy() for name, p in params.items()}
-                        else:
-                            for name, p in params.items():
-                                np.copyto(best_state[name], p.data)
-                        stale = 0
+            for epoch in range(self.max_epochs):
+                train_loss = self._epoch(x_train, y_train, train=True)
+                if x_val is not None and len(x_val):
+                    val_loss = self._epoch(x_val, y_val, train=False)
+                else:
+                    val_loss = train_loss
+                history.train_loss.append(train_loss)
+                history.val_loss.append(val_loss)
+                if instrumented:
+                    obs.counter("train.epochs")
+                    obs.gauge("train.loss", train_loss)
+                    obs.gauge("train.val_loss", val_loss)
+                if val_loss < history.best_val_loss - 1e-9:
+                    history.best_val_loss = val_loss
+                    history.best_epoch = epoch
+                    if best_state is None:
+                        best_state = {name: p.data.copy() for name, p in params.items()}
                     else:
-                        stale += 1
-                    if self.verbose:
-                        print(f"epoch {epoch:3d} train {train_loss:.5f} val {val_loss:.5f}")
-                    if stale >= self.patience:
-                        break
+                        for name, p in params.items():
+                            np.copyto(best_state[name], p.data)
+                    stale = 0
+                else:
+                    stale += 1
+                if self.verbose:
+                    print(f"epoch {epoch:3d} train {train_loss:.5f} val {val_loss:.5f}")
+                if stale >= self.patience:
+                    break
         finally:
             # close the arena step window: pooled kernel scratch must not
             # be handed out to callers running outside a Trainer step

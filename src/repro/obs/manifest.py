@@ -2,11 +2,12 @@
 
 A manifest captures everything needed to interpret (and re-run) a
 training / campaign / evaluation run: the configuration and its content
-hash, the runtime flags in effect (sanitizer, telemetry sample rate),
-the seed, the git SHA of the working tree, the merged metrics snapshot,
-and per-epoch history when the run trains a model.  Manifests are plain JSON files in the observability
-directory; ``latest.json`` always mirrors the most recent one so
-``repro5g obs report`` has a stable entry point.
+hash, the runtime flags in effect (the sanitizer), the seed, the git
+SHA of the working tree, the process's metrics snapshot, its peak RSS,
+and per-epoch history when the run trains a model.  Manifests are plain
+JSON files in the observability directory; ``latest.json`` always
+mirrors the most recent one so ``repro5g obs report`` and
+``repro5g obs check-slo`` have a stable entry point.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _read_git_sha(path: Path) -> Optional[str]:
 
 
 def kernel_paths() -> Dict[str, str]:
-    """The runtime flags currently in effect (``sanitize``, ``obs_sample_hz``).
+    """The runtime flags currently in effect (``sanitize``).
 
     Reads :func:`repro.runtime.flags`; imported lazily so
     :mod:`repro.obs` stays import-cycle-free.
@@ -96,20 +97,16 @@ def kernel_paths() -> Dict[str, str]:
     return runtime.flags()
 
 
-def tuning() -> Dict[str, object]:
-    """Benchmark-derived tuning constants currently in effect.
-
-    Crossovers that shape a hot path (today: Prism5G's batched-encoder
-    fold chunking, see :mod:`repro.core.prism5g`) are stamped into run
-    manifests so a recorded result can be traced back to them.
-    """
-    values: Dict[str, object] = {}
+def peak_rss_mb() -> float:
+    """Max resident set of this process and its reaped children (MB)."""
     try:
-        from ..core import prism5g
-    except ImportError:  # pragma: no cover - partial installs
-        return values
-    values["fold_chunk_rows"] = prism5g._FOLD_CHUNK_ROWS
-    return values
+        import resource
+
+        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return max(self_kb, child_kb) / 1024.0
+    except (ImportError, ValueError):  # pragma: no cover - non-POSIX hosts
+        return 0.0
 
 
 def build_manifest(
@@ -141,7 +138,7 @@ def build_manifest(
         "config_hash": config_hash(config),
         "experiment_hash": run_hash,
         "kernel_paths": kernel_paths(),
-        "tuning": tuning(),
+        "peak_rss_mb": peak_rss_mb(),
         "metrics": dict(metrics) if metrics is not None else None,
         "history": dict(history) if history is not None else None,
         "extra": dict(extra) if extra is not None else None,

@@ -1,99 +1,25 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counters and gauges.
 
 The registry is deliberately tiny — plain dicts behind one lock — so a
 guarded increment costs well under a microsecond and the disabled path
 (see :mod:`repro.obs`) never touches it at all.  Snapshots are plain
-JSON-ready dicts; cross-process aggregation merges worker snapshots
-spilled by the tracer (counters and histograms sum; gauges stay
-last-write-wins per process, and worker gauges merge under a
-``<name>.pid<N>`` suffix so they survive pool teardown).
+JSON-ready dicts.
 """
 
 from __future__ import annotations
 
-import bisect
-import json
 import threading
-from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-#: default histogram bucket upper bounds (unit-agnostic; chosen to span
-#: sub-millisecond kernels through minute-scale phases when values are
-#: milliseconds).  The last implicit bucket is +inf.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-    500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 30_000.0, 60_000.0,
-)
-
-
-class Histogram:
-    """Fixed-bucket histogram with count/sum/min/max sidecars."""
-
-    __slots__ = ("buckets", "counts", "count", "total", "min", "max")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets: Tuple[float, ...] = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.counts = [0] * (len(self.buckets) + 1)  # +1: overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def snapshot(self) -> Dict:
-        return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-    def merge_snapshot(self, snap: Mapping) -> bool:
-        """Fold another histogram snapshot in (matching buckets only).
-
-        Returns ``False`` — without touching local data — when the
-        snapshot's bucket layout differs from ours: summing counts
-        across mismatched bounds would silently corrupt quantiles.
-        Callers (the registry merge) publish the refusal as the
-        ``obs.merge.bucket_mismatch`` counter so dropped worker data is
-        visible rather than quietly vanishing.
-        """
-        if list(snap.get("buckets", [])) != list(self.buckets):
-            return False  # incompatible layout: keep local data rather than guess
-        for i, c in enumerate(snap.get("counts", [])):
-            if i < len(self.counts):
-                self.counts[i] += int(c)
-        self.count += int(snap.get("count", 0))
-        self.total += float(snap.get("sum", 0.0))
-        for key, pick in (("min", min), ("max", max)):
-            other = snap.get(key)
-            if other is not None:
-                setattr(self, key, pick(getattr(self, key), float(other)))
-        return True
+from typing import Dict
 
 
 class MetricsRegistry:
-    """Thread-safe registry of named counters, gauges, and histograms."""
+    """Thread-safe registry of named counters and gauges."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` (default 1) to the monotonic counter ``name``."""
         with self._lock:
@@ -104,64 +30,12 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def histogram(self, name: str, value: float, buckets: Optional[Sequence[float]] = None) -> None:
-        """Observe ``value`` in histogram ``name``.
-
-        ``buckets`` fixes the bucket bounds on the first observation;
-        later calls reuse the registered layout.
-        """
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram(buckets or DEFAULT_BUCKETS)
-            hist.observe(value)
-
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict:
         """JSON-ready copy of every metric in this process."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: h.snapshot() for k, h in self._histograms.items()},
-            }
-
-    def merge_snapshot(self, snap: Mapping, gauge_pid: Optional[int] = None) -> None:
-        """Fold a worker snapshot in: counters and histograms sum.
-
-        Gauges are point-in-time values, so a plain sum is meaningless:
-        local names stay last-write-wins, and worker gauges are merged
-        only when the caller supplies the worker's ``gauge_pid`` — each
-        arrives under a ``<name>.pid<N>`` suffix, so e.g. a campaign
-        worker's peak-RSS gauge survives pool teardown without ever
-        colliding with (or overwriting) the parent's own value.
-
-        A histogram snapshot whose bucket layout differs from the local
-        registration cannot be summed; the refusal is published as the
-        ``obs.merge.bucket_mismatch`` counter (one increment per dropped
-        snapshot) instead of being silently swallowed.
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name, value)
-        mismatched = 0
-        with self._lock:
-            for name, hsnap in snap.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = Histogram(hsnap.get("buckets") or DEFAULT_BUCKETS)
-                if not hist.merge_snapshot(hsnap):
-                    mismatched += 1
-        if gauge_pid is not None:
-            for name, value in snap.get("gauges", {}).items():
-                self.gauge(f"{name}.pid{int(gauge_pid)}", value)
-        if mismatched:
-            self.counter("obs.merge.bucket_mismatch", mismatched)
+            return {"counters": dict(self._counters), "gauges": dict(self._gauges)}
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Declarative perf budgets (SLOs) evaluated against run telemetry.
+"""Declarative perf budgets (SLOs) evaluated against a run manifest.
 
 A budget file (schema ``repro-slo-v1``) states what a healthy run looks
 like::
@@ -6,22 +6,17 @@ like::
     {
       "schema": "repro-slo-v1",
       "budgets": {
-        "stage_wall_s":  {"pipeline.stage.train": 30.0, "pipeline": 120.0},
         "peak_rss_mb":   2048,
-        "counter_max":   {"obs.sample.drops": 0, "*.spill_error": 0},
-        "counter_min":   {"obs.sample.ticks": 1},
+        "counter_max":   {"cache.corrupt": 0},
         "end_to_end_regression": 1.15
       }
     }
 
-``stage_wall_s`` keys are :mod:`fnmatch` globs over *span names* (the
-limit bounds the longest matching span); ``counter_max`` /
-``counter_min`` globs match counter names in the merged snapshot;
-``peak_rss_mb`` bounds the ``obs.rss.peak_mb`` gauge family (including
-``.pid<N>``-suffixed worker gauges) and any ``peak_rss_mb`` column in
-the telemetry series.  :func:`evaluate_slo` returns
-:class:`Violation` records (and publishes ``obs.slo.violations``);
-``repro5g obs check-slo`` exits non-zero when any are returned.
+``peak_rss_mb`` bounds the manifest's ``peak_rss_mb`` field;
+``counter_max`` keys are :mod:`fnmatch` globs over the manifest's
+counter names.  :func:`evaluate_slo` returns :class:`Violation`
+records; ``repro5g obs check-slo`` exits non-zero when any are
+returned.
 
 ``end_to_end_regression`` feeds :func:`check_bench_trend`, the
 ``BENCH_perf.json`` trend gate: the latest recorded ``end_to_end``
@@ -35,16 +30,14 @@ import json
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 SLO_SCHEMA = "repro-slo-v1"
 
 #: default end-to-end trend limit: >15% slower than baseline fails.
 DEFAULT_REGRESSION_LIMIT = 1.15
 
-_BUDGET_KEYS = frozenset(
-    {"stage_wall_s", "peak_rss_mb", "counter_max", "counter_min", "end_to_end_regression"}
-)
+_BUDGET_KEYS = frozenset({"peak_rss_mb", "counter_max", "end_to_end_regression"})
 
 
 @dataclass
@@ -60,9 +53,6 @@ class Violation:
         return (
             f"SLO violation [{self.budget}] {self.subject}: "
             f"actual {self.actual:g} exceeds budget {self.limit:g}"
-            if self.budget != "counter_min"
-            else f"SLO violation [{self.budget}] {self.subject}: "
-            f"actual {self.actual:g} below required {self.limit:g}"
         )
 
 
@@ -80,79 +70,27 @@ def load_slo(path: Path) -> Dict:
     return data
 
 
-def _peak_rss_candidates(snapshot: Mapping, series: Sequence[Mapping]) -> Dict[str, float]:
-    """Every peak-RSS reading available: gauges (incl. workers) + series."""
-    candidates: Dict[str, float] = {}
-    for name, value in snapshot.get("gauges", {}).items():
-        if name == "obs.rss.peak_mb" or name.startswith("obs.rss.peak_mb.pid"):
-            candidates[name] = float(value)
-    for row in series:
-        value = row.get("peak_rss_mb")
-        if value is not None:
-            key = f"series.pid{row.get('pid', 0)}"
-            candidates[key] = max(candidates.get(key, 0.0), float(value))
-    return candidates
+def evaluate_slo(slo: Mapping, manifest: Mapping) -> List[Violation]:
+    """Check a run manifest against a budget; returns all breaches.
 
-
-def evaluate_slo(
-    slo: Mapping,
-    snapshot: Optional[Mapping] = None,
-    spans: Optional[Sequence[Mapping]] = None,
-    series: Optional[Sequence[Mapping]] = None,
-) -> List[Violation]:
-    """Check a run's telemetry against a budget; returns all breaches.
-
-    ``snapshot`` is a (merged) metrics snapshot, ``spans`` the span
-    dicts from ``read_spans``, ``series`` the telemetry rows from
-    ``read_series`` — pass whatever the run produced; budgets whose
-    inputs are absent are skipped, except ``counter_min`` (a missing
-    counter *is* the violation: required work never happened).
+    ``end_to_end_regression`` is not evaluated here: it reads
+    ``BENCH_perf.json`` (see :func:`check_bench_file`), not the run.
     """
     budgets = dict(slo.get("budgets", {}))
-    snapshot = snapshot or {}
-    spans = list(spans or [])
-    series = list(series or [])
     violations: List[Violation] = []
 
-    for pattern, limit in dict(budgets.get("stage_wall_s", {})).items():
-        worst: Optional[Mapping] = None
-        for s in spans:
-            if fnmatchcase(str(s.get("name", "")), pattern):
-                if worst is None or float(s.get("dur", 0.0)) > float(worst.get("dur", 0.0)):
-                    worst = s
-        if worst is not None and float(worst.get("dur", 0.0)) > float(limit):
-            violations.append(
-                Violation("stage_wall_s", str(worst["name"]), float(limit), float(worst["dur"]))
-            )
-
     rss_limit = budgets.get("peak_rss_mb")
-    if rss_limit is not None:
-        for subject, value in sorted(_peak_rss_candidates(snapshot, series).items()):
-            if value > float(rss_limit):
-                violations.append(Violation("peak_rss_mb", subject, float(rss_limit), value))
+    rss = manifest.get("peak_rss_mb")
+    if rss_limit is not None and rss is not None and float(rss) > float(rss_limit):
+        violations.append(Violation("peak_rss_mb", "manifest", float(rss_limit), float(rss)))
 
-    counters = snapshot.get("counters", {})
+    counters = (manifest.get("metrics") or {}).get("counters") or {}
     for pattern, limit in dict(budgets.get("counter_max", {})).items():
         for name in sorted(counters):
             if fnmatchcase(name, pattern) and float(counters[name]) > float(limit):
                 violations.append(
                     Violation("counter_max", name, float(limit), float(counters[name]))
                 )
-    for pattern, limit in dict(budgets.get("counter_min", {})).items():
-        matched = [name for name in sorted(counters) if fnmatchcase(name, pattern)]
-        if not matched:
-            violations.append(Violation("counter_min", pattern, float(limit), 0.0))
-            continue
-        for name in matched:
-            if float(counters[name]) < float(limit):
-                violations.append(
-                    Violation("counter_min", name, float(limit), float(counters[name]))
-                )
-
-    if violations:
-        from repro import obs  # function-scope: repro.obs imports this module
-
-        obs.counter("obs.slo.violations", len(violations))
     return violations
 
 

@@ -30,14 +30,13 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class _SpanMapper:
-    """Picklable wrapper running each work item inside a ``parallel.item`` span.
+class _Counted:
+    """Picklable pool wrapper returning ``(fn(item), counters)``.
 
-    Used whenever observability is on.  The span (pid/tid tagged, a
-    no-op outside trace mode) plus the explicit :func:`repro.obs.flush`
-    per item are what let worker timelines *and* worker metrics —
-    counters, and gauges merged under a ``.pid<N>`` suffix — survive
-    pool teardown and merge into the parent's view.
+    Used on the pool path whenever metrics are on.  The counters are
+    the worker's counts for this item alone: the registry is cleared
+    after every call, so a failed attempt's counts are dropped with it.
+    The parent sums them with :func:`repro.obs.add_counters`.
     """
 
     __slots__ = ("fn",)
@@ -45,33 +44,25 @@ class _SpanMapper:
     def __init__(self, fn: Callable) -> None:
         self.fn = fn
 
-    def __call__(self, pair):
-        index, item = pair
-        with obs.span("parallel.item", index=index):
-            result = self.fn(item)
-        obs.flush()
-        return result
-
-
-class _TaskRunner:
-    """Picklable wrapper running one labelled task inside a span.
-
-    The shard-task sibling of :class:`_SpanMapper`: same span + flush
-    contract, but carries the caller-visible task label (e.g.
-    ``shard-0003``) so per-shard telemetry is attributable.
-    """
-
-    __slots__ = ("fn", "label")
-
-    def __init__(self, fn: Callable, label: str) -> None:
-        self.fn = fn
-        self.label = label
-
     def __call__(self, item):
-        with obs.span("parallel.task", label=self.label):
-            result = self.fn(item)
-        obs.flush()
-        return result
+        try:
+            return self.fn(item), obs.snapshot()["counters"]
+        finally:
+            obs.reset()
+
+
+def _uncount(pair):
+    """A :class:`_Counted` result, with its counters added to this process."""
+    result, counters = pair
+    obs.add_counters(counters)
+    return result
+
+
+def _pool(processes: int):
+    """A worker pool, forked where the platform allows, with a fresh obs registry."""
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ctx.Pool(processes=processes, initializer=obs.child_after_fork)
 
 
 def default_processes(n_items: int) -> int:
@@ -102,26 +93,16 @@ def parallel_map(
     if processes is None:
         processes = default_processes(len(work))
     processes = min(processes, len(work))
-    if obs.enabled():
-        run_fn: Callable = _SpanMapper(fn)
-        work = list(enumerate(work))
-    else:
-        run_fn = fn
-    with obs.span("parallel.map", items=len(work), processes=processes) as sp:
-        if processes <= 1 or len(work) <= 1:
-            sp.set(pool="serial")
-            return [run_fn(item) for item in work]
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-            # the initializer clears obs state copied in by fork so worker
-            # spans/metrics start clean (no double-reported parent data)
-            with ctx.Pool(processes=processes, initializer=obs.child_after_fork) as pool:
-                return pool.map(run_fn, work, chunksize=chunksize)
-        except (OSError, PermissionError, ValueError):
-            # no semaphores / fork blocked (sandbox): serial fallback
-            sp.set(pool="serial-fallback")
-            return [run_fn(item) for item in work]
+    if processes <= 1 or len(work) <= 1:
+        return [fn(item) for item in work]
+    try:
+        with _pool(processes) as pool:
+            if not obs.metrics_enabled():
+                return pool.map(fn, work, chunksize=chunksize)
+            return [_uncount(pair) for pair in pool.map(_Counted(fn), work, chunksize=chunksize)]
+    except (OSError, PermissionError, ValueError):
+        # no semaphores / fork blocked (sandbox): serial fallback
+        return [fn(item) for item in work]
 
 
 def _fail(label: str, attempts: int, exc: BaseException) -> "RuntimeError":
@@ -196,44 +177,28 @@ def run_tasks(
     if processes is None:
         processes = default_processes(len(work))
     processes = min(processes, len(work))
-    if obs.enabled():
-        run_fns: List[Callable] = [_TaskRunner(fn, name) for name in names]
-    else:
-        run_fns = [fn] * len(work)
-    with obs.span(
-        "parallel.tasks", items=len(work), processes=processes, retries=retries
-    ) as sp:
-        if processes <= 1 or len(work) <= 1:
-            sp.set(pool="serial")
-            return [
-                _run_with_retries(run_fns[i], work[i], names[i], retries)
-                for i in range(len(work))
-            ]
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-            with ctx.Pool(processes=processes, initializer=obs.child_after_fork) as pool:
-                pending = [
-                    pool.apply_async(run_fns[i], (work[i],)) for i in range(len(work))
-                ]
-                results: List[R] = []
-                for i, handle in enumerate(pending):
-                    attempts = 0
-                    while True:
-                        try:
-                            results.append(handle.get(timeout_s))
-                            break
-                        except Exception as exc:
-                            attempts += 1
-                            if attempts > retries:
-                                raise _fail(names[i], attempts, exc) from exc
-                            _note_retry(names[i], attempts, exc)
-                            handle = pool.apply_async(run_fns[i], (work[i],))
-                return results
-        except (OSError, PermissionError):
-            # no semaphores / fork blocked (sandbox): serial fallback
-            sp.set(pool="serial-fallback")
-            return [
-                _run_with_retries(run_fns[i], work[i], names[i], retries)
-                for i in range(len(work))
-            ]
+    if processes <= 1 or len(work) <= 1:
+        return [_run_with_retries(fn, work[i], names[i], retries) for i in range(len(work))]
+    counting = obs.metrics_enabled()
+    task_fn: Callable = _Counted(fn) if counting else fn
+    try:
+        with _pool(processes) as pool:
+            pending = [pool.apply_async(task_fn, (item,)) for item in work]
+            results: List[R] = []
+            for i, handle in enumerate(pending):
+                attempts = 0
+                while True:
+                    try:
+                        value = handle.get(timeout_s)
+                        break
+                    except Exception as exc:
+                        attempts += 1
+                        if attempts > retries:
+                            raise _fail(names[i], attempts, exc) from exc
+                        _note_retry(names[i], attempts, exc)
+                        handle = pool.apply_async(task_fn, (work[i],))
+                results.append(_uncount(value) if counting else value)
+            return results
+    except (OSError, PermissionError):
+        # no semaphores / fork blocked (sandbox): serial fallback
+        return [_run_with_retries(fn, work[i], names[i], retries) for i in range(len(work))]

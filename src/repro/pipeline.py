@@ -14,9 +14,9 @@ and the obs manifests use — identifies the run everywhere:
 * every obs manifest written during the run carries it
   (``obs.run_context``).
 
-Process-wide switches that never change a result (``--sanitize``,
-``--obs-sample-hz``; see :mod:`repro.runtime`) stay out of the config,
-so arming them neither moves the run directory nor is undone by it.
+Process-wide switches that never change a result (``--sanitize``; see
+:mod:`repro.runtime`) stay out of the config, so arming them neither
+moves the run directory nor is undone by it.
 
 The run is composed of four :class:`Stage` objects::
 
@@ -348,31 +348,28 @@ class Stage:
         raise NotImplementedError
 
     def execute(self, ctx: PipelineContext) -> StageStatus:
-        with obs.sample_window(f"stage.{self.name}"), obs.span(
-            f"pipeline.{self.name}", experiment=ctx.hash
-        ):
-            start = time.perf_counter()
-            if not ctx.force and self.is_complete(ctx):
-                self.load(ctx)
-                status = StageStatus(
-                    stage=self.name,
-                    status="skipped",
-                    artifact=_opt_str(self.artifact(ctx)),
-                    duration_s=time.perf_counter() - start,
-                    detail=(ctx.read_marker(self.name) or {}).get("detail"),
-                )
-            else:
-                detail = self.run(ctx)
-                ctx.write_marker(self.name, self.artifact(ctx), detail)
-                status = StageStatus(
-                    stage=self.name,
-                    status="completed",
-                    artifact=_opt_str(self.artifact(ctx)),
-                    duration_s=time.perf_counter() - start,
-                    detail=detail,
-                )
-            if obs.metrics_enabled():
-                obs.counter(f"pipeline.stage.{status.status}")
+        start = time.perf_counter()
+        if not ctx.force and self.is_complete(ctx):
+            self.load(ctx)
+            status = StageStatus(
+                stage=self.name,
+                status="skipped",
+                artifact=_opt_str(self.artifact(ctx)),
+                duration_s=time.perf_counter() - start,
+                detail=(ctx.read_marker(self.name) or {}).get("detail"),
+            )
+        else:
+            detail = self.run(ctx)
+            ctx.write_marker(self.name, self.artifact(ctx), detail)
+            status = StageStatus(
+                stage=self.name,
+                status="completed",
+                artifact=_opt_str(self.artifact(ctx)),
+                duration_s=time.perf_counter() - start,
+                detail=detail,
+            )
+        if obs.metrics_enabled():
+            obs.counter(f"pipeline.stage.{status.status}")
         return status
 
 
@@ -493,9 +490,8 @@ class TrainStage(Stage):
                 ctx.predictors[name] = self._restore(ctx, name, path)
                 detail[name] = {"status": "resumed"}
                 continue
-            with obs.span("pipeline.train.fit", predictor=name):
-                predictor = create_predictor(name, ctx.config.deep)
-                predictor.fit(train, val)
+            predictor = create_predictor(name, ctx.config.deep)
+            predictor.fit(train, val)
             info: Dict = {"status": "fitted"}
             if isinstance(predictor, _DeepPredictor):
                 predictor.save_checkpoint(path)
@@ -536,10 +532,9 @@ class EvaluateStage(Stage):
         )
         result = EvaluationResult(dataset_name=dataset_name)
         for name in config.predictors:
-            with obs.span("pipeline.evaluate", predictor=name):
-                # Predictor.evaluate is the one definition of the paper
-                # metric (RMSE over the full horizon, nn.losses.rmse)
-                result.rmse[name] = ctx.predictors[name].evaluate(test)
+            # Predictor.evaluate is the one definition of the paper
+            # metric (RMSE over the full horizon, nn.losses.rmse)
+            result.rmse[name] = ctx.predictors[name].evaluate(test)
         ctx.result = result
         payload = {
             "experiment": config.name,
@@ -614,14 +609,9 @@ def run_experiment(
     config.save(run_dir / "experiment.json")
     statuses: List[StageStatus] = []
     with obs.run_context(experiment_hash):
-        # the outer sample_window keeps one telemetry thread alive across
-        # all stages; per-stage windows only push/pop their row label
-        with obs.sample_window("pipeline"), obs.span(
-            "pipeline.run", experiment=experiment_hash, label=config.name
-        ):
-            ctx = PipelineContext(config, run_dir, force=force)
-            for stage in stages if stages is not None else DEFAULT_STAGES:
-                statuses.append(stage.execute(ctx))
+        ctx = PipelineContext(config, run_dir, force=force)
+        for stage in stages if stages is not None else DEFAULT_STAGES:
+            statuses.append(stage.execute(ctx))
     rmse = dict(ctx.result.rmse) if ctx.result is not None else {}
     summary = {
         "experiment": config.name,
@@ -633,7 +623,6 @@ def run_experiment(
     (run_dir / "run.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    obs.flush()
     return ExperimentResult(
         config=config, hash=experiment_hash, run_dir=run_dir, stages=statuses, rmse=rmse
     )

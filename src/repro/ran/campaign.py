@@ -318,24 +318,17 @@ def run_campaign(
 
     from ..data.cache import resolve_cache  # local: avoids import cycle
 
-    with obs.sample_window("campaign"), obs.span(
-        "campaign.run",
-        operators=list(config.operators),
-        scenarios=list(config.scenarios),
-        rats=list(config.rats),
-        traces=len(jobs),
-    ):
-        trace_cache = resolve_cache(cache)
-        if trace_cache is None:
-            traces = synthesize()
-        else:
-            traces = trace_cache.get_or_create(campaign_cache_config(config), synthesize)
+    trace_cache = resolve_cache(cache)
+    if trace_cache is None:
+        traces = synthesize()
+    else:
+        traces = trace_cache.get_or_create(campaign_cache_config(config), synthesize)
 
-        all_traces = list(traces)
-        accs: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
-        for key, trace in zip(keys, all_traces):
-            accs.setdefault(key, CAStatisticsAccumulator()).update_trace(trace)
-        stats = {key: acc.finalize(key[0], key[1]) for key, acc in accs.items()}
+    all_traces = list(traces)
+    accs: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
+    for key, trace in zip(keys, all_traces):
+        accs.setdefault(key, CAStatisticsAccumulator()).update_trace(trace)
+    stats = {key: acc.finalize(key[0], key[1]) for key, acc in accs.items()}
     obs.write_manifest(
         kind="campaign",
         config=asdict(config),
@@ -561,75 +554,71 @@ def _run_city_shard(payload: Dict) -> Dict:
         spill_keys.append(cache.path_for(entry_config).name)
         cohort_index += 1
 
-    with obs.sample_window("campaign.shard"), obs.span(
-        "campaign.shard", shard=shard_id, ues=len(jobs), campaign=campaign_hash
-    ):
-        if config.cells <= 0:
-            # legacy semantics: one deployment per UE, same kwargs and
-            # seed assignment as run_campaign's nested loop — this is
-            # the bit-identical oracle mode
-            pending: List[Trace] = []
-            for job in jobs:
-                sim = TraceSimulator(
-                    operator=job.operator,
-                    scenario=job.scenario,
-                    mobility=_mobility_for(job.scenario),
-                    modem=config.modem,
-                    rat=job.rat,
-                    dt_s=config.dt_s,
-                    seed=job.seed,
-                    area_m=_area_for(job.scenario),
-                )
-                trace = sim.run(config.duration_s, route_id=job.route_id)
-                accs.setdefault(job.key, CAStatisticsAccumulator()).update_trace(trace)
+    if config.cells <= 0:
+        # legacy semantics: one deployment per UE, same kwargs and
+        # seed assignment as run_campaign's nested loop — this is
+        # the bit-identical oracle mode
+        pending: List[Trace] = []
+        for job in jobs:
+            sim = TraceSimulator(
+                operator=job.operator,
+                scenario=job.scenario,
+                mobility=_mobility_for(job.scenario),
+                modem=config.modem,
+                rat=job.rat,
+                dt_s=config.dt_s,
+                seed=job.seed,
+                area_m=_area_for(job.scenario),
+            )
+            trace = sim.run(config.duration_s, route_id=job.route_id)
+            accs.setdefault(job.key, CAStatisticsAccumulator()).update_trace(trace)
+            if cache is not None:
+                pending.append(trace)
+                if len(pending) >= config.cohort:
+                    spill(pending)
+                    pending = []
+        spill(pending)
+    else:
+        # city semantics: one shared deployment per group, UEs
+        # stepped in SoA cohorts through MultiUESimulator
+        groups: Dict[Tuple[str, str, str], List[UEJob]] = {}
+        for job in jobs:
+            groups.setdefault(job.key, []).append(job)
+        for key, group_jobs in groups.items():
+            operator, rat, scenario = key
+            deployment = _build_group_deployment(config, operator, scenario)
+            acc = accs.setdefault(key, CAStatisticsAccumulator())
+            for start in range(0, len(group_jobs), config.cohort):
+                cohort_jobs = group_jobs[start : start + config.cohort]
+                lanes = [
+                    TraceSimulator(
+                        operator=job.operator,
+                        scenario=job.scenario,
+                        mobility=_mobility_for(job.scenario),
+                        modem=config.modem,
+                        rat=job.rat,
+                        dt_s=config.dt_s,
+                        seed=job.seed,
+                        deployment=deployment,
+                    )
+                    for job in cohort_jobs
+                ]
+                msim = MultiUESimulator(lanes)
                 if cache is not None:
-                    pending.append(trace)
-                    if len(pending) >= config.cohort:
-                        spill(pending)
-                        pending = []
-            spill(pending)
-        else:
-            # city semantics: one shared deployment per group, UEs
-            # stepped in SoA cohorts through MultiUESimulator
-            groups: Dict[Tuple[str, str, str], List[UEJob]] = {}
-            for job in jobs:
-                groups.setdefault(job.key, []).append(job)
-            for key, group_jobs in groups.items():
-                operator, rat, scenario = key
-                deployment = _build_group_deployment(config, operator, scenario)
-                acc = accs.setdefault(key, CAStatisticsAccumulator())
-                for start in range(0, len(group_jobs), config.cohort):
-                    cohort_jobs = group_jobs[start : start + config.cohort]
-                    lanes = [
-                        TraceSimulator(
-                            operator=job.operator,
-                            scenario=job.scenario,
-                            mobility=_mobility_for(job.scenario),
-                            modem=config.modem,
-                            rat=job.rat,
-                            dt_s=config.dt_s,
-                            seed=job.seed,
-                            deployment=deployment,
-                        )
-                        for job in cohort_jobs
-                    ]
-                    msim = MultiUESimulator(lanes)
-                    if cache is not None:
-                        traces = msim.run(
-                            config.duration_s,
-                            route_ids=[job.route_id for job in cohort_jobs],
-                        )
-                        for trace in traces:
-                            acc.update_trace(trace)
-                        spill(list(traces))
-                    else:
-                        msim.run(
-                            config.duration_s,
-                            route_ids=[job.route_id for job in cohort_jobs],
-                            keep_traces=False,
-                            on_record=lambda lane, rec, acc=acc: acc.update_record(rec),
-                        )
-        obs.flush()
+                    traces = msim.run(
+                        config.duration_s,
+                        route_ids=[job.route_id for job in cohort_jobs],
+                    )
+                    for trace in traces:
+                        acc.update_trace(trace)
+                    spill(list(traces))
+                else:
+                    msim.run(
+                        config.duration_s,
+                        route_ids=[job.route_id for job in cohort_jobs],
+                        keep_traces=False,
+                        on_record=lambda lane, rec, acc=acc: acc.update_record(rec),
+                    )
 
     result = {
         "schema": SHARD_RESULT_SCHEMA,
@@ -705,18 +694,6 @@ class CityCampaignResult:
         return TraceSet(traces)
 
 
-def _peak_rss_mb() -> float:
-    """Max resident set of this process and its reaped children (MB)."""
-    try:
-        import resource
-
-        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        return max(self_kb, child_kb) / 1024.0
-    except (ImportError, ValueError):  # pragma: no cover - non-POSIX hosts
-        return 0.0
-
-
 def default_campaign_state_dir(config: CityCampaignConfig) -> Path:
     """``<runs dir>/campaigns/city-<hash>`` — the resumable shard state."""
     from ..pipeline import default_runs_dir  # local: avoids import cycle
@@ -769,67 +746,58 @@ def run_city_campaign(
             pending.append(i)
 
     to_run = pending if max_shards is None else pending[: max(0, max_shards)]
-    with obs.sample_window("campaign"), obs.span(
-        "campaign.city.run",
-        campaign=campaign_hash,
-        ues=plan.n_ues,
-        shards=plan.n_shards,
-        pending=len(to_run),
-        resumed=resumed,
-    ) as sp:
-        if obs.metrics_enabled():
-            obs.counter("campaign.shard.resumed", resumed)
-        payloads = [
-            {
-                "config": config.to_dict(),
-                "campaign_hash": campaign_hash,
-                "shard_id": plan.shard_id(i),
-                "jobs": [asdict(job) for job in plan.shards[i]],
-                "state_dir": str(root),
-                "cache_dir": None if cache_dir is None else str(cache_dir),
-            }
-            for i in to_run
-        ]
-        results = run_tasks(
-            _run_city_shard,
-            payloads,
-            labels=[plan.shard_id(i) for i in to_run],
-            processes=processes,
-            retries=1,
-            timeout_s=config.shard_timeout_s,
+    if obs.metrics_enabled():
+        obs.counter("campaign.shard.resumed", resumed)
+    payloads = [
+        {
+            "config": config.to_dict(),
+            "campaign_hash": campaign_hash,
+            "shard_id": plan.shard_id(i),
+            "jobs": [asdict(job) for job in plan.shards[i]],
+            "state_dir": str(root),
+            "cache_dir": None if cache_dir is None else str(cache_dir),
+        }
+        for i in to_run
+    ]
+    results = run_tasks(
+        _run_city_shard,
+        payloads,
+        labels=[plan.shard_id(i) for i in to_run],
+        processes=processes,
+        retries=1,
+        timeout_s=config.shard_timeout_s,
+    )
+    for i, result in zip(to_run, results):
+        shard_id = plan.shard_id(i)
+        completed[shard_id] = result
+        write_stage_marker(
+            root,
+            shard_id,
+            campaign_hash,
+            _shard_result_path(root, shard_id),
+            detail={"n_ues": result["n_ues"], "spill_keys": result["spill_keys"]},
         )
-        for i, result in zip(to_run, results):
-            shard_id = plan.shard_id(i)
-            completed[shard_id] = result
-            write_stage_marker(
-                root,
-                shard_id,
-                campaign_hash,
-                _shard_result_path(root, shard_id),
-                detail={"n_ues": result["n_ues"], "spill_keys": result["spill_keys"]},
-            )
-            if obs.metrics_enabled():
-                obs.counter("campaign.shard.completed")
+        if obs.metrics_enabled():
+            obs.counter("campaign.shard.completed")
 
-        simulated = sum(int(result["n_ues"]) for result in results)
-        merged: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
-        spill_keys: List[str] = []
-        ues_done = 0
-        for i in range(plan.n_shards):
-            shard_id = plan.shard_id(i)
-            result = completed.get(shard_id)
-            if result is None:
-                continue
-            ues_done += int(result["n_ues"])
-            spill_keys.extend(result.get("spill_keys") or [])
-            for key_str, acc_data in result["stats"].items():
-                key = tuple(key_str.split("|"))
-                merged.setdefault(key, CAStatisticsAccumulator()).merge(
-                    CAStatisticsAccumulator.from_dict(acc_data)
-                )
-        stats = {key: acc.finalize(key[0], key[1]) for key, acc in merged.items()}
-        complete = len(completed) == plan.n_shards
-        sp.set(completed=len(completed), complete=complete)
+    simulated = sum(int(result["n_ues"]) for result in results)
+    merged: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
+    spill_keys: List[str] = []
+    ues_done = 0
+    for i in range(plan.n_shards):
+        shard_id = plan.shard_id(i)
+        result = completed.get(shard_id)
+        if result is None:
+            continue
+        ues_done += int(result["n_ues"])
+        spill_keys.extend(result.get("spill_keys") or [])
+        for key_str, acc_data in result["stats"].items():
+            key = tuple(key_str.split("|"))
+            merged.setdefault(key, CAStatisticsAccumulator()).merge(
+                CAStatisticsAccumulator.from_dict(acc_data)
+            )
+    stats = {key: acc.finalize(key[0], key[1]) for key, acc in merged.items()}
+    complete = len(completed) == plan.n_shards
 
     wall = time.perf_counter() - start
     obs.write_manifest(
@@ -844,7 +812,6 @@ def run_city_campaign(
             "n_ues": ues_done,
             "n_simulated": simulated,
             "complete": complete,
-            "peak_rss_mb": _peak_rss_mb(),
             "ca_prevalence": {"/".join(key): s.ca_prevalence for key, s in stats.items()},
         },
     )
@@ -860,7 +827,7 @@ def run_city_campaign(
         n_simulated=simulated,
         complete=complete,
         spill_keys=spill_keys,
-        peak_rss_mb=_peak_rss_mb(),
+        peak_rss_mb=obs.peak_rss_mb(),
         wall_s=wall,
     )
 

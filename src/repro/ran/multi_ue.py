@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import backends, obs
+from .. import backends
 from .simulator import _CO_CHANNEL_ACTIVITY, _LOS_BLEND_M, TraceSimulator
 from .traces import Trace, TraceRecord
 
@@ -200,18 +200,15 @@ class MultiUESimulator:
         per_lane: Optional[List[List[TraceRecord]]] = (
             [[] for _ in lanes] if keep_traces else None
         )
-        with obs.sample_window("simulate.multi"), obs.span(
-            "simulate.multi.run", lanes=len(lanes), steps=n_steps, batch=self._use_batch()
-        ):
-            for _ in range(n_steps):
-                states = [lane.mobility.step(self.dt_s, lane._rng) for lane in lanes]
-                for i, rec in enumerate(self.step_all(states)):
-                    if per_lane is not None:
-                        per_lane[i].append(rec)
-                    if on_record is not None:
-                        on_record(i, rec)
-            for lane in lanes:
-                lane._publish_obs_counts()
+        for _ in range(n_steps):
+            states = [lane.mobility.step(self.dt_s, lane._rng) for lane in lanes]
+            for i, rec in enumerate(self.step_all(states)):
+                if per_lane is not None:
+                    per_lane[i].append(rec)
+                if on_record is not None:
+                    on_record(i, rec)
+        for lane in lanes:
+            lane._publish_obs_counts()
         if per_lane is None:
             return None
         return [

@@ -23,7 +23,6 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .. import obs
 from .cells import build_deployment
 from .mobility import MobilityModel, make_mobility
 from .operators import OperatorProfile, get_operator
@@ -144,19 +143,11 @@ class DualConnectivitySimulator:
         self._nr_attached = False
         self._nr_timer = 0.0
 
-        with obs.span(
-            "simulate.nsa_run",
-            operator=self.operator.name,
-            scenario=self.scenario,
-            mobility=self.mobility_name,
-            steps=n_steps,
-            seed=self.seed,
-        ):
-            records = self._run_steps(n_steps, state)
-            # the legs are driven through step() directly, so their
-            # per-step tallies are published here, not by their run()
-            self.lte._publish_obs_counts()
-            self.nr._publish_obs_counts()
+        records = self._run_steps(n_steps, state)
+        # the legs are driven through step() directly, so their
+        # per-step tallies are published here, not by their run()
+        self.lte._publish_obs_counts()
+        self.nr._publish_obs_counts()
         return Trace(
             records=records,
             dt_s=self.dt_s,

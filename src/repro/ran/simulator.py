@@ -418,19 +418,10 @@ class TraceSimulator:
         state = self.mobility.reset(self._rng)
         self.reset()
         records: List[TraceRecord] = []
-        with obs.sample_window("simulate"), obs.span(
-            "simulate.run",
-            operator=self.operator.name,
-            scenario=self.scenario,
-            mobility=self.mobility_name,
-            rat=self.rat,
-            steps=n_steps,
-            seed=self.seed,
-        ):
-            for _ in range(n_steps):
-                state = self.mobility.step(self.dt_s, self._rng)
-                records.append(self.step(state))
-            self._publish_obs_counts()
+        for _ in range(n_steps):
+            state = self.mobility.step(self.dt_s, self._rng)
+            records.append(self.step(state))
+        self._publish_obs_counts()
         return Trace(
             records=records,
             dt_s=self.dt_s,

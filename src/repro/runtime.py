@@ -1,17 +1,12 @@
 """repro.runtime — process-wide value flags and the canonical hash recipe.
 
-Two string-valued flags live here:
+One string-valued flag lives here: ``sanitize`` (``"0"``/``"1"``;
+``REPRO_SANITIZE`` env preset / ``repro5g --sanitize``) arms the
+numeric sanitizer: every backend primitive is wrapped with NaN/Inf
+guards and forward/backward integrity checks (see :mod:`repro.sanitize`).
 
-* ``obs_sample_hz`` sets the continuous-telemetry sample rate (``"0"`` =
-  off, the default; ``REPRO_OBS_SAMPLE_HZ`` env preset /
-  ``repro5g --obs-sample-hz``) consumed by :mod:`repro.obs.timeseries`;
-* ``sanitize`` (``"0"``/``"1"``; ``REPRO_SANITIZE`` env preset /
-  ``repro5g --sanitize``) arms the numeric sanitizer: every backend
-  primitive is wrapped with NaN/Inf guards and forward/backward
-  integrity checks (see :mod:`repro.sanitize`).
-
-Neither changes a result, so neither feeds a cache key or an
-experiment hash; both are stamped into run manifests
+It does not change a result, so it feeds no cache key or experiment
+hash; it is stamped into run manifests
 (:func:`repro.obs.manifest.kernel_paths`).  Values are stored in one
 canonical string spelling so manifests stay stable.  Subsystems that
 read a flag in a hot loop register a *mirror* — a plain module global
@@ -26,10 +21,10 @@ Typical use::
 
     from repro import runtime
 
-    runtime.configure(obs_sample_hz=2)       # set a flag
+    runtime.configure(sanitize="1")          # set a flag
     with runtime.use(sanitize="1"):          # pin for a block
         ...
-    runtime.flags()                          # {'obs_sample_hz': '2', 'sanitize': '0'}
+    runtime.flags()                          # {'sanitize': '0'}
 """
 
 from __future__ import annotations
@@ -38,16 +33,6 @@ import hashlib
 import json
 import os
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-def _canonical_hz(raw: object) -> str:
-    """Validate and canonicalize a sample-rate flag value (``"2.5"``)."""
-    try:
-        hz = float(str(raw).strip())
-    except ValueError:
-        raise ValueError(f"obs_sample_hz must parse as a float, got {raw!r}") from None
-    if not (0.0 <= hz < float("inf")):
-        raise ValueError(f"obs_sample_hz must be a finite rate >= 0, got {raw!r}")
-    return format(hz, "g")
 
 
 #: accepted spellings for the ``sanitize`` flag, canonicalized to "0"/"1".
@@ -75,10 +60,9 @@ def _canonical_sanitize(raw: object) -> str:
 
 
 #: flag name -> (env preset, default, canonicalizer), in sorted order.
-#: Both default off: no sampler thread starts, and hot paths pay no
-#: per-primitive guard until the sanitizer is armed.
+#: The default is off: hot paths pay no per-primitive guard until the
+#: sanitizer is armed.
 _SPECS: Dict[str, Tuple[str, str, Callable[[object], str]]] = {
-    "obs_sample_hz": ("REPRO_OBS_SAMPLE_HZ", "0", _canonical_hz),
     "sanitize": ("REPRO_SANITIZE", "0", _canonical_sanitize),
 }
 

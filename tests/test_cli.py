@@ -138,14 +138,12 @@ class TestObs:
         obs.configure(mode=obs.MODE_OFF)
         obs.reset()
 
-    def test_simulate_with_trace_then_report_and_chrome(self, tmp_path, capsys):
-        import json
-
+    def test_simulate_with_metrics_then_report(self, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
         rc = main(
             [
                 "simulate", "--duration", "10", "--seed", "3",
-                "--obs", "trace", "--obs-dir", str(obs_dir),
+                "--obs", "metrics", "--obs-dir", str(obs_dir),
             ]
         )
         assert rc == 0
@@ -156,12 +154,7 @@ class TestObs:
         out = capsys.readouterr().out
         assert "simulate run" in out
         assert "sim.steps" in out
-
-        chrome = tmp_path / "trace.json"
-        rc = main(["obs", "trace", "--chrome", str(chrome), "--dir", str(obs_dir)])
-        assert rc == 0
-        doc = json.loads(chrome.read_text())
-        assert any(e["name"] == "simulate.run" for e in doc["traceEvents"])
+        assert "peak_rss_mb" in out
 
     def test_obs_report_json_mode(self, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
@@ -180,7 +173,10 @@ class TestObs:
         assert rc == 1
         assert "no run manifest" in capsys.readouterr().err
 
-    def test_obs_trace_empty_dir_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["obs", "trace", "--chrome", str(tmp_path / "t.json"), "--dir", str(tmp_path)])
-        assert rc == 1
-        assert "no spans" in capsys.readouterr().err
+    def test_obs_offers_report_and_check_slo_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["obs", "--help"])
+        assert "{report,check-slo}" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["simulate", "--obs", "trace"])
+        assert "invalid choice: 'trace'" in capsys.readouterr().err

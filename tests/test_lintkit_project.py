@@ -311,41 +311,6 @@ class TestDtypeDiscipline:
 
 
 class TestPairedResource:
-    def test_span_leak_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "mod.py": (
-                    "from repro import obs\n"
-                    "def leaky():\n"
-                    '    s = obs.span("demo.step")\n'
-                    "    return 1\n"
-                )
-            },
-            rules=["RL011"],
-        )
-        assert codes(result) == ["RL011"]
-        assert "with" in result.diagnostics[0].message
-
-    def test_with_block_return_and_force_pass(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "mod.py": (
-                    "from repro import obs\n"
-                    "def fine():\n"
-                    '    with obs.span("demo.step"):\n'
-                    "        pass\n"
-                    "def forced():\n"
-                    '    obs.span("demo.step", force=True)\n'
-                    "def handed_back():\n"
-                    '    return obs.span("demo.step")\n'
-                )
-            },
-            rules=["RL011"],
-        )
-        assert result.ok, result.to_text()
-
     def test_regex_match_span_not_flagged(self, tmp_path):
         result = lint_project(
             tmp_path,

@@ -1,13 +1,11 @@
-"""Tests for repro.obs: metrics registry, span tracing, manifests."""
+"""Tests for repro.obs: metrics registry, worker counters, warnings, manifests."""
 
-import json
-import os
+import logging
 
 import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_SPAN, chrome_trace, read_spans
 from repro.parallel import parallel_map
 
 
@@ -40,17 +38,6 @@ class TestRegistry:
         reg.gauge("loss", 0.4)
         assert reg.snapshot()["gauges"]["loss"] == 0.4
 
-    def test_histogram_buckets_and_stats(self):
-        reg = MetricsRegistry()
-        for v in (0.5, 3.0, 3.0, 1e9):
-            reg.histogram("ms", v, buckets=(1.0, 5.0))
-        hist = reg.snapshot()["histograms"]["ms"]
-        assert hist["count"] == 4
-        assert hist["sum"] == pytest.approx(1e9 + 6.5)
-        assert hist["min"] == 0.5 and hist["max"] == 1e9
-        # counts: <=1.0, <=5.0, overflow
-        assert hist["counts"] == [1, 2, 1]
-
     def test_snapshot_is_detached_and_reset_clears(self):
         reg = MetricsRegistry()
         reg.counter("n")
@@ -60,221 +47,87 @@ class TestRegistry:
         reg.reset()
         assert reg.snapshot()["counters"] == {}
 
-    def test_merge_snapshot_sums_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n", 2)
-        b.counter("n", 3)
-        a.histogram("ms", 1.0, buckets=(2.0,))
-        b.histogram("ms", 5.0, buckets=(2.0,))
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 5.0
-        assert snap["histograms"]["ms"]["count"] == 2
-        assert snap["histograms"]["ms"]["min"] == 1.0
-        assert snap["histograms"]["ms"]["max"] == 5.0
-
-    def test_bucket_mismatch_counted_not_silent(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("ms", 1.0, buckets=(2.0, 4.0))
-        b.histogram("ms", 1.0, buckets=(3.0,))
-        b.histogram("ok", 1.0, buckets=(2.0,))
-        a.histogram("ok", 5.0, buckets=(2.0,))
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        # the incompatible snapshot was refused without touching local data...
-        assert snap["histograms"]["ms"]["count"] == 1
-        assert snap["histograms"]["ms"]["buckets"] == [2.0, 4.0]
-        # ...and the refusal is published instead of silently swallowed
-        assert snap["counters"]["obs.merge.bucket_mismatch"] == 1.0
-        # compatible histograms in the same snapshot still merged
-        assert snap["histograms"]["ok"]["count"] == 2
-
-    def test_histogram_merge_snapshot_returns_false_on_mismatch(self):
-        from repro.obs.metrics import Histogram
-
-        h = Histogram(buckets=(1.0, 2.0))
-        h.observe(0.5)
-        other = Histogram(buckets=(9.0,))
-        other.observe(3.0)
-        assert h.merge_snapshot(other.snapshot()) is False
-        assert h.count == 1 and h.max == 0.5
-        twin = Histogram(buckets=(1.0, 2.0))
-        twin.observe(1.5)
-        assert h.merge_snapshot(twin.snapshot()) is True
-        assert h.count == 2 and h.max == 1.5
-
-    def test_worker_gauges_merge_under_pid_suffix(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.gauge("train.loss", 0.1)
-        worker.gauge("train.loss", 0.9)
-        worker.gauge("obs.rss.peak_mb", 512.0)
-        parent.merge_snapshot(worker.snapshot(), gauge_pid=4242)
-        gauges = parent.snapshot()["gauges"]
-        # local name stays last-write-wins; the worker's value arrives
-        # under a .pid suffix instead of colliding or being dropped
-        assert gauges["train.loss"] == 0.1
-        assert gauges["train.loss.pid4242"] == 0.9
-        assert gauges["obs.rss.peak_mb.pid4242"] == 512.0
-
-    def test_gauges_without_pid_stay_local_only(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.gauge("g", 1.0)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.snapshot()["gauges"] == {}
-
 
 # ---------------------------------------------------------------------------
 # module facade / disabled path
 
 
 class TestDisabledPath:
-    def test_span_returns_shared_null_singleton(self):
-        assert obs.span("anything") is NULL_SPAN
-        assert obs.span("other", attr=1) is NULL_SPAN
-        with obs.span("x") as sp:
-            sp.set(a=1)
-        assert sp.duration_s == 0.0
-
     def test_metrics_are_dropped_when_off(self):
         obs.counter("n")
         obs.gauge("g", 1.0)
-        obs.histogram("h", 2.0)
-        snap = obs.snapshot()
-        assert snap["counters"] == {} and snap["gauges"] == {} and snap["histograms"] == {}
+        obs.add_counters({"w": 2.0})
+        assert obs.snapshot() == {"counters": {}, "gauges": {}}
 
     def test_write_manifest_returns_none_when_off(self, tmp_path):
         assert obs.write_manifest(kind="train", directory=tmp_path) is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_force_span_still_measures(self):
-        with obs.span("bench.x", force=True) as sp:
-            pass
-        assert sp is not NULL_SPAN
-        assert sp.duration_s >= 0.0
-
     def test_mode_parsing_from_env(self, monkeypatch):
         for raw, want in (
             ("", obs.MODE_OFF), ("0", obs.MODE_OFF), ("off", obs.MODE_OFF),
             ("1", obs.MODE_METRICS), ("metrics", obs.MODE_METRICS),
-            ("trace", obs.MODE_TRACE), ("2", obs.MODE_TRACE),
+            ("trace", obs.MODE_OFF), ("2", obs.MODE_OFF),
         ):
             monkeypatch.setenv(obs.OBS_ENV, raw)
             assert obs.configure() == want
-        with pytest.raises(ValueError):
-            obs.configure(mode="verbose")
+        for bad in ("verbose", "trace"):
+            with pytest.raises(ValueError):
+                obs.configure(mode=bad)
+
+    def test_warning_logged_with_event_as_first_arg_when_off(self, caplog):
+        # the contract perfbench's EventCounter parses: one WARNING on
+        # logger repro.obs whose args[0] is the event name, obs off
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            obs.log_warning("cache.corrupt", path="x")
+        (record,) = [r for r in caplog.records if r.name == "repro.obs"]
+        assert record.levelno == logging.WARNING
+        assert record.args[0] == "cache.corrupt"
+        assert obs.snapshot()["counters"] == {}
 
 
 # ---------------------------------------------------------------------------
-# span tracing
+# worker counters
 
 
-class TestSpans:
-    def test_nesting_depth_and_parent(self, tmp_path):
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        with obs.span("outer", a=1):
-            with obs.span("inner"):
-                with obs.span("leaf"):
-                    pass
-        spans = {s["name"]: s for s in obs.read_spans(tmp_path)}
-        assert spans["outer"]["depth"] == 0 and spans["outer"]["parent"] is None
-        assert spans["inner"]["depth"] == 1 and spans["inner"]["parent"] == "outer"
-        assert spans["leaf"]["depth"] == 2 and spans["leaf"]["parent"] == "inner"
-        assert spans["outer"]["attrs"] == {"a": 1}
-        assert spans["outer"]["pid"] == os.getpid()
-
-    def test_set_attaches_attrs_mid_span(self, tmp_path):
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        with obs.span("epoch") as sp:
-            sp.set(loss=0.25)
-        (span,) = obs.read_spans(tmp_path)
-        assert span["attrs"]["loss"] == 0.25
-        assert span["dur"] >= 0.0
-
-    def test_read_spans_skips_corrupt_lines(self, tmp_path):
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        with obs.span("good"):
-            pass
-        spill = tmp_path / f"spans-{os.getpid()}.jsonl"
-        with spill.open("a") as fh:
-            fh.write("{truncated\n")
-        assert [s["name"] for s in read_spans(tmp_path)] == ["good"]
-
-    def test_chrome_trace_schema(self, tmp_path):
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        with obs.span("train.fit"):
-            with obs.span("train.epoch", epoch=0):
-                pass
-        doc = obs.chrome_trace(tmp_path)
-        assert doc["displayTimeUnit"] == "ms"
-        events = doc["traceEvents"]
-        assert len(events) == 2
-        for event in events:
-            assert event["ph"] == "X"
-            assert set(event) >= {"name", "cat", "ts", "dur", "pid", "tid", "args"}
-            assert event["cat"] == "train"
-            assert event["ts"] >= 0.0  # rebased to the earliest span
-        out = obs.write_chrome_trace(tmp_path / "trace.json", tmp_path)
-        assert json.loads(out.read_text())["traceEvents"]
-
-    def test_chrome_trace_empty(self):
-        assert chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
-
-
-def _traced_item(n: int) -> int:
-    with obs.span("item.work", n=n):
-        obs.counter("items.done")
+def _counted_item(n: int) -> int:
+    obs.counter("items.done")
+    obs.counter("items.sum", n)
     return n * n
 
 
-class TestMultiprocessingMerge:
-    def test_worker_spans_merge_into_parent_timeline(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(obs.OBS_DIR_ENV, str(tmp_path))  # spawn-safe
-        monkeypatch.setenv(obs.OBS_ENV, "trace")
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        result = parallel_map(_traced_item, list(range(6)), processes=2)
-        obs.flush()
-        assert result == [n * n for n in range(6)]
-        spans = obs.read_spans(tmp_path)
-        names = {s["name"] for s in spans}
-        assert "parallel.map" in names
-        # every item ran inside a parallel.item span regardless of which
-        # process executed it, and indices cover the full work list
-        indices = sorted(
-            s["attrs"]["index"] for s in spans if s["name"] == "parallel.item"
+class TestWorkerCounters:
+    def test_pool_counters_match_serial_run(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
+        serial = parallel_map(_counted_item, list(range(6)), processes=1)
+        serial_counters = obs.snapshot()["counters"]
+        obs.reset()
+        pooled = parallel_map(_counted_item, list(range(6)), processes=2)
+        assert pooled == serial == [n * n for n in range(6)]
+        # every item counted exactly once, whichever process ran it
+        assert obs.snapshot()["counters"] == serial_counters == {"items.done": 6.0, "items.sum": 15.0}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serial_path_keeps_parent_counters(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
+        obs.counter("before", 2)
+        obs.gauge("g", 0.5)
+        parallel_map(_counted_item, [1, 2, 3], processes=1)
+        snap = obs.snapshot()
+        assert snap["counters"] == {"before": 2.0, "items.done": 3.0, "items.sum": 6.0}
+        assert snap["gauges"] == {"g": 0.5}
+
+    def test_manifest_ignores_files_left_in_a_reused_directory(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
+        # what an earlier run's worker left behind in the same obs dir
+        (tmp_path / "metrics-99999.json").write_text(
+            '{"counters": {"sim.steps": 160.0, "cache.miss": 1.0}, "gauges": {}}',
+            encoding="utf-8",
         )
-        assert indices == list(range(6))
-        merged = obs.merged_snapshot()
-        assert merged["counters"].get("items.done") == 6.0
-
-    def test_serial_fallback_still_traces(self, tmp_path):
-        obs.configure(mode=obs.MODE_TRACE, directory=tmp_path)
-        result = parallel_map(_traced_item, [1, 2, 3], processes=1)
-        obs.flush()
-        assert result == [1, 4, 9]
-        spans = obs.read_spans(tmp_path)
-        (map_span,) = [s for s in spans if s["name"] == "parallel.map"]
-        assert map_span["attrs"]["pool"] == "serial"
-
-    def test_worker_gauges_survive_via_pid_suffix(self, tmp_path):
-        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
-        obs.gauge("train.loss", 0.25)
-        # simulate a dead worker's spill (pid encoded in the filename)
-        worker = MetricsRegistry()
-        worker.gauge("obs.rss.peak_mb", 777.0)
-        worker.counter("items.done", 2)
-        (tmp_path / "metrics-99999.json").write_text(worker.to_json(), encoding="utf-8")
-        merged = obs.merged_snapshot()
-        assert merged["counters"]["items.done"] == 2.0
-        assert merged["gauges"]["train.loss"] == 0.25  # local, untouched
-        assert merged["gauges"]["obs.rss.peak_mb.pid99999"] == 777.0
-
-    def test_metrics_mode_flush_spills_metrics(self, tmp_path):
-        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
-        obs.counter("n", 3)
-        obs.flush()
-        spill = tmp_path / f"metrics-{os.getpid()}.json"
-        assert spill.exists()
-        assert json.loads(spill.read_text())["counters"]["n"] == 3.0
+        obs.counter("sim.steps", 80)
+        obs.write_manifest(kind="train", directory=tmp_path)
+        counters = obs.latest_manifest(tmp_path)["metrics"]["counters"]
+        assert counters == {"sim.steps": 80.0}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +152,11 @@ class TestManifest:
         assert manifest["config"]["hidden"] == 8
         assert manifest["metrics"]["counters"]["train.epochs"] == 4.0
         assert manifest["history"]["train_loss"] == [1.0, 0.5]
-        assert manifest["kernel_paths"] == {"obs_sample_hz": "0", "sanitize": "0"}
-        assert manifest["tuning"]["fold_chunk_rows"] >= 1
+        assert manifest["kernel_paths"] == {"sanitize": "0"}
+        assert manifest["peak_rss_mb"] > 0
+        assert "tuning" not in manifest
+        assert "telemetry" not in (manifest["extra"] or {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "latest.json"])
 
     def test_config_hash_stable_and_sensitive(self):
         base = {"a": 1, "b": [1, 2]}

@@ -1,20 +1,11 @@
-"""Exporters (Prometheus/JSONL), SLO budgets, and the obs CLI gates."""
+"""SLO budgets over run manifests, the BENCH trend gate, and the obs check-slo CLI."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.export import (
-    jsonl_lines,
-    parse_prometheus_text,
-    prometheus_text,
-    sanitize_name,
-    snapshots_equal,
-)
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     SLO_SCHEMA,
     check_bench_file,
@@ -22,8 +13,6 @@ from repro.obs.slo import (
     evaluate_slo,
     load_slo,
 )
-
-CATALOG = Path(__file__).resolve().parents[1] / "src/repro/lintkit/obs_catalog.json"
 
 
 @pytest.fixture(autouse=True)
@@ -37,86 +26,6 @@ def obs_off_after(monkeypatch):
     obs.reset()
 
 
-def _catalog_names():
-    catalog = json.loads(CATALOG.read_text(encoding="utf-8"))
-    names = {}
-    for section in ("harvested", "manual"):
-        for name, entry in catalog.get(section, {}).items():
-            names[name] = entry["kinds"]
-    return names
-
-
-def _registry_with_every_catalog_metric():
-    """Populate a registry with one instance of every catalog metric."""
-    reg = MetricsRegistry()
-    for name, kinds in _catalog_names().items():
-        for kind in kinds:
-            if kind in ("counter", "warning"):
-                reg.counter(name, 3.5)
-            elif kind == "gauge":
-                reg.gauge(name, 0.125)
-            elif kind == "histogram":
-                for v in (0.5, 7.0, 123.0):
-                    reg.histogram(name, v)
-            # spans have no snapshot representation
-    return reg
-
-
-# ---------------------------------------------------------------------------
-# Prometheus exporter
-
-
-class TestPrometheusRoundTrip:
-    def test_every_catalog_metric_round_trips(self):
-        # acceptance gate: parse(export(snap)) == snap for the full catalog
-        snap = _registry_with_every_catalog_metric().snapshot()
-        assert snap["counters"], "catalog produced no counters?"
-        parsed = parse_prometheus_text(prometheus_text(snap))
-        assert snapshots_equal(parsed, snap)
-
-    def test_dotted_names_survive_via_help_lines(self):
-        reg = MetricsRegistry()
-        reg.counter("obs.merge.bucket_mismatch", 2)
-        text = prometheus_text(reg.snapshot())
-        assert "obs_merge_bucket_mismatch_total 2" in text
-        assert "# HELP obs_merge_bucket_mismatch_total obs.merge.bucket_mismatch" in text
-        parsed = parse_prometheus_text(text)
-        assert parsed["counters"]["obs.merge.bucket_mismatch"] == 2.0
-
-    def test_histogram_buckets_cumulative_then_decumulated(self):
-        reg = MetricsRegistry()
-        for v in (1.0, 1.0, 5.0, 50.0):
-            reg.histogram("lat", v, buckets=(2.0, 10.0))
-        snap = reg.snapshot()
-        text = prometheus_text(snap)
-        assert 'lat_bucket{le="2"} 2' in text
-        assert 'lat_bucket{le="10"} 3' in text
-        assert 'lat_bucket{le="+Inf"} 4' in text
-        parsed = parse_prometheus_text(text)
-        hist = parsed["histograms"]["lat"]
-        assert hist["counts"] == [2, 1, 1]
-        assert hist["min"] == 1.0 and hist["max"] == 50.0
-        assert snapshots_equal(parsed, snap)
-
-    def test_sanitize_name(self):
-        assert sanitize_name("obs.rss.peak_mb.pid42") == "obs_rss_peak_mb_pid42"
-        assert sanitize_name("9lives") == "_9lives"
-
-
-class TestJsonlExport:
-    def test_one_self_describing_object_per_metric(self):
-        reg = MetricsRegistry()
-        reg.counter("hits", 2)
-        reg.gauge("loss", 0.5)
-        reg.histogram("lat", 3.0, buckets=(10.0,))
-        records = [json.loads(line) for line in jsonl_lines(reg.snapshot())]
-        by_name = {r["name"]: r for r in records}
-        assert by_name["hits"] == {"kind": "counter", "name": "hits", "value": 2.0}
-        assert by_name["loss"]["kind"] == "gauge"
-        assert by_name["lat"]["kind"] == "histogram"
-        assert by_name["lat"]["count"] == 1
-
-
 # ---------------------------------------------------------------------------
 # SLO budgets
 
@@ -125,56 +34,34 @@ def _slo(budgets):
     return {"schema": SLO_SCHEMA, "budgets": budgets}
 
 
+def _manifest(counters=None, peak_rss_mb=64.0):
+    return {"peak_rss_mb": peak_rss_mb, "metrics": {"counters": counters or {}, "gauges": {}}}
+
+
 class TestEvaluateSlo:
-    def test_stage_wall_bounds_longest_matching_span(self):
-        spans = [
-            {"name": "pipeline.train", "dur": 2.0},
-            {"name": "pipeline.train", "dur": 9.0},
-            {"name": "pipeline.evaluate", "dur": 1.0},
-        ]
-        violations = evaluate_slo(_slo({"stage_wall_s": {"pipeline.*": 5.0}}), spans=spans)
-        assert [(v.budget, v.subject, v.actual) for v in violations] == [
-            ("stage_wall_s", "pipeline.train", 9.0)
-        ]
-
-    def test_stage_wall_within_budget_passes(self):
-        spans = [{"name": "pipeline.train", "dur": 2.0}]
-        assert evaluate_slo(_slo({"stage_wall_s": {"pipeline.*": 5.0}}), spans=spans) == []
-
     def test_counter_max_glob(self):
-        snap = {"counters": {"obs.sample.drops": 3.0, "cache.spill_error": 1.0}}
+        manifest = _manifest({"cache.corrupt": 3.0, "cache.hit": 9.0, "parallel.shard.retry": 1.0})
         violations = evaluate_slo(
-            _slo({"counter_max": {"obs.sample.drops": 0, "*.spill_error": 0}}),
-            snapshot=snap,
+            _slo({"counter_max": {"cache.corrupt": 0, "parallel.*": 0}}), manifest
         )
-        assert {v.subject for v in violations} == {"obs.sample.drops", "cache.spill_error"}
+        assert {v.subject for v in violations} == {"cache.corrupt", "parallel.shard.retry"}
 
-    def test_counter_min_missing_counter_is_a_violation(self):
-        violations = evaluate_slo(_slo({"counter_min": {"obs.sample.ticks": 1}}), snapshot={})
-        (v,) = violations
-        assert v.budget == "counter_min" and v.actual == 0.0
-        assert "below required" in v.message()
-
-    def test_peak_rss_checks_gauges_workers_and_series(self):
-        snap = {"gauges": {"obs.rss.peak_mb": 100.0, "obs.rss.peak_mb.pid7": 900.0}}
-        series = [{"pid": 9, "peak_rss_mb": 950.0}, {"pid": 9, "peak_rss_mb": 700.0}]
-        violations = evaluate_slo(
-            _slo({"peak_rss_mb": 512}), snapshot=snap, series=series
-        )
-        assert {(v.subject, v.actual) for v in violations} == {
-            ("obs.rss.peak_mb.pid7", 900.0),
-            ("series.pid9", 950.0),
-        }
+    def test_peak_rss_checks_the_manifest_field(self):
+        (v,) = evaluate_slo(_slo({"peak_rss_mb": 512}), _manifest(peak_rss_mb=900.0))
+        assert (v.budget, v.subject, v.actual) == ("peak_rss_mb", "manifest", 900.0)
+        assert "exceeds budget 512" in v.message()
+        assert evaluate_slo(_slo({"peak_rss_mb": 512}), _manifest(peak_rss_mb=100.0)) == []
 
     def test_load_slo_rejects_bad_files(self, tmp_path):
         bad_schema = tmp_path / "a.json"
         bad_schema.write_text(json.dumps({"schema": "nope", "budgets": {}}))
         with pytest.raises(ValueError, match="schema"):
             load_slo(bad_schema)
-        bad_key = tmp_path / "b.json"
-        bad_key.write_text(json.dumps(_slo({"warp_speed": 9})))
-        with pytest.raises(ValueError, match="unknown budget keys"):
-            load_slo(bad_key)
+        for retired in ("warp_speed", "stage_wall_s", "counter_min"):
+            bad_key = tmp_path / "b.json"
+            bad_key.write_text(json.dumps(_slo({retired: 9})))
+            with pytest.raises(ValueError, match="unknown budget keys"):
+                load_slo(bad_key)
 
     def test_load_slo_accepts_valid_file(self, tmp_path):
         path = tmp_path / "slo.json"
@@ -212,99 +99,69 @@ class TestBenchTrend:
 # CLI gates
 
 
-def _spill_run_telemetry(directory):
-    """Produce a small but complete telemetry directory."""
+FAST_BUDGET = _slo(
+    {"peak_rss_mb": 4096, "counter_max": {"cache.corrupt": 0}, "end_to_end_regression": 1.15}
+)
+
+
+def _write_run(directory, counters=None):
+    """One run's manifest in ``directory``, as ``--obs metrics`` leaves it."""
     obs.configure(mode=obs.MODE_METRICS, directory=directory)
-    obs.counter("obs.sample.ticks", 5)
-    obs.counter("obs.sample.drops", 2)
-    obs.gauge("obs.rss.peak_mb", 64.0)
-    obs.histogram("step.ms", 12.0)
-    obs.flush()
-    (directory / "series-1.jsonl").write_text(
-        json.dumps({"t": 0.0, "pid": 1, "window": "train", "peak_rss_mb": 64.0}) + "\n",
-        encoding="utf-8",
+    for name, value in (counters or {"cache.hit": 2}).items():
+        obs.counter(name, value)
+    obs.write_manifest(kind="train")
+    obs.reset()
+
+
+def _check(tmp_path, run_dir, budget=FAST_BUDGET, bench=None):
+    budget_path = tmp_path / "slo.json"
+    budget_path.write_text(json.dumps(budget))
+    bench_path = tmp_path / "bench.json"
+    if bench is not None:
+        bench_path.write_text(json.dumps(bench))
+    return main(
+        [
+            "obs", "check-slo", "--budget", str(budget_path),
+            "--dir", str(run_dir), "--bench", str(bench_path),
+        ]
     )
 
 
 class TestObsCli:
-    def test_check_slo_exits_nonzero_on_injected_violation(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        _spill_run_telemetry(run_dir)
-        budget = tmp_path / "slo.json"
-        budget.write_text(json.dumps(_slo({"counter_max": {"obs.sample.drops": 0}})))
-        code = main(["obs", "check-slo", "--budget", str(budget), "--dir", str(run_dir)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "obs.sample.drops" in err and "FAIL" in err
-
     def test_check_slo_passes_within_budget(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        _spill_run_telemetry(run_dir)
-        budget = tmp_path / "slo.json"
-        budget.write_text(
-            json.dumps(
-                _slo(
-                    {
-                        "counter_min": {"obs.sample.ticks": 1},
-                        "peak_rss_mb": 4096,
-                        "end_to_end_regression": 1.15,
-                    }
-                )
-            )
-        )
-        code = main(
-            [
-                "obs", "check-slo", "--budget", str(budget),
-                "--dir", str(run_dir), "--bench", str(tmp_path / "absent.json"),
-            ]
-        )
-        assert code == 0
+        _write_run(tmp_path / "obs")
+        assert _check(tmp_path, tmp_path / "obs") == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_check_slo_exits_nonzero_on_injected_violation(self, tmp_path, capsys):
+        _write_run(tmp_path / "obs", {"cache.corrupt": 1})
+        assert _check(tmp_path, tmp_path / "obs") == 1
+        err = capsys.readouterr().err
+        assert "cache.corrupt" in err and "FAIL" in err
+
+    def test_check_slo_fails_on_peak_rss_over_limit(self, tmp_path, capsys):
+        _write_run(tmp_path / "obs")
+        budget = _slo({"peak_rss_mb": 1})
+        assert _check(tmp_path, tmp_path / "obs", budget=budget) == 1
+        assert "[peak_rss_mb]" in capsys.readouterr().err
+
+    def test_check_slo_fails_on_bench_regression(self, tmp_path, capsys):
+        _write_run(tmp_path / "obs")
+        bench = {
+            "baseline": {"current_s": {"end_to_end": 10.0}},
+            "latest": {"current_s": {"end_to_end": 12.0}},
+        }
+        assert _check(tmp_path, tmp_path / "obs", bench=bench) == 1
+        assert "[end_to_end_regression]" in capsys.readouterr().err
+
+    def test_check_slo_without_manifest_exits_1_naming_the_dir(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert _check(tmp_path, empty) == 1
+        assert f"no run manifest under {empty}" in capsys.readouterr().err
 
     def test_check_slo_bad_budget_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
         assert main(["obs", "check-slo", "--budget", str(bad)]) == 2
         assert "expected an SLO file" in capsys.readouterr().err
-
-    def test_export_prometheus_round_trips_via_cli(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        _spill_run_telemetry(run_dir)
-        code = main(["obs", "export", "--dir", str(run_dir), "--prometheus"])
-        assert code == 0
-        parsed = parse_prometheus_text(capsys.readouterr().out)
-        assert parsed["counters"]["obs.sample.ticks"] == 5.0
-        assert parsed["histograms"]["step.ms"]["count"] == 1
-
-    def test_export_jsonl_to_file(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        _spill_run_telemetry(run_dir)
-        out = tmp_path / "metrics.jsonl"
-        assert main(["obs", "export", "--dir", str(run_dir), "--out", str(out)]) == 0
-        kinds = {json.loads(line)["kind"] for line in out.read_text().splitlines()}
-        assert {"counter", "gauge", "histogram"} <= kinds
-
-    def test_top_shows_series_rows(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        _spill_run_telemetry(run_dir)
-        assert main(["obs", "top", "--dir", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "train" in out and "1 rows" in out
-
-    def test_top_and_flame_exit_1_when_empty(self, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["obs", "top", "--dir", str(empty)]) == 1
-        assert main(["obs", "flame", "--dir", str(empty)]) == 1
-
-    def test_flame_writes_collapsed_stacks(self, tmp_path, capsys):
-        run_dir = tmp_path / "obs"
-        run_dir.mkdir()
-        (run_dir / "flame-1.txt").write_text(
-            "main;train;step 7\nmain;io 3\n", encoding="utf-8"
-        )
-        out = tmp_path / "flame.txt"
-        assert main(["obs", "flame", "--dir", str(run_dir), "--out", str(out)]) == 0
-        assert "main;train;step 7" in out.read_text()
-        assert main(["obs", "flame", "--dir", str(run_dir)]) == 0
-        assert "step" in capsys.readouterr().out

@@ -222,7 +222,7 @@ class TestRunExperiment:
 
     def test_runtime_flags_restored_after_run(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})
-        with runtime.use(sanitize="1", obs_sample_hz=0):
+        with runtime.use(sanitize="1"):
             before = runtime.flags()
             run_experiment(config, out_dir=tmp_path / "flags-run")
             assert runtime.flags() == before

@@ -14,7 +14,7 @@ def restore_flags():
 
 class TestFlags:
     def test_defaults(self):
-        assert runtime.flags() == {"obs_sample_hz": "0", "sanitize": "0"}
+        assert runtime.flags() == {"sanitize": "0"}
 
     def test_backend_defaults_to_numpy(self):
         assert backends.active_name() == "numpy"
@@ -29,8 +29,6 @@ class TestFlags:
         assert runtime.flag("sanitize") == "1"
         with pytest.raises(ValueError, match="sanitize must be one of"):
             runtime.set_flag("sanitize", "   ")
-        with pytest.raises(ValueError, match="obs_sample_hz must be a finite rate"):
-            runtime.set_flag("obs_sample_hz", -1)
 
     def test_set_flag_returns_previous(self):
         assert runtime.set_flag("sanitize", "1") == "0"
@@ -49,17 +47,15 @@ class TestFlags:
         assert runtime.flag("sanitize") == "0"
 
     def test_configure_returns_previous_snapshot(self):
-        previous = runtime.configure(obs_sample_hz=4)
-        assert previous["obs_sample_hz"] == "0"
+        previous = runtime.configure(sanitize="yes")
+        assert previous["sanitize"] == "0"
         runtime.configure(**previous)
-        assert runtime.flag("obs_sample_hz") == "0"
+        assert runtime.flag("sanitize") == "0"
 
     def test_use_restores_on_exit(self):
-        with runtime.use(sanitize="on", obs_sample_hz=2.5):
+        with runtime.use(sanitize="on"):
             assert runtime.flag("sanitize") == "1"
-            assert runtime.flag("obs_sample_hz") == "2.5"
         assert runtime.flag("sanitize") == "0"
-        assert runtime.flag("obs_sample_hz") == "0"
 
     def test_use_restores_on_exception(self):
         with pytest.raises(RuntimeError):
@@ -72,11 +68,9 @@ class TestShimEquivalence:
     """The write-through mirrors and runtime must stay one state."""
 
     def test_mirror_globals_track_runtime(self):
-        # hot paths read these module globals directly; they must follow
+        # hot paths read this module global directly; it must follow
         runtime.set_flag("sanitize", "1")
         assert backends._SANITIZE is True
-        runtime.set_flag("obs_sample_hz", 5)
-        assert obs._SAMPLE_HZ == 5.0
 
 
 class TestCanonicalHash:
