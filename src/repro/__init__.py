@@ -22,7 +22,7 @@ Subpackages
     Observability: counters and gauges, structured warnings, run
     manifests and perf budgets (``REPRO_OBS`` env knob; off by default).
 ``repro.runtime``
-    The ``sanitize`` runtime flag + the repo's one config-hash recipe
+    The ``sanitize`` switch + the repo's one config-hash recipe
     (``runtime.configure(...)`` / ``runtime.use(...)``).
 ``repro.backends``
     The numpy compute backend behind the fused primitives (the

@@ -11,12 +11,13 @@ keeps all autograd bookkeeping, so primitives never see a ``Tensor``.
 
 Hot paths look the object up once per kernel call, which makes it the
 one seam where a primitive can be wrapped.  The numeric sanitizer
-hooks in here: when the ``sanitize`` runtime flag is armed
+hooks in here: when the ``sanitize`` switch is armed
 (``REPRO_SANITIZE=1`` / ``repro5g --sanitize``), :func:`active` hands
 out a :func:`repro.sanitize.wrap_backend` twin whose every primitive
-call is guarded with NaN/Inf and backward shape/dtype checks — zero
-overhead while the flag is off, because the plain and wrapped objects
-swap atomically at flag changes.
+call is guarded with NaN/Inf and backward shape/dtype checks.  The
+package arms itself from :func:`repro.runtime.flags` at import, and
+:func:`repro.runtime.configure` swaps the object on every change, so
+the unarmed path pays nothing: :func:`active` returns one module global.
 """
 
 from __future__ import annotations
@@ -67,15 +68,15 @@ class Backend:
 
 _NUMPY = Backend("numpy", numpy_backend)
 _ACTIVE = _NUMPY
-_SANITIZE: bool = False
 
 
-def _set_sanitize_mirror(value: object) -> None:
-    global _ACTIVE, _SANITIZE
-    _SANITIZE = str(value) == "1"
-    if _SANITIZE:
-        # lazy: repro.sanitize pulls in repro.obs, and this mirror fires
-        # while this package is still initializing
+def _arm_sanitizer(armed: bool) -> None:
+    """Hand out the sanitizer-wrapped twin, or the plain object itself
+    (:func:`repro.runtime.configure` calls this on every change)."""
+    global _ACTIVE
+    if armed:
+        # lazy: repro.sanitize pulls in repro.obs, and the arming below
+        # runs while this package is still initializing
         from .. import sanitize
 
         # the wrapped twin duck-types Backend: same name, one guarded
@@ -85,9 +86,7 @@ def _set_sanitize_mirror(value: object) -> None:
         _ACTIVE = _NUMPY
 
 
-# canonical value lives in repro.runtime ("sanitize" flag, REPRO_SANITIZE
-# env); this mirror swaps the active object once per flag change.
-runtime.register_mirror("sanitize", _set_sanitize_mirror)
+_arm_sanitizer(runtime.flags()["sanitize"] == "1")
 
 
 def active() -> Backend:
@@ -103,8 +102,8 @@ def active_name() -> str:
 def sanitize_active() -> bool:
     """Whether the active backend is wrapped by the numeric sanitizer.
 
-    Mirrors the ``sanitize`` runtime flag (see :mod:`repro.sanitize`);
-    the ``name`` stays the inner backend's, so this is the
-    authoritative way to ask whether guards are armed.
+    Follows the ``sanitize`` switch (see :mod:`repro.sanitize`); the
+    ``name`` stays the inner backend's, so this is the authoritative way
+    to ask whether guards are armed.
     """
-    return _SANITIZE
+    return _ACTIVE is not _NUMPY

@@ -15,7 +15,7 @@ Usage (also installed as the ``repro5g`` console script):
     python -m repro.cli obs report
     python -m repro.cli obs check-slo --budget budgets/fast_workload.json
     python -m repro.cli lint --format json
-    python -m repro.cli lint --fix-catalog
+    python -m repro.cli lint --list-rules
 
 The ``--obs metrics`` flag (or ``REPRO_OBS=metrics``) turns on the
 observability layer: the run records counters and gauges and writes a
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
-    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001-RL011)")
+    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001, RL003–RL011)")
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 

@@ -1,4 +1,4 @@
-"""The repo-specific invariant checkers (rules RL001–RL011).
+"""The repo-specific invariant checkers (rules RL001, RL003–RL011).
 
 Each checker encodes one contract the reproduction depends on and reads
 one file at a time; DESIGN §6d explains why every one of them exists.
@@ -6,14 +6,13 @@ In brief:
 
 * **RL001** — bit-identical kernel oracles need seeded ``Generator``
   randomness; legacy global-state ``np.random.*`` breaks replay.
-* **RL002** — :mod:`repro.runtime` keeps runtime-flag mirrors in sync
-  by *assignment*; importing a flag's value freezes it at import time.
 * **RL003** — one hashing recipe (:func:`repro.runtime.canonical_hash`)
   keeps cache keys, manifests and run dirs mutually consistent.
 * **RL004** — a swallowed exception must at least publish an obs
   counter; silent ``except Exception: pass`` hides corrupted state.
-* **RL005** — the obs namespace is a checked-in catalog; typo'd metric
-  names fail lint instead of silently forking a time series.
+* **RL005** — every literal obs name is dotted lowercase, so a
+  malformed metric or warning name fails lint instead of forking a
+  time series.
 * **RL006** — float/ndarray ``==`` is flaky across kernel paths; use
   ``np.allclose`` (or ``# lint: bit-identical`` in oracle tests).
 * **RL007** — the kernel dispatch layer holds no numpy compute; the
@@ -34,10 +33,9 @@ and resolve names only inside that file.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+import re
+from typing import Iterator, List, Mapping, Optional, Set, Tuple
 
-from . import catalog as _catalog
 from .base import Checker, Diagnostic, FileContext, Scope, dotted_name, register
 
 # ---------------------------------------------------------------------------
@@ -144,77 +142,6 @@ class DeterminismChecker(Checker):
 
 
 # ---------------------------------------------------------------------------
-# RL002 — runtime-flag discipline
-
-
-#: mirror module → the names whose *values* must never be imported
-#: (the canonical flag store plus every registered write-through mirror
-#: global; see repro.runtime.register_mirror).
-_MIRROR_MODULES: Dict[str, FrozenSet[str]] = {
-    "repro.runtime": frozenset({"_FLAGS"}),
-    "repro.backends": frozenset({"_ACTIVE", "_SANITIZE"}),
-}
-
-#: flag names are additionally rejected as import targets from
-#: repro.runtime itself, so `from repro.runtime import sanitize`
-#: style code fails even if such an attribute is added later.  (In the
-#: other mirror modules only the private mirror globals are forbidden.)
-_FLAG_NAMES = frozenset({"sanitize"})
-
-
-def _resolve_relative(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
-    """Absolute dotted module for an ImportFrom (handles relative levels)."""
-    if node.level == 0:
-        return node.module
-    base = ctx.package.split(".") if ctx.package else []
-    drop = node.level - 1
-    if drop > len(base):
-        return None
-    if drop:
-        base = base[:-drop]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-@register
-class FlagDisciplineChecker(Checker):
-    code = "RL002"
-    name = "flag-discipline"
-    summary = (
-        "never import runtime-flag values from repro.runtime or its "
-        "mirror modules; read them as module attributes"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            module = _resolve_relative(ctx, node)
-            if module not in _MIRROR_MODULES or module == ctx.module:
-                continue
-            forbidden = _MIRROR_MODULES[module]
-            if module == "repro.runtime":
-                forbidden = forbidden | _FLAG_NAMES
-            for alias in node.names:
-                if alias.name == "*":
-                    yield self.diag(
-                        ctx,
-                        node,
-                        f"star-import from mirror module {module}; it can capture "
-                        "runtime-flag values that runtime.set_flag cannot update",
-                    )
-                elif alias.name in forbidden:
-                    yield self.diag(
-                        ctx,
-                        node,
-                        f"value-import of runtime flag {alias.name!r} from {module}; "
-                        "import the module and read the attribute so "
-                        "runtime.configure write-through stays visible",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # RL003 — single-hash contract
 
 
@@ -316,50 +243,67 @@ class ExceptionHygieneChecker(Checker):
 
 
 # ---------------------------------------------------------------------------
-# RL005 — obs-name catalog
+# RL005 — obs-name shape
+
+
+#: obs entry points whose first argument is a metric or warning name
+_OBS_NAMED_CALLS = frozenset(
+    f"{receiver}.{entry}" for receiver in ("obs", "repro.obs") for entry in ("counter", "gauge", "log_warning")
+)
+
+_SEGMENT_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+
+
+def valid_obs_name(name: str) -> bool:
+    """Dotted lowercase (``cache.bytes_read``); ``*`` only as last segment."""
+    segments = name.split(".")
+    if len(segments) < 2:
+        return False
+    for i, segment in enumerate(segments):
+        if segment == "*" and i == len(segments) - 1:
+            continue
+        if not _SEGMENT_RE.match(segment):
+            return False
+    return True
+
+
+def _literal_names(arg: ast.expr) -> Iterator[str]:
+    """The names an obs call's first argument can take, as far as the
+    AST shows: a literal, both arms of a conditional, or an f-string's
+    literal prefix as ``prefix.*``.  A bare variable yields nothing."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        yield arg.value
+    elif isinstance(arg, ast.IfExp):
+        yield from _literal_names(arg.body)
+        yield from _literal_names(arg.orelse)
+    elif isinstance(arg, ast.JoinedStr):
+        prefix = ""
+        for part in arg.values:
+            if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                break
+            prefix += part.value
+        if prefix:
+            yield prefix.rstrip(".") + ".*"
 
 
 @register
-class ObsCatalogChecker(Checker):
+class ObsNameChecker(Checker):
     code = "RL005"
-    name = "obs-catalog"
-    summary = (
-        "obs metric names must be dotted lowercase and recorded in "
-        "lintkit/obs_catalog.json (--fix-catalog regenerates it)"
-    )
-
-    def __init__(self) -> None:
-        self.sites: List[_catalog.ObsNameSite] = []
+    name = "obs-names"
+    summary = "literal obs metric and warning names must be dotted lowercase"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for site in _catalog.harvest_module(ctx.tree, ctx.module, ctx.display_path):
-            self.sites.append(site)
-            if not _catalog.valid_obs_name(site.name):
-                yield Diagnostic(
-                    path=site.path,
-                    line=site.line,
-                    col=site.col,
-                    code=self.code,
-                    message=(
-                        f"obs name {site.name!r} is not dotted-lowercase "
-                        "(expected e.g. 'cache.bytes_read'; see DESIGN §6b)"
-                    ),
-                )
-
-    def drift_diagnostics(self, catalog_path: Path, check_stale: bool) -> Iterator[Diagnostic]:
-        """Compare the accumulated harvest against the checked-in catalog."""
-        try:
-            known = _catalog.load_catalog(catalog_path)
-        except ValueError as exc:
-            yield Diagnostic(path=str(catalog_path), line=1, col=1, code=self.code, message=str(exc))
-            return
-        for site, message in _catalog.diff_catalog(self.sites, known, check_stale=check_stale):
-            if site is None:
-                yield Diagnostic(path=str(catalog_path), line=1, col=1, code=self.code, message=message)
-            else:
-                yield Diagnostic(
-                    path=site.path, line=site.line, col=site.col, code=self.code, message=message
-                )
+        for node in ast.walk(ctx.tree):
+            if not (isinstance(node, ast.Call) and node.args and dotted_name(node.func) in _OBS_NAMED_CALLS):
+                continue
+            for name in _literal_names(node.args[0]):
+                if not valid_obs_name(name):
+                    yield self.diag(
+                        ctx,
+                        node,
+                        f"obs name {name!r} is not dotted-lowercase "
+                        "(expected e.g. 'cache.bytes_read'; see DESIGN §6b)",
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +750,21 @@ class DtypeDisciplineChecker(Checker):
 
 # ---------------------------------------------------------------------------
 # RL011 — paired-resource discipline
+
+
+def _resolve_relative(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
+    """Absolute dotted module for an ImportFrom (handles relative levels)."""
+    if node.level == 0:
+        return node.module
+    base = ctx.package.split(".") if ctx.package else []
+    drop = node.level - 1
+    if drop > len(base):
+        return None
+    if drop:
+        base = base[:-drop]
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base) if base else None
 
 
 def _imported_names(ctx: FileContext) -> Set[str]:

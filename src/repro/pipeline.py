@@ -142,6 +142,13 @@ def write_stage_marker(
     return path
 
 
+def _reject_unknown_keys(section: str, given: Dict, valid: List[str]) -> None:
+    """A typo inside a nested config section fails at load, naming it."""
+    unknown = sorted(set(given) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {section} config key(s) {unknown}; valid keys: {sorted(valid)}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one end-to-end run.
@@ -176,7 +183,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.deep, dict):
+            _reject_unknown_keys("deep", self.deep, [f.name for f in fields(DeepConfig)])
             self.deep = DeepConfig(**self.deep)
+        if self.campaign is not None:
+            _reject_unknown_keys("campaign", self.campaign, [f.name for f in fields(CampaignConfig)])
+        if isinstance(self.predictors, str):
+            raise ValueError(
+                f"predictors must be a list of predictor names, not the string {self.predictors!r}; "
+                f"registered predictors: {registered_predictors()}"
+            )
         self.predictors = tuple(self.predictors)
         if self.source not in _VALID_SOURCES:
             raise ValueError(f"source must be one of {_VALID_SOURCES}, got {self.source!r}")

@@ -1,7 +1,7 @@
 """repro.sanitize — runtime numeric sanitizer for backend primitives.
 
 The static rules in :mod:`repro.lintkit` keep the *code* honest; this
-module keeps the *numbers* honest.  When the ``sanitize`` runtime flag
+module keeps the *numbers* honest.  When the ``sanitize`` switch
 is armed (``REPRO_SANITIZE=1`` / ``repro5g --sanitize`` /
 ``runtime.configure(sanitize="1")``), :mod:`repro.backends` swaps
 the active backend for a :func:`wrap_backend` twin, which replaces every
@@ -28,10 +28,10 @@ violations publish ``sanitize.violation.nonfinite`` or
 ``sanitize.violation.backward_mismatch`` *before* raising
 :class:`SanitizerError`, so the run manifest of a crashed sanitized
 run still records what tripped.  CI runs the fast workload with
-``REPRO_SANITIZE=1`` and asserts the violation counters stay absent.
+``--sanitize`` and asserts the violation counters stay absent.
 
-The wrapper is applied once per flag change at the backend
-seam — hot paths pay zero overhead while the flag is off, and the
+The wrapper is applied once per switch change at the backend
+seam — hot paths pay zero overhead while the switch is off, and the
 wrapped backend keeps the inner backend's ``name`` so manifests stamp
 the real compute backend, not the wrapper.
 """
@@ -39,7 +39,7 @@ the real compute backend, not the wrapper.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -220,9 +220,7 @@ class SanitizedBackend:
         self.inner = inner
         self.name = inner.name
         for primitive in primitives:
-            fn: Optional[object] = getattr(inner, primitive, None)
-            if fn is None:
-                continue
+            fn = getattr(inner, primitive)
             if primitive in _BACKWARD_ARGS:
                 wrapped = _wrap_backward(primitive, fn, inner.name)
             else:
@@ -237,9 +235,7 @@ def wrap_backend(backend, primitives: Tuple[str, ...]) -> SanitizedBackend:
     """Wrap ``backend`` so every primitive in ``primitives`` is guarded.
 
     ``primitives`` is passed in (rather than imported) because
-    :mod:`repro.backends` calls this lazily from its sanitize mirror
-    while that package is still initializing.
+    :mod:`repro.backends` calls this while that package is still
+    initializing, when the sanitizer is armed at import.
     """
-    if isinstance(backend, SanitizedBackend):
-        return backend
     return SanitizedBackend(backend, primitives)

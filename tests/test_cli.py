@@ -168,6 +168,20 @@ class TestObs:
         assert manifest["kind"] == "simulate"
         assert manifest["kernel_paths"]["sanitize"] == "0"
 
+    def test_simulate_sanitize_stamps_the_manifest(self, tmp_path):
+        from repro import obs, runtime
+
+        obs_dir = tmp_path / "obs"
+        before = runtime.flags()
+        try:
+            rc = main(["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(obs_dir)])
+        finally:
+            runtime.configure(**before)
+        assert rc == 0
+        manifest = obs.latest_manifest(obs_dir)
+        assert manifest["kernel_paths"]["sanitize"] == "1"
+        assert manifest["metrics"]["counters"]["sanitize.checks"] > 0
+
     def test_obs_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["obs", "report", "--dir", str(tmp_path)])
         assert rc == 1

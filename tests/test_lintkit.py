@@ -1,10 +1,9 @@
 """Tests for :mod:`repro.lintkit` — the AST invariant checker.
 
-Per rule RL001–RL007: one snippet that must pass and one that must
-fail.  Plus the two repo-level gates: ``src/repro`` lints clean
-(self-lint) and the checked-in obs catalog matches the harvest
-(catalog drift).  The per-function rules (RL008–RL011) and SARIF
-output are covered by tests/test_lintkit_project.py.
+Per rule RL001 and RL003–RL007: one snippet that must pass and one that
+must fail, plus the repo-level gate that ``src/repro`` lints clean
+(self-lint).  The per-function rules (RL008–RL011) and SARIF output are
+covered by tests/test_lintkit_project.py.
 """
 
 import json
@@ -15,27 +14,23 @@ from pathlib import Path
 import pytest
 
 from repro.lintkit import (
-    default_catalog_path,
     default_root,
     lint_paths,
-    load_catalog,
     make_checkers,
     registered_checkers,
     valid_obs_name,
 )
-from repro.lintkit.catalog import aggregate, harvest_module, write_catalog
-from repro.lintkit.runner import build_context, run_cli
+from repro.lintkit.runner import run_cli
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def lint_snippet(tmp_path, source, filename="snippet.py", rules=None, **kwargs):
+def lint_snippet(tmp_path, source, filename="snippet.py", rules=None):
     path = tmp_path / filename
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
-    kwargs.setdefault("catalog_mode", "off")
-    return lint_paths([path], rules=rules, **kwargs)
+    return lint_paths([path], rules=rules)
 
 
 def codes(result):
@@ -75,43 +70,6 @@ def test_rl001_passes_on_seeded_generator(tmp_path):
 def test_rl001_flags_legacy_from_import(tmp_path):
     result = lint_snippet(tmp_path, "from numpy.random import randint\n", rules=["RL001"])
     assert codes(result) == ["RL001"]
-
-
-# ---------------------------------------------------------------------------
-# RL002 flag discipline
-
-
-def test_rl002_fails_on_flag_value_import(tmp_path):
-    result = lint_snippet(
-        tmp_path,
-        "from repro.runtime import sanitize\n"
-        "from repro.backends import _SANITIZE\n",
-        rules=["RL002"],
-    )
-    assert len(result.diagnostics) == 2
-    assert codes(result) == ["RL002"]
-
-
-def test_rl002_fails_on_relative_mirror_import(tmp_path):
-    # a file living inside the repro package importing a sibling package's mirror
-    result = lint_snippet(
-        tmp_path,
-        "from ..backends import _SANITIZE\n",
-        filename="repro/nn/new_module.py",
-        rules=["RL002"],
-    )
-    assert codes(result) == ["RL002"]
-
-
-def test_rl002_passes_on_module_attribute_reads(tmp_path):
-    result = lint_snippet(
-        tmp_path,
-        "from repro import runtime\n"
-        "from repro.backends import active, sanitize_active\n"
-        "enabled = runtime.flag('sanitize')\n",
-        rules=["RL002"],
-    )
-    assert result.ok
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +124,32 @@ def test_rl004_passes_when_reraised_or_published(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# RL005 obs-name catalog
+# RL005 obs-name shape
 
 
-def test_rl005_fails_on_bad_name_and_missing_catalog_entry(tmp_path):
-    catalog = tmp_path / "catalog.json"
-    write_catalog(catalog, {}, manual={})
+def test_rl005_fails_on_bad_names(tmp_path):
     result = lint_snippet(
         tmp_path,
-        "from repro import obs\nobs.counter('BadName')\n",
+        "from repro import obs\n"
+        "obs.counter('BadName')\n"
+        "repro.obs.log_warning('nodots')\n",
         rules=["RL005"],
-        catalog_mode="check",
-        catalog_path=catalog,
     )
-    messages = "\n".join(d.message for d in result.diagnostics)
     assert codes(result) == ["RL005"]
-    assert "dotted-lowercase" in messages
-    assert "not in the catalog" in messages
+    assert [d.line for d in sorted(result.diagnostics)] == [2, 3]
+    assert all("dotted-lowercase" in d.message for d in result.diagnostics)
 
 
-def test_rl005_passes_when_catalogued(tmp_path):
-    catalog = tmp_path / "catalog.json"
-    snippet = tmp_path / "mod.py"
-    snippet.write_text("from repro import obs\nobs.counter('demo.hits')\n", encoding="utf-8")
-    ctx = build_context(snippet)
-    write_catalog(catalog, aggregate(harvest_module(ctx.tree, ctx.module, ctx.display_path)))
-    result = lint_paths([snippet], rules=["RL005"], catalog_mode="check", catalog_path=catalog)
+def test_rl005_passes_on_dotted_names(tmp_path):
+    result = lint_snippet(
+        tmp_path,
+        "from repro import obs\n"
+        "obs.counter('demo.hits')\n"
+        "obs.gauge('demo.depth', 1.0)\n"
+        "obs.log_warning('demo.swallowed')\n"
+        "other.counter('NotObs')\n",
+        rules=["RL005"],
+    )
     assert result.ok
 
 
@@ -205,17 +163,22 @@ def test_rl005_wildcards_and_name_validation():
 
 
 def test_rl005_harvests_fstrings_and_conditionals(tmp_path):
-    snippet = tmp_path / "mod.py"
-    snippet.write_text(
+    # an f-string checks its literal prefix as ``prefix.*``, a
+    # conditional checks both arms, a bare variable is not checked
+    result = lint_snippet(
+        tmp_path,
         "from repro import obs\n"
         "obs.gauge(f'demo.rmse.{name}', 1.0)\n"
+        "obs.gauge(f'Demo.{name}', 1.0)\n"
         "obs.counter('demo.a' if cond else 'demo.b')\n"
+        "obs.counter('demo.a' if cond else 'Demo.B')\n"
         "obs.counter(variable_name)\n",
-        encoding="utf-8",
+        rules=["RL005"],
     )
-    ctx = build_context(snippet)
-    names = sorted(s.name for s in harvest_module(ctx.tree, ctx.module, ctx.display_path))
-    assert names == ["demo.a", "demo.b", "demo.rmse.*"]
+    assert [(d.line, d.message.split("'")[1]) for d in sorted(result.diagnostics)] == [
+        (3, "Demo.*"),
+        (5, "Demo.B"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -300,52 +263,13 @@ def test_self_lint_src_repro_is_clean():
     assert result.ok, result.to_text()
 
 
-def test_catalog_matches_harvest():
-    """Catalog-drift gate: obs_catalog.json is exactly the current harvest."""
-    checkers = make_checkers(["RL005"])
-    result = lint_paths([default_root()], checkers=checkers, catalog_mode="off")
-    assert result.ok, result.to_text()
-    harvested = aggregate(checkers[0].sites)
-    catalog = load_catalog(default_catalog_path())
-    assert harvested == catalog["harvested"]
-    # manual entries cover dynamically-published names only; they must
-    # not shadow anything the harvester already sees
-    assert not set(catalog["manual"]) & set(harvested)
-
-
-def test_catalog_drift_detected_and_fixed(tmp_path):
-    catalog = tmp_path / "catalog.json"
-    snippet = tmp_path / "mod.py"
-    snippet.write_text("from repro import obs\nobs.counter('demo.hits')\n", encoding="utf-8")
-    drift = lint_paths([snippet], rules=["RL005"], catalog_mode="check", catalog_path=catalog)
-    assert not drift.ok and "not in the catalog" in drift.diagnostics[0].message
-    fixed = lint_paths([snippet], rules=["RL005"], catalog_mode="fix", catalog_path=catalog)
-    assert fixed.catalog_written == catalog
-    clean = lint_paths([snippet], rules=["RL005"], catalog_mode="check", catalog_path=catalog)
-    assert clean.ok
-    # a typo'd rename is a new name -> fails again
-    snippet.write_text("from repro import obs\nobs.counter('demo.hitz')\n", encoding="utf-8")
-    typo = lint_paths([snippet], rules=["RL005"], catalog_mode="check", catalog_path=catalog)
-    assert not typo.ok
-
-
-def test_fix_catalog_preserves_manual_section(tmp_path):
-    catalog = tmp_path / "catalog.json"
-    write_catalog(catalog, {}, manual={"dyn.name": {"kinds": ["counter"], "modules": ["m"]}})
-    snippet = tmp_path / "mod.py"
-    snippet.write_text("from repro import obs\nobs.counter('demo.hits')\n", encoding="utf-8")
-    lint_paths([snippet], rules=["RL005"], catalog_mode="fix", catalog_path=catalog)
-    data = load_catalog(catalog)
-    assert "demo.hits" in data["harvested"]
-    assert "dyn.name" in data["manual"]
-
-
 # ---------------------------------------------------------------------------
 # registry, runner and CLI plumbing
 
 
-def test_registry_has_all_eleven_rules():
-    assert list(registered_checkers()) == [f"RL{i:03d}" for i in range(1, 12)]
+def test_registry_has_rl001_and_rl003_to_rl011():
+    # RL002 is retired; the other codes keep their numbers
+    assert list(registered_checkers()) == ["RL001"] + [f"RL{i:03d}" for i in range(3, 12)]
 
 
 def test_unknown_rule_code_raises():
@@ -361,7 +285,7 @@ def test_syntax_error_reported_not_raised(tmp_path):
 def test_json_report_shape(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text("import hashlib\n", encoding="utf-8")
-    result = lint_paths([path], rules=["RL003"], catalog_mode="off")
+    result = lint_paths([path], rules=["RL003"])
     payload = json.loads(result.to_json())
     assert payload["schema"] == "repro-lint-report-v1"
     assert payload["ok"] is False

@@ -1,5 +1,5 @@
 """The per-function rules of repro.lintkit (RL008-RL011), module-name
-resolution, SARIF output and the ``--fix-catalog`` rework.
+resolution and SARIF output.
 
 Each rule gets pass/fail fixture pairs.  The multi-file fixtures pin
 that names resolve only inside the file being linted: a helper, a
@@ -9,15 +9,7 @@ caller or a ``finally`` in another module does not count.
 import json
 
 from repro.lintkit import lint_paths, registered_checkers
-from repro.lintkit.catalog import load_catalog, write_catalog
-from repro.lintkit.checkers import ObsCatalogChecker
-from repro.lintkit.runner import (
-    LintResult,
-    _fix_catalog,
-    build_context,
-    module_name_for,
-    run_cli,
-)
+from repro.lintkit.runner import build_context, module_name_for, run_cli
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -29,7 +21,7 @@ def lint_project(tmp_path, files, rules):
     for name, source in files.items():
         (proj / name).parent.mkdir(parents=True, exist_ok=True)
         (proj / name).write_text(source, encoding="utf-8")
-    return lint_paths([proj], rules=rules, catalog_mode="off")
+    return lint_paths([proj], rules=rules)
 
 
 def codes(result):
@@ -435,7 +427,7 @@ class TestSarif:
     def test_document_shape(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import hashlib\n", encoding="utf-8")
-        result = lint_paths([bad], rules=["RL003"], catalog_mode="off")
+        result = lint_paths([bad], rules=["RL003"])
         doc = json.loads(result.to_sarif())
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -456,60 +448,6 @@ class TestSarif:
     def test_clean_run_has_empty_results(self, tmp_path):
         good = tmp_path / "good.py"
         good.write_text("x = 1\n", encoding="utf-8")
-        result = lint_paths([good], rules=["RL003"], catalog_mode="off")
+        result = lint_paths([good], rules=["RL003"])
         doc = json.loads(result.to_sarif())
         assert doc["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
-# --fix-catalog rework
-
-
-class TestFixCatalog:
-    def test_prunes_manual_entries_whose_modules_vanished(self, tmp_path):
-        catalog = tmp_path / "catalog.json"
-        write_catalog(
-            catalog,
-            {},
-            manual={
-                "ghost.metric": {"kinds": ["counter"], "modules": ["ghost.mod"]},
-                "live.metric": {"kinds": ["counter"], "modules": ["alpha"]},
-            },
-        )
-        checker = ObsCatalogChecker()
-        result = LintResult()
-        _fix_catalog(catalog, checker, {"alpha"}, covering_root=True, result=result)
-        assert result.catalog_pruned == ["ghost.metric"]
-        data = load_catalog(catalog)
-        assert "live.metric" in data["manual"]
-        assert "ghost.metric" not in data["manual"]
-
-    def test_partial_fix_preserves_other_modules_and_stays_red(self, tmp_path):
-        # the catalog says demo.hits is also published by other_mod; a
-        # partial fix over mod.py alone must neither drop other_mod nor
-        # report success while the drift it saw is still unexplained
-        catalog = tmp_path / "catalog.json"
-        write_catalog(
-            catalog,
-            {"demo.hits": {"kinds": ["counter"], "modules": ["mod", "other_mod"]}},
-        )
-        snippet = tmp_path / "mod.py"
-        snippet.write_text("from repro import obs\nobs.counter('demo.hits')\n", encoding="utf-8")
-        before = catalog.read_text(encoding="utf-8")
-        result = lint_paths([snippet], rules=["RL005"], catalog_mode="fix", catalog_path=catalog)
-        assert catalog.read_text(encoding="utf-8") == before  # regeneration was a no-op
-        assert not result.ok
-        assert "drifted" in result.diagnostics[0].message
-
-    def test_partial_fix_unions_new_names_into_harvest(self, tmp_path):
-        catalog = tmp_path / "catalog.json"
-        write_catalog(
-            catalog,
-            {"old.name": {"kinds": ["counter"], "modules": ["elsewhere"]}},
-        )
-        snippet = tmp_path / "mod.py"
-        snippet.write_text("from repro import obs\nobs.counter('demo.hits')\n", encoding="utf-8")
-        lint_paths([snippet], rules=["RL005"], catalog_mode="fix", catalog_path=catalog)
-        data = load_catalog(catalog)
-        assert "old.name" in data["harvested"]  # a partial run cannot prove it dead
-        assert "demo.hits" in data["harvested"]

@@ -106,6 +106,37 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at least one"):
             ExperimentConfig(predictors=())
 
+    def test_unknown_deep_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown deep config key\(s\) \['hiden'\]") as excinfo:
+            ExperimentConfig.from_dict({"name": "x", "deep": {"hiden": 8}})
+        assert "'hidden'" in str(excinfo.value)
+
+    def test_unknown_campaign_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown campaign config key\(s\) \['opertors'\]") as excinfo:
+            ExperimentConfig.from_dict({"name": "x", "source": "campaign", "campaign": {"opertors": ["OpZ"]}})
+        assert "'operators'" in str(excinfo.value)
+
+    def test_bare_string_predictors_rejected(self):
+        with pytest.raises(ValueError, match="predictors must be a list") as excinfo:
+            ExperimentConfig.from_dict({"name": "x", "predictors": "LSTM"})
+        assert "'LSTM'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"deep": {"hiden": 8}}, {"source": "campaign", "campaign": {"opertors": ["OpZ"]}}],
+        ids=["deep", "campaign"],
+    )
+    def test_cli_run_rejects_nested_typo_before_any_run_dir(self, section, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"name": "x", **section}), encoding="utf-8")
+        assert main(["run", str(config)]) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not runs.exists()
+
     def test_run_dir_embeds_name_and_hash(self):
         config = ExperimentConfig(name="My Experiment!")
         path = run_dir_for(config)

@@ -1,7 +1,14 @@
-"""repro.runtime: the value flags, their mirrors, and the hash recipe."""
+"""repro.runtime: the sanitize switch, its process-level presets, and
+the hash recipe."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import backends, obs, runtime
 
 
@@ -21,56 +28,64 @@ class TestFlags:
         assert "backend" not in runtime.flags()
 
     def test_value_flag_coerced_and_restored(self):
-        previous = runtime.set_flag("sanitize", "  On  ")
-        assert previous == "0"
-        assert runtime.flag("sanitize") == "1"
+        previous = runtime.configure(sanitize="  On  ")
+        assert previous == {"sanitize": "0"}
+        assert runtime.flags() == {"sanitize": "1"}
         with runtime.use(sanitize=False):
-            assert runtime.flag("sanitize") == "0"
-        assert runtime.flag("sanitize") == "1"
+            assert runtime.flags() == {"sanitize": "0"}
+        assert runtime.flags() == {"sanitize": "1"}
         with pytest.raises(ValueError, match="sanitize must be one of"):
-            runtime.set_flag("sanitize", "   ")
-
-    def test_set_flag_returns_previous(self):
-        assert runtime.set_flag("sanitize", "1") == "0"
-        assert runtime.set_flag("sanitize", "0") == "1"
+            runtime.configure(sanitize="   ")
 
     def test_unknown_flag_rejected(self):
-        with pytest.raises(ValueError, match="unknown runtime flag"):
-            runtime.flag("turbo_mode")
-        with pytest.raises(ValueError, match="unknown runtime flag"):
-            runtime.set_flag("turbo_mode", True)
-        with pytest.raises(ValueError, match="unknown runtime flag"):
+        with pytest.raises(TypeError, match="turbo_mode"):
             runtime.configure(turbo_mode=True)
+        with pytest.raises(TypeError, match="turbo_mode"):
+            runtime.use(turbo_mode=True)
+        assert runtime.flags() == {"sanitize": "0"}
 
     def test_configure_ignores_none(self):
         runtime.configure(sanitize=None)
-        assert runtime.flag("sanitize") == "0"
+        assert runtime.flags() == {"sanitize": "0"}
 
     def test_configure_returns_previous_snapshot(self):
         previous = runtime.configure(sanitize="yes")
         assert previous["sanitize"] == "0"
-        runtime.configure(**previous)
-        assert runtime.flag("sanitize") == "0"
+        assert runtime.configure(**previous) == {"sanitize": "1"}
+        assert runtime.flags() == {"sanitize": "0"}
 
     def test_use_restores_on_exit(self):
         with runtime.use(sanitize="on"):
-            assert runtime.flag("sanitize") == "1"
-        assert runtime.flag("sanitize") == "0"
+            assert runtime.flags() == {"sanitize": "1"}
+        assert runtime.flags() == {"sanitize": "0"}
 
     def test_use_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with runtime.use(sanitize="1"):
                 raise RuntimeError("boom")
-        assert runtime.flag("sanitize") == "0"
+        assert runtime.flags() == {"sanitize": "0"}
 
 
-class TestShimEquivalence:
-    """The write-through mirrors and runtime must stay one state."""
+def _fresh_interpreter(code, sanitize):
+    """Run ``code`` in a new interpreter with ``REPRO_SANITIZE`` preset."""
+    env = {**os.environ, "REPRO_SANITIZE": sanitize, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
 
-    def test_mirror_globals_track_runtime(self):
-        # hot paths read this module global directly; it must follow
-        runtime.set_flag("sanitize", "1")
-        assert backends._SANITIZE is True
+
+class TestEnvPreset:
+    def test_env_preset_arms_a_fresh_interpreter(self):
+        proc = _fresh_interpreter(
+            "from repro import backends, runtime\n"
+            "assert runtime.flags() == {'sanitize': '1'}, runtime.flags()\n"
+            "assert backends.sanitize_active()\n",
+            sanitize="on",
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bad_env_preset_fails_the_import(self):
+        proc = _fresh_interpreter("import repro\n", sanitize="bogus")
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr and "'bogus'" in proc.stderr
 
 
 class TestCanonicalHash:
