@@ -9,7 +9,8 @@ Subpackages
 ``repro.nn``
     Numpy autograd + neural modules (LSTM/GRU/TCN/MLP), Adam, trainer.
 ``repro.trees`` / ``repro.forecast``
-    Classical ML (CART/RF/GBDT) and statistical forecasting baselines.
+    Classical ML (CART/RF/GBDT); the Prophet substitute and MPC's
+    harmonic-mean estimator.
 ``repro.data``
     Windowing, normalization, and the paper's six ML sub-datasets.
 ``repro.core``

@@ -440,7 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # --sanitize and --obs/--obs-dir switch process-wide state; an
+    # in-process caller gets its own switches back
+    flags, mode, directory = runtime.flags(), obs.mode(), obs.obs_dir()
+    try:
+        return args.func(args)
+    finally:
+        runtime.configure(**flags)
+        obs.configure(mode=mode, directory=directory)
 
 
 if __name__ == "__main__":

@@ -276,10 +276,10 @@ class _DeepPredictor(Predictor):
         self.trainer.fit(x_train, train.y, x_val, y_val)
         return self
 
-    def predict(self, dataset: WindowedDataset, float32: bool = False) -> np.ndarray:
+    def predict(self, dataset: WindowedDataset) -> np.ndarray:
         if self.trainer is None:
             raise RuntimeError("predictor has not been fitted")
-        return self.trainer.predict(self._packed(dataset), float32=float32)
+        return self.trainer.predict(self._packed(dataset))
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -327,7 +327,6 @@ class _DeepPredictor(Predictor):
         self._build_args = {k: int(v) for k, v in meta["metadata"]["build"].items()}
         model = self._build(**self._build_args)
         load_state(model, path)
-        model.eval()
         self.trainer = Trainer(
             model,
             lr=self.config.lr,
@@ -458,10 +457,10 @@ class Prism5GPredictor(_DeepPredictor):
         self.trainer.fit(x_train, self._packed_targets(train), x_val, y_val)
         return self
 
-    def predict(self, dataset: WindowedDataset, float32: bool = False) -> np.ndarray:
+    def predict(self, dataset: WindowedDataset) -> np.ndarray:
         if self.trainer is None:
             raise RuntimeError("predictor has not been fitted")
-        return self.trainer.predict(self._packed(dataset), float32=float32)[:, : dataset.horizon]
+        return self.trainer.predict(self._packed(dataset))[:, : dataset.horizon]
 
     def predict_all(self, dataset: WindowedDataset) -> "tuple[np.ndarray, np.ndarray]":
         """``(aggregate, per_cc)`` forecasts from one forward pass.

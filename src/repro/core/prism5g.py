@@ -27,16 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..nn.modules import (
-    Embedding,
-    Linear,
-    LSTM,
-    LSTMCell,
-    GRU,
-    MLP,
-    Module,
-    TransformerEncoder,
-)
+from ..nn.modules import GRU, LSTM, MLP, Embedding, Linear, LSTMCell, Module
 from ..nn.tensor import Tensor, concat, lstm_decoder_seq, no_grad
 
 #: row cap per fused-kernel call in the folded forward.  Recurrent step
@@ -88,8 +79,8 @@ class Prism5G(Module):
         RNN/MLP hidden width (paper: 128; scaled down by default since
         the numpy substrate trains on CPU).
     rnn:
-        ``"lstm"`` (paper default), ``"gru"``, or ``"transformer"``
-        (the paper's future-work variant) — the swappable block.
+        ``"lstm"`` (paper default) or ``"gru"`` (the Table 13 ablation)
+        — the swappable recurrent block.
     use_state_trigger:
         Gate inputs and outputs with the RRC mask (ablation: Table 13
         "No State").
@@ -119,8 +110,8 @@ class Prism5G(Module):
         seed: int = 0,
     ) -> None:
         super().__init__()
-        if rnn not in ("lstm", "gru", "transformer"):
-            raise ValueError("rnn must be 'lstm', 'gru' or 'transformer'")
+        if rnn not in ("lstm", "gru"):
+            raise ValueError("rnn must be 'lstm' or 'gru'")
         if head not in ("decoder", "mlp"):
             raise ValueError("head must be 'decoder' or 'mlp'")
         rng = np.random.default_rng(seed)
@@ -133,13 +124,8 @@ class Prism5G(Module):
         self.head_kind = head
         # shared per-CC encoder: features + own mask bit + aggregate history
         in_size = n_features + 2
-        if rnn == "lstm":
-            self.encoder = LSTM(in_size, hidden, num_layers=2, rng=rng)
-        elif rnn == "gru":
-            self.encoder = GRU(in_size, hidden, num_layers=2, rng=rng)
-        else:  # the paper's future-work variant (§9): transformer block
-            self.encoder = TransformerEncoder(in_size, hidden, num_layers=1, rng=rng)
-        self._rnn_kind = rnn
+        encoder = LSTM if rnn == "lstm" else GRU
+        self.encoder = encoder(in_size, hidden, num_layers=2, rng=rng)
         self.combo_embedding = Embedding(2 ** n_ccs, embed_dim, rng=rng)
         self.fusion = MLP(n_ccs * hidden + embed_dim, [hidden], hidden, rng=rng)
         if head == "mlp":
@@ -157,11 +143,10 @@ class Prism5G(Module):
         per-carrier rollout.
         """
         batch = h_c.shape[0]
-        dtype = h_c.data.dtype
         preds = lstm_decoder_seq(
-            Tensor(np.zeros((batch, 1), dtype=dtype)),
+            Tensor(np.zeros((batch, 1))),
             h_c,
-            Tensor(np.zeros((batch, self.hidden), dtype=dtype)),
+            Tensor(np.zeros((batch, self.hidden))),
             self.decoder_cell.weight_ih,
             self.decoder_cell.weight_hh,
             self.decoder_cell.bias,
@@ -207,7 +192,7 @@ class Prism5G(Module):
         folded = folded.transpose(2, 0, 1, 3).reshape(c * n, t, f + 2)
 
         rows = c * n
-        if rows > _FOLD_CHUNK_ROWS and self._rnn_kind != "transformer":
+        if rows > _FOLD_CHUNK_ROWS:
             # L2 blocking: at full fold height the recurrent step loop's
             # working set spills the cache, so run the (row-independent)
             # encoder over near-equal row blocks.  The wide gate GEMMs

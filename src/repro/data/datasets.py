@@ -17,8 +17,8 @@ import numpy as np
 
 from ..nn.preprocessing import MinMaxScaler
 from ..parallel import parallel_map
-from ..ran.simulator import TraceSimulator
-from ..ran.traces import Trace, TraceSet
+from ..ran.simulator import simulate_trace
+from ..ran.traces import TraceSet
 from .cache import CacheLike, resolve_cache
 from .windowing import WindowedDataset, window_traces
 
@@ -55,12 +55,6 @@ CAMPAIGN_MODEMS: Tuple[str, ...] = ("X70", "X65", "X60", "X70")
 #: measurement hours rotated per run (the paper collects mostly at
 #: midnight but includes day-time runs, Appendix B.2).
 CAMPAIGN_HOURS: Tuple[float, ...] = (0.5, 12.5, 18.5, 3.0)
-
-
-def _synthesize_trace(job: Dict) -> Trace:
-    """Top-level worker so :func:`~repro.parallel.parallel_map` can pickle it."""
-    sim = TraceSimulator(**job["sim"])
-    return sim.run(job["duration_s"], route_id=job["route_id"])
 
 
 def subdataset_cache_config(
@@ -142,7 +136,7 @@ def generate_traces(
         )
 
     def synthesize() -> TraceSet:
-        return TraceSet(parallel_map(_synthesize_trace, jobs, processes=processes))
+        return TraceSet(parallel_map(simulate_trace, jobs, processes=processes))
 
     trace_cache = resolve_cache(cache)
     if trace_cache is None:

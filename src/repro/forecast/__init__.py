@@ -1,21 +1,6 @@
-"""Statistical forecasting baselines (Prophet substitute, harmonic mean)."""
+"""Statistical forecasting: the Prophet substitute and MPC's harmonic mean."""
 
-from .baselines import EWMAPredictor, MovingAveragePredictor, PersistencePredictor
-from .harmonic import HarmonicMeanPredictor, harmonic_mean
-from .metrics import bias, forecast_report, horizon_rmse, mase, smape
-from .prophet import RollingProphet, StructuralProphet
+from .harmonic import harmonic_mean
+from .prophet import StructuralProphet
 
-__all__ = [
-    "EWMAPredictor",
-    "HarmonicMeanPredictor",
-    "MovingAveragePredictor",
-    "PersistencePredictor",
-    "RollingProphet",
-    "StructuralProphet",
-    "bias",
-    "forecast_report",
-    "harmonic_mean",
-    "horizon_rmse",
-    "mase",
-    "smape",
-]
+__all__ = ["StructuralProphet", "harmonic_mean"]

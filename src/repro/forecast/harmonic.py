@@ -16,31 +16,3 @@ def harmonic_mean(values: np.ndarray, eps: float = 1e-9) -> float:
         raise ValueError("cannot take harmonic mean of empty data")
     values = np.maximum(values, eps)
     return float(len(values) / np.sum(1.0 / values))
-
-
-class HarmonicMeanPredictor:
-    """Predict future throughput as the harmonic mean of recent history.
-
-    This is MPC's default bandwidth estimator: conservative (dominated
-    by low samples), horizon-constant.
-    """
-
-    def __init__(self, window: int = 5) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def predict(self, history: np.ndarray, horizon: int = 1) -> np.ndarray:
-        history = np.asarray(history, dtype=np.float64).reshape(-1)
-        if history.size == 0:
-            raise ValueError("history is empty")
-        estimate = harmonic_mean(history[-self.window:])
-        return np.full(horizon, estimate)
-
-    def predict_series(self, y: np.ndarray, horizon: int = 1) -> np.ndarray:
-        """Row i = forecast after observing ``y[:i+1]``; shape (n, horizon)."""
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        out = np.empty((len(y), horizon))
-        for i in range(len(y)):
-            out[i] = self.predict(y[: i + 1], horizon)
-        return out

@@ -2,8 +2,9 @@
 
 The paper uses Prophet [44] as its statistics-only baseline, evaluated
 with a rolling refit ("cross-validation schema", Appendix C.1): at each
-step the model is refit on all history seen so far and extrapolated
-over the horizon.  Prophet's core is a decomposable model
+step the model is refit on the history seen so far and extrapolated
+over the horizon (``repro.core.predictors.ProphetPredictor`` refits on
+each window's history).  Prophet's core is a decomposable model
 
     y(t) = trend(t) + seasonality(t) + noise
 
@@ -95,44 +96,3 @@ class StructuralProphet:
         start = n_train if start is None else start
         t = (start + np.arange(horizon)) / self._t_scale
         return self._design(t) @ self._coef
-
-
-class RollingProphet:
-    """Rolling-refit evaluation wrapper matching the paper's protocol.
-
-    At each prediction time, refit :class:`StructuralProphet` on the most
-    recent ``window`` samples (all history if ``window`` is None) and
-    predict the next ``horizon`` values.
-    """
-
-    def __init__(
-        self,
-        horizon: int,
-        window: Optional[int] = 60,
-        min_history: int = 10,
-        **prophet_kwargs,
-    ) -> None:
-        self.horizon = horizon
-        self.window = window
-        self.min_history = max(min_history, 3)
-        self.prophet_kwargs = prophet_kwargs
-
-    def predict_series(self, y: np.ndarray) -> np.ndarray:
-        """Forecast matrix of shape (len(y), horizon).
-
-        Row ``i`` holds the forecast for steps ``i+1 .. i+horizon`` given
-        history ``y[:i+1]``.  Rows with insufficient history repeat the
-        last observed value (persistence fallback).
-        """
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        out = np.empty((len(y), self.horizon))
-        for i in range(len(y)):
-            history = y[: i + 1]
-            if self.window is not None:
-                history = history[-self.window:]
-            if len(history) < self.min_history:
-                out[i] = history[-1]
-                continue
-            model = StructuralProphet(**self.prophet_kwargs).fit(history)
-            out[i] = model.predict(self.horizon)
-        return out

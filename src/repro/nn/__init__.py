@@ -1,31 +1,29 @@
 """Numpy-based neural network substrate (autograd, modules, training).
 
-Replaces PyTorch, which the paper uses but is unavailable offline.
+Replaces PyTorch, which the paper uses but is unavailable offline.  It
+holds one choice per step of the paper's recipe (Appendix C.1): Adam,
+an MSE training loss with RMSE for evaluation, and min-max scaling.
+All arithmetic is float64.
 """
 
-from .losses import mae, mae_loss, mape, mse_loss, rmse, rmse_loss
+from .losses import mse_loss, rmse
 from .modules import (
     MLP,
     TCN,
     CausalConv1d,
-    CausalSelfAttention,
-    Dropout,
     Embedding,
     GRU,
     GRUCell,
-    LayerNorm,
     Linear,
     LSTM,
     LSTMCell,
     Module,
     ReLU,
     Sequential,
-    Tanh,
     TCNBlock,
-    TransformerEncoder,
 )
-from .optim import Adam, Optimizer, SGD
-from .preprocessing import MinMaxScaler, StandardScaler
+from .optim import Adam, Optimizer
+from .preprocessing import MinMaxScaler
 from .serialization import CHECKPOINT_SCHEMA, load_state, read_checkpoint_metadata, save_state
 from .tensor import (
     Tensor,
@@ -46,12 +44,9 @@ from .training import Trainer, TrainingHistory
 __all__ = [
     "Adam",
     "CausalConv1d",
-    "CausalSelfAttention",
-    "Dropout",
     "Embedding",
     "GRU",
     "GRUCell",
-    "LayerNorm",
     "Linear",
     "LSTM",
     "LSTMCell",
@@ -60,14 +55,10 @@ __all__ = [
     "Module",
     "Optimizer",
     "ReLU",
-    "SGD",
     "Sequential",
-    "StandardScaler",
     "TCN",
     "TCNBlock",
-    "Tanh",
     "Tensor",
-    "TransformerEncoder",
     "Trainer",
     "TrainingHistory",
     "affine",
@@ -78,16 +69,12 @@ __all__ = [
     "load_state",
     "lstm_decoder_seq",
     "lstm_seq",
-    "mae",
     "no_grad",
     "set_grad_enabled",
-    "mae_loss",
-    "mape",
     "mse_loss",
     "numerical_gradient",
     "read_checkpoint_metadata",
     "rmse",
-    "rmse_loss",
     "save_state",
     "stack",
     "where",

@@ -1,8 +1,8 @@
 """Loss functions and regression metrics.
 
 The paper trains and reports with RMSE on min-max normalized
-throughput (Table 4 values are in normalized units); we provide the
-same, plus MAE/MAPE helpers used in analysis.
+throughput (Table 4 values are in normalized units): training
+minimizes MSE, evaluation reports RMSE.
 """
 
 from __future__ import annotations
@@ -19,17 +19,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def rmse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Root mean squared error (differentiable)."""
-    return mse_loss(pred, target).sqrt()
-
-
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error (differentiable)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return (pred - target).abs().mean()
-
-
 def rmse(pred: np.ndarray, target: np.ndarray) -> float:
     """RMSE on plain arrays (evaluation metric)."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -37,17 +26,3 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     return float(np.sqrt(np.mean((pred - target) ** 2)))
-
-
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """MAE on plain arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.mean(np.abs(pred - target)))
-
-
-def mape(pred: np.ndarray, target: np.ndarray, eps: float = 1e-9) -> float:
-    """Mean absolute percentage error (%); small targets are floored."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.mean(np.abs(pred - target) / np.maximum(np.abs(target), eps)) * 100.0)

@@ -25,7 +25,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -46,15 +45,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -118,31 +108,9 @@ class Embedding(Module):
         return self.weight[indices]
 
 
-class Dropout(Module):
-    """Inverted dropout; identity when ``training`` is False."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p <= 0.0:  # p validated in [0, 1)
-            return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
 
 
 class Sequential(Module):
@@ -244,12 +212,8 @@ class LSTM(Module):
     ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
         batch = x.shape[0]
         if state is None:
-            dtype = x.data.dtype
             state = [
-                (
-                    Tensor(np.zeros((batch, self.hidden_size), dtype=dtype)),
-                    Tensor(np.zeros((batch, self.hidden_size), dtype=dtype)),
-                )
+                (Tensor(np.zeros((batch, self.hidden_size))), Tensor(np.zeros((batch, self.hidden_size))))
                 for _ in range(self.num_layers)
             ]
         else:
@@ -315,10 +279,7 @@ class GRU(Module):
     def forward(self, x: Tensor, state: Optional[List[Tensor]] = None) -> Tuple[Tensor, List[Tensor]]:
         batch = x.shape[0]
         if state is None:
-            state = [
-                Tensor(np.zeros((batch, self.hidden_size), dtype=x.data.dtype))
-                for _ in range(self.num_layers)
-            ]
+            state = [Tensor(np.zeros((batch, self.hidden_size))) for _ in range(self.num_layers)]
         else:
             state = list(state)  # never mutate the caller's list
         out = x
@@ -330,94 +291,6 @@ class GRU(Module):
             )
             state[layer] = h_t
         return out, state
-
-
-class LayerNorm(Module):
-    """Layer normalization over the last axis with learnable scale/shift."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.eps = eps
-        self.weight = Tensor(np.ones(normalized_shape), requires_grad=True)
-        self.bias = Tensor(np.zeros(normalized_shape), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * ((var + self.eps) ** -0.5)
-        return normalized * self.weight + self.bias
-
-
-class CausalSelfAttention(Module):
-    """Single-head causal self-attention over ``(batch, time, features)``.
-
-    Future positions are masked out with a large negative bias before
-    the softmax, so position ``t`` attends only to ``<= t``.
-    """
-
-    def __init__(self, embed_dim: int, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.embed_dim = embed_dim
-        self.query = Linear(embed_dim, embed_dim, rng=rng)
-        self.key = Linear(embed_dim, embed_dim, rng=rng)
-        self.value = Linear(embed_dim, embed_dim, rng=rng)
-        self.out = Linear(embed_dim, embed_dim, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        _, time, _ = x.shape
-        q = self.query(x)
-        k = self.key(x)
-        v = self.value(x)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(self.embed_dim))
-        causal_bias = np.triu(np.full((time, time), -1e9), k=1)
-        weights = (scores + Tensor(causal_bias)).softmax(axis=-1)
-        return self.out(weights @ v)
-
-
-class TransformerEncoder(Module):
-    """Tiny pre-activation transformer: attention + MLP with residuals.
-
-    The paper lists transformers as a drop-in alternative to the RNN
-    block of Prism5G (future directions, §9); this module provides that
-    option.  Input is projected to ``hidden`` and positional ramps are
-    added so attention can distinguish time steps.
-    """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden: int,
-        num_layers: int = 1,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.hidden = hidden
-        self.proj = Linear(input_size, hidden, rng=rng)
-        self.blocks = []
-        for i in range(num_layers):
-            attention = CausalSelfAttention(hidden, rng=rng)
-            feedforward = MLP(hidden, [2 * hidden], hidden, rng=rng)
-            norm_a = LayerNorm(hidden)
-            norm_f = LayerNorm(hidden)
-            setattr(self, f"attn{i}", attention)
-            setattr(self, f"ff{i}", feedforward)
-            setattr(self, f"norm_a{i}", norm_a)
-            setattr(self, f"norm_f{i}", norm_f)
-            self.blocks.append((attention, feedforward, norm_a, norm_f))
-
-    def forward(self, x: Tensor, state=None) -> Tuple[Tensor, None]:
-        batch, time, _ = x.shape
-        position = np.broadcast_to(
-            np.linspace(-1.0, 1.0, time)[None, :, None], (batch, time, 1)
-        )
-        h = self.proj(x) + Tensor(np.tile(position, (1, 1, self.hidden)) * 0.1)
-        for attention, feedforward, norm_a, norm_f in self.blocks:
-            h = h + attention(norm_a(h))
-            h = h + feedforward(norm_f(h))
-        return h, None
 
 
 class CausalConv1d(Module):

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam).
+"""The Adam gradient-descent optimizer.
 
 The paper trains all deep models with Adam (lr=0.01, batch 128); we
 implement Adam exactly as in Kingma & Ba (2014), including bias
@@ -29,33 +29,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: List[Tensor], lr: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.params:
-            if param.grad is None:
-                continue
-            if self.momentum > 0.0:
-                v = self._velocity.get(id(param))
-                if v is None:
-                    v = param.grad.copy()
-                    self._velocity[id(param)] = v
-                else:
-                    np.multiply(v, self.momentum, out=v)
-                    np.add(v, param.grad, out=v)
-                param.data -= self.lr * v
-            else:
-                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):

@@ -1,9 +1,8 @@
 """Feature scaling utilities.
 
 The paper normalizes all ML datasets with a min-max scaler before
-training (Appendix C.1); we provide the same plus a standard scaler.
-Both are fit on training data only and are exactly invertible on the
-fitted range.
+training (Appendix C.1); we provide the same.  It is fit on training
+data only and is exactly invertible on the fitted range.
 """
 
 from __future__ import annotations
@@ -49,32 +48,3 @@ class MinMaxScaler:
     def _check_fitted(self) -> None:
         if self.data_min is None:
             raise RuntimeError("scaler has not been fitted")
-
-
-class StandardScaler:
-    """Zero-mean / unit-variance scaling; zero-variance columns pass through."""
-
-    def __init__(self) -> None:
-        self.mean: Optional[np.ndarray] = None
-        self.std: Optional[np.ndarray] = None
-
-    def fit(self, x: np.ndarray) -> "StandardScaler":
-        x = np.asarray(x, dtype=np.float64)
-        flat = x.reshape(-1, x.shape[-1])
-        self.mean = flat.mean(axis=0)
-        std = flat.std(axis=0)
-        self.std = np.where(std <= 0.0, 1.0, std)  # std >= 0; <= 0 marks constants
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise RuntimeError("scaler has not been fitted")
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise RuntimeError("scaler has not been fitted")
-        return np.asarray(x, dtype=np.float64) * self.std + self.mean
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)

@@ -79,12 +79,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
-    # float32 arrays pass through untouched (opt-in low-precision
-    # inference); everything else is canonicalized to float64.
-    if isinstance(value, np.ndarray) and value.dtype == np.float32:
-        return value
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
+    return np.asarray(value, dtype=np.float64)
 
 
 class Tensor:
@@ -349,23 +344,6 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         return self._unary(np.abs(self.data), lambda: np.sign(self.data))
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        """Numerically stable softmax along ``axis`` (differentiable)."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        value = exp / exp.sum(axis=axis, keepdims=True)
-        requires = _GRAD_ENABLED and self.requires_grad
-        out = Tensor(value, requires_grad=requires, _parents=(self,) if requires else ())
-
-        def _backward() -> None:
-            g = out.grad
-            dot = (g * value).sum(axis=axis, keepdims=True)
-            self._accumulate(value * (g - dot))
-
-        if out.requires_grad:
-            out._backward = _backward
-        return out
 
     # ------------------------------------------------------------------
     # Reductions

@@ -93,7 +93,6 @@ class Trainer:
         forward_fn: Optional[Callable] = None,
         grad_clip: Optional[float] = 5.0,
         seed: int = 0,
-        verbose: bool = False,
     ) -> None:
         self.model = model
         self.optimizer = Adam(model.parameters(), lr=lr, grad_clip=grad_clip)
@@ -104,7 +103,6 @@ class Trainer:
         self.forward_fn = forward_fn or (lambda model, x: model(Tensor(x)))
         self.rng = np.random.default_rng(seed)
         self.seed = seed
-        self.verbose = verbose
         #: the last :meth:`fit`'s history (``None`` before any fit, and
         #: for trainers rebuilt from a checkpoint).
         self.history: Optional[TrainingHistory] = None
@@ -115,7 +113,6 @@ class Trainer:
         n = len(x)
         order = self.rng.permutation(n) if train else np.arange(n)
         total, count = 0.0, 0
-        self.model.train(train)
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
             # open a fresh arena step window: kernel scratch from the
@@ -178,8 +175,6 @@ class Trainer:
                     stale = 0
                 else:
                     stale += 1
-                if self.verbose:
-                    print(f"epoch {epoch:3d} train {train_loss:.5f} val {val_loss:.5f}")
                 if stale >= self.patience:
                     break
         finally:
@@ -189,7 +184,6 @@ class Trainer:
         if best_state is not None:
             for name, p in params.items():
                 np.copyto(p.data, best_state[name])
-        self.model.eval()
         if instrumented:
             obs.gauge("train.best_val_loss", history.best_val_loss)
             config = {
@@ -243,30 +237,15 @@ class Trainer:
         finally:
             self._n_traces = None
 
-    def predict(
-        self,
-        x: np.ndarray,
-        batch_size: Optional[int] = None,
-        float32: bool = False,
-    ) -> np.ndarray:
-        """Run the model in eval mode over ``x`` in batches.
+    def predict(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
+        """Run the model over ``x`` in batches.
 
         The whole pass runs under :class:`~repro.nn.tensor.no_grad`, so
         no computation graph is recorded — outputs are bit-identical to
         a grad-mode forward since the same numpy expressions execute.
-        ``float32=True`` temporarily casts the model parameters (and the
-        input) to float32 for a faster, lower-precision pass; weights
-        are restored to their float64 values afterwards.
         """
-        self.model.eval()
         bs = batch_size or self.batch_size
         outputs = []
-        saved: Optional[list] = None
-        if float32:
-            saved = [(p, p.data) for p in self.model.parameters()]
-            for p, data in saved:
-                p.data = data.astype(np.float32)
-            x = np.asarray(x, dtype=np.float32)
         try:
             with no_grad():
                 for start in range(0, len(x), bs):
@@ -276,10 +255,7 @@ class Trainer:
                     # recycles that scratch batch over batch
                     arena.begin_step()
                     pred = self.forward_fn(self.model, x[start : start + bs])
-                    outputs.append(np.asarray(pred.numpy(), dtype=np.float64))
+                    outputs.append(pred.numpy())
         finally:
             arena.end_run()
-            if saved is not None:
-                for p, data in saved:
-                    p.data = data
         return np.concatenate(outputs, axis=0)

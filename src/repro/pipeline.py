@@ -44,7 +44,7 @@ import re
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, get_type_hints
 
 from . import obs, runtime
 from .core.evaluation import EvaluationResult
@@ -142,11 +142,39 @@ def write_stage_marker(
     return path
 
 
-def _reject_unknown_keys(section: str, given: Dict, valid: List[str]) -> None:
-    """A typo inside a nested config section fails at load, naming it."""
+#: what a config field of each annotated type accepts, and how an error
+#: names it.  ``bool`` is an ``int`` subclass, so numbers refuse it.
+_FIELD_TYPES: Dict[object, Tuple[str, Callable[[object], bool]]] = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Tuple[str, ...]: (
+        "a list of strings",
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(item, str) for item in v),
+    ),
+    Optional[Dict]: ("an object", lambda v: v is None or isinstance(v, dict)),
+    DeepConfig: ("an object", lambda v: isinstance(v, (dict, DeepConfig))),
+}
+
+
+def _check_fields(prefix: str, cls: Type[Any], given: Mapping[str, object]) -> None:
+    """Check a config mapping against the fields of dataclass ``cls``.
+
+    An unknown key or a value of the wrong type fails at load with a
+    ``ValueError`` naming the dotted field (``prefix`` is ``""`` at the
+    top level, ``"deep."`` inside ``deep``), what it expects and what
+    was given.
+    """
+    hints = get_type_hints(cls)
+    valid = sorted(f.name for f in fields(cls))
     unknown = sorted(set(given) - set(valid))
     if unknown:
-        raise ValueError(f"unknown {section} config key(s) {unknown}; valid keys: {sorted(valid)}")
+        section = prefix.rstrip(".") or "experiment"
+        raise ValueError(f"unknown {section} config key(s) {unknown}; valid keys: {valid}")
+    for name, value in given.items():
+        expected, accepts = _FIELD_TYPES[hints[name]]
+        if not accepts(value):
+            raise ValueError(f"{prefix}{name} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -182,16 +210,12 @@ class ExperimentConfig:
     deep: DeepConfig = field(default_factory=DeepConfig)
 
     def __post_init__(self) -> None:
+        _check_fields("", ExperimentConfig, {f.name: getattr(self, f.name) for f in fields(self)})
         if isinstance(self.deep, dict):
-            _reject_unknown_keys("deep", self.deep, [f.name for f in fields(DeepConfig)])
+            _check_fields("deep.", DeepConfig, self.deep)
             self.deep = DeepConfig(**self.deep)
         if self.campaign is not None:
-            _reject_unknown_keys("campaign", self.campaign, [f.name for f in fields(CampaignConfig)])
-        if isinstance(self.predictors, str):
-            raise ValueError(
-                f"predictors must be a list of predictor names, not the string {self.predictors!r}; "
-                f"registered predictors: {registered_predictors()}"
-            )
+            _check_fields("campaign.", CampaignConfig, self.campaign)
         self.predictors = tuple(self.predictors)
         if self.source not in _VALID_SOURCES:
             raise ValueError(f"source must be one of {_VALID_SOURCES}, got {self.source!r}")
@@ -235,12 +259,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown experiment config key(s) {unknown}; valid keys: {sorted(known)}"
-            )
+        _check_fields("", cls, data)
         return cls(**data)
 
     def to_json(self) -> str:

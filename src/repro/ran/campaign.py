@@ -39,7 +39,7 @@ from .. import obs, runtime
 from ..parallel import parallel_map, run_tasks
 from .cells import Deployment, build_city_deployment
 from .multi_ue import MultiUESimulator
-from .simulator import TraceSimulator
+from .simulator import TraceSimulator, simulate_trace
 from .traces import Trace, TraceRecord, TraceSet
 
 #: folded into every city-campaign hash so semantic changes to the
@@ -250,12 +250,6 @@ def _area_for(scenario: str) -> float:
     return 1_500.0 if scenario != "urban" else 1_000.0
 
 
-def _simulate_campaign_trace(job: Dict) -> Trace:
-    """Top-level worker so :func:`~repro.parallel.parallel_map` can pickle it."""
-    sim = TraceSimulator(**job["sim"])
-    return sim.run(job["duration_s"], route_id=job["route_id"])
-
-
 def campaign_cache_config(config: CampaignConfig) -> Dict:
     """The trace-cache configuration for one campaign synthesis.
 
@@ -314,7 +308,7 @@ def run_campaign(
     jobs, keys = _campaign_jobs(config)
 
     def synthesize() -> TraceSet:
-        return TraceSet(parallel_map(_simulate_campaign_trace, jobs, processes=processes))
+        return TraceSet(parallel_map(simulate_trace, jobs, processes=processes))
 
     from ..data.cache import resolve_cache  # local: avoids import cycle
 

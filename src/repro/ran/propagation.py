@@ -1,4 +1,4 @@
-"""Radio propagation: pathloss, correlated shadowing, fast fading.
+"""Radio propagation: pathloss, link budget, fast fading.
 
 Grounded in the 3GPP TR 38.901 UMa/UMi models.  What matters for the
 paper's phenomena is that (a) pathloss grows with carrier frequency, so
@@ -6,16 +6,16 @@ low-band (n71) reaches farther than mid-band (n41) and far farther than
 mmWave — driving PCell choice and SCell availability (Figs 27-28);
 (b) shadowing is *spatially correlated* but only *partially correlated
 across bands* at the same location, reproducing the intra- vs
-inter-band RSRP correlation structure of Figs 11-13; and (c) fast
-fading is time-correlated with mobility (Doppler), giving the 10 ms
-traces their short-term texture.
+inter-band RSRP correlation structure of Figs 11-13 (that state lives
+in ``TraceSimulator._advance_radio_processes``); and (c) fast fading is
+time-correlated with mobility (Doppler), giving the 10 ms traces their
+short-term texture.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,58 +68,6 @@ def indoor_penetration_loss_db(freq_mhz: float) -> float:
     """
     f_ghz = freq_mhz / 1e3
     return 10.0 + 8.0 * f_ghz ** 0.7
-
-
-@dataclass
-class ShadowingProcess:
-    """Spatially correlated log-normal shadowing (Gudmundson model).
-
-    Correlation decays exponentially with travelled distance with a
-    decorrelation length ``decorr_m``.  A per-band independent component
-    mixed with a shared site component controls the cross-band
-    correlation: intra-band CCs (same site, same frequency) see nearly
-    identical shadowing while inter-band CCs decorrelate (paper Fig 13).
-    """
-
-    sigma_db: float = 6.0
-    decorr_m: float = 50.0
-    band_mix: float = 0.6  #: fraction of variance from the band-specific part
-
-    def __post_init__(self) -> None:
-        if self.sigma_db < 0:
-            raise ValueError("sigma_db must be non-negative")
-        if self.decorr_m <= 0:
-            raise ValueError("decorr_m must be positive")
-        if not 0.0 <= self.band_mix <= 1.0:
-            raise ValueError("band_mix must be in [0, 1]")
-        self._shared = 0.0
-        self._own = 0.0
-        self._initialized = False
-
-    def sample(self, moved_m: float, rng: np.random.Generator, shared_value: Optional[float] = None) -> float:
-        """Advance the process by ``moved_m`` metres and return loss in dB.
-
-        ``shared_value`` lets multiple same-site processes reuse one
-        site-common component (pass the value returned by
-        :meth:`shared_component` of a master process).
-        """
-        rho = math.exp(-abs(moved_m) / self.decorr_m)
-        innovation_scale = math.sqrt(max(1.0 - rho * rho, 0.0))
-        if not self._initialized:
-            self._own = rng.normal(0.0, 1.0)
-            self._shared = rng.normal(0.0, 1.0) if shared_value is None else shared_value
-            self._initialized = True
-        else:
-            self._own = rho * self._own + innovation_scale * rng.normal(0.0, 1.0)
-            if shared_value is None:
-                self._shared = rho * self._shared + innovation_scale * rng.normal(0.0, 1.0)
-            else:
-                self._shared = shared_value
-        mixed = math.sqrt(self.band_mix) * self._own + math.sqrt(1.0 - self.band_mix) * self._shared
-        return self.sigma_db * mixed
-
-    def shared_component(self) -> float:
-        return self._shared
 
 
 @dataclass

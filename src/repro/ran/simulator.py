@@ -435,6 +435,17 @@ class TraceSimulator:
         )
 
 
+def simulate_trace(job: Dict) -> Trace:
+    """Run ``TraceSimulator(**job["sim"])`` for one trace-synthesis job.
+
+    ``job`` holds ``sim`` (the simulator's keyword arguments),
+    ``duration_s`` and ``route_id``.  A top-level function, so
+    :func:`~repro.parallel.parallel_map` workers can pickle it by name.
+    """
+    sim = TraceSimulator(**job["sim"])
+    return sim.run(job["duration_s"], route_id=job["route_id"])
+
+
 def simulate_stationary_ideal(
     operator: str = "OpZ",
     rat: str = "5G",

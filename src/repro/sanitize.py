@@ -16,8 +16,8 @@ guarded twin:
   forward's saved inputs as explicit arguments (that is the kernel
   layer's calling convention), so each gradient it returns is checked
   for shape *and* dtype against the forward input it differentiates.
-  A grad that silently broadcast to the wrong shape, or upcast a
-  float32 inference path to float64, trips the guard at the primitive
+  A grad that silently broadcast to the wrong shape, or came back in
+  a different dtype than its input, trips the guard at the primitive
   that produced it.
 * **Grad-seed guard** — the incoming gradient arguments of a backward
   (``g`` / ``g_out`` / ``dc_T``) are checked too, so a NaN

@@ -90,14 +90,7 @@ class TestCCFolding:
         loop = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
         assert np.array_equal(folded, loop)
 
-    def test_transformer_variant_bit_identical(self):
-        model = Prism5G(n_ccs=3, n_features=4, horizon=4, hidden=8, rnn="transformer")
-        packed = _packed_batch(8, c=3, f=4)
-        folded = model(Tensor(packed)).numpy()
-        loop = oracles.prism5g_loop_forward(model, Tensor(packed)).numpy()
-        assert np.array_equal(folded, loop)
-
-    @pytest.mark.parametrize("rnn", ["lstm", "transformer"])
+    @pytest.mark.parametrize("rnn", ["lstm"])
     def test_gradients_match_loop(self, rnn):
         packed = _packed_batch(8)
 

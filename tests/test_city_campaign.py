@@ -121,7 +121,7 @@ class TestCityCampaign:
         assert partial.shards_completed == 1
         assert partial.shards_total == config.shards
 
-        obs.configure(mode=obs.MODE_METRICS)
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
         obs.reset()
         try:
             full = run_city_campaign(config, state_dir=state)

@@ -169,18 +169,22 @@ class TestObs:
         assert manifest["kernel_paths"]["sanitize"] == "0"
 
     def test_simulate_sanitize_stamps_the_manifest(self, tmp_path):
-        from repro import obs, runtime
+        from repro import obs
 
         obs_dir = tmp_path / "obs"
-        before = runtime.flags()
-        try:
-            rc = main(["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(obs_dir)])
-        finally:
-            runtime.configure(**before)
+        rc = main(["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(obs_dir)])
         assert rc == 0
         manifest = obs.latest_manifest(obs_dir)
         assert manifest["kernel_paths"]["sanitize"] == "1"
         assert manifest["metrics"]["counters"]["sanitize.checks"] > 0
+
+    def test_main_restores_sanitize_and_obs(self, tmp_path):
+        from repro import backends, obs, runtime
+
+        before = (runtime.flags(), backends.sanitize_active(), obs.mode(), obs.obs_dir())
+        argv = ["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(tmp_path / "obs")]
+        assert main(argv) == 0
+        assert (runtime.flags(), backends.sanitize_active(), obs.mode(), obs.obs_dir()) == before
 
     def test_obs_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["obs", "report", "--dir", str(tmp_path)])

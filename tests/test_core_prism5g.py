@@ -99,8 +99,9 @@ class TestForward:
         assert out.shape == (6, 4 * 4)
 
     def test_invalid_rnn_kind(self):
-        with pytest.raises(ValueError):
-            Prism5G(n_ccs=2, n_features=3, rnn="kalman")
+        for rnn in ("kalman", "transformer"):
+            with pytest.raises(ValueError):
+                Prism5G(n_ccs=2, n_features=3, rnn=rnn)
 
     def test_weights_shared_across_ccs(self):
         """Same features on different CC slots give identical predictions

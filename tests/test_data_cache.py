@@ -86,7 +86,7 @@ def test_cache_corrupt_entry_is_reported_and_regenerated(tmp_path, caplog):
     jsonl = sorted(entry.glob("*.jsonl"))[0]
     jsonl.write_text("{not json at all\n")
 
-    obs.configure(mode=obs.MODE_METRICS)
+    obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
     try:
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
             assert cache.get(config) is None

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.forecast import (
-    EWMAPredictor,
-    HarmonicMeanPredictor,
-    MovingAveragePredictor,
-    PersistencePredictor,
-    RollingProphet,
-    StructuralProphet,
-    harmonic_mean,
-)
+from repro.forecast import StructuralProphet, harmonic_mean
 
 
 class TestStructuralProphet:
@@ -50,19 +42,6 @@ class TestStructuralProphet:
             model.predict(0)
 
 
-class TestRollingProphet:
-    def test_shapes(self):
-        y = np.random.default_rng(0).uniform(100, 200, 50)
-        forecasts = RollingProphet(horizon=4, window=20).predict_series(y)
-        assert forecasts.shape == (50, 4)
-
-    def test_persistence_fallback_for_short_history(self):
-        y = np.array([5.0, 6.0, 7.0])
-        forecasts = RollingProphet(horizon=2, min_history=10).predict_series(y)
-        np.testing.assert_allclose(forecasts[0], 5.0)
-        np.testing.assert_allclose(forecasts[2], 7.0)
-
-
 class TestHarmonicMean:
     def test_known_value(self):
         assert harmonic_mean(np.array([1.0, 2.0, 4.0])) == pytest.approx(12 / 7)
@@ -83,36 +62,3 @@ class TestHarmonicMean:
         fast = harmonic_mean(np.array([100.0] * 5))
         with_outlier = harmonic_mean(np.array([100.0] * 4 + [1.0]))
         assert with_outlier < 0.1 * fast + 10
-
-    def test_predictor_horizon_constant(self):
-        predictor = HarmonicMeanPredictor(window=3)
-        out = predictor.predict(np.array([10.0, 20.0, 30.0]), horizon=4)
-        assert out.shape == (4,)
-        assert np.all(out == out[0])
-
-    def test_predict_series_causal(self):
-        """Forecast at step i must only depend on y[:i+1]."""
-        predictor = HarmonicMeanPredictor(window=5)
-        y = np.arange(1.0, 11.0)
-        series = predictor.predict_series(y, horizon=1)
-        prefix = predictor.predict_series(y[:5], horizon=1)
-        np.testing.assert_allclose(series[:5], prefix)
-
-
-class TestSimpleBaselines:
-    def test_persistence(self):
-        pred = PersistencePredictor().predict(np.array([1.0, 9.0]), horizon=3)
-        np.testing.assert_allclose(pred, 9.0)
-
-    def test_moving_average(self):
-        pred = MovingAveragePredictor(window=2).predict(np.array([1.0, 2.0, 4.0]))
-        np.testing.assert_allclose(pred, 3.0)
-
-    def test_ewma_weights_recent(self):
-        pred = EWMAPredictor(alpha=0.9).predict(np.array([0.0, 0.0, 10.0]))
-        assert pred[0] > 8.0
-
-    def test_empty_history_raises(self):
-        for predictor in (PersistencePredictor(), MovingAveragePredictor(), EWMAPredictor()):
-            with pytest.raises(ValueError):
-                predictor.predict(np.array([]))

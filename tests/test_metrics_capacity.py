@@ -1,10 +1,7 @@
-"""Forecast metrics and theoretical-capacity tests."""
+"""Theoretical-capacity tests."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.forecast import bias, forecast_report, horizon_rmse, mase, smape
 from repro.ran import (
     ChannelSpec,
     aggregate_capacity_mbps,
@@ -12,63 +9,6 @@ from repro.ran import (
     simulate_stationary_ideal,
     utilization,
 )
-
-
-class TestForecastMetrics:
-    def _data(self):
-        rng = np.random.default_rng(0)
-        target = rng.uniform(100, 500, size=(50, 10))
-        pred = target + rng.normal(0, 20, size=(50, 10))
-        history = rng.uniform(100, 500, size=(50, 10))
-        return pred, target, history
-
-    def test_horizon_rmse_shape(self):
-        pred, target, _ = self._data()
-        curve = horizon_rmse(pred, target)
-        assert curve.shape == (10,)
-        assert np.all(curve > 0)
-
-    def test_horizon_rmse_requires_2d(self):
-        with pytest.raises(ValueError):
-            horizon_rmse(np.zeros(5), np.zeros(5))
-
-    def test_smape_bounds(self):
-        pred, target, _ = self._data()
-        value = smape(pred, target)
-        assert 0.0 <= value <= 200.0
-
-    def test_smape_zero_when_equal(self):
-        target = np.ones((3, 4)) * 100
-        assert smape(target, target) == pytest.approx(0.0)
-
-    def test_mase_below_one_beats_persistence(self):
-        _, target, history = self._data()
-        assert mase(target, target, history) == 0.0
-        naive = np.repeat(history[:, -1:], target.shape[1], axis=1)
-        assert mase(naive, target, history) == pytest.approx(1.0)
-
-    def test_mase_alignment_check(self):
-        pred, target, history = self._data()
-        with pytest.raises(ValueError):
-            mase(pred, target, history[:10])
-
-    def test_bias_sign(self):
-        target = np.full((4, 3), 100.0)
-        assert bias(target + 5.0, target) == pytest.approx(5.0)
-        assert bias(target - 5.0, target) == pytest.approx(-5.0)
-
-    def test_report_keys(self):
-        pred, target, history = self._data()
-        report = forecast_report(pred, target, history)
-        assert set(report) == {"rmse", "smape_pct", "mase", "bias"}
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 1000))
-    def test_smape_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(1, 100, size=(5, 3))
-        b = rng.uniform(1, 100, size=(5, 3))
-        assert smape(a, b) == pytest.approx(smape(b, a))
 
 
 class TestCapacity:

@@ -7,7 +7,6 @@ from repro.nn import (
     MLP,
     TCN,
     CausalConv1d,
-    Dropout,
     Embedding,
     GRU,
     Linear,
@@ -64,26 +63,6 @@ class TestEmbedding:
         np.testing.assert_allclose(grad[0], 0.0)
         np.testing.assert_allclose(grad[1], 2.0)  # index 1 used twice
         np.testing.assert_allclose(grad[3], 1.0)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        drop = Dropout(0.5)
-        drop.eval()
-        x = RNG.normal(size=(10, 10))
-        np.testing.assert_allclose(drop(Tensor(x)).numpy(), x)
-
-    def test_train_mode_zeroes_and_scales(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        out = drop(Tensor(np.ones((100, 100)))).numpy()
-        zero_fraction = (out == 0).mean()
-        assert 0.4 < zero_fraction < 0.6
-        nonzero = out[out != 0]
-        np.testing.assert_allclose(nonzero, 2.0)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestRecurrent:
@@ -173,11 +152,6 @@ class TestModuleInfrastructure:
         load_state(model_b, path)
         x = RNG.normal(size=(2, 3))
         np.testing.assert_allclose(model_a(Tensor(x)).numpy(), model_b(Tensor(x)).numpy())
-
-    def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5), Linear(2, 2))
-        model.eval()
-        assert not model.layers[0].training
 
     def test_mlp_architecture(self):
         mlp = MLP(4, [8, 8], 2, rng=np.random.default_rng(0))

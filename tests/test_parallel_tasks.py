@@ -29,8 +29,8 @@ def _always_fail(x):
 
 
 @pytest.fixture()
-def metrics_obs():
-    obs.configure(mode=obs.MODE_METRICS)
+def metrics_obs(tmp_path):
+    obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
     obs.reset()
     yield
     obs.configure(mode=obs.MODE_OFF)

@@ -122,11 +122,38 @@ class TestExperimentConfig:
         assert "'LSTM'" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "section",
-        [{"deep": {"hiden": 8}}, {"source": "campaign", "campaign": {"opertors": ["OpZ"]}}],
-        ids=["deep", "campaign"],
+        "section,message",
+        [
+            ({"deep": [8]}, "deep must be an object, got [8]"),
+            ({"n_traces": "2"}, "n_traces must be an integer, got '2'"),
+            ({"deep": {"hidden": "8"}}, "deep.hidden must be an integer, got '8'"),
+            (
+                {"source": "campaign", "campaign": {"traces_per_cell": "2"}},
+                "campaign.traces_per_cell must be an integer, got '2'",
+            ),
+            ({"seed": True}, "seed must be an integer, got True"),
+        ],
+        ids=["deep-list", "n_traces-str", "deep.hidden-str", "campaign.traces_per_cell-str", "seed-bool"],
     )
-    def test_cli_run_rejects_nested_typo_before_any_run_dir(self, section, tmp_path, monkeypatch, capsys):
+    def test_wrong_value_type_rejected(self, section, message):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig.from_dict({"name": "x", **section})
+        assert str(excinfo.value) == message
+
+    def test_example_config_loads_with_its_hash(self):
+        config = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "examples" / "experiment_small.json")
+        assert config.hash() == "30b8eeb97ca16227"
+
+    @pytest.mark.parametrize(
+        "section,message",
+        [
+            ({"deep": {"hiden": 8}}, "unknown deep config key"),
+            ({"source": "campaign", "campaign": {"opertors": ["OpZ"]}}, "unknown campaign config key"),
+            ({"deep": [8]}, "deep must be an object"),
+        ],
+        ids=["deep", "campaign", "deep-list"],
+    )
+    def test_cli_run_rejects_nested_typo_before_any_run_dir(self, section, message, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
         runs = tmp_path / "runs"
@@ -134,7 +161,7 @@ class TestExperimentConfig:
         config = tmp_path / "exp.json"
         config.write_text(json.dumps({"name": "x", **section}), encoding="utf-8")
         assert main(["run", str(config)]) == 2
-        assert "unknown" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not runs.exists()
 
     def test_run_dir_embeds_name_and_hash(self):

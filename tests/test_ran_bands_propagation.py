@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.ran import (
     BAND_REGISTRY,
     FastFadingProcess,
-    ShadowingProcess,
     bands_for_rat,
     freespace_pathloss_db,
     get_band,
@@ -83,38 +82,6 @@ class TestPathloss:
         mmwave = indoor_penetration_loss_db(28_000)
         assert low < mid < mmwave
         assert mmwave - low > 15.0  # mmWave effectively blocked
-
-
-class TestShadowing:
-    def test_stationary_is_frozen(self):
-        rng = np.random.default_rng(0)
-        process = ShadowingProcess(sigma_db=6.0)
-        first = process.sample(0.0, rng)
-        second = process.sample(0.0, rng)
-        assert first == pytest.approx(second, abs=1e-9)
-
-    def test_long_moves_decorrelate(self):
-        rng = np.random.default_rng(1)
-        process = ShadowingProcess(sigma_db=6.0, decorr_m=10.0)
-        process.sample(0.0, rng)
-        samples = [process.sample(1_000.0, rng) for _ in range(500)]
-        assert np.std(samples) > 3.0  # close to the full sigma
-
-    def test_variance_calibrated(self):
-        rng = np.random.default_rng(2)
-        values = []
-        for i in range(400):
-            process = ShadowingProcess(sigma_db=8.0)
-            values.append(process.sample(0.0, np.random.default_rng(i)))
-        assert np.std(values) == pytest.approx(8.0, rel=0.2)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ShadowingProcess(sigma_db=-1.0)
-        with pytest.raises(ValueError):
-            ShadowingProcess(decorr_m=0.0)
-        with pytest.raises(ValueError):
-            ShadowingProcess(band_mix=1.5)
 
 
 class TestFastFading:

@@ -162,8 +162,8 @@ class _TinyModel(Module):
 
 
 class TestEndToEnd:
-    def test_sanitized_training_runs_clean_and_counts_checks(self):
-        obs.configure(mode=obs.MODE_METRICS)
+    def test_sanitized_training_runs_clean_and_counts_checks(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
         try:
             obs.reset()
             rng = np.random.default_rng(0)
@@ -177,8 +177,8 @@ class TestEndToEnd:
         finally:
             obs.configure(mode=obs.MODE_OFF)
 
-    def test_violation_publishes_counter_before_raising(self):
-        obs.configure(mode=obs.MODE_METRICS)
+    def test_violation_publishes_counter_before_raising(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
         try:
             obs.reset()
             with runtime.use(sanitize="1"):
