@@ -5,8 +5,6 @@ the paper's filter) from ideal-condition runs, plus the theoretical
 per-band ceilings.
 """
 
-import numpy as np
-
 from repro.analysis import format_table, spectral_efficiency, theoretical_efficiency_bps_hz
 from repro.ran import simulate_stationary_ideal
 

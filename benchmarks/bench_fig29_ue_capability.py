@@ -8,7 +8,7 @@ accordingly on the same network.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.ran import TraceSimulator, UE_REGISTRY, simulate_stationary_ideal
+from repro.ran import UE_REGISTRY, simulate_stationary_ideal
 
 from conftest import run_once
 

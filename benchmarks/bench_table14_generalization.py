@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor, ProphetPredictor, evaluate_predictors
 from repro.core.evaluation import evaluate_on_new_traces
-from repro.data import SubDatasetSpec, build_subdataset, generate_traces, window_traces
+from repro.data import SubDatasetSpec, build_subdataset, generate_traces
 from repro.apps import trace_windows_normalized
 
 from conftest import run_once

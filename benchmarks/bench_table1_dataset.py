@@ -5,10 +5,8 @@ channels, CA combinations, mobilities and cumulative trace volume —
 from a synthetic campaign instead of the authors' drive tests.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
-from repro.ran import CampaignConfig, analyze_traces, run_campaign
+from repro.ran import CampaignConfig, run_campaign
 
 from conftest import run_once
 

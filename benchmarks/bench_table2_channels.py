@@ -6,13 +6,9 @@ ordered-vs-unique combination counts ("270/162"-style) the paper
 reports.
 """
 
-from collections import Counter
-
 from repro.analysis import format_table
 from repro.ran import (
     CampaignConfig,
-    bands_for_rat,
-    build_deployment,
     get_operator,
     run_campaign,
 )

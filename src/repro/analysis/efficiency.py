@@ -16,7 +16,6 @@ from ..ran.phy import (
     SYMBOLS_PER_SLOT,
     num_resource_blocks,
     phy_throughput_mbps,
-    resource_elements,
     transport_block_size,
     duplex_dl_duty,
 )

@@ -34,19 +34,8 @@ def trace_windows_normalized(
     if windows is None:
         return None
     x, mask, y, y_hist, y_cc = windows
-    n, t, c, f = x.shape
-    x_norm = dataset.feature_scaler.transform(x.reshape(-1, f)).reshape(n, t, c, f)
-    y_norm = dataset.target_scaler.transform(y.reshape(-1, 1)).reshape(y.shape)
-    y_hist_norm = dataset.target_scaler.transform(y_hist.reshape(-1, 1)).reshape(y_hist.shape)
-    span = dataset.target_scaler._range[0]
-    return WindowedDataset(
-        x=x_norm,
-        mask=mask,
-        y=y_norm,
-        y_hist=y_hist_norm,
-        trace_ids=np.zeros(n, dtype=int),
-        y_cc=y_cc / span,
-    )
+    raw = WindowedDataset(x=x, mask=mask, y=y, y_hist=y_hist, trace_ids=np.zeros(len(x), dtype=int), y_cc=y_cc)
+    return dataset.scale(raw)
 
 
 def predicted_bandwidth_series(

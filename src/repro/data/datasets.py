@@ -15,8 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import runtime
 from ..nn.preprocessing import MinMaxScaler
-from ..parallel import parallel_map
+from ..parallel import run_tasks
 from ..ran.simulator import simulate_trace
 from ..ran.traces import TraceSet
 from .cache import CacheLike, resolve_cache
@@ -136,7 +137,7 @@ def generate_traces(
         )
 
     def synthesize() -> TraceSet:
-        return TraceSet(parallel_map(simulate_trace, jobs, processes=processes))
+        return TraceSet(run_tasks(simulate_trace, jobs, processes=processes, retries=0))
 
     trace_cache = resolve_cache(cache)
     if trace_cache is None:
@@ -158,36 +159,42 @@ class MLDataset:
         """Map normalized throughput back to Mbps."""
         return self.target_scaler.inverse_transform(np.asarray(y).reshape(-1, 1)).reshape(np.asarray(y).shape)
 
+    def scale(self, windows: WindowedDataset) -> WindowedDataset:
+        """Raw windows normalized with this dataset's scalers.
+
+        Per-CC features are scaled columnwise; throughput history and
+        target share the target scaler, and per-CC targets are divided
+        by its span so their sum stays commensurate with the total (up
+        to the shared offset).
+        """
+        n, t, c, f = windows.x.shape
+        target = self.target_scaler
+        return WindowedDataset(
+            x=self.feature_scaler.transform(windows.x.reshape(-1, f)).reshape(n, t, c, f),
+            mask=windows.mask,
+            y=target.transform(windows.y.reshape(-1, 1)).reshape(windows.y.shape),
+            y_hist=target.transform(windows.y_hist.reshape(-1, 1)).reshape(windows.y_hist.shape),
+            trace_ids=windows.trace_ids,
+            y_cc=None if windows.y_cc is None else windows.y_cc / target._range[0],
+        )
+
 
 def normalize_windows(windows: WindowedDataset) -> MLDataset:
-    """Fit min-max scalers (paper Appendix C.1) and normalize in place.
+    """Fit min-max scalers (paper Appendix C.1) and normalize with them.
 
     Per-CC features are scaled columnwise over all (pair, time, cc)
     samples; throughput (history and target) shares one scaler so the
     two stay commensurate.
     """
-    n, t, c, f = windows.x.shape
-    feature_scaler = MinMaxScaler().fit(windows.x.reshape(-1, f))
-    x_norm = feature_scaler.transform(windows.x.reshape(-1, f)).reshape(n, t, c, f)
+    f = windows.x.shape[-1]
     tput = np.concatenate([windows.y.reshape(-1), windows.y_hist.reshape(-1)])
-    target_scaler = MinMaxScaler().fit(tput.reshape(-1, 1))
-    y_norm = target_scaler.transform(windows.y.reshape(-1, 1)).reshape(windows.y.shape)
-    y_hist_norm = target_scaler.transform(windows.y_hist.reshape(-1, 1)).reshape(windows.y_hist.shape)
-    y_cc_norm = None
-    if windows.y_cc is not None:
-        # per-CC targets share the aggregate scaler so their sum stays
-        # commensurate with the total (up to the shared offset).
-        span = target_scaler._range[0]
-        y_cc_norm = windows.y_cc / span
-    normalized = WindowedDataset(
-        x=x_norm,
-        mask=windows.mask,
-        y=y_norm,
-        y_hist=y_hist_norm,
-        trace_ids=windows.trace_ids,
-        y_cc=y_cc_norm,
+    dataset = MLDataset(
+        windows=windows,
+        feature_scaler=MinMaxScaler().fit(windows.x.reshape(-1, f)),
+        target_scaler=MinMaxScaler().fit(tput.reshape(-1, 1)),
     )
-    return MLDataset(windows=normalized, feature_scaler=feature_scaler, target_scaler=target_scaler)
+    dataset.windows = dataset.scale(windows)
+    return dataset
 
 
 def build_subdataset(
@@ -232,10 +239,9 @@ def save_dataset(dataset: MLDataset, path) -> None:
     Float64 arrays round-trip bit-exactly through ``np.savez``, so a
     reloaded dataset produces byte-identical splits and training
     batches — which is what lets the pipeline's later stages resume
-    from this artifact instead of re-synthesizing traces.
+    from this artifact instead of re-synthesizing traces.  The file is
+    written atomically (:func:`repro.runtime.write_atomic`).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     windows = dataset.windows
     meta = {
         "schema": DATASET_SCHEMA,
@@ -262,7 +268,7 @@ def save_dataset(dataset: MLDataset, path) -> None:
     }
     if windows.y_cc is not None:
         arrays["y_cc"] = windows.y_cc
-    np.savez_compressed(path, **arrays)
+    runtime.write_atomic(path, lambda handle: np.savez_compressed(handle, **arrays))
 
 
 def load_dataset(path) -> MLDataset:

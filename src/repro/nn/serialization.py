@@ -8,17 +8,22 @@ checkpoints self-describing).  :func:`load_state` validates the header
 against the target model *before* touching any weights, so loading a
 checkpoint into a mismatched architecture fails with a clear error
 naming the offending parameters instead of a shape crash mid-forward.
-Header-less archives written by older versions still load.
+Header-less archives written by older versions still load.  An archive
+that cannot be read at all (torn, empty, not a zip) raises
+``ValueError`` naming the file, like a bad header does.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
+from .. import runtime
 from .modules import Module
 
 #: bump when the checkpoint layout changes incompatibly.
@@ -29,9 +34,7 @@ META_KEY = "__meta__"
 
 
 def save_state(model: Module, path: Union[str, Path], metadata: Optional[Mapping] = None) -> None:
-    """Write ``model.state_dict()`` plus a versioned metadata header."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``model.state_dict()`` plus a versioned metadata header (atomically)."""
     state = model.state_dict()
     meta = {
         "schema": CHECKPOINT_SCHEMA,
@@ -39,12 +42,23 @@ def save_state(model: Module, path: Union[str, Path], metadata: Optional[Mapping
         "shapes": {name: list(value.shape) for name, value in state.items()},
         "metadata": dict(metadata) if metadata is not None else {},
     }
-    np.savez(path, **state, **{META_KEY: np.array(json.dumps(meta, sort_keys=True))})
+    header = {META_KEY: np.array(json.dumps(meta, sort_keys=True))}
+    runtime.write_atomic(path, lambda handle: np.savez(handle, **state, **header))
+
+
+@contextmanager
+def _archive(path: Path) -> Iterator:
+    """``np.load(path)``, with an unreadable archive raised as a ``ValueError`` naming it."""
+    try:
+        with np.load(path) as archive:
+            yield archive
+    except (zipfile.BadZipFile, EOFError, OSError) as exc:
+        raise ValueError(f"{path}: unreadable checkpoint archive: {type(exc).__name__}: {exc}") from exc
 
 
 def read_checkpoint_metadata(path: Union[str, Path]) -> Optional[Dict]:
     """The metadata header of a checkpoint, or ``None`` for legacy files."""
-    with np.load(Path(path)) as archive:
+    with _archive(Path(path)) as archive:
         if META_KEY not in archive.files:
             return None
         raw = str(archive[META_KEY][()])
@@ -87,6 +101,6 @@ def load_state(model: Module, path: Union[str, Path]) -> None:
     meta = read_checkpoint_metadata(path)
     if meta is not None:
         _check_compatible(model, meta, path)
-    with np.load(path) as archive:
+    with _archive(path) as archive:
         state = {key: archive[key] for key in archive.files if key != META_KEY}
     model.load_state_dict(state)

@@ -17,8 +17,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs
-
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 #: global autograd switch — see :class:`no_grad` / :func:`is_grad_enabled`.

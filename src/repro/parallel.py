@@ -1,11 +1,12 @@
-"""Process-parallel map for trace synthesis.
+"""Process-parallel, order-preserving task runner.
 
-The RAN simulator is pure python and CPU-bound, so synthesizing the six
-Table 11 sub-datasets dominates bench start-up time.  :func:`parallel_map`
-fans independent work items out over a ``multiprocessing`` pool while
-guaranteeing the serial result: items are dispatched with ``pool.map``,
-so output order matches input order, and every worker derives its
-randomness from the per-item seed baked into the item itself.
+The RAN simulator is pure python and CPU-bound, so trace synthesis and
+city-campaign shards dominate their runs.  :func:`run_tasks` fans
+independent work items out over a ``multiprocessing`` pool while
+guaranteeing the serial result: output order matches input order, and
+every worker derives its randomness from the per-item seed baked into
+the item itself.  Campaign shards get a retry and a timeout on top;
+trace synthesis runs with ``retries=0``.
 
 Environment knobs:
 
@@ -13,9 +14,10 @@ Environment knobs:
     Worker count override.  ``REPRO_PROCS=1`` forces serial execution
     (useful inside test harnesses or already-parallel callers).
 
-The helper degrades gracefully: if the platform cannot create a pool
-(sandboxes without semaphore support, restricted containers), it falls
-back to a serial loop.
+If the platform cannot create a pool (sandboxes without semaphore
+support, restricted containers), the tasks run in a serial loop.  A
+task's own failure never triggers that fallback: the task is retried
+or raised, and the other tasks do not run again.
 """
 
 from __future__ import annotations
@@ -76,35 +78,6 @@ def default_processes(n_items: int) -> int:
     return max(1, min(os.cpu_count() or 1, n_items))
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    processes: Optional[int] = None,
-    chunksize: int = 1,
-) -> List[R]:
-    """Map ``fn`` over ``items``, order-preserving, possibly in parallel.
-
-    ``fn`` must be a picklable top-level function and each item must be
-    picklable.  With ``processes`` <= 1 (or a single item, or any pool
-    start-up failure) the map runs serially in-process — results are
-    identical either way.
-    """
-    work: Sequence[T] = list(items)
-    if processes is None:
-        processes = default_processes(len(work))
-    processes = min(processes, len(work))
-    if processes <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    try:
-        with _pool(processes) as pool:
-            if not obs.metrics_enabled():
-                return pool.map(fn, work, chunksize=chunksize)
-            return [_uncount(pair) for pair in pool.map(_Counted(fn), work, chunksize=chunksize)]
-    except (OSError, PermissionError, ValueError):
-        # no semaphores / fork blocked (sandbox): serial fallback
-        return [fn(item) for item in work]
-
-
 def _fail(label: str, attempts: int, exc: BaseException) -> "RuntimeError":
     # log_warning also bumps the ``parallel.shard.failed`` counter
     obs.log_warning(
@@ -114,7 +87,7 @@ def _fail(label: str, attempts: int, exc: BaseException) -> "RuntimeError":
         error=f"{type(exc).__name__}: {exc}",
     )
     return RuntimeError(
-        f"shard {label} failed after {attempts} attempt(s): {type(exc).__name__}: {exc}"
+        f"{label} failed after {attempts} attempt(s): {type(exc).__name__}: {exc}"
     )
 
 
@@ -148,11 +121,12 @@ def run_tasks(
     retries: int = 1,
     timeout_s: Optional[float] = None,
 ) -> List[R]:
-    """Run labelled tasks with per-task retry and timeout.
+    """Run labelled tasks, order-preserving, with per-task retry and timeout.
 
-    The shard-grade sibling of :func:`parallel_map`: results are
-    order-preserving and ``fn``/items must be picklable, but each task
-    additionally gets
+    ``fn`` must be a picklable top-level function and each item must be
+    picklable.  With ``processes`` <= 1 (or a single item, or a pool
+    that cannot start) the tasks run serially in-process — results are
+    identical either way.  Each task gets
 
     * up to ``retries`` re-submissions after a failure, each publishing
       a ``parallel.shard.retry`` obs counter and a structured warning;
@@ -177,28 +151,30 @@ def run_tasks(
     if processes is None:
         processes = default_processes(len(work))
     processes = min(processes, len(work))
-    if processes <= 1 or len(work) <= 1:
+    pool = None
+    if processes > 1 and len(work) > 1:
+        try:
+            pool = _pool(processes)
+        except OSError:
+            pass  # no semaphores / fork blocked (sandbox): run serially
+    if pool is None:
         return [_run_with_retries(fn, work[i], names[i], retries) for i in range(len(work))]
     counting = obs.metrics_enabled()
     task_fn: Callable = _Counted(fn) if counting else fn
-    try:
-        with _pool(processes) as pool:
-            pending = [pool.apply_async(task_fn, (item,)) for item in work]
-            results: List[R] = []
-            for i, handle in enumerate(pending):
-                attempts = 0
-                while True:
-                    try:
-                        value = handle.get(timeout_s)
-                        break
-                    except Exception as exc:
-                        attempts += 1
-                        if attempts > retries:
-                            raise _fail(names[i], attempts, exc) from exc
-                        _note_retry(names[i], attempts, exc)
-                        handle = pool.apply_async(task_fn, (work[i],))
-                results.append(_uncount(value) if counting else value)
-            return results
-    except (OSError, PermissionError):
-        # no semaphores / fork blocked (sandbox): serial fallback
-        return [_run_with_retries(fn, work[i], names[i], retries) for i in range(len(work))]
+    with pool:
+        pending = [pool.apply_async(task_fn, (item,)) for item in work]
+        results: List[R] = []
+        for i, handle in enumerate(pending):
+            attempts = 0
+            while True:
+                try:
+                    value = handle.get(timeout_s)
+                    break
+                except Exception as exc:
+                    attempts += 1
+                    if attempts > retries:
+                        raise _fail(names[i], attempts, exc) from exc
+                    _note_retry(names[i], attempts, exc)
+                    handle = pool.apply_async(task_fn, (work[i],))
+            results.append(_uncount(value) if counting else value)
+        return results

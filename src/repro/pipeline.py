@@ -10,7 +10,8 @@ predictor registry).  Its canonical content hash — computed with
 and the obs manifests use — identifies the run everywhere:
 
 * the run directory is ``<out_dir>/<name>-<hash>``;
-* every stage marker and the final ``result.json`` embed the hash;
+* its artifacts count only while the directory's ``experiment.json``
+  is this config, and the final ``result.json`` embeds the hash;
 * every obs manifest written during the run carries it
   (``obs.run_context``).
 
@@ -25,10 +26,13 @@ The run is composed of four :class:`Stage` objects::
 Each stage persists a typed artifact (traces via
 :mod:`repro.data.cache`, the windowed dataset as ``.npz``, model
 checkpoints via :mod:`repro.nn.serialization` with a versioned
-metadata header, metrics as JSON) and records a completion marker.  A
-re-run of the same config skips every completed stage; a killed run
-resumes where it stopped — the train stage even resumes per predictor,
-skipping checkpoints that were already written.
+metadata header, metrics as JSON), written whole or not at all by
+:func:`repro.runtime.write_atomic`, so the artifact is its own
+completion record.  A re-run of the same config skips every stage
+whose artifact loads; a killed run resumes where it stopped — the
+train stage even resumes per predictor, skipping checkpoints that were
+already written — and an artifact that exists but does not load is
+warned about and recomputed.
 
 CLI entry point::
 
@@ -44,7 +48,7 @@ import re
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, get_type_hints
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union, get_type_hints
 
 from . import obs, runtime
 from .core.evaluation import EvaluationResult
@@ -91,55 +95,6 @@ def default_runs_dir() -> Path:
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_").lower() or "x"
-
-
-# ---------------------------------------------------------------------------
-# stage markers — the resume protocol
-#
-# A *marker* is a small JSON file recording that one named stage of a
-# run completed for one exact content hash.  The experiment pipeline
-# stages and the city-campaign shards share these helpers, so both
-# resume the same way: a marker from a different hash (or a corrupt
-# file) simply does not count as completion.
-
-
-def stage_marker_path(root: Union[str, Path], stage: str) -> Path:
-    """Where the completion marker for ``stage`` lives under ``root``."""
-    return Path(root) / "stages" / f"{stage}.json"
-
-
-def read_stage_marker(root: Union[str, Path], stage: str, run_hash: str) -> Optional[Dict]:
-    """Load a stage marker, or ``None`` when absent/corrupt/hash-mismatched."""
-    try:
-        data = json.loads(stage_marker_path(root, stage).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    # a marker from a different config (or pipeline version) does not
-    # count as completion — the hash is the contract
-    if not isinstance(data, dict) or data.get("experiment_hash") != run_hash:
-        return None
-    return data
-
-
-def write_stage_marker(
-    root: Union[str, Path],
-    stage: str,
-    run_hash: str,
-    artifact: Optional[Path],
-    detail: Optional[Dict] = None,
-) -> Path:
-    """Record completion of ``stage`` for ``run_hash`` (write-last contract)."""
-    path = stage_marker_path(root, stage)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "stage": stage,
-        "experiment_hash": run_hash,
-        "artifact": None if artifact is None else str(artifact),
-        "completed_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "detail": detail or {},
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 #: what a config field of each annotated type accepts, and how an error
@@ -273,10 +228,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
-        return path
+        return runtime.write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ExperimentConfig":
@@ -296,14 +248,18 @@ class StageStatus:
     """Outcome of one stage execution."""
 
     stage: str
-    status: str  #: "completed" or "skipped" (artifact already present)
+    status: str  #: "completed" or "skipped" (its artifact loaded)
     artifact: Optional[str] = None
     duration_s: float = 0.0
-    detail: Optional[Dict] = None
+    detail: Optional[Dict] = None  #: what ``run`` reports; None when skipped
 
 
 class PipelineContext:
-    """Mutable state threaded through the stages of one run."""
+    """Mutable state threaded through the stages of one run.
+
+    ``force`` makes every stage run without looking at its artifact:
+    ``--force``, or a run directory that held another config.
+    """
 
     def __init__(self, config: ExperimentConfig, run_dir: Path, force: bool = False) -> None:
         self.config = config
@@ -344,71 +300,47 @@ class PipelineContext:
             self._splits = splitter(self.dataset.windows, 0.5, 0.2, 0.3, seed=self.config.seed)
         return self._splits
 
-    def marker_path(self, stage: str) -> Path:
-        return stage_marker_path(self.run_dir, stage)
-
-    def read_marker(self, stage: str) -> Optional[Dict]:
-        return read_stage_marker(self.run_dir, stage, self.hash)
-
-    def write_marker(self, stage: str, artifact: Optional[Path], detail: Optional[Dict] = None) -> None:
-        write_stage_marker(self.run_dir, stage, self.hash, artifact, detail)
-
 
 class Stage:
     """One resumable pipeline step persisting a typed artifact.
 
-    ``execute`` is template code: skip (loading the artifact) when the
-    completion marker and artifact are present for this exact config
-    hash, otherwise run and write the marker last — so a run killed
-    mid-stage re-runs that stage, and only that stage, on resume.
+    ``execute`` is template code: skip when ``load`` restores the
+    artifact, otherwise run.  Artifacts are written atomically, so one
+    that exists is complete, and a run killed mid-stage re-runs that
+    stage, and only that stage, on resume.
     """
 
     name = "stage"
 
-    def artifact(self, ctx: PipelineContext) -> Optional[Path]:
-        return None
+    def artifact(self, ctx: PipelineContext) -> Path:
+        raise NotImplementedError
 
-    def is_complete(self, ctx: PipelineContext) -> bool:
-        if ctx.read_marker(self.name) is None:
-            return False
-        artifact = self.artifact(ctx)
-        return artifact is None or artifact.exists()
+    def outputs(self, ctx: PipelineContext) -> List[Path]:
+        """The files ``load`` reads, deleted before this run claims another config's directory."""
+        return [self.artifact(ctx)]
 
-    def load(self, ctx: PipelineContext) -> None:
-        """Populate ``ctx`` from the persisted artifact (on skip)."""
+    def load(self, ctx: PipelineContext) -> bool:
+        """Populate ``ctx`` from the persisted artifact; False when it is absent or does not load."""
+        raise NotImplementedError
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
-        """Do the work, persist the artifact; returns marker detail."""
+        """Do the work, persist the artifact; returns the status detail."""
         raise NotImplementedError
 
     def execute(self, ctx: PipelineContext) -> StageStatus:
         start = time.perf_counter()
-        if not ctx.force and self.is_complete(ctx):
-            self.load(ctx)
-            status = StageStatus(
-                stage=self.name,
-                status="skipped",
-                artifact=_opt_str(self.artifact(ctx)),
-                duration_s=time.perf_counter() - start,
-                detail=(ctx.read_marker(self.name) or {}).get("detail"),
-            )
-        else:
-            detail = self.run(ctx)
-            ctx.write_marker(self.name, self.artifact(ctx), detail)
-            status = StageStatus(
-                stage=self.name,
-                status="completed",
-                artifact=_opt_str(self.artifact(ctx)),
-                duration_s=time.perf_counter() - start,
-                detail=detail,
-            )
+        skipped = not ctx.force and self.load(ctx)
+        detail = None if skipped else self.run(ctx)
+        status = StageStatus(
+            stage=self.name,
+            status="skipped" if skipped else "completed",
+            artifact=str(self.artifact(ctx)),
+            duration_s=time.perf_counter() - start,
+            detail=detail,
+        )
         if obs.metrics_enabled():
             obs.counter(f"pipeline.stage.{status.status}")
         return status
-
-
-def _opt_str(path: Optional[Path]) -> Optional[str]:
-    return None if path is None else str(path)
 
 
 class SynthesizeStage(Stage):
@@ -416,16 +348,19 @@ class SynthesizeStage(Stage):
 
     name = "synthesize"
 
-    def artifact(self, ctx: PipelineContext) -> Optional[Path]:
+    def artifact(self, ctx: PipelineContext) -> Path:
         return ctx.trace_cache.path_for(ctx.synth_config)
 
-    def is_complete(self, ctx: PipelineContext) -> bool:
-        # the trace cache is itself content-addressed; its manifest is
-        # the completion signal (markers stay for uniform bookkeeping)
-        return ctx.read_marker(self.name) is not None and ctx.trace_cache.contains(ctx.synth_config)
+    def outputs(self, ctx: PipelineContext) -> List[Path]:
+        return []  # content-addressed: never another config's
 
-    def load(self, ctx: PipelineContext) -> None:
+    def load(self, ctx: PipelineContext) -> bool:
+        # the cache warns about and drops a corrupt entry itself; a miss
+        # is left for ``run`` to count, once
+        if not ctx.trace_cache.contains(ctx.synth_config):
+            return False
         ctx.traces = ctx.trace_cache.get(ctx.synth_config)
+        return ctx.traces is not None
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         config = ctx.config
@@ -453,11 +388,12 @@ class BuildDatasetStage(Stage):
 
     name = "build_dataset"
 
-    def artifact(self, ctx: PipelineContext) -> Optional[Path]:
+    def artifact(self, ctx: PipelineContext) -> Path:
         return ctx.run_dir / "dataset.npz"
 
-    def load(self, ctx: PipelineContext) -> None:
-        ctx.dataset = load_dataset(self.artifact(ctx))
+    def load(self, ctx: PipelineContext) -> bool:
+        ctx.dataset = runtime.read_artifact(self.artifact(ctx), load_dataset, stage=self.name)
+        return ctx.dataset is not None
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         if ctx.traces is None:
@@ -481,12 +417,13 @@ class TrainStage(Stage):
     :mod:`repro.nn.serialization` (versioned metadata header); the
     classical/statistical ones are pickled.  Each predictor's artifact
     is written immediately after its fit, so a killed run resumes with
-    only the unfitted predictors left to train.
+    only the unfitted predictors left to train: ``load`` restores every
+    checkpoint that loads, and ``run`` fits the rest.
     """
 
     name = "train"
 
-    def artifact(self, ctx: PipelineContext) -> Optional[Path]:
+    def artifact(self, ctx: PipelineContext) -> Path:
         return ctx.run_dir / "checkpoints"
 
     def checkpoint_path(self, ctx: PipelineContext, name: str) -> Path:
@@ -494,10 +431,8 @@ class TrainStage(Stage):
         suffix = ".npz" if isinstance(predictor, _DeepPredictor) else ".pkl"
         return ctx.run_dir / "checkpoints" / f"{_slug(name)}{suffix}"
 
-    def is_complete(self, ctx: PipelineContext) -> bool:
-        return ctx.read_marker(self.name) is not None and all(
-            self.checkpoint_path(ctx, name).exists() for name in ctx.config.predictors
-        )
+    def outputs(self, ctx: PipelineContext) -> List[Path]:
+        return [self.checkpoint_path(ctx, name) for name in ctx.config.predictors]
 
     def _restore(self, ctx: PipelineContext, name: str, path: Path) -> Predictor:
         predictor = create_predictor(name, ctx.config.deep)
@@ -508,9 +443,16 @@ class TrainStage(Stage):
                 predictor = pickle.load(handle)
         return predictor
 
-    def load(self, ctx: PipelineContext) -> None:
+    def load(self, ctx: PipelineContext) -> bool:
         for name in ctx.config.predictors:
-            ctx.predictors[name] = self._restore(ctx, name, self.checkpoint_path(ctx, name))
+            restored = runtime.read_artifact(
+                self.checkpoint_path(ctx, name),
+                lambda path, name=name: self._restore(ctx, name, path),
+                stage=self.name,
+            )
+            if restored is not None:
+                ctx.predictors[name] = restored
+        return all(name in ctx.predictors for name in ctx.config.predictors)
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         if ctx.dataset is None:
@@ -518,12 +460,11 @@ class TrainStage(Stage):
         train, val, _ = ctx.splits()
         detail: Dict[str, Dict] = {}
         for name in ctx.config.predictors:
-            path = self.checkpoint_path(ctx, name)
-            if path.exists() and not ctx.force:
-                # resume-after-kill: this predictor already finished
-                ctx.predictors[name] = self._restore(ctx, name, path)
+            if name in ctx.predictors:
+                # resume-after-kill: load restored this predictor
                 detail[name] = {"status": "resumed"}
                 continue
+            path = self.checkpoint_path(ctx, name)
             predictor = create_predictor(name, ctx.config.deep)
             predictor.fit(train, val)
             info: Dict = {"status": "fitted"}
@@ -534,11 +475,7 @@ class TrainStage(Stage):
                     info["best_val_loss"] = history.best_val_loss
                     info["epochs_run"] = history.epochs_run
             else:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(path.suffix + ".tmp")
-                with tmp.open("wb") as handle:
-                    pickle.dump(predictor, handle)
-                tmp.replace(path)
+                runtime.write_atomic(path, pickle.dumps(predictor))
             ctx.predictors[name] = predictor
             detail[name] = info
         return detail
@@ -549,12 +486,12 @@ class EvaluateStage(Stage):
 
     name = "evaluate"
 
-    def artifact(self, ctx: PipelineContext) -> Optional[Path]:
+    def artifact(self, ctx: PipelineContext) -> Path:
         return ctx.run_dir / "result.json"
 
-    def load(self, ctx: PipelineContext) -> None:
-        data = json.loads(self.artifact(ctx).read_text(encoding="utf-8"))
-        ctx.result = EvaluationResult(dataset_name=data["dataset"], rmse=data["rmse"])
+    def load(self, ctx: PipelineContext) -> bool:
+        ctx.result = runtime.read_artifact(self.artifact(ctx), _read_result, stage=self.name)
+        return ctx.result is not None
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         if ctx.dataset is None or not ctx.predictors:
@@ -583,8 +520,7 @@ class EvaluateStage(Stage):
         }
         if "Prism5G" in result.rmse and len(result.rmse) > 1:
             payload["improvement_pct"] = result.improvement_over_best_baseline()
-        artifact = self.artifact(ctx)
-        artifact.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        runtime.write_atomic(self.artifact(ctx), _json_text(payload))
         obs.write_manifest(
             kind="experiment",
             config=config.to_dict(),
@@ -592,6 +528,15 @@ class EvaluateStage(Stage):
             extra={"rmse": result.rmse, "run_dir": str(ctx.run_dir)},
         )
         return {"rmse": result.rmse}
+
+
+def _read_result(path: Path) -> EvaluationResult:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return EvaluationResult(dataset_name=data["dataset"], rmse=data["rmse"])
+
+
+def _json_text(payload: Dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 #: the canonical stage order of an end-to-end run.
@@ -624,28 +569,40 @@ def run_dir_for(config: ExperimentConfig, out_dir: Union[str, Path, None] = None
     return Path(out_dir) if out_dir is not None else default_runs_dir() / f"{_slug(config.name)}-{config.hash()}"
 
 
+def _holds(run_dir: Path, experiment_hash: str) -> bool:
+    """Whether ``run_dir``'s ``experiment.json`` is the config hashing to ``experiment_hash``."""
+    try:
+        return ExperimentConfig.load(run_dir / "experiment.json").hash() == experiment_hash
+    except (OSError, ValueError):
+        return False
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir: Union[str, Path, None] = None,
     force: bool = False,
-    stages: Optional[Sequence[Stage]] = None,
 ) -> ExperimentResult:
     """Execute (or resume) an experiment end to end.
 
     The experiment hash is exposed through
     :class:`repro.obs.run_context` so every manifest written by nested
     subsystems carries it.  ``force=True`` re-runs every stage even
-    when artifacts exist.
+    when artifacts exist; so does a directory whose ``experiment.json``
+    is another config, whose files this run would read are deleted
+    before it claims the directory, so a resume after a kill never
+    mixes the two.
     """
     run_dir = run_dir_for(config, out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     experiment_hash = config.hash()
+    held = _holds(run_dir, experiment_hash)
+    ctx = PipelineContext(config, run_dir, force=force or not held)
+    if not held:
+        for stage in DEFAULT_STAGES:
+            for path in stage.outputs(ctx):
+                path.unlink(missing_ok=True)
     config.save(run_dir / "experiment.json")
-    statuses: List[StageStatus] = []
     with obs.run_context(experiment_hash):
-        ctx = PipelineContext(config, run_dir, force=force)
-        for stage in stages if stages is not None else DEFAULT_STAGES:
-            statuses.append(stage.execute(ctx))
+        statuses = [stage.execute(ctx) for stage in DEFAULT_STAGES]
     rmse = dict(ctx.result.rmse) if ctx.result is not None else {}
     summary = {
         "experiment": config.name,
@@ -654,9 +611,7 @@ def run_experiment(
         "stages": [asdict(status) for status in statuses],
         "rmse": rmse,
     }
-    (run_dir / "run.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    runtime.write_atomic(run_dir / "run.json", _json_text(summary))
     return ExperimentResult(
         config=config, hash=experiment_hash, run_dir=run_dir, stages=statuses, rmse=rmse
     )

@@ -17,17 +17,16 @@ Two engines share the statistics layer:
   shared-nothing radio state (:func:`repro.parallel.run_tasks` adds
   per-shard retry/timeout), stream their records into
   :class:`CAStatisticsAccumulator` objects (no shard ever materializes
-  a per-record list), persist a per-shard result file plus a
-  pipeline-style stage marker, and optionally spill their traces into
-  the content-hash cache.  A killed run resumes from its last finished
-  shard: completed shards are loaded from their result files and only
-  pending shards are re-dispatched.
+  a per-record list), persist a per-shard result file (written
+  atomically, so one that loads is a finished shard), and optionally
+  spill their traces into the content-hash cache.  A killed run resumes
+  from its last finished shard: completed shards are loaded from their
+  result files and only pending shards are re-dispatched.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -36,7 +35,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .. import obs, runtime
-from ..parallel import parallel_map, run_tasks
+from ..parallel import run_tasks
 from .cells import Deployment, build_city_deployment
 from .multi_ue import MultiUESimulator
 from .simulator import TraceSimulator, simulate_trace
@@ -301,14 +300,14 @@ def run_campaign(
     hash of ``config`` (``cache="auto"``; pass ``None`` to disable or a
     :class:`~repro.data.cache.TraceCache` / directory to redirect).
     Results are identical to the serial, uncached path: seeds are
-    assigned in the original nested-loop order and pool mapping
-    preserves item order.
+    assigned in the original nested-loop order and the pool preserves
+    item order.
     """
     config = config or CampaignConfig()
     jobs, keys = _campaign_jobs(config)
 
     def synthesize() -> TraceSet:
-        return TraceSet(parallel_map(simulate_trace, jobs, processes=processes))
+        return TraceSet(run_tasks(simulate_trace, jobs, processes=processes, retries=0))
 
     from ..data.cache import resolve_cache  # local: avoids import cycle
 
@@ -623,19 +622,19 @@ def _run_city_shard(payload: Dict) -> Dict:
         "stats": {"|".join(key): acc.to_dict() for key, acc in accs.items()},
         "spill_keys": spill_keys,
     }
-    path = _shard_result_path(state_dir, shard_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    runtime.write_atomic(
+        _shard_result_path(state_dir, shard_id), json.dumps(result, indent=2, sort_keys=True) + "\n"
+    )
     return result
 
 
+def _read_json(path: Path) -> object:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str) -> Optional[Dict]:
-    try:
-        data = json.loads(_shard_result_path(state_dir, shard_id).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
+    """The shard's result file, or ``None`` when it is absent, unreadable (warned) or another campaign's."""
+    data = runtime.read_artifact(_shard_result_path(state_dir, shard_id), _read_json, shard=shard_id)
     if not isinstance(data, dict) or data.get("schema") != SHARD_RESULT_SCHEMA:
         return None
     if data.get("campaign_hash") != campaign_hash:
@@ -704,9 +703,10 @@ def run_city_campaign(
 ) -> CityCampaignResult:
     """Run (or resume) a sharded city-scale campaign.
 
-    Shards whose stage marker and result file are already present for
-    this exact campaign hash are loaded instead of re-simulated; the
-    rest are dispatched to worker processes through
+    Shards whose result file loads for this exact campaign hash are
+    loaded instead of re-simulated (one that exists but does not load is
+    warned about, naming the shard and the path); the rest are
+    dispatched to worker processes through
     :func:`repro.parallel.run_tasks` (one retry per shard, optional
     per-shard timeout, order-preserving).  ``max_shards`` bounds how
     many *pending* shards this invocation runs — the deterministic
@@ -714,8 +714,6 @@ def run_city_campaign(
     for the next call.  Statistics are merged in shard order from the
     streamed accumulators; no per-record list exists anywhere.
     """
-    from ..pipeline import read_stage_marker, write_stage_marker  # local: avoids import cycle
-
     import time
 
     config = config or CityCampaignConfig()
@@ -730,9 +728,7 @@ def run_city_campaign(
     resumed = 0
     for i in range(plan.n_shards):
         shard_id = plan.shard_id(i)
-        result = None
-        if read_stage_marker(root, shard_id, campaign_hash) is not None:
-            result = _load_shard_result(root, shard_id, campaign_hash)
+        result = _load_shard_result(root, shard_id, campaign_hash)
         if result is not None:
             completed[shard_id] = result
             resumed += 1
@@ -762,15 +758,7 @@ def run_city_campaign(
         timeout_s=config.shard_timeout_s,
     )
     for i, result in zip(to_run, results):
-        shard_id = plan.shard_id(i)
-        completed[shard_id] = result
-        write_stage_marker(
-            root,
-            shard_id,
-            campaign_hash,
-            _shard_result_path(root, shard_id),
-            detail={"n_ues": result["n_ues"], "spill_keys": result["spill_keys"]},
-        )
+        completed[plan.shard_id(i)] = result
         if obs.metrics_enabled():
             obs.counter("campaign.shard.completed")
 

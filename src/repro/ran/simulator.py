@@ -440,7 +440,7 @@ def simulate_trace(job: Dict) -> Trace:
 
     ``job`` holds ``sim`` (the simulator's keyword arguments),
     ``duration_s`` and ``route_id``.  A top-level function, so
-    :func:`~repro.parallel.parallel_map` workers can pickle it by name.
+    :func:`~repro.parallel.run_tasks` workers can pickle it by name.
     """
     sim = TraceSimulator(**job["sim"])
     return sim.run(job["duration_s"], route_id=job["route_id"])

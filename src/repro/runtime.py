@@ -14,7 +14,10 @@ module global and never call back in here.
 The same module owns the repo's one canonical content-hash helper,
 :func:`canonical_hash` (sorted-key compact JSON → SHA-256), used by the
 trace cache, the obs manifests, and the experiment pipeline — so one
-hash identifies a run everywhere.
+hash identifies a run everywhere — and the resume contract of every
+file artifact (pipeline stages, campaign shards, checkpoints): it is
+written whole by :func:`write_atomic`, and it counts as done when
+:func:`read_artifact` loads it.
 
 Typical use::
 
@@ -31,8 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
+import zipfile
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional
+from pathlib import Path
+from typing import BinaryIO, Callable, Dict, Iterator, Mapping, Optional, TypeVar, Union
+
+from . import obs
+
+T = TypeVar("T")
 
 #: accepted spellings for the ``sanitize`` switch, canonicalized to "0"/"1".
 _SANITIZE_SPELLINGS = {
@@ -118,3 +128,48 @@ def canonical_hash(payload: Mapping, schema: Optional[str] = None, length: int =
         data = {"__schema__": schema, **data}
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
+
+
+# ---------------------------------------------------------------------------
+# resumable artifacts: written whole, done once they load
+
+
+def write_atomic(path: Union[str, Path], data: Union[str, bytes, Callable[[BinaryIO], object]]) -> Path:
+    """Write ``path`` whole or not at all: a sibling temp file, then ``os.replace``.
+
+    ``data`` is text (UTF-8), bytes, or a callable writing to the open
+    binary handle (``np.savez``).  A kill mid-write leaves at most a
+    ``.tmp-<pid>`` sibling, which nothing reads.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    try:
+        with tmp.open("wb") as handle:
+            if callable(data):
+                data(handle)
+            else:
+                handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_artifact(path: Union[str, Path], load: Callable[[Path], T], **where: str) -> Optional[T]:
+    """``load(path)``, or ``None`` when the artifact is absent or does not load.
+
+    One that exists but does not load (a truncated archive, JSON or
+    pickle, or one missing a field) is reported as an
+    ``artifact.unreadable`` warning naming ``where`` (``stage=`` or
+    ``shard=``) and the path, and the caller recomputes it.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    try:
+        return load(path)
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, pickle.UnpicklingError) as exc:
+        obs.log_warning("artifact.unreadable", **where, path=str(path), error=f"{type(exc).__name__}: {exc}")
+        return None

@@ -1,6 +1,5 @@
 """PCell-change analysis tests."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import pcell_band_share, pcell_changes, pcell_statistics

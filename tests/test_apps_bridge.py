@@ -8,7 +8,7 @@ from repro.apps import (
     predictor_forecaster,
     trace_windows_normalized,
 )
-from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor
+from repro.core import DeepConfig, Prism5GPredictor
 from repro.data import SubDatasetSpec, build_subdataset, random_split
 from repro.ran import TraceSimulator
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import logging
+
 import pytest
 
 from repro import obs
@@ -154,6 +157,23 @@ class TestCityCampaign:
         assert again.shards_resumed == config.shards
         assert again.n_simulated == 0
         assert again.ues_per_sec == 0.0
+
+    def test_truncated_shard_is_warned_and_recomputed(self, tmp_path, caplog):
+        config = _tiny_config()
+        state = tmp_path / "state"
+        full = run_city_campaign(config, state_dir=state)
+        assert not (state / "stages").exists()
+        torn = state / "shard-0001.json"
+        torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            again = run_city_campaign(config, state_dir=state)
+        warnings = [
+            json.loads(rec.args[1]) for rec in caplog.records if rec.args and rec.args[0] == "artifact.unreadable"
+        ]
+        assert [(w["shard"], w["path"]) for w in warnings] == [("shard-0001", str(torn))]
+        assert again.shards_resumed == config.shards - 1
+        assert again.n_simulated == len(ShardPlan.build(config).shards[1])
+        assert again.stats == full.stats
 
     def test_stale_state_not_resumed(self, tmp_path):
         state = tmp_path / "state"

@@ -1,4 +1,7 @@
-"""Tests for the on-disk trace cache and the parallel synthesis map."""
+"""Tests for the on-disk trace cache and parallel trace synthesis."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from repro.data import (
     resolve_cache,
 )
 from repro.data.cache import CACHE_DISABLE_ENV, CACHE_DIR_ENV, default_cache_dir
-from repro.parallel import default_processes, parallel_map
+from repro.parallel import default_processes, run_tasks
 from repro.ran import run_campaign
 from repro.ran.campaign import CampaignConfig
 
@@ -144,18 +147,38 @@ def test_resolve_cache_modes(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# parallel map
+# parallel synthesis
 
 
 def _square(n: int) -> int:
     return n * n
 
 
-def test_parallel_map_preserves_order():
+def test_run_tasks_preserves_order():
     items = list(range(20))
-    assert parallel_map(_square, items, processes=2) == [n * n for n in items]
-    assert parallel_map(_square, items, processes=1) == [n * n for n in items]
-    assert parallel_map(_square, []) == []
+    assert run_tasks(_square, items, processes=2) == [n * n for n in items]
+    assert run_tasks(_square, items, processes=1) == [n * n for n in items]
+    assert run_tasks(_square, []) == []
+
+
+def _simulate_or_fail(job):
+    """Record which process ran ``job``; the fourth trace raises."""
+    Path(os.environ["SYNTH_RECORD_DIR"], f"{job['route_id']}-{os.getpid()}").touch()
+    if job["route_id"] == 3:
+        raise ValueError("trace 3 failed")
+    return job["route_id"]
+
+
+def test_failing_synthesis_job_runs_once_in_a_worker(tmp_path, monkeypatch):
+    # a failing job must not send every job back through a serial rerun
+    # in the parent
+    monkeypatch.setenv("SYNTH_RECORD_DIR", str(tmp_path))
+    monkeypatch.setattr("repro.data.datasets.simulate_trace", _simulate_or_fail)
+    with pytest.raises(RuntimeError, match="task-3 failed after 1 attempt.*trace 3 failed"):
+        generate_traces(SPEC, n_traces=4, samples_per_trace=10, cache=None, processes=2)
+    runs = sorted(path.name.split("-") for path in tmp_path.iterdir())
+    assert [route for route, _ in runs] == ["0", "1", "2", "3"]
+    assert str(os.getpid()) not in {pid for _, pid in runs}
 
 
 def test_parallel_synthesis_matches_serial():

@@ -1,7 +1,6 @@
 """Cross-module integration tests: full pipelines at small scale."""
 
 import numpy as np
-import pytest
 
 from repro.apps import MPCPlayer, ABRConfig, ViVoConfig, ViVoSimulator, harmonic_forecaster
 from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor, ProphetPredictor

@@ -12,7 +12,6 @@ from repro.nn import (
     Linear,
     LSTM,
     LSTMCell,
-    Module,
     Sequential,
     Tensor,
     load_state,

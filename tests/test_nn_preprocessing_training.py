@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import Linear, MinMaxScaler, Module, Tensor, Trainer
+from repro.nn import Linear, MinMaxScaler, Module, Trainer
 
 
 finite_matrix = arrays(

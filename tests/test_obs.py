@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import parallel_map
+from repro.parallel import run_tasks
 
 
 @pytest.fixture(autouse=True)
@@ -99,10 +99,10 @@ def _counted_item(n: int) -> int:
 class TestWorkerCounters:
     def test_pool_counters_match_serial_run(self, tmp_path):
         obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
-        serial = parallel_map(_counted_item, list(range(6)), processes=1)
+        serial = run_tasks(_counted_item, list(range(6)), processes=1)
         serial_counters = obs.snapshot()["counters"]
         obs.reset()
-        pooled = parallel_map(_counted_item, list(range(6)), processes=2)
+        pooled = run_tasks(_counted_item, list(range(6)), processes=2)
         assert pooled == serial == [n * n for n in range(6)]
         # every item counted exactly once, whichever process ran it
         assert obs.snapshot()["counters"] == serial_counters == {"items.done": 6.0, "items.sum": 15.0}
@@ -112,7 +112,7 @@ class TestWorkerCounters:
         obs.configure(mode=obs.MODE_METRICS, directory=tmp_path)
         obs.counter("before", 2)
         obs.gauge("g", 0.5)
-        parallel_map(_counted_item, [1, 2, 3], processes=1)
+        run_tasks(_counted_item, [1, 2, 3], processes=1)
         snap = obs.snapshot()
         assert snap["counters"] == {"before": 2.0, "items.done": 3.0, "items.sum": 6.0}
         assert snap["gauges"] == {"g": 0.5}

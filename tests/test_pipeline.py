@@ -1,6 +1,8 @@
 """Experiment pipeline: typed config, hashing, stage skip/resume."""
 
 import json
+import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro import obs, runtime
 from repro.core.predictors import (
     TABLE4_LINEUP,
     LSTMPredictor,
+    Prism5GPredictor,
     create_predictor,
     register_predictor,
     registered_predictors,
@@ -202,7 +205,33 @@ def tiny_run(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("exp") / "run"
     config = ExperimentConfig(**TINY)
     result = run_experiment(config, out_dir=run_dir)
+    # the tests below edit run_dir; this copy stays as the run left it
+    shutil.copytree(run_dir, run_dir.with_name("pristine"))
     return config, run_dir, result
+
+
+@pytest.fixture()
+def finished_copy(tiny_run, tmp_path):
+    """A private copy of the finished tiny run's directory."""
+    _, run_dir, _ = tiny_run
+    return Path(shutil.copytree(run_dir.with_name("pristine"), tmp_path / "run"))
+
+
+@pytest.fixture(scope="module")
+def other_fresh(tmp_path_factory):
+    """Another config that loads the tiny run's checkpoints, run in a fresh directory."""
+    config = ExperimentConfig(**{**TINY, "seed": 7})
+    return config, run_experiment(config, out_dir=tmp_path_factory.mktemp("other") / "run")
+
+
+def _unreadable_warnings(caplog, stage):
+    """The fields of each ``artifact.unreadable`` warning naming ``stage``."""
+    warnings = [
+        json.loads(rec.args[1])
+        for rec in caplog.records
+        if rec.name == "repro.obs" and rec.args[0] == "artifact.unreadable"
+    ]
+    return [fields for fields in warnings if fields["stage"] == stage]
 
 
 class TestRunExperiment:
@@ -226,16 +255,19 @@ class TestRunExperiment:
         assert payload["experiment_hash"] == config.hash()
         assert payload["rmse"] == result.rmse
 
-    def test_stage_markers_carry_hash(self, tiny_run):
+    def test_run_dir_has_no_stage_markers(self, tiny_run):
         config, run_dir, _ = tiny_run
-        for stage in DEFAULT_STAGES:
-            marker = json.loads((run_dir / "stages" / f"{stage.name}.json").read_text())
-            assert marker["experiment_hash"] == config.hash()
+        # the artifacts are the completion record; experiment.json says whose
+        assert not (run_dir / "stages").exists()
+        assert ExperimentConfig.load(run_dir / "experiment.json").hash() == config.hash()
+        assert not list(run_dir.rglob("*.tmp-*"))
 
     def test_second_run_all_skipped_same_rmse(self, tiny_run):
         config, run_dir, first = tiny_run
         second = run_experiment(config, out_dir=run_dir)
         assert second.all_skipped
+        # a skipped stage has no detail to report: run() did not run
+        assert [s.detail for s in second.stages] == [None] * len(DEFAULT_STAGES)
         assert second.rmse == first.rmse
 
     def test_force_reruns_everything(self, tiny_run):
@@ -246,7 +278,6 @@ class TestRunExperiment:
 
     def test_resume_after_kill_between_stages(self, tiny_run):
         config, run_dir, first = tiny_run
-        (run_dir / "stages" / "evaluate.json").unlink()
         (run_dir / "result.json").unlink()
         resumed = run_experiment(config, out_dir=run_dir)
         statuses = {s.stage: s.status for s in resumed.stages}
@@ -261,8 +292,6 @@ class TestRunExperiment:
 
     def test_resume_after_kill_mid_train(self, tiny_run):
         config, run_dir, first = tiny_run
-        for name in ("train", "evaluate"):
-            (run_dir / "stages" / f"{name}.json").unlink()
         (run_dir / "result.json").unlink()
         (run_dir / "checkpoints" / "prism5g.npz").unlink()
         resumed = run_experiment(config, out_dir=run_dir)
@@ -277,6 +306,79 @@ class TestRunExperiment:
         # same directory, different config hash: nothing may be skipped
         result = run_experiment(other, out_dir=run_dir)
         assert all(s.status == "completed" for s in result.stages)
+
+    def test_other_configs_run_dir_refits_every_predictor(self, finished_copy, other_fresh):
+        other, fresh = other_fresh
+        result = run_experiment(other, out_dir=finished_copy)
+        train_detail = next(s.detail for s in result.stages if s.stage == "train")
+        assert {name: info["status"] for name, info in train_detail.items()} == {
+            "Prophet": "fitted",
+            "Prism5G": "fitted",
+        }
+        assert result.rmse == fresh.rmse
+
+    def test_kill_after_claiming_other_configs_run_dir(self, finished_copy, other_fresh, monkeypatch):
+        other, fresh = other_fresh
+
+        def killed(self, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        # killed mid-train, after Prophet's checkpoint: the other config's
+        # Prism5G checkpoint and result must not be resumed as this config's
+        monkeypatch.setattr(Prism5GPredictor, "fit", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(other, out_dir=finished_copy)
+        monkeypatch.undo()
+        resumed = run_experiment(other, out_dir=finished_copy)
+        statuses = {s.stage: s.status for s in resumed.stages}
+        assert statuses == {
+            "synthesize": "skipped",
+            "build_dataset": "skipped",
+            "train": "completed",
+            "evaluate": "completed",
+        }
+        train_detail = next(s.detail for s in resumed.stages if s.stage == "train")
+        assert train_detail["Prophet"] == {"status": "resumed"}
+        assert train_detail["Prism5G"]["status"] == "fitted"
+        assert resumed.rmse == fresh.rmse
+
+    def test_torn_checkpoint_is_warned_and_refit(self, finished_copy, tiny_run, caplog):
+        config, _, first = tiny_run
+        checkpoint = finished_copy / "checkpoints" / "prism5g.npz"
+        checkpoint.write_bytes(checkpoint.read_bytes()[: checkpoint.stat().st_size // 2])
+        (finished_copy / "result.json").unlink()
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            resumed = run_experiment(config, out_dir=finished_copy)
+        (warning,) = _unreadable_warnings(caplog, "train")
+        assert warning["path"] == str(checkpoint)
+        statuses = {s.stage: s.status for s in resumed.stages}
+        assert statuses == {
+            "synthesize": "skipped",
+            "build_dataset": "skipped",
+            "train": "completed",
+            "evaluate": "completed",
+        }
+        train_detail = next(s.detail for s in resumed.stages if s.stage == "train")
+        assert train_detail["Prophet"] == {"status": "resumed"}
+        assert train_detail["Prism5G"]["status"] == "fitted"
+        assert resumed.rmse == first.rmse
+
+    @pytest.mark.parametrize(
+        "artifact,stage",
+        [("dataset.npz", "build_dataset"), ("result.json", "evaluate")],
+    )
+    def test_truncated_artifact_is_warned_and_recomputed(self, finished_copy, tiny_run, caplog, artifact, stage):
+        config, _, first = tiny_run
+        path = finished_copy / artifact
+        path.write_bytes(path.read_bytes()[:64])
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            resumed = run_experiment(config, out_dir=finished_copy)
+        (warning,) = _unreadable_warnings(caplog, stage)
+        assert warning["path"] == str(path)
+        statuses = {s.stage: s.status for s in resumed.stages}
+        assert statuses == {s.name: "completed" if s.name == stage else "skipped" for s in DEFAULT_STAGES}
+        assert resumed.rmse == first.rmse
+        assert run_experiment(config, out_dir=finished_copy).all_skipped
 
     def test_runtime_flags_restored_after_run(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})

@@ -1,10 +1,7 @@
 """Band registry and propagation model tests."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.ran import (
     BAND_REGISTRY,

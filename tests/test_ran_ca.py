@@ -1,8 +1,5 @@
 """CA manager tests: PCell selection, SCell add/release, caps, events."""
 
-import numpy as np
-import pytest
-
 from repro.ran import CAManager, ChannelPlan, build_deployment, get_ue
 
 

@@ -114,3 +114,14 @@ class TestStateSerialization:
         save_state(model, path)
         with pytest.raises(ValueError, match="weight"):
             load_state(Linear(5, 3), path)
+
+    @pytest.mark.parametrize("keep", [0, 64, "half"], ids=["empty", "64-bytes", "half"])
+    def test_torn_archive_raises_value_error_naming_it(self, tmp_path, keep):
+        model = Linear(4, 3)
+        path = tmp_path / "linear.npz"
+        save_state(model, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2 if keep == "half" else keep])
+        for read in (read_checkpoint_metadata, lambda p: load_state(Linear(4, 3), p)):
+            with pytest.raises(ValueError, match="linear.npz: unreadable checkpoint archive"):
+                read(path)
