@@ -178,7 +178,8 @@ def _arena_multitrace_timings(params) -> Dict[str, object]:
     * **stacked_arena** — :meth:`Trainer.fit_traces` stacks the traces
       so each fused kernel sweeps one ``(N*B, T, F)`` batch.
 
-    The workspace arena recycles kernel scratch in both arms.
+    The names are kept for the ``BENCH_perf.json`` keys; no scratch is
+    pooled in either arm, every kernel call allocates its own.
     """
     from repro.nn.modules import LSTM, Linear, Module
     from repro.nn.tensor import Tensor, concat

@@ -27,8 +27,7 @@ Subpackages
     (``runtime.configure(...)`` / ``runtime.use(...)``).
 ``repro.backends``
     The numpy compute backend behind the fused primitives (the
-    sanitizer's wrap seam) plus the workspace arena for
-    allocation-free training steps.
+    sanitizer's wrap seam).
 ``repro.pipeline``
     Config-driven, resumable experiment pipeline
     (``repro5g run experiment.json``).

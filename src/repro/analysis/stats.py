@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..ran.traces import Trace
 
@@ -33,6 +32,19 @@ def percentile(samples: np.ndarray, q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
 
 
+def kde_density(samples: np.ndarray, grid: np.ndarray, bandwidth: Optional[float] = None) -> np.ndarray:
+    """1-D Gaussian kernel density of ``samples``, evaluated on ``grid``.
+
+    The kernel width is ``factor`` times the sample std (ddof=1), with
+    Scott's factor ``n ** -0.2`` unless ``bandwidth`` gives the factor,
+    as a scalar ``bw_method`` does for ``scipy.stats.gaussian_kde``.
+    """
+    factor = samples.size ** -0.2 if bandwidth is None else bandwidth
+    width = factor * samples.std(ddof=1)
+    z = (grid[:, None] - samples[None, :]) / width
+    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * width * np.sqrt(2.0 * np.pi))
+
+
 def kde_peaks(
     samples: np.ndarray,
     grid_points: int = 256,
@@ -49,9 +61,8 @@ def kde_peaks(
         raise ValueError("need at least 5 samples for KDE")
     if np.ptp(samples) <= 0.0:  # ptp is non-negative; <= 0 means constant samples
         return [float(samples[0])]
-    kde = scipy_stats.gaussian_kde(samples, bw_method=bandwidth)
     grid = np.linspace(samples.min(), samples.max(), grid_points)
-    density = kde(grid)
+    density = kde_density(samples, grid, bandwidth)
     threshold = min_prominence_ratio * density.max()
     peaks = []
     for i in range(1, grid_points - 1):

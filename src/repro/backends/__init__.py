@@ -25,14 +25,13 @@ from __future__ import annotations
 from typing import cast
 
 from .. import runtime
-from . import arena, numpy_backend
+from . import numpy_backend
 
 __all__ = [
     "Backend",
     "PRIMITIVES",
     "active",
     "active_name",
-    "arena",
     "numpy_backend",
     "sanitize_active",
 ]

@@ -15,10 +15,10 @@ The split of responsibilities with :mod:`repro.nn.kernels` is:
 * **kernel layer**: autograd bookkeeping only — Tensor construction,
   parent wiring, gradient accumulation and broadcast reduction.
 
-Scratch arrays whose lifetime ends with the training step are drawn
-from the workspace arena (:mod:`repro.backends.arena`); arrays that
-escape as ``Tensor.data`` (layer outputs, final states) are always
-freshly allocated — see the arena's lifetime rules.
+Every call allocates its own scratch with ``np.empty``/``np.zeros``.
+Scratch a backward reads lives in ``saved``, so it dies with the graph
+node that holds it, and malloc hands the freed blocks to the next
+batch.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from . import arena
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +135,10 @@ def lstm_seq_forward(
     # hoisted input projection: one flat GEMM over all (t, b) rows (a
     # 3-D matmul would dispatch B tiny GEMMs), laid out time-major so
     # each step reads a contiguous (B, 4H) block
-    x_tm = arena.empty((time, batch, features), dtype=x.dtype)
+    x_tm = np.empty((time, batch, features), dtype=x.dtype)
     np.copyto(x_tm, x.transpose(1, 0, 2))
     dtype = np.result_type(x.dtype, weight_ih.dtype, h0.dtype, bias.dtype)
-    gx = arena.empty((time * batch, 4 * hidden), dtype=dtype)
+    gx = np.empty((time * batch, 4 * hidden), dtype=dtype)
     np.matmul(x_tm.reshape(time * batch, -1), weight_ih, out=gx)
     gx = gx.reshape(time, batch, -1)
     # Scratch is laid out time-major so every per-step write lands in one
@@ -152,21 +150,21 @@ def lstm_seq_forward(
     # _lstm_gates activates in a single ufunc chain: strided column views
     # of a packed (B, 5H) row defeat the SIMD ufunc loops (measured ~2.7x
     # slower sigmoid).
-    out_tm = arena.empty((time, batch, hidden), dtype=dtype)
-    gates = arena.empty((batch, 4 * hidden), dtype=dtype)
+    out_tm = np.empty((time, batch, hidden), dtype=dtype)
+    gates = np.empty((batch, 4 * hidden), dtype=dtype)
     gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
-    ig = arena.empty((batch, hidden), dtype=dtype)
-    c_pair = arena.empty((2, batch, hidden), dtype=dtype)
+    ig = np.empty((batch, hidden), dtype=dtype)
+    c_pair = np.empty((2, batch, hidden), dtype=dtype)
     # materialized bias rows: the broadcast add of a (4H,) row measures
     # ~2x a same-shape add, and the loop pays it every step
-    bias_rows = arena.empty((batch, 4 * hidden), dtype=dtype)
+    bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows[:] = bias
     if requires:
-        act = arena.empty((time, 5, batch, hidden), dtype=dtype)
-        c_hist = arena.empty((time, batch, hidden), dtype=dtype)  # c entering step t
+        act = np.empty((time, 5, batch, hidden), dtype=dtype)
+        c_hist = np.empty((time, batch, hidden), dtype=dtype)  # c entering step t
     else:
         act = c_hist = None
-        step_act = arena.empty((5, batch, hidden), dtype=dtype)
+        step_act = np.empty((5, batch, hidden), dtype=dtype)
     h = h0
     c = c0
     for t in range(time):
@@ -186,7 +184,7 @@ def lstm_seq_forward(
         c = c_new
         h = out_tm[t]
         np.multiply(o, tanh_c, out=h)
-    # both escape as Tensor data: fresh allocations, never pooled
+    # batch-major outputs: a copy, or at B == 1 or T == 1 a view of out_tm
     outputs = np.ascontiguousarray(out_tm.transpose(1, 0, 2))
     c = c.copy()  # detach the final state from the ping-pong scratch
     saved = {
@@ -216,16 +214,16 @@ def lstm_seq_backward(
     x_tm, out_tm = saved["x_tm"], saved["out_tm"]
     # time-major like the forward scratch: contiguous per-step reads
     # of the incoming grad and writes of the gate grads
-    g_out = arena.empty((time, batch, hidden), dtype=g_out_bm.dtype)
+    g_out = np.empty((time, batch, hidden), dtype=g_out_bm.dtype)
     np.copyto(g_out, g_out_bm.transpose(1, 0, 2))
     dc = dc_T
     if dc is None:
-        dc = arena.zeros((batch, hidden), dtype=dtype)
-    dh_carry = arena.zeros((batch, hidden), dtype=dtype)
-    dg_tm = arena.empty((time, batch, 4 * hidden), dtype=dtype)
-    dh = arena.empty((batch, hidden), dtype=dtype)
-    t1 = arena.empty((batch, hidden), dtype=dtype)
-    t2 = arena.empty((batch, hidden), dtype=dtype)
+        dc = np.zeros((batch, hidden), dtype=dtype)
+    dh_carry = np.zeros((batch, hidden), dtype=dtype)
+    dg_tm = np.empty((time, batch, 4 * hidden), dtype=dtype)
+    dh = np.empty((batch, hidden), dtype=dtype)
+    t1 = np.empty((batch, hidden), dtype=dtype)
+    t2 = np.empty((batch, hidden), dtype=dtype)
     for t in range(time - 1, -1, -1):
         i, f, o, g_in, tanh_c = act[t]
         dg_step = dg_tm[t]
@@ -268,14 +266,14 @@ def lstm_seq_backward(
     flat_g = dg_tm.reshape(time * batch, 4 * hidden)
     if needs["x"]:
         # one flat GEMM; the broadcast form would dispatch B small ones
-        dx_flat = arena.empty((time * batch, x.shape[-1]), dtype=dtype)
+        dx_flat = np.empty((time * batch, x.shape[-1]), dtype=dtype)
         np.matmul(flat_g, weight_ih.T, out=dx_flat)
         grads["x"] = dx_flat.reshape(time, batch, -1).transpose(1, 0, 2)
     if needs["weight_ih"]:
         grads["weight_ih"] = x_tm.reshape(time * batch, -1).T @ flat_g
     if needs["weight_hh"]:
         # h entering step t is h0 for t=0 and the step-(t-1) output
-        h_prev = arena.empty((time, batch, hidden), dtype=dtype)
+        h_prev = np.empty((time, batch, hidden), dtype=dtype)
         h_prev[0] = h0
         h_prev[1:] = out_tm[:-1]
         grads["weight_hh"] = h_prev.reshape(time * batch, hidden).T @ flat_g
@@ -306,17 +304,17 @@ def gru_seq_forward(
     # one (T=1) takes a GEMV path that rounds differently from the GEMM
     # the op-by-op cell runs
     flat_x = x.reshape(batch * time, features)
-    gx = arena.empty((batch, time, 2 * hidden), dtype=dtype)
+    gx = np.empty((batch, time, 2 * hidden), dtype=dtype)
     np.matmul(flat_x, weight_ih, out=gx.reshape(batch * time, 2 * hidden))
-    nx = arena.empty((batch, time, hidden), dtype=dtype)
+    nx = np.empty((batch, time, hidden), dtype=dtype)
     np.matmul(flat_x, weight_in, out=nx.reshape(batch * time, hidden))
-    outputs = np.empty((batch, time, hidden), dtype=dtype)  # escapes as Tensor data
+    outputs = np.empty((batch, time, hidden), dtype=dtype)
     if requires:
-        r_all = arena.empty((batch, time, hidden), dtype=dtype)
-        z_all = arena.empty((batch, time, hidden), dtype=dtype)
-        n_all = arena.empty((batch, time, hidden), dtype=dtype)
-        rh_all = arena.empty((batch, time, hidden), dtype=dtype)
-        h_prev_all = arena.empty((batch, time, hidden), dtype=dtype)
+        r_all = np.empty((batch, time, hidden), dtype=dtype)
+        z_all = np.empty((batch, time, hidden), dtype=dtype)
+        n_all = np.empty((batch, time, hidden), dtype=dtype)
+        rh_all = np.empty((batch, time, hidden), dtype=dtype)
+        h_prev_all = np.empty((batch, time, hidden), dtype=dtype)
     else:
         r_all = z_all = n_all = rh_all = h_prev_all = None
     h = h0
@@ -359,8 +357,8 @@ def gru_seq_backward(
     r_all, z_all, n_all = saved["r_all"], saved["z_all"], saved["n_all"]
     rh_all, h_prev_all = saved["rh_all"], saved["h_prev_all"]
     dh_carry = np.zeros((batch, hidden), dtype=dtype)
-    d_gates = arena.empty((batch, time, 2 * hidden), dtype=dtype)
-    dn_pre = arena.empty((batch, time, hidden), dtype=dtype)
+    d_gates = np.empty((batch, time, 2 * hidden), dtype=dtype)
+    dn_pre = np.empty((batch, time, hidden), dtype=dtype)
     w_hh_t = weight_hh.T
     w_hn_t = weight_hn.T
     for t in range(time - 1, -1, -1):
@@ -435,30 +433,30 @@ def lstm_decoder_forward(
         np.add(out, bias_out, out=out)
         return out
 
-    outputs = np.empty((batch, horizon, out_features), dtype=dtype)  # escapes
+    outputs = np.empty((batch, horizon, out_features), dtype=dtype)
     # Time-major scratch + in-place elementwise ops, mirroring
     # lstm_seq_forward: same FP operation order as the op-by-op cell, so
     # forward values stay bit-identical while the step loop allocates
     # nothing.  Input and hidden histories are rebuilt in the backward
     # from ``y0``/``outputs`` and ``h0``/``h_tm``.
-    gates = arena.empty((batch, 4 * hidden), dtype=dtype)
+    gates = np.empty((batch, 4 * hidden), dtype=dtype)
     gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
-    hh = arena.empty((batch, 4 * hidden), dtype=dtype)
-    bias_rows = arena.empty((batch, 4 * hidden), dtype=dtype)
+    hh = np.empty((batch, 4 * hidden), dtype=dtype)
+    bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows[:] = bias
-    ig = arena.empty((batch, hidden), dtype=dtype)
-    c_pair = arena.empty((2, batch, hidden), dtype=dtype)
-    y_step = arena.empty((batch, out_features), dtype=dtype)
+    ig = np.empty((batch, hidden), dtype=dtype)
+    c_pair = np.empty((2, batch, hidden), dtype=dtype)
+    y_step = np.empty((batch, out_features), dtype=dtype)
     if requires:
         # gate-major (step, [i, f, o, g, tanh_c], B, H): contiguous
         # blocks, see lstm_seq_forward
-        act = arena.empty((horizon, 5, batch, hidden), dtype=dtype)
-        c_hist = arena.empty((horizon, batch, hidden), dtype=dtype)  # c entering step t
-        h_tm = arena.empty((horizon, batch, hidden), dtype=dtype)  # h leaving step t
+        act = np.empty((horizon, 5, batch, hidden), dtype=dtype)
+        c_hist = np.empty((horizon, batch, hidden), dtype=dtype)  # c entering step t
+        h_tm = np.empty((horizon, batch, hidden), dtype=dtype)  # h leaving step t
     else:
         act = c_hist = None
-        step_act = arena.empty((5, batch, hidden), dtype=dtype)
-        h_tm = arena.empty((2, batch, hidden), dtype=dtype)
+        step_act = np.empty((5, batch, hidden), dtype=dtype)
+        h_tm = np.empty((2, batch, hidden), dtype=dtype)
     h = h0
     c = c0
     y = y0
@@ -507,14 +505,14 @@ def lstm_decoder_backward(
     dtype = saved["dtype"]
     act, c_hist, h_tm = saved["act"], saved["c_hist"], saved["h_tm"]
     outputs = saved["outputs"]
-    dy_feedback = arena.zeros((batch, out_features), dtype=dtype)
-    dh_carry = arena.zeros((batch, hidden), dtype=dtype)
-    dc = arena.zeros((batch, hidden), dtype=dtype)
-    dg_tm = arena.empty((horizon, batch, 4 * hidden), dtype=dtype)
-    dy_tm = arena.empty((horizon, batch, out_features), dtype=dtype)
-    dh = arena.empty((batch, hidden), dtype=dtype)
-    t1 = arena.empty((batch, hidden), dtype=dtype)
-    t2 = arena.empty((batch, hidden), dtype=dtype)
+    dy_feedback = np.zeros((batch, out_features), dtype=dtype)
+    dh_carry = np.zeros((batch, hidden), dtype=dtype)
+    dc = np.zeros((batch, hidden), dtype=dtype)
+    dg_tm = np.empty((horizon, batch, 4 * hidden), dtype=dtype)
+    dy_tm = np.empty((horizon, batch, out_features), dtype=dtype)
+    dh = np.empty((batch, hidden), dtype=dtype)
+    t1 = np.empty((batch, hidden), dtype=dtype)
+    t2 = np.empty((batch, hidden), dtype=dtype)
     w_out_t = weight_out.T
     w_ih_t = weight_ih.T
     w_hh_t = weight_hh.T
@@ -565,12 +563,12 @@ def lstm_decoder_backward(
     flat_dy = dy_tm.reshape(horizon * batch, out_features)
     if needs["weight_ih"]:
         # input entering step t: y0 at t=0, the step-(t-1) prediction after
-        inp_tm = arena.empty((horizon, batch, out_features), dtype=dtype)
+        inp_tm = np.empty((horizon, batch, out_features), dtype=dtype)
         inp_tm[0] = y0
         inp_tm[1:] = outputs.transpose(1, 0, 2)[:-1]
         grads["weight_ih"] = inp_tm.reshape(horizon * batch, out_features).T @ flat_g
     if needs["weight_hh"]:
-        h_prev = arena.empty((horizon, batch, hidden), dtype=dtype)
+        h_prev = np.empty((horizon, batch, hidden), dtype=dtype)
         h_prev[0] = h0
         h_prev[1:] = h_tm[:-1]
         grads["weight_hh"] = h_prev.reshape(horizon * batch, hidden).T @ flat_g

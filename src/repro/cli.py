@@ -264,10 +264,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"experiment {config.name} [{config.hash()}]")
     result = run_experiment(config, out_dir=args.out_dir, force=args.force)
     rows = [
-        [status.stage, status.status, f"{status.duration_s:.2f}s", status.artifact or "-"]
+        [status.stage, status.status, f"{status.duration_s:.2f}s", f"{status.peak_rss_mb:.1f}", status.artifact or "-"]
         for status in result.stages
     ]
-    print(format_table(["Stage", "Status", "Time", "Artifact"], rows, title=f"run dir: {result.run_dir}"))
+    print(format_table(["Stage", "Status", "Time", "Peak MB", "Artifact"], rows, title=f"run dir: {result.run_dir}"))
     if result.rmse:
         rows = [[name, result.rmse[name]] for name in config.predictors]
         print(format_table(["Predictor", "RMSE"], rows, title=f"=== {config.name} ==="))
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
-    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001, RL003–RL011)")
+    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001, RL003–RL010)")
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 

@@ -6,7 +6,7 @@ oracles assert bit-identical outputs), the single canonical hash
 recipe, and the :mod:`repro.obs` metric namespace.  This package checks them
 statically (stdlib :mod:`ast` only) with a pluggable checker registry.
 Every rule reads one file at a time and resolves names only inside it;
-RL008–RL011 reason function by function over the file's scopes:
+RL008–RL010 reason function by function over the file's scopes:
 
 ========  =======================  =============================================
 code      rule                     invariant
@@ -24,8 +24,6 @@ RL008     rng-lineage              every ``default_rng`` seed traces to the
 RL009     determinism-ordering     no iteration over set-typed expressions
 RL010     dtype-discipline         backend functions never mix f32/f64 without
                                    an explicit cast
-RL011     paired-resource          an imported arena ``begin_step`` closed on
-                                   all paths
 ========  =======================  =============================================
 
 Run it as ``repro5g lint`` or ``python -m repro.lintkit``; line-scoped
@@ -47,7 +45,7 @@ from .base import (
     register,
     registered_checkers,
 )
-# importing this registers RL001 and RL003–RL011
+# importing this registers RL001 and RL003–RL010
 from .checkers import valid_obs_name
 from .runner import (
     JSON_REPORT_SCHEMA,

@@ -63,7 +63,7 @@ class Diagnostic:
 class Scope:
     """One function of a file, or the module body left around them.
 
-    The per-function rules (RL008–RL011) reason scope by scope: each
+    The per-function rules (RL008–RL010) reason scope by scope: each
     top-level function, each method of a top-level class, and
     ``<module>`` for everything else.  A nested def or lambda belongs
     to its enclosing scope, and its parameters join ``params``.
@@ -152,9 +152,6 @@ class FileContext:
     path: Path
     display_path: str
     module: str
-    #: the dotted package the module lives in (equals ``module`` for a
-    #: package ``__init__``); used to resolve relative imports.
-    package: str
     source: str
     tree: ast.AST
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
@@ -167,7 +164,7 @@ class FileContext:
 
     @cached_property
     def scopes(self) -> List[Scope]:
-        """The file's scopes, built on first use and shared by RL008–RL011."""
+        """The file's scopes, built on first use and shared by RL008–RL010."""
         return _file_scopes(self.tree)
 
 

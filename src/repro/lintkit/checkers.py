@@ -1,4 +1,4 @@
-"""The repo-specific invariant checkers (rules RL001, RL003–RL011).
+"""The repo-specific invariant checkers (rules RL001, RL003–RL010).
 
 Each checker encodes one contract the reproduction depends on and reads
 one file at a time; DESIGN §6d explains why every one of them exists.
@@ -24,9 +24,8 @@ In brief:
   a hash or a shard assignment.
 * **RL010** — backend functions never mix float32 and float64 without
   an explicit cast; silent upcasts break backend bit-identity.
-* **RL011** — an imported arena step window is closed on every path.
 
-RL008–RL011 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
+RL008–RL010 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
 and resolve names only inside that file.
 """
 
@@ -745,97 +744,4 @@ class DtypeDisciplineChecker(Checker):
                     "float64 with no explicit astype cast; mixed-precision "
                     "arithmetic silently upcasts and breaks bit-identical "
                     "backend equivalence",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RL011 — paired-resource discipline
-
-
-def _resolve_relative(ctx: FileContext, node: ast.ImportFrom) -> Optional[str]:
-    """Absolute dotted module for an ImportFrom (handles relative levels)."""
-    if node.level == 0:
-        return node.module
-    base = ctx.package.split(".") if ctx.package else []
-    drop = node.level - 1
-    if drop > len(base):
-        return None
-    if drop:
-        base = base[:-drop]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-def _imported_names(ctx: FileContext) -> Set[str]:
-    """Every local name an import binds in the file (function-scoped
-    lazy imports included)."""
-    names: Set[str] = set()
-    for node in (node for scope in ctx.scopes for node in scope.nodes):
-        if isinstance(node, ast.Import):
-            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and _resolve_relative(ctx, node) is not None:
-            names.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
-    return names
-
-
-def _closes_arena(scope: Scope) -> bool:
-    """Whether the scope calls ``end_run`` inside a ``finally``."""
-    return any(
-        isinstance(inner, ast.Call) and (dotted_name(inner.func) or "").split(".")[-1] == "end_run"
-        for node in scope.nodes
-        if isinstance(node, ast.Try)
-        for stmt in node.finalbody
-        for inner in ast.walk(stmt)
-    )
-
-
-def _callers(scopes: List[Scope], target: Scope) -> List[Scope]:
-    """Same-file scopes calling ``target``: through ``self.``/``cls.`` in
-    its own class for a method, by bare name for a module-level function."""
-    if target.cls:
-        names = {f"self.{target.name}", f"cls.{target.name}"}
-        candidates = [scope for scope in scopes if scope.cls == target.cls]
-    else:
-        names = {target.name}
-        candidates = scopes
-    return [
-        scope
-        for scope in candidates
-        if any(isinstance(node, ast.Call) and dotted_name(node.func) in names for node in scope.nodes)
-    ]
-
-
-@register
-class PairedResourceChecker(Checker):
-    code = "RL011"
-    name = "paired-resource"
-    summary = "an imported arena begin_step must be balanced by end_run in a finally"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        # the arena module's own plumbing defines begin_step itself
-        if not any(scope.node is not None and scope.name == "begin_step" for scope in ctx.scopes):
-            yield from self._unbalanced_openers(ctx, _imported_names(ctx))
-
-    def _unbalanced_openers(self, ctx: FileContext, imported: Set[str]) -> Iterator[Diagnostic]:
-        for scope in ctx.scopes:
-            for node in scope.nodes:
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = dotted_name(node.func)
-                if dotted is None or dotted.rpartition(".")[2] != "begin_step" or dotted.split(".")[0] not in imported:
-                    continue
-                if _closes_arena(scope):
-                    continue
-                callers = _callers(ctx.scopes, scope)
-                unclosed = sorted(caller.qualname for caller in callers if not _closes_arena(caller))
-                if callers and not unclosed:
-                    continue
-                via = f" (callers without a finally: {', '.join(unclosed)})" if unclosed else ""
-                yield self.diag(
-                    ctx,
-                    node,
-                    f"arena {dotted}() is not balanced by end_run in a finally — "
-                    f"neither here nor in every caller{via}; leaked workspaces "
-                    "grow unbounded across steps",
                 )

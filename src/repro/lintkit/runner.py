@@ -2,7 +2,7 @@
 
 :func:`lint_paths` is the one entry point, and linting is one per-file
 pass: each module is parsed once, every selected checker (RL001,
-RL003–RL011) runs over the shared AST, and line-scoped suppressions are
+RL003–RL010) runs over the shared AST, and line-scoped suppressions are
 filtered centrally.  No step looks across files.
 
 The CLI (``repro5g lint`` and ``python -m repro.lintkit``) is a thin
@@ -76,7 +76,6 @@ def build_context(path: Path, source: Optional[str] = None) -> FileContext:
         source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     module = module_name_for(path)
-    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
     try:
         display = str(path.resolve().relative_to(Path.cwd()))
     except ValueError:
@@ -85,7 +84,6 @@ def build_context(path: Path, source: Optional[str] = None) -> FileContext:
         path=path,
         display_path=display,
         module=module,
-        package=package,
         source=source,
         tree=tree,
         suppressions=parse_suppressions(source),
@@ -192,7 +190,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def build_arg_parser(prog: str = "repro5g lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description="AST invariant checks for the repro codebase (rules RL001, RL003–RL011)",
+        description="AST invariant checks for the repro codebase (rules RL001, RL003–RL010)",
     )
     add_lint_arguments(parser)
     return parser

@@ -83,7 +83,7 @@ def affine(
     if not requires:
         return out
 
-    def _backward() -> None:
+    def _backward(g: np.ndarray) -> None:
         needs = {
             "x": x.requires_grad,
             "weight": weight.requires_grad,
@@ -92,7 +92,7 @@ def affine(
             "bias": bias is not None and bias.requires_grad,
         }
         grads = be.affine_backward(
-            out.grad,
+            g,
             x.data,
             weight.data,
             h.data if h is not None else None,
@@ -146,13 +146,13 @@ def lstm_seq(
 
     shared: dict = {}
 
-    def _c_backward() -> None:
-        shared["dc_T"] = c_t.grad.copy()
+    def _c_backward(g: np.ndarray) -> None:
+        shared["dc_T"] = g.copy()
         # make sure the sequence node's backward fires even when only
         # the cell state flows into the loss
         out_t._accumulate(np.zeros_like(outputs))
 
-    def _backward() -> None:
+    def _backward(g: np.ndarray) -> None:
         needs = {
             "x": x.requires_grad,
             "h0": h0.requires_grad,
@@ -162,7 +162,7 @@ def lstm_seq(
             "bias": bias.requires_grad,
         }
         grads = be.lstm_seq_backward(
-            out_t.grad,
+            g,
             shared.pop("dc_T", None),
             saved,
             x.data,
@@ -226,7 +226,7 @@ def gru_seq(
     if not requires:
         return out_t, out_t[:, -1, :]
 
-    def _backward() -> None:
+    def _backward(g: np.ndarray) -> None:
         needs = {
             "x": x.requires_grad,
             "h0": h0.requires_grad,
@@ -238,7 +238,7 @@ def gru_seq(
             "bias_n": bias_n.requires_grad,
         }
         grads = be.gru_seq_backward(
-            out_t.grad,
+            g,
             saved,
             x.data,
             weight_ih.data,
@@ -345,7 +345,7 @@ def lstm_decoder_seq(
     if not requires:
         return out_t
 
-    def _backward() -> None:
+    def _backward(g: np.ndarray) -> None:
         needs = {
             "y0": y0.requires_grad,
             "h0": h0.requires_grad,
@@ -357,7 +357,7 @@ def lstm_decoder_seq(
             "bias_out": bias_out.requires_grad,
         }
         grads = be.lstm_decoder_backward(
-            out_t.grad,
+            g,
             saved,
             y0.data,
             h0.data,

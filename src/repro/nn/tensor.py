@@ -96,7 +96,10 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[], None]] = None
+        #: pushes this node's gradient (its argument) into its parents.
+        #: It never refers to this node, so a graph holds no reference
+        #: cycle and dies by refcount with its last reference.
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = tuple(_parents)
         self.name = name
 
@@ -189,7 +192,7 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -205,8 +208,7 @@ class Tensor:
 
         if requires:
 
-            def _backward() -> None:
-                g = out.grad
+            def _backward(g: np.ndarray) -> None:
                 if self.requires_grad:
                     self._accumulate(_unbroadcast(back_self(g, self.data, other_t.data), self.shape))
                 if other_t.requires_grad:
@@ -255,8 +257,8 @@ class Tensor:
 
         if requires:
 
-            def _backward() -> None:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+            def _backward(g: np.ndarray) -> None:
+                self._accumulate(g * exponent * self.data ** (exponent - 1))
 
             out._backward = _backward
         return out
@@ -275,8 +277,7 @@ class Tensor:
         if not requires:
             return out
 
-        def _backward() -> None:
-            g = out.grad
+        def _backward(g: np.ndarray) -> None:
             a, b = self.data, other_t.data
             if self.requires_grad:
                 if b.ndim == 1:
@@ -311,8 +312,8 @@ class Tensor:
 
         if requires:
 
-            def _backward() -> None:
-                self._accumulate(out.grad * local_grad())
+            def _backward(g: np.ndarray) -> None:
+                self._accumulate(g * local_grad())
 
             out._backward = _backward
         return out
@@ -351,8 +352,7 @@ class Tensor:
         requires = _GRAD_ENABLED and self.requires_grad
         out = Tensor(value, requires_grad=requires, _parents=(self,) if requires else ())
 
-        def _backward() -> None:
-            g = out.grad
+        def _backward(g: np.ndarray) -> None:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
@@ -379,8 +379,8 @@ class Tensor:
         requires = _GRAD_ENABLED and self.requires_grad
         out = Tensor(self.data.reshape(shape), requires_grad=requires, _parents=(self,) if requires else ())
 
-        def _backward() -> None:
-            self._accumulate(out.grad.reshape(self.shape))
+        def _backward(g: np.ndarray) -> None:
+            self._accumulate(g.reshape(self.shape))
 
         if out.requires_grad:
             out._backward = _backward
@@ -391,12 +391,12 @@ class Tensor:
         requires = _GRAD_ENABLED and self.requires_grad
         out = Tensor(self.data.transpose(axes_t), requires_grad=requires, _parents=(self,) if requires else ())
 
-        def _backward() -> None:
+        def _backward(g: np.ndarray) -> None:
             if axes_t is None:
-                self._accumulate(out.grad.transpose())
+                self._accumulate(g.transpose())
             else:
                 inverse = np.argsort(axes_t)
-                self._accumulate(out.grad.transpose(tuple(inverse)))
+                self._accumulate(g.transpose(tuple(inverse)))
 
         if out.requires_grad:
             out._backward = _backward
@@ -406,9 +406,9 @@ class Tensor:
         requires = _GRAD_ENABLED and self.requires_grad
         out = Tensor(self.data[index], requires_grad=requires, _parents=(self,) if requires else ())
 
-        def _backward() -> None:
+        def _backward(g: np.ndarray) -> None:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            np.add.at(grad, index, g)
             self._accumulate(grad)
 
         if out.requires_grad:
@@ -437,8 +437,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
 
-    def _backward() -> None:
-        g = out.grad
+    def _backward(g: np.ndarray) -> None:
         offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
@@ -458,8 +457,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
 
-    def _backward() -> None:
-        pieces = np.split(out.grad, len(tensors), axis=axis)
+    def _backward(g: np.ndarray) -> None:
+        pieces = np.split(g, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
                 t._accumulate(np.squeeze(piece, axis=axis))
@@ -481,11 +480,11 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         _parents=(a, b) if requires else (),
     )
 
-    def _backward() -> None:
+    def _backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape))
+            a._accumulate(_unbroadcast(g * cond, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * (~cond), b.shape))
+            b._accumulate(_unbroadcast(g * (~cond), b.shape))
 
     if out.requires_grad:
         out._backward = _backward

@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..backends import arena
 from .losses import mse_loss
 from .modules import Module
 from .optim import Adam
@@ -109,26 +108,28 @@ class Trainer:
         # set by fit_traces for the duration of its fit (manifest stamp)
         self._n_traces: Optional[int] = None
 
+    def _batch_loss(self, x: np.ndarray, y: np.ndarray, train: bool) -> float:
+        """One batch's loss, after its optimizer step when ``train``.
+
+        The batch's graph lives in this call's locals, so it dies by
+        refcount on return, before the next batch's forward allocates.
+        """
+        if not train:
+            with no_grad():  # validation never needs the graph
+                return self.loss_fn(self.forward_fn(self.model, x), Tensor(y)).item()
+        loss = self.loss_fn(self.forward_fn(self.model, x), Tensor(y))
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.step()
+        return loss.item()
+
     def _epoch(self, x: np.ndarray, y: np.ndarray, train: bool) -> float:
         n = len(x)
         order = self.rng.permutation(n) if train else np.arange(n)
         total, count = 0.0, 0
         for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            # open a fresh arena step window: kernel scratch from the
-            # previous batch is dead by now, so its buffers get recycled
-            arena.begin_step()
-            if train:
-                pred = self.forward_fn(self.model, x[idx])
-                loss = self.loss_fn(pred, Tensor(y[idx]))
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-            else:
-                with no_grad():  # validation never needs the graph
-                    pred = self.forward_fn(self.model, x[idx])
-                    loss = self.loss_fn(pred, Tensor(y[idx]))
-            total += loss.item() * len(idx)
+            total += self._batch_loss(x[idx], y[idx], train) * len(idx)
             count += len(idx)
         return total / max(count, 1)
 
@@ -151,36 +152,31 @@ class Trainer:
         params = dict(self.model.named_parameters())
         stale = 0
         instrumented = obs.metrics_enabled()
-        try:
-            for epoch in range(self.max_epochs):
-                train_loss = self._epoch(x_train, y_train, train=True)
-                if x_val is not None and len(x_val):
-                    val_loss = self._epoch(x_val, y_val, train=False)
+        for epoch in range(self.max_epochs):
+            train_loss = self._epoch(x_train, y_train, train=True)
+            if x_val is not None and len(x_val):
+                val_loss = self._epoch(x_val, y_val, train=False)
+            else:
+                val_loss = train_loss
+            history.train_loss.append(train_loss)
+            history.val_loss.append(val_loss)
+            if instrumented:
+                obs.counter("train.epochs")
+                obs.gauge("train.loss", train_loss)
+                obs.gauge("train.val_loss", val_loss)
+            if val_loss < history.best_val_loss - 1e-9:
+                history.best_val_loss = val_loss
+                history.best_epoch = epoch
+                if best_state is None:
+                    best_state = {name: p.data.copy() for name, p in params.items()}
                 else:
-                    val_loss = train_loss
-                history.train_loss.append(train_loss)
-                history.val_loss.append(val_loss)
-                if instrumented:
-                    obs.counter("train.epochs")
-                    obs.gauge("train.loss", train_loss)
-                    obs.gauge("train.val_loss", val_loss)
-                if val_loss < history.best_val_loss - 1e-9:
-                    history.best_val_loss = val_loss
-                    history.best_epoch = epoch
-                    if best_state is None:
-                        best_state = {name: p.data.copy() for name, p in params.items()}
-                    else:
-                        for name, p in params.items():
-                            np.copyto(best_state[name], p.data)
-                    stale = 0
-                else:
-                    stale += 1
-                if stale >= self.patience:
-                    break
-        finally:
-            # close the arena step window: pooled kernel scratch must not
-            # be handed out to callers running outside a Trainer step
-            arena.end_run()
+                    for name, p in params.items():
+                        np.copyto(best_state[name], p.data)
+                stale = 0
+            else:
+                stale += 1
+            if stale >= self.patience:
+                break
         if best_state is not None:
             for name, p in params.items():
                 np.copyto(p.data, best_state[name])
@@ -245,17 +241,6 @@ class Trainer:
         a grad-mode forward since the same numpy expressions execute.
         """
         bs = batch_size or self.batch_size
-        outputs = []
-        try:
-            with no_grad():
-                for start in range(0, len(x), bs):
-                    # kernel outputs escape this window as Tensor data, so
-                    # the backends only pool internal scratch (see
-                    # repro.backends.arena lifetime rules); the window just
-                    # recycles that scratch batch over batch
-                    arena.begin_step()
-                    pred = self.forward_fn(self.model, x[start : start + bs])
-                    outputs.append(pred.numpy())
-        finally:
-            arena.end_run()
+        with no_grad():
+            outputs = [self.forward_fn(self.model, x[start : start + bs]).numpy() for start in range(0, len(x), bs)]
         return np.concatenate(outputs, axis=0)

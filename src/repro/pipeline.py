@@ -252,6 +252,7 @@ class StageStatus:
     artifact: Optional[str] = None
     duration_s: float = 0.0
     detail: Optional[Dict] = None  #: what ``run`` reports; None when skipped
+    peak_rss_mb: float = 0.0  #: the process's high-water mark at the stage's end
 
 
 class PipelineContext:
@@ -337,6 +338,7 @@ class Stage:
             artifact=str(self.artifact(ctx)),
             duration_s=time.perf_counter() - start,
             detail=detail,
+            peak_rss_mb=obs.peak_rss_mb(),
         )
         if obs.metrics_enabled():
             obs.counter(f"pipeline.stage.{status.status}")

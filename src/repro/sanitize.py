@@ -117,7 +117,7 @@ def _violation(kind: str, message: str, primitive: str, backend: str) -> Sanitiz
 
 def _check_output_finite(result: object, primitive: str, backend: str, label: str) -> None:
     """Finite-check every ndarray in ``result`` (tuples recursed, dicts
-    skipped — backends stash opaque arena-backed scratch in ``saved``)."""
+    skipped — ``saved`` is the backend's opaque scratch for its backward)."""
     if isinstance(result, np.ndarray):
         if not _all_finite(result):
             raise _violation(

@@ -20,6 +20,7 @@ from repro.analysis import (
     theoretical_efficiency_bps_hz,
     transition_statistics,
 )
+from repro.analysis.stats import kde_density
 from repro.ran import TraceSimulator, simulate_stationary_ideal
 
 
@@ -53,6 +54,23 @@ class TestStats:
         assert kde_peaks(np.full(10, 3.0)) == [3.0]
         with pytest.raises(ValueError):
             kde_peaks(np.ones(3))
+
+    def test_kde_pinned_peaks(self):
+        rng = np.random.default_rng(11)
+        samples = np.concatenate([rng.normal(200, 40, 150), rng.normal(900, 120, 250), rng.normal(1800, 60, 100)])
+        assert kde_peaks(samples) == pytest.approx([200.53660907354018, 910.578078469599, 1799.9229492282989])
+        # a given bandwidth is the factor on the sample std: wide merges the modes
+        assert kde_peaks(samples, bandwidth=0.6) == pytest.approx([838.8567179245425])
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.05, 0.6])
+    def test_kde_density_matches_scipy(self, bandwidth):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(12)
+        for n in (5, 37, 600):
+            samples = np.concatenate([rng.normal(100, 10, n), rng.normal(400, 30, n)])
+            grid = np.linspace(samples.min(), samples.max(), 256)
+            expected = scipy_stats.gaussian_kde(samples, bw_method=bandwidth)(grid)
+            np.testing.assert_allclose(kde_density(samples, grid, bandwidth), expected, rtol=1e-12, atol=1e-14 * expected.max())
 
     def test_violin_summary(self):
         summary = ViolinSummary.from_samples("combo", np.arange(1, 101, dtype=float))

@@ -1,10 +1,10 @@
-"""repro.backends: the backend object, its sanitizer seam, and the arena.
+"""repro.backends: the backend object, its sanitizer seam, and kernel scratch.
 
 The numpy backend's bit-identity to the loop oracles is covered by
 tests/test_nn_fused.py and tests/test_batched_equivalence.py.  This
 file covers the dispatch object itself (every primitive present, the
-sanitize flag swapping a wrapped twin in and the same object back out)
-and the workspace arena's step-window semantics and gradient
+sanitize flag swapping a wrapped twin in and the same object back out),
+kernel outputs that never share memory across calls, and gradient
 correctness across consecutive fits.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import backends, runtime
-from repro.backends import arena, numpy_backend
+from repro.backends import numpy_backend
 from repro.nn.kernels import lstm_seq
 from repro.nn.modules import LSTM, Linear, Module
 from repro.nn.tensor import Tensor
@@ -24,7 +24,6 @@ def restore_flags():
     before = runtime.flags()
     yield
     runtime.configure(**before)
-    arena.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +68,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# workspace arena
+# kernel scratch and outputs across calls
 
 
 class _SeqModel(Module):
@@ -83,46 +82,26 @@ class _SeqModel(Module):
         return self.head(out[:, -1, :])
 
 
-def _fit_losses(x, y, epochs: int = 3):
-    arena.clear()
-    trainer = Trainer(_SeqModel(), max_epochs=epochs, batch_size=16, seed=0)
-    history = trainer.fit(x, y)
-    preds = trainer.predict(x)
-    return history.train_loss, preds
+class _LastStepModel(Module):
+    """Returns the LSTM's last-step output, a slice of the kernel's output."""
+
+    def __init__(self, features: int = 4, hidden: int = 8):
+        super().__init__()
+        self.rnn = LSTM(features, hidden)
+
+    def forward(self, x):
+        return self.rnn(x)[0][:, -1, :]
 
 
 class TestArena:
-    def test_pools_are_reused_across_steps(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(48, 10, 4))
-        y = rng.normal(size=(48, 1))
-        arena.clear()
-        Trainer(_SeqModel(), max_epochs=2, batch_size=16, seed=0).fit(x, y)
-        stats = arena.workspace().stats()
-        assert stats["steps"] > 1
-        assert stats["hits"] > stats["misses"]
-        # window closed after fit: library calls outside a step allocate fresh
-        assert not arena.workspace().active
-
-    def test_arena_is_numerically_invisible(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(64, 10, 4))
-        y = rng.normal(size=(64, 1))
-        loss_on, preds_on = _fit_losses(x, y)
-        # a fit whose step windows never open allocates every buffer fresh
-        monkeypatch.setattr(arena, "begin_step", lambda: None)
-        loss_off, preds_off = _fit_losses(x, y)
-        assert arena.workspace().stats()["buffers"] == 0
-        assert loss_on == loss_off  # lint: bit-identical
-        assert np.array_equal(preds_on, preds_off)
+    """Kernel calls and fits share no memory: each call allocates its own scratch."""
 
     def test_two_consecutive_fits_keep_correct_grads(self):
-        # buffer recycling across fit() calls must not leak stale state:
-        # the same trainer fit twice equals two independent single fits
+        # nothing carries over between fit() calls: the same trainer fit
+        # twice equals two independent single fits
         rng = np.random.default_rng(2)
         x = rng.normal(size=(32, 8, 4))
         y = rng.normal(size=(32, 1))
-        arena.clear()
         trainer = Trainer(_SeqModel(), max_epochs=2, batch_size=8, seed=0)
         trainer.fit(x, y)
         second = trainer.fit(x, y)
@@ -133,53 +112,29 @@ class TestArena:
         assert second.train_loss == reference_second.train_loss  # lint: bit-identical
 
     def test_buffers_escaping_as_tensor_data_are_distinct(self):
-        # outputs/final states escape the step window as Tensor.data and
-        # must never alias pooled scratch across two kernel calls
+        # outputs and final states escape as Tensor.data and must never
+        # share memory with a later kernel call's
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 5, 4))
         args = (Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))),
                 Tensor(rng.normal(size=(4, 24))), Tensor(rng.normal(size=(6, 24))),
                 Tensor(rng.normal(size=24)))
-        arena.clear()
-        arena.begin_step()
         out1, _, c1 = lstm_seq(Tensor(x), *args)
         first = out1.data.copy()
-        arena.begin_step()
         out2, _, _ = lstm_seq(Tensor(2.0 * x), *args)
         assert out1.data is not out2.data
         assert np.array_equal(out1.data, first)
-        arena.end_run()
 
-    def test_windows_touching_different_keys(self):
-        ws = arena.Workspace()
-        ws.begin_step()
-        a1, a2 = ws.empty((4, 4)), ws.empty((4, 4))
-        b1 = ws.empty(5)
-        assert len({id(a1), id(a2), id(b1)}) == 3  # distinct within a window
-        # the next window touches only the (5,) key, under other spellings
-        # of the same shape and dtype
-        ws.begin_step()
-        assert ws.empty((5,), dtype=np.dtype("float64")) is b1
-        b2 = ws.empty(5, dtype=np.float64)
-        assert b2 is not b1
-        # a window after one that skipped the (4, 4) key still starts it over
-        ws.begin_step()
-        assert ws.empty((4, 4)) is a1
-        assert ws.empty((4, 4)) is a2
-        assert ws.empty((5,)) is b1
-        # another dtype is another pool
-        assert ws.empty((4, 4), dtype=np.float32) is not a1
-        stats = ws.stats()
-        assert stats["pools"] == 3
-        assert stats["buffers"] == 5
-        assert stats["misses"] == 5 and stats["hits"] == 4
-
-    def test_inactive_outside_step_window(self):
-        arena.clear()
-        buf_a = arena.empty((4, 4))
-        buf_b = arena.empty((4, 4))
-        assert buf_a is not buf_b
-        assert arena.workspace().stats()["pools"] == 0
+    def test_batch_one_predict_equals_batched_predict(self):
+        # at B == 1 the kernel's batch-major output is a view of its
+        # time-major scratch; each row must keep its own window's values
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 5, 4))
+        trainer = Trainer(_LastStepModel(), batch_size=6, seed=0)
+        batched = trainer.predict(x)
+        one_by_one = trainer.predict(x, batch_size=1)
+        assert not np.allclose(batched[0], batched[-1])
+        assert np.allclose(one_by_one, batched)
 
 
 # ---------------------------------------------------------------------------

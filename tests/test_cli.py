@@ -109,6 +109,7 @@ class TestRun:
         assert rc == 0
         out = capsys.readouterr().out
         assert "completed" in out and "Prophet" in out
+        assert "Peak MB" in out
         assert (out_dir / "run.json").exists()
 
         rc = main(["run", str(config), "--out-dir", str(out_dir)])

@@ -2,7 +2,7 @@
 
 Per rule RL001 and RL003–RL007: one snippet that must pass and one that
 must fail, plus the repo-level gate that ``src/repro`` lints clean
-(self-lint).  The per-function rules (RL008–RL011) and SARIF output are
+(self-lint).  The per-function rules (RL008–RL010) and SARIF output are
 covered by tests/test_lintkit_project.py.
 """
 
@@ -267,9 +267,9 @@ def test_self_lint_src_repro_is_clean():
 # registry, runner and CLI plumbing
 
 
-def test_registry_has_rl001_and_rl003_to_rl011():
-    # RL002 is retired; the other codes keep their numbers
-    assert list(registered_checkers()) == ["RL001"] + [f"RL{i:03d}" for i in range(3, 12)]
+def test_registry_has_rl001_and_rl003_to_rl010():
+    # RL002 and RL011 are retired; the other codes keep their numbers
+    assert list(registered_checkers()) == ["RL001"] + [f"RL{i:03d}" for i in range(3, 11)]
 
 
 def test_unknown_rule_code_raises():

@@ -1,9 +1,9 @@
-"""The per-function rules of repro.lintkit (RL008-RL011), module-name
+"""The per-function rules of repro.lintkit (RL008-RL010), module-name
 resolution and SARIF output.
 
 Each rule gets pass/fail fixture pairs.  The multi-file fixtures pin
-that names resolve only inside the file being linted: a helper, a
-caller or a ``finally`` in another module does not count.
+that names resolve only inside the file being linted: a helper in
+another module does not count.
 """
 
 import json
@@ -296,96 +296,6 @@ class TestDtypeDiscipline:
             rules=["RL010"],
         )
         assert result.ok, result.to_text()
-
-
-# ---------------------------------------------------------------------------
-# RL011 paired-resource
-
-
-class TestPairedResource:
-    def test_regex_match_span_not_flagged(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "mod.py": (
-                    "import re\n"
-                    "def f(text):\n"
-                    '    m = re.match(r"x", text)\n'
-                    "    m.span(0)\n"
-                )
-            },
-            rules=["RL011"],
-        )
-        assert result.ok, result.to_text()
-
-    def test_unbalanced_arena_open_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "arena_mod.py": "def begin_step():\n    pass\ndef end_run():\n    pass\n",
-                "user.py": (
-                    "from arena_mod import begin_step, end_run\n"
-                    "def leaky():\n"
-                    "    begin_step()\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert codes(result) == ["RL011"]
-        assert "finally" in result.diagnostics[0].message
-
-    def test_arena_closed_locally_or_by_every_caller_passes(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "arena_mod.py": "def begin_step():\n    pass\ndef end_run():\n    pass\n",
-                "user.py": (
-                    "from arena_mod import begin_step, end_run\n"
-                    "def balanced():\n"
-                    "    begin_step()\n"
-                    "    try:\n"
-                    "        pass\n"
-                    "    finally:\n"
-                    "        end_run()\n"
-                    "def opener():\n"
-                    "    begin_step()\n"
-                    "def driver():\n"
-                    "    opener()\n"
-                    "    try:\n"
-                    "        pass\n"
-                    "    finally:\n"
-                    "        end_run()\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert result.ok, result.to_text()
-
-    def test_arena_finally_only_in_another_module_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "arena_mod.py": "def begin_step():\n    pass\ndef end_run():\n    pass\n",
-                "opener.py": (
-                    "from arena_mod import begin_step\n"
-                    "def open_window():\n"
-                    "    begin_step()\n"
-                ),
-                "trainer.py": (
-                    "from arena_mod import end_run\n"
-                    "from opener import open_window\n"
-                    "def fit():\n"
-                    "    try:\n"
-                    "        open_window()\n"
-                    "    finally:\n"
-                    "        end_run()\n"
-                ),
-            },
-            rules=["RL011"],
-        )
-        assert codes(result) == ["RL011"]
-        assert [(d.path.rpartition("/")[2], d.line) for d in result.diagnostics] == [("opener.py", 3)]
-        assert "finally" in result.diagnostics[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,14 @@ class TestRunExperiment:
         assert payload["experiment_hash"] == config.hash()
         assert payload["rmse"] == result.rmse
 
+    def test_stages_record_the_peak_rss_they_end_at(self, tiny_run):
+        _, run_dir, result = tiny_run
+        peaks = [s.peak_rss_mb for s in result.stages]
+        assert peaks[0] > 0.0
+        assert peaks == sorted(peaks)
+        summary = json.loads((run_dir / "run.json").read_text())
+        assert [s["peak_rss_mb"] for s in summary["stages"]] == peaks
+
     def test_run_dir_has_no_stage_markers(self, tiny_run):
         config, run_dir, _ = tiny_run
         # the artifacts are the completion record; experiment.json says whose
