@@ -8,22 +8,23 @@ the mean CC count over a grid for one OpZ urban drive.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.ran import CampaignConfig, cc_spatial_map, run_campaign
+from repro.ran import CityCampaignConfig, cc_spatial_map, run_city_campaign
 
 from conftest import run_once
 
 
-def test_fig4_ca_prevalence_and_spatial_map(benchmark, scale, report):
+def test_fig4_ca_prevalence_and_spatial_map(benchmark, scale, report, tmp_path):
     def experiment():
-        config = CampaignConfig(
+        config = CityCampaignConfig(
             operators=("OpX", "OpY", "OpZ"),
             scenarios=("urban", "suburban", "highway"),
             rats=("5G", "4G"),
-            traces_per_cell=scale.seeds,
+            ues=scale.seeds,
             duration_s=scale.duration_s,
             seed=23,
+            spill_traces=True,
         )
-        return run_campaign(config)
+        return run_city_campaign(config, state_dir=tmp_path / "campaign", cache_dir=tmp_path / "traces")
 
     result = run_once(benchmark, experiment)
 
@@ -51,7 +52,7 @@ def test_fig4_ca_prevalence_and_spatial_map(benchmark, scale, report):
 
     report.emit("")
     report.emit("=== Fig 4: spatial mean-CC map, OpZ urban drive (150 m grid) ===")
-    opz_urban = result.traces.filter(operator="OpZ", scenario="urban", rat="5G")
+    opz_urban = result.load_spilled_traces().filter(operator="OpZ", scenario="urban", rat="5G")
     grid = cc_spatial_map(opz_urban[0], grid_m=150.0)
     for (gx, gy), mean_ccs in sorted(grid.items()):
         report.emit(f"  cell ({gx:+d},{gy:+d}): {'#' * int(round(mean_ccs))} {mean_ccs:.1f}")

@@ -6,54 +6,48 @@ from a synthetic campaign instead of the authors' drive tests.
 """
 
 from repro.analysis import format_table
-from repro.ran import CampaignConfig, run_campaign
+from repro.ran import CityCampaignConfig, run_city_campaign
 
 from conftest import run_once
 
 
-def test_table1_dataset_statistics(benchmark, scale, report):
+def test_table1_dataset_statistics(benchmark, scale, report, tmp_path):
     def experiment():
-        config = CampaignConfig(
+        config = CityCampaignConfig(
             operators=("OpX", "OpY", "OpZ"),
             scenarios=("urban", "suburban", "highway"),
             rats=("4G", "5G"),
-            traces_per_cell=max(1, scale.seeds // 2),
+            ues=max(1, scale.seeds // 2),
             duration_s=scale.duration_s,
             seed=1,
         )
-        return run_campaign(config)
+        return run_city_campaign(config, state_dir=tmp_path / "campaign")
 
     result = run_once(benchmark, experiment)
 
-    channels_4g = set()
-    channels_5g = set()
-    combos_4g = set()
-    combos_5g = set()
-    for trace in result.traces:
-        channels = channels_4g if trace.rat == "4G" else channels_5g
-        combos = combos_4g if trace.rat == "4G" else combos_5g
-        for rec in trace.records:
-            active = [cc for cc in rec.ccs if cc.active]
-            if not active:
-                continue
-            channels.update(cc.channel_key for cc in active)
-            if len(active) >= 2:
-                combos.add(frozenset(cc.channel_key for cc in active))
+    # per-RAT statistics over every operator and scenario: unique
+    # channels and unique CA combination sets merge exactly
+    by_rat = {}
+    for (_operator, rat, _scenario), stats in result.stats.items():
+        by_rat[rat] = by_rat[rat].merge(stats) if rat in by_rat else stats
+    channels_4g, channels_5g = by_rat["4G"].unique_channels, by_rat["5G"].unique_channels
+    combos_4g, combos_5g = by_rat["4G"].unique_combos, by_rat["5G"].unique_combos
+    samples = sum(stats.accumulator.total_samples for stats in result.stats.values())
+    minutes = samples * result.config.dt_s / 60.0
 
-    minutes = result.traces.total_duration_s() / 60.0
     report.emit("=== Table 1: dataset statistics (paper values in parentheses) ===")
     rows = [
         ["Operators", "OpX, OpY, OpZ (3 major US operators)"],
-        ["# Freq. channels 4G", f"{len(channels_4g)} (paper: 86)"],
-        ["# Freq. channels 5G", f"{len(channels_5g)} (paper: 44)"],
-        ["# CA combos 4G", f"{len(combos_4g)} (paper: 511)"],
-        ["# CA combos 5G", f"{len(combos_5g)} (paper: 61)"],
+        ["# Freq. channels 4G", f"{channels_4g} (paper: 86)"],
+        ["# Freq. channels 5G", f"{channels_5g} (paper: 44)"],
+        ["# CA combos 4G", f"{combos_4g} (paper: 511)"],
+        ["# CA combos 5G", f"{combos_5g} (paper: 61)"],
         ["Mobilities", "Stationary, Walking, Driving"],
         ["Scenarios", "Urban, Suburban, Beltway(Highway), Indoor"],
-        ["Cumulative traces", f"{len(result.traces)} traces, {minutes:.0f} min"],
+        ["Cumulative traces", f"{result.n_ues} traces, {minutes:.0f} min"],
     ]
     report.emit(format_table(["Field", "Value"], rows))
     report.emit("")
     report.emit("Shape check: 4G has more channels & far more combinations than 5G,")
     report.emit("matching the paper (legacy spectrum is more fragmented).")
-    assert len(channels_4g) > len(channels_5g) or len(combos_4g) >= len(combos_5g)
+    assert channels_4g > channels_5g or combos_4g >= combos_5g

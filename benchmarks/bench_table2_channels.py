@@ -7,26 +7,22 @@ reports.
 """
 
 from repro.analysis import format_table
-from repro.ran import (
-    CampaignConfig,
-    get_operator,
-    run_campaign,
-)
+from repro.ran import CityCampaignConfig, get_operator, run_city_campaign
 
 from conftest import run_once
 
 
-def test_table2_channel_allocation(benchmark, scale, report):
+def test_table2_channel_allocation(benchmark, scale, report, tmp_path):
     def experiment():
-        config = CampaignConfig(
+        config = CityCampaignConfig(
             operators=("OpX", "OpY", "OpZ"),
             scenarios=("urban",),
             rats=("4G", "5G"),
-            traces_per_cell=scale.seeds,
+            ues=scale.seeds,
             duration_s=scale.duration_s,
             seed=11,
         )
-        return run_campaign(config)
+        return run_city_campaign(config, state_dir=tmp_path / "campaign")
 
     result = run_once(benchmark, experiment)
 

@@ -9,14 +9,16 @@ and peak throughput — plus a Fig 4-style spatial CC map.
 
 Run:  python examples/drive_campaign.py [--quick]
 
-``--quick`` shrinks the campaign to a CI-smoke size (one run per cell,
-10 s traces) — same code path, ~seconds instead of minutes.
+``--quick`` shrinks the campaign to a CI-smoke size (one UE per cell,
+10 s traces) — same code path, ~seconds instead of minutes.  Shard
+state goes to ``runs/campaigns/`` (a rerun resumes from it) and the
+traces for the spatial map are spilled into the trace cache.
 """
 
 import argparse
 
 from repro.analysis import format_table
-from repro.ran import CampaignConfig, cc_spatial_map, run_campaign
+from repro.ran import CityCampaignConfig, cc_spatial_map, run_city_campaign
 
 
 def main() -> None:
@@ -25,20 +27,22 @@ def main() -> None:
         "--quick", action="store_true", help="tiny CI-smoke configuration"
     )
     args = parser.parse_args()
-    config = CampaignConfig(
+    config = CityCampaignConfig(
         operators=("OpX", "OpY", "OpZ"),
         scenarios=("urban", "suburban", "highway"),
         rats=("4G", "5G"),
-        traces_per_cell=1 if args.quick else 2,
+        ues=1 if args.quick else 2,
         duration_s=10.0 if args.quick else 60.0,
         seed=3,
+        spill_traces=True,
     )
     print(
         f"running campaign: 3 operators x 3 scenarios x 2 RATs x "
-        f"{config.traces_per_cell} runs ..."
+        f"{config.ues} UEs ..."
     )
-    result = run_campaign(config)
-    print(f"collected {len(result.traces)} traces, {result.traces.total_duration_s() / 60:.0f} min total\n")
+    result = run_city_campaign(config)
+    traces = result.load_spilled_traces()
+    print(f"collected {len(traces)} traces, {traces.total_duration_s() / 60:.0f} min total\n")
 
     # --- Table 2-style per-operator summary --------------------------
     rows = []
@@ -72,7 +76,7 @@ def main() -> None:
         print(f"{operator}: avg {avg * 100:.0f}%  ({detail})")
 
     # --- Fig 4: spatial CC map for one OpZ urban drive ---------------
-    opz_urban = result.traces.filter(operator="OpZ", scenario="urban", rat="5G")
+    opz_urban = traces.filter(operator="OpZ", scenario="urban", rat="5G")
     five_g = [t for t in opz_urban if any(r.n_active_ccs for r in t.records)]
     if five_g:
         grid = cc_spatial_map(five_g[0], grid_m=150.0)

@@ -39,7 +39,7 @@ from .core.predictors import Prism5GPredictor, registered_predictors
 from .data import SubDatasetSpec, build_subdataset, random_split
 from .nn.serialization import save_state
 from .pipeline import ExperimentConfig, run_experiment
-from .ran import CampaignConfig, DualConnectivitySimulator, TraceSimulator, run_campaign
+from .ran import CityCampaignConfig, DualConnectivitySimulator, TraceSimulator, run_city_campaign
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -122,48 +122,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     _configure_obs(args)
-    if args.ues is not None:
-        return _cmd_city_campaign(args)
-    config = CampaignConfig(
-        operators=tuple(args.operators),
-        scenarios=tuple(args.scenarios),
-        rats=tuple(args.rats),
-        traces_per_cell=args.runs,
-        duration_s=args.duration,
-        dt_s=args.dt,
-        seed=args.seed,
-    )
-    result = run_campaign(config)
-    rows = []
-    for (operator, rat, scenario), stats in sorted(result.stats.items()):
-        rows.append(
-            [
-                operator, rat, scenario,
-                stats.unique_channels,
-                f"{stats.ordered_combos}/{stats.unique_combos}",
-                stats.max_ccs,
-                f"{stats.ca_prevalence * 100:.0f}%",
-                f"{stats.peak_tput_mbps:.0f}",
-            ]
-        )
-    print(
-        format_table(
-            ["Oper.", "RAT", "Scenario", "#Ch", "Combos", "MaxCC", "CA%", "Peak Mbps"],
-            rows,
-            title=f"Campaign: {len(result.traces)} traces, {result.traces.total_duration_s() / 60:.0f} min",
-        )
-    )
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        for i, trace in enumerate(result.traces):
-            trace.to_jsonl(out_dir / f"trace_{trace.operator}_{trace.rat}_{trace.scenario}_{i:03d}.jsonl")
-        print(f"wrote {len(result.traces)} traces to {out_dir}")
-    return 0
-
-
-def _cmd_city_campaign(args: argparse.Namespace) -> int:
-    from .ran import CityCampaignConfig, run_city_campaign
-
     config = CityCampaignConfig(
         operators=tuple(args.operators),
         scenarios=tuple(args.scenarios),
@@ -175,7 +133,7 @@ def _cmd_city_campaign(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         dt_s=args.dt,
         seed=args.seed,
-        spill_traces=args.spill,
+        spill_traces=args.spill or args.out_dir is not None,
         shard_timeout_s=args.shard_timeout,
     )
     result = run_city_campaign(config, state_dir=args.state_dir, max_shards=args.max_shards)
@@ -195,7 +153,7 @@ def _cmd_city_campaign(args: argparse.Namespace) -> int:
         format_table(
             ["Oper.", "RAT", "Scenario", "#Ch", "Combos", "MaxCC", "CA%", "Peak Mbps"],
             rows,
-            title=f"City campaign {result.hash}",
+            title=f"Campaign {result.hash}",
         )
     )
     print(
@@ -205,6 +163,12 @@ def _cmd_city_campaign(args: argparse.Namespace) -> int:
         f"peak RSS {result.peak_rss_mb:.0f} MB"
     )
     print(f"state: {result.state_dir}")
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        traces = result.load_spilled_traces()
+        for i, trace in enumerate(traces):
+            trace.to_jsonl(out_dir / f"trace_{trace.operator}_{trace.rat}_{trace.scenario}_{i:03d}.jsonl")
+        print(f"wrote {len(traces)} traces to {out_dir}")
     if not result.complete:
         print(f"{result.shards_total - result.shards_completed} shard(s) still pending; rerun to resume")
         return 3
@@ -353,29 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="JSONL output path")
     sim.set_defaults(func=_cmd_simulate)
 
-    camp = sub.add_parser("campaign", help="run a measurement campaign")
+    camp = sub.add_parser("campaign", help="run (or resume) a sharded measurement campaign")
     camp.add_argument("--operators", nargs="+", default=["OpX", "OpY", "OpZ"])
     camp.add_argument("--scenarios", nargs="+", default=["urban", "suburban", "highway"])
     camp.add_argument("--rats", nargs="+", default=["4G", "5G"])
-    camp.add_argument("--runs", type=int, default=2)
+    camp.add_argument("--ues", type=int, default=2, help="UEs per (operator, rat, scenario) group")
     camp.add_argument("--duration", type=float, default=60.0)
     camp.add_argument("--dt", type=float, default=1.0)
     camp.add_argument("--seed", type=int, default=0)
-    camp.add_argument("--out-dir", default=None, help="write traces as JSONL here")
-    city = camp.add_argument_group("city-scale (sharded engine; enabled by --ues)")
-    city.add_argument("--ues", type=int, default=None,
-                      help="UEs per (operator, rat, scenario) group; selects the sharded engine")
-    city.add_argument("--cells", type=int, default=0,
+    camp.add_argument("--out-dir", default=None,
+                      help="write the campaign's traces as JSONL here (spills them through the trace cache)")
+    camp.add_argument("--cells", type=int, default=0,
                       help="share one ~N-cell deployment per group (0 = per-UE deployments)")
-    city.add_argument("--shards", type=int, default=1, help="worker shards for the UE population")
-    city.add_argument("--cohort", type=int, default=32, help="UEs batched per SoA radio step")
-    city.add_argument("--state-dir", default=None,
+    camp.add_argument("--shards", type=int, default=1, help="worker shards for the UE population")
+    camp.add_argument("--cohort", type=int, default=32, help="UEs batched per SoA radio step")
+    camp.add_argument("--state-dir", default=None,
                       help="resumable shard state directory (default: runs/campaigns/city-<hash>)")
-    city.add_argument("--max-shards", type=int, default=None,
+    camp.add_argument("--max-shards", type=int, default=None,
                       help="run at most N pending shards then stop (exit 3 if shards remain)")
-    city.add_argument("--spill", action="store_true",
+    camp.add_argument("--spill", action="store_true",
                       help="spill per-cohort traces into the content-hash cache")
-    city.add_argument("--shard-timeout", type=float, default=None,
+    camp.add_argument("--shard-timeout", type=float, default=None,
                       help="per-shard wall budget in seconds (expired shards retry once)")
     _add_obs_args(camp)
     _add_sanitize_arg(camp)

@@ -1,9 +1,9 @@
 """repro.pipeline — config-driven, resumable experiment pipeline.
 
 One typed, JSON-serializable :class:`ExperimentConfig` is the single
-source of truth for an end-to-end paper run: the trace source (a
-Table 11 sub-dataset spec or a measurement campaign), the windowing
-parameters, the :class:`~repro.core.predictors.DeepConfig`, the
+source of truth for an end-to-end paper run: the Table 11 sub-dataset
+spec its traces come from, the windowing parameters, the
+:class:`~repro.core.predictors.DeepConfig`, the
 split/seed protocol, and the predictor line-up (resolved through the
 predictor registry).  Its canonical content hash — computed with
 :func:`repro.runtime.canonical_hash`, the same recipe the trace cache
@@ -63,6 +63,7 @@ from .data.cache import TraceCache
 from .data.datasets import (
     MLDataset,
     SubDatasetSpec,
+    generate_traces,
     load_dataset,
     normalize_windows,
     save_dataset,
@@ -70,7 +71,6 @@ from .data.datasets import (
 )
 from .data.splits import random_split, trace_level_split
 from .data.windowing import WindowedDataset, window_traces
-from .ran.campaign import CampaignConfig, campaign_cache_config, run_campaign
 from .ran.traces import TraceSet
 
 #: folded into the experiment hash so semantic changes to the pipeline
@@ -84,7 +84,6 @@ _VALID_OPERATORS = ("OpX", "OpY", "OpZ")
 _VALID_MOBILITY = ("walking", "driving")
 _VALID_TIMESCALES = ("short", "long")
 _VALID_SPLITS = ("random", "trace")
-_VALID_SOURCES = ("subdataset", "campaign")
 
 
 def default_runs_dir() -> Path:
@@ -107,7 +106,6 @@ _FIELD_TYPES: Dict[object, Tuple[str, Callable[[object], bool]]] = {
         "a list of strings",
         lambda v: isinstance(v, (list, tuple)) and all(isinstance(item, str) for item in v),
     ),
-    Optional[Dict]: ("an object", lambda v: v is None or isinstance(v, dict)),
     DeepConfig: ("an object", lambda v: isinstance(v, (dict, DeepConfig))),
 }
 
@@ -142,17 +140,11 @@ class ExperimentConfig:
     """
 
     name: str = "experiment"
-    #: trace source: a Table 11 sub-dataset ("subdataset") or a full
-    #: measurement campaign ("campaign").
-    source: str = "subdataset"
     operator: str = "OpZ"
     mobility: str = "driving"
     timescale: str = "long"
     n_traces: int = 5
     samples_per_trace: int = 200
-    #: :class:`~repro.ran.campaign.CampaignConfig` field overrides,
-    #: used only when ``source == "campaign"``.
-    campaign: Optional[Dict] = None
     # windowing
     history: int = 10
     horizon: int = 10
@@ -169,11 +161,7 @@ class ExperimentConfig:
         if isinstance(self.deep, dict):
             _check_fields("deep.", DeepConfig, self.deep)
             self.deep = DeepConfig(**self.deep)
-        if self.campaign is not None:
-            _check_fields("campaign.", CampaignConfig, self.campaign)
         self.predictors = tuple(self.predictors)
-        if self.source not in _VALID_SOURCES:
-            raise ValueError(f"source must be one of {_VALID_SOURCES}, got {self.source!r}")
         if self.operator not in _VALID_OPERATORS:
             raise ValueError(f"operator must be one of {_VALID_OPERATORS}, got {self.operator!r}")
         if self.mobility not in _VALID_MOBILITY:
@@ -196,15 +184,6 @@ class ExperimentConfig:
     @property
     def spec(self) -> SubDatasetSpec:
         return SubDatasetSpec(self.operator, self.mobility, self.timescale)
-
-    def campaign_config(self) -> CampaignConfig:
-        overrides = dict(self.campaign or {})
-        overrides.setdefault("seed", self.seed)
-        overrides.setdefault("dt_s", self.spec.dt_s)
-        for key in ("operators", "scenarios", "rats"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
-        return CampaignConfig(**overrides)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -281,8 +260,6 @@ class PipelineContext:
     @property
     def synth_config(self) -> Dict:
         config = self.config
-        if config.source == "campaign":
-            return campaign_cache_config(config.campaign_config())
         return subdataset_cache_config(
             config.spec, config.n_traces, config.samples_per_trace, config.seed
         )
@@ -366,19 +343,13 @@ class SynthesizeStage(Stage):
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         config = ctx.config
-        if config.source == "campaign":
-            result = run_campaign(config.campaign_config(), cache=ctx.trace_cache)
-            ctx.traces = result.traces
-        else:
-            from .data.datasets import generate_traces
-
-            ctx.traces = generate_traces(
-                config.spec,
-                n_traces=config.n_traces,
-                samples_per_trace=config.samples_per_trace,
-                seed=config.seed,
-                cache=ctx.trace_cache,
-            )
+        ctx.traces = generate_traces(
+            config.spec,
+            n_traces=config.n_traces,
+            samples_per_trace=config.samples_per_trace,
+            seed=config.seed,
+            cache=ctx.trace_cache,
+        )
         return {
             "n_traces": len(list(ctx.traces)),
             "cache_key": ctx.trace_cache.path_for(ctx.synth_config).name,
@@ -405,8 +376,7 @@ class BuildDatasetStage(Stage):
             list(ctx.traces), config.history, config.horizon, config.max_ccs, config.stride
         )
         dataset = normalize_windows(windows)
-        if config.source == "subdataset":
-            dataset.spec = config.spec
+        dataset.spec = config.spec
         ctx.dataset = dataset
         save_dataset(dataset, self.artifact(ctx))
         return {"n_windows": len(windows), "n_ccs": int(windows.n_ccs)}

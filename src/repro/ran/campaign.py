@@ -6,22 +6,22 @@ analyst would report — unique channels, CA combinations (ordered and
 as unique sets, the "270/162"-style counts of Table 2), CA prevalence
 (Fig 25), CC-count spatial maps (Fig 4), and peak/average throughput.
 
-Two engines share the statistics layer:
-
-* :func:`run_campaign` — the paper-scale engine: one UE per trace,
-  every trace materialized, per-(operator, rat, scenario) statistics.
-* :func:`run_city_campaign` — the city-scale engine: tens of thousands
-  of UEs against shared deployments, partitioned into shards by a
-  :class:`ShardPlan` (deterministic UE→shard assignment derived from
-  the campaign's canonical hash).  Shards run in worker processes with
-  shared-nothing radio state (:func:`repro.parallel.run_tasks` adds
-  per-shard retry/timeout), stream their records into
-  :class:`CAStatisticsAccumulator` objects (no shard ever materializes
-  a per-record list), persist a per-shard result file (written
-  atomically, so one that loads is a finished shard), and optionally
-  spill their traces into the content-hash cache.  A killed run resumes
-  from its last finished shard: completed shards are loaded from their
-  result files and only pending shards are re-dispatched.
+One engine, :func:`run_city_campaign`, runs every campaign: ``ues``
+UEs per (operator, rat, scenario) group, each with its own deployment
+(``cells=0``, the paper-scale campaign) or sharing one city deployment
+per group (``cells > 0``), partitioned into shards by a
+:class:`ShardPlan` (deterministic UE→shard assignment derived from the
+campaign's canonical hash).  Shards run in worker processes with
+shared-nothing radio state (:func:`repro.parallel.run_tasks` adds
+per-shard retry/timeout), stream their records into
+:class:`CAStatisticsAccumulator` objects (no shard ever materializes a
+per-record list), persist a per-shard result file (written atomically,
+so one that loads is a finished shard), and optionally spill their
+traces into the content-hash cache, from which
+:meth:`CityCampaignResult.load_spilled_traces` reads them back.  A
+killed run resumes from its last finished shard: completed shards are
+loaded from their result files and only pending shards are
+re-dispatched.
 """
 
 from __future__ import annotations
@@ -38,15 +38,17 @@ from .. import obs, runtime
 from ..parallel import run_tasks
 from .cells import Deployment, build_city_deployment
 from .multi_ue import MultiUESimulator
-from .simulator import TraceSimulator, simulate_trace
+from .simulator import TraceSimulator
 from .traces import Trace, TraceRecord, TraceSet
 
 #: folded into every city-campaign hash so semantic changes to the
 #: sharded engine invalidate old shard state directories.
 CITY_CAMPAIGN_SCHEMA = "repro-city-campaign-v1"
 
-#: schema stamp of per-shard result files.
-SHARD_RESULT_SCHEMA = "repro-city-shard-v1"
+#: schema stamp of per-shard result files.  v2: the file keeps
+#: first-seen order (v1 sorted its keys), and the ordered-combo counter
+#: is stored as ``[combo, count]`` pairs.
+SHARD_RESULT_SCHEMA = "repro-city-shard-v2"
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,10 @@ class CAStatisticsAccumulator:
     shard can stream an arbitrarily long campaign without ever holding
     a per-record list.  Accumulators merge associatively
     (:meth:`merge`) and round-trip through JSON (:meth:`to_dict` /
-    :meth:`from_dict`) for the per-shard result files.
+    :meth:`from_dict`) for the per-shard result files.  ``ordered``
+    keeps first-seen order, which decides how :meth:`CAStatistics.top_combos`
+    breaks ties, so it is stored as a list of pairs that no JSON writer
+    reorders.
     """
 
     channels: set = field(default_factory=set)
@@ -127,7 +132,7 @@ class CAStatisticsAccumulator:
     def to_dict(self) -> Dict:
         return {
             "channels": sorted(self.channels),
-            "ordered": dict(self.ordered),
+            "ordered": [[combo, count] for combo, count in self.ordered.items()],
             "unique_sets": sorted(sorted(s) for s in self.unique_sets),
             "max_ccs": self.max_ccs,
             "ca_samples": self.ca_samples,
@@ -140,7 +145,7 @@ class CAStatisticsAccumulator:
     def from_dict(cls, data: Mapping) -> "CAStatisticsAccumulator":
         return cls(
             channels=set(data["channels"]),
-            ordered=Counter(data["ordered"]),
+            ordered=Counter({combo: int(count) for combo, count in data["ordered"]}),
             unique_sets={frozenset(s) for s in data["unique_sets"]},
             max_ccs=int(data["max_ccs"]),
             ca_samples=int(data["ca_samples"]),
@@ -203,140 +208,6 @@ def analyze_traces(traces: Iterable[Trace], operator: str = "", rat: str = "5G")
 
 
 # ---------------------------------------------------------------------------
-# paper-scale campaign (one UE per trace, materialized)
-
-
-@dataclass
-class CampaignConfig:
-    """Scope of a synthetic measurement campaign."""
-
-    operators: Tuple[str, ...] = ("OpX", "OpY", "OpZ")
-    scenarios: Tuple[str, ...] = ("urban", "suburban", "highway")
-    rats: Tuple[str, ...] = ("4G", "5G")
-    traces_per_cell: int = 2
-    duration_s: float = 60.0
-    dt_s: float = 1.0
-    modem: str = "X70"
-    seed: int = 0
-
-
-@dataclass
-class CampaignResult:
-    """All traces plus per-(operator, rat, scenario) statistics."""
-
-    traces: TraceSet
-    stats: Dict[Tuple[str, str, str], CAStatistics]
-
-    def prevalence_table(self) -> Dict[str, Dict[str, float]]:
-        """operator -> scenario -> 5G CA prevalence (paper Fig 25)."""
-        return _prevalence_table(self.stats)
-
-
-def _prevalence_table(stats: Dict[Tuple[str, str, str], CAStatistics]) -> Dict[str, Dict[str, float]]:
-    table: Dict[str, Dict[str, float]] = {}
-    for (operator, rat, scenario), stat in stats.items():
-        if rat != "5G":
-            continue
-        table.setdefault(operator, {})[scenario] = stat.ca_prevalence
-    return table
-
-
-def _mobility_for(scenario: str) -> str:
-    return {"urban": "driving", "suburban": "driving", "highway": "driving", "indoor": "indoor"}[scenario]
-
-
-def _area_for(scenario: str) -> float:
-    return 1_500.0 if scenario != "urban" else 1_000.0
-
-
-def campaign_cache_config(config: CampaignConfig) -> Dict:
-    """The trace-cache configuration for one campaign synthesis.
-
-    Shared by :func:`run_campaign` and the experiment pipeline's
-    synthesize stage so both derive the same cache key.
-    """
-    return {"kind": "campaign", **asdict(config)}
-
-
-def _campaign_jobs(config: CampaignConfig) -> Tuple[List[Dict], List[Tuple[str, str, str]]]:
-    """The legacy nested-loop job list: seeds assigned in iteration order."""
-    jobs: List[Dict] = []
-    keys: List[Tuple[str, str, str]] = []
-    seed = config.seed
-    for operator in config.operators:
-        for rat in config.rats:
-            for scenario in config.scenarios:
-                for run in range(config.traces_per_cell):
-                    seed += 1
-                    jobs.append(
-                        {
-                            "sim": dict(
-                                operator=operator,
-                                scenario=scenario,
-                                mobility=_mobility_for(scenario),
-                                modem=config.modem,
-                                rat=rat,
-                                dt_s=config.dt_s,
-                                seed=seed,
-                                area_m=_area_for(scenario),
-                            ),
-                            "duration_s": config.duration_s,
-                            "route_id": run,
-                        }
-                    )
-                    keys.append((operator, rat, scenario))
-    return jobs, keys
-
-
-def run_campaign(
-    config: Optional[CampaignConfig] = None,
-    cache: object = "auto",
-    processes: Optional[int] = None,
-) -> CampaignResult:
-    """Run the full campaign and compute per-cell statistics.
-
-    Traces are synthesized in parallel (``processes`` workers; the
-    ``REPRO_PROCS`` env var overrides) and cached on disk keyed by a
-    hash of ``config`` (``cache="auto"``; pass ``None`` to disable or a
-    :class:`~repro.data.cache.TraceCache` / directory to redirect).
-    Results are identical to the serial, uncached path: seeds are
-    assigned in the original nested-loop order and the pool preserves
-    item order.
-    """
-    config = config or CampaignConfig()
-    jobs, keys = _campaign_jobs(config)
-
-    def synthesize() -> TraceSet:
-        return TraceSet(run_tasks(simulate_trace, jobs, processes=processes, retries=0))
-
-    from ..data.cache import resolve_cache  # local: avoids import cycle
-
-    trace_cache = resolve_cache(cache)
-    if trace_cache is None:
-        traces = synthesize()
-    else:
-        traces = trace_cache.get_or_create(campaign_cache_config(config), synthesize)
-
-    all_traces = list(traces)
-    accs: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
-    for key, trace in zip(keys, all_traces):
-        accs.setdefault(key, CAStatisticsAccumulator()).update_trace(trace)
-    stats = {key: acc.finalize(key[0], key[1]) for key, acc in accs.items()}
-    obs.write_manifest(
-        kind="campaign",
-        config=asdict(config),
-        seed=config.seed,
-        extra={
-            "n_traces": len(all_traces),
-            "ca_prevalence": {
-                "/".join(key): stat.ca_prevalence for key, stat in stats.items()
-            },
-        },
-    )
-    return CampaignResult(traces=TraceSet(all_traces), stats=stats)
-
-
-# ---------------------------------------------------------------------------
 # city-scale campaign: shard plan
 
 
@@ -348,7 +219,7 @@ class UEJob:
     operator: str
     rat: str
     scenario: str
-    seed: int  #: simulator seed, assigned in the legacy nested-loop order
+    seed: int  #: simulator seed, incremented along the canonical order
     route_id: int  #: per-group UE ordinal (mobility route / trace id)
 
     @property
@@ -362,8 +233,10 @@ class CityCampaignConfig:
 
     ``ues`` UEs per (operator, rat, scenario) group are partitioned
     into ``shards`` worker units.  With ``cells == 0`` every UE gets
-    its own deployment — the legacy per-trace semantics, bit-identical
-    to :func:`run_campaign` (the oracle mode).  With ``cells > 0`` each
+    its own deployment and one :class:`~repro.ran.simulator.TraceSimulator`
+    run: the paper-scale campaign, one trace per UE, whose statistics at
+    ``shards=1`` equal those of the plain per-job loop bit for bit
+    (``tests/oracles.py::campaign_loop``).  With ``cells > 0`` each
     group shares one city deployment sized to roughly that many cells,
     and UEs are stepped in structure-of-arrays cohorts of ``cohort``
     through :class:`~repro.ran.multi_ue.MultiUESimulator`.
@@ -414,9 +287,8 @@ class CityCampaignConfig:
 
 
 def city_campaign_jobs(config: CityCampaignConfig) -> List[UEJob]:
-    """Every UE job in canonical order (seed assignment matches
-    :func:`run_campaign`'s nested loops, which is what makes the
-    ``shards=1, ues=1`` oracle bit-identical to the legacy path)."""
+    """Every UE job in canonical order: operator > rat > scenario > UE,
+    with seeds incremented from ``config.seed`` along that order."""
     jobs: List[UEJob] = []
     seed = config.seed
     index = 0
@@ -495,6 +367,14 @@ def city_shard_cache_config(campaign_hash: str, shard_id: str, cohort_index: int
     }
 
 
+def _mobility_for(scenario: str) -> str:
+    return {"urban": "driving", "suburban": "driving", "highway": "driving", "indoor": "indoor"}[scenario]
+
+
+def _area_for(scenario: str) -> float:
+    return 1_500.0 if scenario != "urban" else 1_000.0
+
+
 def _build_group_deployment(config: CityCampaignConfig, operator: str, scenario: str) -> Deployment:
     """The shared city deployment for one (operator, scenario) group.
 
@@ -536,7 +416,7 @@ def _run_city_shard(payload: Dict) -> Dict:
     if config.spill_traces:
         from ..data.cache import TraceCache  # local: avoids import cycle
 
-        cache = TraceCache(payload["cache_dir"]) if payload.get("cache_dir") else TraceCache()
+        cache = TraceCache(payload["cache_dir"])
 
     def spill(traces: List[Trace]) -> None:
         nonlocal cohort_index
@@ -548,9 +428,8 @@ def _run_city_shard(payload: Dict) -> Dict:
         cohort_index += 1
 
     if config.cells <= 0:
-        # legacy semantics: one deployment per UE, same kwargs and
-        # seed assignment as run_campaign's nested loop — this is
-        # the bit-identical oracle mode
+        # per-UE semantics: every UE simulates its own deployment, one
+        # TraceSimulator run per job (the paper-scale campaign)
         pending: List[Trace] = []
         for job in jobs:
             sim = TraceSimulator(
@@ -623,7 +502,7 @@ def _run_city_shard(payload: Dict) -> Dict:
         "spill_keys": spill_keys,
     }
     runtime.write_atomic(
-        _shard_result_path(state_dir, shard_id), json.dumps(result, indent=2, sort_keys=True) + "\n"
+        _shard_result_path(state_dir, shard_id), json.dumps(result, indent=2) + "\n"
     )
     return result
 
@@ -632,13 +511,22 @@ def _read_json(path: Path) -> object:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str) -> Optional[Dict]:
-    """The shard's result file, or ``None`` when it is absent, unreadable (warned) or another campaign's."""
+def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str, spill_dir: Path) -> Optional[Dict]:
+    """The shard's result file, or ``None`` when it is absent, unreadable
+    (warned), another campaign's, or lists a spilled cohort whose cache
+    entry in ``spill_dir`` is gone (warned): such a shard is not done."""
+    from ..data.artifacts import MANIFEST_NAME  # local: avoids import cycle
+
     data = runtime.read_artifact(_shard_result_path(state_dir, shard_id), _read_json, shard=shard_id)
     if not isinstance(data, dict) or data.get("schema") != SHARD_RESULT_SCHEMA:
         return None
     if data.get("campaign_hash") != campaign_hash:
         return None
+    for name in data["spill_keys"]:
+        entry = spill_dir / name
+        if not (entry / MANIFEST_NAME).exists():
+            obs.log_warning("artifact.unreadable", shard=shard_id, path=str(entry), error="spilled trace entry is gone")
+            return None
     return data
 
 
@@ -658,6 +546,8 @@ class CityCampaignResult:
     n_simulated: int
     complete: bool
     spill_keys: List[str] = field(default_factory=list)
+    #: the trace cache the campaign spilled into (None: it did not spill)
+    spill_dir: Optional[Path] = None
     peak_rss_mb: float = 0.0
     wall_s: float = 0.0
 
@@ -668,22 +558,29 @@ class CityCampaignResult:
 
     def prevalence_table(self) -> Dict[str, Dict[str, float]]:
         """operator -> scenario -> 5G CA prevalence (paper Fig 25)."""
-        return _prevalence_table(self.stats)
+        table: Dict[str, Dict[str, float]] = {}
+        for (operator, rat, scenario), stat in self.stats.items():
+            if rat == "5G":
+                table.setdefault(operator, {})[scenario] = stat.ca_prevalence
+        return table
 
-    def load_spilled_traces(self, cache: object = "auto") -> TraceSet:
-        """Load every spilled trace cohort back from the content-hash cache."""
-        from ..data.cache import resolve_cache
+    def load_spilled_traces(self) -> TraceSet:
+        """Every spilled trace, in shard and UE order, read from ``spill_dir``.
 
-        trace_cache = resolve_cache(cache)
-        if trace_cache is None:
-            return TraceSet([])
+        Raises ``ValueError`` when the campaign did not spill, and one
+        naming the entry when a listed cohort does not load.
+        """
+        from ..data.artifacts import load_trace_set  # local: avoids import cycle
+
+        if self.spill_dir is None:
+            raise ValueError("the campaign ran without spill_traces: no traces were spilled")
         traces: List[Trace] = []
         for name in self.spill_keys:
-            entry = trace_cache.directory / name
-            if (entry / "manifest.json").exists():
-                from ..data.artifacts import load_trace_set
-
+            entry = self.spill_dir / name
+            try:
                 traces.extend(load_trace_set(entry))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"spilled trace entry {entry} does not load: {type(exc).__name__}: {exc}") from exc
         return TraceSet(traces)
 
 
@@ -713,8 +610,15 @@ def run_city_campaign(
     stand-in for a killed run in tests and CI — leaving the remainder
     for the next call.  Statistics are merged in shard order from the
     streamed accumulators; no per-record list exists anywhere.
+
+    With ``config.spill_traces`` each cohort's traces go into the trace
+    cache at ``cache_dir`` (default: the default trace cache), which the
+    result records as ``spill_dir``; a finished shard whose spilled
+    entries are gone is warned about and re-simulated.
     """
     import time
+
+    from ..data.cache import default_cache_dir  # local: avoids import cycle
 
     config = config or CityCampaignConfig()
     start = time.perf_counter()
@@ -722,13 +626,14 @@ def run_city_campaign(
     campaign_hash = plan.campaign_hash
     root = Path(state_dir) if state_dir is not None else default_campaign_state_dir(config)
     root.mkdir(parents=True, exist_ok=True)
+    spill_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
     completed: Dict[str, Dict] = {}
     pending: List[int] = []
     resumed = 0
     for i in range(plan.n_shards):
         shard_id = plan.shard_id(i)
-        result = _load_shard_result(root, shard_id, campaign_hash)
+        result = _load_shard_result(root, shard_id, campaign_hash, spill_dir)
         if result is not None:
             completed[shard_id] = result
             resumed += 1
@@ -745,7 +650,7 @@ def run_city_campaign(
             "shard_id": plan.shard_id(i),
             "jobs": [asdict(job) for job in plan.shards[i]],
             "state_dir": str(root),
-            "cache_dir": None if cache_dir is None else str(cache_dir),
+            "cache_dir": str(spill_dir),
         }
         for i in to_run
     ]
@@ -772,7 +677,7 @@ def run_city_campaign(
         if result is None:
             continue
         ues_done += int(result["n_ues"])
-        spill_keys.extend(result.get("spill_keys") or [])
+        spill_keys.extend(result["spill_keys"])
         for key_str, acc_data in result["stats"].items():
             key = tuple(key_str.split("|"))
             merged.setdefault(key, CAStatisticsAccumulator()).merge(
@@ -809,6 +714,7 @@ def run_city_campaign(
         n_simulated=simulated,
         complete=complete,
         spill_keys=spill_keys,
+        spill_dir=spill_dir if config.spill_traces else None,
         peak_rss_mb=obs.peak_rss_mb(),
         wall_s=wall,
     )

@@ -22,7 +22,10 @@ function here is the plain composition those kernels must reproduce:
 * :func:`cqi_from_sinr_scan`, :func:`mcs_from_cqi_scan` — the linear
   table scans behind the CQI/MCS lookups;
 * :func:`mpc_plan_loop` — MPC's plan search as a scalar loop over
-  ``itertools.product``.
+  ``itertools.product``;
+* :func:`campaign_loop` — a ``cells=0`` campaign as one loop over its
+  UE jobs, one :class:`~repro.ran.simulator.TraceSimulator` run each,
+  with every group's traces through :func:`~repro.ran.analyze_traces`.
 
 The equivalence suites call these directly, or swap them in for a block
 with :func:`op_by_op` (every module forward op-by-op, as a whole model),
@@ -46,6 +49,14 @@ from repro.core.predictors import _Seq2Seq
 from repro.core.prism5g import Prism5G, unpack_inputs
 from repro.nn.modules import GRU, LSTM, Linear
 from repro.nn.tensor import Tensor, concat, stack
+from repro.ran.campaign import (
+    CAStatistics,
+    CityCampaignConfig,
+    _area_for,
+    _mobility_for,
+    analyze_traces,
+    city_campaign_jobs,
+)
 from repro.ran.cells import COVERAGE_RADIUS_M, Cell, Deployment
 from repro.ran.phy import (
     CQI_EFFICIENCY_256QAM,
@@ -69,6 +80,7 @@ from repro.ran.simulator import (
     _SHADOW_WEIGHTS,
     TraceSimulator,
 )
+from repro.ran.traces import Trace
 
 # ---------------------------------------------------------------------------
 # nn: affine and the recurrent loops
@@ -460,3 +472,31 @@ def mpc_plan_loop(
         if score > best_score:
             best_score, best_first = score, plan[0]
     return best_first
+
+
+# ---------------------------------------------------------------------------
+# ran.campaign: the per-UE campaign
+
+
+def campaign_loop(config: CityCampaignConfig) -> Dict[Tuple[str, str, str], CAStatistics]:
+    """Per-group statistics of a ``cells=0`` campaign, one trace per UE job.
+
+    Each :func:`~repro.ran.campaign.city_campaign_jobs` job runs through
+    its own :class:`TraceSimulator`, and each (operator, rat, scenario)
+    group's traces, in job order, through :func:`analyze_traces` —
+    ``run_city_campaign``'s oracle.
+    """
+    traces: Dict[Tuple[str, str, str], List[Trace]] = {}
+    for job in city_campaign_jobs(config):
+        sim = TraceSimulator(
+            operator=job.operator,
+            scenario=job.scenario,
+            mobility=_mobility_for(job.scenario),
+            modem=config.modem,
+            rat=job.rat,
+            dt_s=config.dt_s,
+            seed=job.seed,
+            area_m=_area_for(job.scenario),
+        )
+        traces.setdefault(job.key, []).append(sim.run(config.duration_s, route_id=job.route_id))
+    return {key: analyze_traces(group, key[0], key[1]) for key, group in traces.items()}

@@ -4,21 +4,24 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import shutil
 
 import pytest
 
 from repro import obs
-from repro.data.cache import TraceCache
 from repro.ran import (
     CityCampaignConfig,
     MultiUESimulator,
     ShardPlan,
     TraceSimulator,
+    analyze_traces,
     city_campaign_jobs,
-    run_campaign,
     run_city_campaign,
 )
-from repro.ran.campaign import CampaignConfig, _build_group_deployment, _mobility_for
+from repro.ran.campaign import _build_group_deployment, _mobility_for
+
+from . import oracles
 
 
 def _tiny_config(**overrides) -> CityCampaignConfig:
@@ -65,53 +68,64 @@ class TestShardPlan:
     def test_job_seeds_match_legacy_nested_loops(self):
         config = _tiny_config(ues=2)
         jobs = city_campaign_jobs(config)
-        # run_campaign assigns seeds by incrementing from config.seed in
-        # operator > rat > scenario > trace order; the city planner must
-        # reproduce that exactly (it is what makes the oracle bit-identical)
+        # seeds increment from config.seed in operator > rat > scenario >
+        # UE order, so a UE's trace does not depend on the shard plan
         assert [job.seed for job in jobs] == [config.seed + 1 + i for i in range(len(jobs))]
 
 
+def _per_ue_config(**overrides) -> CityCampaignConfig:
+    base = dict(
+        operators=("OpZ", "OpX"),
+        scenarios=("urban", "highway"),
+        rats=("5G",),
+        ues=2,
+        cells=0,
+        duration_s=10.0,
+        dt_s=1.0,
+        seed=5,
+    )
+    base.update(overrides)
+    return CityCampaignConfig(**base)
+
+
 class TestLegacyOracle:
-    """cells=0, shards=1 must be bit-identical to run_campaign."""
+    """``cells=0`` must equal the plain per-UE loop, ``oracles.campaign_loop``."""
 
     def test_bit_identical_to_run_campaign(self, tmp_path):
-        legacy = run_campaign(
-            CampaignConfig(
-                operators=("OpZ", "OpX"),
-                scenarios=("urban", "highway"),
-                rats=("5G",),
-                traces_per_cell=1,
-                duration_s=10.0,
-                dt_s=1.0,
-                seed=5,
-            ),
-            cache=None,
-        )
-        city = run_city_campaign(
-            CityCampaignConfig(
-                operators=("OpZ", "OpX"),
-                scenarios=("urban", "highway"),
-                rats=("5G",),
-                ues=1,
-                cells=0,
-                shards=1,
-                duration_s=10.0,
-                dt_s=1.0,
-                seed=5,
-            ),
-            state_dir=tmp_path / "state",
-        )
+        config = _per_ue_config(shards=1)
+        ref = oracles.campaign_loop(config)
+        city = run_city_campaign(config, state_dir=tmp_path / "state")
         assert city.complete
-        assert set(city.stats) == set(legacy.stats)
-        for key, ref in legacy.stats.items():
+        assert list(city.stats) == list(ref)
+        for key, want in ref.items():
             got = city.stats[key]
-            assert got.unique_channels == ref.unique_channels
-            assert got.combo_counter == ref.combo_counter
-            assert got.max_ccs == ref.max_ccs
+            # first-seen combo order too: it breaks top_combos ties
+            assert list(got.combo_counter.items()) == list(want.combo_counter.items())
+            assert got.unique_channels == want.unique_channels
+            assert got.unique_combos == want.unique_combos
+            assert got.max_ccs == want.max_ccs
             # bit-identical, not approximately equal
-            assert got.ca_prevalence == ref.ca_prevalence
-            assert got.peak_tput_mbps == ref.peak_tput_mbps
-            assert got.mean_tput_mbps == ref.mean_tput_mbps
+            assert got.ca_prevalence == want.ca_prevalence
+            assert got.peak_tput_mbps == want.peak_tput_mbps
+            assert got.mean_tput_mbps == want.mean_tput_mbps
+
+    def test_counts_and_peaks_match_across_shards(self, tmp_path):
+        config = _per_ue_config(shards=3)
+        ref = oracles.campaign_loop(config)
+        city = run_city_campaign(config, state_dir=tmp_path / "state")
+        assert city.complete
+        assert set(city.stats) == set(ref)
+        for key, want in ref.items():
+            got = city.stats[key]
+            assert got.combo_counter == want.combo_counter
+            assert got.unique_channels == want.unique_channels
+            assert got.unique_combos == want.unique_combos
+            assert got.max_ccs == want.max_ccs
+            assert got.accumulator.ca_samples == want.accumulator.ca_samples
+            assert got.accumulator.total_samples == want.accumulator.total_samples
+            assert got.peak_tput_mbps == want.peak_tput_mbps
+            # the float sum runs in shard order: approx, not exact
+            assert got.mean_tput_mbps == pytest.approx(want.mean_tput_mbps, rel=1e-9)
 
 
 class TestCityCampaign:
@@ -190,10 +204,70 @@ class TestCityCampaign:
         )
         assert result.complete
         assert result.spill_keys
-        traces = result.load_spilled_traces(cache=TraceCache(tmp_path / "cache"))
+        traces = result.load_spilled_traces()
         assert len(traces) == result.n_ues
         steps = int(config.duration_s / config.dt_s)
         assert all(len(trace.records) == steps for trace in traces)
+
+    def test_spilled_traces_load_from_the_campaigns_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
+        config = _tiny_config(spill_traces=True, ues=2, shards=1)
+        result = run_city_campaign(config, state_dir=tmp_path / "state", cache_dir=tmp_path / "cache")
+        traces = result.load_spilled_traces()
+        assert len(traces) == result.n_ues == 4
+        assert result.spill_dir == tmp_path / "cache"
+        # they are the traces the statistics streamed
+        for (operator, rat, scenario), stats in result.stats.items():
+            group = traces.filter(operator=operator, rat=rat, scenario=scenario)
+            assert analyze_traces(group, operator, rat) == stats
+        # a campaign that did not spill has nothing to load, and says so
+        plain = run_city_campaign(_tiny_config(ues=2, shards=1), state_dir=tmp_path / "plain")
+        with pytest.raises(ValueError, match="spill_traces"):
+            plain.load_spilled_traces()
+
+    def test_lost_spill_entry_fails_loading(self, tmp_path):
+        config = _tiny_config(spill_traces=True, ues=2, shards=1)
+        result = run_city_campaign(config, state_dir=tmp_path / "state", cache_dir=tmp_path / "cache")
+        assert len(result.spill_keys) == 2
+        lost = tmp_path / "cache" / result.spill_keys[1]
+        shutil.rmtree(lost)
+        with pytest.raises(ValueError, match=re.escape(str(lost))):
+            result.load_spilled_traces()
+
+    def test_shard_with_lost_spill_entry_is_warned_and_resimulated(self, tmp_path, caplog):
+        config = _tiny_config(spill_traces=True)
+        state, cache = tmp_path / "state", tmp_path / "cache"
+        first = run_city_campaign(config, state_dir=state, cache_dir=cache)
+        shard_file = next(p for p in sorted(state.glob("shard-*.json")) if json.loads(p.read_text())["spill_keys"])
+        lost = cache / json.loads(shard_file.read_text())["spill_keys"][0]
+        shutil.rmtree(lost)
+        with caplog.at_level(logging.WARNING, logger="repro.obs"):
+            again = run_city_campaign(config, state_dir=state, cache_dir=cache)
+        warnings = [
+            json.loads(rec.args[1]) for rec in caplog.records if rec.args and rec.args[0] == "artifact.unreadable"
+        ]
+        assert [(w["shard"], w["path"]) for w in warnings] == [(shard_file.stem, str(lost))]
+        assert again.shards_resumed == config.shards - 1
+        shard_index = int(shard_file.stem.split("-")[1])
+        assert again.n_simulated == len(ShardPlan.build(config).shards[shard_index])
+        assert again.stats == first.stats
+        assert len(again.load_spilled_traces()) == again.n_ues
+
+    def test_resume_keeps_first_seen_order(self, tmp_path):
+        # Table 2's OpZ 5G urban group: two ordered combos tie at 64 samples
+        config = CityCampaignConfig(
+            operators=("OpZ",), scenarios=("urban", "highway"), rats=("5G",), ues=3, duration_s=60.0, seed=26
+        )
+        fresh = run_city_campaign(config, state_dir=tmp_path / "state")
+        resumed = run_city_campaign(config, state_dir=tmp_path / "state")
+        assert resumed.shards_resumed == config.shards
+        (_, first), (_, second) = fresh.stats[("OpZ", "5G", "urban")].top_combos(2)
+        assert first == second
+        for key, stats in fresh.stats.items():
+            assert resumed.stats[key].top_combos() == stats.top_combos()
+            assert list(resumed.stats[key].combo_counter.items()) == list(stats.combo_counter.items())
+        # and the groups merge in the order a fresh run found them
+        assert list(resumed.stats) == list(fresh.stats)
 
 
 class TestMultiUEOracle:

@@ -45,17 +45,35 @@ class TestSimulate:
 
 
 class TestCampaign:
-    def test_campaign_table(self, capsys):
+    def test_campaign_table(self, tmp_path, capsys):
         rc = main(
             [
                 "campaign", "--operators", "OpZ", "--scenarios", "urban",
-                "--rats", "5G", "--runs", "1", "--duration", "20",
+                "--rats", "5G", "--ues", "1", "--duration", "20",
+                "--state-dir", str(tmp_path / "state"),
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "OpZ" in out
-        assert "CA%" in out
+        assert out.count("CA%") == 1  # one table
+
+    def test_campaign_out_dir_writes_spilled_traces(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        rc = main(
+            [
+                "campaign", "--operators", "OpZ", "--scenarios", "urban",
+                "--rats", "5G", "--ues", "2", "--duration", "10",
+                "--state-dir", str(tmp_path / "state"), "--out-dir", str(tmp_path / "traces"),
+            ]
+        )
+        assert rc == 0
+        assert "wrote 2 traces" in capsys.readouterr().out
+        from repro.ran import Trace
+
+        written = sorted((tmp_path / "traces").glob("*.jsonl"))
+        assert [path.name for path in written] == ["trace_OpZ_5G_urban_000.jsonl", "trace_OpZ_5G_urban_001.jsonl"]
+        assert all(len(Trace.from_jsonl(path)) == 10 for path in written)
 
 
 class TestTrainEvaluate:

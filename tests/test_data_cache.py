@@ -16,8 +16,6 @@ from repro.data import (
 )
 from repro.data.cache import CACHE_DISABLE_ENV, CACHE_DIR_ENV, default_cache_dir
 from repro.parallel import default_processes, run_tasks
-from repro.ran import run_campaign
-from repro.ran.campaign import CampaignConfig
 
 SPEC = SubDatasetSpec("OpY", "driving", "long")
 FAST = dict(n_traces=3, samples_per_trace=60)
@@ -111,20 +109,6 @@ def test_cache_clear_removes_entries(tmp_path):
     generate_traces(SPEC, seed=2, cache=cache, **FAST)
     assert cache.clear() == 2
     assert cache.entries() == []
-
-
-def test_campaign_cached_matches_uncached(tmp_path):
-    config = CampaignConfig(
-        operators=("OpX",), scenarios=("urban",), rats=("5G",),
-        traces_per_cell=2, duration_s=20.0,
-    )
-    plain = run_campaign(config, cache=None, processes=1)
-    cached = run_campaign(config, cache=TraceCache(tmp_path))
-    warm = run_campaign(config, cache=TraceCache(tmp_path))
-    key = ("OpX", "5G", "urban")
-    for result in (cached, warm):
-        assert result.stats[key].ca_prevalence == plain.stats[key].ca_prevalence
-        assert result.stats[key].peak_tput_mbps == plain.stats[key].peak_tput_mbps
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class TestExperimentConfig:
             ("mobility", "flying"),
             ("timescale", "medium"),
             ("split", "kfold"),
-            ("source", "pcap"),
         ],
     )
     def test_invalid_enums_rejected(self, field, value):
@@ -114,11 +113,6 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"name": "x", "deep": {"hiden": 8}})
         assert "'hidden'" in str(excinfo.value)
 
-    def test_unknown_campaign_key_rejected(self):
-        with pytest.raises(ValueError, match=r"unknown campaign config key\(s\) \['opertors'\]") as excinfo:
-            ExperimentConfig.from_dict({"name": "x", "source": "campaign", "campaign": {"opertors": ["OpZ"]}})
-        assert "'operators'" in str(excinfo.value)
-
     def test_bare_string_predictors_rejected(self):
         with pytest.raises(ValueError, match="predictors must be a list") as excinfo:
             ExperimentConfig.from_dict({"name": "x", "predictors": "LSTM"})
@@ -130,13 +124,9 @@ class TestExperimentConfig:
             ({"deep": [8]}, "deep must be an object, got [8]"),
             ({"n_traces": "2"}, "n_traces must be an integer, got '2'"),
             ({"deep": {"hidden": "8"}}, "deep.hidden must be an integer, got '8'"),
-            (
-                {"source": "campaign", "campaign": {"traces_per_cell": "2"}},
-                "campaign.traces_per_cell must be an integer, got '2'",
-            ),
             ({"seed": True}, "seed must be an integer, got True"),
         ],
-        ids=["deep-list", "n_traces-str", "deep.hidden-str", "campaign.traces_per_cell-str", "seed-bool"],
+        ids=["deep-list", "n_traces-str", "deep.hidden-str", "seed-bool"],
     )
     def test_wrong_value_type_rejected(self, section, message):
         with pytest.raises(ValueError) as excinfo:
@@ -145,16 +135,15 @@ class TestExperimentConfig:
 
     def test_example_config_loads_with_its_hash(self):
         config = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "examples" / "experiment_small.json")
-        assert config.hash() == "30b8eeb97ca16227"
+        assert config.hash() == "a88b2939356eb307"
 
     @pytest.mark.parametrize(
         "section,message",
         [
             ({"deep": {"hiden": 8}}, "unknown deep config key"),
-            ({"source": "campaign", "campaign": {"opertors": ["OpZ"]}}, "unknown campaign config key"),
             ({"deep": [8]}, "deep must be an object"),
         ],
-        ids=["deep", "campaign", "deep-list"],
+        ids=["deep", "deep-list"],
     )
     def test_cli_run_rejects_nested_typo_before_any_run_dir(self, section, message, tmp_path, monkeypatch, capsys):
         from repro.cli import main

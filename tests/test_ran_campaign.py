@@ -1,30 +1,32 @@
 """Campaign orchestration and CA deployment statistics tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ran import (
-    CampaignConfig,
+    CityCampaignConfig,
     TraceSimulator,
     analyze_traces,
     cc_spatial_map,
-    run_campaign,
+    run_city_campaign,
 )
 
 
 @pytest.fixture(scope="module")
-def small_campaign():
-    config = CampaignConfig(
+def small_campaign(tmp_path_factory):
+    config = CityCampaignConfig(
         operators=("OpZ", "OpX"),
         scenarios=("urban", "suburban"),
         rats=("5G",),
-        traces_per_cell=1,
+        ues=1,
         duration_s=40.0,
         seed=0,
     )
-    return run_campaign(config)
+    return run_city_campaign(config, state_dir=tmp_path_factory.mktemp("campaign"))
 
 
 class TestAnalyzeTraces:
@@ -50,7 +52,7 @@ class TestAnalyzeTraces:
 class TestCampaign:
     def test_all_cells_present(self, small_campaign):
         assert len(small_campaign.stats) == 2 * 2  # 2 operators x 2 scenarios
-        assert len(small_campaign.traces) == 4
+        assert small_campaign.n_ues == 4
 
     def test_opz_more_ca_than_opx(self, small_campaign):
         """Fig 25: OpZ deploys 5G CA far more broadly than OpX."""
@@ -100,6 +102,17 @@ class TestStreamingAccumulator:
         data = json.loads(json.dumps(acc.to_dict()))
         back = CAStatisticsAccumulator.from_dict(data)
         assert back == acc  # dataclass equality covers every field
+
+    def test_json_round_trip_keeps_first_seen_combo_order(self):
+        from repro.ran import CAStatisticsAccumulator
+        import json
+
+        # first-seen order decides top_combos ties; key-sorting JSON
+        # writers must not reorder it
+        acc = CAStatisticsAccumulator(ordered=Counter({"n41+n71": 3, "n25+n41": 3, "b2+b66": 1}))
+        back = CAStatisticsAccumulator.from_dict(json.loads(json.dumps(acc.to_dict(), sort_keys=True)))
+        assert list(back.ordered.items()) == list(acc.ordered.items())
+        assert back.finalize().top_combos(1) == [("n41+n71", 3)]
 
     def test_merge_requires_accumulator(self, traces):
         from repro.ran import CAStatistics
