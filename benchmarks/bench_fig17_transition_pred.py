@@ -4,39 +4,38 @@ Compares predictors on test windows whose history contains a CA event
 (SCell activation/deactivation — the Z1/Z2 zones of Fig 18), and shows
 the bias structure: naive extrapolators over-estimate at drops and
 under-estimate at boosts, while Prism5G reacts quickly.  Also emits
-Prism5G's per-CC predictions (Fig 33-34).
+Prism5G's per-CC predictions (Fig 33-34).  The predictors and their
+test split come from one ``run_experiment``.
 """
 
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor, ProphetPredictor
-from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, run_experiment
 
 from conftest import run_once
 
 
 def test_fig17_transition_zone_prediction(benchmark, scale, report):
+    config = ExperimentConfig(
+        name="fig17",
+        operator="OpZ",
+        mobility="driving",
+        timescale="long",
+        n_traces=scale.n_traces,
+        samples_per_trace=scale.samples_per_trace,
+        predictors=("Prophet", "LSTM", "Prism5G"),
+        seed=4,
+        deep=DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6)),
+    )
+
     def experiment():
-        spec = SubDatasetSpec("OpZ", "driving", "long")
-        dataset = build_subdataset(
-            spec, n_traces=scale.n_traces, samples_per_trace=scale.samples_per_trace, seed=4
-        )
-        train, val, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-        config = DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6))
-        predictors = {
-            "Prophet": ProphetPredictor(),
-            "LSTM": LSTMPredictor(config),
-            "Prism5G": Prism5GPredictor(config),
-        }
-        preds = {}
-        for name, predictor in predictors.items():
-            predictor.fit(train, val)
-            if name == "Prism5G":
-                # one forward pass for both aggregate and per-CC outputs
-                preds[name], per_cc = predictor.predict_all(test)
-            else:
-                preds[name] = predictor.predict(test)
+        result = run_experiment(config)
+        test = result.test
+        preds = {name: predictor.predict(test) for name, predictor in result.predictors.items() if name != "Prism5G"}
+        # one forward pass for both aggregate and per-CC outputs
+        preds["Prism5G"], per_cc = result.predictors["Prism5G"].predict_all(test)
         return test, preds, per_cc
 
     test, preds, per_cc = run_once(benchmark, experiment)

@@ -3,35 +3,37 @@
 Replaces ViVo's stock bandwidth estimator with trained predictors at
 the fast (10 ms) time scale and measures QoE against the ideal run.
 Paper: ViVo+Prism5G is near-optimal; LSTM improves but is not close;
-Prophet trades stalls for quality.
+Prophet trades stalls for quality.  The predictors come from one
+``run_experiment``.
 """
 
 import numpy as np
 
 from repro.analysis import format_table
 from repro.apps import ViVoConfig, ViVoSimulator, predicted_bandwidth_series, relative_degradation
-from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor, ProphetPredictor
-from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, run_experiment
 from repro.ran import TraceSimulator
 
 from conftest import run_once
 
 
 def test_fig19_vivo_with_predictors(benchmark, scale, report):
+    config = ExperimentConfig(
+        name="fig19",
+        operator="OpZ",
+        mobility="walking",
+        timescale="short",
+        n_traces=scale.n_traces,
+        samples_per_trace=min(scale.samples_per_trace, 250),
+        predictors=("Prophet", "LSTM", "Prism5G"),
+        seed=12,
+        deep=DeepConfig(hidden=scale.hidden, max_epochs=max(20, scale.epochs // 2), patience=10),
+    )
+
     def experiment():
-        spec = SubDatasetSpec("OpZ", "walking", "short")
-        dataset = build_subdataset(
-            spec, n_traces=scale.n_traces, samples_per_trace=min(scale.samples_per_trace, 250), seed=12
-        )
-        train, val, _ = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-        config = DeepConfig(hidden=scale.hidden, max_epochs=max(20, scale.epochs // 2), patience=10)
-        predictors = {
-            "Prophet": ProphetPredictor(),
-            "LSTM": LSTMPredictor(config),
-            "Prism5G": Prism5GPredictor(config),
-        }
-        for predictor in predictors.values():
-            predictor.fit(train, val)
+        run = run_experiment(config)
+        predictors, dataset = run.predictors, run.dataset
 
         sim = ViVoSimulator(ViVoConfig(max_bitrate_mbps=750.0))
         degradations = {name: [] for name in predictors}

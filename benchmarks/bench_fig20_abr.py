@@ -4,7 +4,7 @@ Streams the 16K ladder over 5G CA traces with MPC driven by the stock
 harmonic-mean forecaster, Prophet, Prism5G and a clairvoyant oracle.
 Paper: MPC+Prism5G keeps the average bitrate while cutting stall time
 ~19% and improving the 99/95/90th-percentile stall tails by 50.8/33.0/
-16.0 s.
+16.0 s.  Prophet and Prism5G come from one ``run_experiment``.
 """
 
 import numpy as np
@@ -18,24 +18,30 @@ from repro.apps import (
     predictor_forecaster,
     stall_tail_improvements,
 )
-from repro.core import DeepConfig, Prism5GPredictor, ProphetPredictor
-from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, run_experiment
 from repro.ran import TraceSimulator
 
 from conftest import run_once
 
 
 def test_fig20_abr_with_predictors(benchmark, scale, report):
+    config = ExperimentConfig(
+        name="fig20",
+        operator="OpZ",
+        mobility="driving",
+        timescale="long",
+        n_traces=scale.n_traces,
+        samples_per_trace=scale.samples_per_trace,
+        predictors=("Prophet", "Prism5G"),
+        seed=14,
+        deep=DeepConfig(hidden=scale.hidden, max_epochs=max(20, scale.epochs // 2), patience=10),
+    )
+
     def experiment():
-        spec = SubDatasetSpec("OpZ", "driving", "long")
-        dataset = build_subdataset(
-            spec, n_traces=scale.n_traces, samples_per_trace=scale.samples_per_trace, seed=14
-        )
-        train, val, _ = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-        config = DeepConfig(hidden=scale.hidden, max_epochs=max(20, scale.epochs // 2), patience=10)
-        prism = Prism5GPredictor(config)
-        prism.fit(train, val)
-        prophet = ProphetPredictor().fit(train)
+        result = run_experiment(config)
+        dataset = result.dataset
+        prophet, prism = result.predictors["Prophet"], result.predictors["Prism5G"]
 
         abr = ABRConfig(lookahead=3, chunk_s=2.0)
         player = MPCPlayer(abr)

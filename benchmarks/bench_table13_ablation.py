@@ -2,38 +2,43 @@
 
 Removes (1) the state-trigger mask and (2) the fusion module, and — as
 a design-space extension beyond the paper — swaps the RNN block from
-LSTM to GRU (the paper notes the block is swappable).
+LSTM to GRU (the paper notes the block is swappable).  The five
+variants are registered predictors, trained by one ``run_experiment``.
 """
 
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import DeepConfig, Prism5GPredictor
-from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, run_experiment
 
 from conftest import run_once
 
+#: registered predictor -> the variant's label in the table
+VARIANTS = {
+    "Prism5G": "Prism5G (full)",
+    "Prism5G (no state)": "No State",
+    "Prism5G (no fusion)": "No Fusion",
+    "Prism5G (GRU)": "GRU block",
+    "Prism5G (MLP head)": "MLP head (paper-literal)",
+}
+
 
 def test_table13_ablation(benchmark, scale, report):
+    config = ExperimentConfig(
+        name="table13",
+        operator="OpZ",
+        mobility="driving",
+        timescale="long",
+        n_traces=scale.n_traces,
+        samples_per_trace=scale.samples_per_trace,
+        predictors=tuple(VARIANTS),
+        seed=6,
+        deep=DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6)),
+    )
+
     def experiment():
-        spec = SubDatasetSpec("OpZ", "driving", "long")
-        dataset = build_subdataset(
-            spec, n_traces=scale.n_traces, samples_per_trace=scale.samples_per_trace, seed=6
-        )
-        train, val, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-        config = DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6))
-        variants = {
-            "Prism5G (full)": Prism5GPredictor(config),
-            "No State": Prism5GPredictor(config, use_state_trigger=False),
-            "No Fusion": Prism5GPredictor(config, use_fusion=False),
-            "GRU block": Prism5GPredictor(config, rnn="gru"),
-            "MLP head (paper-literal)": Prism5GPredictor(config, head="mlp"),
-        }
-        rmse = {}
-        for name, predictor in variants.items():
-            predictor.fit(train, val)
-            rmse[name] = predictor.evaluate(test)
-        return rmse
+        return {VARIANTS[name]: value for name, value in run_experiment(config).rmse.items()}
 
     rmse = run_once(benchmark, experiment)
 

@@ -7,14 +7,15 @@ over the best baseline.
 
 At default scale this runs a representative subset (OpZ + OpX, both
 scales, Prophet/LSTM/Prism5G); ``REPRO_SCALE=full`` runs all six
-sub-datasets with the full line-up.
+sub-datasets with the full line-up.  Each sub-dataset is one
+``run_experiment`` config.
 """
 
 import numpy as np
 
 from repro.analysis import format_rmse_table
-from repro.core import DeepConfig, evaluate_predictors, make_default_predictors
-from repro.data import SubDatasetSpec, build_subdataset
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, improvement_over_best_baseline, run_experiment
 
 from conftest import run_once
 
@@ -28,39 +29,41 @@ PAPER_LONG = {
 def test_table4_main_comparison(benchmark, scale, report):
     if scale.full:
         specs = [
-            SubDatasetSpec(op, mob, ts)
+            (op, mob, ts)
             for ts in ("short", "long")
             for op in ("OpX", "OpY", "OpZ")
             for mob in ("walking", "driving")
         ]
-        include = ["Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G"]
+        include = ("Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G")
     else:
-        specs = [
-            SubDatasetSpec("OpZ", "driving", "long"),
-            SubDatasetSpec("OpZ", "walking", "short"),
-            SubDatasetSpec("OpX", "driving", "long"),
-        ]
-        include = ["Prophet", "LSTM", "Prism5G"]
+        specs = [("OpZ", "driving", "long"), ("OpZ", "walking", "short"), ("OpX", "driving", "long")]
+        include = ("Prophet", "LSTM", "Prism5G")
+    deep = DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6))
+    configs = [
+        ExperimentConfig(
+            name=f"table4-{op}-{mob}-{ts}",
+            operator=op,
+            mobility=mob,
+            timescale=ts,
+            n_traces=scale.n_traces,
+            samples_per_trace=scale.samples_per_trace,
+            predictors=include,
+            seed=1,
+            deep=deep,
+        )
+        for op, mob, ts in specs
+    ]
 
     def experiment():
-        results = {}
-        for spec in specs:
-            dataset = build_subdataset(
-                spec, n_traces=scale.n_traces, samples_per_trace=scale.samples_per_trace, seed=1
-            )
-            config = DeepConfig(hidden=scale.hidden, max_epochs=scale.epochs, patience=max(10, scale.epochs // 6))
-            predictors = make_default_predictors(config, include=include)
-            results[spec.name] = evaluate_predictors(dataset, predictors, dataset_name=spec.name)
-        return results
+        return {config.spec.name: run_experiment(config).rmse for config in configs}
 
     results = run_once(benchmark, experiment)
 
-    table = {name: result.rmse for name, result in results.items()}
-    report.emit(format_rmse_table(table, methods=include, title="=== Table 4: RMSE (normalized), lower is better ==="))
+    report.emit(format_rmse_table(results, methods=include, title="=== Table 4: RMSE (normalized), lower is better ==="))
 
     improvements = []
-    for name, result in results.items():
-        improvement = result.improvement_over_best_baseline()
+    for name, rmse in results.items():
+        improvement = improvement_over_best_baseline(rmse)
         improvements.append(improvement)
         report.emit(f"{name}: Prism5G improvement over best baseline: {improvement:+.1f}%")
     report.emit("")
@@ -68,6 +71,6 @@ def test_table4_main_comparison(benchmark, scale, report):
         "Shape check (paper): Prophet is the weakest everywhere; Prism5G"
         " improves on the best baseline (paper: 14% average, up to 22%)."
     )
-    for name, result in results.items():
-        assert result.rmse["Prophet"] == max(result.rmse.values()), f"Prophet should be worst on {name}"
+    for name, rmse in results.items():
+        assert rmse["Prophet"] == max(rmse.values()), f"Prophet should be worst on {name}"
     assert np.mean(improvements) > 0.0, "Prism5G should beat the baselines on average"

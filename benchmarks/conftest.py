@@ -9,6 +9,14 @@ DESIGN.md's experiment index) and:
 
 ``REPRO_SCALE=full`` switches from the fast default configuration to a
 paper-scale one (more traces, more epochs, full predictor line-up).
+
+The prediction benches (Tables 4, 13 and 14, Figs 17, 19 and 20) state
+their protocol as ``repro.pipeline.ExperimentConfig``s and run them
+with ``run_experiment`` in the default run directory,
+``runs/<name>-<hash>`` under the working directory.  A rerun reuses
+those runs: it trains nothing and reads the same numbers back.  Point
+``REPRO_RUNS_DIR`` at an empty directory (``REPRO_RUNS_DIR=$(mktemp -d)``)
+to regenerate every result cold.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ driving dataset and reports RMSE, then zooms into the CC-transition
 zones (the paper's Z1/Z2 analysis, Figs 17-18) to show where
 CA-awareness pays off.
 
+The experiment is one ``ExperimentConfig`` run by ``run_experiment``,
+the route behind ``repro5g run`` and the paper benches: its traces,
+dataset, checkpoints and RMSEs land in ``runs/<name>-<hash>`` (or under
+``REPRO_RUNS_DIR``), and a rerun reads them back instead of training.
+
 Run:  python examples/throughput_prediction.py          (fast, small)
       REPRO_SCALE=full python examples/throughput_prediction.py
 """
@@ -15,44 +20,47 @@ import os
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import DeepConfig, evaluate_predictors, make_default_predictors
-from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.core import DeepConfig
+from repro.pipeline import ExperimentConfig, improvement_over_best_baseline, run_experiment
 
 
 def main() -> None:
     full = os.environ.get("REPRO_SCALE") == "full"
-    n_traces = 10 if full else 5
-    samples = 400 if full else 200
-    config = DeepConfig(hidden=32, max_epochs=120 if full else 50, patience=20 if full else 12)
-
-    spec = SubDatasetSpec("OpZ", "driving", "long")
-    print(f"building dataset {spec.name}: {n_traces} traces x {samples} samples ...")
-    dataset = build_subdataset(spec, n_traces=n_traces, samples_per_trace=samples, seed=1)
-
-    predictors = make_default_predictors(
-        config, include=["Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G"]
+    config = ExperimentConfig(
+        name="throughput-prediction",
+        operator="OpZ",
+        mobility="driving",
+        timescale="long",
+        n_traces=10 if full else 5,
+        samples_per_trace=400 if full else 200,
+        predictors=("Prophet", "LSTM", "TCN", "Lumos5G", "Prism5G"),
+        seed=1,
+        deep=DeepConfig(hidden=32, max_epochs=120 if full else 50, patience=20 if full else 12),
     )
-    print(f"training {len(predictors)} predictors (this is the slow part) ...")
-    result = evaluate_predictors(dataset, predictors, keep_predictions=True, dataset_name=spec.name)
+    print(
+        f"{config.spec.name}: {config.n_traces} traces x {config.samples_per_trace} samples, "
+        f"{len(config.predictors)} predictors (training is the slow part) ..."
+    )
+    result = run_experiment(config)
+    print(f"run directory: {result.run_dir}")
 
     rows = [[name, rmse] for name, rmse in result.rmse.items()]
     print()
-    print(format_table(["Predictor", "RMSE"], rows, title=f"=== {spec.name} (paper Table 4) ==="))
-    print(f"Prism5G improvement over best baseline: {result.improvement_over_best_baseline():.1f}%")
+    print(format_table(["Predictor", "RMSE"], rows, title=f"=== {config.spec.name} (paper Table 4) ==="))
+    print(f"Prism5G improvement over best baseline: {improvement_over_best_baseline(result.rmse):.1f}%")
 
     # ------------------------------------------------------------------
     # Transition-zone analysis (paper Figs 17-18): compare errors on
     # test windows whose history contains a CA event (mask change).
     # ------------------------------------------------------------------
-    _, _, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-    mask = test.mask
-    transition = np.any(np.abs(np.diff(mask, axis=1)) > 0, axis=(1, 2))
+    test = result.test
+    transition = np.any(np.abs(np.diff(test.mask, axis=1)) > 0, axis=(1, 2))
     print(
         f"\n=== Error at CC transitions ({transition.sum()} of {len(test)} test windows) ==="
     )
     rows = []
-    for name, pred in result.predictions.items():
-        err = (pred - test.y) ** 2
+    for name, predictor in result.predictors.items():
+        err = (predictor.predict(test) - test.y) ** 2
         rmse_stable = float(np.sqrt(err[~transition].mean())) if (~transition).any() else float("nan")
         rmse_trans = float(np.sqrt(err[transition].mean())) if transition.any() else float("nan")
         rows.append([name, rmse_stable, rmse_trans])

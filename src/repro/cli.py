@@ -1,17 +1,12 @@
-"""Command-line interface: simulate traces, run campaigns, train models.
+"""Command-line interface: simulate traces, run campaigns and experiments.
 
 Usage (also installed as the ``repro5g`` console script):
 
     python -m repro.cli simulate --operator OpZ --scenario urban \
         --mobility driving --duration 120 --out trace.jsonl
     python -m repro.cli campaign --operators OpZ OpX --duration 60
-    python -m repro.cli train --operator OpZ --mobility driving \
-        --timescale long --epochs 40 --model-out prism.npz
-    python -m repro.cli evaluate --operator OpZ --mobility driving \
-        --timescale long --predictors Prophet LSTM Prism5G
-    python -m repro.cli evaluate --list-predictors
     python -m repro.cli run examples/experiment_small.json
-    python -m repro.cli train --obs metrics --obs-dir .repro-obs ...
+    python -m repro.cli run examples/experiment_small.json --obs metrics --obs-dir .repro-obs
     python -m repro.cli obs report
     python -m repro.cli obs check-slo --budget budgets/fast_workload.json
     python -m repro.cli lint --format json
@@ -34,10 +29,6 @@ from typing import Optional, Sequence
 from . import obs, runtime
 from .analysis import format_table
 from .lintkit.runner import add_lint_arguments, run_from_args as _run_lint
-from .core import DeepConfig, evaluate_predictors, make_default_predictors
-from .core.predictors import Prism5GPredictor, registered_predictors
-from .data import SubDatasetSpec, build_subdataset, random_split
-from .nn.serialization import save_state
 from .pipeline import ExperimentConfig, run_experiment
 from .ran import CityCampaignConfig, DualConnectivitySimulator, TraceSimulator, run_city_campaign
 
@@ -175,49 +166,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace) -> SubDatasetSpec:
-    return SubDatasetSpec(args.operator, args.mobility, args.timescale)
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    _configure_obs(args)
-    spec = _spec_from_args(args)
-    print(f"building dataset {spec.name} ({args.traces} traces x {args.samples} samples)")
-    dataset = build_subdataset(spec, n_traces=args.traces, samples_per_trace=args.samples, seed=args.seed)
-    train, val, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=args.seed)
-    config = DeepConfig(hidden=args.hidden, max_epochs=args.epochs, patience=max(8, args.epochs // 5))
-    predictor = Prism5GPredictor(config)
-    print(f"training Prism5G ({config.hidden} hidden, <= {config.max_epochs} epochs)")
-    predictor.fit(train, val)
-    print(f"test RMSE (normalized): {predictor.evaluate(test):.4f}")
-    if args.model_out:
-        save_state(predictor.model, args.model_out)
-        print(f"wrote {args.model_out}")
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _configure_obs(args)
-    if args.list_predictors:
-        for name in registered_predictors():
-            print(name)
-        return 0
-    unknown = [p for p in args.predictors if p not in registered_predictors()]
-    if unknown:
-        print(f"unknown predictors: {unknown}; choose from {registered_predictors()}", file=sys.stderr)
-        return 2
-    spec = _spec_from_args(args)
-    dataset = build_subdataset(spec, n_traces=args.traces, samples_per_trace=args.samples, seed=args.seed)
-    config = DeepConfig(hidden=args.hidden, max_epochs=args.epochs, patience=max(8, args.epochs // 5))
-    predictors = make_default_predictors(config, include=args.predictors)
-    result = evaluate_predictors(dataset, predictors, split=args.split, dataset_name=spec.name)
-    rows = [[name, rmse] for name, rmse in result.rmse.items()]
-    print(format_table(["Predictor", "RMSE"], rows, title=f"=== {spec.name} ==="))
-    if "Prism5G" in result.rmse and len(result.rmse) > 1:
-        print(f"Prism5G improvement over best baseline: {result.improvement_over_best_baseline():+.1f}%")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     _configure_obs(args)
     try:
@@ -232,9 +180,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for status in result.stages
     ]
     print(format_table(["Stage", "Status", "Time", "Peak MB", "Artifact"], rows, title=f"run dir: {result.run_dir}"))
-    if result.rmse:
-        rows = [[name, result.rmse[name]] for name in config.predictors]
-        print(format_table(["Predictor", "RMSE"], rows, title=f"=== {config.name} ==="))
+    rows = [[name, rmse] for name, rmse in result.rmse.items()]
+    print(format_table(["Predictor", "RMSE"], rows, title=f"=== {config.name} ==="))
     if result.all_skipped:
         print("all stages skipped (complete run for this config already on disk; --force re-runs)")
     return 0
@@ -342,33 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(camp)
     _add_sanitize_arg(camp)
     camp.set_defaults(func=_cmd_campaign)
-
-    def _add_ml_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--operator", default="OpZ", choices=["OpX", "OpY", "OpZ"])
-        p.add_argument("--mobility", default="driving", choices=["walking", "driving"])
-        p.add_argument("--timescale", default="long", choices=["short", "long"])
-        p.add_argument("--traces", type=int, default=5)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--hidden", type=int, default=24)
-        p.add_argument("--epochs", type=int, default=40)
-        p.add_argument("--seed", type=int, default=0)
-        _add_obs_args(p)
-        _add_sanitize_arg(p)
-
-    train = sub.add_parser("train", help="train Prism5G on a sub-dataset")
-    _add_ml_args(train)
-    train.add_argument("--model-out", default=None, help=".npz path for the trained weights")
-    train.set_defaults(func=_cmd_train)
-
-    evaluate = sub.add_parser("evaluate", help="compare predictors (Table 4 style)")
-    _add_ml_args(evaluate)
-    evaluate.add_argument("--predictors", nargs="+", default=["Prophet", "LSTM", "Prism5G"])
-    evaluate.add_argument("--split", default="random", choices=["random", "trace"])
-    evaluate.add_argument(
-        "--list-predictors", action="store_true",
-        help="print the registered predictor names and exit",
-    )
-    evaluate.set_defaults(func=_cmd_evaluate)
 
     run = sub.add_parser("run", help="run (or resume) an experiment from a JSON config")
     run.add_argument("config", help="path to an experiment JSON file (see examples/)")

@@ -1,11 +1,5 @@
-"""Prism5G model, baseline predictors, and the evaluation harness."""
+"""Prism5G model and the baseline predictors behind one registry."""
 
-from .evaluation import (
-    EvaluationResult,
-    evaluate_on_new_traces,
-    evaluate_predictors,
-    make_default_predictors,
-)
 from .predictors import (
     DeepConfig,
     GBDTPredictor,
@@ -15,7 +9,6 @@ from .predictors import (
     Prism5GPredictor,
     ProphetPredictor,
     RFPredictor,
-    TABLE4_LINEUP,
     TCNPredictor,
     create_predictor,
     register_predictor,
@@ -25,7 +18,6 @@ from .prism5g import Prism5G, pack_inputs, unpack_inputs
 
 __all__ = [
     "DeepConfig",
-    "EvaluationResult",
     "GBDTPredictor",
     "LSTMPredictor",
     "Lumos5GPredictor",
@@ -34,12 +26,8 @@ __all__ = [
     "Prism5GPredictor",
     "ProphetPredictor",
     "RFPredictor",
-    "TABLE4_LINEUP",
     "TCNPredictor",
     "create_predictor",
-    "evaluate_on_new_traces",
-    "evaluate_predictors",
-    "make_default_predictors",
     "register_predictor",
     "registered_predictors",
     "pack_inputs",

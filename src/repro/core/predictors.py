@@ -5,7 +5,7 @@ Lumos5G's Seq2Seq [32], GBDT [32] and RF [4]; plus Prism5G itself and
 its ablations.  Every predictor consumes a
 :class:`~repro.data.windowing.WindowedDataset` (normalized) and emits
 ``(n, horizon)`` forecasts, so Table 4 / Table 13 / Table 14 all run
-through one evaluation loop.
+through one experiment pipeline (:func:`repro.pipeline.run_experiment`).
 """
 
 from __future__ import annotations
@@ -62,10 +62,9 @@ def register_predictor(name: str, factory: Optional[PredictorFactory] = None):
     Decorating a :class:`Predictor` subclass registers a factory that
     instantiates it (passing the :class:`DeepConfig` through when the
     class is a deep predictor); decorating a plain callable registers it
-    as-is.  Everything that resolves predictor names — Table 4's
-    ``make_default_predictors``, the CLI ``--predictors`` flag, the
-    experiment pipeline, and the ablation line-up — reads this one
-    table.
+    as-is.  Everything that resolves predictor names — the experiment
+    pipeline's config check and its train stage, and with them every
+    paper bench's line-up, ablations included — reads this one table.
 
     ::
 
@@ -547,8 +546,8 @@ class RFPredictor(_TreePredictor):
 
 
 # ----------------------------------------------------------------------
-# Ablations (Table 13): registered as factories so the pipeline and the
-# CLI can name them directly.
+# Ablations (Table 13, plus DESIGN §5's GRU block and paper-literal MLP
+# head): registered as factories so an experiment config can name them.
 # ----------------------------------------------------------------------
 @register_predictor("Prism5G (no state)")
 def _prism5g_no_state(config: Optional[DeepConfig] = None) -> Prism5GPredictor:
@@ -560,13 +559,11 @@ def _prism5g_no_fusion(config: Optional[DeepConfig] = None) -> Prism5GPredictor:
     return Prism5GPredictor(config, use_fusion=False)
 
 
-#: Table 4's predictor line-up, in column order.
-TABLE4_LINEUP: "tuple[str, ...]" = (
-    "Prophet",
-    "LSTM",
-    "TCN",
-    "Lumos5G",
-    "GBDT",
-    "RF",
-    "Prism5G",
-)
+@register_predictor("Prism5G (GRU)")
+def _prism5g_gru(config: Optional[DeepConfig] = None) -> Prism5GPredictor:
+    return Prism5GPredictor(config, rnn="gru")
+
+
+@register_predictor("Prism5G (MLP head)")
+def _prism5g_mlp_head(config: Optional[DeepConfig] = None) -> Prism5GPredictor:
+    return Prism5GPredictor(config, head="mlp")

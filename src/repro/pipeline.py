@@ -2,16 +2,21 @@
 
 One typed, JSON-serializable :class:`ExperimentConfig` is the single
 source of truth for an end-to-end paper run: the Table 11 sub-dataset
-spec its traces come from, the windowing parameters, the
-:class:`~repro.core.predictors.DeepConfig`, the
-split/seed protocol, and the predictor line-up (resolved through the
-predictor registry).  Its canonical content hash — computed with
+spec its traces come from (``seed`` seeds their synthesis), the
+windowing parameters, the :class:`~repro.core.predictors.DeepConfig`
+(``deep.seed`` seeds the weights, the batch order and the 0.5/0.2/0.3
+split), the split protocol, and the predictor line-up (resolved through
+the predictor registry).  It is the only route from a config to its
+RMSEs: the paper's prediction benches, ``repro5g run`` and the
+benchmark's ``table4`` workload all call :func:`run_experiment`.  Its
+canonical content hash — computed with
 :func:`repro.runtime.canonical_hash`, the same recipe the trace cache
 and the obs manifests use — identifies the run everywhere:
 
 * the run directory is ``<out_dir>/<name>-<hash>``;
 * its artifacts count only while the directory's ``experiment.json``
-  is this config, and the final ``result.json`` embeds the hash;
+  is this config, written under ``EXPERIMENT_SCHEMA``, and the final
+  ``result.json`` embeds the hash;
 * every obs manifest written during the run carries it
   (``obs.run_context``).
 
@@ -48,10 +53,9 @@ import re
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union, get_type_hints
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union, get_type_hints
 
 from . import obs, runtime
-from .core.evaluation import EvaluationResult
 from .core.predictors import (
     DeepConfig,
     Predictor,
@@ -73,9 +77,10 @@ from .data.splits import random_split, trace_level_split
 from .data.windowing import WindowedDataset, window_traces
 from .ran.traces import TraceSet
 
-#: folded into the experiment hash so semantic changes to the pipeline
-#: invalidate old run directories.
-EXPERIMENT_SCHEMA = "repro-experiment-v1"
+#: folded into the experiment hash and recorded in every saved config, so
+#: semantic changes to the pipeline invalidate old run directories (v2:
+#: the split is drawn from ``deep.seed``).
+EXPERIMENT_SCHEMA = "repro-experiment-v2"
 
 #: env override for the default run-artifact root.
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
@@ -137,6 +142,9 @@ class ExperimentConfig:
     JSON round-trips exactly (:meth:`to_dict` / :meth:`from_dict`), and
     :meth:`hash` is a stable canonical content hash — two configs with
     the same values hash identically regardless of construction order.
+    :meth:`to_json` (what :meth:`save` writes) also records
+    ``EXPERIMENT_SCHEMA`` under ``"schema"``; loading accepts that key
+    only when it names the current schema.
     """
 
     name: str = "experiment"
@@ -193,11 +201,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
+        data = dict(data)
+        schema = data.pop("schema", EXPERIMENT_SCHEMA)
+        if schema != EXPERIMENT_SCHEMA:
+            raise ValueError(f"config was written under schema {schema!r}; this version reads {EXPERIMENT_SCHEMA!r}")
         _check_fields("", cls, data)
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps({"schema": EXPERIMENT_SCHEMA, **self.to_dict()}, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -249,7 +261,7 @@ class PipelineContext:
         self.traces: Optional[TraceSet] = None
         self.dataset: Optional[MLDataset] = None
         self.predictors: Dict[str, Predictor] = {}
-        self.result: Optional[EvaluationResult] = None
+        self.rmse: Optional[Dict[str, float]] = None
         self._splits: Optional[Tuple[WindowedDataset, ...]] = None
 
     # ------------------------------------------------------------------
@@ -265,17 +277,20 @@ class PipelineContext:
         )
 
     def splits(self) -> Tuple[WindowedDataset, WindowedDataset, WindowedDataset]:
-        """The (train, val, test) split — deterministic in the config seed.
+        """The (train, val, test) split — deterministic in ``deep.seed``.
 
-        Cached per context; recomputed identically across processes and
-        across resumed runs, which is what lets the train and evaluate
-        stages agree on the protocol without persisting index arrays.
+        The split is drawn with the training seed, not the synthesis
+        seed, so one trace set can be split as every paper bench splits
+        it.  Cached per context; recomputed identically across processes
+        and across resumed runs, which is what lets the train and
+        evaluate stages agree on the protocol without persisting index
+        arrays.
         """
         if self.dataset is None:
             raise RuntimeError("dataset not built yet")
         if self._splits is None:
             splitter = random_split if self.config.split == "random" else trace_level_split
-            self._splits = splitter(self.dataset.windows, 0.5, 0.2, 0.3, seed=self.config.seed)
+            self._splits = splitter(self.dataset.windows, 0.5, 0.2, 0.3, seed=self.config.deep.seed)
         return self._splits
 
 
@@ -462,49 +477,63 @@ class EvaluateStage(Stage):
         return ctx.run_dir / "result.json"
 
     def load(self, ctx: PipelineContext) -> bool:
-        ctx.result = runtime.read_artifact(self.artifact(ctx), _read_result, stage=self.name)
-        return ctx.result is not None
+        ctx.rmse = runtime.read_artifact(
+            self.artifact(ctx), lambda path: _read_rmse(path, ctx.config.predictors), stage=self.name
+        )
+        return ctx.rmse is not None
 
     def run(self, ctx: PipelineContext) -> Optional[Dict]:
         if ctx.dataset is None or not ctx.predictors:
             raise RuntimeError("train stage must run before evaluate")
         config = ctx.config
         train, val, test = ctx.splits()
-        dataset_name = (
-            ctx.dataset.spec.name if ctx.dataset.spec is not None else config.name
-        )
-        result = EvaluationResult(dataset_name=dataset_name)
-        for name in config.predictors:
-            # Predictor.evaluate is the one definition of the paper
-            # metric (RMSE over the full horizon, nn.losses.rmse)
-            result.rmse[name] = ctx.predictors[name].evaluate(test)
-        ctx.result = result
+        # Predictor.evaluate is the one definition of the paper metric
+        # (RMSE over the full horizon, nn.losses.rmse)
+        rmse = {name: ctx.predictors[name].evaluate(test) for name in config.predictors}
+        ctx.rmse = rmse
         payload = {
             "experiment": config.name,
             "experiment_hash": ctx.hash,
-            "dataset": dataset_name,
+            "dataset": config.spec.name,
             "split": config.split,
             "seed": config.seed,
             "n_train": len(train),
             "n_val": len(val),
             "n_test": len(test),
-            "rmse": result.rmse,
+            "rmse": rmse,
         }
-        if "Prism5G" in result.rmse and len(result.rmse) > 1:
-            payload["improvement_pct"] = result.improvement_over_best_baseline()
+        improvement = improvement_over_best_baseline(rmse)
+        if improvement is not None:
+            payload["improvement_pct"] = improvement
         runtime.write_atomic(self.artifact(ctx), _json_text(payload))
         obs.write_manifest(
             kind="experiment",
             config=config.to_dict(),
             seed=config.seed,
-            extra={"rmse": result.rmse, "run_dir": str(ctx.run_dir)},
+            extra={"rmse": rmse, "run_dir": str(ctx.run_dir)},
         )
-        return {"rmse": result.rmse}
+        return {"rmse": rmse}
 
 
-def _read_result(path: Path) -> EvaluationResult:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return EvaluationResult(dataset_name=data["dataset"], rmse=data["rmse"])
+def improvement_over_best_baseline(rmse: Mapping[str, float], ours: str = "Prism5G") -> Optional[float]:
+    """The paper's Improv.%: ``ours``'s RMSE reduction vs the best baseline.
+
+    Baselines are the predictors that are not a variant of ``ours``
+    (their names do not start with it).  None when ``ours`` or every
+    baseline is missing from ``rmse``: a line-up of Prism5G variants
+    has no improvement figure.
+    """
+    baselines = [value for name, value in rmse.items() if not name.startswith(ours)]
+    if ours not in rmse or not baselines:
+        return None
+    best = min(baselines)
+    return (best - rmse[ours]) / best * 100.0
+
+
+def _read_rmse(path: Path, names: Sequence[str]) -> Dict[str, float]:
+    """``result.json``'s RMSEs in line-up order (the file sorts its keys)."""
+    rmse = json.loads(path.read_text(encoding="utf-8"))["rmse"]
+    return {name: rmse[name] for name in names}
 
 
 def _json_text(payload: Dict) -> str:
@@ -522,13 +551,23 @@ DEFAULT_STAGES: Tuple[Stage, ...] = (
 
 @dataclass
 class ExperimentResult:
-    """Everything `run_experiment` hands back."""
+    """Everything `run_experiment` hands back.
+
+    ``rmse`` and ``predictors`` iterate in ``config.predictors`` order
+    however the run was reached: fresh, resumed or skipped.  The
+    predictors are the fitted or restored ones ``rmse`` scored on
+    ``test``, so a caller scores them on other windows (scaled with
+    ``dataset.scale``) without refitting.
+    """
 
     config: ExperimentConfig
     hash: str
     run_dir: Path
     stages: List[StageStatus]
     rmse: Dict[str, float]
+    dataset: MLDataset
+    predictors: Dict[str, Predictor]
+    test: WindowedDataset  #: the held-out split ``rmse`` was scored on
 
     @property
     def all_skipped(self) -> bool:
@@ -542,9 +581,19 @@ def run_dir_for(config: ExperimentConfig, out_dir: Union[str, Path, None] = None
 
 
 def _holds(run_dir: Path, experiment_hash: str) -> bool:
-    """Whether ``run_dir``'s ``experiment.json`` is the config hashing to ``experiment_hash``."""
+    """Whether ``run_dir``'s ``experiment.json`` is the config hashing to ``experiment_hash``.
+
+    The file must record the current ``EXPERIMENT_SCHEMA``: one written
+    by an older pipeline (no ``"schema"`` key) does not hold the run,
+    because its checkpoints were fit on that pipeline's split.
+    """
     try:
-        return ExperimentConfig.load(run_dir / "experiment.json").hash() == experiment_hash
+        data = json.loads((run_dir / "experiment.json").read_text(encoding="utf-8"))
+        return (
+            isinstance(data, dict)
+            and data.get("schema") == EXPERIMENT_SCHEMA
+            and ExperimentConfig.from_dict(data).hash() == experiment_hash
+        )
     except (OSError, ValueError):
         return False
 
@@ -560,9 +609,9 @@ def run_experiment(
     :class:`repro.obs.run_context` so every manifest written by nested
     subsystems carries it.  ``force=True`` re-runs every stage even
     when artifacts exist; so does a directory whose ``experiment.json``
-    is another config, whose files this run would read are deleted
-    before it claims the directory, so a resume after a kill never
-    mixes the two.
+    is another config or an older schema's, whose files this run would
+    read are deleted before it claims the directory, so a resume after a
+    kill never mixes the two.
     """
     run_dir = run_dir_for(config, out_dir)
     experiment_hash = config.hash()
@@ -575,7 +624,9 @@ def run_experiment(
     config.save(run_dir / "experiment.json")
     with obs.run_context(experiment_hash):
         statuses = [stage.execute(ctx) for stage in DEFAULT_STAGES]
-    rmse = dict(ctx.result.rmse) if ctx.result is not None else {}
+    if ctx.dataset is None or ctx.rmse is None:
+        raise RuntimeError("the evaluate stage did not run")
+    rmse = ctx.rmse
     summary = {
         "experiment": config.name,
         "experiment_hash": experiment_hash,
@@ -585,5 +636,13 @@ def run_experiment(
     }
     runtime.write_atomic(run_dir / "run.json", _json_text(summary))
     return ExperimentResult(
-        config=config, hash=experiment_hash, run_dir=run_dir, stages=statuses, rmse=rmse
+        config=config,
+        hash=experiment_hash,
+        run_dir=run_dir,
+        stages=statuses,
+        rmse=rmse,
+        dataset=ctx.dataset,
+        # line-up order: a resumed train stage restored some before fitting the rest
+        predictors={name: ctx.predictors[name] for name in config.predictors},
+        test=ctx.splits()[2],
     )

@@ -19,6 +19,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--operator", "OpQ"])
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_run_is_the_only_training_command(self, command, capsys):
+        # `repro5g run <config>` trains and scores; there is no second route
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_simulate_prints_summary(self, capsys):
@@ -74,45 +81,6 @@ class TestCampaign:
         written = sorted((tmp_path / "traces").glob("*.jsonl"))
         assert [path.name for path in written] == ["trace_OpZ_5G_urban_000.jsonl", "trace_OpZ_5G_urban_001.jsonl"]
         assert all(len(Trace.from_jsonl(path)) == 10 for path in written)
-
-
-class TestTrainEvaluate:
-    def test_train_and_save(self, tmp_path, capsys):
-        model_path = tmp_path / "prism.npz"
-        rc = main(
-            [
-                "train", "--traces", "2", "--samples", "60", "--epochs", "2",
-                "--hidden", "8", "--model-out", str(model_path),
-            ]
-        )
-        assert rc == 0
-        assert model_path.exists()
-        assert "RMSE" in capsys.readouterr().out
-
-    def test_evaluate_table(self, capsys):
-        rc = main(
-            [
-                "evaluate", "--traces", "2", "--samples", "60", "--epochs", "2",
-                "--hidden", "8", "--predictors", "Prophet", "Prism5G",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Prophet" in out and "Prism5G" in out
-
-    def test_evaluate_unknown_predictor(self, capsys):
-        rc = main(["evaluate", "--predictors", "Oracle9000"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "Oracle9000" in err and "Prism5G" in err
-
-    def test_evaluate_list_predictors(self, capsys):
-        rc = main(["evaluate", "--list-predictors"])
-        assert rc == 0
-        from repro.core import registered_predictors
-
-        out = capsys.readouterr().out.splitlines()
-        assert out == list(registered_predictors())
 
 
 class TestRun:

@@ -12,8 +12,6 @@ from repro.core import (
     ProphetPredictor,
     RFPredictor,
     TCNPredictor,
-    evaluate_predictors,
-    make_default_predictors,
 )
 from repro.data import SubDatasetSpec, build_subdataset, random_split
 
@@ -86,47 +84,3 @@ class TestEachPredictor:
         prophet_rmse = _sanity(ProphetPredictor(), splits)
         lstm_rmse = _sanity(LSTMPredictor(FAST), splits)
         assert lstm_rmse < prophet_rmse
-
-
-class TestEvaluationHarness:
-    def test_evaluate_predictors_random_split(self, dataset):
-        result = evaluate_predictors(
-            dataset,
-            make_default_predictors(FAST, include=["Prophet", "LSTM"]),
-            dataset_name="toy",
-        )
-        assert set(result.rmse) == {"Prophet", "LSTM"}
-        assert result.dataset_name == "toy"
-
-    def test_improvement_metric(self, dataset):
-        result = evaluate_predictors(
-            dataset,
-            make_default_predictors(FAST, include=["Prophet", "Prism5G"]),
-        )
-        improv = result.improvement_over_best_baseline()
-        assert -100.0 < improv < 100.0
-
-    def test_improvement_requires_prism(self, dataset):
-        result = evaluate_predictors(
-            dataset, make_default_predictors(FAST, include=["Prophet"])
-        )
-        with pytest.raises(ValueError):
-            result.improvement_over_best_baseline()
-
-    def test_unknown_include_raises_value_error(self):
-        with pytest.raises(ValueError, match="registered predictors") as exc:
-            make_default_predictors(FAST, include=["Prophet", "Oracle9000"])
-        assert "Oracle9000" in str(exc.value)
-        assert "Prism5G" in str(exc.value)
-
-    def test_include_accepts_ablations(self):
-        predictors = make_default_predictors(FAST, include=["Prism5G (no state)"])
-        assert predictors["Prism5G (no state)"].name == "Prism5G (no state)"
-
-    def test_trace_split_protocol(self, dataset):
-        result = evaluate_predictors(
-            dataset,
-            make_default_predictors(FAST, include=["LSTM"]),
-            split="trace",
-        )
-        assert "LSTM" in result.rmse

@@ -10,17 +10,18 @@ import pytest
 
 from repro import obs, runtime
 from repro.core.predictors import (
-    TABLE4_LINEUP,
     LSTMPredictor,
     Prism5GPredictor,
     create_predictor,
     register_predictor,
     registered_predictors,
 )
+from repro.data import build_subdataset, random_split
 from repro.pipeline import (
     EXPERIMENT_SCHEMA,
     DEFAULT_STAGES,
     ExperimentConfig,
+    improvement_over_best_baseline,
     run_dir_for,
     run_experiment,
 )
@@ -86,6 +87,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown experiment config key"):
             ExperimentConfig.from_dict({"name": "x", "optimizer": "sgd"})
 
+    def test_saved_config_records_its_schema(self, tmp_path):
+        config = ExperimentConfig(**TINY)
+        path = config.save(tmp_path / "exp.json")
+        assert json.loads(path.read_text())["schema"] == EXPERIMENT_SCHEMA
+        assert ExperimentConfig.load(path).hash() == config.hash()
+
+    def test_other_schema_rejected_naming_both(self):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig.from_dict({"schema": "repro-experiment-v1", "name": "x"})
+        assert "'repro-experiment-v1'" in str(excinfo.value)
+        assert repr(EXPERIMENT_SCHEMA) in str(excinfo.value)
+
     def test_unknown_runtime_flag_rejected(self):
         # runtime flags never change a result, so a config cannot carry them
         with pytest.raises(ValueError, match="unknown experiment config key"):
@@ -135,7 +148,7 @@ class TestExperimentConfig:
 
     def test_example_config_loads_with_its_hash(self):
         config = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "examples" / "experiment_small.json")
-        assert config.hash() == "a88b2939356eb307"
+        assert config.hash() == "8db85ee637bb02af"
 
     @pytest.mark.parametrize(
         "section,message",
@@ -163,9 +176,6 @@ class TestExperimentConfig:
 
 
 class TestRegistry:
-    def test_table4_lineup_fully_registered(self):
-        assert set(TABLE4_LINEUP) <= set(registered_predictors())
-
     def test_duplicate_registration_raises_and_keeps_registry(self):
         before = registered_predictors()
         with pytest.raises(ValueError, match="'LSTM' is already registered"):
@@ -183,6 +193,9 @@ class TestRegistry:
         names = registered_predictors()
         assert "Prism5G (no state)" in names
         assert "Prism5G (no fusion)" in names
+        # Table 13's design variants
+        assert create_predictor("Prism5G (GRU)").rnn == "gru"
+        assert create_predictor("Prism5G (MLP head)").head == "mlp"
 
     def test_registry_sorted(self):
         names = registered_predictors()
@@ -265,7 +278,83 @@ class TestRunExperiment:
         assert second.all_skipped
         # a skipped stage has no detail to report: run() did not run
         assert [s.detail for s in second.stages] == [None] * len(DEFAULT_STAGES)
-        assert second.rmse == first.rmse
+        # same values in the same (line-up) order: result.json sorts its keys
+        assert list(second.rmse.items()) == list(first.rmse.items())
+        assert list(second.predictors) == list(first.predictors) == list(config.predictors)
+
+    def test_partial_resume_keeps_lineup_order(self, finished_copy, tiny_run):
+        config, _, first = tiny_run
+        # Prism5G's checkpoint is restored, Prophet is refit after it
+        (finished_copy / "result.json").unlink()
+        (finished_copy / "checkpoints" / "prophet.pkl").unlink()
+        resumed = run_experiment(config, out_dir=finished_copy)
+        train_detail = next(s.detail for s in resumed.stages if s.stage == "train")
+        assert train_detail["Prism5G"] == {"status": "resumed"}
+        assert list(resumed.predictors) == list(config.predictors)
+        assert list(resumed.rmse.items()) == list(first.rmse.items())
+
+    def test_result_carries_dataset_predictors_and_test_split(self, finished_copy, tiny_run):
+        config, _, first = tiny_run
+        payload = json.loads((finished_copy / "result.json").read_text())
+        assert len(first.test) == payload["n_test"]
+        assert len(first.dataset.windows) == payload["n_train"] + payload["n_val"] + payload["n_test"]
+        # the RMSEs are the predictors' scores on the test split
+        assert {name: p.evaluate(first.test) for name, p in first.predictors.items()} == first.rmse
+        # restored predictors predict what the fitted ones did, bit for bit
+        second = run_experiment(config, out_dir=finished_copy)
+        assert second.all_skipped
+        for name, predictor in first.predictors.items():
+            np.testing.assert_array_equal(second.predictors[name].predict(second.test), predictor.predict(first.test))
+
+    def test_split_is_drawn_from_the_training_seed(self, tmp_path):
+        config = ExperimentConfig(**{**TINY, "seed": 3, "deep": {**TINY["deep"], "seed": 0}})
+        result = run_experiment(config, out_dir=tmp_path / "run")
+        # the reference: synthesize with seed 3, split and train with seed 0
+        dataset = build_subdataset(
+            config.spec, n_traces=config.n_traces, samples_per_trace=config.samples_per_trace, seed=3, cache=None
+        )
+        train, val, test = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
+        expected = {}
+        for name in config.predictors:
+            predictor = create_predictor(name, config.deep)
+            predictor.fit(train, val)
+            expected[name] = predictor.evaluate(test)
+        assert result.rmse == expected
+
+    def test_trace_split_holds_out_whole_traces(self, tmp_path):
+        config = ExperimentConfig(**{**TINY, "n_traces": 3, "split": "trace", "predictors": ("LSTM",)})
+        result = run_experiment(config, out_dir=tmp_path / "run")
+        payload = json.loads((result.run_dir / "result.json").read_text())
+        assert payload["split"] == "trace"
+        held_out = set(result.test.trace_ids.tolist())
+        assert held_out and held_out < set(result.dataset.windows.trace_ids.tolist())
+        assert len(result.test) == int(np.isin(result.dataset.windows.trace_ids, list(held_out)).sum())
+        assert np.isfinite(result.rmse["LSTM"])
+
+    def test_prism5g_variants_alone_have_no_improvement_figure(self, tmp_path, capsys):
+        from repro.cli import main
+
+        config = ExperimentConfig(**{**TINY, "predictors": ("Prism5G", "Prism5G (no state)")})
+        path = config.save(tmp_path / "variants.json")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+        assert "Prism5G (no state)" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "run" / "result.json").read_text())
+        assert list(payload["rmse"]) == ["Prism5G", "Prism5G (no state)"]
+        assert "improvement_pct" not in payload
+
+    def test_run_dir_written_under_another_schema_is_recomputed(self, finished_copy, tiny_run):
+        config, _, first = tiny_run
+        # the experiment.json an older pipeline wrote: no "schema" key
+        path = finished_copy / "experiment.json"
+        data = json.loads(path.read_text())
+        data.pop("schema", None)
+        path.write_text(json.dumps(data))
+        resumed = run_experiment(config, out_dir=finished_copy)
+        assert all(s.status == "completed" for s in resumed.stages)
+        train_detail = next(s.detail for s in resumed.stages if s.stage == "train")
+        assert {info["status"] for info in train_detail.values()} == {"fitted"}
+        assert resumed.rmse == first.rmse
+        assert json.loads(path.read_text())["schema"] == EXPERIMENT_SCHEMA
 
     def test_force_reruns_everything(self, tiny_run):
         config, run_dir, first = tiny_run
@@ -376,6 +465,15 @@ class TestRunExperiment:
         assert statuses == {s.name: "completed" if s.name == stage else "skipped" for s in DEFAULT_STAGES}
         assert resumed.rmse == first.rmse
         assert run_experiment(config, out_dir=finished_copy).all_skipped
+
+    def test_improvement_over_best_baseline(self):
+        # the best baseline is LSTM's 0.4; Prism5G's variants are not baselines
+        rmse = {"Prophet": 0.5, "LSTM": 0.4, "Prism5G": 0.3, "Prism5G (no state)": 0.35}
+        assert improvement_over_best_baseline(rmse) == pytest.approx(25.0)
+        assert improvement_over_best_baseline({"Prophet": 0.3, "Prism5G": 0.45}) == pytest.approx(-50.0)
+        # no figure without a baseline, or without Prism5G
+        assert improvement_over_best_baseline({"Prism5G": 0.3, "Prism5G (no fusion)": 0.3}) is None
+        assert improvement_over_best_baseline({"Prophet": 0.5, "LSTM": 0.4}) is None
 
     def test_runtime_flags_restored_after_run(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})
