@@ -14,6 +14,7 @@ from repro.core import (
     TCNPredictor,
 )
 from repro.data import SubDatasetSpec, build_subdataset, random_split
+from repro.pipeline import improvement_over_best_baseline
 
 FAST = DeepConfig(hidden=12, max_epochs=8, patience=8, lr=0.01)
 
@@ -84,3 +85,20 @@ class TestEachPredictor:
         prophet_rmse = _sanity(ProphetPredictor(), splits)
         lstm_rmse = _sanity(LSTMPredictor(FAST), splits)
         assert lstm_rmse < prophet_rmse
+
+
+class TestEvaluationHarness:
+    def test_improvement_metric(self, splits):
+        rmse = {"Prophet": _sanity(ProphetPredictor(), splits), "Prism5G": _sanity(Prism5GPredictor(FAST), splits)}
+        improv = improvement_over_best_baseline(rmse)
+        assert improv == pytest.approx((rmse["Prophet"] - rmse["Prism5G"]) / rmse["Prophet"] * 100.0)
+        assert -100.0 < improv < 100.0
+        # the best baseline is LSTM's 0.4; Prism5G's variants are not baselines
+        rmse = {"Prophet": 0.5, "LSTM": 0.4, "Prism5G": 0.3, "Prism5G (no state)": 0.35}
+        assert improvement_over_best_baseline(rmse) == pytest.approx(25.0)
+        assert improvement_over_best_baseline({"Prophet": 0.3, "Prism5G": 0.45}) == pytest.approx(-50.0)
+
+    def test_improvement_requires_prism(self):
+        # no figure without Prism5G, or without a baseline
+        assert improvement_over_best_baseline({"Prophet": 0.5, "LSTM": 0.4}) is None
+        assert improvement_over_best_baseline({"Prism5G": 0.3, "Prism5G (no fusion)": 0.3}) is None

@@ -21,7 +21,6 @@ from repro.pipeline import (
     EXPERIMENT_SCHEMA,
     DEFAULT_STAGES,
     ExperimentConfig,
-    improvement_over_best_baseline,
     run_dir_for,
     run_experiment,
 )
@@ -465,15 +464,6 @@ class TestRunExperiment:
         assert statuses == {s.name: "completed" if s.name == stage else "skipped" for s in DEFAULT_STAGES}
         assert resumed.rmse == first.rmse
         assert run_experiment(config, out_dir=finished_copy).all_skipped
-
-    def test_improvement_over_best_baseline(self):
-        # the best baseline is LSTM's 0.4; Prism5G's variants are not baselines
-        rmse = {"Prophet": 0.5, "LSTM": 0.4, "Prism5G": 0.3, "Prism5G (no state)": 0.35}
-        assert improvement_over_best_baseline(rmse) == pytest.approx(25.0)
-        assert improvement_over_best_baseline({"Prophet": 0.3, "Prism5G": 0.45}) == pytest.approx(-50.0)
-        # no figure without a baseline, or without Prism5G
-        assert improvement_over_best_baseline({"Prism5G": 0.3, "Prism5G (no fusion)": 0.3}) is None
-        assert improvement_over_best_baseline({"Prophet": 0.5, "LSTM": 0.4}) is None
 
     def test_runtime_flags_restored_after_run(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})
