@@ -24,7 +24,7 @@ def test_fig4_ca_prevalence_and_spatial_map(benchmark, scale, report, tmp_path):
             seed=23,
             spill_traces=True,
         )
-        return run_city_campaign(config, state_dir=tmp_path / "campaign", cache_dir=tmp_path / "traces")
+        return run_city_campaign(config, state_dir=tmp_path / "campaign")
 
     result = run_once(benchmark, experiment)
 

@@ -11,8 +11,9 @@ Run:  python examples/drive_campaign.py [--quick]
 
 ``--quick`` shrinks the campaign to a CI-smoke size (one UE per cell,
 10 s traces) — same code path, ~seconds instead of minutes.  Shard
-state goes to ``runs/campaigns/`` (a rerun resumes from it) and the
-traces for the spatial map are spilled into the trace cache.
+state goes to ``runs/campaigns/city-<hash>/`` (``REPRO_RUNS_DIR``
+moves it; a rerun resumes from it), and the traces for the spatial map
+are spilled into its ``traces/`` directory, beside the shard files.
 """
 
 import argparse

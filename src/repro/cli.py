@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--dt", type=float, default=1.0)
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--out-dir", default=None,
-                      help="write the campaign's traces as JSONL here (spills them through the trace cache)")
+                      help="write the campaign's traces as JSONL here (spills them into <state-dir>/traces first)")
     camp.add_argument("--cells", type=int, default=0,
                       help="share one ~N-cell deployment per group (0 = per-UE deployments)")
     camp.add_argument("--shards", type=int, default=1, help="worker shards for the UE population")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--max-shards", type=int, default=None,
                       help="run at most N pending shards then stop (exit 3 if shards remain)")
     camp.add_argument("--spill", action="store_true",
-                      help="spill per-cohort traces into the content-hash cache")
+                      help="spill per-cohort traces into <state-dir>/traces, beside the shard files")
     camp.add_argument("--shard-timeout", type=float, default=None,
                       help="per-shard wall budget in seconds (expired shards retry once)")
     _add_obs_args(camp)

@@ -1,7 +1,7 @@
 """Dataset construction: windowing, normalization, splits (Table 11)."""
 
-from .artifacts import dataset_summary, load_trace_set, save_trace_set
-from .cache import TraceCache, cache_key, default_cache_dir, resolve_cache
+from .artifacts import load_trace_set, save_trace_set
+from .cache import TraceCache, cache_key
 from .datasets import (
     ALL_SUBDATASETS,
     DATASET_SCHEMA,
@@ -26,9 +26,6 @@ __all__ = [
     "WindowedDataset",
     "build_subdataset",
     "cache_key",
-    "dataset_summary",
-    "default_cache_dir",
-    "resolve_cache",
     "flatten_for_trees",
     "load_dataset",
     "load_trace_set",

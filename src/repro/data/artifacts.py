@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from ..ran.traces import Trace, TraceSet
 
@@ -47,40 +47,11 @@ def save_trace_set(traces: TraceSet, directory: Union[str, Path], name: str = "d
     return directory
 
 
-def load_trace_set(
-    directory: Union[str, Path],
-    operator: Optional[str] = None,
-    rat: Optional[str] = None,
-    scenario: Optional[str] = None,
-) -> TraceSet:
-    """Reload a trace set saved by :func:`save_trace_set`, with filters."""
+def load_trace_set(directory: Union[str, Path]) -> TraceSet:
+    """Reload a trace set saved by :func:`save_trace_set`."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
     manifest = json.loads(manifest_path.read_text())
-    traces = []
-    for entry in manifest["traces"]:
-        if operator is not None and entry["operator"] != operator:
-            continue
-        if rat is not None and entry["rat"] != rat:
-            continue
-        if scenario is not None and entry["scenario"] != scenario:
-            continue
-        traces.append(Trace.from_jsonl(directory / entry["file"]))
-    return TraceSet(traces)
-
-
-def dataset_summary(directory: Union[str, Path]) -> Dict:
-    """Manifest-level summary without loading any trace bodies."""
-    manifest = json.loads((Path(directory) / MANIFEST_NAME).read_text())
-    total_samples = sum(e["samples"] for e in manifest["traces"])
-    total_minutes = sum(e["samples"] * e["dt_s"] for e in manifest["traces"]) / 60.0
-    operators = sorted({e["operator"] for e in manifest["traces"]})
-    return {
-        "name": manifest["name"],
-        "n_traces": manifest["n_traces"],
-        "total_samples": total_samples,
-        "total_minutes": total_minutes,
-        "operators": operators,
-    }
+    return TraceSet([Trace.from_jsonl(directory / entry["file"]) for entry in manifest["traces"]])

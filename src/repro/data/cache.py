@@ -1,25 +1,24 @@
-"""Content-addressed on-disk cache for synthesized trace sets.
+"""Content-addressed on-disk store for synthesized trace sets.
 
-Every headline bench re-synthesizes its traces from the RAN simulator,
-which is the slowest part of the repo's hot path.  Simulation is fully
-deterministic given its configuration (operator, scenario, modem, dt,
-seed, ...), so a content hash of that configuration identifies the
-output exactly.  This module caches :class:`~repro.ran.traces.TraceSet`
-objects on disk under that hash, using the JSONL artifact format from
+Simulation is fully deterministic given its configuration (operator,
+scenario, modem, dt, seed, ...), so a content hash of that
+configuration identifies the output exactly.  A :class:`TraceCache`
+keeps :class:`~repro.ran.traces.TraceSet` objects in one directory
+under that hash, using the JSONL artifact format from
 :mod:`repro.data.artifacts` — JSON float round-tripping is exact, so a
-cache hit reproduces byte-identical traces and therefore byte-identical
-windowed arrays.
+reloaded entry reproduces byte-identical traces and therefore
+byte-identical windowed arrays.
+
+There is no process-wide cache: the directory always belongs to the
+run that made the traces — an experiment's ``<run_dir>/traces`` (the
+pipeline's synthesize stage) or a spilling campaign's
+``<state_dir>/traces`` — so its entries go when that directory does.
 
 Layout::
 
-    <cache_dir>/<key>/manifest.json     # artifact manifest
-    <cache_dir>/<key>/config.json       # the hashed configuration
-    <cache_dir>/<key>/*.jsonl           # one file per trace
-
-The default directory is ``~/.cache/repro5g`` (override with the
-``REPRO_CACHE_DIR`` environment variable); ``REPRO_NO_CACHE=1``
-disables caching globally.  Clear with :meth:`TraceCache.clear` or
-simply ``rm -rf`` the directory.
+    <directory>/<key>/manifest.json     # artifact manifest
+    <directory>/<key>/config.json       # the hashed configuration
+    <directory>/<key>/*.jsonl           # one file per trace
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from .artifacts import MANIFEST_NAME, load_trace_set, save_trace_set
 #: simulator has one radio path.
 CACHE_SCHEMA_VERSION = "repro-traces-v4"
 
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-CACHE_DISABLE_ENV = "REPRO_NO_CACHE"
-
 CONFIG_NAME = "config.json"
 
 
@@ -56,22 +52,11 @@ def cache_key(config: Mapping) -> str:
     return runtime.canonical_hash(config, schema=CACHE_SCHEMA_VERSION, length=24)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro5g"
-
-
-def caching_disabled() -> bool:
-    return bool(os.environ.get(CACHE_DISABLE_ENV))
-
-
 class TraceCache:
     """Directory of trace sets keyed by configuration hash."""
 
-    def __init__(self, directory: Union[str, Path, None] = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
+    def __init__(self, directory: Union[str, Path]) -> None:
+        self.directory = Path(directory)
 
     # ------------------------------------------------------------------
     def path_for(self, config: Mapping) -> Path:
@@ -154,32 +139,3 @@ class TraceCache:
             p.name for p in self.directory.iterdir()
             if p.is_dir() and (p / MANIFEST_NAME).exists()
         )
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if not self.directory.exists():
-            return removed
-        for child in self.directory.iterdir():
-            if child.is_dir():
-                shutil.rmtree(child, ignore_errors=True)
-                removed += 1
-        return removed
-
-
-CacheLike = Union[TraceCache, str, Path, None]
-
-
-def resolve_cache(cache: Union[CacheLike, str] = "auto") -> Optional[TraceCache]:
-    """Normalize a cache argument.
-
-    ``"auto"`` — the default cache unless ``REPRO_NO_CACHE`` is set;
-    ``None`` — caching off; a :class:`TraceCache`/path — as given.
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, TraceCache):
-        return cache
-    if cache == "auto":
-        return None if caching_disabled() else TraceCache()
-    return TraceCache(cache)

@@ -20,7 +20,7 @@ from ..nn.preprocessing import MinMaxScaler
 from ..parallel import run_tasks
 from ..ran.simulator import simulate_trace
 from ..ran.traces import TraceSet
-from .cache import CacheLike, resolve_cache
+from .cache import TraceCache
 from .windowing import WindowedDataset, window_traces
 
 
@@ -92,7 +92,7 @@ def generate_traces(
     samples_per_trace: int = 400,
     seed: int = 0,
     modem: Optional[str] = None,
-    cache: CacheLike = "auto",
+    cache: Optional[TraceCache] = None,
     processes: Optional[int] = None,
 ) -> TraceSet:
     """Generate the raw traces for one sub-dataset.
@@ -101,11 +101,11 @@ def generate_traces(
     heterogeneity of the paper's campaign (different routes, phones and
     collection times per sub-dataset).  Pass ``modem`` to pin one phone.
 
-    Synthesis is cached on disk keyed by a content hash of the full
-    configuration (``cache="auto"``; pass ``None`` to disable, or a
-    :class:`~repro.data.cache.TraceCache` / directory to redirect) and
-    parallelized across traces with ``processes`` workers (default:
-    one per CPU, capped at the trace count; ``REPRO_PROCS`` overrides).
+    Given a :class:`~repro.data.cache.TraceCache`, the set is read from
+    it, or synthesized and stored in it, under a content hash of the full
+    configuration.  Synthesis is parallelized across traces with
+    ``processes`` workers (default: one per CPU, capped at the trace
+    count; ``REPRO_PROCS`` overrides).
     """
     if n_traces < 1:
         raise ValueError("n_traces must be >= 1")
@@ -139,11 +139,10 @@ def generate_traces(
     def synthesize() -> TraceSet:
         return TraceSet(run_tasks(simulate_trace, jobs, processes=processes, retries=0))
 
-    trace_cache = resolve_cache(cache)
-    if trace_cache is None:
+    if cache is None:
         return synthesize()
     config = subdataset_cache_config(spec, n_traces, samples_per_trace, seed, modem)
-    return trace_cache.get_or_create(config, synthesize)
+    return cache.get_or_create(config, synthesize)
 
 
 @dataclass
@@ -206,12 +205,13 @@ def build_subdataset(
     max_ccs: int = 4,
     stride: int = 1,
     seed: int = 0,
-    cache: CacheLike = "auto",
+    cache: Optional[TraceCache] = None,
     processes: Optional[int] = None,
 ) -> MLDataset:
     """Generate, window and normalize one of the Table 11 sub-datasets.
 
-    Trace synthesis is cached/parallelized — see :func:`generate_traces`.
+    Trace synthesis is parallelized, and cached in ``cache`` when one is
+    given — see :func:`generate_traces`.
     """
     traces = generate_traces(
         spec, n_traces, samples_per_trace, seed, cache=cache, processes=processes

@@ -89,6 +89,9 @@ _VALID_OPERATORS = ("OpX", "OpY", "OpZ")
 _VALID_MOBILITY = ("walking", "driving")
 _VALID_TIMESCALES = ("short", "long")
 _VALID_SPLITS = ("random", "trace")
+#: counts and sizes a config must set to at least 1
+_COUNT_FIELDS = ("n_traces", "samples_per_trace", "history", "horizon", "max_ccs", "stride")
+_DEEP_COUNT_FIELDS = ("hidden", "batch_size", "max_epochs", "patience")
 
 
 def default_runs_dir() -> Path:
@@ -180,6 +183,19 @@ class ExperimentConfig:
             )
         if self.split not in _VALID_SPLITS:
             raise ValueError(f"split must be one of {_VALID_SPLITS}, got {self.split!r}")
+        counts = {name: getattr(self, name) for name in _COUNT_FIELDS}
+        counts.update({f"deep.{name}": getattr(self.deep, name) for name in _DEEP_COUNT_FIELDS})
+        for name, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if not self.deep.lr > 0:
+            raise ValueError(f"deep.lr must be > 0, got {self.deep.lr!r}")
+        if self.samples_per_trace < self.history + self.horizon:
+            # window_trace yields no window from a trace this short
+            raise ValueError(
+                f"samples_per_trace must be >= history + horizon ({self.history + self.horizon}), "
+                f"got {self.samples_per_trace}"
+            )
         if not self.predictors:
             raise ValueError("predictors must name at least one registered predictor")
         unknown = sorted(set(self.predictors) - set(registered_predictors()))

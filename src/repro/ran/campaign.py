@@ -17,7 +17,7 @@ per-shard retry/timeout), stream their records into
 :class:`CAStatisticsAccumulator` objects (no shard ever materializes a
 per-record list), persist a per-shard result file (written atomically,
 so one that loads is a finished shard), and optionally spill their
-traces into the content-hash cache, from which
+traces into the trace cache ``<state_dir>/traces``, from which
 :meth:`CityCampaignResult.load_spilled_traces` reads them back.  A
 killed run resumes from its last finished shard: completed shards are
 loaded from their result files and only pending shards are
@@ -253,7 +253,7 @@ class CityCampaignConfig:
     dt_s: float = 1.0
     modem: str = "X70"
     seed: int = 0
-    spill_traces: bool = False  #: spill per-cohort traces into the content-hash cache
+    spill_traces: bool = False  #: spill per-cohort traces into ``<state_dir>/traces``
     shard_timeout_s: Optional[float] = None  #: per-shard wall budget (None = unbounded)
 
     def __post_init__(self) -> None:
@@ -357,6 +357,12 @@ def _shard_result_path(state_dir: Path, shard_id: str) -> Path:
     return state_dir / f"{shard_id}.json"
 
 
+def _spill_path(state_dir: Path) -> Path:
+    """The trace cache a spilling campaign writes, beside the shard files
+    that list its entries."""
+    return state_dir / "traces"
+
+
 def city_shard_cache_config(campaign_hash: str, shard_id: str, cohort_index: int) -> Dict:
     """Content-hash cache key for one cohort's spilled traces."""
     return {
@@ -398,7 +404,7 @@ def _run_city_shard(payload: Dict) -> Dict:
 
     Streams every simulated record into per-group accumulators — no
     per-record list is ever materialized — optionally spilling each
-    cohort's traces into the content-hash cache, then atomically writes
+    cohort's traces into ``<state_dir>/traces``, then atomically writes
     the shard's result file.  The returned dict is exactly what was
     persisted, so the parent can merge without re-reading the file.
     """
@@ -416,7 +422,7 @@ def _run_city_shard(payload: Dict) -> Dict:
     if config.spill_traces:
         from ..data.cache import TraceCache  # local: avoids import cycle
 
-        cache = TraceCache(payload["cache_dir"])
+        cache = TraceCache(_spill_path(state_dir))
 
     def spill(traces: List[Trace]) -> None:
         nonlocal cohort_index
@@ -511,10 +517,10 @@ def _read_json(path: Path) -> object:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str, spill_dir: Path) -> Optional[Dict]:
+def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str) -> Optional[Dict]:
     """The shard's result file, or ``None`` when it is absent, unreadable
-    (warned), another campaign's, or lists a spilled cohort whose cache
-    entry in ``spill_dir`` is gone (warned): such a shard is not done."""
+    (warned), another campaign's, or lists a spilled cohort whose entry
+    in ``<state_dir>/traces`` is gone (warned): such a shard is not done."""
     from ..data.artifacts import MANIFEST_NAME  # local: avoids import cycle
 
     data = runtime.read_artifact(_shard_result_path(state_dir, shard_id), _read_json, shard=shard_id)
@@ -523,7 +529,7 @@ def _load_shard_result(state_dir: Path, shard_id: str, campaign_hash: str, spill
     if data.get("campaign_hash") != campaign_hash:
         return None
     for name in data["spill_keys"]:
-        entry = spill_dir / name
+        entry = _spill_path(state_dir) / name
         if not (entry / MANIFEST_NAME).exists():
             obs.log_warning("artifact.unreadable", shard=shard_id, path=str(entry), error="spilled trace entry is gone")
             return None
@@ -546,8 +552,6 @@ class CityCampaignResult:
     n_simulated: int
     complete: bool
     spill_keys: List[str] = field(default_factory=list)
-    #: the trace cache the campaign spilled into (None: it did not spill)
-    spill_dir: Optional[Path] = None
     peak_rss_mb: float = 0.0
     wall_s: float = 0.0
 
@@ -565,18 +569,19 @@ class CityCampaignResult:
         return table
 
     def load_spilled_traces(self) -> TraceSet:
-        """Every spilled trace, in shard and UE order, read from ``spill_dir``.
+        """Every spilled trace, in shard and UE order, read from
+        ``<state_dir>/traces``.
 
         Raises ``ValueError`` when the campaign did not spill, and one
         naming the entry when a listed cohort does not load.
         """
         from ..data.artifacts import load_trace_set  # local: avoids import cycle
 
-        if self.spill_dir is None:
+        if not self.config.spill_traces:
             raise ValueError("the campaign ran without spill_traces: no traces were spilled")
         traces: List[Trace] = []
         for name in self.spill_keys:
-            entry = self.spill_dir / name
+            entry = _spill_path(self.state_dir) / name
             try:
                 traces.extend(load_trace_set(entry))
             except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -596,7 +601,6 @@ def run_city_campaign(
     state_dir: Union[str, Path, None] = None,
     processes: Optional[int] = None,
     max_shards: Optional[int] = None,
-    cache_dir: Union[str, Path, None] = None,
 ) -> CityCampaignResult:
     """Run (or resume) a sharded city-scale campaign.
 
@@ -612,13 +616,11 @@ def run_city_campaign(
     streamed accumulators; no per-record list exists anywhere.
 
     With ``config.spill_traces`` each cohort's traces go into the trace
-    cache at ``cache_dir`` (default: the default trace cache), which the
-    result records as ``spill_dir``; a finished shard whose spilled
-    entries are gone is warned about and re-simulated.
+    cache ``<state_dir>/traces``, so they live and go with the shard
+    files that list them; a finished shard whose spilled entries are
+    gone is warned about and re-simulated.
     """
     import time
-
-    from ..data.cache import default_cache_dir  # local: avoids import cycle
 
     config = config or CityCampaignConfig()
     start = time.perf_counter()
@@ -626,14 +628,13 @@ def run_city_campaign(
     campaign_hash = plan.campaign_hash
     root = Path(state_dir) if state_dir is not None else default_campaign_state_dir(config)
     root.mkdir(parents=True, exist_ok=True)
-    spill_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
     completed: Dict[str, Dict] = {}
     pending: List[int] = []
     resumed = 0
     for i in range(plan.n_shards):
         shard_id = plan.shard_id(i)
-        result = _load_shard_result(root, shard_id, campaign_hash, spill_dir)
+        result = _load_shard_result(root, shard_id, campaign_hash)
         if result is not None:
             completed[shard_id] = result
             resumed += 1
@@ -650,7 +651,6 @@ def run_city_campaign(
             "shard_id": plan.shard_id(i),
             "jobs": [asdict(job) for job in plan.shards[i]],
             "state_dir": str(root),
-            "cache_dir": str(spill_dir),
         }
         for i in to_run
     ]
@@ -714,7 +714,6 @@ def run_city_campaign(
         n_simulated=simulated,
         complete=complete,
         spill_keys=spill_keys,
-        spill_dir=spill_dir if config.spill_traces else None,
         peak_rss_mb=obs.peak_rss_mb(),
         wall_s=wall,
     )

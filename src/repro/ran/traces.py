@@ -10,7 +10,7 @@ per-CC and aggregate throughput.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -116,6 +116,11 @@ class TraceRecord:
     def aggregate_bandwidth_mhz(self) -> float:
         # bandwidth is encoded in the channel key's plan; recomputed upstream.
         return sum(cc.n_rb for cc in self.ccs if cc.active)
+
+
+#: the fields :meth:`Trace.to_jsonl` writes for each record and CC
+_RECORD_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(TraceRecord))
+_CC_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(CCSample))
 
 
 @dataclass
@@ -230,11 +235,14 @@ class Trace:
             "route_id": self.route_id,
             "seed": self.seed,
         }
+        # each record's dict is built from its fields, in field order, as
+        # dataclasses.asdict would (and without its per-value deep copy)
         with path.open("w") as handle:
             handle.write(json.dumps({"header": header}) + "\n")
             for rec in self.records:
-                payload = asdict(rec)
+                payload = {name: getattr(rec, name) for name in _RECORD_FIELDS}
                 payload["position"] = list(rec.position)
+                payload["ccs"] = [{name: getattr(cc, name) for name in _CC_FIELDS} for cc in rec.ccs]
                 handle.write(json.dumps(payload) + "\n")
 
     @staticmethod

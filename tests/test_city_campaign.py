@@ -199,9 +199,7 @@ class TestCityCampaign:
 
     def test_spill_round_trip(self, tmp_path):
         config = _tiny_config(spill_traces=True)
-        result = run_city_campaign(
-            config, state_dir=tmp_path / "state", cache_dir=tmp_path / "cache"
-        )
+        result = run_city_campaign(config, state_dir=tmp_path / "state")
         assert result.complete
         assert result.spill_keys
         traces = result.load_spilled_traces()
@@ -209,13 +207,12 @@ class TestCityCampaign:
         steps = int(config.duration_s / config.dt_s)
         assert all(len(trace.records) == steps for trace in traces)
 
-    def test_spilled_traces_load_from_the_campaigns_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default-cache"))
+    def test_spilled_traces_load_from_the_campaigns_cache(self, tmp_path):
         config = _tiny_config(spill_traces=True, ues=2, shards=1)
-        result = run_city_campaign(config, state_dir=tmp_path / "state", cache_dir=tmp_path / "cache")
+        result = run_city_campaign(config, state_dir=tmp_path / "state")
         traces = result.load_spilled_traces()
         assert len(traces) == result.n_ues == 4
-        assert result.spill_dir == tmp_path / "cache"
+        assert sorted(path.name for path in (tmp_path / "state" / "traces").iterdir()) == sorted(result.spill_keys)
         # they are the traces the statistics streamed
         for (operator, rat, scenario), stats in result.stats.items():
             group = traces.filter(operator=operator, rat=rat, scenario=scenario)
@@ -227,22 +224,22 @@ class TestCityCampaign:
 
     def test_lost_spill_entry_fails_loading(self, tmp_path):
         config = _tiny_config(spill_traces=True, ues=2, shards=1)
-        result = run_city_campaign(config, state_dir=tmp_path / "state", cache_dir=tmp_path / "cache")
+        result = run_city_campaign(config, state_dir=tmp_path / "state")
         assert len(result.spill_keys) == 2
-        lost = tmp_path / "cache" / result.spill_keys[1]
+        lost = tmp_path / "state" / "traces" / result.spill_keys[1]
         shutil.rmtree(lost)
         with pytest.raises(ValueError, match=re.escape(str(lost))):
             result.load_spilled_traces()
 
     def test_shard_with_lost_spill_entry_is_warned_and_resimulated(self, tmp_path, caplog):
         config = _tiny_config(spill_traces=True)
-        state, cache = tmp_path / "state", tmp_path / "cache"
-        first = run_city_campaign(config, state_dir=state, cache_dir=cache)
+        state = tmp_path / "state"
+        first = run_city_campaign(config, state_dir=state)
         shard_file = next(p for p in sorted(state.glob("shard-*.json")) if json.loads(p.read_text())["spill_keys"])
-        lost = cache / json.loads(shard_file.read_text())["spill_keys"][0]
+        lost = state / "traces" / json.loads(shard_file.read_text())["spill_keys"][0]
         shutil.rmtree(lost)
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            again = run_city_campaign(config, state_dir=state, cache_dir=cache)
+            again = run_city_campaign(config, state_dir=state)
         warnings = [
             json.loads(rec.args[1]) for rec in caplog.records if rec.args and rec.args[0] == "artifact.unreadable"
         ]
@@ -252,6 +249,33 @@ class TestCityCampaign:
         assert again.n_simulated == len(ShardPlan.build(config).shards[shard_index])
         assert again.stats == first.stats
         assert len(again.load_spilled_traces()) == again.n_ues
+
+    def test_spilling_campaign_writes_only_inside_its_state_dir(self, tmp_path):
+        config = _tiny_config(spill_traces=True)
+        state = tmp_path / "state"
+        result = run_city_campaign(config, state_dir=state)
+        assert list(tmp_path.iterdir()) == [state]
+        assert sorted(path.name for path in state.iterdir() if path.is_dir()) == ["traces"]
+        assert sorted(path.name for path in (state / "traces").iterdir()) == sorted(result.spill_keys)
+        shutil.rmtree(state)  # the traces go with the shards that list them
+        assert list(tmp_path.iterdir()) == []
+        plain = run_city_campaign(_tiny_config(), state_dir=state)
+        assert plain.spill_keys == []
+        assert not (state / "traces").exists()
+
+    def test_moved_state_dir_resumes_with_its_traces(self, tmp_path):
+        config = _tiny_config(spill_traces=True)
+        first = run_city_campaign(config, state_dir=tmp_path / "state")
+        spilled = first.load_spilled_traces().traces
+        moved = tmp_path / "elsewhere" / "state"
+        moved.parent.mkdir()
+        shutil.move(str(tmp_path / "state"), str(moved))
+        again = run_city_campaign(config, state_dir=moved)
+        assert again.shards_resumed == config.shards
+        assert again.n_simulated == 0
+        assert again.stats == first.stats
+        assert again.spill_keys == first.spill_keys
+        assert again.load_spilled_traces().traces == spilled
 
     def test_resume_keeps_first_seen_order(self, tmp_path):
         # Table 2's OpZ 5G urban group: two ordered combos tie at 64 samples

@@ -65,8 +65,7 @@ class TestCampaign:
         assert "OpZ" in out
         assert out.count("CA%") == 1  # one table
 
-    def test_campaign_out_dir_writes_spilled_traces(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    def test_campaign_out_dir_writes_spilled_traces(self, tmp_path, capsys):
         rc = main(
             [
                 "campaign", "--operators", "OpZ", "--scenarios", "urban",
@@ -81,6 +80,24 @@ class TestCampaign:
         written = sorted((tmp_path / "traces").glob("*.jsonl"))
         assert [path.name for path in written] == ["trace_OpZ_5G_urban_000.jsonl", "trace_OpZ_5G_urban_001.jsonl"]
         assert all(len(Trace.from_jsonl(path)) == 10 for path in written)
+
+    def test_campaign_spill_keeps_traces_beside_its_shards(self, tmp_path, capsys):
+        from repro.data import TraceCache
+
+        argv = [
+            "campaign", "--operators", "OpZ", "--scenarios", "urban",
+            "--rats", "5G", "--ues", "2", "--duration", "10", "--shards", "2",
+            "--state-dir", str(tmp_path / "state"), "--spill",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "(0 resumed)" in first
+        assert TraceCache(tmp_path / "state" / "traces").entries()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["state"]
+        assert main(argv) == 0
+        again = capsys.readouterr().out
+        assert "(2 resumed)" in again and "(0 simulated)" in again
+        assert first.splitlines()[:-2] == again.splitlines()[:-2]  # same tables
 
 
 class TestRun:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import dataset_summary, load_trace_set, save_trace_set
+from repro.data import load_trace_set, save_trace_set
 from repro.ran import TraceSet, TraceSimulator
 
 
@@ -29,20 +29,6 @@ class TestArtifacts:
         np.testing.assert_allclose(
             loaded[0].throughput_series(), small_set[0].throughput_series()
         )
-
-    def test_filters(self, small_set, tmp_path):
-        out = save_trace_set(small_set, tmp_path / "ds")
-        assert len(load_trace_set(out, operator="OpZ")) == 2
-        assert len(load_trace_set(out, operator="OpX")) == 1
-        assert len(load_trace_set(out, operator="OpY")) == 0
-
-    def test_summary(self, small_set, tmp_path):
-        out = save_trace_set(small_set, tmp_path / "ds", name="summary-test")
-        summary = dataset_summary(out)
-        assert summary["name"] == "summary-test"
-        assert summary["n_traces"] == 3
-        assert summary["total_samples"] == 60
-        assert summary["operators"] == ["OpX", "OpZ"]
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

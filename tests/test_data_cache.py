@@ -1,5 +1,7 @@
 """Tests for the on-disk trace cache and parallel trace synthesis."""
 
+import json
+import logging
 import os
 from pathlib import Path
 
@@ -12,10 +14,10 @@ from repro.data import (
     build_subdataset,
     cache_key,
     generate_traces,
-    resolve_cache,
+    load_trace_set,
 )
-from repro.data.cache import CACHE_DISABLE_ENV, CACHE_DIR_ENV, default_cache_dir
 from repro.parallel import default_processes, run_tasks
+from repro.ran import CityCampaignConfig, run_city_campaign
 
 SPEC = SubDatasetSpec("OpY", "driving", "long")
 FAST = dict(n_traces=3, samples_per_trace=60)
@@ -103,31 +105,90 @@ def test_cache_corrupt_entry_is_reported_and_regenerated(tmp_path, caplog):
     assert cache.contains(config)
 
 
-def test_cache_clear_removes_entries(tmp_path):
+def test_put_returns_its_entry_and_keeps_a_stored_one(tmp_path):
+    cache = TraceCache(tmp_path / "traces")  # created by the first put
+    config = {"kind": "subdataset", "seed": 1}
+    traces = generate_traces(SPEC, seed=1, **FAST)
+    entry = cache.put(config, traces)
+    assert entry == cache.path_for(config)
+    assert [path.name for path in cache.directory.iterdir()] == [entry.name]  # no staging left
+    assert json.loads((entry / "config.json").read_text()) == config
+    stamp = (entry / "manifest.json").stat().st_mtime_ns
+    assert cache.put(config, generate_traces(SPEC, seed=2, **FAST)) == entry
+    assert (entry / "manifest.json").stat().st_mtime_ns == stamp
+    assert cache.get(config).traces == traces.traces
+
+
+def test_generate_traces_hit_equals_fresh_synthesis_in_every_field(tmp_path):
+    # every record field and the trace metadata, not only the windowed arrays
     cache = TraceCache(tmp_path)
-    generate_traces(SPEC, seed=1, cache=cache, **FAST)
-    generate_traces(SPEC, seed=2, cache=cache, **FAST)
-    assert cache.clear() == 2
+    fresh = generate_traces(SPEC, seed=3, **FAST)
+    stored = generate_traces(SPEC, seed=3, cache=cache, **FAST)
+    hit = generate_traces(SPEC, seed=3, cache=cache, **FAST)
+    assert len(cache.entries()) == 1
+    assert fresh.traces == stored.traces == hit.traces
+
+
+def test_entries_lists_only_finished_entries(tmp_path):
+    assert TraceCache(tmp_path / "never-made").entries() == []
+    cache = TraceCache(tmp_path)
+    config = {"kind": "subdataset", "seed": 4}
+    staging = cache.path_for(config).with_name(f"{cache_key(config)}.tmp-1")
+    staging.mkdir()  # a writer killed before its rename
     assert cache.entries() == []
+    assert not cache.contains(config)
+    cache.put(config, generate_traces(SPEC, seed=4, **FAST))
+    assert cache.entries() == [cache_key(config)]
 
 
 # ---------------------------------------------------------------------------
-# environment switches
+# no process-wide cache: traces live in the directory of the run that made them
+
+SPILLING = CityCampaignConfig(
+    operators=("OpZ",), scenarios=("urban", "highway"), rats=("5G",), ues=2, shards=3,
+    duration_s=6.0, seed=11, spill_traces=True,
+)
 
 
-def test_resolve_cache_modes(tmp_path, monkeypatch):
-    assert resolve_cache(None) is None
-    given = TraceCache(tmp_path)
-    assert resolve_cache(given) is given
-    assert resolve_cache(tmp_path).directory == tmp_path
-    monkeypatch.setenv(CACHE_DISABLE_ENV, "1")
-    assert resolve_cache("auto") is None
-    monkeypatch.delenv(CACHE_DISABLE_ENV)
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "redirected"))
-    auto = resolve_cache("auto")
-    assert auto is not None
-    assert auto.directory == tmp_path / "redirected"
-    assert default_cache_dir() == tmp_path / "redirected"
+def _point_old_cache_locations(monkeypatch, root):
+    """Point the retired process-wide cache (``REPRO_CACHE_DIR``, else
+    ``~/.cache/repro5g``) at fresh empty directories under ``root``."""
+    locations = {"REPRO_CACHE_DIR": root / "cache", "HOME": root / "home"}
+    for name, path in locations.items():
+        path.mkdir(parents=True)
+        monkeypatch.setenv(name, str(path))
+    return list(locations.values())
+
+
+def test_synthesis_and_spill_write_no_process_wide_cache(tmp_path, monkeypatch):
+    old_locations = _point_old_cache_locations(monkeypatch, tmp_path / "old")
+    with pytest.raises(TypeError):
+        TraceCache()
+    build_subdataset(SPEC, seed=5, **FAST)
+    generate_traces(SPEC, seed=6, **FAST)
+    state = tmp_path / "state"
+    result = run_city_campaign(SPILLING, state_dir=state)
+    assert [sorted(path.iterdir()) for path in old_locations] == [[], []]
+    assert TraceCache(state / "traces").entries() == sorted(result.spill_keys)
+    from_state = [trace for key in result.spill_keys for trace in load_trace_set(state / "traces" / key)]
+    spilled = result.load_spilled_traces()
+    assert len(spilled) == result.n_ues
+    assert [t.throughput_series().tobytes() for t in spilled] == [
+        t.throughput_series().tobytes() for t in from_state
+    ]
+
+
+def test_spilled_campaign_resumes_whatever_the_environment(tmp_path, monkeypatch, caplog):
+    _point_old_cache_locations(monkeypatch, tmp_path / "first")
+    first = run_city_campaign(SPILLING, state_dir=tmp_path / "state")
+    _point_old_cache_locations(monkeypatch, tmp_path / "second")
+    with caplog.at_level(logging.WARNING, logger="repro.obs"):
+        again = run_city_campaign(SPILLING, state_dir=tmp_path / "state")
+    assert not [rec for rec in caplog.records if rec.args and rec.args[0] == "artifact.unreadable"]
+    assert again.shards_resumed == SPILLING.shards
+    assert again.n_simulated == 0
+    assert again.stats == first.stats
+    assert len(again.load_spilled_traces()) == again.n_ues
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.core.predictors import (
     register_predictor,
     registered_predictors,
 )
-from repro.data import build_subdataset, random_split
+from repro.data import build_subdataset, random_split, window_trace
 from repro.pipeline import (
     EXPERIMENT_SCHEMA,
     DEFAULT_STAGES,
@@ -24,6 +24,7 @@ from repro.pipeline import (
     run_dir_for,
     run_experiment,
 )
+from repro.ran import TraceSimulator
 
 TINY = dict(
     name="tiny",
@@ -32,6 +33,11 @@ TINY = dict(
     predictors=("Prophet", "Prism5G"),
     deep={"hidden": 8, "max_epochs": 2, "patience": 2},
 )
+
+
+#: config fields that must be at least 1
+_COUNTS = ("n_traces", "samples_per_trace", "history", "horizon", "max_ccs", "stride")
+_DEEP_COUNTS = ("hidden", "batch_size", "max_epochs", "patience")
 
 
 class TestExperimentConfig:
@@ -167,6 +173,70 @@ class TestExperimentConfig:
         assert main(["run", str(config)]) == 2
         assert message in capsys.readouterr().err
         assert not runs.exists()
+
+    @pytest.mark.parametrize(
+        "section,message",
+        [({name: 0}, f"{name} must be >= 1, got 0") for name in _COUNTS]
+        + [({"deep": {name: 0}}, f"deep.{name} must be >= 1, got 0") for name in _DEEP_COUNTS]
+        + [
+            ({"deep": {"lr": 0}}, "deep.lr must be > 0, got 0"),
+            ({"deep": {"lr": -0.01}}, "deep.lr must be > 0, got -0.01"),
+            ({"samples_per_trace": 5}, "samples_per_trace must be >= history + horizon (20), got 5"),
+            ({"samples_per_trace": 30, "history": 20, "horizon": 11}, "history + horizon (31), got 30"),
+        ],
+        ids=[*_COUNTS, *(f"deep.{name}" for name in _DEEP_COUNTS), "deep.lr-0", "deep.lr-neg", "no-window", "no-window-31"],
+    )
+    def test_cli_run_rejects_out_of_range_values_before_any_run_dir(
+        self, section, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"name": "x", **section}), encoding="utf-8")
+        assert main(["run", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not runs.exists()
+
+    @pytest.mark.parametrize(
+        "section",
+        [{name: 1} for name in _COUNTS if name != "samples_per_trace"]
+        + [{"samples_per_trace": 20}, {"samples_per_trace": 2, "history": 1, "horizon": 1}]
+        + [{"deep": {name: 1}} for name in _DEEP_COUNTS]
+        + [{"deep": {"lr": 1e-12}}],
+        ids=[
+            *(name for name in _COUNTS if name != "samples_per_trace"),
+            "samples_per_trace-20",
+            "samples_per_trace-2",
+            *(f"deep.{name}" for name in _DEEP_COUNTS),
+            "deep.lr-tiny",
+        ],
+    )
+    def test_smallest_in_range_values_load(self, section):
+        # the range checks stop at the first value that cannot run, not before it
+        config = ExperimentConfig.from_dict({"name": "x", **section})
+        loaded = config.to_dict()
+        for name, value in section.items():
+            if name == "deep":
+                assert {key: loaded["deep"][key] for key in value} == value
+            else:
+                assert loaded[name] == value
+        assert ExperimentConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("history,horizon", [(1, 1), (10, 10), (3, 7)])
+    def test_shortest_accepted_trace_gives_one_window(self, history, horizon):
+        # samples_per_trace's floor is window_trace's: history + horizon
+        # samples give one window and one fewer gives none
+        shortest = history + horizon
+        ExperimentConfig(samples_per_trace=shortest, history=history, horizon=horizon)
+        with pytest.raises(ValueError, match="samples_per_trace must be >= history"):
+            ExperimentConfig(samples_per_trace=shortest - 1, history=history, horizon=horizon)
+        sim = TraceSimulator("OpZ", mobility="driving", dt_s=1.0, seed=history)
+        windows = window_trace(sim.run(float(shortest)), history, horizon, max_ccs=4)
+        assert windows is not None
+        assert len(windows[0]) == 1
+        assert window_trace(sim.run(float(shortest - 1)), history, horizon, max_ccs=4) is None
 
     def test_run_dir_embeds_name_and_hash(self):
         config = ExperimentConfig(name="My Experiment!")

@@ -1,5 +1,8 @@
 """Trace data model, JSONL I/O, feature tensors; scheduler behaviour."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,23 @@ def _cc(key="n41@2500", band="n41", pcell=True, tput=100.0, active=True):
 def _record(t, ccs, events=()):
     total = sum(c.tput_mbps for c in ccs if c.active)
     return TraceRecord(t=t, position=(0.0, 0.0), ccs=list(ccs), total_tput_mbps=total, events=list(events))
+
+
+#: simulator settings that change what a record holds: 4G carriers,
+#: indoor flags, no CA, 10 ms sampling
+_TRACE_KINDS = {
+    "walking": dict(operator="OpZ", mobility="walking", seed=1),
+    "4G": dict(operator="OpX", mobility="driving", rat="4G", seed=2),
+    "indoor": dict(operator="OpY", mobility="indoor", seed=3),
+    "stationary-no-ca": dict(operator="OpZ", mobility="stationary", ca_enabled=False, seed=5),
+    "10ms": dict(operator="OpZ", mobility="driving", dt_s=0.01, seed=6),
+}
+
+
+def _simulated(kind: str) -> Trace:
+    settings = dict(_TRACE_KINDS[kind])
+    duration = 0.5 if settings.get("dt_s") == 0.01 else 30.0
+    return TraceSimulator(**settings).run(duration, route_id=len(kind))
 
 
 class TestTraceModel:
@@ -79,6 +99,43 @@ class TestTraceModel:
         assert len(loaded) == 5
         np.testing.assert_allclose(loaded.throughput_series(), trace.throughput_series())
         assert loaded.records[0].ccs[0].channel_key == "n41@2500"
+
+    def test_jsonl_lines_are_the_asdict_rendering(self, tmp_path):
+        trace = TraceSimulator("OpZ", mobility="driving", dt_s=1.0, seed=4).run(60.0, route_id=2)
+        assert any(rec.events for rec in trace.records)
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        expected = []
+        for rec in trace.records:
+            payload = asdict(rec)
+            payload["position"] = list(rec.position)
+            expected.append(json.dumps(payload))
+        assert path.read_text().splitlines()[1:] == expected
+
+    @pytest.mark.parametrize("kind", sorted(_TRACE_KINDS))
+    def test_jsonl_rendering_matches_asdict_for_every_trace_kind(self, kind, tmp_path):
+        trace = _simulated(kind)
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header)["header"] == {
+            name: getattr(trace, name)
+            for name in ("dt_s", "operator", "scenario", "mobility", "modem", "rat", "route_id", "seed")
+        }
+        expected = []
+        for rec in trace.records:
+            payload = asdict(rec)
+            payload["position"] = list(rec.position)
+            expected.append(json.dumps(payload))
+        assert lines == expected
+
+    @pytest.mark.parametrize("kind", sorted(_TRACE_KINDS))
+    def test_jsonl_round_trip_restores_every_record(self, kind, tmp_path):
+        trace = _simulated(kind)
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path)
+        loaded = Trace.from_jsonl(path)
+        assert loaded == trace
 
 
 class TestFeatureTensor:
