@@ -41,27 +41,30 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
-def _lstm_gates(gate_view: np.ndarray, step_act: np.ndarray) -> None:
+def _lstm_gates(gate_view: np.ndarray, step_act: np.ndarray, floor: np.ndarray) -> None:
     """LSTM gate activations of one step into ``step_act[:4]``.
 
     ``gate_view`` is the ``(4, B, H)`` gate-major view of the packed
     ``(B, 4H)`` pre-activations, in the cell's ``[i, f, g, o]`` order;
     ``step_act`` is one step's ``(5, B, H)`` block laid out ``[i, f, o,
     g, tanh_c]``, so the three sigmoid gates are one contiguous ``(3, B,
-    H)`` block.  The clamp reads them through the view; one clamp,
-    negate, exp, +1, reciprocal chain then runs over the whole block,
-    the exact per-element sequence of :func:`sigmoid` — so the values
-    are bit-identical to a per-gate sigmoid, in 8 ufunc calls where
-    three per-gate chains and the ``tanh`` took 19.  ``tanh`` fills g.
+    H)`` block; ``floor`` is a ``(3, B, H)`` block of -60.0 (numpy's
+    ``maximum`` runs ~4x faster against an array than against a scalar).
+    The clamp reads the gates through the view; one clamp, negate, exp,
+    +1, divide chain then runs over the whole block and gives the values
+    of :func:`sigmoid` bit for bit: its upper clamp is dropped because
+    for x >= 60 ``1 + exp(-x)`` already rounds to 1.0 (beyond ~745
+    ``exp`` underflows to 0, silently under numpy's default error
+    state), and ``1.0 / s`` is the division ``np.reciprocal`` does.
+    ``tanh`` fills g.
     """
     sig = step_act[:3]
-    np.maximum(gate_view[:2], -60.0, out=sig[:2])
-    np.maximum(gate_view[3], -60.0, out=sig[2])
-    np.minimum(sig, 60.0, out=sig)
+    np.maximum(gate_view[:2], floor[:2], out=sig[:2])
+    np.maximum(gate_view[3], floor[2], out=sig[2])
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
     np.add(sig, 1.0, out=sig)
-    np.reciprocal(sig, out=sig)
+    np.divide(1.0, sig, out=sig)
     np.tanh(gate_view[2], out=step_act[3])
 
 
@@ -159,6 +162,7 @@ def lstm_seq_forward(
     # ~2x a same-shape add, and the loop pays it every step
     bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows[:] = bias
+    floor = np.full((3, batch, hidden), -60.0, dtype=dtype)
     if requires:
         act = np.empty((time, 5, batch, hidden), dtype=dtype)
         c_hist = np.empty((time, batch, hidden), dtype=dtype)  # c entering step t
@@ -174,7 +178,7 @@ def lstm_seq_forward(
         if requires:
             step_act = act[t]
             c_hist[t] = c
-        _lstm_gates(gate_view, step_act)
+        _lstm_gates(gate_view, step_act, floor)
         i, f, o, g_in, tanh_c = step_act
         c_new = c_pair[t & 1]
         np.multiply(f, c, out=c_new)
@@ -444,6 +448,7 @@ def lstm_decoder_forward(
     hh = np.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
     bias_rows[:] = bias
+    floor = np.full((3, batch, hidden), -60.0, dtype=dtype)
     ig = np.empty((batch, hidden), dtype=dtype)
     c_pair = np.empty((2, batch, hidden), dtype=dtype)
     y_step = np.empty((batch, out_features), dtype=dtype)
@@ -468,7 +473,7 @@ def lstm_decoder_forward(
         if requires:
             step_act = act[t]
             c_hist[t] = c
-        _lstm_gates(gate_view, step_act)
+        _lstm_gates(gate_view, step_act, floor)
         i, f, o, g_in, tanh_c = step_act
         c_new = c_pair[t & 1]
         np.multiply(f, c, out=c_new)

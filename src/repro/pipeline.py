@@ -188,6 +188,10 @@ class ExperimentConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        # numpy seeds must be non-negative
+        for name, value in (("seed", self.seed), ("deep.seed", self.deep.seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if not self.deep.lr > 0:
             raise ValueError(f"deep.lr must be > 0, got {self.deep.lr!r}")
         if self.samples_per_trace < self.history + self.horizon:

@@ -10,6 +10,7 @@ used throughout the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 
@@ -53,12 +54,15 @@ class Band:
     def is_5g(self) -> bool:
         return self.rat == "5G"
 
-    @property
+    # The simulator reads these two per candidate cell and step, so each
+    # is computed once per band (``cached_property`` stores the value in
+    # the instance dict, which a frozen dataclass still has).
+    @cached_property
     def frequency_range(self) -> str:
         """5G frequency range: ``"FR1"`` (sub-7 GHz) or ``"FR2"`` (mmWave)."""
         return "FR2" if self.freq_mhz >= 24_000 else "FR1"
 
-    @property
+    @cached_property
     def band_class(self) -> str:
         """Low (<1 GHz), mid (1-7 GHz) or high (mmWave) band."""
         if self.freq_mhz < 1_000:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +58,10 @@ _TX_POWER_DBM = {"low": 46.0, "mid": 46.0, "high": 50.0}
 #: coverage radius heuristics by band class (metres) for cell placement sanity.
 COVERAGE_RADIUS_M = {"low": 3_000.0, "mid": 1_200.0, "high": 200.0}
 
+#: relative distance from a coverage limit within which ``np.hypot`` and
+#: ``math.dist`` may round to opposite sides of it
+_TIE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class CellTable:
@@ -72,6 +76,7 @@ class CellTable:
 
     position: np.ndarray  #: (N, 2) site position, metres
     radius_m: np.ndarray  #: band-class coverage radius
+    radius_tie_m: np.ndarray  #: 1e-9 of the radius: nearer to it, ``math.dist`` decides
     site: np.ndarray  #: station index (same station <=> same ``site_of``)
     site_band: np.ndarray  #: index of the cell's (station, band) pair
     channel: np.ndarray  #: index of the cell's channel key
@@ -100,9 +105,11 @@ class CellTable:
             [num_resource_blocks(c.bandwidth_mhz, c.scs_khz, c.band.rat) for c in cells],
             dtype=np.float64,
         )
+        radius_m = np.array([COVERAGE_RADIUS_M[c.band.band_class] for c in cells], dtype=np.float64)
         return cls(
             position=np.array([c.position for c in cells], dtype=np.float64).reshape(-1, 2),
-            radius_m=np.array([COVERAGE_RADIUS_M[c.band.band_class] for c in cells], dtype=np.float64),
+            radius_m=radius_m,
+            radius_tie_m=_TIE_TOLERANCE * radius_m,
             site=np.array(site, dtype=np.intp),
             site_band=np.array(site_band, dtype=np.intp),
             channel=np.array(channel, dtype=np.intp),
@@ -137,24 +144,41 @@ class Deployment:
     def site_of(self, cell: Cell) -> int:
         return self._cell_site[cell.cell_id]
 
+    def coverage_masks(
+        self,
+        positions: Union[np.ndarray, Tuple[float, float]],
+        max_distance_m: Optional[float] = None,
+    ) -> np.ndarray:
+        """Boolean ``(U, N)`` mask: row ``u`` marks the :attr:`cells` whose
+        coverage radius reaches ``positions[u]`` (``positions`` is ``(U,
+        2)``, or one ``(x, y)`` for ``U = 1``).
+
+        One vectorized distance test over the cell table for all ``U``
+        positions.  ``np.hypot`` and ``math.dist`` can round the same
+        distance one ulp apart, so a cell within 1e-9 relative of its
+        limit is decided by ``math.dist``, keeping the per-cell scan's
+        decision exactly.
+        """
+        table = self.table
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+        delta = table.position - positions[:, None, :]
+        distance = np.hypot(delta[..., 0], delta[..., 1])
+        if max_distance_m is None:
+            limit, tie = table.radius_m, table.radius_tie_m
+        else:
+            limit = np.minimum(table.radius_m, max_distance_m)
+            tie = _TIE_TOLERANCE * limit
+        covered = distance <= limit
+        for u, i in zip(*np.nonzero(np.abs(distance - limit) <= tie)):
+            covered[u, i] = math.dist(positions[u], self.cells[i].position) <= limit[i]
+        return covered
+
     def coverage_mask(
         self, position: Tuple[float, float], max_distance_m: Optional[float] = None
     ) -> np.ndarray:
-        """Boolean mask over :attr:`cells`: whose coverage radius reaches ``position``.
-
-        One vectorized distance test over the cell table.  ``np.hypot``
-        and ``math.dist`` can round the same distance one ulp apart, so a
-        cell within 1e-9 relative of its limit is decided by
-        ``math.dist``, keeping the per-cell scan's decision exactly.
-        """
-        table = self.table
-        delta = table.position - np.asarray(position, dtype=np.float64)
-        distance = np.hypot(delta[:, 0], delta[:, 1])
-        limit = table.radius_m if max_distance_m is None else np.minimum(table.radius_m, max_distance_m)
-        covered = distance <= limit
-        for i in np.flatnonzero(np.abs(distance - limit) <= 1e-9 * limit):
-            covered[i] = math.dist(position, self.cells[i].position) <= limit[i]
-        return covered
+        """Boolean mask over :attr:`cells`: whose coverage radius reaches ``position``
+        (the one-position case of :meth:`coverage_masks`)."""
+        return self.coverage_masks(position, max_distance_m)[0]
 
     def cells_near(self, position: Tuple[float, float], max_distance_m: Optional[float] = None) -> List[Cell]:
         """Cells whose class-based coverage radius reaches ``position``."""

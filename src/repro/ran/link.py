@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .phy import cqi_from_sinr, mcs_from_cqi
+from .phy import MAX_MCS_INDEX, cqi_from_sinr, mcs_from_cqi, mcs_spectral_efficiency
 
 
 #: SINR thresholds (dB) above which each additional MIMO layer is usable.
@@ -34,19 +34,22 @@ def select_rank(sinr_db: float, max_layers: int = 4) -> int:
     return min(rank, max_layers)
 
 
+#: SINR (dB) needed for ~10% BLER at each MCS: its efficiency inverted
+#: through the Shannon gap used by ``cqi_from_sinr``.
+_REQUIRED_SINR_DB = tuple(
+    10 * math.log10((2 ** mcs_spectral_efficiency(mcs) - 1.0)) + 3.0 for mcs in range(MAX_MCS_INDEX + 1)
+)
+
+
 def bler_from_sinr(sinr_db: float, mcs_index: int, steepness: float = 1.2) -> float:
     """Block error rate as a sigmoid around the MCS's SINR threshold.
 
     Link adaptation targets ~10% BLER; when the channel degrades before
     CQI feedback catches up, BLER rises steeply.
     """
-    # SINR needed for ~10% BLER at this MCS: efficiency inverted through
-    # the Shannon gap used by cqi_from_sinr.
-    from .phy import mcs_spectral_efficiency
-
-    eff = mcs_spectral_efficiency(mcs_index)
-    required = 10 * math.log10((2 ** eff - 1.0)) + 3.0
-    margin = sinr_db - required
+    if not 0 <= mcs_index <= MAX_MCS_INDEX:
+        raise ValueError(f"MCS index must be in [0, {MAX_MCS_INDEX}]")
+    margin = sinr_db - _REQUIRED_SINR_DB[mcs_index]
     bler = 1.0 / (1.0 + math.exp(steepness * margin + 2.2))  # ~10% at margin 0
     return float(min(max(bler, 0.0), 0.95))
 

@@ -5,7 +5,8 @@ A :class:`MultiUESimulator` drives a *cohort* of single-UE
 one city :class:`~repro.ran.cells.Deployment` — through lockstep time.
 Each step runs every lane's phase-1 bookkeeping (mobility, candidate
 refresh, AR(1) shadowing/fading advance, preserving each lane's private
-RNG stream exactly), then packs the per-lane candidate state into
+RNG stream exactly; lanes sharing a deployment take their coverage
+tests as one ``(U, N)`` test), then packs the per-lane candidate state into
 carrier-major structure-of-arrays tensors padded to the cohort's widest
 candidate set (repacked only when some lane's candidate set changes)
 and dispatches **one** ``radio_step_multi`` backend call
@@ -33,6 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import backends
+from .cells import Deployment
 from .simulator import _CO_CHANNEL_ACTIVITY, _LOS_BLEND_M, TraceSimulator
 from .traces import Trace, TraceRecord
 
@@ -61,6 +63,11 @@ class MultiUESimulator:
         self._shared_force_los: Optional[bool] = force_los.pop() if len(force_los) == 1 else None
         self._mixed_force_los = bool(force_los)
         self.batch = batch
+        deployment = self.lanes[0].deployment
+        #: lanes on one deployment share one coverage test per step
+        self._deployment: Optional[Deployment] = (
+            deployment if all(lane.deployment is deployment for lane in self.lanes) else None
+        )
         self._pack_key: Optional[Tuple[int, ...]] = None
         self._pack: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -114,10 +121,30 @@ class MultiUESimulator:
         )
         return self._pack
 
+    def _coverage(self, positions: np.ndarray) -> List[Optional[np.ndarray]]:
+        """Each lane's coverage mask for this step, or ``None`` where the
+        lane tests its own: not due for a refresh, or not on the shared
+        deployment.  The due lanes of a shared deployment are one
+        ``(U, N)`` test."""
+        lanes = self.lanes
+        covered: List[Optional[np.ndarray]] = [None] * len(lanes)
+        if self._deployment is None:
+            return covered
+        due = [i for i, lane in enumerate(lanes) if lane._refresh_due()]
+        if due:
+            rows = positions if len(due) == len(lanes) else positions[due]
+            for i, mask in zip(due, self._deployment.coverage_masks(rows)):
+                covered[i] = mask
+        return covered
+
     def step_all(self, states: Sequence) -> List[TraceRecord]:
         """Advance every lane one sampling interval (one batched radio call)."""
         lanes = self.lanes
-        begun = [lane._begin_step(state) for lane, state in zip(lanes, states)]
+        positions = np.array([state.position for state in states], dtype=np.float64)
+        begun = [
+            lane._begin_step(state, covered)
+            for lane, state, covered in zip(lanes, states, self._coverage(positions))
+        ]
         if not self._use_batch():
             records = []
             for lane, state, (step, rho) in zip(lanes, states, begun):
@@ -138,12 +165,11 @@ class MultiUESimulator:
                 lane._finish_step(step, state, {}, {}, {})
                 for lane, state, (step, _) in zip(lanes, states, begun)
             ]
-        positions = np.array([state.position for state in states], dtype=np.float64)
         indoor = np.array([bool(state.indoor) for state in states])
         shadows = np.zeros((u, cmax), dtype=np.float64)
         fadings = np.zeros((u, cmax), dtype=np.float64)
         for i, (lane_shadows, lane_fadings) in enumerate(advances):
-            c = lane_shadows.shape[0]
+            c = len(lane_shadows)
             shadows[i, :c] = lane_shadows
             fadings[i, :c] = lane_fadings
         rsrp, sinr, rsrq = backends.active().radio_step_multi(

@@ -15,6 +15,7 @@ Fig 9's TBS/MCS/#RE mapping.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import Dict, Tuple
 
@@ -201,6 +202,7 @@ def resource_elements(
     return per_prb * n_prb
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def transport_block_size(
     mcs_index: int,
     n_prb: int,
@@ -211,7 +213,10 @@ def transport_block_size(
     """Transport block size in bits per slot (TS 38.214 §5.1.3.2).
 
     This is the quantizer of the paper's Eq. (1): ``N_info = N_re * R *
-    Qm * v`` rounded to a standard-aligned TBS.
+    Qm * v`` rounded to a standard-aligned TBS.  Memoized: the simulator
+    asks for the same few thousand (MCS, PRBs, layers) keys every step,
+    and the bound (more than every MCS x 1-273 PRBs x 1-8 layers) caps
+    the cache at a few MB.
     """
     if not 1 <= n_layers <= 8:
         raise ValueError("n_layers must be in [1, 8]")

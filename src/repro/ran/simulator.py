@@ -38,6 +38,14 @@ _LOS_BLEND_M = 150.0
 #: co-channel activity factor: planned reuse + partial load.
 _CO_CHANNEL_ACTIVITY = 0.3
 
+
+def _base_layers(cell: Cell) -> int:
+    """MIMO layers a carrier offers before CA caps: 4 on 5G FR1, else 2."""
+    if cell.band.rat == "4G":
+        return 2
+    return 4 if cell.band.frequency_range == "FR1" else 2
+
+
 class TraceSimulator:
     """Synthesizes measurement traces for one operator/scenario/UE.
 
@@ -135,15 +143,17 @@ class TraceSimulator:
         self._eligible_mask = np.array([self._eligible(c) for c in self.deployment.cells], dtype=bool)
         # AR(1) radio state.  The site and (site, band) shadowing
         # components, keyed by cell-table index, live for the whole run;
-        # the per-cell own-shadowing and fading components (the columns
-        # of ``_own_fading``, NaN until drawn) and the link adapters
-        # live only while the cell is a candidate.
+        # the per-cell (own shadowing, fading) pairs, keyed by cell-table
+        # row, and the link adapters live only while the cell is a
+        # candidate.
         self._site_shadow: Dict[int, float] = {}
         self._band_shadow: Dict[int, float] = {}
-        self._own_fading = np.full((len(self.deployment.cells), 2), np.nan)
+        self._own_fading: Dict[int, Tuple[float, float]] = {}
         self._links: Dict[int, LinkAdapter] = {}
         #: bumped whenever the candidate set changes (cohort pack cache key)
         self._cand_version = 0
+        #: the eligible-and-covered mask of the current set, as bytes
+        self._cand_key = bytes(len(self.deployment.cells))
         self._set_candidates(np.empty(0, dtype=np.intp))
         self._since_refresh = math.inf
 
@@ -155,28 +165,34 @@ class TraceSimulator:
             return cell.band.name in self.band_lock or cell.channel_key in self.band_lock
         return True
 
-    def _refresh_candidates(self, position: Tuple[float, float]) -> None:
-        index = np.flatnonzero(self.deployment.coverage_mask(position) & self._eligible_mask)
-        if not np.array_equal(index, self._cand_idx):
-            self._set_candidates(index)
+    def _refresh_candidates(self, covered: np.ndarray) -> None:
+        """Adopt the eligible cells of coverage mask ``covered`` if they changed.
+
+        The set is compared by the mask's bytes, so an unchanged set
+        costs one ``&`` and one ``tobytes``.
+        """
+        mask = covered & self._eligible_mask
+        key = mask.tobytes()
+        if key != self._cand_key:
+            self._cand_key = key
+            self._set_candidates(np.flatnonzero(mask))
 
     def _set_candidates(self, index: np.ndarray) -> None:
         """Adopt a new candidate set: deployment rows ``index``, in order.
 
         Per-candidate constants are gathered from the deployment's cell
-        table, so the per-step radio update touches plain arrays only.
+        table once here, so a step touches plain lists and arrays only.
         A cell that left the set loses its own-shadowing/fading state and
         link adapter; if it returns, it starts from a fresh draw.
         """
         table = self.deployment.table
-        cells = [self.deployment.cells[i] for i in index]
-        self._cand_idx = index
+        rows = index.tolist()
+        cells = [self.deployment.cells[i] for i in rows]
         self._candidates = cells
         self._cand_ids = [c.cell_id for c in cells]
         self._cell_by_id = dict(zip(self._cand_ids, cells))
-        gone = np.ones(len(self._own_fading), dtype=bool)
-        gone[index] = False
-        self._own_fading[gone] = np.nan
+        kept = set(rows)
+        self._own_fading = {row: pair for row, pair in self._own_fading.items() if row in kept}
         links = {}
         for cell_id in self._cand_ids:
             link = self._links.get(cell_id)
@@ -184,16 +200,24 @@ class TraceSimulator:
         self._links = links
         site = table.site[index]
         channel = table.channel[index]
-        self._shadow_keys = list(zip(site.tolist(), table.site_band[index].tolist()))
         self._cand_pos = table.position[index]
         self._cand_freq = table.freq_mhz[index]
-        self._cand_freq_list = self._cand_freq.tolist()
         self._cand_nrb = table.n_rb[index]
-        self._cand_nrb_by_id = dict(zip(self._cand_ids, map(int, self._cand_nrb.tolist())))
         self._cand_nrb_db = table.n_rb_db[index]
         self._cand_per_re_tx = table.per_re_tx_dbm[index]
         self._cand_noise_mw = table.noise_mw[index]
         self._cand_indoor_pen = table.indoor_pen_db[index]
+        # what the AR(1) advance reads per candidate: its row, its site
+        # and (site, band) shadowing keys, and its carrier frequency
+        self._advance_keys = list(
+            zip(rows, site.tolist(), table.site_band[index].tolist(), self._cand_freq.tolist())
+        )
+        # what a step reads per active carrier: the cell, its base MIMO
+        # layers, its DL duty and its configured RBs
+        self._step_consts = {
+            cell.cell_id: (cell, _base_layers(cell), duplex_dl_duty(cell.band.duplex), n_rb)
+            for cell, n_rb in zip(cells, map(int, self._cand_nrb.tolist()))
+        }
         # interference adjacency: same channel, different site (summed as
         # a masked matvec so no cancellation-prone group subtraction)
         self._interf_mask = (
@@ -202,48 +226,58 @@ class TraceSimulator:
         self._cand_version += 1
 
     # ------------------------------------------------------------------
-    def _advance_radio_processes(self, state, rho: float) -> Tuple[np.ndarray, np.ndarray]:
+    def _advance_radio_processes(self, state, rho: float) -> Tuple[List[float], List[float]]:
         """Advance shadowing and fading for every candidate, in candidate order.
 
         Each candidate draws four normals — site, band, own, fading — as
         one ``standard_normal(4 * C)`` call, the same values as 4·C
         scalar draws.  The site and band components are shared AR(1)
         chains advanced once per *candidate*, so a site with k
-        candidates advances k times per step; that sequential chain is
-        a short Python loop.  The own and fading components are per-cell
-        and advance as one array update, which rounds exactly like the
-        scalar one.  The fading rho stays on ``math.exp``: ``np.exp``
-        can differ from it in the last ulp.  ``tests/oracles.py`` keeps the
-        per-candidate loop this must match bit for bit.
+        candidates advances k times per step.  Everything advances in
+        Python floats: at a handful of candidates numpy's per-call cost
+        exceeds the arithmetic, and ``+``, ``*`` and ``math.sqrt`` round
+        exactly as numpy's element-wise ops do.  The fading rho (on
+        ``math.exp``: ``np.exp`` can differ from it in the last ulp) and
+        its innovation scale are computed once per distinct frequency.
+        ``tests/oracles.py`` keeps the per-candidate loop this must match
+        bit for bit.
         """
-        n = len(self._cand_idx)
-        draws = self._rng.standard_normal(4 * n).reshape(n, 4)
+        keys = self._advance_keys
+        if not keys:
+            return [], []
+        draws = self._rng.standard_normal(4 * len(keys)).tolist()
         innovation = math.sqrt(max(1.0 - rho * rho, 0.0))
-        sites, bands = self._site_shadow, self._band_shadow
+        dt_s, speed = self.dt_s, state.speed_mps
+        sites, bands, own_fading = self._site_shadow, self._band_shadow, self._own_fading
         mix_site, mix_band, mix_own = _SHADOW_MIX
-        shared = []
-        for (site, band), (z_site, z_band) in zip(self._shadow_keys, draws[:, :2].tolist()):
+        halve = self.force_los is True  # LOS shadowing variance is much smaller
+        by_freq: Dict[float, Tuple[float, float]] = {}
+        shadows: List[float] = []
+        fadings: List[float] = []
+        for (row, site, band, freq), (z_site, z_band, z_own, z_fading) in zip(keys, zip(*[iter(draws)] * 4)):
             site_value = sites.get(site)
             site_value = z_site if site_value is None else rho * site_value + innovation * z_site
             sites[site] = site_value
             band_value = bands.get(band)
             band_value = z_band if band_value is None else rho * band_value + innovation * z_band
             bands[band] = band_value
-            shared.append(mix_site * site_value + mix_band * band_value)
-        coherence = FastFadingProcess.coherence_time_s
-        rhos = np.empty((n, 2))
-        rhos[:, 0] = rho
-        rhos[:, 1] = [math.exp(-self.dt_s / coherence(state.speed_mps, f)) for f in self._cand_freq_list]
-        previous = self._own_fading[self._cand_idx]
-        fresh = np.isnan(previous)
-        innovations = draws[:, 2:]
-        own_fading = rhos * previous + np.sqrt(np.maximum(1.0 - rhos * rhos, 0.0)) * innovations
-        own_fading[fresh] = innovations[fresh]
-        self._own_fading[self._cand_idx] = own_fading
-        shadows = _SHADOW_SIGMA_DB * (np.array(shared) + mix_own * own_fading[:, 0])
-        if self.force_los is True:
-            shadows *= 0.5  # LOS shadowing variance is much smaller
-        return shadows, _FADING_SIGMA_DB * own_fading[:, 1]
+            previous = own_fading.get(row)
+            if previous is None:
+                own, fading = z_own, z_fading
+            else:
+                fading_ar = by_freq.get(freq)
+                if fading_ar is None:
+                    f_rho = math.exp(-dt_s / FastFadingProcess.coherence_time_s(speed, freq))
+                    fading_ar = by_freq[freq] = (f_rho, math.sqrt(max(1.0 - f_rho * f_rho, 0.0)))
+                own = rho * previous[0] + innovation * z_own
+                fading = fading_ar[0] * previous[1] + fading_ar[1] * z_fading
+            own_fading[row] = (own, fading)
+            shadow = _SHADOW_SIGMA_DB * (mix_site * site_value + mix_band * band_value + mix_own * own)
+            if halve:
+                shadow *= 0.5
+            shadows.append(shadow)
+            fadings.append(_FADING_SIGMA_DB * fading)
+        return shadows, fadings
 
     def _radio_update(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
         """Array radio update over all candidates (one step, no per-cell math).
@@ -263,8 +297,8 @@ class TraceSimulator:
             position,
             bool(state.indoor),
             self.force_los,
-            shadows,
-            fadings,
+            np.array(shadows, dtype=np.float64),
+            np.array(fadings, dtype=np.float64),
             self._cand_pos,
             self._cand_freq,
             self._cand_per_re_tx,
@@ -300,21 +334,30 @@ class TraceSimulator:
                 obs.counter(name, value)
             counts.clear()
 
-    def _begin_step(self, state) -> Tuple[int, float]:
+    def _refresh_due(self) -> bool:
+        """Whether the next :meth:`_begin_step` refreshes the candidate set."""
+        return self._since_refresh + self.dt_s >= self.candidate_refresh_s
+
+    def _begin_step(self, state, covered: Optional[np.ndarray] = None) -> Tuple[int, float]:
         """Phase 1 of a step: advance time, refresh candidates, compute rho.
 
         Split out of :meth:`step` so the multi-UE driver
         (:mod:`repro.ran.multi_ue`) can run phase 1 for every lane, batch
         the radio update across lanes, then finish each lane with
         :meth:`_finish_step`.  ``step()`` composes the same three phases,
-        so single-UE behavior is unchanged.
+        so single-UE behavior is unchanged.  ``covered`` is the
+        deployment's coverage mask at ``state.position`` when the caller
+        has tested it already (the cohort tests all its lanes at once).
         """
         step = getattr(self, "_step_index", 0)
         self._step_index = step + 1
         moved = state.speed_mps * self.dt_s
+        due = self._refresh_due()
         self._since_refresh += self.dt_s
-        if self._since_refresh >= self.candidate_refresh_s:
-            self._refresh_candidates(state.position)
+        if due:
+            if covered is None:
+                covered = self.deployment.coverage_mask(state.position)
+            self._refresh_candidates(covered)
             self._since_refresh = 0.0
         rho = math.exp(-max(moved, 1e-3) / _SHADOW_DECORR_M)
         return step, rho
@@ -338,8 +381,7 @@ class TraceSimulator:
         rsrq_map: Dict[int, float],
     ) -> TraceRecord:
         """Phase 3 of a step: CA decision, link adaptation, the record."""
-        cell_by_id = self._cell_by_id
-        ca_state = self.ca.step(self.dt_s, rsrp_map, cell_by_id)
+        ca_state = self.ca.step(self.dt_s, rsrp_map, self._cell_by_id)
 
         if obs.metrics_enabled():
             counts = getattr(self, "_obs_counts", None)
@@ -355,15 +397,11 @@ class TraceSimulator:
         aggregate_bw_so_far = 0.0
         total_tput = 0.0
         for cc_id in ca_state.active_ids:
-            cell = cell_by_id[cc_id]
+            cell, base_layers, dl_duty, n_rb_cfg = self._step_consts[cc_id]
             penalty = self.ca.sinr_penalty_db(cc_id)
             effective_sinr = sinr_map[cc_id] - penalty
-            base_layers = 4 if cell.band.frequency_range == "FR1" else 2
-            if cell.band.rat == "4G":
-                base_layers = 2
             layer_cap = self.ca.layer_cap(cell, default_cap=base_layers)
             link = self._links[cc_id].step(effective_sinr, self._rng, max_layers=layer_cap)
-            n_rb_cfg = self._cand_nrb_by_id[cc_id]
             rb_fraction = self.scheduler.rb_fraction(
                 cc_id,
                 self.dt_s,
@@ -377,7 +415,7 @@ class TraceSimulator:
                 link.rank,
                 cell.scs_khz,
                 bler=link.bler,
-                dl_duty=duplex_dl_duty(cell.band.duplex),
+                dl_duty=dl_duty,
             )
             aggregate_bw_so_far += cell.bandwidth_mhz
             total_tput += tput

@@ -4,9 +4,11 @@ The numpy backend's bit-identity to the loop oracles is covered by
 tests/test_nn_fused.py and tests/test_batched_equivalence.py.  This
 file covers the dispatch object itself (every primitive present, the
 sanitize flag swapping a wrapped twin in and the same object back out),
-kernel outputs that never share memory across calls, and gradient
-correctness across consecutive fits.
+the LSTM gate helper on extreme values, kernel outputs that never share
+memory across calls, and gradient correctness across consecutive fits.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,36 @@ class TestRegistry:
             out_b, _, _ = lstm_seq(Tensor(x), Tensor(h0), Tensor(c0),
                                    Tensor(w_ih), Tensor(w_hh), Tensor(b))
         assert np.array_equal(out_a.data, out_b.data)
+
+
+class TestLstmGates:
+    """``_lstm_gates`` clamps only from below and divides in place; it
+    must still give the fully clipped ``sigmoid`` bit for bit."""
+
+    #: either side of the clamp, where exp overflows (709) and where it
+    #: underflows to 0 (746), the largest doubles, and the non-finite
+    EXTREMES = (60.0, -60.0, 60.5, -60.5, 709.0, -709.0, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+    def test_extreme_values_match_clipped_sigmoid(self):
+        hidden = len(self.EXTREMES)
+        gates = np.random.default_rng(5).normal(scale=30.0, size=(3, 4 * hidden))
+        gates[0] = np.tile(self.EXTREMES, 4)
+        gates[1] = -gates[0]
+        gate_view = gates.reshape(3, 4, hidden).transpose(1, 0, 2)
+        step_act = np.full((5, 3, hidden), 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # exp's underflow stays silent
+            numpy_backend._lstm_gates(gate_view, step_act, np.full((3, 3, hidden), -60.0))
+        want = [numpy_backend.sigmoid(gate_view[k]) for k in (0, 1, 3)] + [np.tanh(gate_view[2])]
+        for got, expected in zip(step_act[:4], want):
+            assert np.array_equal(got, expected, equal_nan=True)
+            finite = ~np.isnan(expected)
+            assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
+        assert np.array_equal(step_act[4], np.full((3, hidden), 7.0))  # tanh_c is left alone
+        i_gate = dict(zip(self.EXTREMES[:-1], step_act[0, 0, :-1].tolist()))
+        assert i_gate[746.0] == i_gate[np.inf] == i_gate[60.0] == 1.0  # lint: bit-identical
+        assert i_gate[-746.0] == i_gate[-np.inf] == i_gate[-60.0]  # lint: bit-identical
+        assert np.isnan(step_act[0, 0, -1])
 
 
 # ---------------------------------------------------------------------------

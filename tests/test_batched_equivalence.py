@@ -434,6 +434,73 @@ class TestArrayRadioState:
         assert cohort._pack[0].shape[1] == max(len(lane._candidates) for lane in lanes)
 
 
+class TestCohortCoverage:
+    """A cohort on one deployment tests all its due lanes' positions in
+    one ``coverage_masks`` call per step; lanes on different deployments
+    test their own positions."""
+
+    @staticmethod
+    def _lanes(deployments, **kwargs):
+        return [
+            TraceSimulator(
+                "OpX", mobility=("driving", "walking")[i % 2], seed=30 + i,
+                deployment=deployment, area_m=3_000.0, **kwargs,
+            )
+            for i, deployment in enumerate(deployments)
+        ]
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        from repro.ran.cells import Deployment
+
+        calls = []
+        original = getattr(Deployment, name)
+
+        def counted(self, positions, *args):
+            calls.append(np.asarray(positions).reshape(-1, 2).shape[0])
+            return original(self, positions, *args)
+
+        monkeypatch.setattr(Deployment, name, counted)
+        return calls
+
+    def test_shared_deployment_one_test_per_step(self, monkeypatch):
+        deployment = TraceSimulator("OpX", seed=30, area_m=3_000.0).deployment
+        cohort = MultiUESimulator(self._lanes([deployment] * 3))
+        rows = self._count_calls(monkeypatch, "coverage_masks")
+        one = self._count_calls(monkeypatch, "coverage_mask")
+        cohort.run(20.0)
+        # dt 1 s: every lane refreshes every step, all in one test
+        assert rows == [3] * 20
+        assert one == []
+
+    def test_lanes_on_different_deployments_test_each_lane(self, monkeypatch):
+        deployments = [TraceSimulator("OpX", seed=30 + i, area_m=3_000.0).deployment for i in range(3)]
+        cohort = MultiUESimulator(self._lanes(deployments))
+        one = self._count_calls(monkeypatch, "coverage_mask")
+        cohort.run(20.0)
+        assert one == [1] * 60
+
+    def test_traces_equal_per_lane_tests(self):
+        # lanes that refresh at different steps (0.3 s and 0.5 s at dt
+        # 0.1 s): the shared test covers only the due lanes, and every
+        # lane's trace equals the one it gets testing its own position
+        deployment = TraceSimulator("OpX", seed=30, area_m=3_000.0).deployment
+
+        def run(per_lane):
+            lanes = self._lanes([deployment] * 4, dt_s=0.1)
+            for lane, refresh in zip(lanes, (0.3, 0.5, 0.5, 0.3)):
+                lane.candidate_refresh_s = refresh
+            cohort = MultiUESimulator(lanes)
+            if per_lane:
+                cohort._deployment = None
+            return lanes, cohort.run(30.0)
+
+        lanes, traces = run(per_lane=False)
+        _, per_lane = run(per_lane=True)
+        assert any(_set_changed(lane) for lane in lanes)
+        assert [t.records for t in traces] == [t.records for t in per_lane]
+
+
 class TestPhyLookupOracles:
     def test_cqi_searchsorted_matches_scan(self):
         for sinr in np.arange(-30.0, 40.0, 0.01):

@@ -183,8 +183,19 @@ class TestExperimentConfig:
             ({"deep": {"lr": -0.01}}, "deep.lr must be > 0, got -0.01"),
             ({"samples_per_trace": 5}, "samples_per_trace must be >= history + horizon (20), got 5"),
             ({"samples_per_trace": 30, "history": 20, "horizon": 11}, "history + horizon (31), got 30"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"deep": {"seed": -1}}, "deep.seed must be >= 0, got -1"),
         ],
-        ids=[*_COUNTS, *(f"deep.{name}" for name in _DEEP_COUNTS), "deep.lr-0", "deep.lr-neg", "no-window", "no-window-31"],
+        ids=[
+            *_COUNTS,
+            *(f"deep.{name}" for name in _DEEP_COUNTS),
+            "deep.lr-0",
+            "deep.lr-neg",
+            "no-window",
+            "no-window-31",
+            "seed-neg",
+            "deep.seed-neg",
+        ],
     )
     def test_cli_run_rejects_out_of_range_values_before_any_run_dir(
         self, section, message, tmp_path, monkeypatch, capsys
@@ -204,13 +215,15 @@ class TestExperimentConfig:
         [{name: 1} for name in _COUNTS if name != "samples_per_trace"]
         + [{"samples_per_trace": 20}, {"samples_per_trace": 2, "history": 1, "horizon": 1}]
         + [{"deep": {name: 1}} for name in _DEEP_COUNTS]
-        + [{"deep": {"lr": 1e-12}}],
+        + [{"deep": {"lr": 1e-12}}, {"seed": 0}, {"deep": {"seed": 0}}],
         ids=[
             *(name for name in _COUNTS if name != "samples_per_trace"),
             "samples_per_trace-20",
             "samples_per_trace-2",
             *(f"deep.{name}" for name in _DEEP_COUNTS),
             "deep.lr-tiny",
+            "seed-0",
+            "deep.seed-0",
         ],
     )
     def test_smallest_in_range_values_load(self, section):

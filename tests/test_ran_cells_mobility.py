@@ -109,15 +109,17 @@ class TestCoverageTest:
         rng = np.random.default_rng(0)
         self._assert_matches_scan(deployment, [tuple(p) for p in rng.uniform(-3_500, 5_000, size=(300, 2))])
 
-    def test_points_exactly_on_a_radius(self, deployment):
+    @staticmethod
+    def _on_radius_points(deployment):
         points = []
         for cell in deployment.cells[::5]:
             radius = COVERAGE_RADIUS_M[cell.band.band_class]
             x, y = cell.position
             points += [(x + radius, y), (x, y - radius), (x + 0.6 * radius, y + 0.8 * radius)]
-        self._assert_matches_scan(deployment, points)
+        return points
 
-    def test_points_where_hypot_and_dist_disagree(self, deployment):
+    @staticmethod
+    def _disagreeing_points(deployment):
         # on-radius points whose np.hypot distance falls on the other
         # side of the radius from math.dist's: only the tie-break gets
         # these right
@@ -131,8 +133,30 @@ class TestCoverageTest:
                 by_hypot = float(np.hypot(x - point[0], y - point[1])) <= radius
                 if by_hypot != (math.dist(point, cell.position) <= radius):
                     points.append(point)
+        return points
+
+    def test_points_exactly_on_a_radius(self, deployment):
+        self._assert_matches_scan(deployment, self._on_radius_points(deployment))
+
+    def test_points_where_hypot_and_dist_disagree(self, deployment):
+        points = self._disagreeing_points(deployment)
         assert len(points) >= 10
         self._assert_matches_scan(deployment, points)
+
+    def test_cohort_rows_match_one_position_tests(self, deployment):
+        # a cohort tests all its lanes' positions at once; each row must
+        # decide every cell as the one-position test and the scan do,
+        # ties included
+        rng = np.random.default_rng(2)
+        points = [tuple(p) for p in rng.uniform(-3_500, 5_000, size=(64, 2))]
+        points += self._on_radius_points(deployment) + self._disagreeing_points(deployment)
+        for max_distance_m in (None, 800.0):
+            rows = deployment.coverage_masks(np.array(points), max_distance_m)
+            assert rows.shape == (len(points), len(deployment.cells))
+            for point, row in zip(points, rows):
+                assert np.array_equal(row, deployment.coverage_mask(point, max_distance_m)), point
+                covered = [deployment.cells[i] for i in np.flatnonzero(row)]
+                assert covered == oracles.cells_near_loop(deployment, point, max_distance_m), point
 
 
 class TestMobility:

@@ -1,4 +1,6 @@
-"""PHY numerics tests: RB tables, MCS/CQI, TBS (TS 38.214)."""
+"""PHY numerics tests: RB tables, MCS/CQI, TBS (TS 38.214), BLER."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ran import (
     MAX_CQI,
     MAX_MCS_INDEX,
+    bler_from_sinr,
     cqi_from_sinr,
     duplex_dl_duty,
     mcs_from_cqi,
@@ -133,6 +136,20 @@ class TestTBS:
     def test_tbs_monotone_in_mcs(self, mcs, n_prb):
         assert transport_block_size(mcs + 1, n_prb, 2) >= transport_block_size(mcs, n_prb, 2)
 
+    def test_memo_matches_the_computation(self):
+        # every (MCS, PRBs, layers) key a carrier can ask for returns what
+        # the unmemoized computation does
+        compute = transport_block_size.__wrapped__
+        keys = [
+            (mcs, n_prb, layers)
+            for mcs in range(MAX_MCS_INDEX + 1)
+            for n_prb in range(1, 274)
+            for layers in range(1, 5)
+        ]
+        memoized = [transport_block_size(*key) for key in keys]
+        assert memoized == [compute(*key) for key in keys]
+        assert memoized == [transport_block_size(*key) for key in keys]  # the cache hits
+
     def test_tbs_close_to_ninfo(self):
         """Quantization error stays within a few percent for large blocks."""
         from repro.ran.phy import resource_elements as re_fn
@@ -142,6 +159,37 @@ class TestTBS:
         n_info = re_fn(n_prb) * r * qm * layers
         tbs = transport_block_size(mcs, n_prb, layers)
         assert abs(tbs - n_info) / n_info < 0.05
+
+
+def _bler_per_call(sinr_db: float, mcs_index: int, steepness: float = 1.2) -> float:
+    """BLER with the required SINR worked out on every call, as the
+    table in ``repro.ran.link`` replaced."""
+    eff = mcs_spectral_efficiency(mcs_index)
+    required = 10 * math.log10((2 ** eff - 1.0)) + 3.0
+    margin = sinr_db - required
+    bler = 1.0 / (1.0 + math.exp(steepness * margin + 2.2))
+    return float(min(max(bler, 0.0), 0.95))
+
+
+class TestBler:
+    def test_required_sinr_table_matches_expression(self):
+        from repro.ran.link import _REQUIRED_SINR_DB
+
+        assert len(_REQUIRED_SINR_DB) == MAX_MCS_INDEX + 1
+        for mcs, required in enumerate(_REQUIRED_SINR_DB):
+            eff = mcs_spectral_efficiency(mcs)
+            assert required == 10 * math.log10((2 ** eff - 1.0)) + 3.0  # lint: bit-identical
+
+    def test_bler_matches_per_call_expression(self):
+        for mcs in range(MAX_MCS_INDEX + 1):
+            for sinr in np.linspace(-40.0, 60.0, 401).tolist():
+                for steepness in (0.5, 1.2):
+                    assert bler_from_sinr(sinr, mcs, steepness) == _bler_per_call(sinr, mcs, steepness)  # lint: bit-identical
+
+    @pytest.mark.parametrize("mcs", [-1, MAX_MCS_INDEX + 1])
+    def test_out_of_range_mcs_raises(self, mcs):
+        with pytest.raises(ValueError, match="MCS index"):
+            bler_from_sinr(10.0, mcs)
 
 
 class TestThroughput:
