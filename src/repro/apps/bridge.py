@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.predictors import Predictor
-from ..core.prism5g import pack_inputs  # noqa: F401  (re-exported convenience)
 from ..data.datasets import MLDataset
 from ..data.windowing import WindowedDataset, window_trace
 from ..ran.traces import Trace

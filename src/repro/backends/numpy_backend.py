@@ -23,7 +23,7 @@ batch.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,31 +41,50 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
 
 
-def _lstm_gates(gate_view: np.ndarray, step_act: np.ndarray, floor: np.ndarray) -> None:
-    """LSTM gate activations of one step into ``step_act[:4]``.
+def _gate_views(gate_view: np.ndarray, step_act: np.ndarray, floor: np.ndarray, one: np.ndarray) -> tuple:
+    """The views :func:`_lstm_gates` reads and writes for one step block.
 
-    ``gate_view`` is the ``(4, B, H)`` gate-major view of the packed
-    ``(B, 4H)`` pre-activations, in the cell's ``[i, f, g, o]`` order;
-    ``step_act`` is one step's ``(5, B, H)`` block laid out ``[i, f, o,
-    g, tanh_c]``, so the three sigmoid gates are one contiguous ``(3, B,
-    H)`` block; ``floor`` is a ``(3, B, H)`` block of -60.0 (numpy's
-    ``maximum`` runs ~4x faster against an array than against a scalar).
-    The clamp reads the gates through the view; one clamp, negate, exp,
-    +1, divide chain then runs over the whole block and gives the values
-    of :func:`sigmoid` bit for bit: its upper clamp is dropped because
-    for x >= 60 ``1 + exp(-x)`` already rounds to 1.0 (beyond ~745
-    ``exp`` underflows to 0, silently under numpy's default error
-    state), and ``1.0 / s`` is the division ``np.reciprocal`` does.
-    ``tanh`` fills g.
+    ``gate_view`` is the ``(4, ·, H)`` gate-major block of pre-activations,
+    in the cell's ``[i, f, g, o]`` order; ``step_act`` is one step's ``(5,
+    ·, H)`` block laid out ``[i, f, o, g, tanh_c]``, so the three sigmoid
+    gates are one contiguous ``(3, ·, H)`` block; ``floor`` and ``one`` are
+    ``(3, ·, H)`` blocks of -60.0 and 1.0 (``maximum``, ``add`` and
+    ``divide`` dispatch faster against an array than against a scalar).
+    The step loops build these once per block rather than once per step.
     """
     sig = step_act[:3]
-    np.maximum(gate_view[:2], floor[:2], out=sig[:2])
-    np.maximum(gate_view[3], floor[2], out=sig[2])
+    return (gate_view[:2], floor[:2], sig[:2], gate_view[3], floor[2], sig[2], sig, one, gate_view[2], step_act[3])
+
+
+def _lstm_gates(
+    if_pre: np.ndarray,
+    if_floor: np.ndarray,
+    if_out: np.ndarray,
+    o_pre: np.ndarray,
+    o_floor: np.ndarray,
+    o_out: np.ndarray,
+    sig: np.ndarray,
+    one: np.ndarray,
+    g_pre: np.ndarray,
+    g_out: np.ndarray,
+) -> None:
+    """LSTM gate activations of one step, over :func:`_gate_views`' views.
+
+    The clamp reads i/f and o from the pre-activations into the sigmoid
+    block; one negate, exp, +1, divide chain then runs over the whole
+    block and gives the values of :func:`sigmoid` bit for bit: its upper
+    clamp is dropped because for x >= 60 ``1 + exp(-x)`` already rounds
+    to 1.0 (beyond ~745 ``exp`` underflows to 0, silently under numpy's
+    default error state), and ``1.0 / s`` is the division
+    ``np.reciprocal`` does.  ``tanh`` fills g.
+    """
+    np.maximum(if_pre, if_floor, out=if_out)
+    np.maximum(o_pre, o_floor, out=o_out)
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
-    np.add(sig, 1.0, out=sig)
-    np.divide(1.0, sig, out=sig)
-    np.tanh(gate_view[2], out=step_act[3])
+    np.add(sig, one, out=sig)
+    np.divide(one, sig, out=sig)
+    np.tanh(g_pre, out=g_out)
 
 
 def _weight_grad(inp: np.ndarray, g: np.ndarray, weight_shape: Tuple[int, ...]) -> np.ndarray:
@@ -116,94 +135,185 @@ def affine_backward(
 
 
 # ----------------------------------------------------------------------
-# fused LSTM over a whole (B, T, F) sequence
+# fused LSTM stack over a whole (B, T, F) sequence
 # ----------------------------------------------------------------------
 def lstm_seq_forward(
     x: np.ndarray,
-    h0: np.ndarray,
-    c0: np.ndarray,
-    weight_ih: np.ndarray,
-    weight_hh: np.ndarray,
-    bias: np.ndarray,
+    h0: Sequence[np.ndarray],
+    c0: Sequence[np.ndarray],
+    weight_ih: Sequence[np.ndarray],
+    weight_hh: Sequence[np.ndarray],
+    bias: Sequence[np.ndarray],
     requires: bool,
-) -> Tuple[np.ndarray, np.ndarray, Dict]:
-    """Returns ``(outputs (B,T,H), c_T, saved)``.
+) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...], Tuple[Dict, ...]]:
+    """A stack of LSTM layers; ``h0`` .. ``bias`` hold one array per layer.
 
-    Hoisted input projection (one flat GEMM over all ``(t, b)`` rows),
-    time-major in-place step loop — the exact operation order of the
-    op-by-op cell, so forward values are bit-identical to the oracle.
+    Returns ``(outputs, c_T, saved)``, one entry per layer: its ``(B, T,
+    H)`` outputs (the top layer's a contiguous array, the others views),
+    its final cell state, and the ``saved`` dict its
+    :func:`lstm_seq_backward` call reads.
+
+    The stack runs as a layer wavefront: at wavefront step ``s`` layer
+    ``l`` advances time ``s - l``, so every layer active at a step takes
+    its input from the step before.  Layer 0's input projection is
+    hoisted into one flat GEMM over all ``(t, b)`` rows; the recurrent
+    GEMM and each upper layer's input GEMM run per layer at ``B`` rows,
+    and the two bias adds, the gate chain and the cell update run once
+    over the active layers' contiguous ``(L, B, ·)`` block.  Per-step
+    arithmetic is the op-by-op cell's, in its order, so outputs, states
+    and every ``saved`` view are the bits a per-layer run gives: BLAS
+    computes the rows of a GEMM with two or more rows the same at any
+    row count, so an upper layer's ``B``-row input GEMM matches the
+    ``(T·B)``-row one a per-layer run hoists.  At one row numpy's matmul
+    takes GEMV, which rounds otherwise; a one-row stack over several
+    steps therefore runs its layers one after another.
     """
     batch, time, features = x.shape
-    hidden = weight_hh.shape[0]
-    # hoisted input projection: one flat GEMM over all (t, b) rows (a
-    # 3-D matmul would dispatch B tiny GEMMs), laid out time-major so
-    # each step reads a contiguous (B, 4H) block
+    layers = len(weight_ih)
+    if batch == 1 and time > 1 and layers > 1:
+        outputs: Tuple[np.ndarray, ...] = ()
+        c_T: Tuple[np.ndarray, ...] = ()
+        saved: Tuple[Dict, ...] = ()
+        inp = x
+        for layer in range(layers):
+            one = slice(layer, layer + 1)
+            out, c, s = lstm_seq_forward(
+                inp, h0[one], c0[one], weight_ih[one], weight_hh[one], bias[one], requires
+            )
+            outputs, c_T, saved, inp = outputs + out, c_T + c, saved + s, out[0]
+        return outputs, c_T, saved
+    hidden = weight_hh[0].shape[0]
+    steps = time + layers - 1
+    dtype = np.result_type(x.dtype, weight_ih[0].dtype, h0[0].dtype, bias[0].dtype)
     x_tm = np.empty((time, batch, features), dtype=x.dtype)
     np.copyto(x_tm, x.transpose(1, 0, 2))
-    dtype = np.result_type(x.dtype, weight_ih.dtype, h0.dtype, bias.dtype)
-    gx = np.empty((time * batch, 4 * hidden), dtype=dtype)
-    np.matmul(x_tm.reshape(time * batch, -1), weight_ih, out=gx)
-    gx = gx.reshape(time, batch, -1)
-    # Scratch is laid out time-major so every per-step write lands in one
-    # contiguous (B, ·) block, and every elementwise op below runs in
-    # place (out=) with the exact operation order of the op-by-op cell —
-    # same bits, no temporaries.  Activations are stored gate-major
-    # (step, [i, f, o, g, tanh_c], B, H) so each gate is a contiguous
-    # (B, H) block and the three sigmoid gates one (3, B, H) block that
-    # _lstm_gates activates in a single ufunc chain: strided column views
-    # of a packed (B, 5H) row defeat the SIMD ufunc loops (measured ~2.7x
-    # slower sigmoid).
-    out_tm = np.empty((time, batch, hidden), dtype=dtype)
-    gates = np.empty((batch, 4 * hidden), dtype=dtype)
-    gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
-    ig = np.empty((batch, hidden), dtype=dtype)
-    c_pair = np.empty((2, batch, hidden), dtype=dtype)
-    # materialized bias rows: the broadcast add of a (4H,) row measures
-    # ~2x a same-shape add, and the loop pays it every step
-    bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
-    bias_rows[:] = bias
-    floor = np.full((3, batch, hidden), -60.0, dtype=dtype)
-    if requires:
-        act = np.empty((time, 5, batch, hidden), dtype=dtype)
-        c_hist = np.empty((time, batch, hidden), dtype=dtype)  # c entering step t
-    else:
-        act = c_hist = None
-        step_act = np.empty((5, batch, hidden), dtype=dtype)
-    h = h0
-    c = c0
-    for t in range(time):
-        np.matmul(h, weight_hh, out=gates)
-        np.add(gx[t], gates, out=gates)
-        np.add(gates, bias_rows, out=gates)
+    # gx[t]: layer 0's input projection at time t, one flat GEMM over
+    # all (t, b) rows (a 3-D matmul would dispatch B tiny GEMMs).  Upper
+    # layer l's projection at step s lands in slot s - l, which layer 0
+    # read l steps before and layer l - 1 the step before, so a step's
+    # active layers read one view of the slots with a layer stride of
+    # minus one slot, and one add covers them
+    gx = np.empty((time, batch, 4 * hidden), dtype=dtype)
+    np.matmul(x_tm.reshape(time * batch, -1), weight_ih[0], out=gx.reshape(time * batch, -1))
+    # Stacked histories, time-major so every per-step write lands in one
+    # contiguous (L, B, ·) block: hs[s, l] and cs[s, l] are layer l's h
+    # and c entering step s, so layer l's run sits at rows l .. l + T.
+    # Activations are gate-major (step, [i, f, o, g, tanh_c], L, B, H):
+    # each gate is a contiguous block and the three sigmoid gates one
+    # block that _lstm_gates activates in a single ufunc chain (strided
+    # column views of a packed (B, 5H) row defeat the SIMD ufunc loops,
+    # measured ~2.7x slower sigmoid).
+    hs = np.empty((steps + 1, layers, batch, hidden), dtype=dtype)
+    # without a backward to read it, c needs only a ping-pong pair
+    cs = np.empty((steps + 1 if requires else 2, layers, batch, hidden), dtype=dtype)
+    c_at = range(steps + 1) if requires else [s & 1 for s in range(steps + 1)]
+    # The first bias add writes the pre-activations gate-major, [i, f,
+    # g, o] by (L, B, H) block, so the gate chain reads contiguous
+    # blocks (strided (B, 4H) column views cost it ~3x per call).  The
+    # bias blocks are materialized: the broadcast add of a (4H,) row
+    # measures ~2x a same-shape add, and the loop pays it every step.
+    gates = np.empty((layers, batch, 4 * hidden), dtype=dtype)
+    pre = np.empty((4, layers, batch, hidden), dtype=dtype)
+    bias_gm = np.empty((4, layers, batch, hidden), dtype=dtype)
+    for layer in range(layers):
+        hs[layer, layer] = h0[layer]
+        cs[c_at[layer], layer] = c0[layer]
+        bias_gm[:, layer] = bias[layer].reshape(4, 1, hidden)
+    gates_packed, pre_packed = gates.reshape(layers, batch, 4, hidden), pre.transpose(1, 2, 0, 3)
+    gx_gates = gx.reshape(time, batch, 4, hidden)
+    ig = np.empty((layers, batch, hidden), dtype=dtype)
+    floor = np.full((3, layers, batch, hidden), -60.0, dtype=dtype)
+    one = np.ones((3, layers, batch, hidden), dtype=dtype)
+    act = np.empty((steps if requires else 1, 5, layers, batch, hidden), dtype=dtype)
+    # The recurrent GEMMs of a step, and the upper layers' input GEMMs,
+    # each run as one 3-D matmul over the active layers: numpy issues
+    # one BLAS call per layer, the call a 2-D matmul would make.
+    w_hh = np.empty((layers, hidden, 4 * hidden), dtype=weight_hh[0].dtype)
+    w_ih = np.empty((layers - 1, hidden, 4 * hidden), dtype=weight_hh[0].dtype)
+    for layer in range(layers):
+        w_hh[layer] = weight_hh[layer]
+        if layer:
+            w_ih[layer - 1] = weight_ih[layer]
+    # Every view the step loop reads, built before it.  The wavefront
+    # fills and drains through L - 1 partial layer ranges; the views of
+    # a range (and, with no history kept, of its activations) are shared
+    # by all of its steps.
+
+    def act_views(index: int, rows: slice) -> tuple:
+        step_act = act[index][:, rows]
+        return (_gate_views(pre[:, rows], step_act, floor[:, rows], one[:, rows]), *step_act)
+
+    ranges: Dict[Tuple[int, int], tuple] = {}
+    plan = []
+    for s in range(steps):
+        lo, hi = max(0, s - time + 1), min(s + 1, layers)
+        rows, up = slice(lo, hi), max(lo, 1)
+        block = ranges.get((lo, hi))
+        if block is None:
+            block = ranges[lo, hi] = (
+                w_hh[rows],
+                None if up >= hi else w_ih[up - 1 : hi - 1],
+                gates[rows],
+                gates_packed[rows],
+                pre_packed[rows],
+                pre[:, rows],
+                bias_gm[:, rows],
+                ig[rows],
+                None if requires else act_views(0, rows),
+            )
+        h_in = hs[s]
+        plan.append((
+            h_in[rows],
+            h_in[up - 1 : hi - 1],
+            gx[s - hi + 1 : s - up + 1][::-1],
+            gx_gates[s - hi + 1 : s - lo + 1][::-1],
+            block,
+            act_views(s, rows) if requires else block[-1],
+            cs[c_at[s], rows],
+            cs[c_at[s + 1], rows],
+            hs[s + 1, rows],
+        ))
+    for h_rec, h_up, g_up, g_x, block, step_act, c_in, c_out, h_out in plan:
+        w_rec, w_up, g, g_packed, p_packed, p, b_gm, ig_rows, _ = block
+        np.matmul(h_rec, w_rec, out=g)
+        if w_up is not None:
+            np.matmul(h_up, w_up, out=g_up)
+        np.add(g_x, g_packed, out=p_packed)
+        np.add(p, b_gm, out=p)
+        gate_views, i, f, o, g_in, tanh_c = step_act
+        _lstm_gates(*gate_views)
+        np.multiply(f, c_in, out=c_out)
+        np.multiply(i, g_in, out=ig_rows)
+        np.add(c_out, ig_rows, out=c_out)  # f*c + i*g, same order as the cell
+        np.tanh(c_out, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_out)
+    outputs = ()
+    c_T = ()
+    saved = ()
+    for layer in range(layers):
+        out_tm = hs[layer + 1 : layer + 1 + time, layer]
+        # batch-major: the top layer's is a copy, the others views
+        out_bm = out_tm.transpose(1, 0, 2)
+        outputs += (np.ascontiguousarray(out_bm) if layer == layers - 1 else out_bm,)
+        # a copy once c lives in the ping-pong pair
+        c_T += (cs[layer + time, layer] if requires else cs[c_at[layer + time], layer].copy(),)
         if requires:
-            step_act = act[t]
-            c_hist[t] = c
-        _lstm_gates(gate_view, step_act, floor)
-        i, f, o, g_in, tanh_c = step_act
-        c_new = c_pair[t & 1]
-        np.multiply(f, c, out=c_new)
-        np.multiply(i, g_in, out=ig)
-        np.add(c_new, ig, out=c_new)  # f*c + i*g, same order as the cell
-        np.tanh(c_new, out=tanh_c)
-        c = c_new
-        h = out_tm[t]
-        np.multiply(o, tanh_c, out=h)
-    # batch-major outputs: a copy, or at B == 1 or T == 1 a view of out_tm
-    outputs = np.ascontiguousarray(out_tm.transpose(1, 0, 2))
-    c = c.copy()  # detach the final state from the ping-pong scratch
-    saved = {
-        "x_tm": x_tm,
-        "out_tm": out_tm,
-        "act": act,
-        "c_hist": c_hist,
-        "dtype": dtype,
-        "dims": (batch, time, hidden),
-    }
-    return outputs, c, saved
+            saved += (
+                {
+                    "x_tm": x_tm if layer == 0 else hs[layer : layer + time, layer - 1],
+                    "out_tm": out_tm,
+                    "act": act[layer : layer + time, :, layer],
+                    "c_hist": cs[layer : layer + time, layer],  # c entering step t
+                    "dtype": dtype,
+                    "dims": (batch, time, hidden),
+                },
+            )
+    return outputs, c_T, saved
 
 
 def lstm_seq_backward(
     g_out_bm: np.ndarray,
+    dh_T: Optional[np.ndarray],
     dc_T: Optional[np.ndarray],
     saved: Dict,
     x: np.ndarray,
@@ -220,6 +330,10 @@ def lstm_seq_backward(
     # of the incoming grad and writes of the gate grads
     g_out = np.empty((time, batch, hidden), dtype=g_out_bm.dtype)
     np.copyto(g_out, g_out_bm.transpose(1, 0, 2))
+    if dh_T is not None:
+        # the final hidden state's own gradient, where a slice of the
+        # outputs would have added it
+        np.add(g_out[-1], dh_T, out=g_out[-1])
     dc = dc_T
     if dc is None:
         dc = np.zeros((batch, hidden), dtype=dtype)
@@ -419,81 +533,88 @@ def lstm_decoder_forward(
     batch = h0.shape[0]
     hidden = weight_hh.shape[0]
     out_features = weight_out.shape[1]
-    chunk_rows = batch // out_chunks
     dtype = np.result_type(y0.dtype, h0.dtype, bias.dtype)
-
-    def _project(h_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if out_chunks == 1:
-            np.matmul(h_rows, weight_out, out=out)
-            np.add(out, bias_out, out=out)
-            return out
-        # BLAS dispatches narrow matmuls to a GEMV path whose rounding
-        # depends on the row count; chunked projection keeps each group
-        # at the oracle's row count so the fold stays bit-identical.  The
-        # bias add is elementwise, so one add over every row is the same
-        for j in range(out_chunks):
-            rows = slice(j * chunk_rows, (j + 1) * chunk_rows)
-            np.matmul(h_rows[rows], weight_out, out=out[rows])
-        np.add(out, bias_out, out=out)
-        return out
-
-    outputs = np.empty((batch, horizon, out_features), dtype=dtype)
     # Time-major scratch + in-place elementwise ops, mirroring
     # lstm_seq_forward: same FP operation order as the op-by-op cell, so
     # forward values stay bit-identical while the step loop allocates
-    # nothing.  Input and hidden histories are rebuilt in the backward
-    # from ``y0``/``outputs`` and ``h0``/``h_tm``.
+    # nothing.  The head projects straight into the time-major outputs,
+    # whose step t is step t + 1's input.  Input and hidden histories
+    # are rebuilt in the backward from ``y0``/``out_tm`` and ``h0``/``h_tm``.
+    out_tm = np.empty((horizon, batch, out_features), dtype=dtype)
+    # gate-major pre-activations and materialized bias blocks, see
+    # lstm_seq_forward
     gates = np.empty((batch, 4 * hidden), dtype=dtype)
-    gate_view = gates.reshape(batch, 4, hidden).transpose(1, 0, 2)
     hh = np.empty((batch, 4 * hidden), dtype=dtype)
-    bias_rows = np.empty((batch, 4 * hidden), dtype=dtype)
-    bias_rows[:] = bias
+    pre = np.empty((4, batch, hidden), dtype=dtype)
+    bias_gm = np.empty((4, batch, hidden), dtype=dtype)
+    bias_gm[:] = bias.reshape(4, 1, hidden)
+    gates_packed, hh_packed = gates.reshape(batch, 4, hidden), hh.reshape(batch, 4, hidden)
+    pre_packed = pre.transpose(1, 0, 2)
     floor = np.full((3, batch, hidden), -60.0, dtype=dtype)
+    one = np.ones((3, batch, hidden), dtype=dtype)
     ig = np.empty((batch, hidden), dtype=dtype)
-    c_pair = np.empty((2, batch, hidden), dtype=dtype)
-    y_step = np.empty((batch, out_features), dtype=dtype)
-    if requires:
-        # gate-major (step, [i, f, o, g, tanh_c], B, H): contiguous
-        # blocks, see lstm_seq_forward
-        act = np.empty((horizon, 5, batch, hidden), dtype=dtype)
-        c_hist = np.empty((horizon, batch, hidden), dtype=dtype)  # c entering step t
-        h_tm = np.empty((horizon, batch, hidden), dtype=dtype)  # h leaving step t
-    else:
-        act = c_hist = None
-        step_act = np.empty((5, batch, hidden), dtype=dtype)
-        h_tm = np.empty((2, batch, hidden), dtype=dtype)
-    h = h0
-    c = c0
-    y = y0
+    # gate-major (step, [i, f, o, g, tanh_c], B, H): contiguous blocks,
+    # see lstm_seq_forward.  c entering step t (step t's c_hist row) and
+    # h leaving it: whole histories when the backward reads them, else
+    # ping-pong pairs
+    act = np.empty((horizon if requires else 1, 5, batch, hidden), dtype=dtype)
+    cs = np.empty((horizon + 1 if requires else 2, batch, hidden), dtype=dtype)
+    c_at = range(horizon + 1) if requires else [t & 1 for t in range(horizon + 1)]
+    cs[0] = c0
+    h_tm = np.empty((horizon if requires else 2, batch, hidden), dtype=dtype)
+    h_at = range(horizon) if requires else [t & 1 for t in range(horizon)]
+    # BLAS dispatches narrow matmuls to a GEMV path whose rounding
+    # depends on the row count, so the head projects each of the
+    # ``out_chunks`` row groups at the oracle's row count: one 3-D matmul,
+    # for which numpy issues the per-group BLAS call a loop over the
+    # groups would.  The bias add is elementwise, so one add covers
+    # every row.
+    chunked = (out_chunks, batch // out_chunks)
+    # every per-step view, built once before the loop
+    shared_views = _gate_views(pre, act[0], floor, one)
+    plan = []
     for t in range(horizon):
-        np.matmul(y, weight_ih, out=gates)
-        np.matmul(h, weight_hh, out=hh)
-        np.add(gates, hh, out=gates)
-        np.add(gates, bias_rows, out=gates)
-        if requires:
-            step_act = act[t]
-            c_hist[t] = c
-        _lstm_gates(gate_view, step_act, floor)
-        i, f, o, g_in, tanh_c = step_act
-        c_new = c_pair[t & 1]
-        np.multiply(f, c, out=c_new)
+        h = h_tm[h_at[t]]
+        y = out_tm[t]
+        if out_chunks > 1:
+            h_rows, y_rows = h.reshape(*chunked, hidden), y.reshape(*chunked, out_features)
+        else:
+            h_rows, y_rows = h, y
+        step_act = act[t if requires else 0]
+        plan.append((
+            y0 if t == 0 else out_tm[t - 1],
+            h0 if t == 0 else h_tm[h_at[t - 1]],
+            cs[c_at[t]],
+            cs[c_at[t + 1]],
+            _gate_views(pre, step_act, floor, one) if requires else shared_views,
+            *step_act,
+            h,
+            h_rows,
+            y,
+            y_rows,
+        ))
+    for y_in, h_in, c_in, c_new, gate_views, i, f, o, g_in, tanh_c, h, h_rows, y, y_rows in plan:
+        np.matmul(y_in, weight_ih, out=gates)
+        np.matmul(h_in, weight_hh, out=hh)
+        np.add(gates_packed, hh_packed, out=pre_packed)
+        np.add(pre, bias_gm, out=pre)
+        _lstm_gates(*gate_views)
+        np.multiply(f, c_in, out=c_new)
         np.multiply(i, g_in, out=ig)
         np.add(c_new, ig, out=c_new)  # f*c + i*g, same order as the cell
         np.tanh(c_new, out=tanh_c)
-        h = h_tm[t] if requires else h_tm[t & 1]
         np.multiply(o, tanh_c, out=h)
-        c = c_new
-        y = _project(h, y_step)
-        outputs[:, t] = y
+        np.matmul(h_rows, weight_out, out=y_rows)
+        np.add(y, bias_out, out=y)
     saved = {
-        "act": act,
-        "c_hist": c_hist,
+        "act": act if requires else None,
+        "c_hist": cs[:horizon] if requires else None,
         "h_tm": h_tm,
-        "outputs": outputs,
+        "out_tm": out_tm,
         "dtype": dtype,
         "dims": (batch, horizon, hidden, out_features),
     }
-    return outputs, saved
+    return np.ascontiguousarray(out_tm.transpose(1, 0, 2)), saved
 
 
 def lstm_decoder_backward(
@@ -509,7 +630,6 @@ def lstm_decoder_backward(
     batch, horizon, hidden, out_features = saved["dims"]
     dtype = saved["dtype"]
     act, c_hist, h_tm = saved["act"], saved["c_hist"], saved["h_tm"]
-    outputs = saved["outputs"]
     dy_feedback = np.zeros((batch, out_features), dtype=dtype)
     dh_carry = np.zeros((batch, hidden), dtype=dtype)
     dc = np.zeros((batch, hidden), dtype=dtype)
@@ -570,7 +690,7 @@ def lstm_decoder_backward(
         # input entering step t: y0 at t=0, the step-(t-1) prediction after
         inp_tm = np.empty((horizon, batch, out_features), dtype=dtype)
         inp_tm[0] = y0
-        inp_tm[1:] = outputs.transpose(1, 0, 2)[:-1]
+        inp_tm[1:] = saved["out_tm"][:-1]
         grads["weight_ih"] = inp_tm.reshape(horizon * batch, out_features).T @ flat_g
     if needs["weight_hh"]:
         h_prev = np.empty((horizon, batch, hidden), dtype=dtype)

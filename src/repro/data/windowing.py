@@ -55,10 +55,6 @@ class WindowedDataset:
         return self.x.shape[2]
 
     @property
-    def history_len(self) -> int:
-        return self.x.shape[1]
-
-    @property
     def horizon(self) -> int:
         return self.y.shape[1]
 

@@ -26,7 +26,7 @@ allowed here — array math belongs in the backend (opt-out:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,81 +111,121 @@ def affine(
 
 def lstm_seq(
     x: Tensor,
-    h0: Tensor,
-    c0: Tensor,
-    weight_ih: Tensor,
-    weight_hh: Tensor,
-    bias: Tensor,
-) -> Tuple[Tensor, Tensor, Tensor]:
-    """Fused single-layer LSTM over a whole ``(B, T, F)`` sequence.
+    h0: Sequence[Tensor],
+    c0: Sequence[Tensor],
+    weight_ih: Sequence[Tensor],
+    weight_hh: Sequence[Tensor],
+    bias: Sequence[Tensor],
+) -> Tuple[Tensor, Tuple[Tensor, ...], Tuple[Tensor, ...]]:
+    """Fused LSTM stack over a whole ``(B, T, F)`` sequence.
 
-    One graph node for the entire layer (plus a slice node for the
-    final hidden state): the input projection ``x @ W_ih`` is hoisted
-    out of the time loop as one batched matmul, and the backward is a
-    hand-written BPTT sweep whose weight gradients collapse into single
-    ``(B*T, ·)`` matmuls.  Per-step arithmetic matches the op-by-op
-    :class:`~repro.nn.modules.LSTMCell` exactly (same expression
-    order), so forward values are bit-identical to the cell loop.
+    ``h0``, ``c0``, ``weight_ih``, ``weight_hh`` and ``bias`` hold one
+    tensor per layer, bottom first.  The whole stack is one graph node:
+    the backend runs its layers as one wavefront with the input
+    projection ``x @ W_ih`` hoisted out of the time loop, and the
+    backward is a hand-written BPTT sweep per layer, top down, each
+    layer's input gradient seeding the layer below, with weight
+    gradients collapsed into single ``(B*T, ·)`` matmuls.  Per-step
+    arithmetic matches the op-by-op :class:`~repro.nn.modules.LSTMCell`
+    exactly (same expression order), so forward values are
+    bit-identical to the cell loop.
 
-    Returns ``(outputs, h_T, c_T)`` with outputs ``(B, T, H)``.
+    Returns ``(outputs, h_T, c_T)``: the top layer's outputs ``(B, T,
+    H)`` and one final hidden and cell state per layer.
     """
     if obs.metrics_enabled():
         obs.counter("kernel.lstm_seq")
-    x, h0, c0 = _as_tensor(x), _as_tensor(h0), _as_tensor(c0)
-    parents = (x, h0, c0, weight_ih, weight_hh, bias)
+    x = _as_tensor(x)
+    h0 = tuple(_as_tensor(h) for h in h0)
+    c0 = tuple(_as_tensor(c) for c in c0)
+    weight_ih, weight_hh, bias = tuple(weight_ih), tuple(weight_hh), tuple(bias)
+    layers = len(weight_ih)
+    parents = (x,) + h0 + c0 + weight_ih + weight_hh + bias
     requires = _tensor.is_grad_enabled() and any(t.requires_grad for t in parents)
     be = backends.active()
-    outputs, c, saved = be.lstm_seq_forward(
-        x.data, h0.data, c0.data, weight_ih.data, weight_hh.data, bias.data, requires
+    outputs, c_T, saved = be.lstm_seq_forward(
+        x.data,
+        tuple(h.data for h in h0),
+        tuple(c.data for c in c0),
+        tuple(w.data for w in weight_ih),
+        tuple(w.data for w in weight_hh),
+        tuple(b.data for b in bias),
+        requires,
     )
-
-    out_t = Tensor(outputs, requires_grad=requires, _parents=parents if requires else ())
-    c_t = Tensor(c, requires_grad=requires, _parents=(out_t,) if requires else ())
     if not requires:
-        return out_t, out_t[:, -1, :], c_t
-
-    shared: dict = {}
-
-    def _c_backward(g: np.ndarray) -> None:
-        shared["dc_T"] = g.copy()
-        # make sure the sequence node's backward fires even when only
-        # the cell state flows into the loss
-        out_t._accumulate(np.zeros_like(outputs))
-
-    def _backward(g: np.ndarray) -> None:
-        needs = {
-            "x": x.requires_grad,
-            "h0": h0.requires_grad,
-            "c0": c0.requires_grad,
-            "weight_ih": weight_ih.requires_grad,
-            "weight_hh": weight_hh.requires_grad,
-            "bias": bias.requires_grad,
-        }
-        grads = be.lstm_seq_backward(
-            g,
-            shared.pop("dc_T", None),
-            saved,
-            x.data,
-            h0.data,
-            weight_ih.data,
-            weight_hh.data,
-            needs,
-        )
-        _accumulate_from(
-            grads,
-            (
-                (h0, "h0"),
-                (c0, "c0"),
-                (x, "x"),
-                (weight_ih, "weight_ih"),
-                (weight_hh, "weight_hh"),
-                (bias, "bias"),
-            ),
+        return (
+            Tensor(outputs[-1]),
+            tuple(Tensor(out[:, -1, :]) for out in outputs),
+            tuple(Tensor(c) for c in c_T),
         )
 
-    out_t._backward = _backward
-    c_t._backward = _c_backward
-    return out_t, out_t[:, -1, :], c_t
+    # The stack's graph node.  The outputs and final states hand it
+    # their gradients by key; its backward starts at the highest layer
+    # any of them reaches, as a per-layer graph would.
+    stack = Tensor(np.zeros(()), requires_grad=True, _parents=parents)
+    seeds: dict = {}
+    # whether any input of layers below l needs a gradient: only then
+    # does layer l pass one down
+    below = [x.requires_grad]
+    for layer in range(layers - 1):
+        below.append(below[-1] or any(
+            t.requires_grad for t in (h0[layer], c0[layer], weight_ih[layer], weight_hh[layer], bias[layer])
+        ))
+
+    def _seeded(value: np.ndarray, key: tuple, copy: bool = False) -> Tensor:
+        def _backward(g: np.ndarray) -> None:
+            # the backward accumulates into dc_T in place
+            seeds[key] = g.copy() if copy else g
+            stack._accumulate(np.zeros(()))
+
+        out = Tensor(value, requires_grad=True, _parents=(stack,))
+        out._backward = _backward
+        return out
+
+    def _backward(_: np.ndarray) -> None:
+        g = seeds.pop(("out", layers - 1), None)
+        top = layers - 1 if g is not None else max(layer for _, layer in seeds)
+        for layer in range(top, -1, -1):
+            needs = {
+                "x": below[layer],
+                "h0": h0[layer].requires_grad,
+                "c0": c0[layer].requires_grad,
+                "weight_ih": weight_ih[layer].requires_grad,
+                "weight_hh": weight_hh[layer].requires_grad,
+                "bias": bias[layer].requires_grad,
+            }
+            grads = be.lstm_seq_backward(
+                np.zeros_like(outputs[layer]) if g is None else g,
+                seeds.pop(("h", layer), None),
+                seeds.pop(("c", layer), None),
+                saved[layer],
+                outputs[layer - 1] if layer else x.data,
+                h0[layer].data,
+                weight_ih[layer].data,
+                weight_hh[layer].data,
+                needs,
+            )
+            _accumulate_from(
+                grads,
+                (
+                    (h0[layer], "h0"),
+                    (c0[layer], "c0"),
+                    (weight_ih[layer], "weight_ih"),
+                    (weight_hh[layer], "weight_hh"),
+                    (bias[layer], "bias"),
+                ),
+            )
+            if not needs["x"]:
+                return
+            g = grads["x"]  # time-major underneath: the layer below copies it back cheaply
+        x._accumulate(g)
+
+    stack._backward = _backward
+    return (
+        _seeded(outputs[-1], ("out", layers - 1)),
+        tuple(_seeded(out[:, -1, :], ("h", layer)) for layer, out in enumerate(outputs)),
+        tuple(_seeded(c, ("c", layer), copy=True) for layer, c in enumerate(c_T)),
+    )
 
 
 def gru_seq(

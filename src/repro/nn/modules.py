@@ -216,15 +216,16 @@ class LSTM(Module):
                 (Tensor(np.zeros((batch, self.hidden_size))), Tensor(np.zeros((batch, self.hidden_size))))
                 for _ in range(self.num_layers)
             ]
-        else:
-            state = list(state)  # never mutate the caller's list
-        # one fused graph node per layer covering the whole sequence
-        out = x
-        for layer, cell in enumerate(self.cells):
-            h0, c0 = state[layer]
-            out, h_t, c_t = lstm_seq(out, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias)
-            state[layer] = (h_t, c_t)
-        return out, state
+        # one fused graph node for the whole stack and sequence
+        out, h_t, c_t = lstm_seq(
+            x,
+            [h for h, _ in state],
+            [c for _, c in state],
+            [cell.weight_ih for cell in self.cells],
+            [cell.weight_hh for cell in self.cells],
+            [cell.bias for cell in self.cells],
+        )
+        return out, list(zip(h_t, c_t))
 
 
 class GRUCell(Module):

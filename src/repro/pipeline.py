@@ -48,6 +48,7 @@ CLI entry point::
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import re
 import time
@@ -510,6 +511,9 @@ class EvaluateStage(Stage):
         # Predictor.evaluate is the one definition of the paper metric
         # (RMSE over the full horizon, nn.losses.rmse)
         rmse = {name: ctx.predictors[name].evaluate(test) for name in config.predictors}
+        broken = [name for name, value in rmse.items() if not math.isfinite(value)]
+        if broken:
+            raise RuntimeError(f"non-finite test RMSE from {', '.join(broken)}: {rmse}")
         ctx.rmse = rmse
         payload = {
             "experiment": config.name,

@@ -72,10 +72,6 @@ class Band:
         return "high"
 
     @property
-    def max_bandwidth_mhz(self) -> float:
-        return max(self.bandwidths_mhz)
-
-    @property
     def default_scs_khz(self) -> int:
         """Preferred SCS as deployed in practice.
 

@@ -112,11 +112,6 @@ class TraceRecord:
         active.sort(key=lambda cc: (not cc.is_pcell,))
         return "+".join(cc.channel_key for cc in active)
 
-    @property
-    def aggregate_bandwidth_mhz(self) -> float:
-        # bandwidth is encoded in the channel key's plan; recomputed upstream.
-        return sum(cc.n_rb for cc in self.ccs if cc.active)
-
 
 #: the fields :meth:`Trace.to_jsonl` writes for each record and CC
 _RECORD_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(TraceRecord))
@@ -157,15 +152,6 @@ class Trace:
     def event_steps(self) -> List[int]:
         """Indices at which any RRC CA event occurred."""
         return [i for i, rec in enumerate(self.records) if rec.events]
-
-    def channel_slots(self) -> List[str]:
-        """Stable per-slot channel keys (union over the trace)."""
-        slots: List[str] = []
-        for rec in self.records:
-            for i, cc in enumerate(rec.ccs):
-                if i >= len(slots):
-                    slots.append(cc.channel_key)
-        return slots
 
     # ------------------------------------------------------------------
     # ML feature extraction

@@ -20,7 +20,7 @@ guarded twin:
   a different dtype than its input, trips the guard at the primitive
   that produced it.
 * **Grad-seed guard** — the incoming gradient arguments of a backward
-  (``g`` / ``g_out`` / ``dc_T``) are checked too, so a NaN
+  (``g`` / ``g_out`` / ``dh_T`` / ``dc_T``) are checked too, so a NaN
   born in the loss is caught at the first backward it enters.
 
 Every wrapped call increments the ``sanitize.checks`` obs counter;
@@ -70,7 +70,7 @@ class SanitizerError(RuntimeError):
 #: without any cross-call state.
 _BACKWARD_ARGS: Dict[str, Tuple[str, ...]] = {
     "affine_backward": ("g", "x", "weight", "h", "weight_h", "needs"),
-    "lstm_seq_backward": ("g_out", "dc_T", "saved", "x", "h0", "weight_ih", "weight_hh", "needs"),
+    "lstm_seq_backward": ("g_out", "dh_T", "dc_T", "saved", "x", "h0", "weight_ih", "weight_hh", "needs"),
     "gru_seq_backward": (
         "g_out",
         "saved",
@@ -95,7 +95,7 @@ _BACKWARD_ARGS: Dict[str, Tuple[str, ...]] = {
 
 #: argument names that carry *incoming* gradients into a backward —
 #: checked for finiteness so loss-born NaNs are caught at entry.
-_GRAD_SEED_ARGS = frozenset({"g", "g_out", "dc_T"})
+_GRAD_SEED_ARGS = frozenset({"g", "g_out", "dh_T", "dc_T"})
 
 #: bound-argument names that are bookkeeping, never gradient targets.
 _NON_TENSOR_ARGS = frozenset({"saved", "needs"})
@@ -116,8 +116,9 @@ def _violation(kind: str, message: str, primitive: str, backend: str) -> Sanitiz
 
 
 def _check_output_finite(result: object, primitive: str, backend: str, label: str) -> None:
-    """Finite-check every ndarray in ``result`` (tuples recursed, dicts
-    skipped — ``saved`` is the backend's opaque scratch for its backward)."""
+    """Finite-check every ndarray in ``result`` (tuples recursed, so a
+    stack's per-layer results are checked; dicts skipped — ``saved`` is
+    the backend's opaque scratch for its backward)."""
     if isinstance(result, np.ndarray):
         if not _all_finite(result):
             raise _violation(

@@ -118,7 +118,12 @@ class DecisionTreeRegressor:
             idx = int(np.argmax(gain))
             if gain[idx] > best_gain + 1e-12:
                 best_gain = gain[idx]
-                best = (int(feature), float((xs[idx] + xs[idx + 1]) / 2.0))
+                # the midpoint of adjacent floats can round up to the
+                # upper value, which would send every sample left
+                threshold = (xs[idx] + xs[idx + 1]) / 2.0
+                if not threshold < xs[idx + 1]:
+                    threshold = xs[idx]
+                best = (int(feature), float(threshold))
         return best
 
     # ------------------------------------------------------------------

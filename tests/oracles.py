@@ -8,6 +8,8 @@ function here is the plain composition those kernels must reproduce:
 * :func:`linear`, :func:`lstm_loop`, :func:`gru_loop` — ``x @ W + b``
   and the per-step loops over the op-by-op :class:`~repro.nn.LSTMCell`
   / :class:`~repro.nn.GRUCell`;
+* :func:`lstm_layers` — an LSTM stack as one single-layer fused kernel
+  call per layer;
 * :func:`decode_loop`, :func:`seq2seq_forward` — the step-by-step
   decoder rollouts of Prism5G and the Lumos5G Seq2Seq;
 * :func:`per_cc_predictions`, :func:`prism5g_loop_forward` — Prism5G
@@ -47,6 +49,7 @@ import numpy as np
 from repro.apps.abr import MPCPlayer
 from repro.core.predictors import _Seq2Seq
 from repro.core.prism5g import Prism5G, unpack_inputs
+from repro.nn.kernels import lstm_seq
 from repro.nn.modules import GRU, LSTM, Linear
 from repro.nn.tensor import Tensor, concat, stack
 from repro.ran.campaign import (
@@ -114,6 +117,28 @@ def lstm_loop(net: LSTM, x: Tensor, state: Optional[List[Tuple[Tensor, Tensor]]]
             inp = h
         outputs.append(inp)
     return stack(outputs, axis=1), state
+
+
+def lstm_layers(net: LSTM, x: Tensor, state: Optional[List[Tuple[Tensor, Tensor]]] = None):
+    """Multi-layer LSTM as one single-layer ``lstm_seq`` stack per layer.
+
+    The per-layer composition the stacked wavefront kernel replaced:
+    each layer's upper input projection is hoisted over all ``(t, b)``
+    rows, and autograd adds each layer's input gradient to the layer
+    below's output gradient.
+    """
+    batch = x.shape[0]
+    if state is None:
+        state = [
+            (Tensor(np.zeros((batch, net.hidden_size))), Tensor(np.zeros((batch, net.hidden_size))))
+            for _ in range(net.num_layers)
+        ]
+    out = x
+    new_state = []
+    for (h0, c0), cell in zip(state, net.cells):
+        out, (h_t,), (c_t,) = lstm_seq(out, [h0], [c0], [cell.weight_ih], [cell.weight_hh], [cell.bias])
+        new_state.append((h_t, c_t))
+    return out, new_state
 
 
 def gru_loop(net: GRU, x: Tensor, state: Optional[List[Tensor]] = None):

@@ -61,11 +61,10 @@ class TestRegistry:
         w_ih = rng.normal(size=(5, 32))
         w_hh = rng.normal(size=(8, 32))
         b = rng.normal(size=32)
-        out_a, _, _ = lstm_seq(Tensor(x), Tensor(h0), Tensor(c0),
-                               Tensor(w_ih), Tensor(w_hh), Tensor(b))
+        args = ([Tensor(h0)], [Tensor(c0)], [Tensor(w_ih)], [Tensor(w_hh)], [Tensor(b)])
+        out_a, _, _ = lstm_seq(Tensor(x), *args)
         with runtime.use(sanitize="1"):
-            out_b, _, _ = lstm_seq(Tensor(x), Tensor(h0), Tensor(c0),
-                                   Tensor(w_ih), Tensor(w_hh), Tensor(b))
+            out_b, _, _ = lstm_seq(Tensor(x), *args)
         assert np.array_equal(out_a.data, out_b.data)
 
 
@@ -86,7 +85,8 @@ class TestLstmGates:
         step_act = np.full((5, 3, hidden), 7.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # exp's underflow stays silent
-            numpy_backend._lstm_gates(gate_view, step_act, np.full((3, 3, hidden), -60.0))
+            floor = np.full((3, 3, hidden), -60.0)
+            numpy_backend._lstm_gates(*numpy_backend._gate_views(gate_view, step_act, floor, np.ones_like(floor)))
         want = [numpy_backend.sigmoid(gate_view[k]) for k in (0, 1, 3)] + [np.tanh(gate_view[2])]
         for got, expected in zip(step_act[:4], want):
             assert np.array_equal(got, expected, equal_nan=True)
@@ -97,6 +97,48 @@ class TestLstmGates:
         assert i_gate[746.0] == i_gate[np.inf] == i_gate[60.0] == 1.0  # lint: bit-identical
         assert i_gate[-746.0] == i_gate[-np.inf] == i_gate[-60.0]  # lint: bit-identical
         assert np.isnan(step_act[0, 0, -1])
+
+
+# ---------------------------------------------------------------------------
+# the BLAS behaviour the fused kernels' bit-identity rests on
+
+
+class TestBlasRows:
+    """numpy's matmul hands a 2-D product of two or more rows to BLAS
+    GEMM, which computes each row the same at any row count: the
+    wavefront's ``B``-row input GEMM of an upper layer gives the rows of
+    the ``(T·B)``-row GEMM a per-layer run hoists.  One row is the
+    exception, documented rather than asserted: numpy takes GEMV, which
+    sums in another order (here every row of a 200-row probe differed),
+    so a one-row stack runs its layers one after another."""
+
+    ROWS = list(range(2, 65)) + [90, 106, 128, 180, 192, 212, 256, 372]
+
+    @pytest.mark.parametrize("hidden", [8, 12, 24, 32])
+    def test_gemm_rows_do_not_depend_on_row_count(self, hidden):
+        rng = np.random.default_rng(hidden)
+        tall = rng.normal(size=(2560, hidden))
+        weight = rng.normal(size=(hidden, 4 * hidden))
+        want = tall @ weight
+        for rows in self.ROWS:
+            got = tall[:rows] @ weight
+            assert np.array_equal(got.view(np.int64), want[:rows].view(np.int64)), rows
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 16, 106, 128])
+    @pytest.mark.parametrize("chunks", [2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 96])
+    def test_3d_matmul_equals_the_per_chunk_loop(self, chunk_rows, chunks, width):
+        # width 1: the decoder's head projection per carrier chunk; 96:
+        # the wavefront's recurrent GEMMs, one weight per layer
+        rng = np.random.default_rng(chunk_rows * chunks + width)
+        h = rng.normal(size=(chunks, chunk_rows, 24))
+        weights = rng.normal(size=(chunks, 24, width))
+        for weight in (weights[0], weights):
+            got = np.empty((chunks, chunk_rows, width))
+            np.matmul(h, weight, out=got)
+            for j in range(chunks):
+                want = h[j] @ (weight if weight.ndim == 2 else weight[j])
+                assert np.array_equal(got[j].view(np.int64), want.view(np.int64)), j
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +190,9 @@ class TestArena:
         # share memory with a later kernel call's
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 5, 4))
-        args = (Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))),
-                Tensor(rng.normal(size=(4, 24))), Tensor(rng.normal(size=(6, 24))),
-                Tensor(rng.normal(size=24)))
+        args = ([Tensor(np.zeros((3, 6)))], [Tensor(np.zeros((3, 6)))],
+                [Tensor(rng.normal(size=(4, 24)))], [Tensor(rng.normal(size=(6, 24)))],
+                [Tensor(rng.normal(size=24))])
         out1, _, c1 = lstm_seq(Tensor(x), *args)
         first = out1.data.copy()
         out2, _, _ = lstm_seq(Tensor(2.0 * x), *args)

@@ -52,9 +52,13 @@ def _graph(rng):
         return Tensor(np.zeros((batch, hidden)))
 
     x = param(batch, time, features)
-    seq, last, cell = lstm_seq(x, zeros(), zeros(), param(features, 4 * hidden), param(hidden, 4 * hidden), param(4 * hidden))
+    seq, (last,), (cell,) = lstm_seq(
+        x, [zeros()], [zeros()], [param(features, 4 * hidden)], [param(hidden, 4 * hidden)], [param(4 * hidden)]
+    )
     # an LSTM whose cell state and sequence the loss never reads
-    _, side_last, _ = lstm_seq(x, zeros(), zeros(), param(features, 4 * hidden), param(hidden, 4 * hidden), param(4 * hidden))
+    _, (side_last,), _ = lstm_seq(
+        x, [zeros()], [zeros()], [param(features, 4 * hidden)], [param(hidden, 4 * hidden)], [param(4 * hidden)]
+    )
     gru_out, gru_last = gru_seq(
         x, zeros(), param(features, 2 * hidden), param(hidden, 2 * hidden), param(2 * hidden),
         param(features, hidden), param(hidden, hidden), param(hidden),

@@ -91,7 +91,9 @@ def _cell_pair(cell_cls, in_size=5, hidden=6):
 
 def _lstm_step(cell, x, h0, c0):
     """One ``lstm_seq`` step with ``cell``'s weights: ``(h, c)``."""
-    _, h, c = lstm_seq(x.reshape(x.shape[0], 1, -1), h0, c0, cell.weight_ih, cell.weight_hh, cell.bias)
+    _, (h,), (c,) = lstm_seq(
+        x.reshape(x.shape[0], 1, -1), [h0], [c0], [cell.weight_ih], [cell.weight_hh], [cell.bias]
+    )
     return h, c
 
 
@@ -185,6 +187,58 @@ def test_seq_kernels_match_reference_loop(net_cls, num_layers):
         assert np.array_equal(state[0].data, state_ref[0].data)
     for name, ga, gb in _grad_pairs(fused_net, ref_net):
         assert _max_rel_err(ga, gb) <= 1e-6, name
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _stack_run(stacked: bool, layers: int, batch: int, time: int, initial: bool, loss: str):
+    """Outputs, final states and every gradient of a seeded LSTM stack."""
+    rng = np.random.default_rng(1000 * layers + 10 * batch + time)
+    net = LSTM(5, 6, num_layers=layers, rng=np.random.default_rng(layers))
+    x = Tensor(rng.normal(size=(batch, time, 5)), requires_grad=True)
+    state = None
+    if initial:
+        state = [
+            (Tensor(rng.normal(size=(batch, 6)), requires_grad=True), Tensor(rng.normal(size=(batch, 6)), requires_grad=True))
+            for _ in range(layers)
+        ]
+    out, new_state = net(x, state) if stacked else oracles.lstm_layers(net, x, state)
+    weight = lambda tensor: Tensor(rng.normal(size=tensor.shape))  # noqa: E731
+    if loss == "all":
+        total = (out * weight(out)).sum()
+        for h, c in new_state:
+            total = total + (h * weight(h)).sum() + (c * c).sum()
+    elif loss == "c_T":
+        total = sum(((c * weight(c)).sum() for _, c in new_state[1:]), (new_state[0][1] ** 2).sum())
+    else:  # the bottom layer's states only: the layers above get no gradient
+        total = (new_state[0][0] * new_state[0][1]).sum()
+    total.backward()
+    values = [out.data] + [t.data for pair in new_state for t in pair]
+    grads = [p.grad for _, p in net.named_parameters()] + [x.grad]
+    if initial:
+        grads += [t.grad for pair in state for t in pair]
+    return values, grads
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 2, 4, 128, 256])
+@pytest.mark.parametrize("time", [1, 10])
+@pytest.mark.parametrize("initial", [False, True])
+@pytest.mark.parametrize("loss", ["all", "c_T", "bottom"])
+def test_lstm_stack_bit_identical_to_per_layer_kernels(layers, batch, time, initial, loss):
+    """The wavefront stack against one single-layer stack per layer:
+    outputs, h_T, c_T and every gradient, bit for bit (and no gradient
+    where the per-layer graph gives none)."""
+    (values_a, grads_a), (values_b, grads_b) = (
+        _stack_run(stacked, layers, batch, time, initial, loss) for stacked in (True, False)
+    )
+    for got, want in zip(values_a, values_b):
+        assert _same_bits(got, want)
+    for got, want in zip(grads_a, grads_b):
+        assert (got is None) == (want is None)
+        assert got is None or _same_bits(got, want)
 
 
 def test_lstm_seq_state_only_loss_matches_reference():

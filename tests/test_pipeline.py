@@ -413,6 +413,14 @@ class TestRunExperiment:
         assert len(result.test) == int(np.isin(result.dataset.windows.trace_ids, list(held_out)).sum())
         assert np.isfinite(result.rmse["LSTM"])
 
+    def test_non_finite_rmse_fails_naming_the_predictor(self, tmp_path, monkeypatch):
+        prophet = type(create_predictor("Prophet"))
+        monkeypatch.setattr(prophet, "predict", lambda self, dataset: np.full((len(dataset), dataset.horizon), np.nan))
+        config = ExperimentConfig(**TINY)
+        with pytest.raises(RuntimeError, match="non-finite test RMSE from Prophet:"):
+            run_experiment(config, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "result.json").exists()
+
     def test_prism5g_variants_alone_have_no_improvement_figure(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -50,6 +50,19 @@ class TestDecisionTree:
         count_leaf_sizes(tree._root, x, y, sizes)
         assert min(sizes) >= 20
 
+    def test_split_between_adjacent_floats(self):
+        # their midpoint rounds up to the upper value; a threshold there
+        # would send every sample left and leave the right leaf empty
+        a = -92.08531449445188
+        b = np.nextafter(a, np.inf)
+        assert (a + b) / 2.0 == b  # lint: bit-identical
+        x = np.array([[a], [a], [b], [b]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        tree = DecisionTreeRegressor().fit(x, y)
+        assert a <= tree._root.threshold < b
+        np.testing.assert_array_equal(tree.predict(x), y)
+        np.testing.assert_array_equal(tree.predict(np.array([[b + 1.0], [a - 1.0]])), [1.0, 0.0])
+
     def test_constant_target_single_leaf(self):
         x = np.random.default_rng(0).normal(size=(30, 2))
         tree = DecisionTreeRegressor().fit(x, np.full(30, 3.3))
