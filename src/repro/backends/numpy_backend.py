@@ -229,7 +229,7 @@ def lstm_seq_forward(
     # each run as one 3-D matmul over the active layers: numpy issues
     # one BLAS call per layer, the call a 2-D matmul would make.
     w_hh = np.empty((layers, hidden, 4 * hidden), dtype=weight_hh[0].dtype)
-    w_ih = np.empty((layers - 1, hidden, 4 * hidden), dtype=weight_hh[0].dtype)
+    w_ih = np.empty((layers - 1, hidden, 4 * hidden), dtype=weight_ih[-1].dtype)
     for layer in range(layers):
         w_hh[layer] = weight_hh[layer]
         if layer:

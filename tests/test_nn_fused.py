@@ -205,7 +205,10 @@ def _stack_run(stacked: bool, layers: int, batch: int, time: int, initial: bool,
             for _ in range(layers)
         ]
     out, new_state = net(x, state) if stacked else oracles.lstm_layers(net, x, state)
-    weight = lambda tensor: Tensor(rng.normal(size=tensor.shape))  # noqa: E731
+
+    def weight(tensor: Tensor) -> Tensor:
+        return Tensor(rng.normal(size=tensor.shape))
+
     if loss == "all":
         total = (out * weight(out)).sum()
         for h, c in new_state:
