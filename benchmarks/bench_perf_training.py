@@ -14,13 +14,6 @@ whole-phase ``prism_predict`` time.  A ``stages_s``
 section records micro-timings of one Prism5G forward+backward, one
 fused decoder rollout and a 300-step simulator run.
 
-``arena_multitrace`` A/Bs multi-trace stacking: the same seeded
-full-batch workload fit once as per-trace kernel calls and once as a
-single stacked ``fit_traces`` pass.  Both paths see identical rows in
-identical order, so their losses match step for step and the held-out
-predictions agree to tolerance — the speedup isolates dispatch
-amortization, not a different training trajectory.
-
 A ``campaign_city`` section times the sharded city-campaign engine
 (``repro.ran.run_city_campaign``) on a small shared-deployment
 workload, once as a single serial shard and once over 4 shards with 4
@@ -45,8 +38,7 @@ non-zero when ``metrics``-mode observability slows a micro-workload by
 more than 5% over the disabled path.  Under pytest the same workload
 runs as a ``slow``-marked benchmark test.
 
-Wall clocks are ``time.perf_counter()`` deltas.  Under
-``REPRO_OBS=metrics`` the bench also writes a ``bench`` run manifest.
+Wall clocks are ``time.perf_counter()`` deltas.
 """
 
 from __future__ import annotations
@@ -165,97 +157,6 @@ def _predict_window_ms(predictor, dataset) -> Dict[str, object]:
     }
 
 
-def _arena_multitrace_timings(params) -> Dict[str, object]:
-    """A/B multi-trace stacking on the training path.
-
-    Both arms run the *same* seeded full-batch workload — identical rows
-    in identical order per optimizer step — so the trained models agree
-    to tolerance and the timing delta isolates the mechanics:
-
-    * **per_trace_split** — every batch forward runs one kernel call per
-      trace (N small ``(B, T, F)`` passes concatenated), the
-      pre-``fit_traces`` shape of many-small-traces training;
-    * **stacked_arena** — :meth:`Trainer.fit_traces` stacks the traces
-      so each fused kernel sweeps one ``(N*B, T, F)`` batch.
-
-    The names are kept for the ``BENCH_perf.json`` keys; no scratch is
-    pooled in either arm, every kernel call allocates its own.
-    """
-    from repro.nn.modules import LSTM, Linear, Module
-    from repro.nn.tensor import Tensor, concat
-    from repro.nn.training import Trainer
-
-    n_traces, per_trace, time_steps, features = 6, 40, 20, 10
-    hidden, epochs = params["hidden"], 8
-
-    class _Head(Module):
-        def __init__(self) -> None:
-            super().__init__()
-            self.rnn = LSTM(features, hidden, rng=np.random.default_rng(1))
-            self.out = Linear(hidden, 1, rng=np.random.default_rng(2))
-
-        def forward(self, x):
-            out, _ = self.rnn(x)
-            return self.out(out[:, -1, :])
-
-    rng = np.random.default_rng(3)
-    traces = [
-        (rng.standard_normal((per_trace, time_steps, features)),
-         rng.standard_normal((per_trace, 1)))
-        for _ in range(n_traces)
-    ]
-    x_all = np.concatenate([x for x, _ in traces])
-    y_all = np.concatenate([y for _, y in traces])
-    x_test = rng.standard_normal((64, time_steps, features))
-
-    def split_forward(model, xb):
-        parts = [model(Tensor(xb[s : s + per_trace])) for s in range(0, len(xb), per_trace)]
-        return concat(parts, axis=0)
-
-    def make_trainer(split: bool) -> Trainer:
-        return Trainer(
-            _Head(), lr=0.01, batch_size=n_traces * per_trace,
-            max_epochs=epochs, patience=epochs,
-            forward_fn=split_forward if split else None, seed=0,
-        )
-
-    def fit_split() -> Trainer:
-        trainer = make_trainer(split=True)
-        trainer.fit(x_all, y_all)
-        return trainer
-
-    def fit_stacked() -> Trainer:
-        trainer = make_trainer(split=False)
-        trainer.fit_traces(traces)
-        return trainer
-
-    def best_of(fn, repeat=3):
-        best, result = float("inf"), None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    split_s, split_trainer = best_of(fit_split)
-    stacked_s, stacked_trainer = best_of(fit_stacked)
-    match = bool(
-        np.allclose(
-            split_trainer.predict(x_test), stacked_trainer.predict(x_test),
-            rtol=1e-9, atol=1e-12,
-        )
-    )
-    return {
-        "n_traces": n_traces,
-        "windows_per_trace": per_trace,
-        "epochs": epochs,
-        "per_trace_split_s": round(split_s, 4),
-        "stacked_arena_s": round(stacked_s, 4),
-        "speedup": round(split_s / stacked_s, 2) if stacked_s > 0 else float("inf"),
-        "predictions_match": match,
-    }
-
-
 def _campaign_city_timings(params) -> Dict[str, object]:
     """UEs/sec for the sharded city-campaign engine, 1 vs 4 shards.
 
@@ -333,7 +234,6 @@ def _tune_allocator() -> None:
 
 def run_workload(emit=print) -> Dict:
     """Time the shipped path; return the result record."""
-    from repro import obs
     from repro.core import DeepConfig, LSTMPredictor, Prism5GPredictor
     from repro.data import SubDatasetSpec, TraceCache, build_subdataset, random_split
 
@@ -409,7 +309,6 @@ def run_workload(emit=print) -> Dict:
         )
     )
     stages = _stage_timings(dataset, params)
-    arena_multitrace = _arena_multitrace_timings(params)
     campaign_city = _campaign_city_timings(params)
 
     record = {
@@ -417,7 +316,6 @@ def run_workload(emit=print) -> Dict:
         "current_s": {k: round(v, 4) for k, v in current.items()},
         "stages_s": {k: round(v, 4) for k, v in stages.items()},
         "prism_predict_window_ms": predict_window_ms,
-        "arena_multitrace": arena_multitrace,
         "campaign_city": campaign_city,
         "predictions_match": predictions_match,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -434,31 +332,12 @@ def run_workload(emit=print) -> Dict:
     emit("--- per-stage (seconds) ---")
     for key, value in stages.items():
         emit(f"{key:<24}{value:>10.4f}")
-    amt = record["arena_multitrace"]
-    emit(
-        f"multi-trace: per-trace split {amt['per_trace_split_s']:.4f}s vs "
-        f"stacked {amt['stacked_arena_s']:.4f}s ({amt['speedup']:.2f}x), "
-        f"predictions match: {amt['predictions_match']}"
-    )
     cc = record["campaign_city"]
     emit(
         f"city campaign ({cc['ues']} UEs, {cc['host_cpus']} cpus): "
         f"1 shard {cc['serial']['ues_per_sec']:.0f} UEs/s vs "
         f"4 shards {cc['sharded']['ues_per_sec']:.0f} UEs/s ({cc['speedup']:.2f}x), "
         f"peak RSS {max(cc['serial']['peak_rss_mb'], cc['sharded']['peak_rss_mb']):.0f} MB"
-    )
-    obs.write_manifest(
-        kind="bench",
-        config=params,
-        seed=0,
-        extra={
-            "predictions_match": predictions_match,
-            "current_s": record["current_s"],
-            "stages_s": record["stages_s"],
-            "prism_predict_window_ms": record["prism_predict_window_ms"],
-            "arena_multitrace": record["arena_multitrace"],
-            "campaign_city": record["campaign_city"],
-        },
     )
     return record
 
@@ -494,9 +373,9 @@ def _measure_obs_overhead(emit) -> bool:
     spec = SubDatasetSpec(params["operator"], params["mobility"], params["timescale"])
     dataset = build_subdataset(spec, cache=None, processes=1, n_traces=2, samples_per_trace=120)
     train, val, _ = random_split(dataset.windows, 0.5, 0.2, 0.3, seed=0)
-    # the workload must be long enough that fixed per-run costs (one
-    # manifest write at the end of fit, ~2ms) stay well inside the 5%
-    # budget; per-step/per-epoch instrumentation is what's being gated
+    # the workload must be long enough that fixed per-run costs stay
+    # well inside the 5% budget; per-step/per-epoch instrumentation is
+    # what's being gated
     config = DeepConfig(hidden=16, max_epochs=4, patience=4)
 
     def work() -> None:
@@ -504,7 +383,6 @@ def _measure_obs_overhead(emit) -> bool:
         sim.run(30.0)  # 300 steps: the per-step instrumented hot loop
         Prism5GPredictor(config).fit(train, val)
 
-    manifest_dir = tempfile.mkdtemp(prefix="repro-obs-check-")
     try:
         obs.configure(mode=obs.MODE_OFF)
         work()  # warmup (allocator, code paths)
@@ -524,7 +402,7 @@ def _measure_obs_overhead(emit) -> bool:
             t0 = time.perf_counter()
             work()
             off_t = time.perf_counter() - t0
-            obs.configure(mode=obs.MODE_METRICS, directory=manifest_dir)
+            obs.configure(mode=obs.MODE_METRICS)
             gc.collect()
             t0 = time.perf_counter()
             work()
@@ -532,7 +410,6 @@ def _measure_obs_overhead(emit) -> bool:
     finally:
         obs.configure()  # back to env-driven mode
         obs.reset()
-        shutil.rmtree(manifest_dir, ignore_errors=True)
     ratios = sorted(on_t / off_t for off_t, on_t in pairs if off_t > 0)
     median_ratio = ratios[len(ratios) // 2] if ratios else float("inf")
     off_s = min(off_t for off_t, _ in pairs)
@@ -623,7 +500,6 @@ try:
         record = run_once(benchmark, lambda: run_workload(emit=report.emit))
         results = save_results(record)
         assert record["predictions_match"]
-        assert record["arena_multitrace"]["predictions_match"]
         assert check_regression(results, emit=report.emit)
 
 except ImportError:  # pragma: no cover - script mode without pytest

@@ -20,8 +20,8 @@ Subpackages
 ``repro.analysis``
     Measurement analysis: distributions, correlations, efficiency.
 ``repro.obs``
-    Observability: counters and gauges, structured warnings, run
-    manifests and perf budgets (``REPRO_OBS`` env knob; off by default).
+    Observability: counters, structured warnings, run records
+    (``run.json``) and perf budgets (``REPRO_OBS`` env knob; off by default).
 ``repro.runtime``
     The ``sanitize`` switch + the repo's one config-hash recipe
     (``runtime.configure(...)`` / ``runtime.use(...)``).

@@ -18,10 +18,6 @@ class QoEResult:
     n_units: int  #: frames (ViVo) or chunks (ABR)
     quality_switches: int = 0
 
-    @property
-    def stall_per_unit_ms(self) -> float:
-        return self.stall_time_s * 1e3 / max(self.n_units, 1)
-
 
 def relative_degradation(result: QoEResult, ideal: QoEResult) -> Dict[str, float]:
     """Percentage QoE loss vs the ideal (future-knowing) run — Fig 8/19.

@@ -6,16 +6,16 @@ Usage (also installed as the ``repro5g`` console script):
         --mobility driving --duration 120 --out trace.jsonl
     python -m repro.cli campaign --operators OpZ OpX --duration 60
     python -m repro.cli run examples/experiment_small.json
-    python -m repro.cli run examples/experiment_small.json --obs metrics --obs-dir .repro-obs
-    python -m repro.cli obs report
-    python -m repro.cli obs check-slo --budget budgets/fast_workload.json
+    python -m repro.cli run examples/experiment_small.json --obs metrics --out-dir run
+    python -m repro.cli obs report run
+    python -m repro.cli obs check-slo --budget budgets/fast_workload.json run
     python -m repro.cli lint --format json
     python -m repro.cli lint --list-rules
 
-The ``--obs metrics`` flag (or ``REPRO_OBS=metrics``) turns on the
-observability layer: the run records counters and gauges and writes a
-run manifest that ``obs report`` prints and ``obs check-slo`` checks
-against a perf budget.
+``run`` and ``campaign`` each leave one record, ``run.json``, in the
+run or state directory; ``obs report DIR`` prints it and ``obs
+check-slo DIR`` checks it against a perf budget.  The ``--obs metrics``
+flag (or ``REPRO_OBS=metrics``) adds the counters the run added.
 """
 
 from __future__ import annotations
@@ -33,17 +33,12 @@ from .pipeline import ExperimentConfig, run_experiment
 from .ran import CityCampaignConfig, DualConnectivitySimulator, TraceSimulator, run_city_campaign
 
 
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
+def _add_obs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--obs",
         default=None,
         choices=[obs.MODE_OFF, obs.MODE_METRICS],
-        help="observability mode (overrides REPRO_OBS)",
-    )
-    parser.add_argument(
-        "--obs-dir",
-        default=None,
-        help="directory for run manifests (overrides REPRO_OBS_DIR)",
+        help="observability mode: metrics adds counters to the run record (overrides REPRO_OBS)",
     )
 
 
@@ -62,8 +57,8 @@ def _add_sanitize_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_obs(args: argparse.Namespace) -> None:
-    if getattr(args, "obs", None) is not None or getattr(args, "obs_dir", None) is not None:
-        obs.configure(mode=args.obs, directory=args.obs_dir)
+    if getattr(args, "obs", None) is not None:
+        obs.configure(mode=args.obs)
     if getattr(args, "sanitize", None) is not None:
         runtime.configure(sanitize=args.sanitize)
 
@@ -98,16 +93,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         trace.to_jsonl(args.out)
         print(f"wrote {args.out}")
-    obs.write_manifest(
-        kind="simulate",
-        config=dict(
-            operator=args.operator, scenario=args.scenario, mobility=args.mobility,
-            modem=args.modem, rat=getattr(args, "rat", "5G"), nsa=args.nsa,
-            dt_s=args.dt, duration_s=args.duration,
-        ),
-        seed=args.seed,
-        extra={"samples": len(trace), "mean_tput_mbps": float(series.mean())},
-    )
     return 0
 
 
@@ -191,51 +176,51 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return _run_lint(args)
 
 
+def _read_record(directory: str) -> Optional[dict]:
+    record = obs.read_record(directory)
+    if record is None:
+        print(f"no run record ({obs.RECORD_NAME}) in {directory}", file=sys.stderr)
+    return record
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
-    manifest = obs.latest_manifest(directory)
-    if manifest is None:
-        print(f"no run manifest under {directory} (run with --obs metrics first)", file=sys.stderr)
+    record = _read_record(args.dir)
+    if record is None:
         return 1
-    if args.json:
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
-    print(f"=== {manifest.get('kind', '?')} run @ {manifest.get('created_at', '?')} ===")
-    for key in ("mode", "git_sha", "seed", "config_hash", "pid", "peak_rss_mb"):
-        print(f"{key:>12}: {manifest.get(key)}")
-    kernels = manifest.get("kernel_paths") or {}
-    print(f"{'kernels':>12}: " + ", ".join(f"{k}={v}" for k, v in sorted(kernels.items())))
-    metrics = manifest.get("metrics") or {}
-    counters = metrics.get("counters") or {}
+    print(f"=== {record.get('kind')} run: {Path(args.dir) / obs.RECORD_NAME} ===")
+    for key, value in sorted(record.items()):
+        if key not in ("stages", "counters"):
+            text = json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
+            print(f"{key:>16}: {text}")
+    stages = record.get("stages") or []
+    if stages:
+        rows = [
+            [stage["stage"], stage["status"], f"{stage['duration_s']:.2f}s", f"{stage['peak_rss_mb']:.1f}", json.dumps(stage["detail"])]
+            for stage in stages
+        ]
+        print(format_table(["Stage", "Status", "Time", "Peak MB", "Detail"], rows, title="stages"))
+    counters = record.get("counters")
     if counters:
         rows = [[name, f"{value:g}"] for name, value in sorted(counters.items())]
         print(format_table(["Counter", "Value"], rows, title="counters"))
-    gauges = metrics.get("gauges") or {}
-    if gauges:
-        rows = [[name, f"{value:.4g}"] for name, value in sorted(gauges.items())]
-        print(format_table(["Gauge", "Value"], rows, title="gauges"))
-    history = manifest.get("history")
-    if history:
-        print(f"{'history':>12}: {json.dumps(history, default=str)}")
-    extra = manifest.get("extra")
-    if extra:
-        print(f"{'extra':>12}: {json.dumps(extra, default=str)}")
     return 0
 
 
 def _cmd_obs_check_slo(args: argparse.Namespace) -> int:
-    directory = Path(args.dir) if args.dir else obs.obs_dir()
     try:
         budget = obs.load_slo(args.budget)
     except (OSError, ValueError) as exc:
         print(f"{args.budget}: {exc}", file=sys.stderr)
         return 2
-    manifest = obs.latest_manifest(directory)
-    if manifest is None:
-        print(f"no run manifest under {directory} (run with --obs metrics first)", file=sys.stderr)
+    record = _read_record(args.dir)
+    if record is None:
         return 1
-    violations = obs.evaluate_slo(budget, manifest)
-    regression_limit = budget.get("budgets", {}).get("end_to_end_regression")
+    path = Path(args.dir) / obs.RECORD_NAME
+    if budget["budgets"].get("counter_max") and "counters" not in record:
+        print(f"{path} has no counters (run with --obs metrics) but {args.budget} bounds counters", file=sys.stderr)
+        return 1
+    violations = obs.evaluate_slo(budget, record)
+    regression_limit = budget["budgets"].get("end_to_end_regression")
     if regression_limit is not None:
         trend = obs.check_bench_file(args.bench, limit=float(regression_limit))
         if trend is not None:
@@ -243,9 +228,9 @@ def _cmd_obs_check_slo(args: argparse.Namespace) -> int:
     for violation in violations:
         print(violation.message(), file=sys.stderr)
     if violations:
-        print(f"FAIL: {len(violations)} SLO violation(s) against {args.budget}", file=sys.stderr)
+        print(f"FAIL: {len(violations)} SLO violation(s) of {path} against {args.budget}", file=sys.stderr)
         return 1
-    print(f"OK: the run manifest under {directory} is within budget {args.budget}")
+    print(f"OK: {path} is within budget {args.budget}")
     return 0
 
 
@@ -255,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="synthesize one CA trace")
     _add_common_sim_args(sim)
-    _add_obs_args(sim)
     _add_sanitize_arg(sim)
     sim.add_argument("--rat", default="5G", choices=["4G", "5G"])
     sim.add_argument("--nsa", action="store_true", help="EN-DC dual connectivity")
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="spill per-cohort traces into <state-dir>/traces, beside the shard files")
     camp.add_argument("--shard-timeout", type=float, default=None,
                       help="per-shard wall budget in seconds (expired shards retry once)")
-    _add_obs_args(camp)
+    _add_obs_arg(camp)
     _add_sanitize_arg(camp)
     camp.set_defaults(func=_cmd_campaign)
 
@@ -294,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to an experiment JSON file (see examples/)")
     run.add_argument("--out-dir", default=None, help="run directory (default: runs/<name>-<hash>)")
     run.add_argument("--force", action="store_true", help="re-run every stage even if artifacts exist")
-    _add_obs_args(run)
+    _add_obs_arg(run)
     _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
@@ -302,15 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 
-    obs_cmd = sub.add_parser("obs", help="inspect observability output")
+    obs_cmd = sub.add_parser("obs", help="read a run record (run.json)")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-    report = obs_sub.add_parser("report", help="pretty-print the latest run manifest")
-    report.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
-    report.add_argument("--json", action="store_true", help="raw JSON instead of a table")
+    report = obs_sub.add_parser("report", help="print the run record in a run or campaign state directory")
+    report.add_argument("dir", help="run directory or campaign state directory")
     report.set_defaults(func=_cmd_obs_report)
-    check = obs_sub.add_parser("check-slo", help="check the latest run manifest against a perf budget")
+    check = obs_sub.add_parser("check-slo", help="check the run record in a directory against a perf budget")
     check.add_argument("--budget", required=True, help="repro-slo-v1 JSON budget file")
-    check.add_argument("--dir", default=None, help="obs directory (default: REPRO_OBS_DIR or .repro-obs)")
+    check.add_argument("dir", help="run directory or campaign state directory")
     check.add_argument(
         "--bench", default="BENCH_perf.json",
         help="BENCH_perf.json for the end_to_end_regression trend check",
@@ -322,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --sanitize and --obs/--obs-dir switch process-wide state; an
-    # in-process caller gets its own switches back
-    flags, mode, directory = runtime.flags(), obs.mode(), obs.obs_dir()
+    # --sanitize and --obs switch process-wide state; an in-process
+    # caller gets its own switches back
+    flags, mode = runtime.flags(), obs.mode()
     try:
         return args.func(args)
     finally:
         runtime.configure(**flags)
-        obs.configure(mode=mode, directory=directory)
+        obs.configure(mode=mode)
 
 
 if __name__ == "__main__":

@@ -45,8 +45,8 @@ def cache_key(config: Mapping) -> str:
     """Stable content hash of a simulation configuration.
 
     Delegates to :func:`repro.runtime.canonical_hash` (the repo's one
-    hashing recipe, shared with obs manifests and the experiment
-    pipeline).  The schema version is folded in so semantic changes to
+    hashing recipe, shared with the experiment pipeline and the city
+    campaign).  The schema version is folded in so semantic changes to
     the simulator invalidate old entries.
     """
     return runtime.canonical_hash(config, schema=CACHE_SCHEMA_VERSION, length=24)

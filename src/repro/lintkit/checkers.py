@@ -7,7 +7,7 @@ In brief:
 * **RL001** — bit-identical kernel oracles need seeded ``Generator``
   randomness; legacy global-state ``np.random.*`` breaks replay.
 * **RL003** — one hashing recipe (:func:`repro.runtime.canonical_hash`)
-  keeps cache keys, manifests and run dirs mutually consistent.
+  keeps cache keys, run records and run dirs mutually consistent.
 * **RL004** — a swallowed exception must at least publish an obs
   counter; silent ``except Exception: pass`` hides corrupted state.
 * **RL005** — every literal obs name is dotted lowercase, so a
@@ -165,7 +165,7 @@ class SingleHashChecker(Checker):
                             ctx,
                             node,
                             "direct hashlib use outside repro.runtime; call "
-                            "runtime.canonical_hash so every cache key, manifest "
+                            "runtime.canonical_hash so every cache key, run record "
                             "and run dir shares one hash recipe",
                         )
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "hashlib":
@@ -188,7 +188,6 @@ _OBS_PUBLISHERS = frozenset(
     {
         "obs.counter",
         "obs.log_warning",
-        "obs.gauge",
         "repro.obs.counter",
         "repro.obs.log_warning",
     }
@@ -247,7 +246,7 @@ class ExceptionHygieneChecker(Checker):
 
 #: obs entry points whose first argument is a metric or warning name
 _OBS_NAMED_CALLS = frozenset(
-    f"{receiver}.{entry}" for receiver in ("obs", "repro.obs") for entry in ("counter", "gauge", "log_warning")
+    f"{receiver}.{entry}" for receiver in ("obs", "repro.obs") for entry in ("counter", "log_warning")
 )
 
 _SEGMENT_RE = re.compile(r"^[a-z][a-z0-9_]*$")

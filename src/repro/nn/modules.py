@@ -46,9 +46,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 

@@ -42,9 +42,6 @@ class MinMaxScaler:
         x = np.asarray(x, dtype=np.float64)
         return x * self._range + self.data_min
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
     def _check_fitted(self) -> None:
         if self.data_min is None:
             raise RuntimeError("scaler has not been fitted")

@@ -7,7 +7,7 @@ epoch chosen on the validation set, early stopping with patience.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -16,39 +16,6 @@ from .losses import mse_loss
 from .modules import Module
 from .optim import Adam
 from .tensor import Tensor, no_grad
-
-
-def stack_trace_windows(
-    trace_pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack per-trace window arrays into one training set.
-
-    ``trace_pairs`` is a sequence of ``(x_i, y_i)`` with ``x_i`` of shape
-    ``(n_i, T, F)`` (or ``(n_i, F)``) and matching ``y_i``; the result
-    concatenates along the sample axis so one :meth:`Trainer.fit` call
-    trains on every trace at once.  Each fused-kernel invocation then
-    sweeps ``B·N`` stacked windows instead of one small per-trace batch,
-    amortizing the per-call dispatch/BLAS setup cost that dominates
-    many-small-traces training (see ``benchmarks/bench_perf_training.py``).
-    """
-    if not trace_pairs:
-        raise ValueError("trace_pairs must contain at least one (x, y) pair")
-    xs, ys = [], []
-    for i, (x_i, y_i) in enumerate(trace_pairs):
-        x_i = np.asarray(x_i)
-        y_i = np.asarray(y_i)
-        if len(x_i) != len(y_i):
-            raise ValueError(f"trace {i}: x has {len(x_i)} windows but y has {len(y_i)}")
-        xs.append(x_i)
-        ys.append(y_i)
-    base_x, base_y = xs[0].shape[1:], ys[0].shape[1:]
-    for i, (x_i, y_i) in enumerate(zip(xs, ys)):
-        if x_i.shape[1:] != base_x or y_i.shape[1:] != base_y:
-            raise ValueError(
-                f"trace {i} window shape {x_i.shape[1:]}/{y_i.shape[1:]} "
-                f"does not match trace 0 ({base_x}/{base_y})"
-            )
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
 
 
 @dataclass
@@ -105,8 +72,6 @@ class Trainer:
         #: the last :meth:`fit`'s history (``None`` before any fit, and
         #: for trainers rebuilt from a checkpoint).
         self.history: Optional[TrainingHistory] = None
-        # set by fit_traces for the duration of its fit (manifest stamp)
-        self._n_traces: Optional[int] = None
 
     def _batch_loss(self, x: np.ndarray, y: np.ndarray, train: bool) -> float:
         """One batch's loss, after its optimizer step when ``train``.
@@ -151,7 +116,6 @@ class Trainer:
         best_state: Optional[Dict[str, np.ndarray]] = None
         params = dict(self.model.named_parameters())
         stale = 0
-        instrumented = obs.metrics_enabled()
         for epoch in range(self.max_epochs):
             train_loss = self._epoch(x_train, y_train, train=True)
             if x_val is not None and len(x_val):
@@ -160,10 +124,6 @@ class Trainer:
                 val_loss = train_loss
             history.train_loss.append(train_loss)
             history.val_loss.append(val_loss)
-            if instrumented:
-                obs.counter("train.epochs")
-                obs.gauge("train.loss", train_loss)
-                obs.gauge("train.val_loss", val_loss)
             if val_loss < history.best_val_loss - 1e-9:
                 history.best_val_loss = val_loss
                 history.best_epoch = epoch
@@ -180,58 +140,8 @@ class Trainer:
         if best_state is not None:
             for name, p in params.items():
                 np.copyto(p.data, best_state[name])
-        if instrumented:
-            obs.gauge("train.best_val_loss", history.best_val_loss)
-            config = {
-                "model": type(self.model).__name__,
-                "n_parameters": int(sum(p.data.size for p in self.model.parameters())),
-                "lr": self.optimizer.lr,
-                "batch_size": self.batch_size,
-                "max_epochs": self.max_epochs,
-                "patience": self.patience,
-                "n_train": len(x_train),
-                "n_val": len(x_val) if x_val is not None else 0,
-            }
-            if self._n_traces is not None:
-                config["n_traces"] = self._n_traces
-            obs.write_manifest(
-                kind="train",
-                config=config,
-                seed=self.seed,
-                history={
-                    "train_loss": history.train_loss,
-                    "val_loss": history.val_loss,
-                    "best_epoch": history.best_epoch,
-                    "best_val_loss": history.best_val_loss,
-                    "epochs_run": history.epochs_run,
-                },
-            )
+        obs.counter("train.epochs", history.epochs_run)
         return history
-
-    def fit_traces(
-        self,
-        train_traces: Sequence[Tuple[np.ndarray, np.ndarray]],
-        val_traces: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-    ) -> TrainingHistory:
-        """Train on several traces' windows as one stacked pass.
-
-        Instead of fitting trace-by-trace (one small kernel call per
-        trace per epoch), the per-trace window arrays are concatenated
-        along the sample axis and trained as a single :meth:`fit` —
-        every fused-kernel invocation then sweeps the stacked batch,
-        amortizing per-call dispatch and BLAS setup across traces.  The
-        epoch-level shuffle mixes windows across traces, which is also
-        the statistically sound protocol for i.i.d. window sampling.
-        """
-        x_train, y_train = stack_trace_windows(train_traces)
-        x_val = y_val = None
-        if val_traces:
-            x_val, y_val = stack_trace_windows(val_traces)
-        self._n_traces = len(train_traces)
-        try:
-            return self.fit(x_train, y_train, x_val, y_val)
-        finally:
-            self._n_traces = None
 
     def predict(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Run the model over ``x`` in batches.

@@ -1,21 +1,22 @@
-"""repro.obs — counters, gauges, structured warnings and run manifests.
+"""repro.obs — counters, structured warnings and run records.
 
 One in-process observability layer shared by every subsystem
-(simulator, cache, parallel map, trainer, evaluation, campaigns):
+(simulator, cache, parallel map, trainer, pipeline, campaigns):
 
-* **Metrics** — ``obs.counter("cache.hit")`` and ``obs.gauge(...)``
-  land in one :class:`~repro.obs.metrics.MetricsRegistry` per process.
+* **Counters** — ``obs.counter("cache.hit")`` lands in one
+  :class:`~repro.obs.metrics.MetricsRegistry` per process.
   :mod:`repro.parallel` pool workers hand their counters back with each
   result, and the parent adds them to its own registry, so the parent's
   :func:`snapshot` counts every item exactly once.
 * **Warnings** — :func:`log_warning` logs ``("%s %s", event, fields)``
   on the ``repro.obs`` logger whatever the mode, and counts the event
   when metrics are on.
-* **Run manifests** — ``obs.write_manifest(kind="train", ...)`` records
-  the config hash, runtime flags, seed, git SHA, the metrics snapshot,
-  peak RSS and per-epoch history at the end of a run; inside a
-  :class:`run_context` it also carries the experiment hash.
-* **Budgets** — :mod:`repro.obs.slo` checks a manifest against a
+* **Run records** — :func:`write_record` writes the ``run.json`` an
+  experiment leaves in its run directory and a campaign in its state
+  directory (see :mod:`repro.obs.record`).  Under ``metrics`` it holds
+  the counters that run added: the registry at its end minus the
+  registry at its start, so runs in one process never count each other.
+* **Budgets** — :mod:`repro.obs.slo` checks a record against a
   ``repro-slo-v1`` budget file (``repro5g obs check-slo``).
 
 Modes, selected by the ``REPRO_OBS`` env var or :func:`configure`:
@@ -23,10 +24,10 @@ Modes, selected by the ``REPRO_OBS`` env var or :func:`configure`:
 ``off``
     The default.  Every entry point returns immediately; hot loops
     additionally guard with :func:`metrics_enabled` so the disabled
-    path is a near-no-op.  Warnings are still logged.
+    path is a near-no-op.  Warnings are still logged, and records are
+    written without counters.
 ``metrics``
-    Counters, gauges and a run manifest (plus ``latest.json``) in the
-    observability directory (``REPRO_OBS_DIR``, default ``.repro-obs``).
+    Counters, and records that carry them.
 """
 
 from __future__ import annotations
@@ -37,18 +38,8 @@ import os
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
-from .manifest import (
-    LATEST_NAME,
-    MANIFEST_SCHEMA,
-    build_manifest,
-    config_hash,
-    git_sha,
-    kernel_paths,
-    latest_manifest,
-    peak_rss_mb,
-    write_manifest_file,
-)
 from .metrics import MetricsRegistry
+from .record import RECORD_NAME, RUN_SCHEMA, git_sha, peak_rss_mb, read_record
 from .slo import (
     SLO_SCHEMA,
     Violation,
@@ -59,7 +50,6 @@ from .slo import (
 )
 
 OBS_ENV = "REPRO_OBS"
-OBS_DIR_ENV = "REPRO_OBS_DIR"
 
 MODE_OFF = "off"
 MODE_METRICS = "metrics"
@@ -68,42 +58,33 @@ _MODES = (MODE_OFF, MODE_METRICS)
 _LOG = logging.getLogger("repro.obs")
 
 _MODE = MODE_OFF
-_DIR: Optional[Path] = None
 _REGISTRY = MetricsRegistry()
-_RUN_HASH: Optional[str] = None
 
 __all__ = [
     "OBS_ENV",
-    "OBS_DIR_ENV",
     "MODE_OFF",
     "MODE_METRICS",
-    "LATEST_NAME",
-    "MANIFEST_SCHEMA",
+    "RECORD_NAME",
+    "RUN_SCHEMA",
     "SLO_SCHEMA",
     "MetricsRegistry",
     "Violation",
     "configure",
     "mode",
-    "obs_dir",
     "metrics_enabled",
     "counter",
-    "gauge",
     "snapshot",
     "reset",
     "add_counters",
     "log_warning",
     "child_after_fork",
+    "write_record",
+    "read_record",
     "load_slo",
     "evaluate_slo",
     "check_bench_file",
     "check_bench_trend",
-    "write_manifest",
-    "latest_manifest",
-    "build_manifest",
-    "run_context",
-    "config_hash",
     "git_sha",
-    "kernel_paths",
     "peak_rss_mb",
 ]
 
@@ -119,32 +100,23 @@ def _mode_from_env() -> str:
     return MODE_OFF
 
 
-def configure(mode: Optional[str] = None, directory: Union[str, Path, None] = None) -> str:
-    """Select the observability mode and manifest directory.
+def configure(mode: Optional[str] = None) -> str:
+    """Select the observability mode; returns it.
 
-    ``mode`` / ``directory`` default to the ``REPRO_OBS`` /
-    ``REPRO_OBS_DIR`` environment variables (``off`` and ``.repro-obs``
-    when unset).  Returns the resolved mode.  Safe to call repeatedly;
-    the registry is kept (use :func:`reset` to clear).
+    ``mode`` defaults to the ``REPRO_OBS`` environment variable (``off``
+    when unset).  Safe to call repeatedly; the registry is kept (use
+    :func:`reset` to clear).
     """
-    global _MODE, _DIR
+    global _MODE
     resolved = (mode or _mode_from_env()).strip().lower()
     if resolved not in _MODES:
         raise ValueError(f"obs mode must be one of {_MODES}, got {resolved!r}")
-    if directory is None:
-        directory = os.environ.get(OBS_DIR_ENV) or ".repro-obs"
     _MODE = resolved
-    _DIR = Path(directory)
     return _MODE
 
 
 def mode() -> str:
     return _MODE
-
-
-def obs_dir() -> Path:
-    """The observability directory (run manifests and ``latest.json``)."""
-    return _DIR if _DIR is not None else Path(os.environ.get(OBS_DIR_ENV) or ".repro-obs")
 
 
 def metrics_enabled() -> bool:
@@ -162,19 +134,13 @@ def counter(name: str, value: float = 1.0) -> None:
     _REGISTRY.counter(name, value)
 
 
-def gauge(name: str, value: float) -> None:
-    if _MODE == MODE_OFF:
-        return
-    _REGISTRY.gauge(name, value)
-
-
-def snapshot() -> Dict:
-    """This process's metrics (counters and gauges)."""
+def snapshot() -> Dict[str, float]:
+    """This process's counters."""
     return _REGISTRY.snapshot()
 
 
 def reset() -> None:
-    """Clear every counter and gauge."""
+    """Clear every counter."""
     _REGISTRY.reset()
 
 
@@ -210,64 +176,42 @@ def child_after_fork() -> None:
 
 
 # ---------------------------------------------------------------------------
-# run manifests
+# run records
 
 
-class run_context:
-    """Context manager tagging every manifest with one experiment hash.
+def write_record(
+    directory: Union[str, Path], kind: str, run_hash: str, since: Mapping[str, float], fields: Mapping
+) -> Path:
+    """Write ``<directory>/run.json`` atomically; returns its path.
 
-    The pipeline (:mod:`repro.pipeline`) wraps a whole run in this, so
-    manifests written by nested subsystems (``Trainer.fit``, the
-    evaluation harness, the campaign driver) all carry the same
-    ``experiment_hash`` without those subsystems knowing about
-    experiments at all.
+    Stamps what every record shares — schema, ``kind``, the run's hash
+    under ``<kind>_hash``, git SHA, :func:`repro.runtime.flags`, peak
+    RSS — ahead of the run's own ``fields``.  With metrics on,
+    ``counters`` holds what the registry gained since ``since``, the
+    :func:`snapshot` the run took at its start; with metrics off the
+    record has no ``counters`` key.
     """
+    from .. import runtime  # lazy: runtime imports obs
 
-    def __init__(self, value: Optional[str]) -> None:
-        self.value = value
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "run_context":
-        global _RUN_HASH
-        self._previous = _RUN_HASH
-        _RUN_HASH = self.value
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _RUN_HASH
-        _RUN_HASH = self._previous
-
-
-def write_manifest(
-    kind: str,
-    config: Optional[Mapping] = None,
-    seed: Optional[int] = None,
-    history: Optional[Mapping] = None,
-    extra: Optional[Mapping] = None,
-    directory: Union[str, Path, None] = None,
-) -> Optional[Path]:
-    """Write a run manifest (and refresh ``latest.json``); returns its path.
-
-    No-op returning ``None`` when observability is off — callers can
-    invoke it unconditionally at the end of a run.  The metrics field
-    is this process's registry, which already holds every pool
-    worker's counters.
-    """
-    if _MODE == MODE_OFF:
-        return None
-    manifest = build_manifest(
-        kind,
-        config=config,
-        seed=seed,
-        history=history,
-        metrics=snapshot(),
-        extra=extra,
-        mode=_MODE,
-        run_hash=_RUN_HASH,
-    )
-    return write_manifest_file(manifest, Path(directory) if directory is not None else obs_dir())
+    record = {
+        "schema": RUN_SCHEMA,
+        "kind": kind,
+        f"{kind}_hash": run_hash,
+        "git_sha": git_sha(),
+        "flags": runtime.flags(),
+        "peak_rss_mb": peak_rss_mb(),
+        **fields,
+    }
+    if _MODE != MODE_OFF:
+        record["counters"] = {
+            name: value - since.get(name, 0.0)
+            for name, value in _REGISTRY.snapshot().items()
+            if value != since.get(name, 0.0)
+        }
+    text = json.dumps(record, indent=2, sort_keys=True, default=str) + "\n"
+    return runtime.write_atomic(Path(directory) / RECORD_NAME, text)
 
 
-# pick up REPRO_OBS / REPRO_OBS_DIR at import so plain library use (and
-# spawn-started workers) honour the env knob without an explicit call.
+# pick up REPRO_OBS at import so plain library use (and spawn-started
+# workers) honour the env knob without an explicit call.
 configure()

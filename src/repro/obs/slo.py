@@ -1,4 +1,4 @@
-"""Declarative perf budgets (SLOs) evaluated against a run manifest.
+"""Declarative perf budgets (SLOs) evaluated against a run record.
 
 A budget file (schema ``repro-slo-v1``) states what a healthy run looks
 like::
@@ -12,11 +12,12 @@ like::
       }
     }
 
-``peak_rss_mb`` bounds the manifest's ``peak_rss_mb`` field;
-``counter_max`` keys are :mod:`fnmatch` globs over the manifest's
+``peak_rss_mb`` bounds the record's ``peak_rss_mb`` field;
+``counter_max`` keys are :mod:`fnmatch` globs over the record's
 counter names.  :func:`evaluate_slo` returns :class:`Violation`
 records; ``repro5g obs check-slo`` exits non-zero when any are
-returned.
+returned, or when the budget bounds counters that a record written
+with metrics off does not have.
 
 ``end_to_end_regression`` feeds :func:`check_bench_trend`, the
 ``BENCH_perf.json`` trend gate: the latest recorded ``end_to_end``
@@ -70,8 +71,8 @@ def load_slo(path: Path) -> Dict:
     return data
 
 
-def evaluate_slo(slo: Mapping, manifest: Mapping) -> List[Violation]:
-    """Check a run manifest against a budget; returns all breaches.
+def evaluate_slo(slo: Mapping, record: Mapping) -> List[Violation]:
+    """Check a run record against a budget; returns all breaches.
 
     ``end_to_end_regression`` is not evaluated here: it reads
     ``BENCH_perf.json`` (see :func:`check_bench_file`), not the run.
@@ -80,11 +81,11 @@ def evaluate_slo(slo: Mapping, manifest: Mapping) -> List[Violation]:
     violations: List[Violation] = []
 
     rss_limit = budgets.get("peak_rss_mb")
-    rss = manifest.get("peak_rss_mb")
+    rss = record.get("peak_rss_mb")
     if rss_limit is not None and rss is not None and float(rss) > float(rss_limit):
-        violations.append(Violation("peak_rss_mb", "manifest", float(rss_limit), float(rss)))
+        violations.append(Violation("peak_rss_mb", "record", float(rss_limit), float(rss)))
 
-    counters = (manifest.get("metrics") or {}).get("counters") or {}
+    counters = record.get("counters") or {}
     for pattern, limit in dict(budgets.get("counter_max", {})).items():
         for name in sorted(counters):
             if fnmatchcase(name, pattern) and float(counters[name]) > float(limit):

@@ -48,7 +48,7 @@ class _Counted:
 
     def __call__(self, item):
         try:
-            return self.fn(item), obs.snapshot()["counters"]
+            return self.fn(item), obs.snapshot()
         finally:
             obs.reset()
 

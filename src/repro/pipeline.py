@@ -11,14 +11,16 @@ RMSEs: the paper's prediction benches, ``repro5g run`` and the
 benchmark's ``table4`` workload all call :func:`run_experiment`.  Its
 canonical content hash — computed with
 :func:`repro.runtime.canonical_hash`, the same recipe the trace cache
-and the obs manifests use — identifies the run everywhere:
+uses — identifies the run everywhere:
 
 * the run directory is ``<out_dir>/<name>-<hash>``;
 * its artifacts count only while the directory's ``experiment.json``
-  is this config, written under ``EXPERIMENT_SCHEMA``, and the final
+  is this config, written under ``EXPERIMENT_SCHEMA``, and
   ``result.json`` embeds the hash;
-* every obs manifest written during the run carries it
-  (``obs.run_context``).
+* the run's record, ``run.json`` (:func:`repro.obs.write_record`),
+  carries it beside every stage's status, time and peak RSS, each
+  fitted predictor's fit seconds, the RMSEs and, under ``--obs
+  metrics``, the counters this run added.
 
 Process-wide switches that never change a result (``--sanitize``; see
 :mod:`repro.runtime`) stay out of the config, so arming them neither
@@ -345,7 +347,7 @@ class Stage:
         start = time.perf_counter()
         skipped = not ctx.force and self.load(ctx)
         detail = None if skipped else self.run(ctx)
-        status = StageStatus(
+        return StageStatus(
             stage=self.name,
             status="skipped" if skipped else "completed",
             artifact=str(self.artifact(ctx)),
@@ -353,9 +355,6 @@ class Stage:
             detail=detail,
             peak_rss_mb=obs.peak_rss_mb(),
         )
-        if obs.metrics_enabled():
-            obs.counter(f"pipeline.stage.{status.status}")
-        return status
 
 
 class SynthesizeStage(Stage):
@@ -474,12 +473,14 @@ class TrainStage(Stage):
                 continue
             path = self.checkpoint_path(ctx, name)
             predictor = create_predictor(name, ctx.config.deep)
+            start = time.perf_counter()
             predictor.fit(train, val)
-            info: Dict = {"status": "fitted"}
+            info: Dict = {"status": "fitted", "fit_s": time.perf_counter() - start}
             if isinstance(predictor, _DeepPredictor):
                 predictor.save_checkpoint(path)
                 history = predictor.trainer.history if predictor.trainer else None
                 if history is not None:
+                    info["best_epoch"] = history.best_epoch
                     info["best_val_loss"] = history.best_val_loss
                     info["epochs_run"] = history.epochs_run
             else:
@@ -530,12 +531,6 @@ class EvaluateStage(Stage):
         if improvement is not None:
             payload["improvement_pct"] = improvement
         runtime.write_atomic(self.artifact(ctx), _json_text(payload))
-        obs.write_manifest(
-            kind="experiment",
-            config=config.to_dict(),
-            seed=config.seed,
-            extra={"rmse": rmse, "run_dir": str(ctx.run_dir)},
-        )
         return {"rmse": rmse}
 
 
@@ -629,14 +624,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute (or resume) an experiment end to end.
 
-    The experiment hash is exposed through
-    :class:`repro.obs.run_context` so every manifest written by nested
-    subsystems carries it.  ``force=True`` re-runs every stage even
-    when artifacts exist; so does a directory whose ``experiment.json``
-    is another config or an older schema's, whose files this run would
-    read are deleted before it claims the directory, so a resume after a
-    kill never mixes the two.
+    ``force=True`` re-runs every stage even when artifacts exist; so
+    does a directory whose ``experiment.json`` is another config or an
+    older schema's, whose files this run would read are deleted before
+    it claims the directory, so a resume after a kill never mixes the
+    two.  The run ends by writing its record, ``<run_dir>/run.json``.
     """
+    since = obs.snapshot()
     run_dir = run_dir_for(config, out_dir)
     experiment_hash = config.hash()
     held = _holds(run_dir, experiment_hash)
@@ -646,19 +640,17 @@ def run_experiment(
             for path in stage.outputs(ctx):
                 path.unlink(missing_ok=True)
     config.save(run_dir / "experiment.json")
-    with obs.run_context(experiment_hash):
-        statuses = [stage.execute(ctx) for stage in DEFAULT_STAGES]
+    statuses = [stage.execute(ctx) for stage in DEFAULT_STAGES]
     if ctx.dataset is None or ctx.rmse is None:
         raise RuntimeError("the evaluate stage did not run")
     rmse = ctx.rmse
-    summary = {
+    fields = {
         "experiment": config.name,
-        "experiment_hash": experiment_hash,
         "run_dir": str(run_dir),
         "stages": [asdict(status) for status in statuses],
         "rmse": rmse,
     }
-    runtime.write_atomic(run_dir / "run.json", _json_text(summary))
+    obs.write_record(run_dir, "experiment", experiment_hash, since, fields)
     return ExperimentResult(
         config=config,
         hash=experiment_hash,

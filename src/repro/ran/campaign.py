@@ -619,9 +619,15 @@ def run_city_campaign(
     cache ``<state_dir>/traces``, so they live and go with the shard
     files that list them; a finished shard whose spilled entries are
     gone is warned about and re-simulated.
+
+    Each invocation ends by writing the campaign's record,
+    ``<state_dir>/run.json`` (:func:`repro.obs.write_record`): shard
+    and UE totals, whether the campaign is complete, per-group CA
+    prevalence and this invocation's wall time.  A resume rewrites it.
     """
     import time
 
+    since = obs.snapshot()
     config = config or CityCampaignConfig()
     start = time.perf_counter()
     plan = ShardPlan.build(config)
@@ -642,8 +648,6 @@ def run_city_campaign(
             pending.append(i)
 
     to_run = pending if max_shards is None else pending[: max(0, max_shards)]
-    if obs.metrics_enabled():
-        obs.counter("campaign.shard.resumed", resumed)
     payloads = [
         {
             "config": config.to_dict(),
@@ -664,8 +668,6 @@ def run_city_campaign(
     )
     for i, result in zip(to_run, results):
         completed[plan.shard_id(i)] = result
-        if obs.metrics_enabled():
-            obs.counter("campaign.shard.completed")
 
     simulated = sum(int(result["n_ues"]) for result in results)
     merged: Dict[Tuple[str, str, str], CAStatisticsAccumulator] = {}
@@ -687,21 +689,18 @@ def run_city_campaign(
     complete = len(completed) == plan.n_shards
 
     wall = time.perf_counter() - start
-    obs.write_manifest(
-        kind="city_campaign",
-        config=config.to_dict(),
-        seed=config.seed,
-        extra={
-            "campaign_hash": campaign_hash,
-            "shards_total": plan.n_shards,
-            "shards_completed": len(completed),
-            "shards_resumed": resumed,
-            "n_ues": ues_done,
-            "n_simulated": simulated,
-            "complete": complete,
-            "ca_prevalence": {"/".join(key): s.ca_prevalence for key, s in stats.items()},
-        },
-    )
+    fields = {
+        "config": config.to_dict(),
+        "shards_total": plan.n_shards,
+        "shards_completed": len(completed),
+        "shards_resumed": resumed,
+        "n_ues": ues_done,
+        "n_simulated": simulated,
+        "complete": complete,
+        "ca_prevalence": {"/".join(key): s.ca_prevalence for key, s in stats.items()},
+        "wall_s": wall,
+    }
+    obs.write_record(root, "campaign", campaign_hash, since, fields)
     return CityCampaignResult(
         config=config,
         hash=campaign_hash,

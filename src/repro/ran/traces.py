@@ -274,9 +274,3 @@ class TraceSet:
 
     def total_duration_s(self) -> float:
         return sum(trace.duration_s for trace in self.traces)
-
-    def throughput_samples(self) -> np.ndarray:
-        """All aggregate throughput samples pooled across traces."""
-        if not self.traces:
-            return np.empty(0)
-        return np.concatenate([trace.throughput_series() for trace in self.traces])

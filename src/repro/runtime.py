@@ -6,14 +6,14 @@ numeric sanitizer: every backend primitive is wrapped with NaN/Inf
 guards and forward/backward integrity checks (see :mod:`repro.sanitize`).
 
 It does not change a result, so it feeds no cache key or experiment
-hash; run manifests stamp it in one canonical spelling
-(:func:`repro.obs.manifest.kernel_paths`).  Changing it swaps the
+hash; run records stamp :func:`flags`, its one canonical spelling
+(:func:`repro.obs.write_record`).  Changing it swaps the
 object :func:`repro.backends.active` returns, so hot paths read one
 module global and never call back in here.
 
 The same module owns the repo's one canonical content-hash helper,
 :func:`canonical_hash` (sorted-key compact JSON → SHA-256), used by the
-trace cache, the obs manifests, and the experiment pipeline — so one
+trace cache, the experiment pipeline and the city campaign — so one
 hash identifies a run everywhere — and the resume contract of every
 file artifact (pipeline stages, campaign shards, checkpoints): it is
 written whole by :func:`write_atomic`, and it counts as done when
@@ -119,9 +119,9 @@ def canonical_hash(payload: Mapping, schema: Optional[str] = None, length: int =
     ``default=str`` for exotic values) and hashed with SHA-256; an
     optional ``schema`` string is folded in so semantic changes to the
     producing code can invalidate old hashes.  This is the *only*
-    hashing recipe in the repo — the trace cache, the obs manifests and
-    the experiment pipeline all delegate here, so equal configurations
-    hash equally everywhere.
+    hashing recipe in the repo — the trace cache, the experiment
+    pipeline and the city campaign all delegate here, so equal
+    configurations hash equally everywhere.
     """
     data = dict(payload)
     if schema is not None:

@@ -24,15 +24,16 @@ guarded twin:
   born in the loss is caught at the first backward it enters.
 
 Every wrapped call increments the ``sanitize.checks`` obs counter;
-violations publish ``sanitize.violation.nonfinite`` or
-``sanitize.violation.backward_mismatch`` *before* raising
-:class:`SanitizerError`, so the run manifest of a crashed sanitized
-run still records what tripped.  CI runs the fast workload with
-``--sanitize`` and asserts the violation counters stay absent.
+violations count ``sanitize.violation.nonfinite`` or
+``sanitize.violation.backward_mismatch`` and raise
+:class:`SanitizerError`, whose message names the primitive and the
+backend.  A run that raises writes no record, so the error is what
+says what tripped.  CI runs the fast workload with ``--sanitize`` and
+asserts that its record counts checks and no violation.
 
 The wrapper is applied once per switch change at the backend
 seam — hot paths pay zero overhead while the switch is off, and the
-wrapped backend keeps the inner backend's ``name`` so manifests stamp
+wrapped backend keeps the inner backend's ``name``, so an error names
 the real compute backend, not the wrapper.
 """
 
@@ -108,8 +109,8 @@ def _all_finite(value: np.ndarray) -> bool:
 
 
 def _violation(kind: str, message: str, primitive: str, backend: str) -> SanitizerError:
-    # publish before raising so a crashed sanitized run still records
-    # the violation in its metrics/manifest output
+    # counted before raising, so a caller that catches the error still
+    # sees the violation in the registry
     if obs.metrics_enabled():
         obs.counter(f"sanitize.violation.{kind}")
     return SanitizerError(f"sanitize[{backend}.{primitive}]: {message}", primitive, backend)
@@ -213,7 +214,7 @@ class SanitizedBackend:
 
     Duck-types :class:`repro.backends.Backend`: one attribute per
     primitive plus ``name`` (kept equal to the inner backend's so
-    manifests record the real compute backend).  ``inner`` exposes the
+    errors name the real compute backend).  ``inner`` exposes the
     unwrapped backend for tests and debugging.
     """
 

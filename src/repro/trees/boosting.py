@@ -98,15 +98,3 @@ class GradientBoostingRegressor:
         for tree in self.trees_:
             pred += self.learning_rate * tree.predict(x)
         return pred
-
-    def staged_predict(self, x: np.ndarray) -> np.ndarray:
-        """Predictions after each boosting stage, shape (stages, n)."""
-        if not self.trees_:
-            raise RuntimeError("model has not been fitted")
-        x = np.asarray(x, dtype=np.float64)
-        pred = np.full(len(x), self.init_)
-        stages = []
-        for tree in self.trees_:
-            pred = pred + self.learning_rate * tree.predict(x)
-            stages.append(pred.copy())
-        return np.stack(stages)

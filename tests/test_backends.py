@@ -18,7 +18,7 @@ from repro.backends import numpy_backend
 from repro.nn.kernels import lstm_seq
 from repro.nn.modules import LSTM, Linear, Module
 from repro.nn.tensor import Tensor
-from repro.nn.training import Trainer, stack_trace_windows
+from repro.nn.training import Trainer
 
 
 @pytest.fixture(autouse=True)
@@ -209,39 +209,3 @@ class TestArena:
         one_by_one = trainer.predict(x, batch_size=1)
         assert not np.allclose(batched[0], batched[-1])
         assert np.allclose(one_by_one, batched)
-
-
-# ---------------------------------------------------------------------------
-# multi-trace stacking
-
-
-class TestStackTraceWindows:
-    def test_stacks_along_sample_axis(self):
-        rng = np.random.default_rng(5)
-        pairs = [(rng.normal(size=(n, 6, 3)), rng.normal(size=(n, 2))) for n in (4, 7, 5)]
-        x, y = stack_trace_windows(pairs)
-        assert x.shape == (16, 6, 3)
-        assert y.shape == (16, 2)
-        assert np.array_equal(x[4:11], pairs[1][0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            stack_trace_windows([
-                (np.zeros((2, 5, 3)), np.zeros((2, 1))),
-                (np.zeros((2, 4, 3)), np.zeros((2, 1))),
-            ])
-        with pytest.raises(ValueError, match="windows"):
-            stack_trace_windows([(np.zeros((2, 5, 3)), np.zeros((3, 1)))])
-        with pytest.raises(ValueError, match="at least one"):
-            stack_trace_windows([])
-
-    def test_fit_traces_equals_fit_on_stacked(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(40, 8, 4))
-        y = rng.normal(size=(40, 1))
-        pairs = [(x[:25], y[:25]), (x[25:], y[25:])]
-        stacked = Trainer(_SeqModel(), max_epochs=2, batch_size=10, seed=0)
-        hist_a = stacked.fit_traces(pairs)
-        reference = Trainer(_SeqModel(), max_epochs=2, batch_size=10, seed=0)
-        hist_b = reference.fit(x, y)
-        assert hist_a.train_loss == hist_b.train_loss  # lint: bit-identical

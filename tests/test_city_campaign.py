@@ -137,18 +137,19 @@ class TestCityCampaign:
         assert not partial.complete
         assert partial.shards_completed == 1
         assert partial.shards_total == config.shards
+        record = obs.read_record(state)
+        assert record["campaign_hash"] == partial.hash
+        assert (record["complete"], record["shards_completed"], record["shards_total"]) == (False, 1, config.shards)
 
-        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
-        obs.reset()
-        try:
-            full = run_city_campaign(config, state_dir=state)
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.configure(mode=obs.MODE_OFF)
+        full = run_city_campaign(config, state_dir=state)
         assert full.complete
         assert full.shards_resumed == 1
         assert full.shards_completed == config.shards
-        assert counters.get("campaign.shard.resumed") == 1
+        # the resume rewrites the record with the shards it resumed
+        record = obs.read_record(state)
+        assert (record["complete"], record["shards_completed"], record["shards_resumed"]) == (True, config.shards, 1)
+        assert record["n_simulated"] == full.n_simulated < record["n_ues"] == full.n_ues
+        assert record["config"] == config.to_dict()
 
         again = run_city_campaign(config, state_dir=state)
         assert again.complete

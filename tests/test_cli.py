@@ -142,63 +142,74 @@ class TestObs:
         obs.configure(mode=obs.MODE_OFF)
         obs.reset()
 
-    def test_simulate_with_metrics_then_report(self, tmp_path, capsys):
-        obs_dir = tmp_path / "obs"
-        rc = main(
-            [
-                "simulate", "--duration", "10", "--seed", "3",
-                "--obs", "metrics", "--obs-dir", str(obs_dir),
-            ]
+    @pytest.fixture()
+    def config(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(
+            """{"name": "cli-obs", "n_traces": 2, "samples_per_trace": 40,
+                "predictors": ["LSTM"], "deep": {"hidden": 4, "max_epochs": 1, "patience": 1}}"""
         )
-        assert rc == 0
-        assert (obs_dir / "latest.json").exists()
+        return path
 
-        rc = main(["obs", "report", "--dir", str(obs_dir)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "simulate run" in out
-        assert "sim.steps" in out
-        assert "peak_rss_mb" in out
-
-    def test_obs_report_json_mode(self, tmp_path, capsys):
-        obs_dir = tmp_path / "obs"
-        main(["simulate", "--duration", "5", "--obs", "metrics", "--obs-dir", str(obs_dir)])
+    def test_run_with_metrics_then_report(self, tmp_path, config, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["run", str(config), "--out-dir", str(run_dir), "--obs", "metrics"]) == 0
+        # the run directory holds the record; nothing lands beside it
+        assert (run_dir / "run.json").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["exp.json", "run"]
         capsys.readouterr()
-        import json
 
-        rc = main(["obs", "report", "--dir", str(obs_dir), "--json"])
-        assert rc == 0
-        manifest = json.loads(capsys.readouterr().out)
-        assert manifest["kind"] == "simulate"
-        assert manifest["kernel_paths"]["sanitize"] == "0"
+        assert main(["obs", "report", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"experiment run: {run_dir / 'run.json'}" in out
+        assert "sim.steps" in out and "peak_rss_mb" in out and "best_epoch" in out
 
-    def test_simulate_sanitize_stamps_the_manifest(self, tmp_path):
+    def test_obs_report_reads_a_campaign_state_dir(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        argv = [
+            "campaign", "--operators", "OpZ", "--scenarios", "urban", "--rats", "5G",
+            "--ues", "2", "--duration", "5", "--state-dir", str(state),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert f"campaign run: {state / 'run.json'}" in out
+        assert "shards_completed: 1" in out and "complete: True" in out
+
+    def test_run_sanitize_stamps_the_record(self, tmp_path, config):
         from repro import obs
 
-        obs_dir = tmp_path / "obs"
-        rc = main(["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(obs_dir)])
-        assert rc == 0
-        manifest = obs.latest_manifest(obs_dir)
-        assert manifest["kernel_paths"]["sanitize"] == "1"
-        assert manifest["metrics"]["counters"]["sanitize.checks"] > 0
+        run_dir = tmp_path / "run"
+        assert main(["run", str(config), "--out-dir", str(run_dir), "--sanitize", "--obs", "metrics"]) == 0
+        record = obs.read_record(run_dir)
+        assert record["flags"]["sanitize"] == "1"
+        assert record["counters"]["sanitize.checks"] > 0
+        assert not [name for name in record["counters"] if name.startswith("sanitize.violation")]
 
-    def test_main_restores_sanitize_and_obs(self, tmp_path):
+    def test_main_restores_sanitize_and_obs(self, tmp_path, config):
         from repro import backends, obs, runtime
 
-        before = (runtime.flags(), backends.sanitize_active(), obs.mode(), obs.obs_dir())
-        argv = ["simulate", "--duration", "5", "--sanitize", "--obs", "metrics", "--obs-dir", str(tmp_path / "obs")]
+        before = (runtime.flags(), backends.sanitize_active(), obs.mode())
+        argv = ["run", str(config), "--out-dir", str(tmp_path / "run"), "--sanitize", "--obs", "metrics"]
         assert main(argv) == 0
-        assert (runtime.flags(), backends.sanitize_active(), obs.mode(), obs.obs_dir()) == before
+        assert (runtime.flags(), backends.sanitize_active(), obs.mode()) == before
 
     def test_obs_report_empty_dir_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["obs", "report", "--dir", str(tmp_path)])
+        rc = main(["obs", "report", str(tmp_path)])
         assert rc == 1
-        assert "no run manifest" in capsys.readouterr().err
+        assert f"no run record (run.json) in {tmp_path}" in capsys.readouterr().err
 
     def test_obs_offers_report_and_check_slo_only(self, capsys):
         with pytest.raises(SystemExit):
             main(["obs", "--help"])
         assert "{report,check-slo}" in capsys.readouterr().out
         with pytest.raises(SystemExit):
-            main(["simulate", "--obs", "trace"])
+            main(["run", "x.json", "--obs", "trace"])
         assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+    def test_simulate_takes_no_obs_flag(self, capsys):
+        # a simulate run has no directory to hold a record
+        with pytest.raises(SystemExit):
+            main(["simulate", "--obs", "metrics"])
+        assert "unrecognized arguments: --obs" in capsys.readouterr().err

@@ -89,13 +89,13 @@ def test_cache_corrupt_entry_is_reported_and_regenerated(tmp_path, caplog):
     jsonl = sorted(entry.glob("*.jsonl"))[0]
     jsonl.write_text("{not json at all\n")
 
-    obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
+    obs.configure(mode=obs.MODE_METRICS)
     try:
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
             assert cache.get(config) is None
         assert not entry.exists()  # bad entry deleted, next run regenerates
         assert any("cache.corrupt" in rec.message for rec in caplog.records)
-        assert obs.snapshot()["counters"].get("cache.corrupt") == 1.0
+        assert obs.snapshot().get("cache.corrupt") == 1.0
     finally:
         obs.configure(mode=obs.MODE_OFF)
         obs.reset()

@@ -145,7 +145,6 @@ def test_rl005_passes_on_dotted_names(tmp_path):
         tmp_path,
         "from repro import obs\n"
         "obs.counter('demo.hits')\n"
-        "obs.gauge('demo.depth', 1.0)\n"
         "obs.log_warning('demo.swallowed')\n"
         "other.counter('NotObs')\n",
         rules=["RL005"],
@@ -168,8 +167,8 @@ def test_rl005_harvests_fstrings_and_conditionals(tmp_path):
     result = lint_snippet(
         tmp_path,
         "from repro import obs\n"
-        "obs.gauge(f'demo.rmse.{name}', 1.0)\n"
-        "obs.gauge(f'Demo.{name}', 1.0)\n"
+        "obs.counter(f'demo.rmse.{name}', 1.0)\n"
+        "obs.counter(f'Demo.{name}', 1.0)\n"
         "obs.counter('demo.a' if cond else 'demo.b')\n"
         "obs.counter('demo.a' if cond else 'Demo.B')\n"
         "obs.counter(variable_name)\n",

@@ -155,4 +155,4 @@ class TestModuleInfrastructure:
     def test_mlp_architecture(self):
         mlp = MLP(4, [8, 8], 2, rng=np.random.default_rng(0))
         assert mlp(Tensor(RNG.normal(size=(3, 4)))).shape == (3, 2)
-        assert mlp.num_parameters() == 4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.data.size for p in mlp.parameters()) == 4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2

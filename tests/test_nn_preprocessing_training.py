@@ -25,13 +25,13 @@ class TestMinMaxScaler:
     @settings(max_examples=50, deadline=None)
     @given(finite_matrix)
     def test_range_is_unit_interval(self, x):
-        out = MinMaxScaler().fit_transform(x)
+        out = MinMaxScaler().fit(x).transform(x)
         assert out.min() >= -1e-12
         assert out.max() <= 1.0 + 1e-12
 
     def test_constant_column_maps_to_zero(self):
         x = np.full((5, 2), 7.0)
-        out = MinMaxScaler().fit_transform(x)
+        out = MinMaxScaler().fit(x).transform(x)
         np.testing.assert_allclose(out, 0.0)
 
     def test_unfitted_raises(self):

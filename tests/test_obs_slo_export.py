@@ -1,4 +1,4 @@
-"""SLO budgets over run manifests, the BENCH trend gate, and the obs check-slo CLI."""
+"""SLO budgets over run records, the BENCH trend gate, and the obs check-slo CLI."""
 
 import json
 
@@ -18,7 +18,6 @@ from repro.obs.slo import (
 @pytest.fixture(autouse=True)
 def obs_off_after(monkeypatch):
     monkeypatch.delenv(obs.OBS_ENV, raising=False)
-    monkeypatch.delenv(obs.OBS_DIR_ENV, raising=False)
     obs.configure(mode=obs.MODE_OFF)
     obs.reset()
     yield
@@ -34,23 +33,23 @@ def _slo(budgets):
     return {"schema": SLO_SCHEMA, "budgets": budgets}
 
 
-def _manifest(counters=None, peak_rss_mb=64.0):
-    return {"peak_rss_mb": peak_rss_mb, "metrics": {"counters": counters or {}, "gauges": {}}}
+def _record(counters=None, peak_rss_mb=64.0):
+    return {"peak_rss_mb": peak_rss_mb, "counters": counters or {}}
 
 
 class TestEvaluateSlo:
     def test_counter_max_glob(self):
-        manifest = _manifest({"cache.corrupt": 3.0, "cache.hit": 9.0, "parallel.shard.retry": 1.0})
+        record = _record({"cache.corrupt": 3.0, "cache.hit": 9.0, "parallel.shard.retry": 1.0})
         violations = evaluate_slo(
-            _slo({"counter_max": {"cache.corrupt": 0, "parallel.*": 0}}), manifest
+            _slo({"counter_max": {"cache.corrupt": 0, "parallel.*": 0}}), record
         )
         assert {v.subject for v in violations} == {"cache.corrupt", "parallel.shard.retry"}
 
     def test_peak_rss_checks_the_manifest_field(self):
-        (v,) = evaluate_slo(_slo({"peak_rss_mb": 512}), _manifest(peak_rss_mb=900.0))
-        assert (v.budget, v.subject, v.actual) == ("peak_rss_mb", "manifest", 900.0)
+        (v,) = evaluate_slo(_slo({"peak_rss_mb": 512}), _record(peak_rss_mb=900.0))
+        assert (v.budget, v.subject, v.actual) == ("peak_rss_mb", "record", 900.0)
         assert "exceeds budget 512" in v.message()
-        assert evaluate_slo(_slo({"peak_rss_mb": 512}), _manifest(peak_rss_mb=100.0)) == []
+        assert evaluate_slo(_slo({"peak_rss_mb": 512}), _record(peak_rss_mb=100.0)) == []
 
     def test_load_slo_rejects_bad_files(self, tmp_path):
         bad_schema = tmp_path / "a.json"
@@ -104,13 +103,14 @@ FAST_BUDGET = _slo(
 )
 
 
-def _write_run(directory, counters=None):
-    """One run's manifest in ``directory``, as ``--obs metrics`` leaves it."""
-    obs.configure(mode=obs.MODE_METRICS, directory=directory)
+def _write_run(directory, counters=None, metrics=True):
+    """One run's record in ``directory``, as a run under ``--obs metrics`` (or off) leaves it."""
+    obs.configure(mode=obs.MODE_METRICS if metrics else obs.MODE_OFF)
+    since = obs.snapshot()
     for name, value in (counters or {"cache.hit": 2}).items():
         obs.counter(name, value)
-    obs.write_manifest(kind="train")
-    obs.reset()
+    obs.write_record(directory, "experiment", "abc", since, {})
+    obs.configure(mode=obs.MODE_OFF)
 
 
 def _check(tmp_path, run_dir, budget=FAST_BUDGET, bench=None):
@@ -119,49 +119,63 @@ def _check(tmp_path, run_dir, budget=FAST_BUDGET, bench=None):
     bench_path = tmp_path / "bench.json"
     if bench is not None:
         bench_path.write_text(json.dumps(bench))
-    return main(
-        [
-            "obs", "check-slo", "--budget", str(budget_path),
-            "--dir", str(run_dir), "--bench", str(bench_path),
-        ]
-    )
+    return main(["obs", "check-slo", "--budget", str(budget_path), "--bench", str(bench_path), str(run_dir)])
 
 
 class TestObsCli:
     def test_check_slo_passes_within_budget(self, tmp_path, capsys):
-        _write_run(tmp_path / "obs")
-        assert _check(tmp_path, tmp_path / "obs") == 0
-        assert "OK" in capsys.readouterr().out
+        _write_run(tmp_path / "run")
+        assert _check(tmp_path, tmp_path / "run") == 0
+        assert f"OK: {tmp_path / 'run' / 'run.json'} is within budget" in capsys.readouterr().out
 
     def test_check_slo_exits_nonzero_on_injected_violation(self, tmp_path, capsys):
-        _write_run(tmp_path / "obs", {"cache.corrupt": 1})
-        assert _check(tmp_path, tmp_path / "obs") == 1
+        _write_run(tmp_path / "run", {"cache.corrupt": 1})
+        assert _check(tmp_path, tmp_path / "run") == 1
         err = capsys.readouterr().err
         assert "cache.corrupt" in err and "FAIL" in err
 
     def test_check_slo_fails_on_peak_rss_over_limit(self, tmp_path, capsys):
-        _write_run(tmp_path / "obs")
+        _write_run(tmp_path / "run")
         budget = _slo({"peak_rss_mb": 1})
-        assert _check(tmp_path, tmp_path / "obs", budget=budget) == 1
+        assert _check(tmp_path, tmp_path / "run", budget=budget) == 1
         assert "[peak_rss_mb]" in capsys.readouterr().err
 
     def test_check_slo_fails_on_bench_regression(self, tmp_path, capsys):
-        _write_run(tmp_path / "obs")
+        _write_run(tmp_path / "run")
         bench = {
             "baseline": {"current_s": {"end_to_end": 10.0}},
             "latest": {"current_s": {"end_to_end": 12.0}},
         }
-        assert _check(tmp_path, tmp_path / "obs", bench=bench) == 1
+        assert _check(tmp_path, tmp_path / "run", bench=bench) == 1
         assert "[end_to_end_regression]" in capsys.readouterr().err
+
+    def test_check_slo_fails_when_the_budget_bounds_counters_the_record_lacks(self, tmp_path, capsys):
+        _write_run(tmp_path / "run", metrics=False)
+        assert _check(tmp_path, tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'run' / 'run.json'} has no counters" in err
+        # a budget that bounds no counter reads a record without them
+        assert _check(tmp_path, tmp_path / "run", budget=_slo({"peak_rss_mb": 4096})) == 0
+
+    def test_check_slo_gates_a_campaign_state_dir(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        argv = [
+            "campaign", "--operators", "OpZ", "--scenarios", "urban", "--rats", "5G",
+            "--ues", "2", "--duration", "5", "--state-dir", str(state), "--obs", "metrics",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert _check(tmp_path, state) == 0
+        assert f"OK: {state / 'run.json'} is within budget" in capsys.readouterr().out
 
     def test_check_slo_without_manifest_exits_1_naming_the_dir(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert _check(tmp_path, empty) == 1
-        assert f"no run manifest under {empty}" in capsys.readouterr().err
+        assert f"no run record (run.json) in {empty}" in capsys.readouterr().err
 
     def test_check_slo_bad_budget_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
-        assert main(["obs", "check-slo", "--budget", str(bad)]) == 2
+        assert main(["obs", "check-slo", "--budget", str(bad), str(tmp_path)]) == 2
         assert "expected an SLO file" in capsys.readouterr().err

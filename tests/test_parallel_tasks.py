@@ -28,8 +28,8 @@ def _always_fail(x):
 
 
 @pytest.fixture()
-def metrics_obs(tmp_path):
-    obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
+def metrics_obs():
+    obs.configure(mode=obs.MODE_METRICS)
     obs.reset()
     yield
     obs.configure(mode=obs.MODE_OFF)
@@ -52,7 +52,7 @@ class TestRunTasks:
             _fail_once, [str(flag)], labels=["shard-0000"], processes=1, retries=1
         )
         assert out == ["ok"]
-        counters = obs.snapshot()["counters"]
+        counters = obs.snapshot()
         assert counters.get("parallel.shard.retry") == 1
         assert "parallel.shard.failed" not in counters
 
@@ -61,7 +61,7 @@ class TestRunTasks:
             run_tasks(
                 _always_fail, [7], labels=["shard-0007"], processes=1, retries=1
             )
-        counters = obs.snapshot()["counters"]
+        counters = obs.snapshot()
         assert counters.get("parallel.shard.retry") == 1
         assert counters.get("parallel.shard.failed") == 1
 

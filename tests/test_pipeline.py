@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs, runtime
 from repro.core.predictors import (
+    DeepConfig,
     LSTMPredictor,
     Prism5GPredictor,
     create_predictor,
@@ -334,7 +335,9 @@ class TestRunExperiment:
         assert (run_dir / "checkpoints" / "prism5g.npz").exists()
         assert (run_dir / "result.json").exists()
         summary = json.loads((run_dir / "run.json").read_text())
+        assert summary["schema"] == obs.RUN_SCHEMA
         assert summary["experiment_hash"] == config.hash()
+        assert summary["rmse"] == result.rmse
         payload = json.loads((run_dir / "result.json").read_text())
         assert payload["experiment_hash"] == config.hash()
         assert payload["rmse"] == result.rmse
@@ -570,19 +573,19 @@ class TestRunExperiment:
             "deep": {"hidden": 8, "max_epochs": 1, "patience": 1},
         }
         unarmed_hash = ExperimentConfig(**tiny_lstm).hash()
-        obs_dir = tmp_path / "obs"
-        obs.configure(mode=obs.MODE_METRICS, directory=obs_dir)
+        obs.configure(mode=obs.MODE_METRICS)
         try:
             with runtime.use(sanitize="1"):
                 config = ExperimentConfig(**tiny_lstm)
                 run_experiment(config, out_dir=tmp_path / "sanitized-run")
-            manifest = obs.latest_manifest(obs_dir)
         finally:
             obs.configure(mode=obs.MODE_OFF)
             obs.reset()
+        record = obs.read_record(tmp_path / "sanitized-run")
         assert config.hash() == unarmed_hash
-        assert manifest["kernel_paths"]["sanitize"] == "1"
-        assert manifest["metrics"]["counters"]["sanitize.checks"] > 0
+        assert record["flags"]["sanitize"] == "1"
+        assert record["counters"]["sanitize.checks"] > 0
+        assert not [name for name in record["counters"] if name.startswith("sanitize.violation")]
         # the shipped example lands in the same run directory either way
         example = Path(__file__).resolve().parent.parent / "examples" / "experiment_small.json"
         with runtime.use(sanitize="1"):
@@ -591,13 +594,62 @@ class TestRunExperiment:
 
     def test_manifests_carry_experiment_hash(self, tmp_path):
         config = ExperimentConfig(**{**TINY, "predictors": ("Prophet",)})
-        obs_dir = tmp_path / "obs"
-        obs.configure(mode=obs.MODE_METRICS, directory=obs_dir)
+        run_experiment(config, out_dir=tmp_path / "run")
+        record = obs.read_record(tmp_path / "run")
+        result = json.loads((tmp_path / "run" / "result.json").read_text())
+        # the record and the result name the run by its one hash
+        assert record["experiment_hash"] == result["experiment_hash"] == config.hash()
+        assert sorted(key for key in record if key.endswith("hash")) == ["experiment_hash"]
+        # metrics off: the record holds no counters
+        assert "counters" not in record
+
+    def test_record_counts_only_its_own_run(self, tmp_path):
+        obs.configure(mode=obs.MODE_METRICS)
         try:
-            run_experiment(config, out_dir=tmp_path / "obs-run")
-            manifest = obs.latest_manifest(obs_dir)
+            records = []
+            for seed in (0, 1):
+                config = ExperimentConfig(
+                    n_traces=2, samples_per_trace=40, predictors=("LSTM",), seed=seed,
+                    deep=DeepConfig(hidden=4, max_epochs=1, patience=1),
+                )
+                run_experiment(config, out_dir=tmp_path / f"run-{seed}")
+                records.append(obs.read_record(tmp_path / f"run-{seed}"))
         finally:
             obs.configure(mode=obs.MODE_OFF)
             obs.reset()
-        assert manifest is not None
-        assert manifest["experiment_hash"] == config.hash()
+        # equal-size runs in one process count alike, and every stage counts
+        assert [record["counters"]["sim.steps"] for record in records] == [80.0, 80.0]
+        for record in records:
+            assert [stage["status"] for stage in record["stages"]] == ["completed"] * 4
+
+    def test_rerun_record_reports_every_stage_skipped(self, finished_copy, tiny_run):
+        config, _, first = tiny_run
+        run_experiment(config, out_dir=finished_copy)
+        record = obs.read_record(finished_copy)
+        assert record["experiment_hash"] == config.hash()
+        assert [(stage["status"], stage["detail"]) for stage in record["stages"]] == [("skipped", None)] * 4
+        assert record["rmse"] == first.rmse
+
+    def test_sanitized_failure_names_the_primitive_and_writes_no_record(self, tmp_path, monkeypatch):
+        from repro import backends
+        from repro.sanitize import SanitizerError
+
+        plain = backends.active()
+        affine = plain.affine_forward
+        monkeypatch.setattr(plain, "affine_forward", lambda *args: np.full_like(affine(*args), np.nan))
+        config = ExperimentConfig(**{**TINY, "predictors": ("LSTM",)})
+        with runtime.use(sanitize="1"), pytest.raises(SanitizerError, match=r"sanitize\[numpy\.affine_forward\]"):
+            run_experiment(config, out_dir=tmp_path / "run")
+        # the error says what tripped; a run that raises leaves no record
+        assert not (tmp_path / "run" / "run.json").exists()
+
+    def test_record_carries_each_fit(self, tiny_run):
+        _, run_dir, result = tiny_run
+        record = obs.read_record(run_dir)
+        assert [stage["stage"] for stage in record["stages"]] == [s.name for s in DEFAULT_STAGES]
+        (train,) = [stage["detail"] for stage in record["stages"] if stage["stage"] == "train"]
+        assert set(train) == set(result.rmse)
+        assert all(fit["fit_s"] > 0.0 for fit in train.values())
+        prism = train["Prism5G"]
+        assert 0 <= prism["best_epoch"] < prism["epochs_run"]
+        assert np.isfinite(prism["best_val_loss"])

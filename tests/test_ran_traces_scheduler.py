@@ -192,9 +192,6 @@ class TestTraceSet:
     def test_filter(self):
         assert len(self._set().filter(operator="OpZ")) == 1
 
-    def test_pooled_samples(self):
-        assert self._set().throughput_samples().shape == (2,)
-
     def test_total_duration(self):
         assert self._set().total_duration_s() == 2.0
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import backends, obs, runtime
+from repro import backends, runtime
 
 
 @pytest.fixture(autouse=True)
@@ -113,10 +113,6 @@ class TestCanonicalHash:
 
         # default=str keeps e.g. Paths hashable rather than raising
         assert runtime.canonical_hash({"p": Path("/tmp/x")})
-
-    def test_matches_obs_config_hash(self):
-        config = {"operator": "OpZ", "dt_s": 1.0}
-        assert obs.config_hash(config) == runtime.canonical_hash(config)
 
 
 class TestCacheKeyFingerprint:

@@ -37,7 +37,7 @@ class TestSeam:
             assert backends.sanitize_active()
             be = backends.active()
             assert isinstance(be, SanitizedBackend)
-            # manifests must stamp the real compute backend
+            # errors must name the real compute backend
             assert be.name == "numpy"
         assert not isinstance(backends.active(), SanitizedBackend)
 
@@ -162,8 +162,8 @@ class _TinyModel(Module):
 
 
 class TestEndToEnd:
-    def test_sanitized_training_runs_clean_and_counts_checks(self, tmp_path):
-        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
+    def test_sanitized_training_runs_clean_and_counts_checks(self):
+        obs.configure(mode=obs.MODE_METRICS)
         try:
             obs.reset()
             rng = np.random.default_rng(0)
@@ -171,14 +171,14 @@ class TestEndToEnd:
             y = rng.normal(size=(32, 1))
             with runtime.use(sanitize="1"):
                 Trainer(_TinyModel(), max_epochs=2, batch_size=16, seed=0).fit(x, y)
-            counters = obs.snapshot()["counters"]
+            counters = obs.snapshot()
             assert counters.get("sanitize.checks", 0) > 0
             assert not any(k.startswith("sanitize.violation") for k in counters)
         finally:
             obs.configure(mode=obs.MODE_OFF)
 
-    def test_violation_publishes_counter_before_raising(self, tmp_path):
-        obs.configure(mode=obs.MODE_METRICS, directory=tmp_path / "obs")
+    def test_violation_publishes_counter_before_raising(self):
+        obs.configure(mode=obs.MODE_METRICS)
         try:
             obs.reset()
             with runtime.use(sanitize="1"):
@@ -186,7 +186,7 @@ class TestEndToEnd:
                 x = np.full((2, 3), np.nan)
                 with pytest.raises(SanitizerError):
                     be.affine_forward(x, np.ones((3, 2)), None, None, None)
-            counters = obs.snapshot()["counters"]
+            counters = obs.snapshot()
             assert counters.get("sanitize.violation.nonfinite", 0) >= 1
         finally:
             obs.configure(mode=obs.MODE_OFF)
