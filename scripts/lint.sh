@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command static-analysis gate (mirrors the CI `static-analysis` job):
 #
-#   1. repro5g lint        - the repo's own invariant checks (RL001, RL003–RL010),
+#   1. repro5g lint        - the repo's own invariant checks (RL001, RL003–RL009),
 #                            one per-file pass; this script passes its
 #                            arguments through.  A pre-commit hook lints
 #                            just the changed files as explicit paths:

@@ -52,8 +52,11 @@ def _campaign(**kwargs) -> Callable[[Path], List[Trace]]:
 
 
 #: name -> trace set.  Solo runs drive a 3 km deployment so their
-#: candidate sets change mid-run; the two campaigns cover the cohort
-#: (shared deployment) and per-UE (``cells=0``) engines, spilled.
+#: candidate sets change mid-run; the campaigns cover the cohort (shared
+#: deployment) and per-UE (``cells=0``) engines, spilled.
+#: ``campaign_city`` is perfbench's ``city_campaign`` grid (every
+#: operator's channel plan, every outdoor scenario's load profile) at a
+#: small size.
 TRACE_SETS: Dict[str, Callable[[Path], List[Trace]]] = {
     "solo_1s": _solo(300.0, operator="OpX", mobility="driving", seed=3),
     "solo_100ms": _solo(60.0, operator="OpZ", mobility="driving", dt_s=0.1, seed=8),
@@ -69,6 +72,10 @@ TRACE_SETS: Dict[str, Callable[[Path], List[Trace]]] = {
     "campaign_cohort": _campaign(
         operators=("OpX", "OpZ"), scenarios=("urban", "highway"), rats=("5G",),
         ues=8, cells=30, shards=2, cohort=4, duration_s=60.0, seed=21,
+    ),
+    "campaign_city": _campaign(
+        operators=("OpX", "OpY", "OpZ"), scenarios=("urban", "suburban", "highway"), rats=("5G",),
+        ues=4, cells=40, shards=2, cohort=4, duration_s=30.0, seed=1000,
     ),
     "campaign_cells0": _campaign(
         operators=("OpY",), scenarios=("urban", "suburban"), rats=("5G", "4G"),

@@ -192,6 +192,10 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
         if key not in ("stages", "counters"):
             text = json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
             print(f"{key:>16}: {text}")
+    # the high-water mark only rises: unchanged, it is an earlier run's
+    at_start = record.get("peak_rss_mb_at_start")
+    if at_start is not None and at_start >= record.get("peak_rss_mb", 0.0):
+        print("peak_rss_mb was set before this run: the process's high-water mark did not rise during it")
     stages = record.get("stages") or []
     if stages:
         rows = [
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sanitize_arg(run)
     run.set_defaults(func=_cmd_run)
 
-    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001, RL003–RL010)")
+    lint = sub.add_parser("lint", help="run the repo's AST invariant checks (rules RL001, RL003–RL009)")
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 

@@ -6,7 +6,7 @@ oracles assert bit-identical outputs), the single canonical hash
 recipe, and the :mod:`repro.obs` metric namespace.  This package checks them
 statically (stdlib :mod:`ast` only) with a pluggable checker registry.
 Every rule reads one file at a time and resolves names only inside it;
-RL008–RL010 reason function by function over the file's scopes:
+RL008 and RL009 reason function by function over the file's scopes:
 
 ========  =======================  =============================================
 code      rule                     invariant
@@ -22,15 +22,14 @@ RL008     rng-lineage              every ``default_rng`` seed traces to the
                                    canonical hash recipe or a threaded seed arg,
                                    through same-file helpers only
 RL009     determinism-ordering     no iteration over set-typed expressions
-RL010     dtype-discipline         backend functions never mix f32/f64 without
-                                   an explicit cast
 ========  =======================  =============================================
 
 Run it as ``repro5g lint`` or ``python -m repro.lintkit``; line-scoped
 opt-outs are ``# lint: bit-identical`` (RL006) and
 ``# lint: disable=RL00X``, and ``--format sarif`` emits code-scanning
 annotations.  RL002 (flag-discipline) is retired and its code stays
-unused.  See README "Static analysis" and DESIGN §6d.
+unused, as is RL010 (dtype-discipline, deleted once no file in
+``src/repro`` mentioned float32).  See README "Static analysis" and DESIGN §6d.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .base import (
     register,
     registered_checkers,
 )
-# importing this registers RL001 and RL003–RL010
+# importing this registers RL001 and RL003–RL009
 from .checkers import valid_obs_name
 from .runner import (
     JSON_REPORT_SCHEMA,

@@ -63,7 +63,7 @@ class Diagnostic:
 class Scope:
     """One function of a file, or the module body left around them.
 
-    The per-function rules (RL008–RL010) reason scope by scope: each
+    The per-function rules (RL008, RL009) reason scope by scope: each
     top-level function, each method of a top-level class, and
     ``<module>`` for everything else.  A nested def or lambda belongs
     to its enclosing scope, and its parameters join ``params``.
@@ -164,7 +164,7 @@ class FileContext:
 
     @cached_property
     def scopes(self) -> List[Scope]:
-        """The file's scopes, built on first use and shared by RL008–RL010."""
+        """The file's scopes, built on first use and shared by RL008 and RL009."""
         return _file_scopes(self.tree)
 
 

@@ -1,4 +1,4 @@
-"""The repo-specific invariant checkers (rules RL001, RL003–RL010).
+"""The repo-specific invariant checkers (rules RL001, RL003–RL009).
 
 Each checker encodes one contract the reproduction depends on and reads
 one file at a time; DESIGN §6d explains why every one of them exists.
@@ -22,10 +22,8 @@ In brief:
   value built from those; wall clocks and pids break replay.
 * **RL009** — set iteration order is not replayable, so it never feeds
   a hash or a shard assignment.
-* **RL010** — backend functions never mix float32 and float64 without
-  an explicit cast; silent upcasts break backend bit-identity.
 
-RL008–RL010 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
+RL008 and RL009 read the file's :attr:`~repro.lintkit.base.FileContext.scopes`
 and resolve names only inside that file.
 """
 
@@ -685,62 +683,3 @@ class DeterminismOrderingChecker(Checker):
                             "(canonical_hash keys, ShardPlan assignment) can change "
                             "between runs; sort it first",
                         )
-
-
-# ---------------------------------------------------------------------------
-# RL010 — backend dtype discipline
-
-
-def _string_tuple(node: ast.expr) -> Optional[List[str]]:
-    """The items of an all-string tuple/list literal, else ``None``."""
-    if not isinstance(node, (ast.Tuple, ast.List)) or not node.elts:
-        return None
-    items: List[str] = []
-    for element in node.elts:
-        if isinstance(element, ast.Constant) and isinstance(element.value, str):
-            items.append(element.value)
-        else:
-            return None
-    return items
-
-
-@register
-class DtypeDisciplineChecker(Checker):
-    code = "RL010"
-    name = "dtype-discipline"
-    summary = (
-        "backend functions (same-file PRIMITIVES entries and repro.backends.*) "
-        "must not mix float32 and float64 without an explicit astype cast"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        primitives = {
-            item
-            for name, value in _top_level_assignments(ctx.tree)
-            if name == "PRIMITIVES"
-            for item in _string_tuple(value) or ()
-        }
-        in_backends = ctx.module == "repro.backends" or ctx.module.startswith("repro.backends.")
-        for scope in ctx.scopes:
-            if scope.node is None or not (in_backends or (not scope.cls and scope.name in primitives)):
-                continue
-            mentioned = {
-                node.attr if isinstance(node, ast.Attribute) else node.value
-                for node in scope.nodes
-                if isinstance(node, (ast.Attribute, ast.Constant))
-            }
-            # astype on any receiver counts, including non-name chains like
-            # ``(x * a).astype(...)`` that dotted_name cannot render
-            cast = any(
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
-                for node in scope.nodes
-            )
-            if {"float32", "float64"} <= mentioned and not cast:
-                yield self.diag(
-                    ctx,
-                    scope.node,
-                    f"backend function {scope.qualname} mentions both float32 and "
-                    "float64 with no explicit astype cast; mixed-precision "
-                    "arithmetic silently upcasts and breaks bit-identical "
-                    "backend equivalence",
-                )

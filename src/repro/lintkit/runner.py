@@ -2,7 +2,7 @@
 
 :func:`lint_paths` is the one entry point, and linting is one per-file
 pass: each module is parsed once, every selected checker (RL001,
-RL003–RL010) runs over the shared AST, and line-scoped suppressions are
+RL003–RL009) runs over the shared AST, and line-scoped suppressions are
 filtered centrally.  No step looks across files.
 
 The CLI (``repro5g lint`` and ``python -m repro.lintkit``) is a thin
@@ -30,7 +30,7 @@ from .base import (
 )
 
 #: directories never descended into while walking lint roots
-_SKIP_DIRS = frozenset({"__pycache__", ".git", ".repro-obs", "build", "dist"})
+_SKIP_DIRS = frozenset({"__pycache__", ".git", "build", "dist"})
 
 #: report format produced by ``--format=json``
 JSON_REPORT_SCHEMA = "repro-lint-report-v1"
@@ -190,7 +190,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def build_arg_parser(prog: str = "repro5g lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description="AST invariant checks for the repro codebase (rules RL001, RL003–RL010)",
+        description="AST invariant checks for the repro codebase (rules RL001, RL003–RL009)",
     )
     add_lint_arguments(parser)
     return parser

@@ -180,7 +180,12 @@ def child_after_fork() -> None:
 
 
 def write_record(
-    directory: Union[str, Path], kind: str, run_hash: str, since: Mapping[str, float], fields: Mapping
+    directory: Union[str, Path],
+    kind: str,
+    run_hash: str,
+    since: Mapping[str, float],
+    fields: Mapping,
+    peak_rss_mb_at_start: float,
 ) -> Path:
     """Write ``<directory>/run.json`` atomically; returns its path.
 
@@ -190,6 +195,12 @@ def write_record(
     ``counters`` holds what the registry gained since ``since``, the
     :func:`snapshot` the run took at its start; with metrics off the
     record has no ``counters`` key.
+
+    ``peak_rss_mb`` is the process's high-water mark, which only rises,
+    so it may belong to an earlier, larger run in the same process.
+    ``peak_rss_mb_at_start``, the :func:`peak_rss_mb` the run took with
+    ``since``, is stamped beside it: equal marks mean the peak was set
+    before this run.
     """
     from .. import runtime  # lazy: runtime imports obs
 
@@ -200,6 +211,7 @@ def write_record(
         "git_sha": git_sha(),
         "flags": runtime.flags(),
         "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb_at_start": peak_rss_mb_at_start,
         **fields,
     }
     if _MODE != MODE_OFF:

@@ -630,7 +630,7 @@ def run_experiment(
     it claims the directory, so a resume after a kill never mixes the
     two.  The run ends by writing its record, ``<run_dir>/run.json``.
     """
-    since = obs.snapshot()
+    since, rss_at_start = obs.snapshot(), obs.peak_rss_mb()
     run_dir = run_dir_for(config, out_dir)
     experiment_hash = config.hash()
     held = _holds(run_dir, experiment_hash)
@@ -650,7 +650,7 @@ def run_experiment(
         "stages": [asdict(status) for status in statuses],
         "rmse": rmse,
     }
-    obs.write_record(run_dir, "experiment", experiment_hash, since, fields)
+    obs.write_record(run_dir, "experiment", experiment_hash, since, fields, rss_at_start)
     return ExperimentResult(
         config=config,
         hash=experiment_hash,

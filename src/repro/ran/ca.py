@@ -21,8 +21,9 @@ Implements the RRC-level behaviour the paper dissects in §3-§4:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cells import Cell, Deployment
 from .ue import UECapability
@@ -45,8 +46,49 @@ class CAState:
         return len(self.active_ids)
 
 
+class _CellFacts(NamedTuple):
+    """What :meth:`CAManager.step` reads of a cell; fixed for its lifetime."""
+
+    #: PCell preference: the score at filtered RSRP ``r`` is
+    #: ``(above if r > threshold else below) + r``
+    threshold: float
+    above: float
+    below: float
+    #: (frequency range, site): an SCell must share the PCell's
+    colocation: Tuple[str, int]
+
+
+def _preference_terms(cell: Cell) -> Tuple[float, float, float]:
+    """PCell preference of ``cell`` as ``(threshold, above, below)``.
+
+    Operators prioritize capacity layers when their signal is good
+    enough: mmWave above -90 dBm, then wide mid-band above -97 dBm,
+    with low-band as the coverage fallback (this is what makes n71
+    the indoor PCell in Fig 28).  The score is ``tier * 200 + bandwidth
+    bonus + rsrp``; tier steps (200) dominate RSRP, so the dB hysteresis
+    only matters within a tier.  ``above`` and ``below`` are the
+    ``tier * 200 + bonus`` sums either side of the tier's RSRP threshold.
+    """
+    band_class = cell.band.band_class
+    if band_class == "high":
+        threshold, tier = -90.0, 3
+    elif band_class == "mid":
+        threshold, tier = -97.0, 2
+    else:
+        return -math.inf, 200.0, 200.0
+    # below the threshold the tier is 0 and there is no bonus: 0 * 200.0 + 0.0
+    return threshold, tier * 200.0 + 0.25 * cell.bandwidth_mhz, 0.0
+
+
 class CAManager:
-    """Stateful carrier-aggregation controller for a single UE."""
+    """Stateful carrier-aggregation controller for a single UE.
+
+    Every cell a step sees must belong to ``deployment``.  What the
+    controller reads of a cell (its PCell-preference terms, frequency
+    range and site) is looked up once per cell, the first time the cell
+    is servable or an SCell candidate, and kept for the manager's
+    lifetime.
+    """
 
     def __init__(
         self,
@@ -88,6 +130,9 @@ class CAManager:
         self._add_timers: Dict[int, float] = {}
         self._remove_timers: Dict[int, float] = {}
         self._state = CAState(pcell_id=None)
+        #: the state's active set, computed once per step
+        self._active: List[int] = []
+        self._facts: Dict[int, _CellFacts] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -103,36 +148,12 @@ class CAManager:
         policy = self.max_ccs_policy_fr2 if fr == "FR2" else self.max_ccs_policy
         return max(1, min(policy, self.ue.cap_ccs(fr, self.rat)))
 
-    def _filter_rsrp(self, raw: Dict[int, float]) -> Dict[int, float]:
-        """3GPP L3 exponential filtering of raw RSRP measurements."""
-        out = {}
-        for cell_id, value in raw.items():
-            previous = self._filtered.get(cell_id)
-            if previous is None:
-                out[cell_id] = value
-            else:
-                out[cell_id] = self.l3_alpha * value + (1 - self.l3_alpha) * previous
-        self._filtered = dict(out)
-        return out
-
-    @staticmethod
-    def _pcell_preference(cell: Cell, rsrp: float) -> float:
-        """Scalar preference score for PCell candidates (higher wins).
-
-        Operators prioritize capacity layers when their signal is good
-        enough: mmWave above -90 dBm, then wide mid-band above -100 dBm,
-        with low-band as the coverage fallback (this is what makes n71
-        the indoor PCell in Fig 28).  Tier steps (200) dominate RSRP, so
-        the dB hysteresis only matters within a tier.
-        """
-        if cell.band.band_class == "high":
-            tier = 3 if rsrp > -90.0 else 0
-        elif cell.band.band_class == "mid":
-            tier = 2 if rsrp > -97.0 else 0
-        else:
-            tier = 1
-        bandwidth_bonus = 0.25 * cell.bandwidth_mhz if tier >= 2 else 0.0
-        return tier * 200.0 + bandwidth_bonus + rsrp
+    def _learn(self, cell: Cell) -> _CellFacts:
+        """Look up and keep what a step reads of ``cell``."""
+        facts = self._facts[cell.cell_id] = _CellFacts(
+            *_preference_terms(cell), (cell.band.frequency_range, self.deployment.site_of(cell))
+        )
+        return facts
 
     # ------------------------------------------------------------------
     def step(self, dt_s: float, cell_rsrp: Dict[int, float], cells: Dict[int, Cell]) -> CAState:
@@ -149,7 +170,34 @@ class CAManager:
             Cell objects keyed by id for every candidate.
         """
         events: List[str] = []
-        filtered = self._filter_rsrp(cell_rsrp)
+        facts = self._facts
+        old_pcell = self._state.pcell_id
+
+        # 3GPP L3 exponential filtering of the raw measurements, and in
+        # the same pass the PCell ranking of the servable cells: the
+        # first best score wins, as max() picks it (a servable score is
+        # above -inf), and the current PCell's score is kept
+        alpha = self.l3_alpha
+        keep = 1 - alpha
+        serve = self.serve_threshold
+        previous = self._filtered
+        filtered: Dict[int, float] = {}
+        best_id: Optional[int] = None
+        best_pref = current_pref = -math.inf
+        pcell_servable = False
+        for cell_id, value in cell_rsrp.items():
+            last = previous.get(cell_id)
+            if last is not None:
+                value = alpha * value + keep * last
+            filtered[cell_id] = value
+            if value > serve:
+                threshold, above, below, _ = facts.get(cell_id) or self._learn(cells[cell_id])
+                pref = (above if value > threshold else below) + value
+                if pref > best_pref:
+                    best_id, best_pref = cell_id, pref
+                if cell_id == old_pcell:
+                    pcell_servable, current_pref = True, pref
+        self._filtered = filtered
 
         # drop cells that vanished from coverage
         for stale in list(self._add_timers):
@@ -160,31 +208,23 @@ class CAManager:
                 del self._remove_timers[stale]
 
         # ---------------- PCell ------------------------------------------
-        pcell_id = self._state.pcell_id
-        servable = {cid: r for cid, r in filtered.items() if r > self.serve_threshold}
-        if pcell_id is not None and pcell_id not in servable:
+        pcell_id = old_pcell
+        if pcell_id is not None and not pcell_servable:
             events.append(f"pcell_loss:{cells.get(pcell_id).channel_key if pcell_id in cells else pcell_id}")
             pcell_id = None
-        if servable:
-            best_id = max(
-                servable,
-                key=lambda cid: self._pcell_preference(cells[cid], servable[cid]),
-            )
+        if best_id is not None:
             if pcell_id is None:
                 pcell_id = best_id
                 events.append(f"pcell_change:{cells[pcell_id].channel_key}")
-            elif best_id != pcell_id:
-                current_pref = self._pcell_preference(cells[pcell_id], servable.get(pcell_id, -999.0))
-                best_pref = self._pcell_preference(cells[best_id], servable[best_id])
-                if best_pref > current_pref + self.pcell_hysteresis:
-                    pcell_id = best_id
-                    events.append(f"pcell_change:{cells[pcell_id].channel_key}")
+            elif best_id != pcell_id and best_pref > current_pref + self.pcell_hysteresis:
+                pcell_id = best_id
+                events.append(f"pcell_change:{cells[pcell_id].channel_key}")
         else:
             pcell_id = None
 
         # ---------------- SCells -----------------------------------------
         scells = [s for s in self._state.scell_ids if s in filtered and s != pcell_id]
-        released_on_pcell_change = pcell_id != self._state.pcell_id and self._state.pcell_id is not None
+        released_on_pcell_change = pcell_id != old_pcell and old_pcell is not None
         if released_on_pcell_change:
             for scell in scells:
                 events.append(f"scell_release:{cells[scell].channel_key}")
@@ -198,8 +238,7 @@ class CAManager:
             scells = []
         else:
             max_ccs = self._max_ccs(cells)
-            pcell_fr = cells[pcell_id].band.frequency_range
-            pcell_site = self.deployment.site_of(cells[pcell_id])
+            pcell_colocation = facts[pcell_id].colocation
 
             # release weak SCells after TTT
             kept: List[int] = []
@@ -217,19 +256,19 @@ class CAManager:
 
             # add strong candidates after TTT (same frequency range,
             # co-sited with the PCell — the common deployment constraint)
+            add = self.add_threshold
             candidates = [
                 cid
                 for cid, rsrp in filtered.items()
-                if cid != pcell_id
+                if rsrp > add
+                and cid != pcell_id
                 and cid not in scells
-                and rsrp > self.add_threshold
-                and cells[cid].band.frequency_range == pcell_fr
-                and self.deployment.site_of(cells[cid]) == pcell_site
+                and (facts.get(cid) or self._learn(cells[cid])).colocation == pcell_colocation
             ]
             for cid in list(self._add_timers):
                 if cid not in candidates:
                     del self._add_timers[cid]
-            candidates.sort(key=lambda cid: filtered[cid], reverse=True)
+            candidates.sort(key=filtered.__getitem__, reverse=True)
             for cid in candidates:
                 self._add_timers[cid] = self._add_timers.get(cid, 0.0) + dt_s
                 if len(scells) + 1 >= max_ccs:
@@ -241,11 +280,12 @@ class CAManager:
 
             # enforce the cap (capability may shrink after a PCell move)
             while len(scells) + 1 > max_ccs:
-                dropped = min(scells, key=lambda cid: filtered[cid])
+                dropped = min(scells, key=filtered.__getitem__)
                 scells.remove(dropped)
                 events.append(f"scell_release:{cells[dropped].channel_key}")
 
-        self._state = CAState(pcell_id=pcell_id, scell_ids=scells, events=events)
+        self._state = CAState(pcell_id, scells, events)
+        self._active = self._state.active_ids
         return self._state
 
     # ------------------------------------------------------------------
@@ -258,8 +298,8 @@ class CAManager:
         co-sited active CCs up to ``max_power_split_db``.  The PCell is
         partially protected (it carries control signalling).
         """
-        active = self._state.active_ids
-        if cell_id not in active or len(active) <= 1:
+        active = self._active
+        if len(active) <= 1 or cell_id not in active:
             return 0.0
         penalty = min(self.power_split_db_per_cc * (len(active) - 1), self.max_power_split_db)
         if cell_id == self._state.pcell_id:
@@ -275,9 +315,9 @@ class CAManager:
         Wide TDD mid-band SCells retain ``scell_layer_cap`` + 1.
         """
         cap = min(default_cap, self.ue.max_mimo_layers)
-        if cell.cell_id == self._state.pcell_id or len(self._state.active_ids) <= 1:
+        cc_count = len(self._active)
+        if cell.cell_id == self._state.pcell_id or cc_count <= 1:
             return cap
-        cc_count = len(self._state.active_ids)
         if cell.band.duplex == "FDD":
             cell_cap = self.scell_layer_cap if cc_count < 3 else 1
         else:

@@ -627,7 +627,7 @@ def run_city_campaign(
     """
     import time
 
-    since = obs.snapshot()
+    since, rss_at_start = obs.snapshot(), obs.peak_rss_mb()
     config = config or CityCampaignConfig()
     start = time.perf_counter()
     plan = ShardPlan.build(config)
@@ -700,7 +700,7 @@ def run_city_campaign(
         "ca_prevalence": {"/".join(key): s.ca_prevalence for key, s in stats.items()},
         "wall_s": wall,
     }
-    obs.write_record(root, "campaign", campaign_hash, since, fields)
+    obs.write_record(root, "campaign", campaign_hash, since, fields, rss_at_start)
     return CityCampaignResult(
         config=config,
         hash=campaign_hash,

@@ -10,6 +10,7 @@ channel drops from 3 layers (no CA) to 1 layer (in a 3CC combo).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,14 +25,16 @@ RANK_SINR_THRESHOLDS_DB = (-math.inf, 9.0, 16.0, 22.0)
 
 
 def select_rank(sinr_db: float, max_layers: int = 4) -> int:
-    """Number of spatial layers supportable at this SINR (1..max_layers)."""
+    """Number of spatial layers supportable at this SINR (1..max_layers).
+
+    The thresholds ascend from -inf, so the rank is how many of them the
+    SINR reaches: one binary search.  A NaN SINR reaches none and gets
+    one layer.
+    """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")
-    rank = 1
-    for layer, threshold in enumerate(RANK_SINR_THRESHOLDS_DB, start=1):
-        if sinr_db >= threshold:
-            rank = layer
-    return min(rank, max_layers)
+    rank = bisect.bisect_right(RANK_SINR_THRESHOLDS_DB, sinr_db) if sinr_db >= RANK_SINR_THRESHOLDS_DB[0] else 1
+    return max_layers if max_layers < rank else rank
 
 
 #: SINR (dB) needed for ~10% BLER at each MCS: its efficiency inverted
@@ -51,7 +54,10 @@ def bler_from_sinr(sinr_db: float, mcs_index: int, steepness: float = 1.2) -> fl
         raise ValueError(f"MCS index must be in [0, {MAX_MCS_INDEX}]")
     margin = sinr_db - _REQUIRED_SINR_DB[mcs_index]
     bler = 1.0 / (1.0 + math.exp(steepness * margin + 2.2))  # ~10% at margin 0
-    return float(min(max(bler, 0.0), 0.95))
+    # min(max(bler, 0.0), 0.95) without the two builtin calls
+    if bler < 0.0:
+        bler = 0.0
+    return 0.95 if bler > 0.95 else bler
 
 
 @dataclass
@@ -92,15 +98,19 @@ class LinkAdapter:
 
     def step(self, sinr_db: float, rng: np.random.Generator, max_layers: Optional[int] = None) -> LinkState:
         """Advance one reporting interval and return the link decisions."""
-        if self._smoothed_sinr is None:
-            self._smoothed_sinr = sinr_db
+        smoothed = self._smoothed_sinr
+        if smoothed is None:
+            smoothed = sinr_db
         else:
             alpha = 1.0 - self.feedback_smoothing
-            self._smoothed_sinr = alpha * sinr_db + self.feedback_smoothing * self._smoothed_sinr
-        reported = self._smoothed_sinr + rng.normal(0.0, self.report_noise)
+            smoothed = alpha * sinr_db + self.feedback_smoothing * smoothed
+        self._smoothed_sinr = smoothed
+        # rng.normal(0.0, report_noise) drawn bare: the same value and
+        # stream position (tests/test_ran_draws.py pins the identity)
+        reported = smoothed + self.report_noise * rng.standard_normal()
         cqi = cqi_from_sinr(reported)
         mcs = mcs_from_cqi(cqi)
         layers_cap = self.max_layers if max_layers is None else min(max_layers, self.max_layers)
         rank = select_rank(reported, layers_cap)
         bler = bler_from_sinr(sinr_db, mcs)
-        return LinkState(cqi=cqi, mcs=mcs, rank=rank, bler=bler)
+        return LinkState(cqi, mcs, rank, bler)

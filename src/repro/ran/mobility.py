@@ -73,11 +73,12 @@ class RandomWalk(MobilityModel):
 
     def reset(self, rng: np.random.Generator) -> UEState:
         self._position = np.array(self.start, dtype=np.float64)
-        self._heading = rng.uniform(0, 2 * math.pi)
+        self._heading = 2 * math.pi * rng.random()  # rng.uniform(0, 2 * math.pi), bare
         return UEState(tuple(self._position), self.speed, self.indoor)
 
     def step(self, dt_s: float, rng: np.random.Generator) -> UEState:
-        self._heading += rng.normal(0.0, self.heading_sigma * math.sqrt(dt_s))
+        # rng.normal(0.0, heading_sigma * sqrt(dt)), bare
+        self._heading += self.heading_sigma * math.sqrt(dt_s) * rng.standard_normal()
         delta = self.speed * dt_s
         self._position += (delta * math.cos(self._heading), delta * math.sin(self._heading))
         if self.area_m is not None:
@@ -93,7 +94,13 @@ class RandomWalk(MobilityModel):
 
 
 class DrivingRoute(MobilityModel):
-    """Waypoint-following drive with speed variation and urban stops."""
+    """Waypoint-following drive with speed variation and urban stops.
+
+    The position is a pair of Python floats.  Each segment length goes
+    through numpy's ``dot``, as ``np.linalg.norm`` computes it: the BLAS
+    dot rounds differently from ``math.hypot`` or ``dx * dx + dy * dy``
+    in the last ulp.
+    """
 
     def __init__(
         self,
@@ -110,41 +117,52 @@ class DrivingRoute(MobilityModel):
         self.stop_rate = stop_probability_per_min / 60.0
         self.stop_duration_s = stop_duration_s
         self.loop = loop
+        self._targets = tuple((float(x), float(y)) for x, y in self.waypoints)
+        #: scratch vector of the segment-length dot
+        self._delta = np.empty(2, dtype=np.float64)
         self._segment = 0
-        self._position = np.array(self.waypoints[0], dtype=np.float64)
+        self._position = self._targets[0]
         self._stopped_until = 0.0
         self._clock = 0.0
 
     def reset(self, rng: np.random.Generator) -> UEState:
         self._segment = 0
-        self._position = np.array(self.waypoints[0], dtype=np.float64)
+        self._position = self._targets[0]
         self._stopped_until = 0.0
         self._clock = 0.0
-        return UEState(tuple(self._position), self.cruise_speed)
+        return UEState(self._position, self.cruise_speed)
 
     def step(self, dt_s: float, rng: np.random.Generator) -> UEState:
         self._clock += dt_s
         if self._clock < self._stopped_until:
-            return UEState(tuple(self._position), 0.0)
+            return UEState(self._position, 0.0)
+        # rng.uniform(a, b) is drawn bare as a + (b - a) * rng.random()
         if self.stop_rate > 0 and rng.random() < self.stop_rate * dt_s:
-            self._stopped_until = self._clock + self.stop_duration_s * rng.uniform(0.5, 1.5)
-            return UEState(tuple(self._position), 0.0)
-        speed = max(self.cruise_speed * rng.uniform(0.8, 1.15), 0.0)
+            self._stopped_until = self._clock + self.stop_duration_s * (0.5 + (1.5 - 0.5) * rng.random())
+            return UEState(self._position, 0.0)
+        speed = max(self.cruise_speed * (0.8 + (1.15 - 0.8) * rng.random()), 0.0)
         remaining = speed * dt_s
+        targets, delta = self._targets, self._delta
+        x, y = self._position
         while remaining > 0:
-            target = np.array(self.waypoints[(self._segment + 1) % len(self.waypoints)])
-            to_target = target - self._position
-            distance = float(np.linalg.norm(to_target))
+            target_x, target_y = targets[(self._segment + 1) % len(targets)]
+            dx = target_x - x
+            dy = target_y - y
+            delta[0] = dx
+            delta[1] = dy
+            distance = math.sqrt(delta.dot(delta))
             if distance <= remaining:
-                self._position = target.copy()
+                x, y = target_x, target_y
                 remaining -= distance
                 self._segment += 1
-                if not self.loop and self._segment >= len(self.waypoints) - 1:
+                if not self.loop and self._segment >= len(targets) - 1:
                     break
             else:
-                self._position += to_target / distance * remaining
+                x += dx / distance * remaining
+                y += dy / distance * remaining
                 remaining = 0.0
-        return UEState(tuple(self._position), speed)
+        self._position = (x, y)
+        return UEState(self._position, speed)
 
 
 class IndoorWalk(RandomWalk):

@@ -162,35 +162,33 @@ class MultiUESimulator:
         cmax = max(len(lane._candidates) for lane in lanes)
         if cmax == 0:
             return [
-                lane._finish_step(step, state, {}, {}, {})
+                lane._finish_step(step, state, [], [], [])
                 for lane, state, (step, _) in zip(lanes, states, begun)
             ]
         indoor = np.array([bool(state.indoor) for state in states])
-        shadows = np.zeros((u, cmax), dtype=np.float64)
-        fadings = np.zeros((u, cmax), dtype=np.float64)
-        for i, (lane_shadows, lane_fadings) in enumerate(advances):
-            c = len(lane_shadows)
-            shadows[i, :c] = lane_shadows
-            fadings[i, :c] = lane_fadings
+        # each lane's values padded with zeros to cmax, as one flat list:
+        # a single conversion instead of one per lane and array
+        pad = [0.0] * cmax
+        shadows: List[float] = []
+        fadings: List[float] = []
+        for lane_shadows, lane_fadings in advances:
+            shadows.extend(lane_shadows)
+            shadows.extend(pad[len(lane_shadows) :])
+            fadings.extend(lane_fadings)
+            fadings.extend(pad[len(lane_fadings) :])
         rsrp, sinr, rsrq = backends.active().radio_step_multi(
             positions,
             indoor,
             self._shared_force_los,
-            shadows,
-            fadings,
+            np.array(shadows, dtype=np.float64).reshape(u, cmax),
+            np.array(fadings, dtype=np.float64).reshape(u, cmax),
             *self._packed_candidates(),
             _LOS_BLEND_M,
             _CO_CHANNEL_ACTIVITY,
         )
-        # zip stops at each lane's own candidate count: padding is dropped
+        # each lane reads its own candidates' columns: padding is ignored
         return [
-            lane._finish_step(
-                step,
-                state,
-                dict(zip(lane._cand_ids, rsrp_row)),
-                dict(zip(lane._cand_ids, sinr_row)),
-                dict(zip(lane._cand_ids, rsrq_row)),
-            )
+            lane._finish_step(step, state, rsrp_row, sinr_row, rsrq_row)
             for lane, state, (step, _), rsrp_row, sinr_row, rsrq_row in zip(
                 lanes, states, begun, rsrp.tolist(), sinr.tolist(), rsrq.tolist()
             )

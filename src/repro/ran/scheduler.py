@@ -49,14 +49,26 @@ class CellLoadProcess:
             raise ValueError("mean_load must be in [0, 1]")
 
     def step(self, dt_s: float, rng: np.random.Generator) -> float:
-        """Advance and return current utilization in [0, 0.97]."""
-        if self._load < 0:
-            self._load = self.mean_load
-        theta = min(dt_s / self.reversion_s, 1.0)
-        noise = self.volatility * math.sqrt(max(dt_s, 1e-6)) * rng.normal()
-        self._load += theta * (self.mean_load - self._load) + noise
-        self._load = min(max(self._load, 0.0), 0.97)
-        return self._load
+        """Advance and return current utilization in [0, 0.97].
+
+        The clamps are written out as ``min``/``max`` evaluate them, with
+        the same result on every input, NaN included.
+        """
+        load = self._load
+        if load < 0:
+            load = self.mean_load
+        theta = dt_s / self.reversion_s
+        if theta > 1.0:
+            theta = 1.0
+        # rng.normal() drawn bare: the same value and stream position
+        noise = self.volatility * math.sqrt(1e-6 if dt_s < 1e-6 else dt_s) * rng.standard_normal()
+        load += theta * (self.mean_load - load) + noise
+        if load < 0.0:
+            load = 0.0
+        elif load > 0.97:
+            load = 0.97
+        self._load = load
+        return load
 
 
 class Scheduler:
@@ -77,13 +89,13 @@ class Scheduler:
         self.throttle_strength = throttle_strength
         self._processes: Dict[int, CellLoadProcess] = {}
 
-    def _process_for(self, cell_id: int) -> CellLoadProcess:
-        if cell_id not in self._processes:
-            mean = time_of_day_load(self.hour, self.scenario)
-            # per-cell heterogeneity
-            mean = min(max(mean * self.rng.uniform(0.7, 1.3), 0.02), 0.95)
-            self._processes[cell_id] = CellLoadProcess(mean_load=mean)
-        return self._processes[cell_id]
+    def _new_process(self, cell_id: int) -> CellLoadProcess:
+        """Make the load process of a cell scheduled for the first time."""
+        mean = time_of_day_load(self.hour, self.scenario)
+        # per-cell heterogeneity: rng.uniform(0.7, 1.3) drawn bare
+        mean = min(max(mean * (0.7 + (1.3 - 0.7) * self.rng.random()), 0.02), 0.95)
+        process = self._processes[cell_id] = CellLoadProcess(mean_load=mean)
+        return process
 
     def rb_fraction(
         self,
@@ -98,12 +110,14 @@ class Scheduler:
         earlier (higher-priority) CCs of this UE; busy cells deprioritize
         marginal wide aggregations (Fig 15's #RB throttling).
         """
-        load = self._process_for(cell_id).step(dt_s, self.rng)
+        load = (self._processes.get(cell_id) or self._new_process(cell_id)).step(dt_s, self.rng)
         share = 1.0 - load
         if aggregate_bw_before_mhz >= self.throttle_bw_mhz:
             over = (aggregate_bw_before_mhz - self.throttle_bw_mhz) / self.throttle_bw_mhz
             throttle = 1.0 / (1.0 + self.throttle_strength * over * (load / 0.3 + 0.5))
             share *= throttle
-        # packet-level granularity jitter
-        share *= self.rng.uniform(0.96, 1.0)
-        return min(max(share, 0.02), 1.0)
+        # packet-level granularity jitter: rng.uniform(0.96, 1.0) drawn bare
+        share *= 0.96 + (1.0 - 0.96) * self.rng.random()
+        if share < 0.02:
+            return 0.02
+        return 1.0 if share > 1.0 else share

@@ -142,13 +142,17 @@ class TraceSimulator:
         self._rng = np.random.default_rng(seed)
         self._eligible_mask = np.array([self._eligible(c) for c in self.deployment.cells], dtype=bool)
         # AR(1) radio state.  The site and (site, band) shadowing
-        # components, keyed by cell-table index, live for the whole run;
-        # the per-cell (own shadowing, fading) pairs, keyed by cell-table
-        # row, and the link adapters live only while the cell is a
+        # components, indexed by the cell table's site and site_band
+        # keys, live for the whole run (None until first drawn).  The
+        # own-shadowing and fading values, in candidate order (own is None
+        # for a fresh candidate, whose fading is not read), and the link
+        # adapters, keyed by cell id, live only while the cell is a
         # candidate.
-        self._site_shadow: Dict[int, float] = {}
-        self._band_shadow: Dict[int, float] = {}
-        self._own_fading: Dict[int, Tuple[float, float]] = {}
+        self._site_shadow: List[Optional[float]] = [None] * len(self.deployment.stations)
+        self._band_shadow: List[Optional[float]] = [None] * len(self.deployment.cells)
+        self._cand_rows: List[int] = []
+        self._own: List[Optional[float]] = []
+        self._fading: List[float] = []
         self._links: Dict[int, LinkAdapter] = {}
         #: bumped whenever the candidate set changes (cohort pack cache key)
         self._cand_version = 0
@@ -191,8 +195,12 @@ class TraceSimulator:
         self._candidates = cells
         self._cand_ids = [c.cell_id for c in cells]
         self._cell_by_id = dict(zip(self._cand_ids, cells))
-        kept = set(rows)
-        self._own_fading = {row: pair for row, pair in self._own_fading.items() if row in kept}
+        fresh = (None, 0.0)
+        carried = dict(zip(self._cand_rows, zip(self._own, self._fading)))
+        pairs = [carried.get(row, fresh) for row in rows]
+        self._cand_rows = rows
+        self._own = [own for own, _ in pairs]
+        self._fading = [fading for _, fading in pairs]
         links = {}
         for cell_id in self._cand_ids:
             link = self._links.get(cell_id)
@@ -207,16 +215,18 @@ class TraceSimulator:
         self._cand_per_re_tx = table.per_re_tx_dbm[index]
         self._cand_noise_mw = table.noise_mw[index]
         self._cand_indoor_pen = table.indoor_pen_db[index]
-        # what the AR(1) advance reads per candidate: its row, its site
-        # and (site, band) shadowing keys, and its carrier frequency
-        self._advance_keys = list(
-            zip(rows, site.tolist(), table.site_band[index].tolist(), self._cand_freq.tolist())
-        )
-        # what a step reads per active carrier: the cell, its base MIMO
-        # layers, its DL duty and its configured RBs
+        # what the AR(1) advance reads per candidate: its site and (site,
+        # band) shadowing keys, and the slot of its carrier frequency in
+        # the set's distinct frequencies
+        slots: Dict[float, int] = {}
+        freq_slots = [slots.setdefault(freq, len(slots)) for freq in self._cand_freq.tolist()]
+        self._fading_freqs = list(slots)
+        self._advance_keys = list(zip(site.tolist(), table.site_band[index].tolist(), freq_slots))
+        # what a step reads per active carrier: its candidate index, the
+        # cell, its link adapter, base MIMO layers, DL duty and configured RBs
         self._step_consts = {
-            cell.cell_id: (cell, _base_layers(cell), duplex_dl_duty(cell.band.duplex), n_rb)
-            for cell, n_rb in zip(cells, map(int, self._cand_nrb.tolist()))
+            cell.cell_id: (i, cell, links[cell.cell_id], _base_layers(cell), duplex_dl_duty(cell.band.duplex), n_rb)
+            for i, (cell, n_rb) in enumerate(zip(cells, map(int, self._cand_nrb.tolist())))
         }
         # interference adjacency: same channel, different site (summed as
         # a masked matvec so no cancellation-prone group subtraction)
@@ -238,7 +248,8 @@ class TraceSimulator:
         exceeds the arithmetic, and ``+``, ``*`` and ``math.sqrt`` round
         exactly as numpy's element-wise ops do.  The fading rho (on
         ``math.exp``: ``np.exp`` can differ from it in the last ulp) and
-        its innovation scale are computed once per distinct frequency.
+        its innovation scale are computed once per distinct frequency,
+        into a list the candidates index by slot.
         ``tests/oracles.py`` keeps the per-candidate loop this must match
         bit for bit.
         """
@@ -248,30 +259,33 @@ class TraceSimulator:
         draws = self._rng.standard_normal(4 * len(keys)).tolist()
         innovation = math.sqrt(max(1.0 - rho * rho, 0.0))
         dt_s, speed = self.dt_s, state.speed_mps
-        sites, bands, own_fading = self._site_shadow, self._band_shadow, self._own_fading
+        fading_ar = []
+        for freq in self._fading_freqs:
+            f_rho = math.exp(-dt_s / FastFadingProcess.coherence_time_s(speed, freq))
+            fading_ar.append((f_rho, math.sqrt(max(1.0 - f_rho * f_rho, 0.0))))
+        sites, bands, owns, fading_state = self._site_shadow, self._band_shadow, self._own, self._fading
         mix_site, mix_band, mix_own = _SHADOW_MIX
         halve = self.force_los is True  # LOS shadowing variance is much smaller
-        by_freq: Dict[float, Tuple[float, float]] = {}
         shadows: List[float] = []
         fadings: List[float] = []
-        for (row, site, band, freq), (z_site, z_band, z_own, z_fading) in zip(keys, zip(*[iter(draws)] * 4)):
-            site_value = sites.get(site)
-            site_value = z_site if site_value is None else rho * site_value + innovation * z_site
+        for i, ((site, band, slot), (z_site, z_band, z_own, z_fading)) in enumerate(
+            zip(keys, zip(*[iter(draws)] * 4))
+        ):
+            value = sites[site]
+            site_value = z_site if value is None else rho * value + innovation * z_site
             sites[site] = site_value
-            band_value = bands.get(band)
-            band_value = z_band if band_value is None else rho * band_value + innovation * z_band
+            value = bands[band]
+            band_value = z_band if value is None else rho * value + innovation * z_band
             bands[band] = band_value
-            previous = own_fading.get(row)
-            if previous is None:
+            own = owns[i]
+            if own is None:
                 own, fading = z_own, z_fading
             else:
-                fading_ar = by_freq.get(freq)
-                if fading_ar is None:
-                    f_rho = math.exp(-dt_s / FastFadingProcess.coherence_time_s(speed, freq))
-                    fading_ar = by_freq[freq] = (f_rho, math.sqrt(max(1.0 - f_rho * f_rho, 0.0)))
-                own = rho * previous[0] + innovation * z_own
-                fading = fading_ar[0] * previous[1] + fading_ar[1] * z_fading
-            own_fading[row] = (own, fading)
+                f_rho, f_innovation = fading_ar[slot]
+                own = rho * own + innovation * z_own
+                fading = f_rho * fading_state[i] + f_innovation * z_fading
+            owns[i] = own
+            fading_state[i] = fading
             shadow = _SHADOW_SIGMA_DB * (mix_site * site_value + mix_band * band_value + mix_own * own)
             if halve:
                 shadow *= 0.5
@@ -279,18 +293,18 @@ class TraceSimulator:
             fadings.append(_FADING_SIGMA_DB * fading)
         return shadows, fadings
 
-    def _radio_update(self, state, rho: float) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
+    def _radio_update(self, state, rho: float) -> Tuple[List[float], List[float], List[float]]:
         """Array radio update over all candidates (one step, no per-cell math).
 
         Pathloss, RSRP/RSRQ/SINR, and the O(C^2) co-channel interference
         reduce to a handful of numpy expressions over the cached
-        candidate arrays.  Matches the scalar per-cell update in
-        ``tests/oracles.py`` per field to ~1e-9 dB (numpy's SIMD
-        transcendentals round differently from ``math.*`` in the last
-        ulp).
+        candidate arrays.  Returns each quantity in candidate order.
+        Matches the scalar per-cell update in ``tests/oracles.py`` per
+        field to ~1e-9 dB (numpy's SIMD transcendentals round
+        differently from ``math.*`` in the last ulp).
         """
         if not self._candidates:
-            return {}, {}, {}
+            return [], [], []
         shadows, fadings = self._advance_radio_processes(state, rho)
         position = np.asarray(state.position, dtype=np.float64)
         rsrp, sinr, rsrq = backends.active().radio_step(
@@ -310,8 +324,7 @@ class TraceSimulator:
             _LOS_BLEND_M,
             _CO_CHANNEL_ACTIVITY,
         )
-        ids = self._cand_ids
-        return dict(zip(ids, rsrp.tolist())), dict(zip(ids, sinr.tolist())), dict(zip(ids, rsrq.tolist()))
+        return rsrp.tolist(), sinr.tolist(), rsrq.tolist()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -376,12 +389,18 @@ class TraceSimulator:
         self,
         step: int,
         state,
-        rsrp_map: Dict[int, float],
-        sinr_map: Dict[int, float],
-        rsrq_map: Dict[int, float],
+        rsrp: Sequence[float],
+        sinr: Sequence[float],
+        rsrq: Sequence[float],
     ) -> TraceRecord:
-        """Phase 3 of a step: CA decision, link adaptation, the record."""
-        ca_state = self.ca.step(self.dt_s, rsrp_map, self._cell_by_id)
+        """Phase 3 of a step: CA decision, link adaptation, the record.
+
+        ``rsrp``, ``sinr`` and ``rsrq`` hold each candidate's value in
+        candidate order; entries past the last candidate (a cohort's
+        padding) are ignored.
+        """
+        ca = self.ca
+        ca_state = ca.step(self.dt_s, dict(zip(self._cand_ids, rsrp)), self._cell_by_id)
 
         if obs.metrics_enabled():
             counts = getattr(self, "_obs_counts", None)
@@ -393,22 +412,17 @@ class TraceSimulator:
                 kind = f"sim.event.{event.split(':', 1)[0]}"
                 counts[kind] = counts.get(kind, 0) + 1
 
+        rng, dt_s, scheduler, step_consts = self._rng, self.dt_s, self.scheduler, self._step_consts
+        pcell_id = ca_state.pcell_id
         cc_samples: List[CCSample] = []
         aggregate_bw_so_far = 0.0
         total_tput = 0.0
         for cc_id in ca_state.active_ids:
-            cell, base_layers, dl_duty, n_rb_cfg = self._step_consts[cc_id]
-            penalty = self.ca.sinr_penalty_db(cc_id)
-            effective_sinr = sinr_map[cc_id] - penalty
-            layer_cap = self.ca.layer_cap(cell, default_cap=base_layers)
-            link = self._links[cc_id].step(effective_sinr, self._rng, max_layers=layer_cap)
-            rb_fraction = self.scheduler.rb_fraction(
-                cc_id,
-                self.dt_s,
-                aggregate_bw_before_mhz=aggregate_bw_so_far,
-                cell_bw_mhz=cell.bandwidth_mhz,
-            )
-            n_rb = max(1, int(round(rb_fraction * n_rb_cfg)))
+            i, cell, link_adapter, base_layers, dl_duty, n_rb_cfg = step_consts[cc_id]
+            effective_sinr = sinr[i] - ca.sinr_penalty_db(cc_id)
+            link = link_adapter.step(effective_sinr, rng, max_layers=ca.layer_cap(cell, base_layers))
+            rb_fraction = scheduler.rb_fraction(cc_id, dt_s, aggregate_bw_so_far, cell.bandwidth_mhz)
+            n_rb = max(1, round(rb_fraction * n_rb_cfg))
             tput = phy_throughput_mbps(
                 link.mcs,
                 n_rb,
@@ -419,33 +433,35 @@ class TraceSimulator:
             )
             aggregate_bw_so_far += cell.bandwidth_mhz
             total_tput += tput
+            # the records are built with positional arguments, in field
+            # order: keywords make a dataclass __init__ several times dearer
             cc_samples.append(
                 CCSample(
-                    channel_key=cell.channel_key,
-                    band_name=cell.band.name,
-                    pci=cell.pci,
-                    is_pcell=(cc_id == ca_state.pcell_id),
-                    active=True,
-                    rsrp_dbm=rsrp_map[cc_id],
-                    rsrq_db=rsrq_map[cc_id],
-                    sinr_db=effective_sinr,
-                    cqi=link.cqi,
-                    bler=link.bler,
-                    n_rb=float(n_rb),
-                    n_layers=link.rank,
-                    mcs=link.mcs,
-                    tput_mbps=tput,
+                    cell.channel_key,
+                    cell.band.name,
+                    cell.pci,
+                    cc_id == pcell_id,  # is_pcell
+                    True,  # active
+                    rsrp[i],
+                    rsrq[i],
+                    effective_sinr,
+                    link.cqi,
+                    link.bler,
+                    float(n_rb),
+                    link.rank,  # n_layers
+                    link.mcs,
+                    tput,
                 )
             )
 
         return TraceRecord(
-            t=step * self.dt_s,
-            position=state.position,
-            ccs=cc_samples,
-            total_tput_mbps=total_tput,
-            events=list(ca_state.events),
-            indoor=state.indoor,
-            speed_mps=state.speed_mps,
+            step * self.dt_s,  # t
+            state.position,
+            cc_samples,
+            total_tput,
+            list(ca_state.events),
+            state.indoor,
+            state.speed_mps,
         )
 
     def run(self, duration_s: float, route_id: int = 0) -> Trace:

@@ -21,8 +21,9 @@ function here is the plain composition those kernels must reproduce:
   four scalar draws per candidate through dict-keyed AR(1) state and
   :class:`~repro.ran.propagation.FastFadingProcess`;
 * :func:`cells_near_loop` — the ``math.dist`` coverage scan;
-* :func:`cqi_from_sinr_scan`, :func:`mcs_from_cqi_scan` — the linear
-  table scans behind the CQI/MCS lookups;
+* :func:`cqi_from_sinr_scan`, :func:`mcs_from_cqi_scan`,
+  :func:`select_rank_scan` — the linear table scans behind the CQI/MCS
+  lookups and the rank selection;
 * :func:`mpc_plan_loop` — MPC's plan search as a scalar loop over
   ``itertools.product``;
 * :func:`campaign_loop` — a ``cells=0`` campaign as one loop over its
@@ -61,6 +62,7 @@ from repro.ran.campaign import (
     city_campaign_jobs,
 )
 from repro.ran.cells import COVERAGE_RADIUS_M, Cell, Deployment
+from repro.ran.link import RANK_SINR_THRESHOLDS_DB
 from repro.ran.phy import (
     CQI_EFFICIENCY_256QAM,
     MAX_CQI,
@@ -325,13 +327,14 @@ def interference_dbm_per_re(
     return 10.0 * math.log10(total_mw)
 
 
-def radio_update_loop(
-    sim: TraceSimulator, state, rho: float
-) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, float]]:
-    """Scalar per-cell radio update — the array radio step's oracle."""
-    rsrp_map: Dict[int, float] = {}
-    sinr_map: Dict[int, float] = {}
-    rsrq_map: Dict[int, float] = {}
+def radio_update_loop(sim: TraceSimulator, state, rho: float) -> Tuple[List[float], List[float], List[float]]:
+    """Scalar per-cell radio update — the array radio step's oracle.
+
+    Returns RSRP, SINR and RSRQ in candidate order, as ``_radio_update`` does.
+    """
+    rsrp_list: List[float] = []
+    sinr_list: List[float] = []
+    rsrq_list: List[float] = []
     shadows, fadings = sim._advance_radio_processes(state, rho)
     for idx, cell in enumerate(sim._candidates):
         shadow = shadows[idx]
@@ -348,10 +351,10 @@ def radio_update_loop(
         sinr = 10 * math.log10(signal_mw / (noise_mw + interf_mw))
         rssi_mw = (signal_mw + noise_mw + interf_mw) * 12 * n_rb_cfg
         rsrq = 10 * math.log10(n_rb_cfg) + rsrp - 10 * math.log10(rssi_mw)
-        rsrp_map[cell.cell_id] = rsrp
-        sinr_map[cell.cell_id] = sinr
-        rsrq_map[cell.cell_id] = rsrq
-    return rsrp_map, sinr_map, rsrq_map
+        rsrp_list.append(rsrp)
+        sinr_list.append(sinr)
+        rsrq_list.append(rsrq)
+    return rsrp_list, sinr_list, rsrq_list
 
 
 @dataclass
@@ -430,6 +433,15 @@ def cqi_from_sinr_scan(sinr_db: float) -> int:
         if CQI_EFFICIENCY_256QAM[index] <= capacity:
             cqi = index
     return cqi
+
+
+def select_rank_scan(sinr_db: float, max_layers: int = 4) -> int:
+    """Linear-scan reference for :func:`select_rank` (equivalence tests)."""
+    rank = 1
+    for layer, threshold in enumerate(RANK_SINR_THRESHOLDS_DB, start=1):
+        if sinr_db >= threshold:
+            rank = layer
+    return min(rank, max_layers)
 
 
 def mcs_from_cqi_scan(cqi: int) -> int:

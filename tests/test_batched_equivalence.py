@@ -17,6 +17,8 @@ on as an oracle in ``tests/oracles.py``:
   campaign, on runs whose candidate sets change.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from repro.ran import (
 )
 from repro.ran.campaign import _build_group_deployment
 from repro.ran.mobility import UEState
+from repro.ran.link import select_rank
 from repro.ran.phy import cqi_from_sinr, mcs_from_cqi
 from repro.ran.simulator import TraceSimulator
 
@@ -509,6 +512,12 @@ class TestPhyLookupOracles:
     def test_mcs_searchsorted_matches_scan(self):
         for cqi in range(16):
             assert mcs_from_cqi(cqi) == oracles.mcs_from_cqi_scan(cqi), cqi
+
+    def test_rank_search_matches_scan(self):
+        edges = [-math.inf, math.inf, math.nan, 9.0, 16.0, 22.0, np.nextafter(9.0, 0.0), np.nextafter(22.0, 30.0)]
+        for sinr in [*np.arange(-30.0, 40.0, 0.01), *edges]:
+            for max_layers in (1, 2, 3, 4, 8):
+                assert select_rank(sinr, max_layers) == oracles.select_rank_scan(sinr, max_layers), (sinr, max_layers)
 
 
 class TestTrainerCheckpoint:

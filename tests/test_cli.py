@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
 
 
@@ -136,8 +137,6 @@ class TestRun:
 class TestObs:
     @pytest.fixture(autouse=True)
     def obs_off_after(self):
-        from repro import obs
-
         yield
         obs.configure(mode=obs.MODE_OFF)
         obs.reset()
@@ -164,6 +163,22 @@ class TestObs:
         assert f"experiment run: {run_dir / 'run.json'}" in out
         assert "sim.steps" in out and "peak_rss_mb" in out and "best_epoch" in out
 
+    def test_report_says_when_the_peak_rss_is_an_earlier_runs(self, tmp_path, config, capsys):
+        # a larger experiment, then a small one, in one process: the small
+        # run's record repeats the larger one's high-water mark
+        larger = tmp_path / "larger.json"
+        larger.write_text(
+            """{"name": "cli-obs-larger", "n_traces": 4, "samples_per_trace": 200,
+                "predictors": ["Prism5G"], "deep": {"hidden": 24, "max_epochs": 1, "patience": 1}}"""
+        )
+        assert main(["run", str(larger), "--out-dir", str(tmp_path / "larger")]) == 0
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "small")]) == 0
+        small = obs.read_record(tmp_path / "small")
+        assert small["peak_rss_mb_at_start"] == small["peak_rss_mb"]
+        capsys.readouterr()
+        assert main(["obs", "report", str(tmp_path / "small")]) == 0
+        assert "peak_rss_mb was set before this run" in capsys.readouterr().out
+
     def test_obs_report_reads_a_campaign_state_dir(self, tmp_path, capsys):
         state = tmp_path / "state"
         argv = [
@@ -178,8 +193,6 @@ class TestObs:
         assert "shards_completed: 1" in out and "complete: True" in out
 
     def test_run_sanitize_stamps_the_record(self, tmp_path, config):
-        from repro import obs
-
         run_dir = tmp_path / "run"
         assert main(["run", str(config), "--out-dir", str(run_dir), "--sanitize", "--obs", "metrics"]) == 0
         record = obs.read_record(run_dir)

@@ -1,4 +1,4 @@
-"""The per-function rules of repro.lintkit (RL008-RL010), module-name
+"""The per-function rules of repro.lintkit (RL008, RL009), module-name
 resolution and SARIF output.
 
 Each rule gets pass/fail fixture pairs.  The multi-file fixtures pin
@@ -223,79 +223,6 @@ class TestDeterminismOrdering:
             rules=["RL009"],
         )
         assert codes(result) == ["RL009"]
-
-
-# ---------------------------------------------------------------------------
-# RL010 dtype-discipline
-
-
-class TestDtypeDiscipline:
-    def test_mixed_precision_primitive_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "kern.py": (
-                    "import numpy as np\n"
-                    'PRIMITIVES = ("affine_forward",)\n'
-                    "def affine_forward(x, weight):\n"
-                    "    a = np.float32(1.0)\n"
-                    "    b = np.float64(2.0)\n"
-                    "    return x * a + b\n"
-                )
-            },
-            rules=["RL010"],
-        )
-        assert codes(result) == ["RL010"]
-        assert "affine_forward" in result.diagnostics[0].message
-
-    def test_explicit_astype_passes(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "kern.py": (
-                    "import numpy as np\n"
-                    'PRIMITIVES = ("affine_forward",)\n'
-                    "def affine_forward(x, weight):\n"
-                    "    a = np.float32(1.0)\n"
-                    "    return (x * a).astype(np.float64)\n"
-                )
-            },
-            rules=["RL010"],
-        )
-        assert result.ok, result.to_text()
-
-    def test_mixed_precision_backend_helper_fails(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "repro/backends/numpy_backend.py": (
-                    "import numpy as np\n"
-                    "def _gates(x):\n"
-                    "    return x.astype(np.float32) + np.float64(1.0)\n"
-                    "def _scale(x):\n"
-                    "    return x * np.float32(0.5) + np.float64(1.0)\n"
-                )
-            },
-            rules=["RL010"],
-        )
-        assert codes(result) == ["RL010"]
-        assert [(d.line, d.col) for d in result.diagnostics] == [(4, 1)]
-        assert "_scale" in result.diagnostics[0].message
-
-    def test_non_primitive_function_exempt(self, tmp_path):
-        result = lint_project(
-            tmp_path,
-            {
-                "kern.py": (
-                    "import numpy as np\n"
-                    'PRIMITIVES = ("affine_forward",)\n'
-                    "def helper(x):\n"
-                    "    return np.float32(1.0) + np.float64(2.0)\n"
-                )
-            },
-            rules=["RL010"],
-        )
-        assert result.ok, result.to_text()
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class TestDisabledPath:
 
     def test_record_has_no_counters_when_off(self, tmp_path):
         obs.counter("sim.steps", 80)
-        path = obs.write_record(tmp_path, "experiment", "abc", {}, {})
+        path = obs.write_record(tmp_path, "experiment", "abc", {}, {}, obs.peak_rss_mb())
         assert path == tmp_path / "run.json"
         assert "counters" not in obs.read_record(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
@@ -114,11 +114,11 @@ class TestWorkerCounters:
         # what an earlier run in this process counted, and the record it left
         obs.counter("sim.steps", 80)
         obs.counter("cache.hit")
-        obs.write_record(tmp_path, "experiment", "abc", {}, {"stale": True})
+        obs.write_record(tmp_path, "experiment", "abc", {}, {"stale": True}, obs.peak_rss_mb())
         since = obs.snapshot()
         obs.counter("sim.steps", 80)
         run_tasks(_counted_item, [1, 2], processes=2)
-        obs.write_record(tmp_path, "experiment", "abc", since, {})
+        obs.write_record(tmp_path, "experiment", "abc", since, {}, obs.peak_rss_mb())
         # the record counts only what its own run added
         record = obs.read_record(tmp_path)
         assert record["counters"] == {"sim.steps": 80.0, "items.done": 2.0, "items.sum": 3.0}
@@ -133,7 +133,7 @@ class TestManifest:
     def test_write_and_read_roundtrip(self, tmp_path):
         obs.configure(mode=obs.MODE_METRICS)
         obs.counter("train.epochs", 4)
-        obs.write_record(tmp_path, "campaign", "c0ffee", {}, {"complete": False, "n_ues": 3})
+        obs.write_record(tmp_path, "campaign", "c0ffee", {}, {"complete": False, "n_ues": 3}, obs.peak_rss_mb())
         record = obs.read_record(tmp_path)
         assert record["schema"] == obs.RUN_SCHEMA
         assert record["kind"] == "campaign"
@@ -145,6 +145,12 @@ class TestManifest:
         # one hash, no second spelling of it
         assert sorted(key for key in record if key.endswith("hash")) == ["campaign_hash"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_record_stamps_the_peak_at_start(self, tmp_path):
+        at_start = obs.peak_rss_mb()
+        obs.write_record(tmp_path, "experiment", "abc", {}, {}, at_start)
+        record = obs.read_record(tmp_path)
+        assert record["peak_rss_mb_at_start"] == at_start <= record["peak_rss_mb"]
 
     def test_read_record_refuses_what_is_not_a_record(self, tmp_path):
         assert obs.read_record(tmp_path) is None

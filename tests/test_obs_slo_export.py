@@ -109,7 +109,7 @@ def _write_run(directory, counters=None, metrics=True):
     since = obs.snapshot()
     for name, value in (counters or {"cache.hit": 2}).items():
         obs.counter(name, value)
-    obs.write_record(directory, "experiment", "abc", since, {})
+    obs.write_record(directory, "experiment", "abc", since, {}, obs.peak_rss_mb())
     obs.configure(mode=obs.MODE_OFF)
 
 
