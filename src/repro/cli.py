@@ -98,20 +98,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     _configure_obs(args)
-    config = CityCampaignConfig(
-        operators=tuple(args.operators),
-        scenarios=tuple(args.scenarios),
-        rats=tuple(args.rats),
-        ues=args.ues,
-        cells=args.cells,
-        shards=args.shards,
-        cohort=args.cohort,
-        duration_s=args.duration,
-        dt_s=args.dt,
-        seed=args.seed,
-        spill_traces=args.spill or args.out_dir is not None,
-        shard_timeout_s=args.shard_timeout,
-    )
+    try:
+        config = CityCampaignConfig(
+            operators=tuple(args.operators),
+            scenarios=tuple(args.scenarios),
+            rats=tuple(args.rats),
+            ues=args.ues,
+            cells=args.cells,
+            shards=args.shards,
+            cohort=args.cohort,
+            duration_s=args.duration,
+            dt_s=args.dt,
+            seed=args.seed,
+            spill_traces=args.spill or args.out_dir is not None,
+            shard_timeout_s=args.shard_timeout,
+        )
+    except ValueError as exc:
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 2
     result = run_city_campaign(config, state_dir=args.state_dir, max_shards=args.max_shards)
     rows = []
     for (operator, rat, scenario), stats in sorted(result.stats.items()):
@@ -224,11 +228,6 @@ def _cmd_obs_check_slo(args: argparse.Namespace) -> int:
         print(f"{path} has no counters (run with --obs metrics) but {args.budget} bounds counters", file=sys.stderr)
         return 1
     violations = obs.evaluate_slo(budget, record)
-    regression_limit = budget["budgets"].get("end_to_end_regression")
-    if regression_limit is not None:
-        trend = obs.check_bench_file(args.bench, limit=float(regression_limit))
-        if trend is not None:
-            violations.append(trend)
     for violation in violations:
         print(violation.message(), file=sys.stderr)
     if violations:
@@ -298,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = obs_sub.add_parser("check-slo", help="check the run record in a directory against a perf budget")
     check.add_argument("--budget", required=True, help="repro-slo-v1 JSON budget file")
     check.add_argument("dir", help="run directory or campaign state directory")
-    check.add_argument(
-        "--bench", default="BENCH_perf.json",
-        help="BENCH_perf.json for the end_to_end_regression trend check",
-    )
     check.set_defaults(func=_cmd_obs_check_slo)
     return parser
 

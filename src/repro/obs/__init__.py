@@ -40,14 +40,7 @@ from typing import Dict, Mapping, Optional, Union
 
 from .metrics import MetricsRegistry
 from .record import RECORD_NAME, RUN_SCHEMA, git_sha, peak_rss_mb, read_record
-from .slo import (
-    SLO_SCHEMA,
-    Violation,
-    check_bench_file,
-    check_bench_trend,
-    evaluate_slo,
-    load_slo,
-)
+from .slo import SLO_SCHEMA, Violation, evaluate_slo, load_slo
 
 OBS_ENV = "REPRO_OBS"
 
@@ -82,8 +75,6 @@ __all__ = [
     "read_record",
     "load_slo",
     "evaluate_slo",
-    "check_bench_file",
-    "check_bench_trend",
     "git_sha",
     "peak_rss_mb",
 ]

@@ -7,8 +7,7 @@ like::
       "schema": "repro-slo-v1",
       "budgets": {
         "peak_rss_mb":   2048,
-        "counter_max":   {"cache.corrupt": 0},
-        "end_to_end_regression": 1.15
+        "counter_max":   {"cache.corrupt": 0}
       }
     }
 
@@ -18,11 +17,6 @@ counter names.  :func:`evaluate_slo` returns :class:`Violation`
 records; ``repro5g obs check-slo`` exits non-zero when any are
 returned, or when the budget bounds counters that a record written
 with metrics off does not have.
-
-``end_to_end_regression`` feeds :func:`check_bench_trend`, the
-``BENCH_perf.json`` trend gate: the latest recorded ``end_to_end``
-wall time may not exceed the stored baseline by more than the given
-ratio (default 1.15, i.e. >15% regression fails).
 """
 
 from __future__ import annotations
@@ -31,14 +25,11 @@ import json
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 SLO_SCHEMA = "repro-slo-v1"
 
-#: default end-to-end trend limit: >15% slower than baseline fails.
-DEFAULT_REGRESSION_LIMIT = 1.15
-
-_BUDGET_KEYS = frozenset({"peak_rss_mb", "counter_max", "end_to_end_regression"})
+_BUDGET_KEYS = frozenset({"peak_rss_mb", "counter_max"})
 
 
 @dataclass
@@ -68,15 +59,20 @@ def load_slo(path: Path) -> Dict:
     unknown = set(budgets) - _BUDGET_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown budget keys {sorted(unknown)}")
+    if "peak_rss_mb" in budgets and not _is_number(budgets["peak_rss_mb"]):
+        raise ValueError(f"{path}: 'peak_rss_mb' must be a number, got {budgets['peak_rss_mb']!r}")
+    counter_max = budgets.get("counter_max", {})
+    if not isinstance(counter_max, dict) or not all(map(_is_number, counter_max.values())):
+        raise ValueError(f"{path}: 'counter_max' must map counter names to numbers, got {counter_max!r}")
     return data
 
 
-def evaluate_slo(slo: Mapping, record: Mapping) -> List[Violation]:
-    """Check a run record against a budget; returns all breaches.
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    ``end_to_end_regression`` is not evaluated here: it reads
-    ``BENCH_perf.json`` (see :func:`check_bench_file`), not the run.
-    """
+
+def evaluate_slo(slo: Mapping, record: Mapping) -> List[Violation]:
+    """Check a run record against a budget; returns all breaches."""
     budgets = dict(slo.get("budgets", {}))
     violations: List[Violation] = []
 
@@ -94,40 +90,3 @@ def evaluate_slo(slo: Mapping, record: Mapping) -> List[Violation]:
                 )
     return violations
 
-
-# ---------------------------------------------------------------------------
-# BENCH_perf.json trend gate
-
-
-def check_bench_trend(
-    bench: Mapping, limit: float = DEFAULT_REGRESSION_LIMIT
-) -> Optional[Violation]:
-    """End-to-end trend check over a ``BENCH_perf.json`` payload.
-
-    Compares ``latest.current_s.end_to_end`` against
-    ``baseline.current_s.end_to_end``; a ratio above ``limit`` (default
-    1.15 — >15% slower) returns a :class:`Violation`, otherwise
-    ``None``.  Missing baseline or latest sections pass (first run).
-    """
-    baseline = bench.get("baseline", {}).get("current_s", {}).get("end_to_end")
-    latest = bench.get("latest", {}).get("current_s", {}).get("end_to_end")
-    if not baseline or not latest:
-        return None
-    ratio = float(latest) / float(baseline)
-    if ratio > float(limit):
-        return Violation("end_to_end_regression", "BENCH_perf.json", float(limit), round(ratio, 4))
-    return None
-
-
-def check_bench_file(
-    path: Path, limit: float = DEFAULT_REGRESSION_LIMIT
-) -> Optional[Violation]:
-    """:func:`check_bench_trend` over a file; a missing file passes."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        bench = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    return check_bench_trend(bench, limit)

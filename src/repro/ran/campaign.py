@@ -36,8 +36,10 @@ import numpy as np
 
 from .. import obs, runtime
 from ..parallel import run_tasks
-from .cells import Deployment, build_city_deployment
+from .bands import bands_for_rat
+from .cells import Deployment, build_city_deployment, scenario_spacing_m
 from .multi_ue import MultiUESimulator
+from .operators import OPERATORS
 from .simulator import TraceSimulator
 from .traces import Trace, TraceRecord, TraceSet
 
@@ -260,12 +262,26 @@ class CityCampaignConfig:
         self.operators = tuple(self.operators)
         self.scenarios = tuple(self.scenarios)
         self.rats = tuple(self.rats)
-        if self.ues < 1:
-            raise ValueError("ues must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.cohort < 1:
-            raise ValueError("cohort must be >= 1")
+        # bad values are rejected before any state directory exists;
+        # names are checked against the tables the shards read
+        unknown = sorted(set(self.operators) - set(OPERATORS))
+        if unknown:
+            raise ValueError(f"unknown operator(s) {unknown}; choose from {sorted(OPERATORS)}")
+        for scenario in self.scenarios:
+            scenario_spacing_m(scenario)
+        for rat in self.rats:
+            bands_for_rat(rat)
+        for name in ("ues", "shards", "cohort"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("cells", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("duration_s", "dt_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.shard_timeout_s is not None and not self.shard_timeout_s > 0:
+            raise ValueError(f"shard_timeout_s must be > 0 or None, got {self.shard_timeout_s!r}")
 
     def to_dict(self) -> Dict:
         data = asdict(self)

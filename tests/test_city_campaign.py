@@ -73,6 +73,36 @@ class TestShardPlan:
         assert [job.seed for job in jobs] == [config.seed + 1 + i for i in range(len(jobs))]
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"operators": ("OpZ", "OpQ")}, "unknown operator(s) ['OpQ']"),
+            ({"scenarios": ("moon",)}, "unknown scenario 'moon'"),
+            ({"rats": ("6G",)}, "unknown RAT '6G'"),
+            ({"ues": 0}, "ues must be >= 1, got 0"),
+            ({"shards": 0}, "shards must be >= 1, got 0"),
+            ({"cohort": 0}, "cohort must be >= 1, got 0"),
+            ({"cells": -3}, "cells must be >= 0, got -3"),
+            ({"seed": -2}, "seed must be >= 0, got -2"),
+            ({"duration_s": -1.0}, "duration_s must be > 0, got -1.0"),
+            ({"dt_s": 0.0}, "dt_s must be > 0, got 0.0"),
+            ({"dt_s": float("nan")}, "dt_s must be > 0, got nan"),
+            ({"shard_timeout_s": -1.0}, "shard_timeout_s must be > 0 or None, got -1.0"),
+        ],
+    )
+    def test_rejects_bad_values(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _tiny_config(**overrides)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CityCampaignConfig.from_dict({**_tiny_config().to_dict(), **overrides})
+
+    def test_hashes_are_unchanged_by_validation(self):
+        # the hash names shard state on disk: validation must not move it
+        assert CityCampaignConfig().hash() == "ffb41f0684f6664e"
+        assert _tiny_config(shard_timeout_s=5.0).hash() == "776d68e9fc688123"
+
+
 def _per_ue_config(**overrides) -> CityCampaignConfig:
     base = dict(
         operators=("OpZ", "OpX"),

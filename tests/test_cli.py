@@ -100,6 +100,21 @@ class TestCampaign:
         assert "(2 resumed)" in again and "(0 simulated)" in again
         assert first.splitlines()[:-2] == again.splitlines()[:-2]  # same tables
 
+    # test_city_campaign.py's TestConfigValidation covers every rejected value
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rats", "6G"], "unknown RAT '6G'"),
+            (["--ues", "0"], "ues must be >= 1"),
+            (["--cells", "-3"], "cells must be >= 0"),
+        ],
+    )
+    def test_campaign_rejects_bad_input_before_any_state_exists(self, tmp_path, capsys, flags, message):
+        state = tmp_path / "state"
+        assert main(["campaign", "--state-dir", str(state), *flags]) == 2
+        assert f"campaign: {message}" in capsys.readouterr().err
+        assert not state.exists()
+
 
 class TestRun:
     def test_run_twice_skips_second_time(self, tmp_path, capsys):

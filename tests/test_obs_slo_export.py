@@ -1,4 +1,4 @@
-"""SLO budgets over run records, the BENCH trend gate, and the obs check-slo CLI."""
+"""SLO budgets over run records and the obs check-slo CLI."""
 
 import json
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.slo import (
-    SLO_SCHEMA,
-    check_bench_file,
-    check_bench_trend,
-    evaluate_slo,
-    load_slo,
-)
+from repro.obs.slo import SLO_SCHEMA, evaluate_slo, load_slo
 
 
 @pytest.fixture(autouse=True)
@@ -56,11 +50,23 @@ class TestEvaluateSlo:
         bad_schema.write_text(json.dumps({"schema": "nope", "budgets": {}}))
         with pytest.raises(ValueError, match="schema"):
             load_slo(bad_schema)
-        for retired in ("warp_speed", "stage_wall_s", "counter_min"):
+        for retired in ("warp_speed", "stage_wall_s", "counter_min", "end_to_end_regression"):
             bad_key = tmp_path / "b.json"
             bad_key.write_text(json.dumps(_slo({retired: 9})))
             with pytest.raises(ValueError, match="unknown budget keys"):
                 load_slo(bad_key)
+        malformed = [
+            ({"peak_rss_mb": "lots"}, "'peak_rss_mb' must be a number"),
+            ({"peak_rss_mb": True}, "'peak_rss_mb' must be a number"),
+            ({"counter_max": ["x"]}, "'counter_max' must map counter names to numbers"),
+            ({"counter_max": {"cache.corrupt": "none"}}, "'counter_max' must map counter names to numbers"),
+            ({"counter_max": {"cache.corrupt": False}}, "'counter_max' must map counter names to numbers"),
+        ]
+        for budgets, message in malformed:
+            bad_value = tmp_path / "c.json"
+            bad_value.write_text(json.dumps(_slo(budgets)))
+            with pytest.raises(ValueError, match=message):
+                load_slo(bad_value)
 
     def test_load_slo_accepts_valid_file(self, tmp_path):
         path = tmp_path / "slo.json"
@@ -68,39 +74,11 @@ class TestEvaluateSlo:
         assert load_slo(path)["budgets"]["counter_max"] == {"x": 1}
 
 
-class TestBenchTrend:
-    def _bench(self, baseline, latest):
-        return {
-            "baseline": {"current_s": {"end_to_end": baseline}},
-            "latest": {"current_s": {"end_to_end": latest}},
-        }
-
-    def test_regression_over_limit_fails(self):
-        v = check_bench_trend(self._bench(10.0, 12.0), limit=1.15)
-        assert v is not None and v.actual == 1.2
-
-    def test_within_limit_passes(self):
-        assert check_bench_trend(self._bench(10.0, 11.0), limit=1.15) is None
-
-    def test_missing_sections_pass(self):
-        assert check_bench_trend({}) is None
-        assert check_bench_trend({"baseline": {"current_s": {"end_to_end": 1.0}}}) is None
-
-    def test_missing_file_passes_bad_json_raises(self, tmp_path):
-        assert check_bench_file(tmp_path / "nope.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            check_bench_file(bad)
-
-
 # ---------------------------------------------------------------------------
 # CLI gates
 
 
-FAST_BUDGET = _slo(
-    {"peak_rss_mb": 4096, "counter_max": {"cache.corrupt": 0}, "end_to_end_regression": 1.15}
-)
+FAST_BUDGET = _slo({"peak_rss_mb": 4096, "counter_max": {"cache.corrupt": 0}})
 
 
 def _write_run(directory, counters=None, metrics=True):
@@ -113,13 +91,10 @@ def _write_run(directory, counters=None, metrics=True):
     obs.configure(mode=obs.MODE_OFF)
 
 
-def _check(tmp_path, run_dir, budget=FAST_BUDGET, bench=None):
+def _check(tmp_path, run_dir, budget=FAST_BUDGET):
     budget_path = tmp_path / "slo.json"
     budget_path.write_text(json.dumps(budget))
-    bench_path = tmp_path / "bench.json"
-    if bench is not None:
-        bench_path.write_text(json.dumps(bench))
-    return main(["obs", "check-slo", "--budget", str(budget_path), "--bench", str(bench_path), str(run_dir)])
+    return main(["obs", "check-slo", "--budget", str(budget_path), str(run_dir)])
 
 
 class TestObsCli:
@@ -139,15 +114,6 @@ class TestObsCli:
         budget = _slo({"peak_rss_mb": 1})
         assert _check(tmp_path, tmp_path / "run", budget=budget) == 1
         assert "[peak_rss_mb]" in capsys.readouterr().err
-
-    def test_check_slo_fails_on_bench_regression(self, tmp_path, capsys):
-        _write_run(tmp_path / "run")
-        bench = {
-            "baseline": {"current_s": {"end_to_end": 10.0}},
-            "latest": {"current_s": {"end_to_end": 12.0}},
-        }
-        assert _check(tmp_path, tmp_path / "run", bench=bench) == 1
-        assert "[end_to_end_regression]" in capsys.readouterr().err
 
     def test_check_slo_fails_when_the_budget_bounds_counters_the_record_lacks(self, tmp_path, capsys):
         _write_run(tmp_path / "run", metrics=False)
@@ -179,3 +145,9 @@ class TestObsCli:
         bad.write_text(json.dumps({"schema": "nope"}))
         assert main(["obs", "check-slo", "--budget", str(bad), str(tmp_path)]) == 2
         assert "expected an SLO file" in capsys.readouterr().err
+
+    def test_check_slo_malformed_budget_value_exits_2_naming_the_file(self, tmp_path, capsys):
+        _write_run(tmp_path / "run")
+        assert _check(tmp_path, tmp_path / "run", budget=_slo({"peak_rss_mb": "lots"})) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'slo.json'}:" in err and "'peak_rss_mb' must be a number" in err
